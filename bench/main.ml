@@ -415,33 +415,60 @@ let kernel_bench () =
     ("build_tables_seconds", build_s);
   ]
 
-(* Grid leg: the same Table-4 sweep through the historical per-point
-   scheduler and through the Rank_grid wavefront, at the same worker
-   count — the headline number of the grid engine — plus a perturb
+(* One Table-4 row's own problem, derived from the sweep's base instance
+   exactly as a grid cell is (materials, clock or fraction override). *)
+let row_problem base (s : Ir_sweep.Table4.sweep) param =
+  match s.Ir_sweep.Table4.name with
+  | "K" -> Ir_assign.Problem.with_materials base (Ir_ia.Materials.v ~k:param ())
+  | "M" ->
+      Ir_assign.Problem.with_materials base (Ir_ia.Materials.v ~miller:param ())
+  | "C" -> Ir_assign.Problem.with_clock base param
+  | "R" -> Ir_assign.Problem.with_repeater_fraction base param
+  | name -> invalid_arg ("row_problem: unknown sweep " ^ name)
+
+(* Grid leg: the same Table-4 sweep without plane sharing —
+   Rank_grid.eval_batch over every point's own problem, each cell its own
+   plane — and through the shared Rank_grid wavefront, at the same
+   worker count: the headline number of plane sharing.  Plus a perturb
    micro-leg showing incremental re-evaluation touches strictly fewer
    cells than a full rebuild.  The grid leg also reruns at jobs=1 to
    assert the grid/* counters (and the results) are schedule-invariant.
    Any identity violation fails the bench process; the speedup itself is
    reported honestly, never gated. *)
 let grid_bench () =
-  section "Grid leg: per-point vs one-wavefront grid (same jobs)";
+  section "Grid leg: unshared per-point batch vs shared-plane grid (same jobs)";
   let config = sweep_config () in
   let jobs =
     if Ir_exec.hardware_jobs () <= 1 then 1 else par_jobs ()
   in
   Ir_obs.reset ();
   let t0 = Ir_exec.now () in
-  let pp =
-    Ir_sweep.Table4.all ~jobs ~engine:Ir_sweep.Table4.Per_point ~config ()
-  in
-  let pp_s = Ir_exec.now () -. t0 in
-  Ir_obs.reset ();
-  let t0 = Ir_exec.now () in
-  let gr = Ir_sweep.Table4.all ~jobs ~engine:Ir_sweep.Table4.Grid ~config () in
+  let gr = Ir_sweep.Table4.all ~jobs ~config () in
   let grid_s = Ir_exec.now () -. t0 in
   let grid_snap = identity_snapshot () in
+  let base = Ir_sweep.Table4.baseline_problem config in
+  let rows =
+    List.concat_map
+      (fun (s : Ir_sweep.Table4.sweep) ->
+        List.map (fun (r : Ir_sweep.Table4.row) -> (s, r)) s.rows)
+      gr
+  in
+  Ir_obs.reset ();
+  let t0 = Ir_exec.now () in
+  let unshared =
+    Ir_core.Rank_grid.eval_batch ~jobs
+      (Array.of_list
+         (List.map
+            (fun (s, (r : Ir_sweep.Table4.row)) -> row_problem base s r.param)
+            rows))
+  in
+  let pp_s = Ir_exec.now () -. t0 in
   let engines_identical =
-    List.for_all2 (fun a b -> sweep_sig a = sweep_sig b) pp gr
+    List.for_all2
+      (fun (_, (r : Ir_sweep.Table4.row)) o ->
+        r.outcome.Ir_core.Outcome.rank_wires = o.Ir_core.Outcome.rank_wires
+        && r.outcome.Ir_core.Outcome.exact = o.Ir_core.Outcome.exact)
+      rows (Array.to_list unshared)
   in
   (* The grid counters are structural (cells, planes, wavefront levels):
      a jobs=1 rerun must reproduce them — and the ranks — exactly. *)
@@ -449,9 +476,7 @@ let grid_bench () =
     if jobs = 1 then (true, true)
     else begin
       Ir_obs.reset ();
-      let gr1 =
-        Ir_sweep.Table4.all ~jobs:1 ~engine:Ir_sweep.Table4.Grid ~config ()
-      in
+      let gr1 = Ir_sweep.Table4.all ~jobs:1 ~config () in
       let snap1 = identity_snapshot () in
       ( snap1.Ir_obs.counters = grid_snap.Ir_obs.counters
         && snap1.Ir_obs.gauges = grid_snap.Ir_obs.gauges,
@@ -519,7 +544,7 @@ let grid_bench () =
     ~header:[ "grid leg"; "wall time"; "speedup" ]
     ~rows:
       [
-        [ Printf.sprintf "per-point (jobs=%d)" jobs;
+        [ Printf.sprintf "unshared batch (jobs=%d)" jobs;
           Printf.sprintf "%.2f s" pp_s; "1.00x" ];
         [
           Printf.sprintf "grid wavefront (jobs=%d)" jobs;
@@ -536,8 +561,8 @@ let grid_bench () =
     (Ir_sweep.Export.grid_status report);
   if grid_s > 1.05 *. pp_s then
     Format.printf
-      "@.*** WARNING: the grid leg (%.2f s) is SLOWER than per-point \
-       (%.2f s) on this machine/workload. ***@."
+      "@.*** WARNING: the grid leg (%.2f s) is SLOWER than the unshared \
+       batch (%.2f s) on this machine/workload. ***@."
       grid_s pp_s;
   leg_results_line "grid";
   (match Ir_sweep.Export.grid_status report with
@@ -560,17 +585,12 @@ let pruning_bench () =
   in
   Ir_obs.reset ();
   let t0 = Ir_exec.now () in
-  let base =
-    Ir_sweep.Table4.all ~jobs ~engine:Ir_sweep.Table4.Grid ~config ()
-  in
+  let base = Ir_sweep.Table4.all ~jobs ~config () in
   let base_s = Ir_exec.now () -. t0 in
   let base_snap = identity_snapshot () in
   Ir_obs.reset ();
   let t0 = Ir_exec.now () in
-  let pruned =
-    Ir_sweep.Table4.all ~jobs ~engine:Ir_sweep.Table4.Grid ~prune:true
-      ~config ()
-  in
+  let pruned = Ir_sweep.Table4.all ~jobs ~prune:true ~config () in
   let pruned_s = Ir_exec.now () -. t0 in
   let pruned_snap = identity_snapshot () in
   let identical =
@@ -583,10 +603,7 @@ let pruning_bench () =
     if jobs = 1 then (true, true)
     else begin
       Ir_obs.reset ();
-      let pruned1 =
-        Ir_sweep.Table4.all ~jobs:1 ~engine:Ir_sweep.Table4.Grid
-          ~prune:true ~config ()
-      in
+      let pruned1 = Ir_sweep.Table4.all ~jobs:1 ~prune:true ~config () in
       let snap1 = identity_snapshot () in
       ( snap1.Ir_obs.counters = pruned_snap.Ir_obs.counters
         && snap1.Ir_obs.gauges = pruned_snap.Ir_obs.gauges,
@@ -667,8 +684,9 @@ let pruning_bench () =
    byte-identical: every rank, every exact flag, every counter.  (b)
    The Power_pareto frontier evaluated at jobs=1 and jobs=N must return
    identical rows with identical power/* (and all other) counters.
-   (c) The sequential (Rank_dp.compute_pareto_power) and grid
-   (Rank_grid.compute_pareto_power) engines must agree point for point.
+   (c) The shared power-mode build must agree point for point with one
+   independent one-cell compute per budget (Rank_grid.compute on the
+   problem rebound to that power budget).
    (d) The frontier is monotone and its fraction-1.0 point recovers the
    unconstrained rank.  Any violation fails the bench process; the
    frontier's shape goes to power_pareto.csv, reported, never gated. *)
@@ -696,7 +714,7 @@ let power_bench () =
   in
   (* Full-row frontier signature: fractions, budgets, ranks, exact
      flags and witness watts — jobs=1 and jobs=N must agree on all of
-     it, and so must the two engines below. *)
+     it, and so must the independent computes below. *)
   let frontier_sig (r : Ir_sweep.Power_pareto.result) =
     ( r.unconstrained.Ir_core.Outcome.rank_wires,
       r.unconstrained_power,
@@ -722,28 +740,21 @@ let power_bench () =
     end
   in
   Ir_obs.reset ();
-  (* Engine cross-check on outcomes only: the sequential engine chains
-     a suffix-fit memo and boundary hints the concurrent one must not
-     share, so its probe counters legitimately differ. *)
+  (* Sharing cross-check on outcomes only: every frontier point against
+     its own build at that power budget, nothing shared. *)
   let engines_agree =
-    match seq.rows with
-    | [] -> true
-    | rows ->
-        let base = Ir_sweep.Table4.baseline_problem config in
-        let pts =
-          Ir_power.Power.pareto base
-            (List.map (fun (r : Ir_sweep.Power_pareto.row) -> r.budget) rows)
-        in
-        List.for_all2
-          (fun (row : Ir_sweep.Power_pareto.row)
-               (p : Ir_core.Rank_dp.power_point) ->
-            p.pp_budget = row.budget
-            && p.pp_outcome.Ir_core.Outcome.rank_wires
-               = row.outcome.Ir_core.Outcome.rank_wires
-            && p.pp_outcome.Ir_core.Outcome.exact
-               = row.outcome.Ir_core.Outcome.exact
-            && p.pp_power = row.power)
-          rows pts
+    let base = Ir_sweep.Table4.baseline_problem config in
+    List.for_all
+      (fun (row : Ir_sweep.Power_pareto.row) ->
+        let p = Ir_assign.Problem.with_power_budget base row.budget in
+        let o, w = Ir_core.Rank_grid.compute p in
+        o.Ir_core.Outcome.rank_wires = row.outcome.Ir_core.Outcome.rank_wires
+        && o.Ir_core.Outcome.exact = row.outcome.Ir_core.Outcome.exact
+        && (match w with
+           | Some w -> Ir_core.Rank_dp.witness_power p w
+           | None -> 0.0)
+           = row.power)
+      seq.rows
   in
   Ir_obs.reset ();
   let monotone = Ir_sweep.Power_pareto.monotone seq in
@@ -1207,7 +1218,7 @@ let experiment_runtime_claim () =
         let design = Ir_core.Rank.baseline_design ~gates Ir_tech.Node.N130 in
         let problem = Ir_core.Rank.problem_of_design design in
         let t0 = Sys.time () in
-        let o = Ir_core.Rank_dp.compute problem in
+        let o = Ir_core.Rank.compute problem in
         let dt = Sys.time () -. t0 in
         [
           string_of_int gates;
@@ -1244,7 +1255,7 @@ let ablation_bunch_size () =
       (fun bunch_size ->
         let problem = baseline_problem ~bunch_size () in
         let t0 = Sys.time () in
-        let o = Ir_core.Rank_dp.compute problem in
+        let o = Ir_core.Rank.compute problem in
         let dt = Sys.time () -. t0 in
         [
           string_of_int bunch_size;
@@ -1277,7 +1288,7 @@ let ablation_binning () =
         let coarse = if group = 1 then wld else Ir_wld.Coarsen.bin ~group wld in
         let problem = Ir_assign.Problem.make ~arch ~wld:coarse () in
         let t0 = Sys.time () in
-        let o = Ir_core.Rank_dp.compute problem in
+        let o = Ir_core.Rank.compute problem in
         let dt = Sys.time () -. t0 in
         [
           string_of_int group;
@@ -1298,10 +1309,10 @@ let ablation_cap_model () =
       (fun (name, model) ->
         let materials = Ir_ia.Materials.v ~cap_model:model () in
         let problem = baseline_problem ~materials () in
-        let o = Ir_core.Rank_dp.compute problem in
+        let o = Ir_core.Rank.compute problem in
         let m1 =
           let mat = Ir_ia.Materials.v ~cap_model:model ~miller:1.0 () in
-          Ir_core.Rank_dp.compute (baseline_problem ~materials:mat ())
+          Ir_core.Rank.compute (baseline_problem ~materials:mat ())
         in
         [
           name;
@@ -1327,7 +1338,7 @@ let ablation_cap_model () =
 let ablation_greedy_gap () =
   section "Ablation: DP optimality gain over greedy (full baseline)";
   let problem = baseline_problem () in
-  let dp = Ir_core.Rank_dp.compute problem in
+  let dp = Ir_core.Rank.compute problem in
   let g = Ir_core.Rank_greedy.compute problem in
   Format.printf "optimal DP : %a@." Ir_core.Outcome.pp_human dp;
   Format.printf "greedy     : %a@." Ir_core.Outcome.pp_human g;
@@ -1347,9 +1358,9 @@ let ablation_pareto () =
         (* Widening would retry every truncated width at a larger one,
            making all rows identical — this ablation wants the fixed-width
            behaviour. *)
-        let o =
-          Ir_core.Rank_dp.compute ~max_pareto:width ~widen_on_overflow:false
-            problem
+        let o, _ =
+          Ir_core.Rank_grid.compute ~max_pareto:width
+            ~widen_on_overflow:false problem
         in
         let dt = Sys.time () -. t0 in
         [
@@ -1394,7 +1405,7 @@ let ablation_via_model () =
       (fun (name, via_model) ->
         let arch = Ir_ia.Arch.make ~via_model ~design () in
         let problem = Ir_assign.Problem.make ~arch ~wld () in
-        let o = Ir_core.Rank_dp.compute problem in
+        let o = Ir_core.Rank.compute problem in
         [
           name;
           Printf.sprintf "%.6f" (Ir_core.Outcome.normalized o);
@@ -1425,7 +1436,7 @@ let comparison_algorithms () =
           Printf.sprintf "%.3f s" dt;
         ])
       [
-        ("optimal DP (the metric)", fun p -> Ir_core.Rank_dp.compute p);
+        ("optimal DP (the metric)", fun p -> Ir_core.Rank.compute p);
         ("greedy top-down (Fig. 2)", Ir_core.Rank_greedy.compute);
         ("length thresholds (SLIP'00)", fun p -> Ir_core.Rank_threshold.compute p);
       ]
@@ -1467,7 +1478,7 @@ let study_noise () =
       Ir_ia.Arch.make ~materials:(Ir_ia.Materials.v ~miller ()) ~design ()
     in
     Ir_core.Outcome.normalized
-      (Ir_core.Rank_dp.compute
+      (Ir_core.Rank.compute
          (Ir_assign.Problem.make ?noise_limit ~arch ~wld ()))
   in
   let rows =
@@ -1718,9 +1729,9 @@ let bechamel_tests () =
              (Ir_assign.Problem.make ~bunch_size:10000 ~arch:arch_1m
                 ~wld:wld_1m ())));
     Test.make ~name:"rank/dp-100k-gates"
-      (Staged.stage (fun () -> ignore (Ir_core.Rank_dp.compute p_small)));
+      (Staged.stage (fun () -> ignore (Ir_core.Rank.compute p_small)));
     Test.make ~name:"rank/dp-1M-gates"
-      (Staged.stage (fun () -> ignore (Ir_core.Rank_dp.compute p_full)));
+      (Staged.stage (fun () -> ignore (Ir_core.Rank.compute p_full)));
     Test.make ~name:"rank/greedy-1M-gates"
       (Staged.stage (fun () -> ignore (Ir_core.Rank_greedy.compute p_full)));
     Test.make ~name:"assign/greedy-fill-1M"

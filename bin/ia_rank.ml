@@ -232,7 +232,7 @@ let rank_cmd =
           let problem =
             Ir_assign.Problem.with_power_budget problem power_budget
           in
-          let outcome, w = Ir_core.Rank_dp.compute_with_witness problem in
+          let outcome, w = Ir_core.Rank_grid.compute problem in
           Format.printf "%a@." Ir_core.Outcome.pp_human outcome;
           Option.iter
             (fun w ->
@@ -783,7 +783,7 @@ let serve_cmd =
       value & opt int 1
       & info [ "shards" ] ~docv:"N"
           ~doc:
-            "Shard the daemon across $(docv) worker processes (forked from \
+            "Shard the daemon across $(docv) worker processes (spawned from \
              this binary), partitioned by warm-table family so no family \
              is built twice.  With the default 1 everything runs in this \
              process.")

@@ -38,7 +38,7 @@ let () =
   let arch = Ir_ia.Arch.make ~design () in
   let rank wld =
     Ir_core.Outcome.normalized
-      (Ir_core.Rank_dp.compute
+      (Ir_core.Rank.compute
          (Ir_assign.Problem.make ~bunch_size:500 ~arch ~wld ()))
   in
   let raw = Ir_netlist.Extract.wld (Ir_netlist.Circuit.generate ~gates ()) in

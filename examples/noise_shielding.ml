@@ -32,7 +32,7 @@ let () =
       Ir_ia.Arch.make ~materials:(Ir_ia.Materials.v ~miller ()) ~design ()
     in
     Ir_core.Outcome.normalized
-      (Ir_core.Rank_dp.compute
+      (Ir_core.Rank.compute
          (Ir_assign.Problem.make ?noise_limit ~arch ~wld ()))
   in
   Format.printf "@.Rank of the 130nm/1M baseline under noise budgets:@.@.";

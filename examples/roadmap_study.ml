@@ -52,7 +52,7 @@ let rank ?gates ~clock entry ~k ~miller =
          ~rent_p:design.rent_p ~fan_out:design.fan_out ())
   in
   Ir_core.Outcome.normalized
-    (Ir_core.Rank_dp.compute (Ir_assign.Problem.make ~arch ~wld ()))
+    (Ir_core.Rank.compute (Ir_assign.Problem.make ~arch ~wld ()))
 
 let material_columns ?gates ~clock (e : Ir_tech.Itrs.entry) =
   [

@@ -38,7 +38,7 @@ let () =
   in
 
   let rank wld =
-    Ir_core.Rank_dp.compute (Ir_assign.Problem.make ~arch ~wld ())
+    Ir_core.Rank.compute (Ir_assign.Problem.make ~arch ~wld ())
   in
   Format.printf "Davis WLD      : %a@." Ir_core.Outcome.pp_human (rank davis);
   Format.printf "tail-heavy WLD : %a@." Ir_core.Outcome.pp_human

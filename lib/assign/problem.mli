@@ -187,7 +187,7 @@ val with_power_budget : t -> float -> t
     [p] watts — a pure rebind, every table shared verbatim (the power
     budget, like the area budget, enters no precomputed table).  This is
     what lets one power-mode build answer a whole power-budget sweep
-    ([Rank_dp.compute_pareto_power]'s displacement argument).
+    ([Rank_grid.compute_pareto_power]'s displacement argument).
     @raise Invalid_argument if [p <= 0] ([infinity] is allowed). *)
 
 val with_activity : t -> float -> t

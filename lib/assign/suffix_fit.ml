@@ -27,7 +27,7 @@
    The big win is cross-query reuse where identical contexts repeat: the
    R-column of Table 4 re-probes the same boundaries under different
    repeater budgets, and [Greedy_fill.fits] never reads the budget, so a
-   memo shared across the fractions (see [Rank_dp.search_budgets]) turns
+   memo shared across the fractions (see [Rank_grid]'s planes) turns
    the repeats into O(frontier) comparisons.
 
    A [t] is single-domain mutable state: share it across sequential

@@ -21,8 +21,8 @@
 
     The verdict never depends on the repeater budget ([Greedy_fill]
     ignores it), so one memo may serve a whole budget-rebound family —
-    that is what makes sharing it across {!Rank_dp.search_budgets}
-    fractions sound, where identical probe contexts repeat per fraction.
+    that is what makes sharing it across the fractions of a
+    [Ir_core.Rank_grid] plane sound, where identical probe contexts repeat per fraction.
 
     A [t] is single-domain mutable state: do not share one across
     concurrently-running probes (speculative parallel probes each take a

@@ -38,7 +38,7 @@ let load_of_interval problem ~pair ~lo ~hi =
   }
 
 let extract ?max_pareto problem =
-  let outcome, witness = Rank_dp.compute_with_witness ?max_pareto problem in
+  let outcome, witness = Rank_grid.compute ?max_pareto problem in
   match witness with
   | None -> { outcome; meeting = []; overflow = [] }
   | Some w ->

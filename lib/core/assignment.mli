@@ -1,7 +1,7 @@
 (** Witness extraction: the actual optimal assignment behind a rank.
 
-    {!Rank_dp.compute} returns only the metric; this module re-runs the DP
-    keeping back-pointers and returns the full witness — which bunch
+    {!Rank.compute} returns only the metric; this module takes the
+    witness {!Rank_grid.compute} certifies the rank with and expands it — which bunch
     interval landed on which layer-pair, with how many repeaters — plus
     per-pair utilization accounting.  Used by the reporting CLI, the
     examples, and the tests (which verify the witness actually satisfies
@@ -28,7 +28,7 @@ type t = {
 
 val extract : ?max_pareto:int -> Ir_assign.Problem.t -> t
 (** Computes the rank and a witness assignment achieving it.  The
-    witness's rank always equals {!Rank_dp.compute}'s. *)
+    witness's rank always equals {!Rank.compute}'s. *)
 
 val check : Ir_assign.Problem.t -> t -> (unit, string) result
 (** Independent validation of a witness: interval structure (contiguous,

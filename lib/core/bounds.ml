@@ -8,12 +8,10 @@ module GF = Ir_assign.Greedy_fill
 let stat_pruned = Ir_obs.counter "bounds/states_pruned"
 let stat_saved = Ir_obs.counter "bounds/oracle_calls_saved"
 let stat_incumbent = Ir_obs.counter "bounds/incumbent_updates"
-let stat_eps = Ir_obs.counter "bounds/epsilon_drops"
 let stat_gated = Ir_obs.counter "bounds/probe_gated"
 let note_pruned n = if n > 0 then Ir_obs.add stat_pruned n
 let note_saved () = Ir_obs.incr stat_saved
 let note_incumbent () = Ir_obs.incr stat_incumbent
-let note_epsilon n = if n > 0 then Ir_obs.add stat_eps n
 let note_gated () = Ir_obs.incr stat_gated
 
 (* The prefix differences below subtract two accumulated float sums; the
@@ -145,8 +143,9 @@ let probe_nothing =
    boundary-region bunches dominate the budget on real instances, the
    chain typically lands within a few bunches of the DP optimum, which
    is what gives the incumbent its pruning power from level 0.  On total
-   refusal the probe degrades to boundary 0, which the caller has
-   already established achievable via the standard unfittable screen. *)
+   refusal the probe degrades to boundary 0, which is achievable exactly
+   when the instance passes the Definition-3 screen — [Rank_dp.builder]
+   drops the pruning context of a build that fails it. *)
 let chain_probe ?scratch ?(power = 0.0) t ~budget ~from_pair ~from_col ~area
     ~count =
   let p = t.problem in

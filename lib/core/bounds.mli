@@ -145,14 +145,12 @@ val pessimistic_probe :
 (** {2 Counters}
 
     [bounds/states_pruned], [bounds/oracle_calls_saved],
-    [bounds/incumbent_updates], [bounds/epsilon_drops],
-    [bounds/probe_gated] — flushed by the DP once per build/search,
+    [bounds/incumbent_updates], [bounds/probe_gated] — flushed by the DP once per build/search,
     zero-increment calls skipped. *)
 
 val note_pruned : int -> unit
 val note_saved : unit -> unit
 val note_incumbent : unit -> unit
-val note_epsilon : int -> unit
 
 val note_gated : unit -> unit
 (** One optimistic-bound pre-check just gated (skipped) a chain-probe

@@ -13,7 +13,7 @@
    arrays: unboxed float64 / native-int storage outside the OCaml heap,
    so a grid of resident builds (the whole-sweep wavefront kernel holds
    one store per parameter plane concurrently) costs the minor GC
-   nothing to scan, and a recycled scratch plane is a plain memset.
+   nothing to scan.
    Access cost is the same as [float array] — [Array1] float64 reads are
    unboxed — and the blit shift is a [memmove], which tolerates the
    overlapping ranges the insertion shuffle produces.
@@ -62,8 +62,8 @@ type t = {
      ([create ~powered:true]); length 0 otherwise so the 2-way paths pay
      nothing.  In a powered store areas still ascend per cell but counts
      no longer necessarily descend (3-way Pareto sets have no 2-D sorted
-     structure), so the 2-way binary-search entry points ([covers],
-     [insert]) must not be used — [seed_pw]/[insert_pw] below scan
+     structure), so the 2-way binary-search entry point ([insert]) must
+     not be used — [seed_pw]/[insert_pw] below scan
      linearly, which is cheap at width <= a few dozen. *)
   power : farray;  (* cells * stride when powered, else empty *)
   powered : bool;
@@ -122,56 +122,6 @@ let create_gen ~powered ~cells ~width =
 
 let create ~cells ~width = create_gen ~powered:false ~cells ~width
 let create_powered ~cells ~width = create_gen ~powered:true ~cells ~width
-
-(* Rebind [old]'s backing planes to a fresh logical store when they are
-   big enough, else allocate.  Only [len] (the per-cell live lengths) and
-   the arena bookkeeping need resetting: [seed]/[insert] never read an
-   element beyond a cell's length, so stale [area]/[count]/[state]
-   contents are unreachable.  The arena planes keep their grown capacity
-   — that is the point: a sweep reusing one scratch front stops paying
-   the doubling climb per build.  The source becomes invalid (it shares
-   every plane with the result).  Power-mode recycling additionally
-   requires the old store's power plane to cover the new geometry — a
-   2-way store recycled into a powered build falls back to a fresh
-   allocation (and vice versa costs nothing: the powered plane is simply
-   left unused). *)
-let recycle_gen old ~powered ~cells ~width =
-  if cells <= 0 then invalid_arg "Front.recycle: cells must be positive";
-  if width <= 0 then invalid_arg "Front.recycle: width must be positive";
-  let stride = width + 1 in
-  if
-    cells * stride > Bigarray.Array1.dim old.area
-    || cells > Bigarray.Array1.dim old.len
-    || (powered && cells * stride > Bigarray.Array1.dim old.power)
-  then create_gen ~powered ~cells ~width
-  else begin
-    Bigarray.Array1.fill (Bigarray.Array1.sub old.len 0 cells) 0;
-    {
-      width;
-      stride;
-      cells;
-      area = old.area;
-      count = old.count;
-      power = old.power;
-      powered;
-      state = old.state;
-      len = old.len;
-      arena_split = old.arena_split;
-      arena_parent = old.arena_parent;
-      arena_len = 0;
-      arena_free = no_parent;
-      arena_live = 0;
-      arena_hw = 0;
-      inserts = 0;
-      dominated = 0;
-      truncations = 0;
-    }
-  end
-
-let recycle old ~cells ~width = recycle_gen old ~powered:false ~cells ~width
-
-let recycle_powered old ~cells ~width =
-  recycle_gen old ~powered:true ~cells ~width
 
 let width t = t.width
 let cells t = t.cells
@@ -242,20 +192,6 @@ let seed t cell ~area ~count =
   if t.powered then t.power.{base} <- 0.0;
   t.state.{base} <- alloc_state t ~split:(-1) ~parent:no_parent;
   t.len.{cell} <- 1
-
-let covers t cell ~area:a ~count:c =
-  let base = cell * t.stride in
-  let n = t.len.{cell} in
-  (* Same search as [insert]'s dominance pre-check: first index whose
-     area exceeds [a]; counts descend, so the last element at or below
-     [a] carries the minimum count among them. *)
-  let lo = ref 0 and hi = ref n in
-  while !hi > !lo do
-    let mid = (!lo + !hi) / 2 in
-    if t.area.{base + mid} <= a then lo := mid + 1 else hi := mid
-  done;
-  let p = !lo in
-  p > 0 && t.count.{base + p - 1} <= c
 
 let insert t cell ~area:a ~count:c ~split ~parent =
   t.inserts <- t.inserts + 1;

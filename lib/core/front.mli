@@ -36,37 +36,17 @@ val create_powered : cells : int -> width : int -> t
     beside area and count, for 3-way Pareto builds.  In a powered store
     areas still ascend per cell but counts need not descend, so use only
     {!seed}, {!insert_pw} and {!covers_pw} on it — the 2-way
-    {!insert}/{!covers} binary searches assume the 2-D sorted invariant
+    {!insert} binary searches assume the 2-D sorted invariant
     and must not be mixed in.  {!powered} tells the two kinds apart. *)
-
-val recycle : t -> cells : int -> width : int -> t
-(** [recycle old ~cells ~width] is {!create} that reuses [old]'s backing
-    arrays when they are large enough for the requested geometry (falling
-    back to a fresh allocation when not).  The result is an empty store
-    indistinguishable from [create ~cells ~width] — same behaviour, same
-    statistics from zero — because no reader ever looks past a cell's
-    live length or the arena's reset length; only the allocation traffic
-    differs.  [old] is {e consumed}: it shares every array with the
-    result and must not be touched again.  This is the per-domain scratch
-    path of the parallel sweeps ({!Rank_dp.with_scratch}); tables that
-    outlive a computation (the serve layer's warm pool) must keep using
-    {!create}.  Raises [Invalid_argument] unless both arguments are
-    positive. *)
-
-val recycle_powered : t -> cells : int -> width : int -> t
-(** {!recycle} into a powered store: reuses [old]'s planes when they are
-    large enough {e including} a power plane of the requested geometry
-    (recycling a 2-way store into a powered build falls back to a fresh
-    allocation).  Same contract as {!recycle} otherwise. *)
 
 val width : t -> int
 
 val cells : t -> int
-(** The cell count the store was created (or last recycled) for. *)
+(** The cell count the store was created for. *)
 
 val powered : t -> bool
 (** Whether the store carries the power plane (created via
-    {!create_powered}/{!recycle_powered}). *)
+    {!create_powered}). *)
 
 (** {1 Front access}
 
@@ -131,14 +111,6 @@ val insert :
     dropped.  [parent] is the arena id of the predecessor state
     ({!Front.state}), or [-1] for a root. *)
 
-val covers : t -> int -> area : float -> count : int -> bool
-(** [covers t cell ~area ~count]: does the cell already hold an element
-    with area [<= area] {e and} count [<= count]?  This is exactly
-    {!insert}'s dominance pre-check, without the insertion — the
-    ε-dominance mode of the DP calls it with an inflated area bound
-    ([a *. (1. +. epsilon)]) to drop candidates an existing state
-    almost-dominates.  O(log width), no statistics move. *)
-
 (** {1 3-way operations (powered stores)}
 
     With a third objective the Pareto set loses its 2-D sorted structure
@@ -165,7 +137,9 @@ val insert_pw :
     already downgrades the build to a lower bound). *)
 
 val covers_pw : t -> int -> area : float -> count : int -> power : float -> bool
-(** 3-way {!covers}: some element with area, count and power all [<=]. *)
+(** Does the cell already hold an element with area, count and power
+    all [<=] the candidate's?  {!insert_pw}'s dominance pre-check,
+    without the insertion; no statistics move. *)
 
 (** {1 Witness reconstruction} *)
 

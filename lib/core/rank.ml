@@ -11,22 +11,11 @@ let problem_of_design ?structure ?materials ?target_model ?bunch_size design
   in
   Ir_assign.Problem.make ?target_model ?bunch_size ~arch ~wld ()
 
-let compute ?(algo = Dp) ?hint ?probe_fan ?epsilon ?prune problem =
+let compute ?(algo = Dp) ?prune problem =
   match algo with
-  | Dp -> Rank_dp.compute ?hint ?probe_fan ?epsilon ?prune problem
+  | Dp -> fst (Rank_grid.compute ?prune problem)
   | Greedy -> Rank_greedy.compute problem
   | Exact { r_steps } -> Rank_exact.compute ~r_steps problem
-
-let compute_budgets ?(algo = Dp) ?epsilon ?prune problem fractions =
-  match algo with
-  | Dp -> Rank_dp.search_budgets ?epsilon ?prune problem fractions
-  | Greedy | Exact _ ->
-      (* No shared-tables path for these algorithms; evaluate each
-         fraction independently. *)
-      List.map
-        (fun f ->
-          compute ~algo (Ir_assign.Problem.with_repeater_fraction problem f))
-        fractions
 
 let of_design ?algo ?structure ?materials ?target_model ?bunch_size design =
   compute ?algo

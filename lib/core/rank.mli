@@ -3,9 +3,9 @@
 
     This is the library's front door.  It wires together the Davis WLD
     generator, the architecture builder, bunching, and an algorithm
-    choice: {!Rank_dp} (the optimal DP, default), {!Rank_greedy} (the
-    Figure-2 baseline) or {!Rank_exact} (the paper-literal DP, small
-    instances only). *)
+    choice: the optimal DP (default — the {!Rank_dp} kernel driven by
+    {!Rank_grid}), {!Rank_greedy} (the Figure-2 baseline) or
+    {!Rank_exact} (the paper-literal DP, small instances only). *)
 
 type algo =
   | Dp  (** optimized optimal DP — the paper's metric *)
@@ -24,39 +24,12 @@ val problem_of_design :
     structure and materials by default) and bunches the instance
     (default bunch size 10000, the paper's). *)
 
-val compute :
-  ?algo:algo ->
-  ?hint:int ->
-  ?probe_fan:int ->
-  ?epsilon:float ->
-  ?prune:bool ->
-  Ir_assign.Problem.t ->
-  Outcome.t
+val compute : ?algo:algo -> ?prune:bool -> Ir_assign.Problem.t -> Outcome.t
 (** Runs the chosen algorithm (default [Dp]) on a prepared instance.
-    [hint] (an expected boundary bunch, e.g. a neighbouring sweep point's
-    [boundary_bunch]) and [probe_fan] (speculative concurrent boundary
-    probes for an otherwise idle machine) are forwarded to
-    {!Rank_dp.search_tables} under [Dp] and ignored by the other
-    algorithms; either way the result bytes are unaffected.  [prune]
-    (default false) enables {!Rank_dp}'s admissible-bound pruning —
-    byte-identical results, less work; [epsilon] (default 0.) its lossy
-    ε-dominance compression ([exact = false] on any drop).  Both are
-    [Dp]-only and ignored elsewhere. *)
-
-val compute_budgets :
-  ?algo:algo ->
-  ?epsilon:float ->
-  ?prune:bool ->
-  Ir_assign.Problem.t ->
-  float list ->
-  Outcome.t list
-(** [compute_budgets problem fractions] is the rank of [problem] at each
-    repeater fraction, in list order.  With [Dp] (the default) this is
-    {!Rank_dp.search_budgets} — one phase-A build shared across the whole
-    budget sweep; other algorithms evaluate each fraction independently.
-    Results are identical to mapping {!compute} over
-    {!Ir_assign.Problem.with_repeater_fraction}.  [epsilon]/[prune] as
-    in {!compute} ([Dp] only). *)
+    [Dp] is a one-cell {!Rank_grid} at jobs 1 ({!Rank_grid.compute}).
+    [prune] (default false) enables {!Rank_dp}'s admissible-bound
+    pruning — byte-identical results, less work; [Dp] only.  The
+    witness behind a [Dp] rank comes from {!Rank_grid.compute}. *)
 
 val of_design :
   ?algo:algo ->

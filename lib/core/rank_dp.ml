@@ -27,7 +27,6 @@ let stat_fan_rounds = Ir_obs.counter "rank_dp/probe_fan_rounds"
    with an infinite power budget the historical code paths run and these
    stay at zero — which is itself asserted by the bench identity leg.
    Deterministic like the rest (per-build tallies, sequential flush). *)
-let stat_power_points = Ir_obs.counter "power/sweep_points"
 let stat_power_states = Ir_obs.counter "power/states"
 let stat_power_wrejects = Ir_obs.counter "power/witness_rejects"
 let stat_power_inserts = Ir_obs.counter "power/front_inserts"
@@ -58,6 +57,10 @@ type tables = {
   truncations : int;
       (* non-dominated states dropped past max_pareto during the build;
          0 means the phase-A front is complete and the search is exact *)
+  ladder_prev : int option;
+      (* truncations of the rung these tables widened; None for a first
+         rung.  The widen ladder resumes from it, so continuing the
+         ladder on its own output is a no-op. *)
   bounds : Bounds.t option;
       (* present iff the build ran with pruning: feasible_witness then
          pre-screens suffix queries with the bound oracle *)
@@ -70,46 +73,9 @@ type tables = {
   floor_witness : witness option;
       (* the achievability certificate behind incumbent_floor; Some
          whenever incumbent_floor >= 0 *)
-  approx_drops : int;
-      (* candidates dropped by epsilon-dominance (builder ~epsilon > 0);
-         like truncations, nonzero forfeits the exact claim — unlike
-         truncations it never triggers the widening ladder, because a
-         wider front would not bring the dropped states back *)
 }
 
 let cell ~n j i = (j * (n + 1)) + i
-
-(* Per-domain scratch for the transient compute paths: a greedy-fill
-   arena plus the previous build's [Front.t], recycled into the next
-   build instead of reallocated ([Front.recycle] — indistinguishable from
-   a fresh store, so results and counters are byte-identical).  Holding a
-   scratch makes the tables it builds {e transient}: the next build with
-   the same scratch reuses their arrays.  The entry points that return
-   plain outcomes ([compute], [search], [search_budgets],
-   [feasible_boundary]) thread one automatically; [build_tables] without
-   an explicit scratch always allocates fresh, which is what table
-   holders like the serve warm pool need. *)
-type scratch = {
-  gf : Scratch.t;
-  mutable front : Front.t option;
-  busy : bool Atomic.t;
-}
-
-let create_scratch () =
-  { gf = Scratch.create (); front = None; busy = Atomic.make false }
-
-let scratch_key : scratch Domain.DLS.key = Domain.DLS.new_key create_scratch
-
-(* Same borrow discipline as [Scratch.with_arena]: the domain's scratch
-   by CAS, a throwaway one when a sibling systhread already holds it. *)
-let with_domain_scratch f =
-  let s = Domain.DLS.get scratch_key in
-  if Atomic.compare_and_set s.busy false true then
-    Fun.protect ~finally:(fun () -> Atomic.set s.busy false) (fun () -> f s)
-  else f (create_scratch ())
-
-let with_scratch ?scratch f =
-  match scratch with Some s -> f s | None -> with_domain_scratch f
 
 exception Break
 
@@ -119,11 +85,10 @@ exception Break
    holds one build's front store plus the next level [j] to expand, and
    [builder_step] runs exactly the [for i = 0 to n] body that the
    monolithic loop ran for that [j].  [build_tables] below is the fused
-   create / step-to-completion / finish, so the per-point path and any
-   level-synchronous driver ([Rank_grid]'s wavefront, which interleaves
-   the levels of many builds) execute the {e same} expansion code on the
-   same state — byte-identical fronts, tallies and witnesses by
-   construction, not by reimplementation. *)
+   create / step-to-completion / finish, so it and [Rank_grid]'s
+   wavefront (which interleaves the levels of many builds) execute the
+   {e same} expansion code on the same state — byte-identical fronts,
+   tallies and witnesses by construction, not by reimplementation. *)
 (* One pruning context: the bound oracle, the shared incumbent cell, the
    smallest budget any query of this build will run under (the floor's
    witness must be achievable there — budget monotonicity extends it to
@@ -185,7 +150,6 @@ type builder = {
   b_budget : float;
   b_blocked_k : float array;
   b_prune : prune option;
-  b_epsilon : float;
   b_thresh : float array;  (* per-column prune thresholds, len n + 1 *)
   b_powered : bool;  (* P.power_budgeted: 3-way front, power screens on *)
   b_pbudget : float;  (* the power budget (infinity when not powered) *)
@@ -196,10 +160,9 @@ type builder = {
   mutable b_states : int;
   mutable b_skipped : int;
   mutable b_pruned : int;
-  mutable b_eps_drops : int;
 }
 
-let builder ?(max_pareto = 8) ?(epsilon = 0.0) ?prune ?scratch problem =
+let builder ?(max_pareto = 8) ?prune problem =
   let n = P.n_bunches problem in
   let m = P.n_pairs problem in
   let width = max 1 max_pareto in
@@ -210,43 +173,22 @@ let builder ?(max_pareto = 8) ?(epsilon = 0.0) ?prune ?scratch problem =
      false and the build takes exactly the historical code paths — the
      byte-identity anchor the bench asserts. *)
   let powered = P.power_budgeted problem in
-  let fresh () =
+  let front =
     if powered then Front.create_powered ~cells ~width
     else Front.create ~cells ~width
   in
-  let front =
-    match scratch with
-    | None -> fresh ()
-    | Some s ->
-        (* Consumes the previous transient build's store (if any) — the
-           scratch contract says those tables are dead by now. *)
-        let fr =
-          match s.front with
-          | Some old ->
-              if powered then Front.recycle_powered old ~cells ~width
-              else Front.recycle old ~cells ~width
-          | None -> fresh ()
-        in
-        s.front <- Some fr;
-        fr
+  (* Definition 3: if the WLD does not even fit ignoring delay, the rank
+     is 0.  The screen is capacity-only, so the verdict holds for every
+     repeater and power budget a later rebind could ask about.  An
+     unassignable instance gets no root state and a build that is
+     complete at once: every driver's c = 0 probe then answers
+     unassignable from an empty front, and no driver expands a level of
+     a no-fit cell. *)
+  let fits =
+    Scratch.with_arena (fun gf ->
+        GF.fits ~scratch:gf problem (GF.context ~from_bunch:0 ~top_pair:0 ()))
   in
-  Front.seed front (cell ~n 0 0) ~area:0.0 ~count:0;
-  (* [P.blocked] depends on the pair, [wires_above], and the state's
-     repeater count — not on the interval end — so one scratch fill per
-     (pair, start) replaces a boxed call per (state, end). *)
-  let blocked_k =
-    (* Only [0 .. len-1] (len <= width) is written-then-read per cell, so
-       an arena buffer longer than [width] behaves like the fresh array. *)
-    match scratch with
-    | None -> Array.make width 0.0
-    | Some s -> Scratch.floats s.gf width
-  in
-  if not (epsilon >= 0.0) then invalid_arg "Rank_dp.builder: epsilon < 0";
-  (* ε-dominance is a 2-way notion (area-inflated cover); extending it to
-     the power axis is a separate design decision, so power mode refuses
-     it outright rather than silently ignoring the axis. *)
-  if powered && epsilon > 0.0 then
-    invalid_arg "Rank_dp.builder: epsilon-dominance unsupported in power mode";
+  if fits then Front.seed front (cell ~n 0 0) ~area:0.0 ~count:0;
   {
     b_problem = problem;
     b_front = front;
@@ -255,9 +197,14 @@ let builder ?(max_pareto = 8) ?(epsilon = 0.0) ?prune ?scratch problem =
     b_max_pareto = max_pareto;
     b_cap = P.capacity problem;
     b_budget = P.budget problem;
-    b_blocked_k = blocked_k;
-    b_prune = prune;
-    b_epsilon = epsilon;
+    (* [P.blocked] depends on the pair, [wires_above], and the state's
+       repeater count — not on the interval end — so one fill per
+       (pair, start) replaces a boxed call per (state, end). *)
+    b_blocked_k = Array.make width 0.0;
+    (* A no-fit build drops its pruning context: the context's seed
+       probe reports boundary 0 as achievable whenever it certifies
+       nothing, which only holds for an instance that fits. *)
+    b_prune = (if fits then prune else None);
     b_thresh = (match prune with None -> [||] | Some _ -> Array.make (n + 1) infinity);
     b_powered = powered;
     b_pbudget = P.power_budget problem;
@@ -267,15 +214,13 @@ let builder ?(max_pareto = 8) ?(epsilon = 0.0) ?prune ?scratch problem =
       | _ -> [||]);
     b_live_idx = (if powered then Array.make width 0 else [||]);
     b_thresh_inc = -2;
-    b_level = 0;
+    b_level = (if fits then 0 else m);
     b_states = 0;
     b_skipped = 0;
     b_pruned = 0;
-    b_eps_drops = 0;
   }
 
 let builder_levels b = b.b_m
-let builder_level b = b.b_level
 let builder_done b = b.b_level >= b.b_m
 
 (* Power-mode analog of [builder_step]'s level body below — same
@@ -460,7 +405,6 @@ let builder_step b =
           inc >= 0
     in
     let thresh = b.b_thresh in
-    let epsilon = b.b_epsilon in
     for i = 0 to n do
       let src = cell ~n j i in
       let len = Front.length front src in
@@ -517,12 +461,6 @@ let builder_step b =
                   let p = !lo in
                   if p > 0 && f_count.{dbase + p - 1} <= c then
                     b.b_skipped <- b.b_skipped + 1
-                  else if
-                    epsilon > 0.0
-                    && Front.covers front dst
-                         ~area:(a *. (1.0 +. epsilon))
-                         ~count:c
-                  then b.b_eps_drops <- b.b_eps_drops + 1
                   else
                     Front.insert front dst ~area:a ~count:c ~split:i
                       ~parent:(Front.state front src k)
@@ -558,12 +496,6 @@ let builder_step b =
                       let p = !lo in
                       if p > 0 && f_count.{dbase + p - 1} <= c then
                         b.b_skipped <- b.b_skipped + 1
-                      else if
-                        epsilon > 0.0
-                        && Front.covers front dst
-                             ~area:(a *. (1.0 +. epsilon))
-                             ~count:c
-                      then b.b_eps_drops <- b.b_eps_drops + 1
                       else
                         Front.insert front dst ~area:a ~count:c ~split:i2
                           ~parent:(Front.state front src k)
@@ -601,7 +533,6 @@ let builder_finish b =
     Ir_obs.add stat_power_inserts (Front.inserts front + b.b_skipped)
   end;
   Bounds.note_pruned b.b_pruned;
-  Bounds.note_epsilon b.b_eps_drops;
   let bounds, incumbent_floor, floor_witness =
     match b.b_prune with
     | None -> (None, -1, None)
@@ -623,10 +554,10 @@ let builder_finish b =
     m = b.b_m;
     max_pareto = b.b_max_pareto;
     truncations = Front.truncations front;
+    ladder_prev = None;
     bounds;
     incumbent_floor;
     floor_witness;
-    approx_drops = b.b_eps_drops;
   }
 
 (* Sequential-barrier hook: after a level completes (and before the next
@@ -724,18 +655,17 @@ let builder_advance_incumbent ?gf b =
         | None -> ()
       end
 
-let build_tables ?max_pareto ?epsilon ?prune ?scratch problem =
+let build_tables ?max_pareto ?prune problem =
   Ir_obs.time span_build @@ fun () ->
-  let b = builder ?max_pareto ?epsilon ?prune ?scratch problem in
-  let gf = Option.map (fun s -> s.gf) scratch in
-  while builder_step b do
-    builder_advance_incumbent ?gf b
-  done;
+  let b = builder ?max_pareto ?prune problem in
+  Scratch.with_arena (fun gf ->
+      while builder_step b do
+        builder_advance_incumbent ~gf b
+      done);
   builder_finish b
 
 let table_truncations tables = tables.truncations
 let table_incumbent_floor tables = tables.incumbent_floor
-let table_approx_drops tables = tables.approx_drops
 
 (* ---- snapshot serialization ------------------------------------------- *)
 
@@ -752,14 +682,13 @@ let table_approx_drops tables = tables.approx_drops
    whole blob externally; this internal digest is the last line of
    defense, not a substitute for theirs. *)
 let encode_tables t =
-  (* Pruned or epsilon-compressed tables are deliberately not
-     snapshotable: a snapshot is replayed against arbitrary future
-     fractions (the floor's budget_min would not cover them) and the
-     blob format predates both modes.  The serve tier only ever encodes
-     unpruned pool builds, so this is an invariant check, not a
-     limitation anyone hits. *)
-  if t.incumbent_floor >= 0 || t.approx_drops > 0 then
-    invalid_arg "Rank_dp.encode_tables: pruned/approximate tables";
+  (* Pruned tables are deliberately not snapshotable: a snapshot is
+     replayed against arbitrary future fractions (the floor's budget_min
+     would not cover them) and the blob format predates pruning.  The
+     serve tier only ever encodes unpruned builds, so this is an
+     invariant check, not a limitation anyone hits. *)
+  if t.incumbent_floor >= 0 then
+    invalid_arg "Rank_dp.encode_tables: pruned tables";
   (* Powered tables are likewise out: the blob format predates the power
      plane and a snapshot would be replayed against arbitrary future
      power budgets (the displacement argument only covers budgets up to
@@ -801,10 +730,10 @@ let decode_tables problem blob =
                 m;
                 max_pareto;
                 truncations;
+                ladder_prev = None;
                 bounds = None;
                 incumbent_floor = -1;
                 floor_witness = None;
-                approx_drops = 0;
               }
           else None
 
@@ -814,7 +743,7 @@ let decode_tables problem blob =
    Returns the witness state on success.
 
    The budget is read from [tables.problem] here, at query time — which
-   is what lets [search_budgets] reuse one build across budgets: a state
+   is what lets [rebudget] reuse one build across budgets: a state
    within a smaller budget is accepted or rejected per probe, and states
    over it are filtered by the [e.area + m_area > budget] check (prefix
    areas only grow along a chain, so no over-budget prefix can lead to a
@@ -839,7 +768,7 @@ let feasible_witness ?memo ?gf tables c =
      packings); without one, straight to the oracle.  The memo's oracle
      runs against the problem it was created for — sound here because a
      memo is only ever shared within a budget-rebound family and the
-     suffix check never reads the budget (see [search_budgets]). *)
+     suffix check never reads the budget (see [rebudget]). *)
   let suffix_fits ~top_pair_used ~wires_above_top ~reps_above_top
       ~reps_above_below ~top_pair =
     match memo with
@@ -946,8 +875,6 @@ let feasible_witness ?memo ?gf tables c =
   if !power_rejects > 0 then Ir_obs.add stat_power_wrejects !power_rejects;
   result
 
-let feasible ?gf tables c = Option.is_some (feasible_witness ?gf tables c)
-
 let outcome_of_boundary problem ~assignable ~exact c =
   Outcome.v ~exact
     ~rank_wires:(P.wires_before problem c)
@@ -993,14 +920,12 @@ let cold_probe_cost n =
   done;
   !steps
 
-let search_tables ?(exhaustive = false) ?memo ?hint ?(probe_fan = 1) ?scratch
-    tables =
+let search_tables ?(exhaustive = false) ?memo ?hint ?(probe_fan = 1) tables =
   Ir_obs.time span_search @@ fun () ->
-  with_scratch ?scratch @@ fun s ->
-  let gf = s.gf in
+  Scratch.with_arena @@ fun gf ->
   let problem = tables.problem in
   let n = tables.n in
-  let exact = tables.truncations = 0 && tables.approx_drops = 0 in
+  let exact = tables.truncations = 0 in
   let probes = ref 0 in
   (* Pruned tables carry a pre-certified floor: boundaries at or below
      it are known achievable (witness included), and states that could
@@ -1180,225 +1105,54 @@ let default_widen_cap = 128
    probe and reported as a lower bound ([exact = false]) — callers can
    pass a larger [max_pareto] explicitly.  Build cost grows superlinearly
    with the width, which is why the ladder is gated on convergence rather
-   than run to [widen_cap] unconditionally. *)
-(* The ladder is split into [widen_attempt] (build one rung, then decide)
-   and [widen_continue] (the decision) so a caller that already built the
-   first rung elsewhere — the grid wavefront builds every plane's first
-   attempt in one batched pass — can resume the ladder from its tables and
-   retry through the {e same} code: [build_widened problem] and
-   [widen_tables (build_tables problem)] take identical rung sequences. *)
-let rec widen_attempt ~widen_on_overflow ~widen_cap ?epsilon ?prune ?scratch
-    problem mp prev_truncations =
-  (* Each widened retry recycles the abandoned attempt's store through
-     the scratch — the doubled width usually forces a fresh allocation
-     anyway, but the arena capacity carries over.  A retry keeps the
-     prune context: the incumbent only grows, so a later rung prunes at
-     least as hard (and stays sound for the same reason the first rung
-     was). *)
-  let tables = build_tables ~max_pareto:mp ?epsilon ?prune ?scratch problem in
-  widen_continue ~widen_on_overflow ~widen_cap ?epsilon ?prune ?scratch
-    tables prev_truncations
-
-and widen_continue ~widen_on_overflow ~widen_cap ?epsilon ?prune ?scratch
-    tables prev_truncations =
+   than run to [widen_cap] unconditionally.  A retry keeps the prune
+   context: the incumbent only grows, so a later rung prunes at least as
+   hard (and stays sound for the same reason the first rung was). *)
+let rec widen_tables ?(widen_on_overflow = true)
+    ?(widen_cap = default_widen_cap) ?prune tables =
   let t = tables.truncations in
   let mp = tables.max_pareto in
   let converging =
-    match prev_truncations with None -> true | Some p -> 2 * t <= p
+    match tables.ladder_prev with None -> true | Some p -> 2 * t <= p
   in
-  (* Gated on truncations only: epsilon drops are deliberate lossiness —
-     a wider front would not bring those states back, so they must never
-     drive the ladder. *)
   if t > 0 && widen_on_overflow && mp < widen_cap && converging then begin
     Ir_obs.incr stat_widen_retries;
-    widen_attempt ~widen_on_overflow ~widen_cap ?epsilon ?prune ?scratch
-      tables.problem
-      (min widen_cap (2 * mp))
-      (Some t)
+    let next =
+      build_tables ~max_pareto:(min widen_cap (2 * mp)) ?prune tables.problem
+    in
+    widen_tables ~widen_on_overflow ~widen_cap ?prune
+      { next with ladder_prev = Some t }
   end
   else tables
 
-let build_widened ?(max_pareto = 8) ?(widen_on_overflow = true)
-    ?(widen_cap = default_widen_cap) ?epsilon ?prune ?scratch problem =
-  widen_attempt ~widen_on_overflow ~widen_cap ?epsilon ?prune ?scratch
-    problem (max 1 max_pareto) None
+(* The widen ladder continued from a first rung built elsewhere, then the
+   boundary search — the search half of {!Rank_grid.eval_batch}. *)
+let search_with_tables ?widen_on_overflow ?widen_cap ?hint ?probe_fan tables =
+  search_tables ?hint ?probe_fan
+    (widen_tables ?widen_on_overflow ?widen_cap tables)
 
-let widen_tables ?(widen_on_overflow = true) ?(widen_cap = default_widen_cap)
-    ?epsilon ?prune ?scratch tables =
-  widen_continue ~widen_on_overflow ~widen_cap ?epsilon ?prune ?scratch
-    tables None
-
-let unfittable ?gf problem =
-  (* Definition 3: if the WLD does not even fit ignoring delay, the rank
-     is 0 and the DP tables are not worth building.  Capacity-only, so
-     the verdict is independent of the repeater budget. *)
-  not (GF.fits ?scratch:gf problem (GF.context ~from_bunch:0 ~top_pair:0 ()))
-
-let search ?max_pareto ?widen_on_overflow ?widen_cap ?exhaustive ?hint
-    ?probe_fan ?epsilon ?(prune = false) ?scratch problem =
-  with_scratch ?scratch @@ fun s ->
-  if unfittable ~gf:s.gf problem then
-    (Outcome.unassignable ~total_wires:(P.total_wires problem) (), None)
-  else
-    let pr = if prune then Some (prune_for ~gf:s.gf problem) else None in
-    search_tables ?exhaustive ?hint ?probe_fan ~scratch:s
-      (build_widened ?max_pareto ?widen_on_overflow ?widen_cap ?epsilon
-         ?prune:pr ~scratch:s problem)
-
-let compute ?max_pareto ?widen_on_overflow ?widen_cap ?exhaustive ?hint
-    ?probe_fan ?epsilon ?prune ?scratch problem =
-  fst
-    (search ?max_pareto ?widen_on_overflow ?widen_cap ?exhaustive ?hint
-       ?probe_fan ?epsilon ?prune ?scratch problem)
-
-let compute_with_witness ?max_pareto ?widen_on_overflow problem =
-  search ?max_pareto ?widen_on_overflow problem
-
-(* One build, many budgets.  The repeater budget prunes states during
-   construction, so tables built at the largest requested fraction hold
-   every state any smaller budget admits: a budget prunes only states
-   whose (monotone non-decreasing along a chain) prefix area exceeds it,
-   and a state within a small budget can only be displaced from a wider
-   build's front by a dominator — lower area and count — which is itself
-   within that budget and passes every query check the displaced state
-   would have (budget, blockage and the greedy-fill suffix are all
-   monotone in (area, count)).  Hence, as long as the shared build
-   truncates nothing, querying it with the budget rebound per fraction
-   returns exactly the per-fraction builds' outcomes.  If it does
-   truncate, the displacement argument no longer holds and we fall back
-   to independent per-fraction computes (paying the historical cost, but
-   never a wrong answer). *)
-(* The post-build tail of [search_budgets], shared with the grid kernel
-   ([search_budgets_tables] below): answer every fraction from [shared]
-   when it is truncation-free, else fall back to per-fraction computes.
-   [?memo] lets the grid thread one family-wide suffix-fit memo through
-   every plane (sound because [Greedy_fill.fits] verdicts depend only on
-   capacity-side data, which the whole K x M x C x R family shares);
-   [?hint] seeds the first search (hints are probe-count optimizations,
-   never answer-changing — property-tested). *)
-let answer_budgets ~s ?max_pareto ?widen_on_overflow ?widen_cap ?memo ?hint
-    ~shared problem fractions =
-  if shared.truncations = 0 then begin
-    (* The greedy-fill verdict never reads the budget, so one
-       suffix-fit memo serves every fraction — the per-boundary probe
-       contexts repeat exactly across budgets and answer as cache
-       hits.  The boundary is monotone in the budget too, so each
-       fraction's result (fractions ascend in the Table-4 R column)
-       warm-starts the next search. *)
-    let memo =
-      match memo with
-      | Some m -> m
-      | None -> Ir_assign.Suffix_fit.create ~scratch:s.gf shared.problem
-    in
-    let hint = ref hint in
-    List.map
-      (fun f ->
-        let p = P.with_repeater_fraction problem f in
-        let outcome =
-          fst
-            (search_tables ~memo ?hint:!hint ~scratch:s
-               { shared with problem = p })
-        in
-        if outcome.Outcome.assignable then
-          hint := Some outcome.Outcome.boundary_bunch;
-        outcome)
-      fractions
-  end
-  else
-    (* [shared] is dead from here on (its front may be recycled by the
-       per-fraction builds below — they run through the same scratch). *)
-    List.map
-      (fun f ->
-        compute ?max_pareto ?widen_on_overflow ?widen_cap ~scratch:s
-          (P.with_repeater_fraction problem f))
-      fractions
-
-let search_budgets ?max_pareto ?widen_on_overflow ?widen_cap ?epsilon
-    ?(prune = false) ?scratch problem fractions =
-  with_scratch ?scratch @@ fun s ->
-  match fractions with
-  | [] -> []
-  | _ when unfittable ~gf:s.gf problem ->
-      List.map
-        (fun _ ->
-          Outcome.unassignable ~total_wires:(P.total_wires problem) ())
-        fractions
-  | _ ->
-      let f_max = List.fold_left Float.max neg_infinity fractions in
-      let build_problem = P.with_repeater_fraction problem f_max in
-      (* The shared build is pruned against the {e smallest} fraction's
-         budget on the achievable side (the floor must hold for every
-         fraction it answers — budget monotonicity lifts it upward) and
-         the largest on the optimistic side (the build's own budget),
-         which is what keeps the displacement argument above intact per
-         fraction. *)
-      let pr =
-        if prune then
-          let f_min = List.fold_left Float.min infinity fractions in
-          Some
-            (prune_for ~gf:s.gf
-               ~budget_min:(P.budget (P.with_repeater_fraction problem f_min))
-               build_problem)
-        else None
-      in
-      let shared =
-        build_widened ?max_pareto ?widen_on_overflow ?widen_cap ?epsilon
-          ?prune:pr ~scratch:s build_problem
-      in
-      answer_budgets ~s ?max_pareto ?widen_on_overflow ?widen_cap ~shared
-        problem fractions
-
-(* [search_budgets] with the shared build performed externally: the grid
-   wavefront builds every plane's tables in one batched pass and hands
-   each plane here.  [shared] must be phase-A tables of
-   [with_repeater_fraction problem f_max] (f_max = max of [fractions]) at
-   the caller's widening policy — {!widen_tables} continues the ladder
-   from a plain {!build_tables} first rung.  Same answers as
-   [search_budgets] by shared code. *)
-let search_budgets_tables ?max_pareto ?widen_on_overflow ?widen_cap ?scratch
-    ?memo ?hint ~shared problem fractions =
-  with_scratch ?scratch @@ fun s ->
-  match fractions with
-  | [] -> []
-  | _ when unfittable ~gf:s.gf problem ->
-      List.map
-        (fun _ ->
-          Outcome.unassignable ~total_wires:(P.total_wires problem) ())
-        fractions
-  | _ ->
-      answer_budgets ~s ?max_pareto ?widen_on_overflow ?widen_cap ?memo ?hint
-        ~shared problem fractions
-
-(* [search] with the phase-A build performed externally (the batch
-   wavefront): same unfittable screen, ladder continuation and search as
-   [search ?hint problem], so outcomes and witnesses coincide by shared
-   code.  The heterogeneous-batch analogue of [search_budgets_tables]. *)
-let search_with_tables ?widen_on_overflow ?widen_cap ?hint ?probe_fan
-    ?scratch tables =
-  with_scratch ?scratch @@ fun s ->
-  if unfittable ~gf:s.gf tables.problem then
-    (Outcome.unassignable ~total_wires:(P.total_wires tables.problem) (), None)
-  else
-    search_tables ?hint ?probe_fan ~scratch:s
-      (widen_tables ?widen_on_overflow ?widen_cap tables)
-
-let build_tables_widened = build_widened
-
-(* The serving layer's warm path: one pool entry's tables (built at the
-   full repeater budget) answer any smaller fraction of the same family.
-   Soundness is the [search_budgets] displacement argument above — the
-   caller must check [table_truncations t = 0] before relying on
-   exactness (the server falls back to a cold compute otherwise). *)
-let search_tables_rebudget ?memo ?hint ?probe_fan ~fraction tables =
-  search_tables ?memo ?hint ?probe_fan
-    { tables with problem = P.with_repeater_fraction tables.problem fraction }
-
-let feasible_boundary ?(max_pareto = 8) problem c =
-  with_domain_scratch @@ fun s ->
-  if unfittable ~gf:s.gf problem then false
-  else feasible ~gf:s.gf (build_tables ~max_pareto ~scratch:s problem) c
-
-(* ---- rank-vs-power Pareto sweep ---------------------------------------- *)
+(* One build, many budgets.  The repeater and power budgets are re-read
+   from the problem at query time (see [feasible_witness]), so tables
+   built at the widest budgets answer any narrower rebind: a budget
+   prunes only states whose (monotone non-decreasing along a chain)
+   prefix cost exceeds it, and a state within a small budget can only be
+   displaced from a wider build's front by a dominator — lower area and
+   count (and power, in power mode) — which is itself within that budget
+   and passes every query check the displaced state would have (budgets,
+   blockage and the greedy-fill suffix are all monotone in those
+   coordinates).  Hence, as long as the shared build truncates nothing,
+   searching the rebound tables returns exactly what a build at the
+   narrower budgets would.  Callers check [table_truncations] first and
+   build per budget otherwise. *)
+let rebudget ?fraction ?power_budget tables =
+  let p = tables.problem in
+  let p =
+    match fraction with None -> p | Some f -> P.with_repeater_fraction p f
+  in
+  let p =
+    match power_budget with None -> p | Some b -> P.with_power_budget p b
+  in
+  { tables with problem = p }
 
 (* Repeater power a witness actually burns: the meeting intervals of the
    prefix pairs (top-down) plus the boundary pair's, each an O(1)
@@ -1423,138 +1177,3 @@ let witness_power problem (w : witness) =
            ~hi:w.meet_hi;
   !total
 
-type power_point = {
-  pp_budget : float;  (** the power budget this point was evaluated at *)
-  pp_outcome : Outcome.t;
-  pp_power : float;
-      (** repeater power (watts) of the returned witness; 0 when
-          unassignable *)
-}
-
-(* One power-mode build, many power budgets — the displacement argument
-   of [search_budgets], componentwise.  The power budget, like the area
-   budget, enters no phase-A table: a power-mode build at the largest
-   finite budget [b_max] screens states by [power <= b_max], and a state
-   admissible at a smaller budget can only be displaced from its front
-   by a 3-way dominator — itself within that budget and passing every
-   query check the displaced state would have.  So, truncation-free,
-   tables built at [b_max] with the budget rebound per point answer each
-   finite budget exactly.  Infinite budgets are NOT answerable from
-   those tables (states over [b_max] power were screened out of them);
-   they take the historical area-only path instead, which doubles as the
-   soundness anchor: [budget = infinity] runs code untouched by this
-   module's power mode. *)
-type power_prep = {
-  pw_problem : P.t;
-  pw_shared : tables option;
-      (* power-mode shared build at the largest finite budget; None when
-         no finite budget was requested or the instance does not fit *)
-  pw_unfit : bool;
-  pw_max_pareto : int option;
-  pw_widen_on_overflow : bool option;
-  pw_widen_cap : int option;
-}
-
-let power_prepare ?max_pareto ?widen_on_overflow ?widen_cap ?scratch problem
-    budgets =
-  with_scratch ?scratch @@ fun s ->
-  List.iter
-    (fun b ->
-      if not (b > 0.0) then
-        invalid_arg "Rank_dp.power_prepare: power budget <= 0")
-    budgets;
-  Ir_obs.add stat_power_points (List.length budgets);
-  let unfit = unfittable ~gf:s.gf problem in
-  let finite = List.filter (fun b -> b < infinity) budgets in
-  let shared =
-    if unfit || finite = [] then None
-    else
-      let b_max = List.fold_left Float.max neg_infinity finite in
-      (* Built without a scratch deliberately: the shared tables outlive
-         this call and are read by every [power_answer] — possibly from
-         several domains at once ([Rank_grid.compute_pareto_power]), and
-         concurrently with fallback computes that build transient tables
-         through whatever scratch is around.  A scratch-built (transient)
-         store would be recycled out from under them. *)
-      Some
-        (build_widened ?max_pareto ?widen_on_overflow ?widen_cap
-           (P.with_power_budget problem b_max))
-  in
-  {
-    pw_problem = problem;
-    pw_shared = shared;
-    pw_unfit = unfit;
-    pw_max_pareto = max_pareto;
-    pw_widen_on_overflow = widen_on_overflow;
-    pw_widen_cap = widen_cap;
-  }
-
-let power_answer ?memo ?hint ?scratch prep budget =
-  let point outcome w p =
-    {
-      pp_budget = budget;
-      pp_outcome = outcome;
-      pp_power = (match w with Some w -> witness_power p w | None -> 0.0);
-    }
-  in
-  if prep.pw_unfit then
-    {
-      pp_budget = budget;
-      pp_outcome =
-        Outcome.unassignable ~total_wires:(P.total_wires prep.pw_problem) ();
-      pp_power = 0.0;
-    }
-  else
-    let shared_live =
-      match prep.pw_shared with
-      | Some sh when sh.truncations = 0 -> Some sh
-      | _ -> None
-    in
-    let p = P.with_power_budget prep.pw_problem budget in
-    match shared_live with
-    | Some sh when budget < infinity ->
-        let outcome, w =
-          search_tables ?memo ?hint ?scratch { sh with problem = p }
-        in
-        point outcome w p
-    | _ ->
-        (* Independent compute: infinite budgets (the historical
-           area-only path — the byte-identity anchor) and the
-           truncated-shared fallback.  Safe against the shared tables
-           even mid-sweep: they were built scratch-free, so this build's
-           transient tables recycle only the scratch's own store. *)
-        let outcome, w =
-          search ?max_pareto:prep.pw_max_pareto
-            ?widen_on_overflow:prep.pw_widen_on_overflow
-            ?widen_cap:prep.pw_widen_cap ?hint ?scratch p
-        in
-        point outcome w p
-
-let compute_pareto_power ?max_pareto ?widen_on_overflow ?widen_cap ?scratch
-    problem budgets =
-  with_scratch ?scratch @@ fun s ->
-  match budgets with
-  | [] -> []
-  | _ ->
-      let prep =
-        power_prepare ?max_pareto ?widen_on_overflow ?widen_cap ~scratch:s
-          problem budgets
-      in
-      (* The memo serves every budget of the family: greedy-fill verdicts
-         are capacity-side only, untouched by power-budget rebinds.  Each
-         point's boundary warm-starts the next search — budgets usually
-         ascend, and any hint is sound regardless. *)
-      let memo =
-        match prep.pw_shared with
-        | Some sh when sh.truncations = 0 ->
-            Some (Ir_assign.Suffix_fit.create ~scratch:s.gf sh.problem)
-        | _ -> None
-      in
-      let hint = ref None in
-      List.map
-        (fun budget ->
-          let pt = power_answer ?memo ?hint:!hint ~scratch:s prep budget in
-          if pt.pp_outcome.Outcome.assignable then
-            hint := Some pt.pp_outcome.Outcome.boundary_bunch;
-          pt)
-        budgets

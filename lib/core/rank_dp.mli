@@ -26,7 +26,13 @@
 
     Complexity: O(m n^2) table construction plus O(log n) boundary probes,
     versus the paper's O(m n^4 A_R^3) — with no repeater-area
-    discretization at all. *)
+    discretization at all.
+
+    This module is the DP {e kernel}: the level-stepped builder, the
+    widen ladder, the boundary search over built tables, budget rebinding
+    and the table codec.  It has no driver of its own — {!Rank_grid}
+    composes these pieces for every query (one point is a one-cell
+    grid), and {!Rank.compute} is the one-call front door. *)
 
 type witness = {
   boundary_pair : int;  (** pair holding the last meeting bunches *)
@@ -43,42 +49,19 @@ type witness = {
 
 type tables
 (** The phase-A DP tables of one problem instance, reusable across
-    boundary probes.  Since this PR they are a flat struct-of-arrays
-    {!Front} store: per-cell area/count arrays (binary-search dominance,
-    blit insertion, no per-insert allocation) plus a parent-pointer arena
-    from which witness splits are reconstructed on demand.  They are not
-    mutated after the build, so feasibility queries against the same
-    tables may run concurrently (e.g. from an {!Ir_exec} domain pool).
+    boundary probes: a flat struct-of-arrays {!Front} store (per-cell
+    area/count arrays, binary-search dominance, blit insertion, no
+    per-insert allocation) plus a parent-pointer arena from which
+    witness splits are reconstructed on demand.  They are not mutated
+    after the build, so feasibility queries against the same tables may
+    run concurrently (e.g. from an {!Ir_exec} domain pool).
 
-    The repeater {e budget} prunes states during construction, so a
-    problem derived with {!Ir_assign.Problem.with_clock} (or a {e
+    The repeater and power budgets prune states during construction, so
+    a problem derived with {!Ir_assign.Problem.with_clock} (or a {e
     larger} budget) needs its own tables.  A {e smaller} budget does
-    not: the budget is re-read from the problem at query time, which is
-    what {!search_budgets} exploits to answer a whole budget sweep from
-    one build. *)
-
-type scratch
-(** Per-domain reusable buffers for the transient compute paths: a
-    {!Ir_assign.Scratch} arena for the greedy-fill working arrays plus
-    the previous build's {!Front} store, recycled into the next build
-    instead of reallocated.  Purely an allocation-traffic optimization —
-    results, counters and gauges are byte-identical with or without one
-    (the recycled store is indistinguishable from a fresh allocation; the
-    differential tests in [test_core] assert it) — but under parallel
-    sweeps it is what keeps per-probe allocation churn from triggering
-    stop-the-world minor collections across every worker domain.
-
-    A scratch is single-user mutable state, and tables built through one
-    are {e transient}: the next build with the same scratch consumes
-    their arrays.  Entry points returning plain outcomes ([compute],
-    [search_budgets], [feasible_boundary], the searches) borrow the
-    calling domain's scratch automatically when [?scratch] is omitted
-    (CAS-guarded, so sibling systhreads sharing the domain fall back to
-    fresh allocation); pass one explicitly only to pin reuse across a
-    caller-managed sequence. *)
-
-val create_scratch : unit -> scratch
-(** A fresh private scratch, independent of any domain's. *)
+    not: both budgets are re-read from the problem at query time, which
+    is what {!rebudget} exploits to answer a whole budget sweep from one
+    build. *)
 
 type prune
 (** One pruning context: the admissible bound oracle ({!Bounds}), the
@@ -101,30 +84,18 @@ val prune_for :
     budget monotonicity lifts it to every larger fraction.  Sequential
     code only (it publishes). *)
 
-val build_tables :
-  ?max_pareto:int ->
-  ?epsilon:float ->
-  ?prune:prune ->
-  ?scratch:scratch ->
-  Ir_assign.Problem.t ->
-  tables
-(** Tabulates phase A (default [max_pareto = 8]).  Without [?scratch]
-    the tables own freshly allocated storage and stay valid forever —
-    required for holders like the serve warm pool.  With [?scratch] the
-    build recycles the scratch's previous store: cheaper, but the result
-    is only valid until the next build through the same scratch.
+val build_tables : ?max_pareto:int -> ?prune:prune -> Ir_assign.Problem.t -> tables
+(** Tabulates phase A (default [max_pareto = 8]) into freshly allocated
+    storage: {!builder}, {!builder_step} to completion with
+    {!builder_advance_incumbent} between levels, {!builder_finish}.
 
     [?prune] threads a pruning context through the build: states (and
     candidate insertions) whose admissible optimistic bound cannot beat
     the published incumbent are dropped before any Front insertion, and
-    the incumbent is advanced between levels ({!builder_advance_incumbent}).
-    With the default [epsilon = 0.0] pruning is {e invisible} in results:
-    ranks, exact flags and payloads are byte-identical to an unpruned
-    build-and-search (QCheck-differential-tested); only the [bounds/*]
-    and work counters move.  [?epsilon > 0] additionally drops candidates
-    an existing state almost-dominates (area within a relative [epsilon]),
-    trading exactness ([exact = false] on any drop, reported via
-    {!table_approx_drops}) for a narrower front. *)
+    the incumbent is advanced between levels.  Pruning is {e invisible}
+    in results: ranks, exact flags and payloads are byte-identical to an
+    unpruned build-and-search (QCheck-differential-tested); only the
+    [bounds/*] and work counters move. *)
 
 (** {2 Incremental level-stepped build}
 
@@ -141,28 +112,23 @@ type builder
     be externally ordered — but distinct builders may step concurrently
     on different domains (each touches only its own state). *)
 
-val builder :
-  ?max_pareto:int ->
-  ?epsilon:float ->
-  ?prune:prune ->
-  ?scratch:scratch ->
-  Ir_assign.Problem.t ->
-  builder
-(** Allocates the front store and seeds the root cell.  [?scratch] has
-    the {!build_tables} contract (recycled store, result transient).
-    Builders handed to other domains must not use a scratch — the arena
-    buffer inside is the owning domain's.  [?epsilon]/[?prune] are as in
-    {!build_tables}; each {!builder_step} re-reads the published
-    incumbent once at entry, so all builders stepped between two
-    barriers prune against the same value regardless of scheduling. *)
+val builder : ?max_pareto:int -> ?prune:prune -> Ir_assign.Problem.t -> builder
+(** Allocates the front store and runs the Definition-3 capacity screen
+    (one {!Ir_assign.Greedy_fill} packing of the whole WLD, delay
+    ignored).  An instance that fits gets the root state and [levels]
+    steps to go.  A no-fit instance gets no root state and a build that
+    is already done: its tables are empty, so the [c = 0] probe of any
+    search answers unassignable (rank 0, exact) and no level is ever
+    expanded.  [?prune] is as in {!build_tables}; each {!builder_step}
+    re-reads the published incumbent once at entry, so all builders
+    stepped between two barriers prune against the same value
+    regardless of scheduling. *)
 
 val builder_levels : builder -> int
 (** Total number of boundary-pair levels ([Problem.n_pairs]). *)
 
-val builder_level : builder -> int
-(** Next level to expand: [0 .. levels]; equals [levels] when done. *)
-
 val builder_done : builder -> bool
+(** No level left to expand — from the start for a no-fit instance. *)
 
 val builder_step : builder -> bool
 (** Expands one boundary-pair level.  Returns [true] while more levels
@@ -203,12 +169,6 @@ val table_incumbent_floor : tables -> int
     was created with — {!Rank_grid} rebuilds a plane rather than query a
     pruned one below that fraction. *)
 
-val table_approx_drops : tables -> int
-(** Candidates dropped by ε-dominance compression ([epsilon > 0]
-    builds); [0] for exact builds.  Like truncations this forfeits the
-    [exact] claim, but it never drives the widening ladder — a wider
-    front would not restore deliberately dropped states. *)
-
 val encode_tables : tables -> string
 (** Serializes the phase-A tables (everything except the problem) into a
     binary blob for {!decode_tables} — the serve tier's warm-table
@@ -218,10 +178,11 @@ val encode_tables : tables -> string
     Stores should still layer their own framing checks (the snapshot
     store checksums the whole blob externally).
 
-    Raises [Invalid_argument] on pruned or ε-compressed tables: a
-    snapshot is replayed against arbitrary future fractions, which a
-    pruning floor's [budget_min] would not cover.  The serve tier only
-    snapshots unpruned pool builds. *)
+    Raises [Invalid_argument] on pruned tables (a snapshot is replayed
+    against arbitrary future fractions, which a pruning floor's
+    [budget_min] would not cover) and on power-mode tables (the blob
+    predates the power plane).  The serve tier only snapshots unpruned,
+    unpowered builds. *)
 
 val decode_tables : Ir_assign.Problem.t -> string -> tables option
 (** Rebinds a blob from {!encode_tables} to [problem] (the caller
@@ -236,21 +197,21 @@ val search_tables :
   ?memo:Ir_assign.Suffix_fit.t ->
   ?hint:int ->
   ?probe_fan:int ->
-  ?scratch:scratch ->
   tables ->
   Outcome.t * witness option
-(** Runs the boundary search on prebuilt tables — {!compute} minus table
-    construction.  Unlike {!compute} it skips the Definition-3 pre-check
-    (a no-fit instance simply reports unassignable through the [c = 0]
-    probe).  The outcome's [exact] flag is [table_truncations t = 0].
+(** Runs the boundary search on built tables and returns the outcome
+    and its witness (absent only when unassignable).  The outcome's
+    [exact] flag is [table_truncations t = 0].
 
     The result bytes are identical whatever the options; they change only
     how many probes run and where:
 
+    - [exhaustive]: a top-down linear scan instead of the bracketing
+      search — the monotonicity cross-check the tests run.
     - [memo]: a {!Ir_assign.Suffix_fit} cache the greedy-fill suffix
       checks answer through.  Pass one shared across sequential searches
       of a budget-rebound family to convert repeated probe contexts into
-      O(1) dominance hits ({!search_budgets} does).  Single-domain state:
+      O(1) dominance hits ({!Rank_grid} does).  Single-domain state:
       never share across concurrent searches.
     - [hint]: expected boundary (e.g. the neighbouring sweep point's
       [boundary_bunch]).  The search brackets the true boundary by
@@ -268,184 +229,46 @@ val search_tables :
       starved-pool searches ({!Ir_sweep.Cross_node}); fan probes bypass
       [memo]. *)
 
-val default_widen_cap : int
-(** Default ceiling (128) for [widen_cap] below. *)
-
-val build_tables_widened :
-  ?max_pareto:int ->
-  ?widen_on_overflow:bool ->
-  ?widen_cap:int ->
-  ?epsilon:float ->
-  ?prune:prune ->
-  ?scratch:scratch ->
-  Ir_assign.Problem.t ->
-  tables
-(** {!build_tables} behind the widening ladder {!compute} uses: on Pareto
-    overflow the build retries with [max_pareto] doubled (first retry
-    unconditionally, then only while each doubling at least halves the
-    truncation count, up to [widen_cap]).  This is how long-lived table
-    holders — the {!Ir_serve} warm pool — get the same
-    exactness-restoring behaviour as one-shot computes; check
-    {!table_truncations} on the result before relying on exactness. *)
-
 val widen_tables :
   ?widen_on_overflow:bool ->
   ?widen_cap:int ->
-  ?epsilon:float ->
   ?prune:prune ->
-  ?scratch:scratch ->
   tables ->
   tables
-(** Continues the {!build_tables_widened} ladder from an already-built
-    first rung: returns the tables unchanged when truncation-free (or
-    widening is off / capped), else rebuilds at doubled [max_pareto]
-    under the ladder's convergence gate.  Rebuilds of a pruned first
-    rung keep pruning only if the {e same} [?prune] context is passed
-    back in (the wavefront driver does); ε-drops never trigger the
-    ladder.  [widen_tables (build_tables p)]
-    takes exactly the rung sequence of [build_tables_widened p] — this is
-    how the grid wavefront (which batch-builds every plane's first rung)
-    re-joins the per-point widening policy. *)
+(** The widening ladder, continued from an already-built first rung:
+    returns the tables unchanged when truncation-free (or widening is
+    off, [widen_on_overflow = false]), else rebuilds at doubled
+    [max_pareto] — the first retry unconditionally, further doublings
+    only while each one at least halves the truncation count, up to
+    [widen_cap] (default 128).  Small overflows therefore converge to an
+    exact result, while genuinely exponential fronts (where widening
+    cannot win) cost one retry and come back as an honest lower bound.
+    Rebuilds of a pruned first rung keep pruning only if the {e same}
+    [?prune] context is passed back in (the wavefront driver does).  The
+    ladder's state travels with the tables, so widening the ladder's own
+    output again is a no-op. *)
 
 val search_with_tables :
   ?widen_on_overflow:bool ->
   ?widen_cap:int ->
   ?hint:int ->
   ?probe_fan:int ->
-  ?scratch:scratch ->
   tables ->
   Outcome.t * witness option
-(** {!search} with the phase-A build performed externally: runs the same
-    unfittable screen, {!widen_tables} ladder continuation and phase-B
-    search, so the outcome and witness are those of
-    [search ?hint (tables.problem)] by shared code.  Used by the grid
-    kernel's heterogeneous batches ({!Ir_sweep.Cross_node},
-    {!Ir_ext.Optimizer}). *)
+(** {!widen_tables} then {!search_tables}: the per-cell search half of
+    {!Rank_grid.eval_batch}. *)
 
-val search_budgets_tables :
-  ?max_pareto:int ->
-  ?widen_on_overflow:bool ->
-  ?widen_cap:int ->
-  ?scratch:scratch ->
-  ?memo:Ir_assign.Suffix_fit.t ->
-  ?hint:int ->
-  shared:tables ->
-  Ir_assign.Problem.t ->
-  float list ->
-  Outcome.t list
-(** {!search_budgets} with the shared build performed externally.
-    [shared] must be phase-A tables of
-    [with_repeater_fraction problem f_max] where [f_max] is the maximum
-    of [fractions], built under the caller's widening policy (see
-    {!widen_tables}).  Answers are those of [search_budgets problem
-    fractions] by shared code: exact sharing when [shared] is
-    truncation-free, transparent per-fraction compute fallback otherwise.
-    [?memo] substitutes a caller-held suffix-fit memo (the grid kernel
-    threads one family-wide memo across planes — sound because greedy-fill
-    verdicts depend only on capacity-side data shared by the family);
-    [?hint] warm-starts the first fraction's search.  Both change probe
-    counts only, never answers. *)
+val rebudget : ?fraction:float -> ?power_budget:float -> tables -> tables
+(** The same phase-A state queried at another repeater fraction and/or
+    power budget.  Exact — searches byte-identical to a fresh build at
+    those budgets — iff neither budget exceeds the one the tables were
+    built at {e and} [table_truncations t = 0] (the displacement
+    argument: a state within a narrower budget survives the wider build
+    or is dominated by one that passes the same query checks).  A
+    finite power budget needs power-mode tables.  Callers must build
+    per budget otherwise; {!Rank_grid} does. *)
 
-val search_tables_rebudget :
-  ?memo:Ir_assign.Suffix_fit.t ->
-  ?hint:int ->
-  ?probe_fan:int ->
-  fraction:float ->
-  tables ->
-  Outcome.t * witness option
-(** {!search_tables} with the problem's repeater fraction rebound to
-    [fraction] first.  Exact — byte-identical to a cold {!compute} at
-    [fraction] — iff [fraction] does not exceed the fraction the tables
-    were built at {e and} [table_truncations t = 0] (the
-    {!search_budgets} displacement argument); callers must fall back to
-    a fresh compute otherwise.  This is the warm path of the serving
-    layer's table pool: tables built once at fraction 1.0 answer every
-    repeater fraction of the (node, architecture, WLD, clock) family. *)
-
-val search_budgets :
-  ?max_pareto:int ->
-  ?widen_on_overflow:bool ->
-  ?widen_cap:int ->
-  ?epsilon:float ->
-  ?prune:bool ->
-  ?scratch:scratch ->
-  Ir_assign.Problem.t ->
-  float list ->
-  Outcome.t list
-(** [search_budgets problem fractions] computes the rank of [problem] at
-    each repeater fraction (in list order), building the phase-A tables
-    {e once} at the largest fraction and re-querying them with the budget
-    rebound per fraction — the paper's Table 4 R column in one build
-    instead of one per point.  Outcomes are identical to running
-    {!compute} on {!Ir_assign.Problem.with_repeater_fraction} per
-    fraction: tables built at the widest budget contain every state a
-    narrower budget admits (or a dominator of it, which passes the same
-    query checks), so sharing is exact whenever the shared build has no
-    Pareto truncation; if it does truncate, this function transparently
-    falls back to independent per-fraction computes.  The widening ladder
-    options are as in {!compute}.
-
-    The shared-build path also shares one {!Ir_assign.Suffix_fit} memo
-    across the fractions (the greedy-fill verdict ignores the budget, so
-    repeated probe contexts answer as cache hits) and warm-starts each
-    fraction's search with the previous fraction's boundary — pure probe
-    savings, same outcomes.
-
-    [~prune:true] builds the shared tables under a pruning context whose
-    achievable floor is probed at the {e smallest} fraction (so it holds
-    for every fraction answered — budget monotonicity) while optimistic
-    bounds use the build's own largest-fraction budget (preserving the
-    displacement argument).  With [epsilon = 0] the outcomes are
-    byte-identical to the unpruned path.  [~epsilon] as in
-    {!build_tables}. *)
-
-val compute :
-  ?max_pareto:int ->
-  ?widen_on_overflow:bool ->
-  ?widen_cap:int ->
-  ?exhaustive:bool ->
-  ?hint:int ->
-  ?probe_fan:int ->
-  ?epsilon:float ->
-  ?prune:bool ->
-  ?scratch:scratch ->
-  Ir_assign.Problem.t ->
-  Outcome.t
-(** [compute problem] returns the optimal rank.  [~prune:true] runs the
-    build through the admissible-bound pruning layer ({!Bounds}) — with
-    the default [epsilon = 0.0] the outcome is byte-identical, only
-    cheaper; [epsilon > 0] additionally enables lossy ε-dominance
-    compression ([exact = false] on any drop).  [hint]/[probe_fan] are
-    forwarded to {!search_tables} (same results, different probe
-    schedule).  [max_pareto] bounds the
-    per-state Pareto set (default 8; larger is slower and only matters on
-    adversarial instances).  If a build truncates a non-dominated state,
-    the result could silently under-report the rank; by default
-    ([widen_on_overflow = true]) the tables are rebuilt with [max_pareto]
-    doubled — the first retry unconditionally, further doublings only
-    while each one at least halves the truncation count, up to
-    [widen_cap] (default {!default_widen_cap}).  Small overflows
-    therefore converge to an exact result, while genuinely exponential
-    fronts (where widening cannot win) cost one probe retry and come
-    back as an honest lower bound with [exact = false]; pass a larger
-    [max_pareto] explicitly to push further.  [exhaustive] replaces the
-    binary search with a top-down linear scan (used by tests to
-    cross-check monotonicity). *)
-
-val compute_with_witness :
-  ?max_pareto:int ->
-  ?widen_on_overflow:bool ->
-  Ir_assign.Problem.t ->
-  Outcome.t * witness option
-(** Like {!compute} but also returns the witness (absent only when the
-    instance is unassignable). *)
-
-val feasible_boundary : ?max_pareto:int -> Ir_assign.Problem.t -> int -> bool
-(** [feasible_boundary problem c] decides whether the top [c] bunches can
-    all meet their targets in some feasible full assignment — the
-    predicate the search maximizes; exposed for tests. *)
-
-(** {2 Power mode and the rank-vs-power Pareto sweep}
+(** {2 Power}
 
     A problem with a {e finite} power budget
     ({!Ir_assign.Problem.power_budgeted}) switches the build to power
@@ -453,19 +276,12 @@ val feasible_boundary : ?max_pareto:int -> Ir_assign.Problem.t -> int -> bool
     repeater power, advanced by {!Ir_assign.Problem.meeting_power}
     exactly as area is advanced by [meeting_area] — screened against the
     power budget wherever area is screened against the area budget, with
-    3-way Pareto dominance ({!Front.insert_pw}).  Like the area budget,
-    the power budget is re-read from the problem at query time, so one
-    power-mode build answers a whole budget sweep
-    ({!compute_pareto_power}).  With an {e infinite} budget the
-    historical 2-way paths run untouched — ranks, exact flags and every
-    counter byte-identical to a build without this mode (the bench
-    identity leg asserts it).  Power mode refuses [epsilon > 0]
-    (ε-dominance is a 2-way notion), and power-mode tables refuse
-    {!encode_tables} (the snapshot blob predates the power plane).
-
-    The [power/*] counters ([power/sweep_points], [power/states],
-    [power/witness_rejects], [power/front_inserts]) move only in power
-    mode and are deterministic (jobs=1 ≡ jobs=N). *)
+    3-way Pareto dominance ({!Front.insert_pw}).  With an {e infinite}
+    budget the historical 2-way paths run untouched — ranks, exact flags
+    and every counter byte-identical to a build without this mode (the
+    bench identity leg asserts it).  The [power/states],
+    [power/witness_rejects] and [power/front_inserts] counters move only
+    in power mode and are deterministic (jobs=1 ≡ jobs=N). *)
 
 val witness_power : Ir_assign.Problem.t -> witness -> float
 (** Repeater power (watts) the witness's assignment burns: the sum of
@@ -474,80 +290,3 @@ val witness_power : Ir_assign.Problem.t -> witness -> float
     byte-identical to the power coordinate the power-mode build carried
     for that state.  The capacity-only suffix holds no repeaters and
     contributes nothing. *)
-
-type power_point = {
-  pp_budget : float;  (** the power budget this point was evaluated at *)
-  pp_outcome : Outcome.t;
-  pp_power : float;
-      (** repeater power (watts) of the returned witness; 0 when
-          unassignable *)
-}
-(** One point of the rank-vs-power frontier: the optimal rank at
-    [pp_budget] watts (and the fixed area budget), plus the witness's
-    actual power spend ([pp_power <= pp_budget] whenever assignable and
-    the budget is finite). *)
-
-val compute_pareto_power :
-  ?max_pareto:int ->
-  ?widen_on_overflow:bool ->
-  ?widen_cap:int ->
-  ?scratch:scratch ->
-  Ir_assign.Problem.t ->
-  float list ->
-  power_point list
-(** [compute_pareto_power problem budgets] evaluates the rank at each
-    power budget (watts, in list order; [infinity] allowed) with the
-    area budget fixed at [problem]'s own — the rank-vs-power Pareto
-    surface at one area budget.  One power-mode build at the largest
-    {e finite} budget answers every finite point (the {!search_budgets}
-    displacement argument, componentwise: the power budget enters no
-    phase-A table, and a state admissible at a smaller budget survives
-    the widest build or is 3-way-dominated by one that answers the same
-    queries), sharing one suffix-fit memo and warm-starting each search
-    with the previous point's boundary.  If the shared build truncates,
-    points fall back transparently to independent per-budget computes.
-    [infinity] entries always take the historical area-only path — they
-    are {e not} answerable from the finite-budget build (states above
-    the build's power screen are absent from it), and running the
-    untouched 2-way code doubles as the byte-identity anchor.
-    @raise Invalid_argument on a budget [<= 0]. *)
-
-type power_prep
-(** The shared state of one power sweep — the base problem, the
-    power-mode shared build (when some budget is finite and the
-    instance fits), and the widening policy — prepared once and
-    consulted per point.  The shared tables are allocated scratch-free,
-    so points may be answered concurrently from several domains
-    ({!Rank_grid.compute_pareto_power}). *)
-
-val power_prepare :
-  ?max_pareto:int ->
-  ?widen_on_overflow:bool ->
-  ?widen_cap:int ->
-  ?scratch:scratch ->
-  Ir_assign.Problem.t ->
-  float list ->
-  power_prep
-(** Builds the sweep's shared state for exactly the given budget list:
-    the unfittable screen, then the power-mode shared build at the
-    largest finite budget (absent when all budgets are infinite).
-    [?scratch] serves only the screen's greedy-fill scratch — the shared
-    tables never recycle through it.  Counts the points on
-    [power/sweep_points].  @raise Invalid_argument on a budget [<= 0]. *)
-
-val power_answer :
-  ?memo:Ir_assign.Suffix_fit.t ->
-  ?hint:int ->
-  ?scratch:scratch ->
-  power_prep ->
-  float ->
-  power_point
-(** One point of the sweep: finite budgets answer from the shared build
-    (power budget rebound per query) when it exists truncation-free,
-    everything else through an independent compute.  [?memo]/[?hint]
-    are probe-count optimizations exactly as in {!search_tables}
-    (single-domain state — parallel callers must omit them, which is
-    also what keeps their probe counters schedule-independent).
-    [power_answer (power_prepare problem budgets) b] for each [b] of
-    [budgets] is {!compute_pareto_power} minus the memo/hint chaining —
-    identical outcomes by shared code. *)

@@ -4,7 +4,7 @@
    knobs of a fixed technology/WLD family — dielectric constant K,
    Miller factor M, clock C, repeater fraction R.  Points sharing
    (materials, clock) share their {e entire} phase-A DP (the repeater
-   budget enters no table; [Rank_dp.search_budgets]'s displacement
+   budget enters no table; [Rank_dp.rebudget]'s displacement
    argument), so the grid groups points into (materials, clock) planes,
    builds every plane's tables in one level-synchronous wavefront pass
    (all planes advance boundary-pair level j together; the [Ir_exec]
@@ -15,16 +15,21 @@
 
    Three sharing layers, each proved elsewhere and reused here:
    - plane sharing: points differing only in R reuse one build
-     (displacement argument in [Rank_dp.search_budgets]);
+     (displacement argument at [Rank_dp.rebudget]);
    - oracle sharing: [Greedy_fill.fits] verdicts depend only on
      capacity-side data (capacity, pitches, via blockage, bunches, wire
      and routing-area prefixes) which the whole K x M x C x R family
      shares, so one [Suffix_fit] memo answers probes for every plane;
    - code sharing: the wavefront drives [Rank_dp.builder_step] — the
-     identical expansion code [build_tables] runs — and phase B goes
-     through [Rank_dp.search_budgets_tables]; identity with the
-     per-point path is by construction, and the differential tests in
-     [test_core]/[test_sweep] keep it honest.
+     identical expansion code [build_tables] runs — and phase B is
+     [Rank_dp.search_tables] over rebudgeted tables.
+
+   This is the only DP driver.  A single query is a one-cell grid
+   ([compute]), a heterogeneous batch is a grid whose every cell is its
+   own plane ([eval_batch]), and the rank-vs-power sweep is one shared
+   power-mode plane rebudgeted per point ([compute_pareto_power]).  The
+   Definition-3 no-fit screen lives in [Rank_dp.builder], so every one
+   of these answers a no-fit cell without expanding a level.
 
    The planes stay resident after evaluation: [perturb] answers a
    one-parameter delta by recomputing only the slice it invalidates — a
@@ -41,6 +46,7 @@ let stat_cells = Ir_obs.counter "grid/cells_evaluated"
 let stat_shared = Ir_obs.counter "grid/cells_shared"
 let stat_levels = Ir_obs.counter "grid/wavefront_levels"
 let stat_perturb = Ir_obs.counter "grid/perturb_recomputed"
+let stat_power_points = Ir_obs.counter "power/sweep_points"
 let span_wavefront = Ir_obs.span "grid/wavefront"
 let span_answer = Ir_obs.span "grid/answer"
 
@@ -80,6 +86,7 @@ type t = {
   g_prune : bool;
   mutable g_points : point array;  (* canonicalized; index = grid cell *)
   mutable g_outcomes : Outcome.t array;  (* index = grid cell *)
+  mutable g_witnesses : Rank_dp.witness option array;  (* index = grid cell *)
   mutable g_planes : plane list;  (* oldest first *)
   mutable g_memo : Ir_assign.Suffix_fit.t option;  (* family-wide, lazy *)
   mutable g_hint : int option;  (* last assignable boundary served *)
@@ -126,8 +133,7 @@ let plane_key_equal pl pt =
 (* Derive a plane's problem from the base via the rescale-reuse
    constructors: [with_materials] / [with_clock] rebuild exactly the
    tables the knob moves and reuse the rest bit-for-bit, so the derived
-   problem equals a from-scratch construction at those parameters (the
-   per-point sweep path's problems). *)
+   problem equals a from-scratch construction at those parameters. *)
 let plane_problem base pt =
   let p =
     match pt.materials with
@@ -199,28 +205,58 @@ let family_memo g =
       g.g_memo <- Some m;
       m
 
-(* Answer one plane's points from its resident tables.  Points are
-   evaluated in ascending-fraction order (the R-column convention — each
-   fraction's boundary warm-starts the next) and scattered back to their
-   grid cells.  The grid-wide boundary hint [g_hint] threads across
-   planes and across calls.  Sequential and deterministic. *)
+(* A cell answered with nothing shared: its own build, the widen ladder,
+   an unhinted search.  The fallback for fractions a truncated plane
+   cannot answer, and for the power sweep's infinite and unshared
+   budgets. *)
+let cold ?max_pareto ?widen_on_overflow ?widen_cap problem =
+  Rank_dp.search_tables
+    (Rank_dp.widen_tables ?widen_on_overflow ?widen_cap
+       (Rank_dp.build_tables ?max_pareto problem))
+
+(* Phase B of one plane: every fraction from the plane's shared tables,
+   rebudgeted, when they are truncation-free (the displacement argument
+   at [Rank_dp.rebudget]); one family-wide memo answers repeated probe
+   contexts and the grid-wide boundary hint warm-starts each search.
+   A truncated plane answers its own build fraction directly and every
+   other fraction cold — exactness of the narrower fractions cannot
+   rest on a front that dropped states.  Sequential and deterministic. *)
+let answer_fractions g pl fractions =
+  let shared = pl.pl_tables in
+  let exact = Rank_dp.table_truncations shared = 0 in
+  List.map
+    (fun f ->
+      let ((o, _) as r) =
+        if exact then
+          Rank_dp.search_tables ~memo:(family_memo g) ?hint:g.g_hint
+            (Rank_dp.rebudget ~fraction:f shared)
+        else if f = pl.pl_f_max && not g.g_prune then
+          (* The plane's own build is this fraction's cold answer. *)
+          Rank_dp.search_tables shared
+        else
+          cold ?max_pareto:g.g_max_pareto
+            ?widen_on_overflow:g.g_widen_on_overflow ?widen_cap:g.g_widen_cap
+            (P.with_repeater_fraction pl.pl_problem f)
+      in
+      if o.Outcome.assignable then g.g_hint <- Some o.Outcome.boundary_bunch;
+      r)
+    fractions
+
+(* Answer one plane's points, in ascending-fraction order (the R-column
+   convention — each fraction's boundary warm-starts the next), and
+   scatter the results back to their grid cells. *)
 let answer_plane g pl =
   let pts =
     List.map (fun idx -> (idx, point_fraction g g.g_points.(idx))) pl.pl_points
   in
   let pts = List.stable_sort (fun (_, a) (_, b) -> compare a b) pts in
-  let outcomes =
-    Rank_dp.search_budgets_tables ?max_pareto:g.g_max_pareto
-      ?widen_on_overflow:g.g_widen_on_overflow ?widen_cap:g.g_widen_cap
-      ~memo:(family_memo g) ?hint:g.g_hint ~shared:pl.pl_tables pl.pl_problem
-      (List.map snd pts)
-  in
+  let answers = answer_fractions g pl (List.map snd pts) in
   Ir_obs.add stat_cells (List.length pts);
   List.iter2
-    (fun (idx, _) o ->
+    (fun (idx, _) (o, w) ->
       g.g_outcomes.(idx) <- o;
-      if o.Outcome.assignable then g.g_hint <- Some o.Outcome.boundary_bunch)
-    pts outcomes
+      g.g_witnesses.(idx) <- w)
+    pts answers
 
 (* Mutable pre-build grouping record: planes get their tables only after
    the wavefront. *)
@@ -292,6 +328,7 @@ let evaluate ?max_pareto ?widen_on_overflow ?widen_cap ?jobs ?(prune = false)
       g_outcomes =
         Array.make (max 1 n)
           (Outcome.unassignable ~total_wires:(P.total_wires base) ());
+      g_witnesses = Array.make (max 1 n) None;
       g_planes = [];
       g_memo = None;
       g_hint = None;
@@ -348,10 +385,12 @@ let perturb g pt =
   let idx = Array.length g.g_points in
   let f = point_fraction g pt in
   g.g_points <- Array.append g.g_points [| pt |];
-  if Array.length g.g_outcomes < idx + 1 then
+  if Array.length g.g_outcomes < idx + 1 then begin
     g.g_outcomes <-
       Array.append g.g_outcomes
         [| Outcome.unassignable ~total_wires:(P.total_wires g.g_base) () |];
+    g.g_witnesses <- Array.append g.g_witnesses [| None |]
+  end;
   let changed =
     match List.find_opt (fun pl -> plane_key_equal pl pt) g.g_planes with
     | Some pl
@@ -362,16 +401,10 @@ let perturb g pt =
         (* Resident plane already covers this budget: one phase-B search
            against the resident tables, nothing rebuilt. *)
         Ir_obs.incr stat_shared;
-        let outcomes =
-          Rank_dp.search_budgets_tables ?max_pareto:g.g_max_pareto
-            ?widen_on_overflow:g.g_widen_on_overflow
-            ?widen_cap:g.g_widen_cap ~memo:(family_memo g) ?hint:g.g_hint
-            ~shared:pl.pl_tables pl.pl_problem [ f ]
-        in
+        let o, w = List.hd (answer_fractions g pl [ f ]) in
         Ir_obs.incr stat_cells;
-        let o = List.hd outcomes in
-        if o.Outcome.assignable then g.g_hint <- Some o.Outcome.boundary_bunch;
         g.g_outcomes.(idx) <- o;
+        g.g_witnesses.(idx) <- w;
         pl.pl_points <- pl.pl_points @ [ idx ];
         [| idx |]
     | Some pl ->
@@ -459,6 +492,7 @@ let resident ?max_pareto ?widen_on_overflow ?widen_cap ?jobs base =
     g_prune = false;
     g_points = [||];
     g_outcomes = [||];
+    g_witnesses = [||];
     g_planes = [];
     g_memo = None;
     g_hint = None;
@@ -505,26 +539,27 @@ let query g pt =
          && Rank_dp.table_truncations pl.pl_tables = 0
          && (Rank_dp.table_incumbent_floor pl.pl_tables < 0
             || f >= pl.pl_f_min) ->
-      let outcomes =
-        Rank_dp.search_budgets_tables ?max_pareto:g.g_max_pareto
-          ?widen_on_overflow:g.g_widen_on_overflow ?widen_cap:g.g_widen_cap
-          ~memo:(family_memo g) ?hint:g.g_hint ~shared:pl.pl_tables
-          pl.pl_problem [ f ]
-      in
+      let o, _ = List.hd (answer_fractions g pl [ f ]) in
       Ir_obs.incr stat_cells;
       Ir_obs.incr stat_shared;
-      let o = List.hd outcomes in
-      if o.Outcome.assignable then g.g_hint <- Some o.Outcome.boundary_bunch;
       Some o
   | Some _ | None -> None
+
+(* ---- one cell --------------------------------------------------------- *)
+
+let compute ?max_pareto ?widen_on_overflow ?widen_cap ?prune problem =
+  let g =
+    evaluate ?max_pareto ?widen_on_overflow ?widen_cap ~jobs:1 ?prune problem
+      [| point () |]
+  in
+  (g.g_outcomes.(0), g.g_witnesses.(0))
 
 (* ---- heterogeneous batches --------------------------------------------- *)
 
 (* Cross_node / Optimizer grids: every cell is its own problem (different
    bunches or stacks), so no plane sharing — the win is the batched
    wavefront (pool parallelism inside levels, not across points) and the
-   sequential hint chain.  Identity with per-point [Rank_dp.search] is by
-   [search_with_tables] running the same screen/ladder/search code. *)
+   sequential hint chain.  Phase B is [Rank_dp.search_with_tables]. *)
 let eval_batch ?max_pareto ?widen_on_overflow ?widen_cap ?jobs ?hint
     ?probe_fan ?(prune = false) problems =
   let prunes =
@@ -551,26 +586,51 @@ let eval_batch ?max_pareto ?widen_on_overflow ?widen_cap ?jobs ?hint
 
 (* ---- rank-vs-power Pareto sweep ---------------------------------------- *)
 
-(* The grid engine's power sweep: one shared power-mode build
-   (Rank_dp.power_prepare — sequential, scratch-free so every domain may
-   read it), then the points answered concurrently on the pool.  No memo
-   and no hint chain — those are single-domain, order-dependent state;
-   dropping them is exactly what makes every per-point probe count
-   independent of scheduling, so the power/* and rank_dp/* counters stay
-   jobs=1 ≡ jobs=N (the bench power leg asserts it).  Outcomes equal
-   [Rank_dp.compute_pareto_power problem budgets] point for point by
-   shared code ([Rank_dp.power_answer]). *)
+type power_point = { pp_budget : float; pp_outcome : Outcome.t; pp_power : float }
+
+(* One power-mode plane, many power budgets — the displacement argument
+   at [Rank_dp.rebudget], componentwise: the power budget enters no
+   phase-A table, so a truncation-free build at the largest finite
+   budget answers every finite point with the budget rebound.  Infinite
+   budgets are NOT answerable from it (states over the build's power
+   screen are absent) and take the historical area-only path, which
+   doubles as the soundness anchor.  The shared build runs first,
+   sequentially; the points then answer concurrently on the pool, with
+   no memo and no hint chain — those are single-domain, order-dependent
+   state, and dropping them is what keeps every per-point probe count,
+   hence every counter, jobs=1 ≡ jobs=N. *)
 let compute_pareto_power ?max_pareto ?widen_on_overflow ?widen_cap ?jobs
     problem budgets =
-  match budgets with
-  | [] -> []
-  | _ ->
-      let prep =
-        Rank_dp.power_prepare ?max_pareto ?widen_on_overflow ?widen_cap
-          problem budgets
-      in
-      Ir_obs.add stat_cells (List.length budgets);
-      Array.to_list
-        (Ir_exec.parallel_map ?jobs
-           (fun b -> Rank_dp.power_answer prep b)
-           (Array.of_list budgets))
+  List.iter
+    (fun b ->
+      if not (b > 0.0) then
+        invalid_arg "Rank_grid.compute_pareto_power: power budget <= 0")
+    budgets;
+  Ir_obs.add stat_power_points (List.length budgets);
+  Ir_obs.add stat_cells (List.length budgets);
+  let shared =
+    match List.filter (fun b -> b < infinity) budgets with
+    | [] -> None
+    | finite ->
+        let b_max = List.fold_left Float.max neg_infinity finite in
+        let t =
+          (wavefront ?jobs ?max_pareto ?widen_on_overflow ?widen_cap
+             [| P.with_power_budget problem b_max |]).(0)
+        in
+        if Rank_dp.table_truncations t = 0 then Some t else None
+  in
+  let answer b =
+    let p = P.with_power_budget problem b in
+    let o, w =
+      match shared with
+      | Some t when b < infinity ->
+          Rank_dp.search_tables (Rank_dp.rebudget ~power_budget:b t)
+      | _ -> cold ?max_pareto ?widen_on_overflow ?widen_cap p
+    in
+    {
+      pp_budget = b;
+      pp_outcome = o;
+      pp_power = (match w with Some w -> Rank_dp.witness_power p w | None -> 0.0);
+    }
+  in
+  Array.to_list (Ir_exec.parallel_map ?jobs answer (Array.of_list budgets))

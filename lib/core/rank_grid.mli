@@ -11,12 +11,19 @@
     every point from resident tables with one family-wide
     {!Ir_assign.Suffix_fit} memo and boundary hints threaded grid-wide.
 
-    Outcomes — rank, [exact] flag and witness — are byte-identical to the
-    per-point {!Rank_dp} path: the wavefront drives
+    This is the only DP driver.  One query is a one-cell grid
+    ({!compute}, behind {!Rank.compute}); a heterogeneous batch is a
+    grid whose every cell is its own plane ({!eval_batch}); the
+    rank-vs-power sweep is one shared power-mode plane
+    ({!compute_pareto_power}).  The wavefront drives
     {!Rank_dp.builder_step} (the same expansion code as
-    {!Rank_dp.build_tables}) and phase B runs
-    {!Rank_dp.search_budgets_tables} / {!Rank_dp.search_with_tables}
-    (the same screen/ladder/search code as {!Rank_dp.compute}).
+    {!Rank_dp.build_tables}), phase B runs {!Rank_dp.search_tables} over
+    {!Rank_dp.rebudget}ed tables, and the Definition-3 no-fit screen
+    runs inside {!Rank_dp.builder} — so a no-fit cell expands no level
+    in any of them.  A shared plane answers each point exactly as the
+    point's own one-cell grid would (the displacement argument; a
+    truncated plane falls back to per-fraction builds), which the
+    differential tests in [test_core]/[test_sweep] assert.
 
     Counters: [grid/cells_evaluated], [grid/cells_shared] (points
     answered from a plane built for another point),
@@ -55,17 +62,18 @@ val evaluate :
   point array ->
   t
 (** [evaluate base points] runs the batched wavefront and answers every
-    point.  Options are {!Rank_dp.compute}'s widening policy plus the
-    pool size; outcomes are independent of [jobs] (asserted by the bench
-    counter-identity table).
+    point.  [max_pareto] (default 8), [widen_on_overflow] (default true)
+    and [widen_cap] set the widening policy of {!Rank_dp.widen_tables};
+    [jobs] the pool size.  Outcomes are independent of [jobs] (asserted
+    by the bench counter-identity table).  A finite power budget on
+    [base] makes every plane a power-mode build.
 
     [~prune:true] (default false) runs every plane's build through the
     admissible-bound pruning layer: each plane gets one incumbent cell
     seeded at its points' {e smallest} fraction, raised and published at
     the wavefront's per-level sequential barrier, with thresholds at the
     build's own largest-fraction budget.  Outcomes are byte-identical to
-    the unpruned grid ([epsilon] never enters the grid path); only the
-    work and [bounds/*] counters move, and they remain jobs-invariant
+    the unpruned grid; only the work and [bounds/*] counters move, and they remain jobs-invariant
     because the incumbent is only published at barriers. *)
 
 val results : t -> Outcome.t array
@@ -137,12 +145,26 @@ val adopt : t -> point -> Rank_dp.tables -> unit
 
 val query : t -> point -> Outcome.t option
 (** [query g pt] answers [pt] from resident planes only: [Some outcome]
-    — byte-identical to a cold per-point compute — when the plane is
+    — byte-identical to the point's own one-cell {!compute} — when the plane is
     resident, truncation-free and was built at a fraction [>=] the
     point's; [None] otherwise (caller decides whether to {!perturb} or
     fall through cold).  Unlike {!perturb} it never builds and never
     grows the cell arrays, so a long-running server can answer
     arbitrarily many queries from a bounded grid. *)
+
+val compute :
+  ?max_pareto:int ->
+  ?widen_on_overflow:bool ->
+  ?widen_cap:int ->
+  ?prune:bool ->
+  Ir_assign.Problem.t ->
+  Outcome.t * Rank_dp.witness option
+(** [compute problem] is the one-cell {!evaluate} at jobs 1: the
+    optimal rank of [problem] at its own budgets, and the witness behind
+    it (absent only when unassignable).  If a build truncates a
+    non-dominated state the widen ladder retries at doubled width; what
+    it cannot make exact comes back as an honest lower bound
+    ([exact = false]). *)
 
 val eval_batch :
   ?max_pareto:int ->
@@ -157,10 +179,23 @@ val eval_batch :
 (** Heterogeneous batch (cross-node cells, optimizer candidates): each
     problem is its own plane — no table sharing — but phase A still runs
     as one batched wavefront and phase B threads boundary hints down the
-    batch.  Outcome [i] equals [Rank_dp.compute problems.(i)] (same
-    code path via {!Rank_dp.search_with_tables}; [hint]/[probe_fan] are
-    probe-schedule-only).  [~prune:true] as in {!evaluate}, with each
-    cell's incumbent probed at its own budget. *)
+    batch through {!Rank_dp.search_with_tables}.  Outcome [i] equals
+    [fst (compute problems.(i))] ([hint]/[probe_fan] are
+    probe-schedule-only).  [~prune:true]
+    as in {!evaluate}, with each cell's incumbent probed at its own
+    budget. *)
+
+type power_point = {
+  pp_budget : float;  (** the power budget this point was evaluated at *)
+  pp_outcome : Outcome.t;
+  pp_power : float;
+      (** repeater power (watts) of the returned witness; 0 when
+          unassignable *)
+}
+(** One point of the rank-vs-power frontier: the optimal rank at
+    [pp_budget] watts (and the fixed area budget), plus the witness's
+    actual power spend ([pp_power <= pp_budget] whenever assignable and
+    the budget is finite). *)
 
 val compute_pareto_power :
   ?max_pareto:int ->
@@ -169,12 +204,16 @@ val compute_pareto_power :
   ?jobs:int ->
   Ir_assign.Problem.t ->
   float list ->
-  Rank_dp.power_point list
-(** {!Rank_dp.compute_pareto_power} on the grid engine: the shared
-    power-mode build runs once (sequentially), then the points answer
-    concurrently on the {!Ir_exec} pool.  Point [i] equals the
-    sequential sweep's point [i] by shared code
-    ({!Rank_dp.power_answer}); the memo and hint chain are deliberately
-    dropped — they are single-domain, order-dependent state — which is
-    what keeps every counter jobs=1 ≡ jobs=N.
+  power_point list
+(** [compute_pareto_power problem budgets] evaluates the rank at each
+    power budget (watts, in list order; [infinity] allowed) with the
+    area budget fixed at [problem]'s own.  One power-mode build at the
+    largest {e finite} budget answers every finite point
+    ({!Rank_dp.rebudget}); if it truncates, finite points fall back to
+    independent one-cell builds.  [infinity] entries always take the
+    area-only path — they are {e not} answerable from the finite-budget
+    build, and running the untouched 2-way code doubles as the
+    byte-identity anchor.  The shared build runs once, then the points
+    answer concurrently on the {!Ir_exec} pool with no memo and no hint
+    chain, which keeps every counter jobs=1 ≡ jobs=N.
     @raise Invalid_argument on a budget [<= 0]. *)

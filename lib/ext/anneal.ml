@@ -63,7 +63,7 @@ let optimize ?(seed = 42) ?(steps = 120) ?(bunch_size = 2000)
   let energy arch =
     incr evaluations;
     let o =
-      Ir_core.Rank_dp.compute
+      Ir_core.Rank.compute
         (Ir_assign.Problem.make ~bunch_size ~arch ~wld ())
     in
     let e =

@@ -35,7 +35,7 @@ let search ?(bunch_size = 10000) ~accept design =
   let evaluate structure =
     let arch = Ir_ia.Arch.make ~structure ~stack ~design () in
     let problem = Ir_assign.Problem.make ~bunch_size ~arch ~wld () in
-    { structure; outcome = Ir_core.Rank_dp.compute problem }
+    { structure; outcome = Ir_core.Rank.compute problem }
   in
   let steps = List.map evaluate (ladder stack) in
   match List.find_opt (fun s -> accept s.outcome) steps with

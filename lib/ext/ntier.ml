@@ -87,7 +87,7 @@ let compare_with_baseline ?tiers ?(bunch_size = 10000) design =
          ~fan_out:design.Ir_tech.Design.fan_out ())
   in
   let rank arch =
-    Ir_core.Rank_dp.compute
+    Ir_core.Rank.compute
       (Ir_assign.Problem.make ~bunch_size ~arch ~wld ())
   in
   let ntier = rank (architecture ?tiers design) in

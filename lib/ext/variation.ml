@@ -49,7 +49,7 @@ let run ?(spec = default_spec) ?(samples = 25) ?(seed = 42)
         ~device ~design ()
     in
     Ir_core.Outcome.normalized
-      (Ir_core.Rank_dp.compute
+      (Ir_core.Rank.compute
          (Ir_assign.Problem.make ~bunch_size ~arch ~wld ()))
   in
   let nominal =

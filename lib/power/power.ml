@@ -20,11 +20,4 @@ let of_assignment problem (a : Ir_core.Assignment.t) =
 
 let of_witness = Ir_core.Rank_dp.witness_power
 
-let pareto ?max_pareto ?widen_on_overflow ?widen_cap ?jobs problem budgets =
-  match jobs with
-  | Some _ ->
-      Ir_core.Rank_grid.compute_pareto_power ?max_pareto ?widen_on_overflow
-        ?widen_cap ?jobs problem budgets
-  | None ->
-      Ir_core.Rank_dp.compute_pareto_power ?max_pareto ?widen_on_overflow
-        ?widen_cap problem budgets
+let pareto = Ir_core.Rank_grid.compute_pareto_power

@@ -15,8 +15,9 @@
 
     This module is the reporting surface of the model; the optimizing
     side — a second budget threaded through the DP and the
-    rank-vs-power frontier — lives in {!Ir_core.Rank_dp} (power mode,
-    [compute_pareto_power]) and is re-exported here as {!pareto}. *)
+    rank-vs-power frontier — lives in {!Ir_core.Rank_dp} (power mode)
+    and {!Ir_core.Rank_grid.compute_pareto_power}, re-exported here as
+    {!pareto}. *)
 
 val per_repeater : Ir_assign.Problem.t -> pair:int -> float
 (** Watts one repeater burns on [pair] —
@@ -42,12 +43,10 @@ val pareto :
   ?jobs:int ->
   Ir_assign.Problem.t ->
   float list ->
-  Ir_core.Rank_dp.power_point list
-(** The rank-vs-power frontier at [problem]'s area budget: the rank at
-    each power budget (watts, [infinity] allowed), one shared power-mode
-    build answering every finite point.  Without [?jobs] this is
-    {!Ir_core.Rank_dp.compute_pareto_power} (sequential, memo + hint
-    chained); with [?jobs] the points evaluate concurrently on the
-    {!Ir_exec} pool via {!Ir_core.Rank_grid.compute_pareto_power} —
-    identical outcomes by shared code.
+  Ir_core.Rank_grid.power_point list
+(** The rank-vs-power frontier at [problem]'s area budget:
+    {!Ir_core.Rank_grid.compute_pareto_power} — the rank at each power
+    budget (watts, [infinity] allowed), one shared power-mode build
+    answering every finite point, the points evaluated on the
+    {!Ir_exec} pool ([?jobs]) with jobs-invariant outcomes and counters.
     @raise Invalid_argument on a budget [<= 0]. *)

@@ -12,7 +12,6 @@ type t = {
   bunch_size : int;
   structure : Ir_ia.Arch.structure;
   algo : algo;
-  epsilon : float;
   power_budget : float;
   activity : float;
   wld : Ir_wld.Dist.t option;
@@ -28,7 +27,7 @@ let design q =
 let v ?(rent_p = 0.6) ?(fan_out = 3.0) ?(clock = 0.5e9)
     ?(repeater_fraction = 0.4) ?(k = 3.9) ?(miller = 2.0)
     ?(bunch_size = 10_000) ?(structure = Ir_ia.Arch.baseline_structure)
-    ?(algo = Dp) ?(epsilon = 0.0) ?(power_budget = infinity)
+    ?(algo = Dp) ?(power_budget = infinity)
     ?(activity = Ir_assign.Problem.default_activity) ?wld ~node ~gates () =
   match Ir_tech.Node.of_string node with
   | None ->
@@ -51,23 +50,18 @@ let v ?(rent_p = 0.6) ?(fan_out = 3.0) ?(clock = 0.5e9)
           bunch_size;
           structure;
           algo;
-          epsilon;
           power_budget;
           activity;
           wld;
         }
       in
       if bunch_size <= 0 then Error "bunch_size must be positive"
-      else if not (Float.is_finite epsilon) || epsilon < 0.0 then
-        Error "epsilon must be a finite non-negative number"
       else if not (power_budget > 0.0) then
         Error "power_budget must be positive (watts; omit for unlimited)"
       else if not (activity > 0.0 && activity <= 1.0) then
         Error "activity must be in (0, 1]"
       else if power_budget < infinity && algo = Greedy then
         Error "the greedy algorithm does not support a power budget"
-      else if power_budget < infinity && epsilon <> 0.0 then
-        Error "epsilon-dominance is unsupported under a power budget"
       else
         (* Drive every remaining validation through the real constructors
            so the accepted query space is exactly what the pipeline can
@@ -95,9 +89,9 @@ let v ?(rent_p = 0.6) ?(fan_out = 3.0) ?(clock = 0.5e9)
    digest at once — old persisted cache entries and warm-table
    snapshots simply miss and recompute instead of aliasing pre-power
    results onto power-aware semantics.  Within version 2 the power
-   fields follow the epsilon convention below (emitted only when they
-   change the answer), so a future field addition under the same rule
-   again preserves the digests of queries that don't use it. *)
+   fields are emitted only when they change the answer, so a future
+   field addition under the same rule again preserves the digests of
+   queries that don't use it. *)
 let version_tag = "ia-rank/fingerprint/2"
 
 (* %.17g round-trips every finite float, so bit-equal parameters — and
@@ -105,16 +99,12 @@ let version_tag = "ia-rank/fingerprint/2"
 let fl = Printf.sprintf "%.17g"
 
 let canonical_fields q =
-  (* [epsilon] joined the canonical form after the fingerprint scheme
-     shipped: emitting it only when it changes the answer (non-zero)
-     keeps every pre-existing exact query's digest — and therefore the
-     whole disk cache — valid, while distinct ε values key distinct
-     cache entries. *)
-  (if q.epsilon <> 0.0 then [ ("epsilon", fl q.epsilon) ] else [])
-  (* Same convention for the power fields: an unconstrained budget at
-     the default activity is semantically the pre-power query, and
-     activity only enters the answer under a finite budget. *)
-  @ (if q.power_budget < infinity then
+  (* The power fields are emitted only when they change the answer: an
+     unconstrained budget at the default activity is semantically the
+     pre-power query, and activity only enters the answer under a
+     finite budget.  That keeps every other query's digest — and the
+     whole disk cache — valid across the field's introduction. *)
+  (if q.power_budget < infinity then
        [ ("power_budget", fl q.power_budget) ]
      else [])
   @ (if
@@ -217,4 +207,4 @@ let compute_cold q =
     | Dp -> Ir_core.Rank.Dp
     | Greedy -> Ir_core.Rank.Greedy
   in
-  Ir_core.Rank.compute ~algo ~epsilon:q.epsilon (problem q)
+  Ir_core.Rank.compute ~algo (problem q)

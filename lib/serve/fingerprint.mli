@@ -21,7 +21,7 @@
     The {e table key} is the fingerprint with the repeater fraction and
     algorithm masked out: phase-A DP tables built once at the full
     budget answer any repeater fraction of the same (node, architecture,
-    WLD, clock) family ({!Ir_core.Rank_dp.search_tables_rebudget}), so
+    WLD, clock) family ({!Ir_core.Rank_dp.rebudget}), so
     queries differing only in those fields share a warm-table pool slot. *)
 
 type algo = Dp | Greedy
@@ -38,15 +38,11 @@ type t = private {
   bunch_size : int;
   structure : Ir_ia.Arch.structure;
   algo : algo;
-  epsilon : float;
-      (** ε-dominance compression for [Dp] ([0.] = exact, the default);
-          non-zero values forfeit the warm-table path and the [exact]
-          claim — the payload's [exact] field reports it honestly *)
   power_budget : float;
       (** repeater power budget, watts ([infinity] = unconstrained, the
           default).  A finite budget runs the DP in power mode, which
           forfeits the warm-table path (tables predate the power plane)
-          and requires [algo = Dp] with [epsilon = 0.] *)
+          and requires [algo = Dp] *)
   activity : float;
       (** switching activity factor of the power model (default
           {!Ir_assign.Problem.default_activity}); enters the canonical
@@ -67,7 +63,6 @@ val v :
   ?bunch_size:int ->
   ?structure:Ir_ia.Arch.structure ->
   ?algo:algo ->
-  ?epsilon:float ->
   ?power_budget:float ->
   ?activity:float ->
   ?wld:Ir_wld.Dist.t ->
@@ -83,11 +78,9 @@ val v :
     anything they reject — bad node strings, out-of-range parameters, a
     structure the node's stack cannot host — comes back as [Error]
     with the constructor's message, never as a crash in the server.
-    [epsilon] must be finite and non-negative; it enters the canonical
-    form (and thus every digest) only when non-zero, so exact queries
-    keep their historical fingerprints.  [power_budget] must be positive
-    ([infinity] = unconstrained); a finite budget requires [algo = Dp]
-    and [epsilon = 0.], and [activity] must lie in (0, 1].  The power
+    [power_budget] must be positive ([infinity] = unconstrained); a
+    finite budget requires [algo = Dp], and [activity] must lie in
+    (0, 1].  The power
     fields enter the canonical form only when they can change the
     answer: a finite budget always, the activity only alongside one.
 

@@ -12,14 +12,13 @@ type query = {
   bunch_size : int option;
   structure : (int * int * int) option;
   greedy : bool;
-  epsilon : float option;
   power_budget : float option;
   activity : float option;
   wld_csv : string option;
 }
 
 let query ?rent_p ?fan_out ?clock ?repeater_fraction ?k ?miller ?bunch_size
-    ?structure ?(greedy = false) ?epsilon ?power_budget ?activity ?wld_csv
+    ?structure ?(greedy = false) ?power_budget ?activity ?wld_csv
     ~node ~gates () =
   {
     node;
@@ -33,7 +32,6 @@ let query ?rent_p ?fan_out ?clock ?repeater_fraction ?k ?miller ?bunch_size
     bunch_size;
     structure;
     greedy;
-    epsilon;
     power_budget;
     activity;
     wld_csv;
@@ -97,8 +95,7 @@ let fingerprint_of_query q =
   in
   Fingerprint.v ?rent_p:q.rent_p ?fan_out:q.fan_out ?clock:q.clock
     ?repeater_fraction:q.repeater_fraction ?k:q.k ?miller:q.miller
-    ?bunch_size:q.bunch_size ?structure ?epsilon:q.epsilon
-    ?power_budget:q.power_budget ?activity:q.activity ?wld
+    ?bunch_size:q.bunch_size ?structure ?power_budget:q.power_budget ?activity:q.activity ?wld
     ~algo:(if q.greedy then Fingerprint.Greedy else Fingerprint.Dp)
     ~node:q.node ~gates:q.gates ()
 
@@ -134,7 +131,6 @@ let json_of_query q =
         (fun (l, s, g) -> Json.Arr [ Json.Int l; Json.Int s; Json.Int g ])
         q.structure
     @ (if q.greedy then [ ("greedy", Json.Bool true) ] else [])
-    @ opt "epsilon" (fun f -> Json.Float f) q.epsilon
     @ opt "power_budget" (fun f -> Json.Float f) q.power_budget
     @ opt "activity" (fun f -> Json.Float f) q.activity
     @ opt "wld_csv" (fun s -> Json.Str s) q.wld_csv)
@@ -238,11 +234,22 @@ let query_of_json j =
     let* b = opt_field "greedy" Json.to_bool "a bool" j in
     Ok (Option.value b ~default:false)
   in
+  (* [epsilon] (ε-dominance compression) is retired: a client that still
+     sends the exact-mode value 0 gets the answer it always got, under
+     the same digest; any other value asked for an approximation this
+     server no longer computes. *)
   let* epsilon = opt_field "epsilon" Json.to_float "a number" j in
+  let* () =
+    match epsilon with
+    | None -> Ok ()
+    | Some e when e = 0.0 -> Ok ()
+    | Some _ ->
+        Result.error
+          "field epsilon is retired: only 0 (exact) is accepted"
+  in
   (* Optional fields within protocol version 1: servers predating them
      never see the keys (clients omit them at their defaults), and old
-     clients simply never send them — same compatibility stance as
-     [epsilon]. *)
+     clients simply never send them. *)
   let* power_budget = opt_field "power_budget" Json.to_float "a number" j in
   let* activity = opt_field "activity" Json.to_float "a number" j in
   let* wld_csv = opt_field "wld_csv" Json.to_str "a string" j in
@@ -259,7 +266,6 @@ let query_of_json j =
       bunch_size;
       structure;
       greedy;
-      epsilon;
       power_budget;
       activity;
       wld_csv;

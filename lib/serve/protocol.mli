@@ -36,13 +36,10 @@ type query = {
   structure : (int * int * int) option;
       (** (local, semi-global, global) pair counts *)
   greedy : bool;  (** [true] selects {!Fingerprint.Greedy} *)
-  epsilon : float option;
-      (** ε-dominance compression (DP only); omitted or [0.] = exact —
-          see {!Fingerprint.t} *)
   power_budget : float option;
       (** repeater power budget in watts; omitted = unconstrained.
-          Optional within protocol version 1, like [epsilon]: old
-          clients never send the key, old servers never receive it *)
+          Optional within protocol version 1: old clients never send the
+          key, old servers never receive it *)
   activity : float option;
       (** switching activity factor of the power model; meaningful only
           alongside [power_budget] — see {!Fingerprint.t} *)
@@ -64,7 +61,6 @@ val query :
   ?bunch_size:int ->
   ?structure:int * int * int ->
   ?greedy:bool ->
-  ?epsilon:float ->
   ?power_budget:float ->
   ?activity:float ->
   ?wld_csv:string ->
@@ -114,7 +110,10 @@ val encode_request : request -> string
 
 val decode_request : string -> (request, error) result
 (** Parse failures and version mismatches come back as [Bad_request]
-    with a descriptive message — never an exception. *)
+    with a descriptive message — never an exception.  A query's
+    [epsilon] key is a retired field (ε-dominance compression no longer
+    exists): absent or [0] is accepted and changes nothing, any other
+    value is a [Bad_request] naming it. *)
 
 val encode_response : response -> string
 

@@ -96,7 +96,7 @@ let pool_entry t key =
    query's (materials, clock) plane resident in the family grid, built
    at the full repeater budget with zero Pareto truncation — then one
    phase-B search rebinds the budget (the
-   {!Ir_core.Rank_dp.search_budgets} displacement argument, via
+   {!Ir_core.Rank_dp.rebudget} displacement argument, via
    {!Ir_core.Rank_grid.query}).  Everything else falls through to a cold
    compute, so served outcomes are always byte-identical to
    [Fingerprint.compute_cold]. *)
@@ -104,9 +104,6 @@ let compute_outcome t (fp : Fingerprint.t) =
   let warm () =
     match fp.algo with
     | Fingerprint.Greedy -> None
-    (* ε-compressed queries are deliberately inexact; the pool only
-       holds exact full-budget tables, so they always compute cold. *)
-    | Fingerprint.Dp when fp.epsilon <> 0.0 -> None
     (* Power-budgeted queries need the power plane, which the pool's
        2-way tables predate; the budget-rebinding displacement argument
        does not extend across that representation change, so they
@@ -277,6 +274,14 @@ let shutdown t =
 
 let join t =
   Atomic.set t.ticker_stop true;
+  (* [shutdown] cannot broadcast (it may run in a signal handler), and
+     the ticker's broadcasts end with it, so a worker that went back to
+     [Condition.wait] after the last tick would sleep forever.  One
+     broadcast under the mutex, after the ticker is told to stop, wakes
+     every such worker to see [draining]. *)
+  Mutex.lock t.mutex;
+  Condition.broadcast t.cond;
+  Mutex.unlock t.mutex;
   List.iter (fun th -> try Thread.join th with _ -> ()) t.threads;
   t.threads <- []
 

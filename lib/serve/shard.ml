@@ -37,12 +37,15 @@ let shard_pids t = Array.copy t.pids
 
 (* ---- spawning the fleet ------------------------------------------------ *)
 
-(* Shards are real [ia_rank serve] processes (fork + immediate exec of
-   [exe]): no forked copy of this process's threads, locks or GC state
-   survives into a child, and what the fleet load-balances is exactly
-   the binary operators deploy.  They share [cache_dir] (the disk cache
-   is multi-writer safe) and [snapshot_dir]; each listens on its own
-   unix socket under [dir]. *)
+(* Shards are real [ia_rank serve] processes started with
+   [Unix.create_process]: no copy of this process's threads, locks or GC
+   state survives into a child, and what the fleet load-balances is
+   exactly the binary operators deploy.  Unlike [Unix.fork],
+   [create_process] stays legal after this process has spawned domains
+   (OCaml 5 refuses [fork] once any domain was created), so a fleet can
+   start after a parallel sweep in the same process.  Shards share
+   [cache_dir] (the disk cache is multi-writer safe) and [snapshot_dir];
+   each listens on its own unix socket under [dir]. *)
 let child_argv ~exe ~socket ~workers ~cache_entries ~table_pool
     ~queue_capacity ~request_timeout ~cache_dir ~snapshot_dir =
   let opt name = function Some v -> [ name; v ] | None -> [] in
@@ -59,13 +62,7 @@ let child_argv ~exe ~socket ~workers ~cache_entries ~table_pool
     @ opt "--snapshot-dir" snapshot_dir)
 
 let spawn ~exe ~argv =
-  match Unix.fork () with
-  | 0 ->
-      (try Unix.execv exe argv with _ -> ());
-      (* exec failed; _exit avoids flushing buffers inherited from the
-         parent (at_exit would emit the parent's pending output twice). *)
-      Unix._exit 127
-  | pid -> pid
+  Unix.create_process exe argv Unix.stdin Unix.stdout Unix.stderr
 
 let kill_fleet pids =
   Array.iter
@@ -107,7 +104,15 @@ let start ?(workers = 2) ?(cache_entries = 512) ?(table_pool = 8)
               ~cache_entries ~table_pool ~queue_capacity ~request_timeout
               ~cache_dir ~snapshot_dir)
       in
-      let pids = Array.map (fun argv -> spawn ~exe ~argv) argvs in
+      let pids = Array.make shards 0 in
+      match Array.iteri (fun i argv -> pids.(i) <- spawn ~exe ~argv) argvs with
+      | exception Unix.Unix_error (e, _, _) ->
+          (* Reap the shards already started; unused slots hold pid 0. *)
+          kill_fleet
+            (Array.of_list (List.filter (( <> ) 0) (Array.to_list pids)));
+          Error
+            (Printf.sprintf "cannot start %s: %s" exe (Unix.error_message e))
+      | () ->
       (* A shard's socket file appears once it is bound and listening. *)
       let deadline = Unix.gettimeofday () +. 30.0 in
       let rec await i =
@@ -195,9 +200,9 @@ let rpc_conn link conn line =
 (* Supervisor step: a request just failed on a {e fresh} connection, so
    the shard is either wedged or dead.  [waitpid WNOHANG] tells them
    apart — a reaped (or vanished) pid is proof of death, and only then
-   does the router fork one replacement onto the same socket path.
+   does the router spawn one replacement onto the same socket path.
    [pid_mu] serializes the check-and-respawn, so a storm of failing
-   requests yields one fork: whoever arrives second finds the fresh pid
+   requests yields one spawn: whoever arrives second finds the fresh pid
    un-reapable (alive) and simply reconnects.  Returns [true] when a
    reconnect is worth attempting. *)
 let try_restart t i =
@@ -219,7 +224,10 @@ let try_restart t i =
       (* The killed shard never unlinked its socket; the replacement
          must bind the same path, so clear it first. *)
       (try Unix.unlink socket with Unix.Unix_error _ -> ());
-      t.pids.(i) <- spawn ~exe:t.exe ~argv:t.argvs.(i);
+      match spawn ~exe:t.exe ~argv:t.argvs.(i) with
+      | exception Unix.Unix_error _ -> false
+      | pid ->
+      t.pids.(i) <- pid;
       Ir_obs.incr stat_restarts;
       let deadline = Unix.gettimeofday () +. 30.0 in
       let rec await () =

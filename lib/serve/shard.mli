@@ -1,7 +1,9 @@
 (** Sharded serve tier: a fleet of [ia_rank serve] worker processes
     behind one router.
 
-    {!start} forks-and-execs [shards] copies of the serve binary, each a
+    {!start} spawns [shards] copies of the serve binary
+    ([Unix.create_process], legal even after this process has started
+    domains), each a
     full single-process {!Server} listening on its own unix socket under
     [dir], all sharing one disk {!Cache} directory and one {!Snapshot}
     directory (both are safe for concurrent writers).  The router then
@@ -18,7 +20,7 @@
     once on a fresh connection when a pooled one turns out stale.  When
     even the fresh connection fails, the router plays supervisor: a
     [waitpid WNOHANG] that reaps the shard's pid is proof of death, and
-    the router forks one replacement onto the same socket path (counted
+    the router spawns one replacement onto the same socket path (counted
     in [serve_shard/restarts]) and retries once more.  A shard that is
     merely wedged — alive but unresponsive — is never killed or
     replaced; its query answers with the [Internal] error while the rest

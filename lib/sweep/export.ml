@@ -313,8 +313,9 @@ type grid_report = {
 }
 
 (* The CI gate reads [status]; anything but "ok" fails the build.  The
-   conditions are the grid engine's contracts — byte-identity with the
-   per-point path, jobs-invariant structural counters, and perturb
+   conditions are the grid engine's contracts — byte-identity with an
+   unshared evaluation of every point, jobs-invariant structural
+   counters, and perturb
    touching strictly fewer cells than a full re-evaluation.  The
    measured speedup is reported but never gated: it is hardware truth,
    not a correctness property. *)
@@ -364,7 +365,7 @@ type pruning_report = {
 }
 
 (* The CI gate reads [status]; anything but "ok" fails the build.  The
-   pruning layer's contracts: at ε=0 the pruned grid must answer every
+   pruning layer's contracts: the pruned grid must answer every
    Table-4 cell byte-identically to the unpruned one, and the bounds/*
    tallies must not depend on the worker count (the incumbent is only
    published at sequential barriers).  The reduction itself — how much
@@ -421,8 +422,9 @@ type power_report = {
    power subsystem's contracts, in soundness order: an infinite budget
    must leave every rank, exact flag and counter byte-identical to a
    power-free run (the anchor everything else stands on); the [power/*]
-   counters must not depend on the worker count; the sequential and
-   grid sweep engines must agree point-for-point; and the frontier must
+   counters must not depend on the worker count; the shared power-mode
+   build must agree point-for-point with independent one-cell computes;
+   and the frontier must
    be monotone with the full-spend point recovering the unconstrained
    rank.  The frontier's shape — where it bends, what rank a half-power
    budget keeps — is data, never gated. *)

@@ -95,11 +95,14 @@ type serving_report = {
 type grid_report = {
   grid_points : int;  (** cells the sweep grid evaluated *)
   grid_planes : int;  (** distinct (materials, clock) planes it built *)
-  per_point_seconds : float;  (** Table4 wall time, {!Table4.Per_point} *)
-  grid_seconds : float;  (** same workload, same jobs, {!Table4.Grid} *)
+  per_point_seconds : float;
+      (** wall time of the unshared run: {!Ir_core.Rank_grid.eval_batch}
+          over every point's own problem, each cell its own plane *)
+  grid_seconds : float;
+      (** same workload, same jobs, shared planes ({!Table4.all}) *)
   grid_identical : bool;
-      (** rank / exact-flag identity between the two engines, and
-          between the grid leg's jobs=1 and jobs=N runs *)
+      (** rank / exact-flag identity between the shared and unshared
+          runs, and between the grid leg's jobs=1 and jobs=N runs *)
   grid_counters_match : bool;
       (** [grid/*] (and all other) counter identity between the grid
           leg's jobs=1 and jobs=N runs — the counters are structural *)
@@ -112,13 +115,13 @@ type grid_report = {
   perturb_seconds : float;  (** wall time of the incremental path *)
   full_eval_seconds : float;  (** wall time of the full micro-grid build *)
 }
-(** The grid-engine leg, exported under ["grid"] (schema 8): the same
-    Table-4 sweep run through the historical per-point scheduler and
-    through the {!Ir_core.Rank_grid} wavefront at the same worker count,
-    plus a perturb micro-leg on a small grid.  Export derives a
-    ["speedup"] (per-point seconds over grid seconds — reported, never
-    gated) and a ["status"] the CI gate keys on: ["ok"], ["mismatch"]
-    (the engines, or the grid's own jobs=1/jobs=N runs, disagree on a
+(** The grid leg, exported under ["grid"] (schema 8): the same Table-4
+    sweep run without plane sharing and through the shared-plane
+    {!Ir_core.Rank_grid} wavefront at the same worker count, plus a
+    perturb micro-leg on a small grid.  Export derives a ["speedup"]
+    (unshared seconds over shared seconds — reported, never gated) and
+    a ["status"] the CI gate keys on: ["ok"], ["mismatch"] (the shared
+    and unshared runs, or the grid's own jobs=1/jobs=N runs, disagree on a
     rank or exact flag), ["counters_mismatch"] (the structural [grid/*]
     counters varied with the worker count), or
     ["perturb_not_incremental"] ({!Ir_core.Rank_grid.perturb} recomputed
@@ -151,7 +154,7 @@ type pruning_report = {
     the same worker count.  Export derives ["front_insert_reduction"] /
     ["witness_probe_reduction"] (fractions of baseline work the bound
     eliminated — reported, never gated) and a ["status"] the CI gate
-    keys on: ["ok"], ["mismatch"] (ε=0 byte-identity broken) or
+    keys on: ["ok"], ["mismatch"] (byte-identity broken) or
     ["counters_mismatch"] ([bounds/*] varied with the worker count). *)
 
 val pruning_status : pruning_report -> string
@@ -171,9 +174,10 @@ type power_report = {
       (** [power/*] (and all other) counter identity between the
           frontier's jobs=1 and jobs=N evaluations *)
   power_engines_agree : bool;
-      (** the sequential ({!Ir_core.Rank_dp.compute_pareto_power}) and
-          grid ({!Ir_core.Rank_grid.compute_pareto_power}) engines
-          returned identical frontiers *)
+      (** every frontier point, answered from the shared power-mode
+          build ({!Ir_core.Rank_grid.compute_pareto_power}), equals an
+          independent one-cell compute at that power budget: rank,
+          exact flag and witness watts *)
   power_monotone : bool;  (** {!Power_pareto.monotone} on the frontier *)
   power_seconds : float;  (** wall time of the frontier sweep *)
 }
@@ -183,7 +187,8 @@ type power_report = {
     keys on: ["ok"], ["identity_broken"] (a power-free and an
     infinite-budget run diverged somewhere on the Table-4 corpus),
     ["counters_mismatch"] ([power/*] varied with the worker count),
-    ["engine_mismatch"] (sequential vs grid frontier disagreement) or
+    ["engine_mismatch"] (shared-build vs independent-compute
+    disagreement) or
     ["frontier_not_monotone"].  The frontier's shape is reported in
     [results/power_pareto.csv], never gated. *)
 

@@ -75,7 +75,7 @@ let scenario () =
               build ~wire_length ~clock ~gates ~repeater_fraction:fraction
             in
             let greedy = Ir_core.Rank_greedy.compute problem in
-            let optimal = Ir_core.Rank_dp.compute problem in
+            let optimal = Ir_core.Rank.compute problem in
             if
               greedy.Ir_core.Outcome.rank_wires = 2
               && optimal.Ir_core.Outcome.rank_wires = 4

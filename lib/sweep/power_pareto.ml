@@ -31,7 +31,7 @@ let run ?jobs ?(config = Table4.default_config) ?activity
   (* Anchor: the area-only optimum and the watts its witness burns.
      Fractions of that spend make the sweep self-calibrating — the grid
      tracks the model constants instead of hard-coding watt values. *)
-  let unconstrained, w = Ir_core.Rank_dp.compute_with_witness base in
+  let unconstrained, w = Ir_core.Rank_grid.compute base in
   let p_inf =
     match w with Some w -> Ir_power.Power.of_witness base w | None -> 0.0
   in
@@ -44,12 +44,12 @@ let run ?jobs ?(config = Table4.default_config) ?activity
     else
       let budgets = List.map (fun f -> f *. p_inf) fractions in
       List.map2
-        (fun fraction (pt : Ir_core.Rank_dp.power_point) ->
+        (fun fraction (pt : Ir_core.Rank_grid.power_point) ->
           {
             fraction;
-            budget = pt.Ir_core.Rank_dp.pp_budget;
-            outcome = pt.Ir_core.Rank_dp.pp_outcome;
-            power = pt.Ir_core.Rank_dp.pp_power;
+            budget = pt.Ir_core.Rank_grid.pp_budget;
+            outcome = pt.Ir_core.Rank_grid.pp_outcome;
+            power = pt.Ir_core.Rank_grid.pp_power;
           })
         fractions
         (Ir_power.Power.pareto ?jobs base budgets)

@@ -56,79 +56,27 @@ let baseline_problem ?activity config =
   Ir_assign.Problem.of_bunches ~activity ~target_model:config.target_model
     ~arch ~bunches ()
 
-(* How one sweep point differs from the baseline.  [Rebuild] changes the
-   electrical model and needs a full instance (on the shared bunches —
-   the bunching depends only on the design's gate pitch, which every
-   point of a config shares); [Rescale_clock] derives from the shared
-   base instance via [Problem.with_clock], reusing the geometry tables.
-   Budget points carry no per-point spec at all: the whole budget grid of
-   a sweep is one table-sharing group answered by
-   [Rank.compute_budgets] from a single phase-A build. *)
-type spec =
-  | Rebuild of Ir_ia.Materials.t
-  | Rescale_clock of float
-
-(* One sweep's points: independent per-point tasks, or a budget grid
-   evaluated as one shared-tables group. *)
-type points = Each of (float * spec) list | Budgets of float list
-
+(* One sweep: its grid points, each a {!Ir_core.Rank_grid.point}
+   override of the config's baseline instance (materials for K and M,
+   clock for C, repeater fraction for R). *)
 type def = {
   d_name : string;
   d_legend : string;
   d_paper : (float * float) list;
-  d_points : points;
+  d_points : (float * Ir_core.Rank_grid.point) list;
 }
 
-(* A schedulable work unit of a (possibly fused multi-sweep) run.  The
-   pool parallelizes across tasks; table reuse — and boundary-hint
-   threading — happens within one.  [Each] points are grouped into
-   {e chains} of [chain_len] consecutive grid points: the rank boundary
-   is monotone along a sweep column, so each point's search warm-starts
-   from its chain predecessor's boundary ([?hint]).  The chain length is
-   a fixed constant — never derived from the job count — so the probe
-   and greedy-fill counter totals stay identical whatever the
-   parallelism; it only bounds how much column-locality one worker
-   exploits before the next chunk can start on another domain. *)
-type task =
-  | Chain of { sweep : int; pts : (int * float * spec) array }
-  | Budget_group of { sweep : int; pts : (int * float) array }
-
-let chain_len = 6
-
-(* Which execution engine answers a run's points.  [Grid] batches the
-   whole fused run through [Rank_grid.evaluate]: one level-synchronous
-   wavefront builds every (materials, clock) plane's tables at once (the
-   pool parallelizes {e inside} each level, not across points) and the
-   budget column shares the base plane with the C column's base point.
-   [Per_point] is the historical chain/budget-group scheduler, kept
-   selectable so the bench can measure one against the other.  The DP
-   results are byte-identical either way; non-DP algos have no batched
-   kernel and always take the per-point path. *)
-type engine = Per_point | Grid
-
 let stat_points = Ir_obs.counter "sweep/points"
-let span_point_build = Ir_obs.span "sweep/point_build"
 let span_point_search = Ir_obs.span "sweep/point_search"
 let span_grid = Ir_obs.span "sweep/grid"
-
-let def_length d =
-  match d.d_points with Each pts -> List.length pts | Budgets fs -> List.length fs
-
-(* Relative cost, for heaviest-first dispatch: a chain is about one
-   phase-A build per point; a budget group is one build plus cheap
-   shared-tables searches. *)
-let task_weight = function
-  | Chain { pts; _ } -> Array.length pts
-  | Budget_group _ -> 2
 
 (* Scatter [(sweep, idx, row)] triples back into the defs' grid order. *)
 let assemble defs results =
   let rows =
-    Array.of_list (List.map (fun d -> Array.make (def_length d) None) defs)
+    Array.of_list
+      (List.map (fun d -> Array.make (List.length d.d_points) None) defs)
   in
-  Array.iter
-    (Array.iter (fun (s, i, row) -> rows.(s).(i) <- Some row))
-    results;
+  Array.iter (fun (s, i, row) -> rows.(s).(i) <- Some row) results;
   List.mapi
     (fun s d ->
       {
@@ -143,43 +91,17 @@ let assemble defs results =
       })
     defs
 
-(* The grid engine: flatten every def's points into [Rank_grid.point]
-   overrides of the shared base instance and evaluate them as one
-   batched wavefront.  The wall time is inherently collective (planes
-   are built level-by-level across the whole grid), so each row reports
-   the run's cost amortized evenly — the same convention budget groups
-   already use. *)
-let run_grid ?jobs ?prune problem_of_materials defs =
-  let cells =
-    List.concat
-      (List.mapi
-         (fun sweep d ->
-           match d.d_points with
-           | Each pts ->
-               List.mapi
-                 (fun idx (param, spec) ->
-                   let pt =
-                     match spec with
-                     | Rebuild materials ->
-                         Ir_core.Rank_grid.point ~materials ()
-                     | Rescale_clock clock ->
-                         Ir_core.Rank_grid.point ~clock ()
-                   in
-                   (sweep, idx, param, pt))
-                 pts
-           | Budgets fs ->
-               List.mapi
-                 (fun idx f ->
-                   (sweep, idx, f, Ir_core.Rank_grid.point ~fraction:f ()))
-                 fs)
-         defs)
-  in
-  let base = problem_of_materials Ir_ia.Materials.default in
-  let points =
-    Array.of_list (List.map (fun (_, _, _, pt) -> pt) cells)
-  in
-  Logs.debug (fun f ->
-      f "table4: grid of %d cells" (Array.length points));
+(* The DP path: every def's points as overrides of the shared base
+   instance, evaluated as one [Rank_grid] wavefront — every (materials,
+   clock) plane's tables built in a single level-synchronous pass (the
+   pool parallelizes {e inside} each level, not across points), and the
+   R column, the C column's base point and any base-valued K/M point
+   sharing one resident plane.  A finite power budget on the config
+   makes every plane a power-mode build.  The wall time is inherently
+   collective, so each row reports the run's cost amortized evenly. *)
+let run_grid ?jobs ?prune base cells =
+  let points = Array.map (fun (_, _, _, pt) -> pt) cells in
+  Logs.debug (fun f -> f "table4: grid of %d cells" (Array.length points));
   let t0 = Ir_exec.now () in
   let grid =
     Ir_obs.time span_grid @@ fun () ->
@@ -188,22 +110,42 @@ let run_grid ?jobs ?prune problem_of_materials defs =
   let per =
     (Ir_exec.now () -. t0) /. float_of_int (max 1 (Array.length points))
   in
-  let results =
-    Array.of_list
-      (List.mapi
-         (fun i (sweep, idx, param, _) ->
-           Ir_obs.incr stat_points;
-           let outcome = Ir_core.Rank_grid.outcome grid i in
-           (sweep, idx, { param; outcome; seconds = per }))
-         cells)
-  in
-  assemble defs [| results |]
+  Array.mapi
+    (fun i (sweep, idx, param, _) ->
+      Ir_obs.incr stat_points;
+      let outcome = Ir_core.Rank_grid.outcome grid i in
+      (sweep, idx, { param; outcome; seconds = per }))
+    cells
 
-let run_defs ?jobs ?(engine = Grid) ?prune config defs =
+(* Non-DP algorithms have no shared tables: each point is its own
+   instance — K and M points rebuilt on the shared bunches, C and R
+   points derived from the base via the rescale constructors — computed
+   independently on the pool. *)
+let run_each ?jobs algo problem_of_materials base cells =
+  Ir_exec.parallel_map ?jobs
+    (fun (sweep, idx, param, (pt : Ir_core.Rank_grid.point)) ->
+      Ir_obs.incr stat_points;
+      let problem =
+        match pt with
+        | { materials = Some m; _ } -> problem_of_materials m
+        | { clock = Some c; _ } -> Ir_assign.Problem.with_clock base c
+        | { fraction = Some f; _ } ->
+            Ir_assign.Problem.with_repeater_fraction base f
+        | _ -> base
+      in
+      let t0 = Ir_exec.now () in
+      let outcome =
+        Ir_obs.time span_point_search @@ fun () ->
+        Ir_core.Rank.compute ~algo problem
+      in
+      (sweep, idx, { param; outcome; seconds = Ir_exec.now () -. t0 }))
+    cells
+
+let run_defs ?jobs ?prune config defs =
   let wld = shared_wld config in
   (* Bunching depends only on the design (WLD + gate pitch), not on the
      materials, clock or budget a point varies — one bunching serves
-     every task of the run. *)
+     every point of the run. *)
   let pitch = Ir_tech.Design.effective_gate_pitch config.design in
   let bunches =
     Ir_wld.Coarsen.bunch ~bunch_size:config.bunch_size
@@ -218,121 +160,19 @@ let run_defs ?jobs ?(engine = Grid) ?prune config defs =
       ~power_budget:config.power_budget ~target_model:config.target_model
       ~arch ~bunches ()
   in
-  match (engine, config.algo, config.power_budget < infinity) with
-  | Grid, Ir_core.Rank.Dp, false ->
-      run_grid ?jobs ?prune problem_of_materials defs
-  (* A power-budgeted config takes the per-point scheduler: the grid
-     wavefront's plane-sharing has no power-mode story yet, while the
-     per-point path runs each (powered) instance through exactly the
-     code the power tests exercise. *)
-  | (Grid | Per_point), _, _ ->
-  (* The shared base instance for rescale/budget tasks is immutable after
-     build, so they may all read it concurrently; build it eagerly rather
-     than behind a [lazy] (forcing a [lazy] from several domains would
-     race). *)
-  let base =
-    if
-      List.exists
-        (fun d ->
-          match d.d_points with
-          | Budgets _ -> true
-          | Each pts ->
-              List.exists
-                (fun (_, s) ->
-                  match s with Rescale_clock _ -> true | Rebuild _ -> false)
-                pts)
-        defs
-    then Some (problem_of_materials Ir_ia.Materials.default)
-    else None
+  let base = problem_of_materials Ir_ia.Materials.default in
+  let cells =
+    Array.of_list
+      (List.concat
+         (List.mapi
+            (fun sweep d ->
+              List.mapi (fun idx (param, pt) -> (sweep, idx, param, pt)) d.d_points)
+            defs))
   in
-  let tasks =
-    List.concat
-      (List.mapi
-         (fun sweep d ->
-           match d.d_points with
-           | Each pts ->
-               let pts =
-                 Array.of_list
-                   (List.mapi (fun idx (param, spec) -> (idx, param, spec)) pts)
-               in
-               let n = Array.length pts in
-               List.init
-                 ((n + chain_len - 1) / chain_len)
-                 (fun chunk ->
-                   let lo = chunk * chain_len in
-                   Chain
-                     {
-                       sweep;
-                       pts = Array.sub pts lo (min chain_len (n - lo));
-                     })
-           | Budgets fs ->
-               [
-                 Budget_group
-                   {
-                     sweep;
-                     pts = Array.of_list (List.mapi (fun i f -> (i, f)) fs);
-                   };
-               ])
-         defs)
-  in
-  let exec = function
-    | Chain { sweep; pts } ->
-        (* Consecutive grid points of one column: thread each point's
-           boundary into the next search as its warm-start hint.  The
-           hint chain restarts at every chunk boundary, so the hint a
-           point receives depends only on the (fixed) chunking — not on
-           which worker ran the previous chunk. *)
-        let hint = ref None in
-        Array.map
-          (fun (idx, param, spec) ->
-            Logs.debug (fun f -> f "table4: param %.4g" param);
-            Ir_obs.incr stat_points;
-            let problem =
-              Ir_obs.time span_point_build @@ fun () ->
-              match (spec, base) with
-              | Rebuild materials, _ -> problem_of_materials materials
-              | Rescale_clock clock, Some base ->
-                  Ir_assign.Problem.with_clock base clock
-              | Rescale_clock _, None -> assert false
-            in
-            let t0 = Ir_exec.now () in
-            let outcome =
-              Ir_obs.time span_point_search @@ fun () ->
-              Ir_core.Rank.compute ~algo:config.algo ?hint:!hint problem
-            in
-            if outcome.Ir_core.Outcome.assignable then
-              hint := Some outcome.Ir_core.Outcome.boundary_bunch;
-            (sweep, idx, { param; outcome; seconds = Ir_exec.now () -. t0 }))
-          pts
-    | Budget_group { sweep; pts } ->
-        Logs.debug (fun f ->
-            f "table4: budget group of %d fractions" (Array.length pts));
-        Array.iter (fun _ -> Ir_obs.incr stat_points) pts;
-        let base =
-          match base with Some b -> b | None -> assert false
-        in
-        let t0 = Ir_exec.now () in
-        let outcomes =
-          Ir_obs.time span_point_search @@ fun () ->
-          Ir_core.Rank.compute_budgets ~algo:config.algo base
-            (Array.to_list (Array.map snd pts))
-        in
-        (* The group's cost is shared by construction; report it
-           amortized evenly across its rows. *)
-        let per =
-          (Ir_exec.now () -. t0) /. float_of_int (max 1 (Array.length pts))
-        in
-        Array.of_list
-          (List.map2
-             (fun (idx, param) outcome ->
-               (sweep, idx, { param; outcome; seconds = per }))
-             (Array.to_list pts) outcomes)
-  in
-  let results =
-    Ir_exec.parallel_group_map ?jobs ~weight:task_weight exec
-      (Array.of_list tasks)
-  in
-  assemble defs results
+  assemble defs
+    (match config.algo with
+    | Ir_core.Rank.Dp -> run_grid ?jobs ?prune base cells
+    | algo -> run_each ?jobs algo problem_of_materials base cells)
 
 let grid_desc ~from ~until ~step =
   Ir_phys.Numeric.frange ~start:from ~stop:until ~step:(-.step)
@@ -343,10 +183,10 @@ let k_def () =
     d_legend = "ILD permittivity";
     d_paper = Paper_data.table4_k;
     d_points =
-      Each
-        (List.map
-           (fun k -> (k, Rebuild (Ir_ia.Materials.v ~k ())))
-           (grid_desc ~from:3.9 ~until:1.8 ~step:0.1));
+      List.map
+        (fun k ->
+          (k, Ir_core.Rank_grid.point ~materials:(Ir_ia.Materials.v ~k ()) ()))
+        (grid_desc ~from:3.9 ~until:1.8 ~step:0.1);
   }
 
 let m_def () =
@@ -355,10 +195,12 @@ let m_def () =
     d_legend = "Miller coupling factor";
     d_paper = Paper_data.table4_m;
     d_points =
-      Each
-        (List.map
-           (fun m -> (m, Rebuild (Ir_ia.Materials.v ~miller:m ())))
-           (grid_desc ~from:2.0 ~until:1.0 ~step:0.05));
+      List.map
+        (fun m ->
+          ( m,
+            Ir_core.Rank_grid.point ~materials:(Ir_ia.Materials.v ~miller:m ())
+              () ))
+        (grid_desc ~from:2.0 ~until:1.0 ~step:0.05);
   }
 
 let c_def () =
@@ -367,10 +209,9 @@ let c_def () =
     d_legend = "target clock frequency (Hz)";
     d_paper = Paper_data.table4_c;
     d_points =
-      Each
-        (List.map
-           (fun c -> (c, Rescale_clock c))
-           (Ir_phys.Numeric.frange ~start:0.5e9 ~stop:1.7e9 ~step:0.1e9));
+      List.map
+        (fun c -> (c, Ir_core.Rank_grid.point ~clock:c ()))
+        (Ir_phys.Numeric.frange ~start:0.5e9 ~stop:1.7e9 ~step:0.1e9);
   }
 
 let r_def () =
@@ -378,30 +219,31 @@ let r_def () =
     d_name = "R";
     d_legend = "max repeater fraction of die area";
     d_paper = Paper_data.table4_r;
-    d_points = Budgets [ 0.1; 0.2; 0.3; 0.4; 0.5 ];
+    d_points =
+      List.map
+        (fun f -> (f, Ir_core.Rank_grid.point ~fraction:f ()))
+        [ 0.1; 0.2; 0.3; 0.4; 0.5 ];
   }
 
-let one ?jobs ?engine ?prune config d =
-  List.hd (run_defs ?jobs ?engine ?prune config [ d ])
+let one ?jobs ?prune config d = List.hd (run_defs ?jobs ?prune config [ d ])
 
-let k_sweep ?jobs ?engine ?prune ?(config = default_config) () =
-  one ?jobs ?engine ?prune config (k_def ())
+let k_sweep ?jobs ?prune ?(config = default_config) () =
+  one ?jobs ?prune config (k_def ())
 
-let m_sweep ?jobs ?engine ?prune ?(config = default_config) () =
-  one ?jobs ?engine ?prune config (m_def ())
+let m_sweep ?jobs ?prune ?(config = default_config) () =
+  one ?jobs ?prune config (m_def ())
 
-let c_sweep ?jobs ?engine ?prune ?(config = default_config) () =
-  one ?jobs ?engine ?prune config (c_def ())
+let c_sweep ?jobs ?prune ?(config = default_config) () =
+  one ?jobs ?prune config (c_def ())
 
-let r_sweep ?jobs ?engine ?prune ?(config = default_config) () =
-  one ?jobs ?engine ?prune config (r_def ())
+let r_sweep ?jobs ?prune ?(config = default_config) () =
+  one ?jobs ?prune config (r_def ())
 
-(* The four columns fused into one pool run: with per-sweep runs the pool
-   drains between columns (the tail of one sweep idles workers the next
-   could use); fusing exposes every task — or, on the grid engine, every
-   plane of one wavefront — at once. *)
-let all ?jobs ?engine ?prune ?(config = default_config) () =
-  run_defs ?jobs ?engine ?prune config [ k_def (); m_def (); c_def (); r_def () ]
+(* The four columns fused into one run: on the grid every plane of the
+   four columns builds in one wavefront, so the tail of one column
+   cannot idle workers the next could use. *)
+let all ?jobs ?prune ?(config = default_config) () =
+  run_defs ?jobs ?prune config [ k_def (); m_def (); c_def (); r_def () ]
 
 let normalized sweep =
   List.map

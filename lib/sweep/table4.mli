@@ -9,31 +9,24 @@
     design's gate pitch, not on the materials, clock or budget a point
     varies).
 
-    By default ({!Grid}, DP algo) the whole run is dispatched as one
-    batch through {!Ir_core.Rank_grid}: every (materials, clock) plane's
-    phase-A tables are built in a single level-synchronous wavefront —
-    the {!Ir_exec} domain pool ([?jobs], default
+    With the DP algorithm the whole run is dispatched as one batch
+    through {!Ir_core.Rank_grid.evaluate}: every (materials, clock)
+    plane's phase-A tables are built in a single level-synchronous
+    wavefront — the {!Ir_exec} domain pool ([?jobs], default
     {!Ir_exec.default_jobs}) parallelizes {e inside} each level, not
     across points — and the R column, the C column's base point and any
-    base-valued K/M point all share one resident plane.
-
-    On {!Per_point} (or any non-DP algo) work is instead scheduled in
-    {e table-sharing groups}: the K and M points rebuild their own
-    instance (on the shared bunches), the C points derive from a shared
-    base instance via {!Ir_assign.Problem.with_clock}, and the whole R
-    column is a single group answered by
-    {!Ir_core.Rank.compute_budgets} from {e one} phase-A table build
-    (the repeater budget is only a query-time pruning bound).  Workers
-    parallelize across groups and reuse tables within a group.
+    base-valued K/M point all share one resident plane.  A finite
+    [power_budget] makes every plane a power-mode build; nothing else
+    changes.  Non-DP algorithms have no shared tables and compute each
+    point independently with {!Ir_core.Rank.compute} on the pool.
 
     Either way {!all} fuses the four columns into one run, rows come
     back in grid order with identical ranks whatever the job count, and
     {!Ir_obs} counters are jobs-invariant, so sequential and parallel
     runs produce byte-identical tables (only the [seconds] timings
-    differ; batched rows report their batch's cost amortized evenly).
-    The two engines agree rank-for-rank — the grid kernel runs the same
-    DP code — which the bench's [grid] leg measures and the sweep tests
-    assert. *)
+    differ; grid rows report the run's cost amortized evenly).  The
+    sweep tests check every row against an unshared evaluation of the
+    point's own problem and against frozen values. *)
 
 type row = {
   param : float;
@@ -60,9 +53,8 @@ type config = {
   power_budget : float;
       (** repeater power budget, watts; [infinity] (the default) keeps
           every sweep on the historical area-only paths.  A finite
-          budget runs each point in power mode on the per-point
-          scheduler (the grid wavefront has no power-mode plane sharing)
-          and requires the DP algorithm. *)
+          budget runs every grid plane in power mode and requires the
+          DP algorithm. *)
 }
 
 val default_config : config
@@ -80,44 +72,28 @@ val baseline_problem : ?activity:float -> config -> Ir_assign.Problem.t
     [?activity] sets the power model's switching activity factor
     (default {!Ir_assign.Problem.default_activity}). *)
 
-type engine =
-  | Per_point  (** historical chain/budget-group scheduler *)
-  | Grid
-      (** one {!Ir_core.Rank_grid} wavefront for the whole run
-          (default; DP only — non-DP algos fall back to {!Per_point}) *)
-
 (** Every sweep entry point takes [?prune] (default false):
-    {!Ir_core.Rank_grid.evaluate}'s admissible-bound pruning, grid
-    engine only (the per-point fallback ignores it).  Results are
-    byte-identical either way — the flag only moves work counters. *)
+    {!Ir_core.Rank_grid.evaluate}'s admissible-bound pruning, DP only.
+    Results are byte-identical either way — the flag only moves work
+    counters. *)
 
-val k_sweep :
-  ?jobs:int -> ?engine:engine -> ?prune:bool -> ?config:config -> unit -> sweep
+val k_sweep : ?jobs:int -> ?prune:bool -> ?config:config -> unit -> sweep
 (** ILD permittivity from 3.9 down to 1.8 in steps of 0.1 (Table 4 K). *)
 
-val m_sweep :
-  ?jobs:int -> ?engine:engine -> ?prune:bool -> ?config:config -> unit -> sweep
+val m_sweep : ?jobs:int -> ?prune:bool -> ?config:config -> unit -> sweep
 (** Miller factor from 2.0 down to 1.0 in steps of 0.05 (Table 4 M). *)
 
-val c_sweep :
-  ?jobs:int -> ?engine:engine -> ?prune:bool -> ?config:config -> unit -> sweep
+val c_sweep : ?jobs:int -> ?prune:bool -> ?config:config -> unit -> sweep
 (** Clock from 0.5 GHz to 1.7 GHz in steps of 0.1 GHz (Table 4 C). *)
 
-val r_sweep :
-  ?jobs:int -> ?engine:engine -> ?prune:bool -> ?config:config -> unit -> sweep
+val r_sweep : ?jobs:int -> ?prune:bool -> ?config:config -> unit -> sweep
 (** Repeater fraction from 0.1 to 0.5 in steps of 0.1 (Table 4 R). *)
 
-val all :
-  ?jobs:int ->
-  ?engine:engine ->
-  ?prune:bool ->
-  ?config:config ->
-  unit ->
-  sweep list
+val all : ?jobs:int -> ?prune:bool -> ?config:config -> unit -> sweep list
 (** The four columns in the paper's order: K, M, C, R — fused into a
-    single batch (one grid wavefront, or one pool run of per-point
-    groups) so the tail of one column cannot idle workers the next
-    could use. *)
+    single batch (one grid wavefront, or one pool run of independent
+    points for non-DP algorithms) so the tail of one column cannot idle
+    workers the next could use. *)
 
 val normalized : sweep -> (float * float) list
 (** (param, normalized rank) pairs of the measured rows. *)

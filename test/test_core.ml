@@ -5,6 +5,17 @@ open Helpers
 
 module P = Ir_assign.Problem
 
+(* The per-point reference: one query as a one-cell grid, nothing
+   shared with any other point. *)
+let compute ?max_pareto ?widen_on_overflow ?prune p =
+  fst (Ir_core.Rank_grid.compute ?max_pareto ?widen_on_overflow ?prune p)
+
+(* The boundary search over [p]'s first-rung tables, scanning top-down
+   instead of bracketing. *)
+let exhaustive p =
+  fst (Ir_core.Rank_dp.search_tables ~exhaustive:true
+         (Ir_core.Rank_dp.build_tables p))
+
 let test_outcome () =
   let o =
     Ir_core.Outcome.v ~rank_wires:40 ~total_wires:100 ~assignable:true
@@ -39,7 +50,7 @@ let test_dp_all_meet () =
         { Ir_wld.Dist.length = 1e-4 /. float_of_int (i + 1); count = 2 })
   in
   let p = P.of_bunches ~arch ~bunches () in
-  let o = Ir_core.Rank_dp.compute p in
+  let o = compute p in
   Alcotest.(check int) "all 10 wires meet" 10 o.rank_wires;
   Alcotest.(check bool) "assignable" true o.assignable
 
@@ -54,7 +65,7 @@ let test_dp_zero_budget () =
   let arch = Ir_ia.Arch.make ~design () in
   let bunches = [| { Ir_wld.Dist.length = 3e-3; count = 4 } |] in
   let p = P.of_bunches ~arch ~bunches () in
-  let o = Ir_core.Rank_dp.compute p in
+  let o = compute p in
   Alcotest.(check bool) "assignable" true o.assignable;
   Alcotest.(check int) "rank 0 without budget" 0 o.rank_wires
 
@@ -63,7 +74,7 @@ let test_dp_unassignable () =
   let arch = Ir_ia.Arch.make ~design () in
   let bunches = [| { Ir_wld.Dist.length = 1e-2; count = 1000 } |] in
   let p = P.of_bunches ~arch ~bunches () in
-  let o = Ir_core.Rank_dp.compute p in
+  let o = compute p in
   Alcotest.(check bool) "not assignable" false o.assignable;
   Alcotest.(check int) "rank 0 (Definition 3)" 0 o.rank_wires
 
@@ -71,14 +82,14 @@ let test_dp_binary_vs_exhaustive () =
   (* The binary search relies on boundary monotonicity; the exhaustive
      scan cross-checks it on the scaled-down baseline. *)
   let p = baseline_130nm_small () in
-  let fast = Ir_core.Rank_dp.compute p in
-  let slow = Ir_core.Rank_dp.compute ~exhaustive:true p in
+  let fast = fst (Ir_core.Rank_dp.search_tables (Ir_core.Rank_dp.build_tables p)) in
+  let slow = exhaustive p in
   Alcotest.(check int) "same rank" fast.rank_wires slow.rank_wires
 
 let test_greedy_baseline_sane () =
   let p = baseline_130nm_small () in
   let g = Ir_core.Rank_greedy.compute p in
-  let d = Ir_core.Rank_dp.compute p in
+  let d = compute p in
   Alcotest.(check bool) "greedy assignable" true g.assignable;
   Alcotest.(check bool) "greedy <= dp" true (g.rank_wires <= d.rank_wires);
   Alcotest.(check bool) "dp positive on baseline" true (d.rank_wires > 0)
@@ -112,7 +123,7 @@ let test_exact_dp_guard () =
 let test_threshold_baseline () =
   let p = baseline_130nm_small () in
   let t = Ir_core.Rank_threshold.compute p in
-  let dp = Ir_core.Rank_dp.compute p in
+  let dp = compute p in
   Alcotest.(check bool) "threshold <= dp" true
     (t.rank_wires <= dp.rank_wires);
   (* Characteristic lengths exist and are positive for every pair. *)
@@ -127,7 +138,7 @@ let test_threshold_baseline () =
 let prop_threshold_le_dp =
   qtest ~count:80 "threshold assignment never beats the DP"
     Helpers.gen_instance (fun { problem; label } ->
-      let dp = Ir_core.Rank_dp.compute problem in
+      let dp = compute problem in
       let t = Ir_core.Rank_threshold.compute problem in
       if t.rank_wires > dp.rank_wires then
         QCheck2.Test.fail_reportf "%s: threshold=%d dp=%d" label t.rank_wires
@@ -149,7 +160,7 @@ let test_noise_limited_rank () =
       | Some m -> Ir_ia.Arch.with_materials arch m
     in
     let p = Ir_assign.Problem.make ?noise_limit ~bunch_size:500 ~arch ~wld () in
-    (Ir_core.Rank_dp.compute p).Ir_core.Outcome.rank_wires
+    (compute p).Ir_core.Outcome.rank_wires
   in
   let free = rank () in
   let tight = rank ~noise_limit:0.2 () in
@@ -168,7 +179,7 @@ let test_assignment_witness () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "witness invalid: %s" e);
   Alcotest.(check int) "witness rank equals DP rank"
-    (Ir_core.Rank_dp.compute p).rank_wires a.outcome.rank_wires;
+    (compute p).rank_wires a.outcome.rank_wires;
   let util = Ir_core.Assignment.utilization p a in
   Alcotest.(check int) "one utilization entry per pair"
     (Ir_assign.Problem.n_pairs p) (List.length util);
@@ -204,7 +215,7 @@ let test_rank_facade () =
 let prop_dp_equals_brute =
   qtest ~count:150 "optimized DP matches the exhaustive oracle"
     Helpers.gen_instance (fun { problem; label } ->
-      let dp = Ir_core.Rank_dp.compute problem in
+      let dp = compute problem in
       let brute = Ir_core.Rank_brute.compute problem in
       if dp.rank_wires <> brute.rank_wires
          || dp.assignable <> brute.assignable then
@@ -215,7 +226,7 @@ let prop_dp_equals_brute =
 let prop_greedy_le_dp =
   qtest ~count:150 "greedy never beats the DP" Helpers.gen_instance
     (fun { problem; label } ->
-      let dp = Ir_core.Rank_dp.compute problem in
+      let dp = compute problem in
       let g = Ir_core.Rank_greedy.compute problem in
       if g.rank_wires > dp.rank_wires then
         QCheck2.Test.fail_reportf "%s: greedy=%d dp=%d" label g.rank_wires
@@ -225,7 +236,7 @@ let prop_greedy_le_dp =
 let prop_exact_le_dp =
   qtest ~count:60 "literal DP never exceeds the optimal DP"
     Helpers.gen_instance (fun { problem; label } ->
-      let dp = Ir_core.Rank_dp.compute problem in
+      let dp = compute problem in
       let ex = Ir_core.Rank_exact.compute ~r_steps:12 problem in
       if ex.rank_wires > dp.rank_wires then
         QCheck2.Test.fail_reportf "%s: exact=%d dp=%d" label ex.rank_wires
@@ -250,8 +261,8 @@ let prop_rank_monotone_in_budget =
                 count = P.bunch_count problem b })
         in
         let p2 = P.of_bunches ~arch:richer ~bunches () in
-        let r1 = (Ir_core.Rank_dp.compute problem).rank_wires in
-        let r2 = (Ir_core.Rank_dp.compute p2).rank_wires in
+        let r1 = (compute problem).rank_wires in
+        let r2 = (compute p2).rank_wires in
         if r2 < r1 then
           QCheck2.Test.fail_reportf "%s: budget up, rank %d -> %d" label r1 r2
         else true
@@ -270,8 +281,8 @@ let prop_rank_monotone_in_k =
               count = P.bunch_count problem b })
       in
       let p2 = P.of_bunches ~arch:low_k ~bunches () in
-      let r1 = (Ir_core.Rank_dp.compute problem).rank_wires in
-      let r2 = (Ir_core.Rank_dp.compute p2).rank_wires in
+      let r1 = (compute problem).rank_wires in
+      let r2 = (compute p2).rank_wires in
       if r2 < r1 then
         QCheck2.Test.fail_reportf "%s: k down, rank %d -> %d" label r1 r2
       else true)
@@ -283,8 +294,12 @@ let prop_binary_matches_exhaustive =
      regimes the baseline never shows). *)
   qtest ~count:120 "binary boundary search matches the exhaustive scan"
     Helpers.gen_instance (fun { problem; label } ->
-      let fast = Ir_core.Rank_dp.compute problem in
-      let slow = Ir_core.Rank_dp.compute ~exhaustive:true problem in
+      let fast =
+        fst
+          (Ir_core.Rank_dp.search_tables
+             (Ir_core.Rank_dp.build_tables problem))
+      in
+      let slow = exhaustive problem in
       if
         fast.rank_wires <> slow.rank_wires
         || fast.assignable <> slow.assignable
@@ -299,7 +314,7 @@ let test_tables_reuse () =
   let p = baseline_130nm_small () in
   let tables = Ir_core.Rank_dp.build_tables p in
   let via_tables = fst (Ir_core.Rank_dp.search_tables tables) in
-  let direct = Ir_core.Rank_dp.compute p in
+  let direct = compute p in
   Alcotest.(check int) "same rank" direct.rank_wires via_tables.rank_wires;
   let again = fst (Ir_core.Rank_dp.search_tables ~exhaustive:true tables) in
   Alcotest.(check int) "repeat query stable" direct.rank_wires
@@ -393,14 +408,14 @@ let test_pareto_overflow_widens () =
   Alcotest.(check bool) "front exceeds default width 8" true
     (Ir_core.Rank_dp.table_truncations tables > 0);
   let narrow =
-    Ir_core.Rank_dp.compute ~max_pareto:8 ~widen_on_overflow:false p
+    compute ~max_pareto:8 ~widen_on_overflow:false p
   in
   Alcotest.(check bool) "unwidened result flagged inexact" false narrow.exact;
   let widen_retries_before =
     Option.value ~default:0
       (Ir_obs.find_counter (Ir_obs.snapshot ()) "rank_dp/widen_retries")
   in
-  let wide = Ir_core.Rank_dp.compute ~max_pareto:8 p in
+  let wide = compute ~max_pareto:8 p in
   let widen_retries_after =
     Option.value ~default:0
       (Ir_obs.find_counter (Ir_obs.snapshot ()) "rank_dp/widen_retries")
@@ -420,7 +435,7 @@ let test_pareto_truncation_changes_rank () =
   (* The pre-fix behaviour: truncate silently and report the resulting
      lower bound as if it were the rank. *)
   let narrow =
-    Ir_core.Rank_dp.compute ~max_pareto:1 ~widen_on_overflow:false p
+    compute ~max_pareto:1 ~widen_on_overflow:false p
   in
   Alcotest.(check bool) "truncation changes the reported rank" true
     (narrow.rank_wires < brute.rank_wires);
@@ -432,14 +447,14 @@ let test_pareto_truncation_changes_rank () =
      the brute-force rank.  The convergence-gated ladder may stop before
      it can prove exactness, but it must never over-claim: if the flag
      says exact, the value must be the oracle's. *)
-  let widened = Ir_core.Rank_dp.compute ~max_pareto:1 p in
+  let widened = compute ~max_pareto:1 p in
   Alcotest.(check int) "widening recovers the exact rank" brute.rank_wires
     widened.rank_wires;
   Alcotest.(check bool) "flag never over-claims" true
     ((not widened.exact) || widened.rank_wires = brute.rank_wires);
   (* At the default width the instance does not truncate at all, so the
      default configuration reports it exact. *)
-  let dflt = Ir_core.Rank_dp.compute p in
+  let dflt = compute p in
   Alcotest.(check int) "default width is exact here" brute.rank_wires
     dflt.rank_wires;
   Alcotest.(check bool) "and says so" true dflt.exact
@@ -545,62 +560,6 @@ let prop_front_insert_matches_reference =
         ops;
       check_stats_equal ~label front stats)
 
-(* [Front.recycle] must be indistinguishable from [create]: pre-dirty a
-   donor front with its own insert sequence (under a different geometry,
-   so both the reuse path and the too-small fallback are exercised),
-   recycle it into the test geometry, and replay one insert sequence
-   into both the recycled front and a fresh one — every element, every
-   splits chain and all four tallies must agree. *)
-let gen_recycle_seq =
-  let open QCheck2.Gen in
-  let* width, ops = gen_insert_seq in
-  let* donor_width = int_range 1 10 in
-  let* donor_ops =
-    list_size (int_range 0 30)
-      (pair (map float_of_int (int_range 0 9)) (int_range 0 9))
-  in
-  return (width, ops, donor_width, donor_ops)
-
-let prop_front_recycle_matches_create =
-  qtest ~count:300 "recycled front matches a fresh create" gen_recycle_seq
-    (fun (width, ops, donor_width, donor_ops) ->
-      let label =
-        Printf.sprintf "width=%d donor_width=%d n_donor=%d" width donor_width
-          (List.length donor_ops)
-      in
-      let donor = Front.create ~cells:2 ~width:donor_width in
-      List.iteri
-        (fun k (area, count) ->
-          Front.insert donor (k mod 2) ~area ~count ~split:k ~parent:(-1))
-        donor_ops;
-      let recycled = Front.recycle donor ~cells:1 ~width in
-      let fresh = Front.create ~cells:1 ~width in
-      List.iteri
-        (fun k (area, count) ->
-          Front.insert fresh 0 ~area ~count ~split:k ~parent:(-1);
-          Front.insert recycled 0 ~area ~count ~split:k ~parent:(-1))
-        ops;
-      let len_f = Front.length fresh 0 in
-      if len_f <> Front.length recycled 0 then
-        QCheck2.Test.fail_reportf "%s: lengths differ" label
-      else begin
-        for k = 0 to len_f - 1 do
-          if
-            Front.area fresh 0 k <> Front.area recycled 0 k
-            || Front.count fresh 0 k <> Front.count recycled 0 k
-            || Front.splits fresh (Front.state fresh 0 k)
-               <> Front.splits recycled (Front.state recycled 0 k)
-          then QCheck2.Test.fail_reportf "%s: element %d differs" label k
-        done;
-        if
-          Front.inserts fresh <> Front.inserts recycled
-          || Front.dominated fresh <> Front.dominated recycled
-          || Front.truncations fresh <> Front.truncations recycled
-          || Front.arena_states fresh <> Front.arena_states recycled
-        then QCheck2.Test.fail_reportf "%s: statistics differ" label
-        else true
-      end)
-
 (* ---- powered (3-way) stores ------------------------------------------- *)
 
 (* Reference semantics of [insert_pw], mirrored from its documented
@@ -689,49 +648,6 @@ let prop_front_powered_matches_reference =
             !reference)
         ops;
       check_stats_equal ~label front stats)
-
-(* [recycle_powered] must be indistinguishable from [create_powered],
-   whatever kind of store donates the planes. *)
-let prop_front_recycle_powered_matches_create =
-  qtest ~count:200 "recycled powered front matches a fresh create_powered"
-    gen_pw_insert_seq (fun (width, ops) ->
-      let label = Printf.sprintf "pw recycle width=%d" width in
-      (* donate once a 2-way store, once a powered one *)
-      List.for_all
-        (fun donor ->
-          let recycled = Front.recycle_powered donor ~cells:1 ~width in
-          let fresh = Front.create_powered ~cells:1 ~width in
-          List.iteri
-            (fun k (area, count, power) ->
-              Front.insert_pw fresh 0 ~area ~count ~power ~split:k
-                ~parent:(-1);
-              Front.insert_pw recycled 0 ~area ~count ~power ~split:k
-                ~parent:(-1))
-            ops;
-          let len = Front.length fresh 0 in
-          if len <> Front.length recycled 0 then
-            QCheck2.Test.fail_reportf "%s: lengths differ" label;
-          for k = 0 to len - 1 do
-            if
-              Front.area fresh 0 k <> Front.area recycled 0 k
-              || Front.count fresh 0 k <> Front.count recycled 0 k
-              || Front.power fresh 0 k <> Front.power recycled 0 k
-              || Front.splits fresh (Front.state fresh 0 k)
-                 <> Front.splits recycled (Front.state recycled 0 k)
-            then QCheck2.Test.fail_reportf "%s: element %d differs" label k
-          done;
-          Front.inserts fresh = Front.inserts recycled
-          && Front.dominated fresh = Front.dominated recycled
-          && Front.truncations fresh = Front.truncations recycled)
-        [
-          (let d = Front.create ~cells:2 ~width:3 in
-           Front.insert d 0 ~area:1.0 ~count:1 ~split:0 ~parent:(-1);
-           d);
-          (let d = Front.create_powered ~cells:2 ~width:3 in
-           Front.insert_pw d 0 ~area:1.0 ~count:1 ~power:1.0 ~split:0
-             ~parent:(-1);
-           d);
-        ])
 
 (* Replays the phase-A build loop of [Rank_dp.build_tables] — the same
    iteration order, prune conditions and insert sequence — into {e both}
@@ -873,45 +789,22 @@ let gen_budget_instance =
   let* fractions = list_size (int_range 0 4) (float_range 0.01 0.9) in
   return (inst, fractions)
 
-(* The per-domain scratch is a pure allocation-traffic optimization:
-   builds and searches through an explicit reused scratch (the second
-   build recycles the first one's Front store and working arrays) must
-   be byte-identical — outcome, exact flag, and every deterministic
-   counter — to the scratch-free path that allocates fresh tables. *)
-let prop_scratch_reuse_invisible =
-  qtest ~count:80 "scratch reuse is observationally invisible"
-    Helpers.gen_instance (fun { problem; label } ->
-      let leg scratch =
-        Ir_obs.reset ();
-        let t = Ir_core.Rank_dp.build_tables ?scratch problem in
-        let o, w = Ir_core.Rank_dp.search_tables ?scratch t in
-        (o, w, (Ir_obs.snapshot ()).Ir_obs.counters)
-      in
-      let fresh_o, fresh_w, fresh_c = leg None in
-      let s = Ir_core.Rank_dp.create_scratch () in
-      (* Prime the scratch with a full build + search first, so the
-         measured leg really runs on recycled storage. *)
-      ignore (leg (Some s));
-      let reused_o, reused_w, reused_c = leg (Some s) in
-      if not (Ir_core.Outcome.equal fresh_o reused_o) then
-        QCheck2.Test.fail_reportf "%s: outcomes differ" label
-      else if fresh_w <> reused_w then
-        QCheck2.Test.fail_reportf "%s: witnesses differ" label
-      else if fresh_c <> reused_c then
-        QCheck2.Test.fail_reportf "%s: counters differ" label
-      else true)
-
 let prop_search_budgets_matches_individual =
   qtest ~count:120
     "shared-tables budget sweep matches per-fraction computes"
     gen_budget_instance (fun ({ problem; label }, fractions) ->
-      let shared = Ir_core.Rank.compute_budgets problem fractions in
+      let shared =
+        let g =
+          Ir_core.Rank_grid.evaluate problem
+            (Array.of_list
+               (List.map
+                  (fun f -> Ir_core.Rank_grid.point ~fraction:f ())
+                  fractions))
+        in
+        List.mapi (fun i _ -> Ir_core.Rank_grid.outcome g i) fractions
+      in
       let individual =
-        List.map
-          (fun f ->
-            Ir_core.Rank_dp.compute
-              (P.with_repeater_fraction problem f))
-          fractions
+        List.map (fun f -> compute (P.with_repeater_fraction problem f)) fractions
       in
       if List.length shared <> List.length fractions then
         QCheck2.Test.fail_reportf "%s: %d outcomes for %d fractions" label
@@ -982,7 +875,7 @@ let test_counter_canary () =
      understood, not ratified by bumping the numbers. *)
   let p = baseline_130nm_small () in
   let before = Ir_obs.snapshot () in
-  let o = Ir_core.Rank_dp.compute p in
+  let o = compute p in
   let after = Ir_obs.snapshot () in
   let delta name =
     Option.value ~default:0 (Ir_obs.find_counter after name)
@@ -1000,22 +893,32 @@ let test_counter_canary () =
 let prop_default_search_exact =
   qtest ~count:100 "default search always reports exact"
     Helpers.gen_instance (fun { problem; label } ->
-      let o = Ir_core.Rank_dp.compute problem in
+      let o = compute problem in
       if not o.exact then
         QCheck2.Test.fail_reportf "%s: default search left exact=false" label
       else true)
 
+(* Monotonicity of boundary feasibility, probed through the search: a
+   hinted search first probes its hint [c], keeps it as a lower bracket
+   if feasible and as an upper one if not.  So every hint reproducing
+   the exhaustive scan's boundary [b] (the largest feasible one) means
+   every [c <= b] probed feasible and every [c > b] infeasible — exactly
+   the downward-closed property the bracketing search relies on. *)
 let prop_feasible_boundary_monotone =
   qtest ~count:60 "boundary feasibility is monotone"
     Helpers.gen_instance (fun { problem; label } ->
-      let n = P.n_bunches problem in
-      let ok = Array.init (n + 1) (Ir_core.Rank_dp.feasible_boundary problem) in
-      let bad = ref false in
-      for c = 0 to n - 1 do
-        if ok.(c + 1) && not ok.(c) then bad := true
+      let tables = Ir_core.Rank_dp.build_tables problem in
+      let b = fst (Ir_core.Rank_dp.search_tables ~exhaustive:true tables) in
+      let bad = ref None in
+      for c = 0 to P.n_bunches problem do
+        let o = fst (Ir_core.Rank_dp.search_tables ~hint:c tables) in
+        if !bad = None && not (Ir_core.Outcome.equal o b) then bad := Some c
       done;
-      if !bad then QCheck2.Test.fail_reportf "%s: non-monotone" label
-      else true)
+      match !bad with
+      | Some c ->
+          QCheck2.Test.fail_reportf "%s: non-monotone around boundary %d"
+            label c
+      | None -> true)
 
 (* ---- level-stepped builder & table codec ------------------------------ *)
 
@@ -1099,7 +1002,8 @@ let test_decode_fuzz () =
 let base_clock p = (P.arch p).Ir_ia.Arch.design.Ir_tech.Design.clock
 
 (* The reference path: derive the point's problem exactly as an
-   independent per-point sweep would and run the per-point DP on it. *)
+   independent per-point sweep would; [compute] answers it as its own
+   one-cell grid. *)
 let reference_problem base (pt : Ir_core.Rank_grid.point) =
   let p =
     match pt.Ir_core.Rank_grid.materials with
@@ -1149,7 +1053,7 @@ let prop_grid_matches_per_point =
       Array.iteri
         (fun i pt ->
           let g = Ir_core.Rank_grid.outcome grid i in
-          let ind = Ir_core.Rank_dp.compute (reference_problem problem pt) in
+          let ind = compute (reference_problem problem pt) in
           let ok =
             Ir_core.Outcome.equal g ind
             (* Same corner as the budget sweep: the shared (wider) build
@@ -1178,7 +1082,7 @@ let prop_eval_batch_matches_compute =
       let batch = Ir_core.Rank_grid.eval_batch problems in
       Array.iteri
         (fun i p ->
-          let ind = Ir_core.Rank_dp.compute p in
+          let ind = compute p in
           if not (Ir_core.Outcome.equal batch.(i) ind) then
             QCheck2.Test.fail_reportf "batch cell #%d diverges" i)
         problems;
@@ -1193,8 +1097,8 @@ let prop_eval_batch_matches_compute =
 let prop_pruned_compute_identical =
   qtest ~count:150 "pruned compute = exact compute (epsilon 0)"
     Helpers.gen_instance (fun { problem; label } ->
-      let exact = Ir_core.Rank_dp.compute problem in
-      let pruned = Ir_core.Rank_dp.compute ~prune:true problem in
+      let exact = compute problem in
+      let pruned = compute ~prune:true problem in
       if not (Ir_core.Outcome.equal exact pruned) then
         QCheck2.Test.fail_reportf "%s: pruned=%d/%b/%b exact=%d/%b/%b" label
           pruned.Ir_core.Outcome.rank_wires pruned.Ir_core.Outcome.assignable
@@ -1205,10 +1109,17 @@ let prop_pruned_compute_identical =
 let prop_pruned_budgets_identical =
   qtest ~count:80 "pruned budget sweep = exact budget sweep (epsilon 0)"
     gen_budget_instance (fun ({ problem; label }, fractions) ->
-      let exact = Ir_core.Rank_dp.search_budgets problem fractions in
-      let pruned =
-        Ir_core.Rank_dp.search_budgets ~prune:true problem fractions
+      let sweep prune =
+        let points =
+          List.map (fun f -> Ir_core.Rank_grid.point ~fraction:f ()) fractions
+        in
+        let g =
+          Ir_core.Rank_grid.evaluate ~prune problem (Array.of_list points)
+        in
+        List.mapi (fun i _ -> Ir_core.Rank_grid.outcome g i) fractions
       in
+      let exact = sweep false in
+      let pruned = sweep true in
       List.iteri
         (fun i (e, p) ->
           if not (Ir_core.Outcome.equal e p) then
@@ -1227,8 +1138,8 @@ let prop_pruned_budgets_identical =
 let test_pruned_adversarial_identity () =
   List.iter
     (fun (name, p) ->
-      let exact = Ir_core.Rank_dp.compute p in
-      let pruned = Ir_core.Rank_dp.compute ~prune:true p in
+      let exact = compute p in
+      let pruned = compute ~prune:true p in
       Alcotest.(check bool) (name ^ ": identical outcome") true
         (Ir_core.Outcome.equal exact pruned))
     [
@@ -1242,7 +1153,7 @@ let test_pruned_adversarial_identity () =
 let prop_bounds_bracket_boundary =
   qtest ~count:120 "optimistic/pessimistic bounds bracket the boundary"
     Helpers.gen_instance (fun { problem; label } ->
-      let o = Ir_core.Rank_dp.compute problem in
+      let o = compute problem in
       let b = Ir_core.Bounds.create problem in
       let budget = P.budget problem in
       let opt =
@@ -1262,44 +1173,13 @@ let prop_bounds_bracket_boundary =
       then
         QCheck2.Test.fail_reportf "%s: pessimistic %d > boundary %d" label
           pess o.Ir_core.Outcome.boundary_bunch
-      else if pess > 0 && not (Ir_core.Rank_dp.feasible_boundary problem pess)
+      else if
+        pess > 0
+        && pess > (exhaustive problem).Ir_core.Outcome.boundary_bunch
       then
         QCheck2.Test.fail_reportf "%s: pessimistic %d not achievable" label
           pess
       else true)
-
-(* ε > 0 is deliberately lossy: the compressed rank may only ever be a
-   lower bound, and any deviation must surrender the exact claim. *)
-let prop_epsilon_flagged_lower_bound =
-  qtest ~count:100 "epsilon-compressed rank is a flagged lower bound"
-    Helpers.gen_instance (fun { problem; label } ->
-      let exact = Ir_core.Rank_dp.compute problem in
-      let eps = Ir_core.Rank_dp.compute ~prune:true ~epsilon:0.5 problem in
-      if eps.Ir_core.Outcome.rank_wires > exact.Ir_core.Outcome.rank_wires
-      then
-        QCheck2.Test.fail_reportf "%s: epsilon rank %d beats exact %d" label
-          eps.Ir_core.Outcome.rank_wires exact.Ir_core.Outcome.rank_wires
-      else if
-        eps.Ir_core.Outcome.rank_wires < exact.Ir_core.Outcome.rank_wires
-        && eps.Ir_core.Outcome.exact
-      then
-        QCheck2.Test.fail_reportf
-          "%s: epsilon dropped rank %d -> %d but still claims exact" label
-          exact.Ir_core.Outcome.rank_wires eps.Ir_core.Outcome.rank_wires
-      else true)
-
-let test_epsilon_zero_is_exact_mode () =
-  (* epsilon = 0.0 must take the exact code path bit for bit: the inflated
-     cover check is never even evaluated (a *. (1. +. 0.) = a would make
-     it the plain dominance check anyway, but the guard keeps the hot
-     loop untouched).  Also: a negative epsilon is a caller bug. *)
-  let p = baseline_130nm_small () in
-  let a = Ir_core.Rank_dp.compute p in
-  let b = Ir_core.Rank_dp.compute ~epsilon:0.0 p in
-  Alcotest.(check bool) "epsilon 0 identical" true (Ir_core.Outcome.equal a b);
-  Alcotest.check_raises "negative epsilon rejected"
-    (Invalid_argument "Rank_dp.builder: epsilon < 0") (fun () ->
-      ignore (Ir_core.Rank_dp.compute ~epsilon:(-0.1) p))
 
 (* Pruned tables remember their incumbent floor and refuse snapshot
    encoding — a snapshot replays against arbitrary budgets the floor's
@@ -1315,7 +1195,7 @@ let test_pruned_tables_not_encodable () =
   let pruned_t = Ir_core.Rank_dp.build_tables ~prune:pr p in
   if Ir_core.Rank_dp.table_incumbent_floor pruned_t >= 0 then
     Alcotest.check_raises "pruned tables refuse encoding"
-      (Invalid_argument "Rank_dp.encode_tables: pruned/approximate tables") (fun () ->
+      (Invalid_argument "Rank_dp.encode_tables: pruned tables") (fun () ->
         ignore (Ir_core.Rank_dp.encode_tables pruned_t))
 
 (* The probe gate: every non-empty cell the optimistic pre-check turns
@@ -1331,7 +1211,7 @@ let test_probe_gated_jobs_invariant () =
       (Ir_obs.find_counter (Ir_obs.snapshot ()) "bounds/probe_gated")
   in
   Ir_obs.reset ();
-  ignore (Ir_core.Rank_dp.compute ~prune:true p);
+  ignore (compute ~prune:true p);
   let seq = gated () in
   Alcotest.(check bool) "gate fires on the pruned baseline" true (seq > 0);
   let points =
@@ -1401,17 +1281,19 @@ let test_grid_pruned_floor_requery () =
   Alcotest.(check bool) "perturb reports the new cell" true
     (Array.mem idx changed);
   let cold =
-    Ir_core.Rank_dp.compute (P.with_repeater_fraction p 0.05)
+    compute (P.with_repeater_fraction p 0.05)
   in
   Alcotest.(check bool) "below-floor query matches cold compute" true
     (Ir_core.Outcome.equal cold (Ir_core.Rank_grid.outcome grid idx))
 
 let test_grid_budgets_column () =
-  (* Satellite: the grid's R column must be byte-identical to
-     [search_budgets] (which itself matches per-point computes). *)
+  (* The grid's R column — one shared plane — must be byte-identical to
+     each fraction's own one-cell compute. *)
   let p = baseline_130nm_small () in
   let fractions = [ 0.1; 0.2; 0.3; 0.4; 0.5 ] in
-  let budgets = Ir_core.Rank_dp.search_budgets p fractions in
+  let budgets =
+    List.map (fun f -> compute (P.with_repeater_fraction p f)) fractions
+  in
   let grid =
     Ir_core.Rank_grid.evaluate p
       (Array.of_list
@@ -1430,7 +1312,7 @@ let test_grid_budgets_column () =
 
 let test_grid_witness_identity () =
   (* Witnesses, not just ranks: the stepped+widened+rebudgeted path must
-     return the exact witness of the per-point search. *)
+     return the exact witness of the point's own one-cell grid. *)
   let p = baseline_130nm_small () in
   let b = Ir_core.Rank_dp.builder (P.with_repeater_fraction p 0.5) in
   while Ir_core.Rank_dp.builder_step b do
@@ -1441,10 +1323,10 @@ let test_grid_witness_identity () =
     (Ir_core.Rank_dp.table_truncations tables);
   List.iter
     (fun f ->
-      let go, gw = Ir_core.Rank_dp.search_tables_rebudget ~fraction:f tables in
-      let io, iw =
-        Ir_core.Rank_dp.compute_with_witness (P.with_repeater_fraction p f)
+      let go, gw =
+        Ir_core.Rank_dp.search_tables (Ir_core.Rank_dp.rebudget ~fraction:f tables)
       in
+      let io, iw = Ir_core.Rank_grid.compute (P.with_repeater_fraction p f) in
       Alcotest.(check bool)
         (Printf.sprintf "outcome at %.1f" f)
         true
@@ -1504,7 +1386,7 @@ let test_grid_perturb_touches_fewer () =
   in
   Array.iteri
     (fun i ptd ->
-      let ind = Ir_core.Rank_dp.compute (reference_problem p ptd) in
+      let ind = compute (reference_problem p ptd) in
       Alcotest.(check bool)
         (Printf.sprintf "cell #%d matches per-point" i)
         true
@@ -1535,10 +1417,166 @@ let test_with_materials_equals_fresh () =
   Alcotest.(check string) "identical table bytes"
     (Ir_core.Rank_dp.encode_tables (Ir_core.Rank_dp.build_tables fresh))
     (Ir_core.Rank_dp.encode_tables (Ir_core.Rank_dp.build_tables derived));
-  let od = Ir_core.Rank_dp.compute derived in
-  let off = Ir_core.Rank_dp.compute fresh in
+  let od = compute derived in
+  let off = compute fresh in
   Alcotest.(check bool) "identical outcomes" true
     (Ir_core.Outcome.equal od off)
+
+(* ---- hard corpus: every driver on the hard cases ------------------- *)
+
+(* A fixed quick corpus of the cases the Table-4 corpus never hits:
+   Definition-3 no-fit, a front that truncates at width 1 (with the widen
+   ladder on and off), a single bunch, a powered instance and an 8-layer
+   stack.  Each case's outcome must be the same through every driver —
+   a one-cell grid, a shared plane of [evaluate], the heterogeneous
+   [eval_batch] and a resident grid's [query] — and match the brute-force
+   oracle where that is small enough.  Work is gated too: a no-fit cell
+   must expand no state and insert nothing into a front in any driver. *)
+type hard_case = {
+  hc_name : string;
+  hc_problem : P.t;
+  hc_max_pareto : int option;
+  hc_widen : bool option;
+  hc_brute : bool;
+  hc_nofit : bool;
+}
+
+let hard_corpus () =
+  let case ?max_pareto ?widen ?(brute = false) ?(nofit = false) name p =
+    {
+      hc_name = name;
+      hc_problem = p;
+      hc_max_pareto = max_pareto;
+      hc_widen = widen;
+      hc_brute = brute;
+      hc_nofit = nofit;
+    }
+  in
+  let design gates = Ir_tech.Design.v ~node:Ir_tech.Node.N130 ~gates () in
+  let nofit =
+    P.of_bunches
+      ~arch:(Ir_ia.Arch.make ~design:(design 100) ())
+      ~bunches:[| { Ir_wld.Dist.length = 1e-2; count = 1000 } |]
+      ()
+  in
+  let single =
+    P.of_bunches
+      ~arch:(Ir_ia.Arch.make ~design:(design 100_000) ())
+      ~bunches:[| { Ir_wld.Dist.length = 2e-3; count = 3 } |]
+      ()
+  in
+  let powered =
+    let p = baseline_130nm_small () in
+    match Ir_core.Rank_grid.compute p with
+    | _, Some w -> P.with_power_budget p (0.5 *. Ir_core.Rank_dp.witness_power p w)
+    | _, None -> Alcotest.fail "baseline unassignable"
+  in
+  let eight_layer =
+    let structure =
+      { Ir_ia.Arch.local_pairs = 1; semi_global_pairs = 3; global_pairs = 1 }
+    in
+    (* Only the 90nm stack has the layers for a third semi-global pair. *)
+    let d = Ir_tech.Design.v ~node:Ir_tech.Node.N90 ~gates:40_000 () in
+    P.make ~bunch_size:500
+      ~arch:(Ir_ia.Arch.make ~structure ~design:d ())
+      ~wld:
+        (Ir_wld.Davis.generate
+           (Ir_wld.Davis.params ~gates:40_000 ~rent_p:0.6 ~fan_out:3.0 ()))
+      ()
+  in
+  [
+    case "no-fit" nofit ~brute:true ~nofit:true;
+    case "width-1, ladder on" (rank_changing_problem ()) ~max_pareto:1
+      ~brute:true;
+    case "width-1, ladder off" (rank_changing_problem ()) ~max_pareto:1
+      ~widen:false;
+    case "single bunch" single ~brute:true;
+    case "powered" powered;
+    case "8-layer stack" eight_layer;
+  ]
+
+let test_hard_corpus () =
+  List.iter
+    (fun c ->
+      let p = c.hc_problem in
+      let max_pareto = c.hc_max_pareto and widen_on_overflow = c.hc_widen in
+      let f = (P.arch p).Ir_ia.Arch.design.Ir_tech.Design.repeater_fraction in
+      let work run =
+        Ir_obs.reset ();
+        let o = run () in
+        let snap = Ir_obs.snapshot () in
+        let n name = Option.value ~default:0 (Ir_obs.find_counter snap name) in
+        (o, n "rank_dp/states_expanded" + n "rank_dp/pareto_inserts")
+      in
+      let drivers =
+        [
+          ( "one cell",
+            fun () ->
+              fst (Ir_core.Rank_grid.compute ?max_pareto ?widen_on_overflow p)
+          );
+          ( "evaluate plane",
+            fun () ->
+              (* The cell shares its plane with a narrower-budget point. *)
+              Ir_core.Rank_grid.outcome
+                (Ir_core.Rank_grid.evaluate ?max_pareto ?widen_on_overflow p
+                   [|
+                     Ir_core.Rank_grid.point ();
+                     Ir_core.Rank_grid.point ~fraction:(0.5 *. f) ();
+                   |])
+                0 );
+          ( "eval_batch",
+            fun () ->
+              (Ir_core.Rank_grid.eval_batch ?max_pareto ?widen_on_overflow
+                 [| p |]).(0) );
+          ( "resident query",
+            fun () ->
+              (* The serve tier's path: a full-budget resident grid, the
+                 plane built by [perturb], the point answered by [query]
+                 — or, when the plane is truncated and [query] refuses,
+                 by the cell [perturb] recomputes. *)
+              let g =
+                Ir_core.Rank_grid.resident ?max_pareto ?widen_on_overflow
+                  (P.with_repeater_fraction p 1.0)
+              in
+              ignore (Ir_core.Rank_grid.perturb g (Ir_core.Rank_grid.point ()));
+              let pt = Ir_core.Rank_grid.point ~fraction:f () in
+              match Ir_core.Rank_grid.query g pt with
+              | Some o -> o
+              | None ->
+                  let cells = Ir_core.Rank_grid.perturb g pt in
+                  Ir_core.Rank_grid.outcome g cells.(Array.length cells - 1) );
+        ]
+      in
+      let reference, _ =
+        Ir_core.Rank_grid.compute ?max_pareto ?widen_on_overflow p
+      in
+      if max_pareto = None && widen_on_overflow = None then
+        Alcotest.(check bool) (c.hc_name ^ ": Rank.compute") true
+          (Ir_core.Outcome.equal reference (Ir_core.Rank.compute p));
+      List.iter
+        (fun (name, run) ->
+          let o, work = work run in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s outcome" c.hc_name name)
+            true
+            (Ir_core.Outcome.equal reference o);
+          if c.hc_nofit then
+            Alcotest.(check int)
+              (Printf.sprintf "%s: %s states + inserts" c.hc_name name)
+              0 work)
+        drivers;
+      if c.hc_nofit then
+        Alcotest.(check bool) (c.hc_name ^ ": unassignable") false
+          reference.Ir_core.Outcome.assignable;
+      if c.hc_brute && reference.Ir_core.Outcome.exact then begin
+        let brute = Ir_core.Rank_brute.compute p in
+        Alcotest.(check int) (c.hc_name ^ ": brute rank")
+          brute.Ir_core.Outcome.rank_wires reference.Ir_core.Outcome.rank_wires;
+        Alcotest.(check bool) (c.hc_name ^ ": brute assignability")
+          brute.Ir_core.Outcome.assignable reference.Ir_core.Outcome.assignable
+      end)
+    (hard_corpus ());
+  Ir_obs.reset ()
 
 let () =
   Alcotest.run "core"
@@ -1566,7 +1604,6 @@ let () =
           prop_rank_monotone_in_budget;
           prop_rank_monotone_in_k;
           prop_search_budgets_matches_individual;
-          prop_scratch_reuse_invisible;
           Alcotest.test_case "stepped builder = monolithic build" `Quick
             test_builder_matches_build;
           prop_pruned_compute_identical;
@@ -1574,9 +1611,6 @@ let () =
           Alcotest.test_case "pruned adversarial identity" `Quick
             test_pruned_adversarial_identity;
           prop_bounds_bracket_boundary;
-          prop_epsilon_flagged_lower_bound;
-          Alcotest.test_case "epsilon zero is exact mode" `Quick
-            test_epsilon_zero_is_exact_mode;
           Alcotest.test_case "pruned tables not encodable" `Quick
             test_pruned_tables_not_encodable;
           Alcotest.test_case "builder finish guard" `Quick
@@ -1600,6 +1634,8 @@ let () =
             test_grid_pruned_floor_requery;
           Alcotest.test_case "probe gate fires, jobs-invariant" `Quick
             test_probe_gated_jobs_invariant;
+          Alcotest.test_case "hard corpus: every driver agrees" `Quick
+            test_hard_corpus;
         ] );
       ( "front",
         [
@@ -1607,9 +1643,7 @@ let () =
           Alcotest.test_case "adversarial mirrored builds" `Quick
             test_front_mirror_adversarial;
           prop_front_insert_matches_reference;
-          prop_front_recycle_matches_create;
           prop_front_powered_matches_reference;
-          prop_front_recycle_powered_matches_create;
           prop_front_mirror_build;
         ] );
       ( "rank_greedy",

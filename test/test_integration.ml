@@ -18,7 +18,7 @@ let test_pipeline_deterministic () =
 
 let test_witness_matches_all_algorithms () =
   let problem = Ir_core.Rank.problem_of_design ~bunch_size:500 design in
-  let dp = Ir_core.Rank_dp.compute problem in
+  let dp, _ = Ir_core.Rank_grid.compute problem in
   let via_facade = Ir_core.Rank.compute problem in
   let witness = Ir_core.Assignment.extract problem in
   Alcotest.(check int) "facade = dp" dp.rank_wires via_facade.rank_wires;
@@ -51,7 +51,7 @@ let test_wld_roundtrip_preserves_rank () =
     Ir_wld.Davis.generate (Ir_wld.Davis.params ~gates:design.gates ())
   in
   let rank w =
-    (Ir_core.Rank_dp.compute
+    (Ir_core.Rank.compute
        (Ir_assign.Problem.make ~bunch_size:500 ~arch ~wld:w ()))
       .rank_wires
   in
@@ -72,7 +72,7 @@ let test_single_bunch_instance () =
   let arch = Ir_ia.Arch.make ~design () in
   let bunches = [| { Ir_wld.Dist.length = 1e-4; count = 3 } |] in
   let p = P.of_bunches ~arch ~bunches () in
-  let dp = Ir_core.Rank_dp.compute p in
+  let dp = Ir_core.Rank.compute p in
   let brute = Ir_core.Rank_brute.compute p in
   Alcotest.(check int) "dp = brute on a single bunch" brute.rank_wires
     dp.rank_wires;
@@ -143,7 +143,7 @@ let test_exact_agrees_on_small_real_instance () =
   in
   let p = P.make ~bunch_size:1500 ~arch ~wld () in
   if P.n_bunches p <= 14 then begin
-    let dp = Ir_core.Rank_dp.compute p in
+    let dp = Ir_core.Rank.compute p in
     let exact = Ir_core.Rank_exact.compute ~r_steps:24 p in
     Alcotest.(check bool)
       (Printf.sprintf "exact (%d) <= dp (%d)" exact.rank_wires dp.rank_wires)

@@ -87,7 +87,7 @@ let test_rank_on_synthetic_wld () =
   let arch = Ir_ia.Arch.make ~design () in
   let wld = Ir_netlist.Extract.wld circuit in
   let problem = Ir_assign.Problem.make ~bunch_size:200 ~arch ~wld () in
-  let o = Ir_core.Rank_dp.compute problem in
+  let o = Ir_core.Rank.compute problem in
   Alcotest.(check bool) "synthetic netlist is rankable" true o.assignable;
   Alcotest.(check bool) "positive rank" true (o.rank_wires > 0)
 

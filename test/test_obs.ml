@@ -176,7 +176,7 @@ let test_counters_deterministic_across_jobs () =
   let counters_at jobs =
     Ir_obs.reset ();
     ignore
-      (Ir_exec.parallel_map ~jobs Ir_core.Rank_dp.compute problems
+      (Ir_exec.parallel_map ~jobs Ir_core.Rank.compute problems
         : Ir_core.Outcome.t array);
     (Ir_obs.filter_out ~prefix:"exec/sched/" (Ir_obs.snapshot ()))
       .Ir_obs.counters

@@ -10,6 +10,7 @@ open Helpers
 module P = Ir_assign.Problem
 module Power = Ir_power.Power
 module Dp = Ir_core.Rank_dp
+module Grid = Ir_core.Rank_grid
 
 let n_pairs p = Array.length (P.arch p).Ir_ia.Arch.pairs
 
@@ -52,7 +53,7 @@ let prop_monotone_activity =
       tup3 gen_instance (float_range 0.01 1.0) (float_range 0.01 1.0))
     (fun ({ problem; label = _ }, a1, a2) ->
       let lo = Float.min a1 a2 and hi = Float.max a1 a2 in
-      match Dp.compute_with_witness problem with
+      match Grid.compute problem with
       | _, None -> true
       | _, Some w ->
           Power.of_witness (P.with_activity problem lo) w
@@ -79,7 +80,7 @@ let prop_monotone_clock =
 
 (* ---- accounting ------------------------------------------------------- *)
 
-(* Assignment.extract reruns the same DP, so the three accountings —
+(* Assignment.extract expands the same witness, so the three accountings —
    the extracted assignment's interval sum, the witness sum, and a
    by-hand replay of the documented formula — must agree to the byte,
    no tolerance. *)
@@ -87,7 +88,7 @@ let prop_accounting_identity =
   qtest ~count:60 "of_assignment = of_witness = interval sum, byte-exact"
     gen_instance
     (fun { problem; label = _ } ->
-      match Dp.compute_with_witness problem with
+      match Grid.compute problem with
       | _, None -> true
       | o, Some w ->
           let a = Ir_core.Assignment.extract problem in
@@ -117,12 +118,13 @@ let prop_infinite_budget_identity =
     gen_instance
     (fun { problem; label = _ } ->
       Ir_obs.reset ();
-      let plain = Dp.compute problem in
+      let plain = fst (Grid.compute problem) in
       let plain_snap = Ir_obs.snapshot () in
       Ir_obs.reset ();
       let powered_inf =
-        Dp.compute
-          (P.with_power_budget (P.with_activity problem 0.45) infinity)
+        fst
+          (Grid.compute
+             (P.with_power_budget (P.with_activity problem 0.45) infinity))
       in
       let inf_snap = Ir_obs.snapshot () in
       Ir_obs.reset ();
@@ -138,14 +140,14 @@ let prop_budget_binds_soundly =
   qtest ~count:40 "finite budgets: monotone loss, exact self-recovery"
     gen_instance
     (fun { problem; label = _ } ->
-      match Dp.compute_with_witness problem with
+      match Grid.compute problem with
       | _, None -> true
       | o, Some w -> (
           let p_inf = Power.of_witness problem w in
           if not (p_inf > 0.0) then true
           else
             let half = P.with_power_budget problem (0.5 *. p_inf) in
-            let oh, wh = Dp.compute_with_witness half in
+            let oh, wh = Grid.compute half in
             let within =
               match wh with
               | None -> true
@@ -155,12 +157,12 @@ let prop_budget_binds_soundly =
             && within
             &&
             match
-              Dp.compute_pareto_power problem [ p_inf ]
+              Grid.compute_pareto_power problem [ p_inf ]
             with
             | [ pt ] ->
-                pt.Dp.pp_outcome.Ir_core.Outcome.rank_wires
+                pt.Grid.pp_outcome.Ir_core.Outcome.rank_wires
                 = o.Ir_core.Outcome.rank_wires
-                && pt.Dp.pp_power <= p_inf
+                && pt.Grid.pp_power <= p_inf
             | _ -> false))
 
 (* One power-mode build answering a whole budget sweep must agree with
@@ -170,7 +172,7 @@ let prop_sweep_matches_independent =
   qtest ~count:30 "compute_pareto_power = independent recomputes"
     gen_instance
     (fun { problem; label = _ } ->
-      match Dp.compute_with_witness problem with
+      match Grid.compute problem with
       | _, None -> true
       | _, Some w ->
           let p_inf = Power.of_witness problem w in
@@ -179,20 +181,12 @@ let prop_sweep_matches_independent =
             let budgets =
               [ 0.3 *. p_inf; 0.7 *. p_inf; p_inf; infinity ]
             in
-            let swept = Dp.compute_pareto_power problem budgets in
+            let swept = Grid.compute_pareto_power problem budgets in
             List.for_all2
-              (fun b (pt : Dp.power_point) ->
-                let alone = Dp.compute (P.with_power_budget problem b) in
-                pt.Dp.pp_budget = b && pt.Dp.pp_outcome = alone)
+              (fun b (pt : Grid.power_point) ->
+                let alone = fst (Grid.compute (P.with_power_budget problem b)) in
+                pt.Grid.pp_budget = b && pt.Grid.pp_outcome = alone)
               budgets swept)
-
-let test_epsilon_refused_in_power_mode () =
-  let p =
-    P.with_power_budget (baseline_130nm_small ()) 0.01
-  in
-  match Dp.compute ~epsilon:0.1 p with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "epsilon > 0 must be refused in power mode"
 
 let test_powered_tables_refuse_encode () =
   let p = P.with_power_budget (baseline_130nm_small ()) 0.01 in
@@ -212,7 +206,7 @@ let test_pareto_validation () =
 
 let test_pareto_small_frontier () =
   let p = baseline_130nm_small () in
-  let o, w = Dp.compute_with_witness p in
+  let o, w = Grid.compute p in
   let p_inf =
     match w with
     | Some w -> Power.of_witness p w
@@ -222,39 +216,39 @@ let test_pareto_small_frontier () =
   let pts = Power.pareto p budgets in
   Alcotest.(check int) "three points" 3 (List.length pts);
   let ranks =
-    List.map (fun (pt : Dp.power_point) ->
-        pt.Dp.pp_outcome.Ir_core.Outcome.rank_wires)
+    List.map (fun (pt : Grid.power_point) ->
+        pt.Grid.pp_outcome.Ir_core.Outcome.rank_wires)
       pts
   in
   Alcotest.(check bool) "ranks nondecreasing in budget" true
     (List.sort compare ranks = ranks);
   List.iter2
-    (fun b (pt : Dp.power_point) ->
-      Alcotest.(check bool) "spend within budget" true (pt.Dp.pp_power <= b))
+    (fun b (pt : Grid.power_point) ->
+      Alcotest.(check bool) "spend within budget" true (pt.Grid.pp_power <= b))
     budgets pts;
   Alcotest.(check int) "full-spend budget recovers the unconstrained rank"
     o.Ir_core.Outcome.rank_wires
     (List.nth ranks 2)
 
-(* The concurrent (Rank_grid) and sequential (Rank_dp) engines behind
-   Power.pareto must return identical frontiers. *)
+(* Power.pareto answers its points concurrently on the pool; a jobs=1
+   and a jobs=2 run must return identical frontiers. *)
 let test_pareto_engines_agree () =
   let p = baseline_130nm_small () in
-  let _, w = Dp.compute_with_witness p in
+  let _, w = Grid.compute p in
   let p_inf =
     match w with
     | Some w -> Power.of_witness p w
     | None -> Alcotest.fail "baseline unassignable"
   in
   let budgets = List.map (fun f -> f *. p_inf) [ 0.3; 0.6; 1.0 ] in
-  let seq = Power.pareto p budgets in
+  let seq = Power.pareto ~jobs:1 p budgets in
   let par = Power.pareto ~jobs:2 p budgets in
   List.iter2
-    (fun (a : Dp.power_point) (b : Dp.power_point) ->
+    (fun (a : Grid.power_point) (b : Grid.power_point) ->
       Alcotest.(check bool) "identical point" true
-        (a.Dp.pp_budget = b.Dp.pp_budget
-        && a.Dp.pp_outcome = b.Dp.pp_outcome
-        && a.Dp.pp_power = b.Dp.pp_power))
+        (a.Grid.pp_budget = b.Grid.pp_budget
+        && a.Grid.pp_outcome = b.Grid.pp_outcome
+        && a.Grid.pp_power = b.Grid.pp_power))
     seq par
 
 let () =
@@ -276,8 +270,6 @@ let () =
           prop_infinite_budget_identity;
           prop_budget_binds_soundly;
           prop_sweep_matches_independent;
-          Alcotest.test_case "epsilon refused" `Quick
-            test_epsilon_refused_in_power_mode;
           Alcotest.test_case "encode refused" `Quick
             test_powered_tables_refuse_encode;
           Alcotest.test_case "budget validation" `Quick test_pareto_validation;

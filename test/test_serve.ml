@@ -193,9 +193,7 @@ let test_fp_power_fields () =
   rejected "activity > 1"
     (F.v ~power_budget:0.5 ~activity:1.5 ~node:"130nm" ~gates:1000 ());
   rejected "greedy under a finite budget"
-    (F.v ~power_budget:0.5 ~algo:F.Greedy ~node:"130nm" ~gates:1000 ());
-  rejected "epsilon under a finite budget"
-    (F.v ~power_budget:0.5 ~epsilon:0.1 ~node:"130nm" ~gates:1000 ())
+    (F.v ~power_budget:0.5 ~algo:F.Greedy ~node:"130nm" ~gates:1000 ())
 
 (* ---- JSON ------------------------------------------------------------- *)
 
@@ -255,7 +253,6 @@ let gen_query =
     option (triple (int_range 0 4) (int_range 0 4) (int_range 0 4))
   in
   let* greedy = bool in
-  let* epsilon = opt_f 0.0 1.0 in
   let* power_budget = opt_f 0.01 2.0 in
   let* activity = opt_f 0.01 1.0 in
   let* wld_csv =
@@ -265,7 +262,7 @@ let gen_query =
   return
     ( id,
       Pr.query ?rent_p ?fan_out ?clock ?repeater_fraction ?k ?miller
-        ?bunch_size ?structure ~greedy ?epsilon ?power_budget ?activity
+        ?bunch_size ?structure ~greedy ?power_budget ?activity
         ?wld_csv ~node ~gates () )
 
 let prop_request_roundtrip =
@@ -352,6 +349,34 @@ let test_protocol_power_compat () =
       Alcotest.(check bool) "budget reached the fingerprint" true
         (fp.F.power_budget = 0.25 && fp.F.activity = 0.3)
   | Ok _ -> Alcotest.fail "powered line decoded to a non-query"
+
+(* ε-dominance compression is retired.  A client still sending the
+   exact-mode value gets the answer — and the digest — it always got; a
+   nonzero value is refused by name instead of silently answered
+   exactly. *)
+let test_protocol_epsilon_retired () =
+  let line eps =
+    "{\"v\":1,\"id\":\"e\",\"op\":\"query\",\"query\":"
+    ^ "{\"node\":\"130nm\",\"gates\":1000" ^ eps ^ "}}"
+  in
+  let digest eps =
+    match Pr.decode_request (line eps) with
+    | Ok { Pr.op = Pr.Query q; _ } ->
+        F.digest (ok_exn "fp" (Pr.fingerprint_of_query q))
+    | Ok _ -> Alcotest.fail "decoded to a non-query"
+    | Error e -> Alcotest.failf "rejected %s: %s" eps (Pr.error_message e)
+  in
+  let absent = digest "" in
+  Alcotest.(check string) "epsilon 0 digests as absent" absent
+    (digest ",\"epsilon\":0");
+  Alcotest.(check string) "epsilon 0.0 digests as absent" absent
+    (digest ",\"epsilon\":0.0");
+  match Pr.decode_request (line ",\"epsilon\":0.1") with
+  | Error (Pr.Bad_request m) ->
+      Alcotest.(check bool) "the rejection names the field" true
+        (Astring_contains.contains m "epsilon")
+  | Error _ -> Alcotest.fail "nonzero epsilon: not a bad_request"
+  | Ok _ -> Alcotest.fail "nonzero epsilon accepted"
 
 let test_protocol_errors () =
   let bad line =
@@ -555,6 +580,36 @@ let test_differential_cached_equals_cold () =
     (counter "serve/table_hits" >= 2);
   S.shutdown srv;
   S.join srv
+
+(* [shutdown] cannot broadcast (it may run in a signal handler), so
+   [join] must wake workers parked on the condition after the ticker's
+   last tick.  Without that, this exact sequence hung in [join]; the
+   watchdog turns a hang into a failure instead of a stuck suite. *)
+let test_join_after_shutdown () =
+  let finished = Atomic.make false in
+  let runner =
+    Thread.create
+      (fun () ->
+        for _ = 1 to 20 do
+          let cache = ok_exn "cache" (C.create ~capacity:4 ()) in
+          let srv = S.create ~workers:1 ~cache () in
+          let q = ok_exn "query" (F.v ~node:"130nm" ~gates:1000 ()) in
+          (match S.submit_query srv q with
+          | Ok _ -> ()
+          | Error e -> failwith (Pr.error_message e));
+          S.shutdown srv;
+          S.join srv
+        done;
+        Atomic.set finished true)
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  if not (Atomic.get finished) then
+    Alcotest.fail "create / query / shutdown / join did not finish in 10 s";
+  Thread.join runner
 
 (* ---- server: e2e over a unix socket ----------------------------------- *)
 
@@ -1306,6 +1361,33 @@ let test_sharded_tcp_byte_identity () =
   Sh.shutdown fleet;
   Thread.join serve_thread
 
+(* OCaml 5 refuses [Unix.fork] once a domain has been created, which is
+   exactly the state a process is in after a parallel sweep.  Shards are
+   spawned with [Unix.create_process], so a fleet started after a
+   domain has come and gone must still serve byte-identical answers. *)
+let test_fleet_after_domain () =
+  Domain.join (Domain.spawn (fun () -> ()));
+  let dir = temp_path "fleet-domain" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let fleet =
+    ok_exn "fleet"
+      (Sh.start ~workers:1 ~exe:(ia_rank_exe ()) ~shards:2 ~dir ())
+  in
+  Fun.protect ~finally:(fun () -> Sh.stop fleet) @@ fun () ->
+  let q =
+    Pr.query ~bunch_size:500 ~repeater_fraction:0.3 ~node:"130nm"
+      ~gates:20_000 ()
+  in
+  let fp = ok_exn "fp" (Pr.fingerprint_of_query q) in
+  let line = Pr.encode_request { Pr.id = "d"; op = Pr.Query q } in
+  match Pr.decode_response (Sh.handle_line fleet line) with
+  | Ok { Pr.body = Pr.Result { payload; _ }; _ } ->
+      Alcotest.(check string) "fleet answer = cold"
+        (Pr.result_payload (F.compute_cold fp))
+        payload
+  | Ok _ -> Alcotest.fail "non-result response"
+  | Error e -> Alcotest.failf "response: %s" e
+
 (* Crash recovery: SIGKILL the shard that owns a family mid-session and
    the router must reap it, respawn a replacement onto the same socket
    (counted in serve_shard/restarts), and answer the re-ask
@@ -1388,6 +1470,8 @@ let () =
           Alcotest.test_case "power compatibility" `Quick
             test_protocol_power_compat;
           Alcotest.test_case "errors" `Quick test_protocol_errors;
+          Alcotest.test_case "epsilon retired" `Quick
+            test_protocol_epsilon_retired;
         ] );
       ( "cache",
         [
@@ -1407,6 +1491,8 @@ let () =
             test_e2e_coalescing_and_restart;
           Alcotest.test_case "shed and drain" `Quick test_e2e_shed;
           Alcotest.test_case "timeout" `Quick test_e2e_timeout;
+          Alcotest.test_case "join after shutdown" `Quick
+            test_join_after_shutdown;
         ] );
       ( "hostile clients",
         [
@@ -1442,5 +1528,7 @@ let () =
             test_sharded_tcp_byte_identity;
           Alcotest.test_case "supervisor restart" `Quick
             test_shard_supervisor_restart;
+          Alcotest.test_case "fleet after domain spawn" `Quick
+            test_fleet_after_domain;
         ] );
     ]

@@ -3,6 +3,8 @@
 
 open Helpers
 
+module P = Ir_assign.Problem
+
 let small_config =
   (* A scaled-down baseline keeps each sweep point ~milliseconds. *)
   let design =
@@ -154,41 +156,120 @@ let test_parallel_determinism () =
            c.outcome.Ir_core.Outcome.rank_wires))
         cpar)
 
-(* The grid-engine acceptance: dispatching the whole fused Table-4 corpus
-   through one [Rank_grid] wavefront must reproduce the per-point
-   engine's outcomes — every rank, [exact] flag and boundary — exactly,
-   row for row. *)
+(* Frozen Table-4 ranks of [small_config], column by column, as the
+   retired per-point scheduler computed them (one independent build per
+   K/M/C point, one shared build for the R column).  Every row exact. *)
+let frozen_plain =
+  [
+    ( "K",
+      [
+        47865; 48365; 49365; 49865; 50365; 51365; 51865; 52865; 53865; 54365;
+        55713; 56713; 57713; 58713; 59713; 61213; 62213; 63713; 65213; 67213;
+        68713; 70713
+      ] );
+    ( "M",
+      [
+        47865; 48365; 48865; 49865; 50365; 51365; 51865; 52865; 53365; 54365;
+        55213; 56213; 57213; 58213; 59213; 60713; 61713; 63213; 64713; 66213;
+        67713
+      ] );
+    ( "C",
+      [
+        47865; 47865; 47865; 47865; 47865; 47865; 47865; 47865; 47865; 47865;
+        47865; 47865; 47865
+      ] );
+    ( "R", [ 11559; 23484; 35750; 47865; 59713 ] );
+  ]
+
+(* The same, under a power budget of half the baseline witness's spend
+   ([frozen_p_inf] watts).  Every row exact. *)
+let frozen_powered =
+  [
+    ( "K",
+      [
+        23484; 23984; 24484; 24484; 24984; 25484; 25484; 25984; 26484; 26984;
+        27470; 27970; 28470; 28970; 29470; 29970; 30970; 31470; 32470; 33250;
+        33750; 34750
+      ] );
+    ( "M",
+      [
+        23484; 23984; 23984; 24484; 24984; 25484; 25484; 25984; 26484; 26984;
+        27470; 27970; 28470; 28970; 29470; 29970; 30470; 31470; 31970; 32750;
+        33750
+      ] );
+    ( "C",
+      [
+        23484; 19612; 16805; 14950; 13424; 12146; 11123; 9809; 9093; 8459;
+        7894; 7429; 7014
+      ] );
+    ( "R", [ 11559; 23484; 23484; 23484; 23484 ] );
+  ]
+
+let frozen_p_inf = 0.16485747101729228
+
+(* One Table-4 row's own problem, derived from the config's base instance
+   exactly as a grid cell is (materials, clock or fraction override). *)
+let row_problem base (s : Ir_sweep.Table4.sweep) param =
+  match s.name with
+  | "K" -> P.with_materials base (Ir_ia.Materials.v ~k:param ())
+  | "M" -> P.with_materials base (Ir_ia.Materials.v ~miller:param ())
+  | "C" -> P.with_clock base param
+  | "R" -> P.with_repeater_fraction base param
+  | name -> Alcotest.failf "unknown sweep %s" name
+
+(* Three-way Table-4 identity: every row of the shared-plane grid run
+   equals an unshared evaluation of the point's own problem (each cell
+   its own plane, [Rank_grid.eval_batch]) and the frozen values. *)
+let check_table4_three_way config frozen =
+  let sweeps = Ir_sweep.Table4.all ~config () in
+  let base =
+    P.with_power_budget
+      (Ir_sweep.Table4.baseline_problem config)
+      config.Ir_sweep.Table4.power_budget
+  in
+  let rows =
+    List.concat_map
+      (fun (s : Ir_sweep.Table4.sweep) ->
+        List.map (fun (r : Ir_sweep.Table4.row) -> (s, r)) s.rows)
+      sweeps
+  in
+  let unshared =
+    Ir_core.Rank_grid.eval_batch
+      (Array.of_list
+         (List.map
+            (fun (s, (r : Ir_sweep.Table4.row)) -> row_problem base s r.param)
+            rows))
+  in
+  Alcotest.(check (list string)) "sweep order" (List.map fst frozen)
+    (List.map (fun (s : Ir_sweep.Table4.sweep) -> s.name) sweeps);
+  Alcotest.(check (list (list int))) "frozen ranks" (List.map snd frozen)
+    (List.map
+       (fun (s : Ir_sweep.Table4.sweep) ->
+         List.map
+           (fun (r : Ir_sweep.Table4.row) -> r.outcome.Ir_core.Outcome.rank_wires)
+           s.rows)
+       sweeps);
+  List.iteri
+    (fun i ((s : Ir_sweep.Table4.sweep), (r : Ir_sweep.Table4.row)) ->
+      let label = Printf.sprintf "%s param %.4g" s.name r.param in
+      Alcotest.(check bool) (label ^ ": exact") true
+        r.outcome.Ir_core.Outcome.exact;
+      Alcotest.(check bool) (label ^ ": shared = unshared") true
+        (Ir_core.Outcome.equal r.outcome unshared.(i)))
+    rows
+
 let test_grid_engine_identity () =
-  let strip (s : Ir_sweep.Table4.sweep) =
-    ( s.name,
-      List.map (fun (r : Ir_sweep.Table4.row) -> (r.param, r.outcome)) s.rows
-    )
+  check_table4_three_way small_config frozen_plain;
+  let base = Ir_sweep.Table4.baseline_problem small_config in
+  let p_inf =
+    match Ir_core.Rank_grid.compute base with
+    | _, Some w -> Ir_power.Power.of_witness base w
+    | _, None -> Alcotest.fail "baseline unassignable"
   in
-  let grid =
-    List.map strip
-      (Ir_sweep.Table4.all ~engine:Ir_sweep.Table4.Grid ~config:small_config
-         ())
-  in
-  let per =
-    List.map strip
-      (Ir_sweep.Table4.all ~engine:Ir_sweep.Table4.Per_point
-         ~config:small_config ())
-  in
-  Alcotest.(check int) "same sweep count" (List.length per) (List.length grid);
-  List.iter2
-    (fun (ng, rows_g) (np, rows_p) ->
-      Alcotest.(check string) "sweep order" np ng;
-      Alcotest.(check int) (ng ^ ": same rows") (List.length rows_p)
-        (List.length rows_g);
-      List.iter2
-        (fun (pg, og) (pp, op) ->
-          Alcotest.(check (float 0.0)) (ng ^ " param") pp pg;
-          Alcotest.(check bool)
-            (Printf.sprintf "%s param %.4g: identical outcome" ng pg)
-            true
-            (Ir_core.Outcome.equal og op))
-        rows_g rows_p)
-    grid per
+  Alcotest.(check (float 0.0)) "frozen baseline spend" frozen_p_inf p_inf;
+  check_table4_three_way
+    { small_config with Ir_sweep.Table4.power_budget = 0.5 *. p_inf }
+    frozen_powered
 
 let test_paper_data () =
   Alcotest.(check int) "K column size" 22 (List.length Ir_sweep.Paper_data.table4_k);
@@ -789,7 +870,7 @@ let test_power_pareto_bad_fraction () =
 
 let test_table4_power_budgeted () =
   let base = Ir_sweep.Table4.baseline_problem small_config in
-  let _, w = Ir_core.Rank_dp.compute_with_witness base in
+  let _, w = Ir_core.Rank_grid.compute base in
   let p_inf =
     match w with
     | Some w -> Ir_power.Power.of_witness base w
@@ -798,11 +879,8 @@ let test_table4_power_budgeted () =
   let powered =
     { small_config with Ir_sweep.Table4.power_budget = 0.5 *. p_inf }
   in
-  (* Requesting the grid engine must transparently fall back to the
-     per-point scheduler in power mode. *)
-  let s =
-    Ir_sweep.Table4.r_sweep ~engine:Ir_sweep.Table4.Grid ~config:powered ()
-  in
+  (* A powered config runs every grid plane in power mode. *)
+  let s = Ir_sweep.Table4.r_sweep ~config:powered () in
   let s0 = Ir_sweep.Table4.r_sweep ~config:small_config () in
   List.iter2
     (fun (b : Ir_sweep.Table4.row) (u : Ir_sweep.Table4.row) ->
