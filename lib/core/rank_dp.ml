@@ -47,16 +47,20 @@ type witness = {
 type tables = {
   problem : P.t;
   front : Front.t;
-      (* cell j * (n + 1) + i: pairs [0..j) hold bunches [0..i), all
-         meeting.  Dominance is on (repeater area, repeater count); the
-         interval splits live in the front's parent-pointer arena and are
-         reconstructed only for witness probes. *)
+      (* cell j * (n + 1) + i, rows j in [0, m): pairs [0..j) hold
+         bunches [0..i), all meeting.  There is no row m: a witness puts
+         its meeting interval on some pair j < m on top of a row-j
+         prefix, so the all-pairs-prefix row is never read.  Dominance
+         is on (repeater area, repeater count); the interval splits live
+         in the front's parent-pointer arena and are reconstructed only
+         for witness probes. *)
   n : int;
   m : int;
   max_pareto : int;
   truncations : int;
-      (* non-dominated states dropped past max_pareto during the build;
-         0 means the phase-A front is complete and the search is exact *)
+      (* non-dominated states dropped past max_pareto from the rows the
+         search reads (the build fills no other row); 0 means the
+         phase-A front is complete and the search is exact *)
   ladder_prev : int option;
       (* truncations of the rung these tables widened; None for a first
          rung.  The widen ladder resumes from it, so continuing the
@@ -156,7 +160,7 @@ type builder = {
   b_pthresh : float array;  (* power-axis prune thresholds (powered+prune) *)
   b_live_idx : int array;  (* power-mode survivor indices, len width *)
   mutable b_thresh_inc : int;  (* incumbent the thresholds encode; -2 stale *)
-  mutable b_level : int;  (* next boundary pair to expand *)
+  mutable b_level : int;  (* next boundary pair to expand; done at m - 1 *)
   mutable b_states : int;
   mutable b_skipped : int;
   mutable b_pruned : int;
@@ -166,7 +170,8 @@ let builder ?(max_pareto = 8) ?prune problem =
   let n = P.n_bunches problem in
   let m = P.n_pairs problem in
   let width = max 1 max_pareto in
-  let cells = (m + 1) * (n + 1) in
+  (* Rows 0..m-1 only: see [tables.front]. *)
+  let cells = m * (n + 1) in
   (* A finite power budget switches the build to power mode: a 3-way
      (area, count, power) front and power screens mirroring the budget
      screens.  With the default infinite budget, [power_budgeted] is
@@ -214,14 +219,16 @@ let builder ?(max_pareto = 8) ?prune problem =
       | _ -> [||]);
     b_live_idx = (if powered then Array.make width 0 else [||]);
     b_thresh_inc = -2;
-    b_level = (if fits then 0 else m);
+    b_level = (if fits then 0 else m - 1);
     b_states = 0;
     b_skipped = 0;
     b_pruned = 0;
   }
 
-let builder_levels b = b.b_m
-let builder_done b = b.b_level >= b.b_m
+(* Level j fills row j + 1, so the last row the search reads (m - 1) is
+   filled by level m - 2: a build has m - 1 levels. *)
+let builder_levels b = b.b_m - 1
+let builder_done b = b.b_level >= b.b_m - 1
 
 (* Power-mode analog of [builder_step]'s level body below — same
    structure, three deltas.  (1) States carry a third coordinate: the
@@ -357,7 +364,7 @@ let builder_step_power b =
     end
   done;
   b.b_level <- j + 1;
-  b.b_level < b.b_m
+  not (builder_done b)
 
 (* Expand one boundary-pair level.  Returns [true] while more levels
    remain.  The step touches only this builder's own state (front,
@@ -509,7 +516,7 @@ let builder_step b =
       end
     done;
     b.b_level <- j + 1;
-    b.b_level < b.b_m
+    not (builder_done b)
   end
 
 (* Flush the tallies and seal the build.  Must be called exactly once per
@@ -569,8 +576,8 @@ let builder_finish b =
    boundary of the scan is published.  Exact prefix plus greedy
    completion typically lands within a bunch or two of the DP optimum,
    which is what arms the thresholds for the heavy later levels — and
-   since a build has only [m] barriers, probing a handful of columns per
-   barrier costs noise next to the witness probes it saves.  The
+   since a build has only [m - 1] barriers, probing a handful of columns
+   per barrier costs noise next to the witness probes it saves.  The
    optimistic-bound pre-check (O(log n), no packer) skips columns whose
    relaxation cannot beat the best boundary seen, so the probe budget
    [max_barrier_probes] is spent only on genuine contenders.  A probed
@@ -658,8 +665,12 @@ let builder_advance_incumbent ?gf b =
 let build_tables ?max_pareto ?prune problem =
   Ir_obs.time span_build @@ fun () ->
   let b = builder ?max_pareto ?prune problem in
+  (* A barrier after every level, the last included — the same sequence
+     [Rank_grid]'s wavefront runs, so the probe of row m - 1 (the last
+     row built) raises the floor here too. *)
   Scratch.with_arena (fun gf ->
-      while builder_step b do
+      while not (builder_done b) do
+        ignore (builder_step b);
         builder_advance_incumbent ~gf b
       done);
   builder_finish b
@@ -718,7 +729,7 @@ let decode_tables problem blob =
           if
             n = P.n_bunches problem
             && m = P.n_pairs problem
-            && Front.cells front = (m + 1) * (n + 1)
+            && Front.cells front = m * (n + 1)
             && Front.width front = max 1 max_pareto
             && truncations >= 0
           then

@@ -18,11 +18,13 @@
       (area, count) combinations can be pruned per state.
 
     Phase A tabulates Pareto-minimal (repeater area, repeater count) for
-    "bunches [0..i) on pairs [0..j), all meeting"; phase B picks the
-    boundary pair, the meeting interval on it, and checks the capacity-only
-    suffix with {!Ir_assign.Greedy_fill} (the paper's M'').  A binary
-    search finds the largest feasible boundary; feasibility is monotone
-    (shrinking the meeting prefix only removes repeaters and blockage).
+    "bunches [0..i) on pairs [0..j), all meeting", for [j < m] only: the
+    boundary pair is one of the [m] pairs, so no witness ever sits on a
+    prefix that spans all of them; phase B picks the boundary pair, the
+    meeting interval on it, and checks the capacity-only suffix with
+    {!Ir_assign.Greedy_fill} (the paper's M'').  A binary search finds
+    the largest feasible boundary; feasibility is monotone (shrinking the
+    meeting prefix only removes repeaters and blockage).
 
     Complexity: O(m n^2) table construction plus O(log n) boundary probes,
     versus the paper's O(m n^4 A_R^3) — with no repeater-area
@@ -52,7 +54,10 @@ type tables
     boundary probes: a flat struct-of-arrays {!Front} store (per-cell
     area/count arrays, binary-search dominance, blit insertion, no
     per-insert allocation) plus a parent-pointer arena from which
-    witness splits are reconstructed on demand.  They are not mutated
+    witness splits are reconstructed on demand.  The store holds rows
+    [j = 0 .. m-1] of [n + 1] cells each — exactly the rows a boundary
+    probe reads (bunches [\[i, c)] meet on pair [j] on top of the row-[j]
+    prefix in cell [(j, i)]).  They are not mutated
     after the build, so feasibility queries against the same tables may
     run concurrently (e.g. from an {!Ir_exec} domain pool).
 
@@ -125,7 +130,9 @@ val builder : ?max_pareto:int -> ?prune:prune -> Ir_assign.Problem.t -> builder
     regardless of scheduling. *)
 
 val builder_levels : builder -> int
-(** Total number of boundary-pair levels ([Problem.n_pairs]). *)
+(** Total number of boundary-pair levels, [Problem.n_pairs - 1]: level
+    [j] fills row [j + 1], and row [m - 1] is the last one a search
+    reads. *)
 
 val builder_done : builder -> bool
 (** No level left to expand — from the start for a no-fit instance. *)
@@ -155,9 +162,12 @@ val builder_finish : builder -> tables
 
 val table_truncations : tables -> int
 (** Number of non-dominated states dropped because a per-state Pareto set
-    exceeded [max_pareto] during the build.  [0] means phase A is
-    complete and any search over these tables is exact; positive means
-    outcomes derived from them carry [exact = false] (a lower bound). *)
+    exceeded [max_pareto] during the build — in rows [0 .. m-1], the
+    only rows built, so every counted drop is a state some boundary
+    probe could have read.  [0] means phase A is complete and any search
+    over these tables is exact; positive means outcomes derived from
+    them carry [exact = false] (a lower bound) and {!widen_tables}
+    retries at a wider front. *)
 
 val table_incumbent_floor : tables -> int
 (** Largest boundary proven achievable during a pruned build ([-1] for
@@ -188,9 +198,11 @@ val decode_tables : Ir_assign.Problem.t -> string -> tables option
 (** Rebinds a blob from {!encode_tables} to [problem] (the caller
     reconstructs the problem the tables were built from — for the serve
     pool, the family's query at repeater fraction 1.0).  [None] if the
-    blob does not parse or its dimensions disagree with [problem].
-    Searches over restored tables are byte-identical to searches over
-    the originals: the blob carries the complete phase-A state. *)
+    blob does not parse or its dimensions disagree with [problem] —
+    including a front of any other row count than [n_pairs] (a blob from
+    a build that still filled row [m] is rejected).  Searches over
+    restored tables are byte-identical to searches over the originals:
+    the blob carries the complete phase-A state. *)
 
 val search_tables :
   ?exhaustive:bool ->

@@ -6,7 +6,7 @@ let stat_errors = Ir_obs.counter "serve_snapshot/errors"
 let stat_tmp_swept = Ir_obs.counter "serve_snapshot/tmp_swept"
 
 (* Snapshot file layout: a text header followed by a raw binary blob.
-     ia-rank/table-snapshot/1
+     ia-rank/table-snapshot/<version>
      key: <table_key hex>
      blob-md5: <hex md5 of the blob>
      blob-bytes: <decimal blob length>
@@ -16,9 +16,11 @@ let stat_tmp_swept = Ir_obs.counter "serve_snapshot/tmp_swept"
    schema tag, the recorded key, the length and the checksum all verify.
    The tag versions the table encoding together with the DP semantics: a
    PR changing either bumps it and old snapshots self-invalidate. *)
-let schema_tag = "ia-rank/table-snapshot/2"
+let schema_tag = "ia-rank/table-snapshot/3"
 (* /2: the table encoding moved to digest-prefixed Bigarray planes
-   (PR 8's grid kernel storage) — /1 blobs no longer decode. *)
+   (the grid kernel's storage) — /1 blobs no longer decode.
+   /3: the front holds rows 0..m-1 only (the unread row m is no longer
+   built), so a /2 blob's front has one row too many. *)
 
 type t = { dir : string }
 

@@ -362,8 +362,32 @@ let adversarial_problem ~local ~semi ~global ~gates ~clock ~fraction ~counts
   in
   P.of_bunches ~arch ~bunches ()
 
-(* Its phase-A Pareto front exceeds the default width 8. *)
+(* Its phase-A Pareto front exceeds the default width 8 in a row the
+   boundary search reads (rows 0..m-1).  Every answer meets all 16 wires
+   and the repeater budget never binds, so a build at any larger
+   fraction is this same build. *)
 let overflowing_problem () =
+  adversarial_problem
+    ~local:
+      ( 3.2710737743480174e-07, 3.1036793894029358e-07,
+        2.3984560924689737e-07, 3.3755116422125288e-07 )
+    ~semi:
+      ( 1.0136705472056237e-07, 2.0523928087902579e-07,
+        1.8544696715070806e-07, 3.1857114530548058e-07 )
+    ~global:
+      ( 2.8359001307995769e-07, 1.5023855021209899e-07,
+        9.0372595561868414e-07, 1.5875668052870791e-07 )
+    ~gates:2240 ~clock:3.577188693495666e9 ~fraction:0.68821488370648509
+    ~counts:[ 1; 2; 2; 2; 1; 2; 1; 1; 2; 1; 1 ]
+    ~lengths_mm:
+      [ 0.21716978712059543; 1.3542600665956506; 1.5573093881031992;
+        2.2052096585286511; 3.4123084404807487; 1.3200679781203235;
+        1.3771056216937547; 2.7351594467566236; 1.1956649488675564;
+        2.5778005606618897; 1.1327859036310073 ]
+
+(* Its width-8 front overflowed only in row m, the all-pairs-prefix row
+   no query reads and the build no longer fills. *)
+let row_m_overflow_problem () =
   adversarial_problem
     ~local:
       ( 5.3095550389360423e-07, 3.0831268735062441e-07,
@@ -428,6 +452,43 @@ let test_pareto_overflow_widens () =
     brute.rank_wires wide.rank_wires;
   Alcotest.(check bool) "lower bound stays a lower bound" true
     (narrow.rank_wires <= wide.rank_wires)
+
+(* The build fills rows 0..m-1 only, so an overflow confined to row m is
+   gone: no truncation, no widen rung, and the width-8 answer is exact. *)
+let test_row_m_overflow_gone () =
+  let p = row_m_overflow_problem () in
+  Alcotest.(check int) "no truncation at width 8" 0
+    (Ir_core.Rank_dp.table_truncations
+       (Ir_core.Rank_dp.build_tables ~max_pareto:8 p));
+  Ir_obs.reset ();
+  let o = compute ~max_pareto:8 p in
+  Alcotest.(check int) "no widen retry" 0
+    (Option.value ~default:0
+       (Ir_obs.find_counter (Ir_obs.snapshot ()) "rank_dp/widen_retries"));
+  Alcotest.(check bool) "exact" true o.exact;
+  Alcotest.(check int) "rank matches the exhaustive oracle"
+    (Ir_core.Rank_brute.compute p).rank_wires o.rank_wires
+
+(* The exact flag rests on truncations in the read rows alone: at widths
+   small enough to truncate often, a truncation-free build must answer
+   the exhaustive oracle's rank and say it is exact. *)
+let prop_untruncated_is_exact =
+  qtest ~count:150 "truncation-free tables answer the oracle, exact"
+    QCheck2.Gen.(pair Helpers.gen_instance (int_range 1 3))
+    (fun ({ problem; label }, width) ->
+      let tables = Ir_core.Rank_dp.build_tables ~max_pareto:width problem in
+      if Ir_core.Rank_dp.table_truncations tables > 0 then true
+      else begin
+        let o, _ = Ir_core.Rank_dp.search_tables tables in
+        let brute = Ir_core.Rank_brute.compute problem in
+        if not o.exact then
+          QCheck2.Test.fail_reportf "%s width=%d: not flagged exact" label
+            width;
+        if o.rank_wires <> brute.rank_wires then
+          QCheck2.Test.fail_reportf "%s width=%d: rank %d, oracle %d" label
+            width o.rank_wires brute.rank_wires;
+        true
+      end)
 
 let test_pareto_truncation_changes_rank () =
   let p = rank_changing_problem () in
@@ -658,12 +719,13 @@ let mirror_build ~width problem =
   let n = P.n_bunches problem and m = P.n_pairs problem in
   let cap = P.capacity problem and budget = P.budget problem in
   let stats = { r_inserts = 0; r_dominated = 0; r_truncations = 0 } in
-  let dp = Array.make_matrix (m + 1) (n + 1) [] in
-  let front = Front.create ~cells:((m + 1) * (n + 1)) ~width in
+  let dp = Array.make_matrix m (n + 1) [] in
+  let front = Front.create ~cells:(m * (n + 1)) ~width in
   let cell j i = (j * (n + 1)) + i in
   dp.(0).(0) <- [ { r_area = 0.0; r_count = 0; r_splits = [] } ];
   Front.seed front (cell 0 0) ~area:0.0 ~count:0;
-  for j = 0 to m - 1 do
+  (* Rows 0..m-1, the rows the search reads: level m - 2 is the last. *)
+  for j = 0 to m - 2 do
     for i = 0 to n do
       match dp.(j).(i) with
       | [] -> ()
@@ -729,7 +791,7 @@ let mirror_build ~width problem =
 let check_mirror ~label ~width problem =
   let dp, front, stats, cell = mirror_build ~width problem in
   let n = P.n_bunches problem and m = P.n_pairs problem in
-  for j = 0 to m do
+  for j = 0 to m - 1 do
     for i = 0 to n do
       ignore (check_cell_equal ~label front (cell j i) dp.(j).(i))
     done
@@ -759,6 +821,11 @@ let test_front_mirror_adversarial () =
   let _, _, stats, _ = mirror_build ~width:8 p8 in
   Alcotest.(check bool) "overflowing instance truncates at width 8" true
     (stats.r_truncations > 0);
+  let pm = row_m_overflow_problem () in
+  ignore (check_mirror ~label:"row-m overflow width=8" ~width:8 pm);
+  let _, _, stats, _ = mirror_build ~width:8 pm in
+  Alcotest.(check int) "row-m overflow truncates nothing in rows 0..m-1" 0
+    stats.r_truncations;
   let p1 = rank_changing_problem () in
   ignore (check_mirror ~label:"rank-changing width=1" ~width:1 p1);
   ignore (check_mirror ~label:"rank-changing width=8" ~width:8 p1)
@@ -931,7 +998,7 @@ let test_builder_matches_build () =
   let b = Ir_core.Rank_dp.builder p in
   Alcotest.(check bool) "not done at start" false
     (Ir_core.Rank_dp.builder_done b);
-  Alcotest.(check int) "levels = n_pairs" (P.n_pairs p)
+  Alcotest.(check int) "levels = n_pairs - 1" (P.n_pairs p - 1)
     (Ir_core.Rank_dp.builder_levels b);
   let steps = ref 0 in
   while Ir_core.Rank_dp.builder_step b do
@@ -996,6 +1063,25 @@ let test_decode_fuzz () =
     match Ir_core.Rank_dp.decode_tables other blob with
     | None -> ()
     | Some _ -> Alcotest.fail "wrong-geometry blob accepted"
+
+(* A blob in the older layout — a front with the unread row m — fails
+   closed even with a valid digest and every other field right: the cell
+   count no longer matches the problem's m * (n + 1). *)
+let test_decode_row_m_front () =
+  let p = baseline_130nm_small () in
+  let n = P.n_bunches p and m = P.n_pairs p and w = 8 in
+  let blob front =
+    let payload = Marshal.to_string (n, m, w, 0, front) [] in
+    Digest.string payload ^ payload
+  in
+  Alcotest.(check bool) "rows 0..m-1 decode" true
+    (Option.is_some
+       (Ir_core.Rank_dp.decode_tables p
+          (blob (Front.create ~cells:(m * (n + 1)) ~width:w))));
+  Alcotest.(check bool) "rows 0..m rejected" true
+    (Option.is_none
+       (Ir_core.Rank_dp.decode_tables p
+          (blob (Front.create ~cells:((m + 1) * (n + 1)) ~width:w))))
 
 (* ---- grid-batched engine ---------------------------------------------- *)
 
@@ -1144,6 +1230,7 @@ let test_pruned_adversarial_identity () =
         (Ir_core.Outcome.equal exact pruned))
     [
       ("overflowing", overflowing_problem ());
+      ("row-m overflow", row_m_overflow_problem ());
       ("rank-changing", rank_changing_problem ());
     ]
 
@@ -1426,12 +1513,17 @@ let test_with_materials_equals_fresh () =
 
 (* A fixed quick corpus of the cases the Table-4 corpus never hits:
    Definition-3 no-fit, a front that truncates at width 1 (with the widen
-   ladder on and off), a single bunch, a powered instance and an 8-layer
-   stack.  Each case's outcome must be the same through every driver —
-   a one-cell grid, a shared plane of [evaluate], the heterogeneous
-   [eval_batch] and a resident grid's [query] — and match the brute-force
-   oracle where that is small enough.  Work is gated too: a no-fit cell
-   must expand no state and insert nothing into a front in any driver. *)
+   ladder on and off), one that truncates at the default width 8 and
+   widens, a single bunch, a powered instance and an 8-layer stack.
+   Each case's outcome must be the same through every driver — a
+   one-cell grid, a shared plane of [evaluate], the heterogeneous
+   [eval_batch] and a resident grid's [query] — and match the
+   brute-force oracle where that is small enough.  Work is gated too: a
+   no-fit cell must expand no state and insert nothing into a front in
+   any driver, and a [ladder] case must take the same widen retries and
+   truncations in every driver, at least one retry.  (Only a case whose
+   budget never binds can be a [ladder] case: the resident driver builds
+   its plane at fraction 1.0.) *)
 type hard_case = {
   hc_name : string;
   hc_problem : P.t;
@@ -1439,10 +1531,12 @@ type hard_case = {
   hc_widen : bool option;
   hc_brute : bool;
   hc_nofit : bool;
+  hc_ladder : bool;
 }
 
 let hard_corpus () =
-  let case ?max_pareto ?widen ?(brute = false) ?(nofit = false) name p =
+  let case ?max_pareto ?widen ?(brute = false) ?(nofit = false)
+      ?(ladder = false) name p =
     {
       hc_name = name;
       hc_problem = p;
@@ -1450,6 +1544,7 @@ let hard_corpus () =
       hc_widen = widen;
       hc_brute = brute;
       hc_nofit = nofit;
+      hc_ladder = ladder;
     }
   in
   let design gates = Ir_tech.Design.v ~node:Ir_tech.Node.N130 ~gates () in
@@ -1490,6 +1585,7 @@ let hard_corpus () =
       ~brute:true;
     case "width-1, ladder off" (rank_changing_problem ()) ~max_pareto:1
       ~widen:false;
+    case "width-8, widens" (overflowing_problem ()) ~brute:true ~ladder:true;
     case "single bunch" single ~brute:true;
     case "powered" powered;
     case "8-layer stack" eight_layer;
@@ -1506,7 +1602,9 @@ let test_hard_corpus () =
         let o = run () in
         let snap = Ir_obs.snapshot () in
         let n name = Option.value ~default:0 (Ir_obs.find_counter snap name) in
-        (o, n "rank_dp/states_expanded" + n "rank_dp/pareto_inserts")
+        ( o,
+          n "rank_dp/states_expanded" + n "rank_dp/pareto_inserts",
+          (n "rank_dp/widen_retries", n "rank_dp/pareto_truncations") )
       in
       let drivers =
         [
@@ -1547,19 +1645,27 @@ let test_hard_corpus () =
                   Ir_core.Rank_grid.outcome g cells.(Array.length cells - 1) );
         ]
       in
-      let reference, _ =
-        Ir_core.Rank_grid.compute ?max_pareto ?widen_on_overflow p
+      let (reference, _), _, ladder =
+        work (fun () ->
+            Ir_core.Rank_grid.compute ?max_pareto ?widen_on_overflow p)
       in
+      if c.hc_ladder then
+        Alcotest.(check bool) (c.hc_name ^ ": widens") true (fst ladder > 0);
       if max_pareto = None && widen_on_overflow = None then
         Alcotest.(check bool) (c.hc_name ^ ": Rank.compute") true
           (Ir_core.Outcome.equal reference (Ir_core.Rank.compute p));
       List.iter
         (fun (name, run) ->
-          let o, work = work run in
+          let o, work, ladder' = work run in
           Alcotest.(check bool)
             (Printf.sprintf "%s: %s outcome" c.hc_name name)
             true
             (Ir_core.Outcome.equal reference o);
+          if c.hc_ladder then
+            Alcotest.(check (pair int int))
+              (Printf.sprintf "%s: %s widen retries, truncations" c.hc_name
+                 name)
+              ladder ladder';
           if c.hc_nofit then
             Alcotest.(check int)
               (Printf.sprintf "%s: %s states + inserts" c.hc_name name)
@@ -1590,6 +1696,9 @@ let () =
           Alcotest.test_case "binary vs exhaustive search" `Slow
             test_dp_binary_vs_exhaustive;
           Alcotest.test_case "prebuilt tables reuse" `Quick test_tables_reuse;
+          Alcotest.test_case "row-m overflow is gone" `Quick
+            test_row_m_overflow_gone;
+          prop_untruncated_is_exact;
           Alcotest.test_case "pareto overflow widens to exact" `Quick
             test_pareto_overflow_widens;
           Alcotest.test_case "pareto truncation changes rank" `Quick
@@ -1616,6 +1725,8 @@ let () =
           Alcotest.test_case "builder finish guard" `Quick
             test_builder_finish_early;
           Alcotest.test_case "table codec fuzz" `Quick test_decode_fuzz;
+          Alcotest.test_case "table codec rejects a row-m front" `Quick
+            test_decode_row_m_front;
         ] );
       ( "grid",
         [

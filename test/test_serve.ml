@@ -1221,6 +1221,49 @@ let test_snapshot_hostile_payloads () =
   S.shutdown srv2;
   S.join srv2
 
+(* A snapshot written under the previous schema tag, whose front still
+   carried the unread row m, is discarded as corrupt — exactly once — and
+   the server rebuilds and answers as a cold compute would. *)
+let test_snapshot_old_schema () =
+  Ir_obs.reset ();
+  let dir = temp_path "snapschema" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let snapshot = ok_exn "snapshot" (Sn.create ~dir) in
+  let q = fp_at 0.3 in
+  let key = F.table_key q in
+  let p = F.problem q in
+  let n = Ir_assign.Problem.n_bunches p and m = Ir_assign.Problem.n_pairs p in
+  let w = 8 in
+  let payload =
+    Marshal.to_string
+      (n, m, w, 0, Ir_core.Front.create ~cells:((m + 1) * (n + 1)) ~width:w)
+      []
+  in
+  let blob = Digest.string payload ^ payload in
+  Out_channel.with_open_bin (Sn.entry_path snapshot ~key) (fun oc ->
+      Out_channel.output_string oc
+        (String.concat ""
+           [
+             "ia-rank/table-snapshot/2\nkey: "; key; "\nblob-md5: ";
+             Digest.to_hex (Digest.string blob); "\nblob-bytes: ";
+             string_of_int (String.length blob); "\n"; blob;
+           ]));
+  let cache = ok_exn "cache" (C.create ~capacity:16 ()) in
+  let srv = S.create ~workers:1 ~snapshot ~cache () in
+  let corrupt_before = counter "serve_snapshot/corrupt" in
+  (match S.submit_query srv q with
+  | Ok (payload, _) ->
+      Alcotest.(check string) "answer = cold"
+        (Pr.result_payload (F.compute_cold q))
+        payload
+  | Error e -> Alcotest.failf "ask: %s" (Pr.error_message e));
+  Alcotest.(check int) "old schema counted corrupt once" (corrupt_before + 1)
+    (counter "serve_snapshot/corrupt");
+  Alcotest.(check int) "nothing restored" 0 (counter "serve/table_restores");
+  Alcotest.(check int) "rebuilt" 1 (counter "serve/table_builds");
+  S.shutdown srv;
+  S.join srv
+
 (* ---- resident grid pool ----------------------------------------------- *)
 
 (* Neighboring queries of one family are answered from a single resident
@@ -1516,6 +1559,8 @@ let () =
             test_snapshot_corrupt_fallback;
           Alcotest.test_case "hostile payloads" `Quick
             test_snapshot_hostile_payloads;
+          Alcotest.test_case "old schema discarded" `Quick
+            test_snapshot_old_schema;
         ] );
       ( "resident grid",
         [
