@@ -53,29 +53,32 @@ let n_pairs t = Ir_ia.Arch.pair_count t.arch
 let total_wires t = t.wire_prefix.(n_bunches t)
 let bunch_length t b = t.bunches.(b).Ir_wld.Dist.length
 let bunch_count t b = t.bunches.(b).Ir_wld.Dist.count
-let wires_before t i = t.wire_prefix.(i)
+(* The accessors marked [@inline] run per (source, destination) in the
+   phase-A DP loop: without flambda, ocamlopt returns a float from a
+   cross-module call boxed unless the call is inlined. *)
+let[@inline] wires_before t i = t.wire_prefix.(i)
 let target t b = t.targets.(b)
 let capacity t = Ir_ia.Arch.pair_capacity t.arch
 let budget t = Ir_ia.Arch.repeater_budget t.arch
 
-let blocked t ~pair ~wires_above ~reps_above =
+let[@inline] blocked t ~pair ~wires_above ~reps_above =
   Ir_ia.Arch.blocked_area t.arch ~pair_index:pair ~wires_above
     ~repeaters_above:reps_above
 
-let interval_area t ~pair ~lo ~hi =
+let[@inline] interval_area t ~pair ~lo ~hi =
   t.area_prefix.(pair).(hi) -. t.area_prefix.(pair).(lo)
 
 let eta_min t ~pair ~bunch =
   let e = t.eta.(pair).(bunch) in
   if e < 0 then None else Some e
 
-let meeting_feasible t ~pair ~lo ~hi =
+let[@inline] meeting_feasible t ~pair ~lo ~hi =
   t.bad_prefix.(pair).(hi) - t.bad_prefix.(pair).(lo) = 0
 
-let meeting_area t ~pair ~lo ~hi =
+let[@inline] meeting_area t ~pair ~lo ~hi =
   t.rep_area_prefix.(pair).(hi) -. t.rep_area_prefix.(pair).(lo)
 
-let meeting_count t ~pair ~lo ~hi =
+let[@inline] meeting_count t ~pair ~lo ~hi =
   t.rep_count_prefix.(pair).(hi) - t.rep_count_prefix.(pair).(lo)
 
 (* Interval power is count * per-repeater power — the count is exact (int

@@ -2,12 +2,14 @@
 
    One [t] holds every (pair, bunch) cell of a DP build: per cell a
    fixed-capacity slice of parallel Bigarray planes sorted area-ascending
-   (hence, by the Pareto invariant, count-descending).  Dominance checks
-   are a binary search over the slice, insertion is an in-place blit
-   shift, and the interval splits previously carried by every state as an
-   [int list] live in a compact parent-pointer arena instead — the hot
-   loop allocates nothing per insert (the arena grows only for states
-   that actually enter a front, by doubling).
+   (hence, by the Pareto invariant, count-descending).  A dominance check
+   is a binary search over the slice; [Rank_dp]'s inlined pre-check
+   places a sorted run of candidates by one forward walk instead,
+   searching only for the first and after each insert.  Insertion is an
+   in-place blit shift, and the interval splits previously carried by
+   every state as an [int list] live in a compact parent-pointer arena
+   instead — the hot loop allocates nothing per insert (the arena grows
+   only for states that actually enter a front, by doubling).
 
    The planes are flat [Bigarray.Array1] buffers rather than OCaml
    arrays: unboxed float64 / native-int storage outside the OCaml heap,

@@ -5,10 +5,13 @@
     [Bigarray.Array1] planes: per cell, areas ascend strictly and
     repeater counts descend strictly (the Pareto invariant), so a
     dominance check is an O(log width) binary search and an insertion an
-    in-place [memmove] shift — the hot loop performs no per-insert
-    allocation, and the planes live outside the OCaml heap so a grid of
-    resident stores (one per parameter plane of a {!Rank_grid} wavefront
-    run) adds nothing to minor-GC scan work.  The interval split carried
+    in-place [memmove] shift.  A sorted run of candidates (one source
+    front shifted by a fixed cost) needs no search per element: its
+    positions never decrease, so {!Rank_dp}'s inlined pre-check places
+    the run by one forward walk over {!raw_area}.  The hot loop performs
+    no per-insert allocation, and the planes live outside the OCaml heap
+    so a grid of resident stores (one per parameter plane of a
+    {!Rank_grid} wavefront run) adds nothing to minor-GC scan work.  The interval split carried
     by each state lives in a compact growable parent-pointer arena;
     {!splits} rebuilds the historical [splits : int list] on demand (only
     for the O(log n) witness probes, never in the build loop).

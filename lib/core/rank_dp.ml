@@ -366,6 +366,28 @@ let builder_step_power b =
   b.b_level <- j + 1;
   not (builder_done b)
 
+(* The number of states in the destination slice [dbase, dbase + dlen)
+   with area <= [a]: by binary search when [from < 0], else by walking
+   forward from [from], which the caller guarantees is the position of
+   an earlier candidate with area <= [a] against the unchanged slice.
+   Inlined, so [a] stays unboxed without flambda. *)
+let[@inline] position (f_area : Front.farray) ~dbase ~dlen ~from a =
+  if from >= 0 then begin
+    let p = ref from in
+    while !p < dlen && f_area.{dbase + !p} <= a do
+      incr p
+    done;
+    !p
+  end
+  else begin
+    let lo = ref 0 and hi = ref dlen in
+    while !hi > !lo do
+      let mid = (!lo + !hi) / 2 in
+      if f_area.{dbase + mid} <= a then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  end
+
 (* Expand one boundary-pair level.  Returns [true] while more levels
    remain.  The step touches only this builder's own state (front,
    tallies), so independent builders may step on different domains —
@@ -384,11 +406,23 @@ let builder_step b =
     let blocked_k = b.b_blocked_k in
     (* Raw views into the front's planes, for the inlined dominance
        pre-check below.  Without flambda every [Front.insert] call boxes
-       its float [~area] argument, and ~99.7% of candidates are rejected
-       as dominated — running the same binary search here first skips the
-       call (and its allocation) on that path.  The atomics stay
+       its float [~area] argument, and most candidates (95.8% on the
+       slow cross cells) are dominated — deciding them here first skips
+       the call (and its allocation) on that path.  The atomics stay
        byte-identical: each skip would have counted as one insert and one
-       dominated drop, so both are added back at the flush. *)
+       dominated drop, so both are added back at the flush.
+
+       The pre-check walks each translated source chain forward instead
+       of placing every candidate by its own binary search.  For one
+       (source cell, destination) the candidates are the source front
+       shifted by a fixed (d_area, d_count); source areas strictly
+       ascend and float addition is monotone, so candidate areas never
+       decrease, and neither does their [position].  The first
+       candidate is placed by binary search, later ones by advancing
+       [p].  A [Front.insert] reshapes the destination, so [p] resets to
+       -1 and the next candidate is placed by binary search again.
+       Every position is the one the binary search would return, so
+       every decision is unchanged. *)
     let f_area = Front.raw_area front in
     let f_count = Front.raw_count front in
     let f_len = Front.raw_len front in
@@ -456,21 +490,18 @@ let builder_step b =
                    candidate check is needed here. *)
                 let dst = cell ~n (j + 1) i in
                 let dbase = dst * stride in
+                let p = ref (-1) in
                 for k = 0 to live - 1 do
                   let a = f_area.{sbase + k} in
                   let c = f_count.{sbase + k} in
-                  let lo = ref 0 and hi = ref f_len.{dst} in
-                  while !hi > !lo do
-                    let mid = (!lo + !hi) / 2 in
-                    if f_area.{dbase + mid} <= a then lo := mid + 1
-                    else hi := mid
-                  done;
-                  let p = !lo in
-                  if p > 0 && f_count.{dbase + p - 1} <= c then
+                  p := position f_area ~dbase ~dlen:f_len.{dst} ~from:!p a;
+                  if !p > 0 && f_count.{dbase + !p - 1} <= c then
                     b.b_skipped <- b.b_skipped + 1
-                  else
+                  else begin
                     Front.insert front dst ~area:a ~count:c ~split:i
-                      ~parent:(Front.state front src k)
+                      ~parent:(Front.state front src k);
+                    p := -1
+                  end
                 done
               end
               else if not (P.meeting_feasible problem ~pair:j ~lo:i ~hi:i2)
@@ -484,6 +515,7 @@ let builder_step b =
                 let dst = cell ~n (j + 1) i2 in
                 let dbase = dst * stride in
                 let t2 = if pruning then thresh.(i2) else infinity in
+                let p = ref (-1) in
                 for k = 0 to live - 1 do
                   let a = f_area.{sbase + k} +. d_area in
                   let c = f_count.{sbase + k} + d_count in
@@ -494,18 +526,14 @@ let builder_step b =
                          even consulted. *)
                       b.b_pruned <- b.b_pruned + 1
                     else begin
-                      let lo = ref 0 and hi = ref f_len.{dst} in
-                      while !hi > !lo do
-                        let mid = (!lo + !hi) / 2 in
-                        if f_area.{dbase + mid} <= a then lo := mid + 1
-                        else hi := mid
-                      done;
-                      let p = !lo in
-                      if p > 0 && f_count.{dbase + p - 1} <= c then
+                      p := position f_area ~dbase ~dlen:f_len.{dst} ~from:!p a;
+                      if !p > 0 && f_count.{dbase + !p - 1} <= c then
                         b.b_skipped <- b.b_skipped + 1
-                      else
+                      else begin
                         Front.insert front dst ~area:a ~count:c ~split:i2
-                          ~parent:(Front.state front src k)
+                          ~parent:(Front.state front src k);
+                        p := -1
+                      end
                     end
                   end
                 done

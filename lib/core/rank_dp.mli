@@ -52,9 +52,10 @@ type witness = {
 type tables
 (** The phase-A DP tables of one problem instance, reusable across
     boundary probes: a flat struct-of-arrays {!Front} store (per-cell
-    area/count arrays, binary-search dominance, blit insertion, no
-    per-insert allocation) plus a parent-pointer arena from which
-    witness splits are reconstructed on demand.  The store holds rows
+    area/count arrays, dominance by one forward walk per sorted source
+    chain, blit insertion, no per-insert allocation) plus a
+    parent-pointer arena from which witness splits are reconstructed on
+    demand.  The store holds rows
     [j = 0 .. m-1] of [n + 1] cells each — exactly the rows a boundary
     probe reads (bunches [\[i, c)] meet on pair [j] on top of the row-[j]
     prefix in cell [(j, i)]).  They are not mutated

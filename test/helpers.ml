@@ -52,11 +52,11 @@ type instance = {
    bunches with decreasing lengths.  Shaped so that all the interesting
    regimes appear: sometimes everything fits, sometimes nothing, usually
    in between. *)
-let gen_instance =
+let gen_instance_of ~pairs =
   let open QCheck2.Gen in
   let* stack = gen_stack in
   let* n = int_range 2 8 in
-  let* m_total = int_range 1 3 in
+  let* m_total = pairs in
   let* gates_scale = int_range 1 40 in
   let* clock_ghz = float_range 0.2 4.0 in
   let* fraction = float_range 0.01 0.9 in
@@ -73,7 +73,8 @@ let gen_instance =
     match m_total with
     | 1 -> { Ir_ia.Arch.local_pairs = 0; semi_global_pairs = 1; global_pairs = 0 }
     | 2 -> { Ir_ia.Arch.local_pairs = 0; semi_global_pairs = 1; global_pairs = 1 }
-    | _ -> { Ir_ia.Arch.local_pairs = 1; semi_global_pairs = 1; global_pairs = 1 }
+    | 3 -> { Ir_ia.Arch.local_pairs = 1; semi_global_pairs = 1; global_pairs = 1 }
+    | _ -> { Ir_ia.Arch.local_pairs = 1; semi_global_pairs = 2; global_pairs = 1 }
   in
   let arch = Ir_ia.Arch.make ~structure ~stack ~design () in
   let sorted = List.sort (fun a b -> Float.compare b a) lengths in
@@ -89,6 +90,13 @@ let gen_instance =
       gates clock_ghz fraction
   in
   return { problem; label }
+
+let gen_instance = gen_instance_of ~pairs:(QCheck2.Gen.int_range 1 3)
+
+(* Four pairs: phase A builds rows 0..m-1 and expands all but the last,
+   so only from m = 4 on does it expand a row (2) whose cells hold more
+   than one state — the source chains its dominance pre-check walks. *)
+let gen_instance_4pair = gen_instance_of ~pairs:(QCheck2.Gen.return 4)
 
 let baseline_130nm_small ?(gates = 40_000) ?(bunch_size = 500) () =
   (* A scaled-down version of the paper's baseline that keeps sweeps

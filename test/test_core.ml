@@ -325,11 +325,13 @@ let test_tables_reuse () =
 (* Adversarial instances found by randomized search over the same space as
    Helpers.gen_instance (plus multi-wire bunches): the geometry, clock and
    length literals below are the exact doubles the search reported, frozen
-   so the tests stay deterministic.  [adversarial_problem] rebuilds the
-   instance the way the generator does: lengths sorted descending, then
-   zipped with the per-bunch counts. *)
-let adversarial_problem ~local ~semi ~global ~gates ~clock ~fraction ~counts
-    ~lengths_mm =
+   so the tests stay deterministic.  [adversarial_problem_on] rebuilds
+   the instance the way the generator does: lengths sorted descending,
+   then zipped with the per-bunch counts, on one local pair,
+   [semi_global_pairs] semi-global pairs and one global pair.
+   [adversarial_problem] is the three-pair stack. *)
+let adversarial_problem_on ~semi_global_pairs ~local ~semi ~global ~gates
+    ~clock ~fraction ~counts ~lengths_mm =
   let geometry (width, spacing, thickness, via_width) =
     Ir_tech.Geometry.v ~width ~spacing ~thickness ~via_width ()
   in
@@ -350,7 +352,7 @@ let adversarial_problem ~local ~semi ~global ~gates ~clock ~fraction ~counts
       ~gates ~clock ~repeater_fraction:fraction ()
   in
   let structure =
-    { Ir_ia.Arch.local_pairs = 1; semi_global_pairs = 1; global_pairs = 1 }
+    { Ir_ia.Arch.local_pairs = 1; semi_global_pairs; global_pairs = 1 }
   in
   let arch = Ir_ia.Arch.make ~structure ~stack ~design () in
   let sorted = List.sort (fun a b -> Float.compare b a) lengths_mm in
@@ -361,6 +363,8 @@ let adversarial_problem ~local ~semi ~global ~gates ~clock ~fraction ~counts
          sorted counts)
   in
   P.of_bunches ~arch ~bunches ()
+
+let adversarial_problem = adversarial_problem_on ~semi_global_pairs:1
 
 (* Its phase-A Pareto front exceeds the default width 8 in a row the
    boundary search reads (rows 0..m-1).  Every answer meets all 16 wires
@@ -405,6 +409,30 @@ let row_m_overflow_problem () =
         1.6763933135456763; 2.5346613973237861; 2.9093155040911229;
         0.81223700481588268; 0.95906533186011544; 2.8563330453106883;
         0.3352962962129703; 3.0536133535762913 ]
+
+(* Four pairs, so phase A expands row 2, whose cells hold up to eight
+   states: at width 8 the dominance pre-check places 323 candidates of
+   its translated source chains by the forward walk, and that front
+   truncates in a row the search reads.  The three-pair instances around it never walk:
+   every cell they expand holds one state. *)
+let walking_problem () =
+  adversarial_problem_on ~semi_global_pairs:2
+    ~local:
+      ( 4.8990543226030685e-07, 4.8556755715309295e-07,
+        1.8751473708683241e-07, 3.5596947190824422e-07 )
+    ~semi:
+      ( 1.044520372337587e-07, 1.3144748690281691e-07,
+        1.977565075258717e-07, 1.3588034601968169e-07 )
+    ~global:
+      ( 2.5830994172633693e-07, 1.8502974659981488e-07,
+        1.0156025370891446e-06, 3.6759896510992517e-07 )
+    ~gates:2496 ~clock:3817055294.329402 ~fraction:0.047700761239371475
+    ~counts:[ 1; 2; 1; 2; 1; 2; 2; 2; 2; 2; 2; 1 ]
+    ~lengths_mm:
+      [ 2.918452204324931; 1.5695680162139916; 2.1365094146644279;
+        3.6737327470399164; 3.6736074458307231; 3.3961073840541034;
+        3.334790703130813; 1.0227961412509845; 1.8566398819874819;
+        0.95399995694749062; 0.39954516067682944; 3.2347993621540758 ]
 
 (* A width-1 front already loses the state behind the true optimum. *)
 let rank_changing_problem () =
@@ -711,10 +739,11 @@ let prop_front_powered_matches_reference =
       check_stats_equal ~label front stats)
 
 (* Replays the phase-A build loop of [Rank_dp.build_tables] — the same
-   iteration order, prune conditions and insert sequence — into {e both}
-   a reference list matrix and a [Front], then requires every cell, every
-   splits chain and all three tallies to agree.  Parent ids are read back
-   from the front as the build goes, so this also pins the arena wiring. *)
+   root screen, iteration order, prune conditions and insert sequence —
+   into {e both} a reference list matrix and a [Front], then requires
+   every cell, every splits chain and all three tallies to agree.  Parent
+   ids are read back from the front as the build goes, so this also pins
+   the arena wiring. *)
 let mirror_build ~width problem =
   let n = P.n_bunches problem and m = P.n_pairs problem in
   let cap = P.capacity problem and budget = P.budget problem in
@@ -722,8 +751,15 @@ let mirror_build ~width problem =
   let dp = Array.make_matrix m (n + 1) [] in
   let front = Front.create ~cells:(m * (n + 1)) ~width in
   let cell j i = (j * (n + 1)) + i in
-  dp.(0).(0) <- [ { r_area = 0.0; r_count = 0; r_splits = [] } ];
-  Front.seed front (cell 0 0) ~area:0.0 ~count:0;
+  (* The builder's Definition-3 screen: an instance that does not fit
+     ignoring delay gets no root state, so no level offers a candidate. *)
+  if
+    Ir_assign.Greedy_fill.fits problem
+      (Ir_assign.Greedy_fill.context ~from_bunch:0 ~top_pair:0 ())
+  then begin
+    dp.(0).(0) <- [ { r_area = 0.0; r_count = 0; r_splits = [] } ];
+    Front.seed front (cell 0 0) ~area:0.0 ~count:0
+  end;
   (* Rows 0..m-1, the rows the search reads: level m - 2 is the last. *)
   for j = 0 to m - 2 do
     for i = 0 to n do
@@ -798,13 +834,28 @@ let check_mirror ~label ~width problem =
   done;
   ignore (check_stats_equal ~label front stats);
   (* The tallies must also match the real kernel's build — same loop,
-     same sequence, so the real [build_tables] sees the same overflow. *)
+     same sequence, so the real [build_tables] sees the same overflow and
+     does the same work: every candidate the mirror offers counts as one
+     insert, and every one it rejects as one dominated drop, whether the
+     kernel's pre-check or [Front.insert] made the call.  A pre-check
+     that mis-places a candidate fails here by count even where the
+     front happens to come out right. *)
+  let inserts = Ir_obs.counter "rank_dp/pareto_inserts" in
+  let dominated = Ir_obs.counter "rank_dp/pareto_dominated" in
+  let inserts0 = Ir_obs.value inserts and dominated0 = Ir_obs.value dominated in
   let tables = Ir_core.Rank_dp.build_tables ~max_pareto:width problem in
+  let d_inserts = Ir_obs.value inserts - inserts0 in
+  let d_dominated = Ir_obs.value dominated - dominated0 in
   if Ir_core.Rank_dp.table_truncations tables <> stats.r_truncations then
     QCheck2.Test.fail_reportf "%s: build_tables truncations %d <> mirror %d"
       label
       (Ir_core.Rank_dp.table_truncations tables)
       stats.r_truncations
+  else if d_inserts <> stats.r_inserts || d_dominated <> stats.r_dominated
+  then
+    QCheck2.Test.fail_reportf
+      "%s: build_tables (inserts, dominated) (%d,%d) <> mirror (%d,%d)" label
+      d_inserts d_dominated stats.r_inserts stats.r_dominated
   else true
 
 let prop_front_mirror_build =
@@ -812,6 +863,14 @@ let prop_front_mirror_build =
     Helpers.gen_instance (fun { problem; label } ->
       check_mirror ~label:(label ^ " width=8") ~width:8 problem
       && check_mirror ~label:(label ^ " width=1") ~width:1 problem)
+
+(* The same mirror on four pairs, the smallest stack whose build expands
+   multi-state cells, so the pre-check's forward walk runs. *)
+let prop_front_mirror_build_4pair =
+  qtest ~count:150 "mirrored 4-pair DP build: walked chains equal reference"
+    Helpers.gen_instance_4pair (fun { problem; label } ->
+      check_mirror ~label:(label ^ " width=8") ~width:8 problem
+      && check_mirror ~label:(label ^ " width=3") ~width:3 problem)
 
 let test_front_mirror_adversarial () =
   (* The frozen instances: one overflowing the default width 8, one where
@@ -828,7 +887,13 @@ let test_front_mirror_adversarial () =
     stats.r_truncations;
   let p1 = rank_changing_problem () in
   ignore (check_mirror ~label:"rank-changing width=1" ~width:1 p1);
-  ignore (check_mirror ~label:"rank-changing width=8" ~width:8 p1)
+  ignore (check_mirror ~label:"rank-changing width=8" ~width:8 p1);
+  let pw = walking_problem () in
+  ignore (check_mirror ~label:"walking width=8" ~width:8 pw);
+  ignore (check_mirror ~label:"walking width=16" ~width:16 pw);
+  let _, _, stats, _ = mirror_build ~width:8 pw in
+  Alcotest.(check bool) "walking instance truncates at width 8" true
+    (stats.r_truncations > 0)
 
 let test_front_basics () =
   Alcotest.check_raises "create rejects zero width"
@@ -1082,6 +1147,37 @@ let test_decode_row_m_front () =
     (Option.is_none
        (Ir_core.Rank_dp.decode_tables p
           (blob (Front.create ~cells:((m + 1) * (n + 1)) ~width:w))))
+
+(* Frozen digests of encoded phase-A tables.  The kernel's dominance
+   pre-check only decides which candidates reach [Front.insert], and
+   every decision must be the one a binary search per candidate makes:
+   the digests were taken with that search, so they pin each front,
+   split arena and tally byte for byte. *)
+let test_tables_byte_stable () =
+  let table4_small =
+    let design = Ir_tech.Design.v ~node:Ir_tech.Node.N130 ~gates:40_000 () in
+    Ir_sweep.Table4.baseline_problem
+      { Ir_sweep.Table4.default_config with design; bunch_size = 500 }
+  in
+  List.iter
+    (fun (label, problem, width, digest) ->
+      let t = Ir_core.Rank_dp.build_tables ~max_pareto:width problem in
+      Alcotest.(check string) label digest
+        (Digest.to_hex (Digest.string (Ir_core.Rank_dp.encode_tables t))))
+    [
+      ("overflowing width=8", overflowing_problem (), 8,
+        "fd218d552541b3b6f72f98a77007da8b");
+      ("overflowing width=16", overflowing_problem (), 16,
+        "98ab7f3bdb990df0108e0513887a3239");
+      ("rank-changing width=1", rank_changing_problem (), 1,
+        "a6b5a46ff0e65e5dc7b93cc7b8f7c07d");
+      ("walking width=8", walking_problem (), 8,
+        "2a1d1fd29edb39612a5a964d97706bd1");
+      ("walking width=16", walking_problem (), 16,
+        "307bf4317eca946489c23cd68d69ce9a");
+      ("table-4 small base width=8", table4_small, 8,
+        "a904df97027f99d5d0043088d08ad9e2");
+    ]
 
 (* ---- grid-batched engine ---------------------------------------------- *)
 
@@ -1727,6 +1823,8 @@ let () =
           Alcotest.test_case "table codec fuzz" `Quick test_decode_fuzz;
           Alcotest.test_case "table codec rejects a row-m front" `Quick
             test_decode_row_m_front;
+          Alcotest.test_case "phase-A tables are byte-stable" `Quick
+            test_tables_byte_stable;
         ] );
       ( "grid",
         [
@@ -1756,6 +1854,7 @@ let () =
           prop_front_insert_matches_reference;
           prop_front_powered_matches_reference;
           prop_front_mirror_build;
+          prop_front_mirror_build_4pair;
         ] );
       ( "rank_greedy",
         [
