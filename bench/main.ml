@@ -676,17 +676,19 @@ let pruning_bench () =
   | status -> failwith ("pruning leg: status " ^ status));
   report
 
-(* Power leg: the dual-budget subsystem's four contracts, CI-gated
-   through the exported "power" status.  (a) The soundness anchor: the
-   full Table-4 corpus run power-free and rerun with an explicitly
-   threaded infinite power budget — at a deliberately non-default
-   activity, so the power tables genuinely differ — must be
+(* Power leg: the power budget's four contracts, CI-gated through the
+   exported "power" status.  A power budget is an area cap (kappa times
+   repeater area is power), so these pin that reduction.  (a) The
+   soundness anchor: the full Table-4 corpus run power-free and rerun
+   with an explicitly threaded infinite power budget — at a deliberately
+   non-default activity, so kappa genuinely differs — must be
    byte-identical: every rank, every exact flag, every counter.  (b)
    The Power_pareto frontier evaluated at jobs=1 and jobs=N must return
-   identical rows with identical power/* (and all other) counters.
-   (c) The shared power-mode build must agree point for point with one
-   independent one-cell compute per budget (Rank_grid.compute on the
-   problem rebound to that power budget).
+   identical rows with identical counters.  (c) Every frontier row,
+   answered from one resident plane by budget rebinding, must agree with
+   an independent one-cell compute at that row's power budget
+   (Rank_grid.compute on the problem rebound through
+   Problem.with_power_budget): rank, exact flag and reported watts.
    (d) The frontier is monotone and its fraction-1.0 point recovers the
    unconstrained rank.  Any violation fails the bench process; the
    frontier's shape goes to power_pareto.csv, reported, never gated. *)
@@ -740,8 +742,8 @@ let power_bench () =
     end
   in
   Ir_obs.reset ();
-  (* Sharing cross-check on outcomes only: every frontier point against
-     its own build at that power budget, nothing shared. *)
+  (* Sharing cross-check: every frontier point, answered from the shared
+     plane, against its own build at that power budget, nothing shared. *)
   let engines_agree =
     let base = Ir_sweep.Table4.baseline_problem config in
     List.for_all

@@ -150,8 +150,8 @@ let power_budget_arg =
         ~doc:
           "Repeater power budget in watts ($(b,inf), the default, means \
            unconstrained — byte-identical to not having the flag).  A \
-           finite budget runs the DP in power mode and requires the \
-           $(b,dp) algorithm.")
+           finite budget caps the repeater area at its power equivalent \
+           and requires the $(b,dp) algorithm.")
 
 let algo =
   let algo_conv =

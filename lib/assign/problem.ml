@@ -29,22 +29,16 @@ type t = {
      constraint).  +infinity from the first bunch infeasible on every
      pair onward: no assignment can meet past it. *)
   min_rep_area_prefix : float array;
-  (* Repeater power model (the second budget axis).  activity is the
-     switching activity factor; power_budget is in watts, infinity =
-     unconstrained (the default — the DP only enters power mode on a
-     finite budget, so infinite-budget instances take exactly the
-     historical code paths).  per_rep_power.(j): watts per repeater on
-     pair j — activity * C_in(s_opt) * Vdd^2 * f_clock dynamic term plus
-     s_opt-proportional leakage.  min_rep_power_prefix.(i): the power
-     analog of min_rep_area_prefix — each bunch takes the pair with the
-     cheapest power independently, so the prefix difference is an
-     admissible lower bound on any suffix's power (the bound may pick
-     different pairs per axis; each axis's bound is admissible on its
-     own). *)
+  (* Repeater power model.  A repeater of size s burns
+     s * (activity * c_o * Vdd^2 * f + leakage_per_size) watts and
+     occupies s * A_dev of silicon, so power is kappa times repeater area
+     on every pair.  A power budget P is therefore an area cap:
+     area_cap = max { a : kappa *. a <= P } (infinity when P is), and
+     [budget] is the smaller of the area budget and the cap. *)
   activity : float;
   power_budget : float;
-  per_rep_power : float array;
-  min_rep_power_prefix : float array;
+  kappa : float;  (* watts per m^2 of repeater area *)
+  area_cap : float;
 }
 
 let arch t = t.arch
@@ -59,7 +53,9 @@ let bunch_count t b = t.bunches.(b).Ir_wld.Dist.count
 let[@inline] wires_before t i = t.wire_prefix.(i)
 let target t b = t.targets.(b)
 let capacity t = Ir_ia.Arch.pair_capacity t.arch
-let budget t = Ir_ia.Arch.repeater_budget t.arch
+let budget t =
+  let a = Ir_ia.Arch.repeater_budget t.arch in
+  if t.area_cap < a then t.area_cap else a
 
 let[@inline] blocked t ~pair ~wires_above ~reps_above =
   Ir_ia.Arch.blocked_area t.arch ~pair_index:pair ~wires_above
@@ -81,23 +77,10 @@ let[@inline] meeting_area t ~pair ~lo ~hi =
 let[@inline] meeting_count t ~pair ~lo ~hi =
   t.rep_count_prefix.(pair).(hi) - t.rep_count_prefix.(pair).(lo)
 
-(* Interval power is count * per-repeater power — the count is exact (int
-   prefix difference), so this is the one float product per interval, and
-   summing intervals top-down reproduces the DP's own accumulation
-   byte-for-byte (same expressions in the same order). *)
-let meeting_power t ~pair ~lo ~hi =
-  float_of_int (t.rep_count_prefix.(pair).(hi) - t.rep_count_prefix.(pair).(lo))
-  *. t.per_rep_power.(pair)
-
 let min_rep_area_before t i = t.min_rep_area_prefix.(i)
 let activity t = t.activity
 let power_budget t = t.power_budget
-let power_budgeted t = t.power_budget < infinity
-let per_rep_power t ~pair = t.per_rep_power.(pair)
-let min_rep_power_before t i = t.min_rep_power_prefix.(i)
-let with_power_budget t b =
-  if not (b > 0.0) then invalid_arg "Problem.with_power_budget: budget <= 0";
-  { t with power_budget = b }
+let kappa t = t.kappa
 
 let meeting_cost t ~pair ~lo ~hi =
   if meeting_feasible t ~pair ~lo ~hi then
@@ -202,45 +185,48 @@ let repeater_tables ~arch ~noise_limit ~targets bunches =
   done;
   (eta, rep_area_prefix, rep_count_prefix, bad_prefix, min_rep_area_prefix)
 
-(* Power tables: watts per repeater per pair, and the fractional-relaxation
-   power prefix.  Depends on eta (hence the clock / materials / noise
-   limit) and on the activity factor, but — like every repeater table —
-   not on either budget. *)
 let default_activity = 0.15
 
-let power_tables ~arch ~activity ~eta bunches =
-  let n = Array.length bunches in
-  let m = Ir_ia.Arch.pair_count arch in
+(* Watts per m^2 of repeater area: a size-s repeater presents s * c_o of
+   input capacitance, toggled at activity * f_clock, plus leakage
+   proportional to s, over s * A_dev of silicon — s cancels, so one
+   constant serves every pair (DESIGN section 17). *)
+let kappa_of ~arch ~activity =
   let design = arch.Ir_ia.Arch.design in
   let node = design.Ir_tech.Design.node in
-  let clock = design.Ir_tech.Design.clock in
   let vdd = Ir_tech.Node.vdd node in
-  let leak = Ir_tech.Node.leakage_per_size node in
-  let c_o = arch.Ir_ia.Arch.device.Ir_tech.Device.c_o in
-  let per_rep_power =
-    Array.init m (fun j ->
-        let s = (Ir_ia.Arch.pair arch j).Ir_ia.Layer_pair.s_opt in
-        (* Dynamic switching: a size-s repeater presents s * c_o of input
-           capacitance, toggled at activity * f_clock; static: leakage
-           scales with the size.  Eq. per DESIGN section 17. *)
-        (activity *. s *. c_o *. vdd *. vdd *. clock) +. (leak *. s))
-  in
-  let min_rep_power_prefix = Array.make (n + 1) 0.0 in
-  for b = 0 to n - 1 do
-    let best = ref infinity in
-    for j = 0 to m - 1 do
-      let e = eta.(j).(b) in
-      if e >= 0 then begin
-        let w =
-          float_of_int (bunches.(b).Ir_wld.Dist.count * e)
-          *. per_rep_power.(j)
-        in
-        if w < !best then best := w
-      end
+  let device = arch.Ir_ia.Arch.device in
+  ((activity *. device.Ir_tech.Device.c_o *. vdd *. vdd
+   *. design.Ir_tech.Design.clock)
+  +. Ir_tech.Node.leakage_per_size node)
+  /. device.Ir_tech.Device.area
+
+(* The largest area whose reported power [kappa *. a] is within [p].
+   [p /. kappa] can land one ulp either side of it, so step to the exact
+   boundary: rounding is monotone, so the admissible areas are an
+   interval and a witness reported at [p] watts stays admissible at [p]. *)
+let area_cap_of ~kappa p =
+  if p = infinity then infinity
+  else begin
+    let b = ref (p /. kappa) in
+    while kappa *. !b > p do
+      b := Float.pred !b
     done;
-    min_rep_power_prefix.(b + 1) <- min_rep_power_prefix.(b) +. !best
-  done;
-  (per_rep_power, min_rep_power_prefix)
+    while kappa *. Float.succ !b <= p do
+      b := Float.succ !b
+    done;
+    !b
+  end
+
+let with_power t ~activity ~power_budget =
+  let kappa = kappa_of ~arch:t.arch ~activity in
+  {
+    t with
+    activity;
+    power_budget;
+    kappa;
+    area_cap = area_cap_of ~kappa power_budget;
+  }
 
 let build ?(activity = default_activity) ?(power_budget = infinity) ~arch
     ~target_model ~noise_limit bunches =
@@ -270,9 +256,7 @@ let build ?(activity = default_activity) ?(power_budget = infinity) ~arch
       =
     repeater_tables ~arch ~noise_limit ~targets bunches
   in
-  let per_rep_power, min_rep_power_prefix =
-    power_tables ~arch ~activity ~eta bunches
-  in
+  with_power ~activity ~power_budget
   {
     arch;
     target_model;
@@ -288,8 +272,8 @@ let build ?(activity = default_activity) ?(power_budget = infinity) ~arch
     min_rep_area_prefix;
     activity;
     power_budget;
-    per_rep_power;
-    min_rep_power_prefix;
+    kappa = 0.0;
+    area_cap = infinity;
   }
 
 let of_bunches ?(target_model = Ir_delay.Target.Linear) ?noise_limit
@@ -334,10 +318,8 @@ let with_materials t materials =
     repeater_tables ~arch ~noise_limit:t.noise_limit ~targets:t.targets
       t.bunches
   in
-  (* The electricals moved s_opt, hence the per-repeater power. *)
-  let per_rep_power, min_rep_power_prefix =
-    power_tables ~arch ~activity:t.activity ~eta t.bunches
-  in
+  (* kappa reads only the device and the design, which materials leave
+     alone, so it and the area cap carry over. *)
   {
     t with
     arch;
@@ -346,8 +328,6 @@ let with_materials t materials =
     rep_count_prefix;
     bad_prefix;
     min_rep_area_prefix;
-    per_rep_power;
-    min_rep_power_prefix;
   }
 
 (* A clock change moves only the per-bunch targets and everything derived
@@ -361,30 +341,27 @@ let with_clock t clock =
       =
     repeater_tables ~arch ~noise_limit:t.noise_limit ~targets t.bunches
   in
-  (* The dynamic power term is proportional to the clock; eta moved too. *)
-  let per_rep_power, min_rep_power_prefix =
-    power_tables ~arch ~activity:t.activity ~eta t.bunches
-  in
-  {
-    t with
-    arch;
-    targets;
-    eta;
-    rep_area_prefix;
-    rep_count_prefix;
-    bad_prefix;
-    min_rep_area_prefix;
-    per_rep_power;
-    min_rep_power_prefix;
-  }
+  (* The dynamic power term is proportional to the clock: kappa, and
+     with it the area cap, moves too. *)
+  with_power ~activity:t.activity ~power_budget:t.power_budget
+    {
+      t with
+      arch;
+      targets;
+      eta;
+      rep_area_prefix;
+      rep_count_prefix;
+      bad_prefix;
+      min_rep_area_prefix;
+    }
 
-(* Only the power tables depend on the activity factor — everything else
-   is reused verbatim.  The eta matrix is private state; recompute the
-   power tables from it directly. *)
+(* Power enters no table: a new budget or activity moves only kappa and
+   the area cap. *)
+let with_power_budget t b =
+  if not (b > 0.0) then invalid_arg "Problem.with_power_budget: budget <= 0";
+  with_power t ~activity:t.activity ~power_budget:b
+
 let with_activity t activity =
   if not (activity > 0.0 && activity <= 1.0) then
     invalid_arg "Problem.with_activity: activity must be in (0, 1]";
-  let per_rep_power, min_rep_power_prefix =
-    power_tables ~arch:t.arch ~activity ~eta:t.eta t.bunches
-  in
-  { t with activity; per_rep_power; min_rep_power_prefix }
+  with_power t ~activity ~power_budget:t.power_budget

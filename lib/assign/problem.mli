@@ -33,8 +33,9 @@ val make :
 
     [activity] (default {!default_activity}) is the switching activity
     factor of the repeater power model; [power_budget] (watts, default
-    [infinity] = unconstrained) is the second budget axis.  Both are
-    validated: activity in (0, 1], budget positive.
+    [infinity] = unconstrained) caps the repeater area at its
+    {!kappa}-equivalent (see {!budget}).  Both are validated: activity in
+    (0, 1], budget positive.
     @raise Invalid_argument on an empty WLD. *)
 
 val of_bunches :
@@ -79,7 +80,11 @@ val capacity : t -> float
 (** Routing capacity of each layer-pair before via blockage, m^2. *)
 
 val budget : t -> float
-(** Repeater area budget A_R, m^2. *)
+(** Repeater area budget A_R, m^2: the smaller of the fraction-of-die
+    budget and the power budget's area cap
+    [max { a : kappa t *. a <= power_budget t }] (the largest area whose
+    reported power is within the budget, exact to the ulp).  This is the
+    only place the power budget enters the DP. *)
 
 val default_activity : float
 (** Default switching activity factor (0.15, the conventional estimate
@@ -91,14 +96,14 @@ val activity : t -> float
 val power_budget : t -> float
 (** Repeater power budget P_R, watts; [infinity] when unconstrained. *)
 
-val power_budgeted : t -> bool
-(** [power_budget t < infinity] — whether the DP must run in power mode. *)
-
-val per_rep_power : t -> pair:int -> float
-(** Watts consumed by one repeater on [pair]:
-    [activity * (s_opt * c_o) * Vdd^2 * f_clock + s_opt * leakage].
+val kappa : t -> float
+(** Watts per m^2 of repeater area:
+    [(activity * c_o * Vdd^2 * f_clock + leakage_per_size) / A_dev].  A
+    size-[s] repeater burns [s] times the numerator and occupies [s *
+    A_dev], so power is [kappa] times repeater area on every pair.
     Calibration constants come from {!Ir_tech.Node} ([vdd],
-    [leakage_per_size]); the activity factor is this instance's. *)
+    [leakage_per_size]) and the node's device; the activity factor is
+    this instance's. *)
 
 val blocked : t -> pair:int -> wires_above:int -> reps_above:int -> float
 (** Via-blocked area on [pair] given wires and repeaters on pairs above. *)
@@ -133,13 +138,6 @@ val meeting_count : t -> pair:int -> lo:int -> hi:int -> int
     int)] per call — hundreds of millions of calls per table build in the
     rank DP made that option the dominant allocation source. *)
 
-val meeting_power : t -> pair:int -> lo:int -> hi:int -> float
-(** Watts the interval's repeaters burn: {!meeting_count} times
-    {!per_rep_power} — the O(1) incremental form the DP's power mode
-    accumulates along a chain.  Summing intervals top-down reproduces the
-    accumulated per-state power byte-for-byte (same float products in the
-    same order).  Meaningful only when {!meeting_feasible} holds. *)
-
 val min_rep_area_before : t -> int -> float
 (** [min_rep_area_before t i] is a {e lower bound} on the repeater area
     any assignment must spend to meet the targets of bunches [[0..i)]:
@@ -153,14 +151,6 @@ val min_rep_area_before : t -> int -> float
     as an admissible bound.  Like the other repeater tables this is
     budget-independent, so it survives {!with_repeater_fraction}
     verbatim. *)
-
-val min_rep_power_before : t -> int -> float
-(** The power analog of {!min_rep_area_before}: a lower bound (watts) on
-    the repeater power any assignment must spend to meet bunches
-    [[0..i)], each bunch independently on its power-cheapest pair.  The
-    per-axis minima may pick different pairs — each axis's bound is
-    admissible on its own, which is all the componentwise pruning bound
-    needs.  Budget-independent like the area prefix. *)
 
 val wire_delay_on_pair : t -> pair:int -> eta:int -> float -> float
 (** Eq. (3) delay of a single wire of the given length (m) on [pair] with
@@ -184,16 +174,13 @@ val with_repeater_fraction : t -> float -> t
 
 val with_power_budget : t -> float -> t
 (** [with_power_budget t p] is [t] with the repeater power budget set to
-    [p] watts — a pure rebind, every table shared verbatim (the power
-    budget, like the area budget, enters no precomputed table).  This is
-    what lets one power-mode build answer a whole power-budget sweep
-    ([Rank_grid.compute_pareto_power]'s displacement argument).
+    [p] watts — a pure rebind: only {!budget}'s area cap moves, every
+    table is shared verbatim.
     @raise Invalid_argument if [p <= 0] ([infinity] is allowed). *)
 
 val with_activity : t -> float -> t
-(** [with_activity t a] rebuilds only the power tables (per-repeater
-    power and its relaxation prefix) at activity factor [a]; everything
-    else is shared verbatim.
+(** [with_activity t a] is [t] at activity factor [a]: {!kappa} and the
+    area cap move, every table is shared verbatim.
     @raise Invalid_argument if [a] is outside (0, 1]. *)
 
 val with_clock : t -> float -> t

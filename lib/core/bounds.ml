@@ -47,32 +47,6 @@ let optimistic_boundary t ~budget ~area ~from =
   done;
   !lo
 
-(* The power analog — same slack rationale (the DP accumulates interval
-   powers one product at a time, the prefix sums per-bunch minima; both
-   agree to ~n*ulp). *)
-let suffix_power t ~from ~target =
-  if target <= from then 0.0
-  else
-    (P.min_rep_power_before t.problem target
-    -. P.min_rep_power_before t.problem from)
-    *. slack
-
-(* Componentwise optimistic boundary: both relaxation prefixes are
-   non-decreasing, so the conjunction of the two budget predicates is
-   monotone in c and one binary search decides it exactly.  Equals
-   [optimistic_boundary] whenever the power budget is infinite. *)
-let optimistic_boundary_pw t ~budget ~power_budget ~area ~power ~from =
-  let lo = ref from and hi = ref t.n in
-  while !hi > !lo do
-    let mid = !lo + ((!hi - !lo + 1) / 2) in
-    if
-      area +. suffix_cost t ~from ~target:mid <= budget
-      && power +. suffix_power t ~from ~target:mid <= power_budget
-    then lo := mid
-    else hi := mid - 1
-  done;
-  !lo
-
 (* thresh.(i): the largest prefix repeater area a column-i state may
    carry and still conceivably reach boundary >= incumbent + 1 within
    [budget].  Written so the comparisons in the DP hot loop degrade
@@ -89,19 +63,6 @@ let fill_thresholds t ~budget ~incumbent thresh =
     let c_star = incumbent + 1 in
     for i = 0 to n do
       thresh.(i) <- budget -. suffix_cost t ~from:i ~target:c_star
-    done
-
-(* Power-axis thresholds, identical shape: a power-mode state at column i
-   whose accumulated power exceeds [power_budget - suffix_power(i ->
-   incumbent+1)] cannot beat the incumbent within the power budget. *)
-let fill_power_thresholds t ~power_budget ~incumbent thresh =
-  let n = t.n in
-  if incumbent < 0 then Array.fill thresh 0 (n + 1) infinity
-  else if incumbent >= n then Array.fill thresh 0 (n + 1) neg_infinity
-  else
-    let c_star = incumbent + 1 in
-    for i = 0 to n do
-      thresh.(i) <- power_budget -. suffix_power t ~from:i ~target:c_star
     done
 
 (* The O(pairs) suffix screen, by construction the exact computation
@@ -146,26 +107,20 @@ let probe_nothing =
    refusal the probe degrades to boundary 0, which is achievable exactly
    when the instance passes the Definition-3 screen — [Rank_dp.builder]
    drops the pruning context of a build that fails it. *)
-let chain_probe ?scratch ?(power = 0.0) t ~budget ~from_pair ~from_col ~area
-    ~count =
+let chain_probe ?scratch t ~budget ~from_pair ~from_col ~area ~count =
   let p = t.problem in
   let n = t.n in
   let m = P.n_pairs p in
   let cap = P.capacity p in
-  (* The power budget rides along componentwise: with the default
-     infinite budget every power comparison is trivially true and the
-     chain (and its packer calls) is exactly the historical one. *)
-  let pbudget = P.power_budget p in
   let npairs = m - from_pair in
   if npairs <= 0 then None
   else begin
     (* ends.(jj): met prefix after extension pair [from_pair + jj];
-       areas/counts/powers.(jj): cumulative repeater cost strictly above
-       it, seeded with the start state's own area, count and power. *)
+       areas/counts.(jj): cumulative repeater cost strictly above it,
+       seeded with the start state's own area and count. *)
     let ends = Array.make npairs from_col in
     let areas = Array.make (npairs + 1) area in
     let counts = Array.make (npairs + 1) count in
-    let powers = Array.make (npairs + 1) power in
     let last = ref from_col in
     for jj = 0 to npairs - 1 do
       let j = from_pair + jj in
@@ -178,8 +133,6 @@ let chain_probe ?scratch ?(power = 0.0) t ~budget ~from_pair ~from_col ~area
         c = lo_j
         || P.meeting_feasible p ~pair:j ~lo:lo_j ~hi:c
            && areas.(jj) +. P.meeting_area p ~pair:j ~lo:lo_j ~hi:c <= budget
-           && powers.(jj) +. P.meeting_power p ~pair:j ~lo:lo_j ~hi:c
-              <= pbudget
            && P.interval_area p ~pair:j ~lo:lo_j ~hi:c +. blocked_j <= cap
       in
       let lo = ref lo_j and hi = ref n in
@@ -191,16 +144,13 @@ let chain_probe ?scratch ?(power = 0.0) t ~budget ~from_pair ~from_col ~area
       ends.(jj) <- e;
       if e = lo_j then begin
         areas.(jj + 1) <- areas.(jj);
-        counts.(jj + 1) <- counts.(jj);
-        powers.(jj + 1) <- powers.(jj)
+        counts.(jj + 1) <- counts.(jj)
       end
       else begin
         areas.(jj + 1) <-
           areas.(jj) +. P.meeting_area p ~pair:j ~lo:lo_j ~hi:e;
         counts.(jj + 1) <-
-          counts.(jj) + P.meeting_count p ~pair:j ~lo:lo_j ~hi:e;
-        powers.(jj + 1) <-
-          powers.(jj) +. P.meeting_power p ~pair:j ~lo:lo_j ~hi:e
+          counts.(jj) + P.meeting_count p ~pair:j ~lo:lo_j ~hi:e
       end;
       last := e
     done;

@@ -50,28 +50,6 @@ val optimistic_boundary : t -> budget:float -> area:float -> from:int -> int
     above); exposed for tests and diagnostics — the hot path uses
     {!fill_thresholds} instead. *)
 
-val suffix_power : t -> from:int -> target:int -> float
-(** The power-axis analog of {!suffix_cost}: slack-scaled admissible
-    lower bound (watts) on the repeater power needed to meet bunches
-    [[from..target)] ({!Ir_assign.Problem.min_rep_power_before}
-    differenced).  The per-axis relaxations may pick different pairs per
-    bunch — each bound is admissible on its own axis, which is all the
-    componentwise pruning below needs. *)
-
-val optimistic_boundary_pw :
-  t ->
-  budget:float ->
-  power_budget:float ->
-  area:float ->
-  power:float ->
-  from:int ->
-  int
-(** Componentwise {!optimistic_boundary}: largest [c] satisfying both
-    the area and the power budget predicates.  Both relaxation prefixes
-    are non-decreasing, so the conjunction is monotone in [c] and one
-    binary search decides it exactly.  Equal to {!optimistic_boundary}
-    whenever [power_budget] is [infinity]. *)
-
 val fill_thresholds : t -> budget:float -> incumbent:int -> float array -> unit
 (** [fill_thresholds t ~budget ~incumbent thresh] writes, for each
     column [i <= n], the largest prefix area a state there may carry
@@ -81,13 +59,6 @@ val fill_thresholds : t -> budget:float -> incumbent:int -> float array -> unit
     per state.  [incumbent < 0] writes [+infinity] everywhere (pruning
     off), [incumbent >= n] writes [neg_infinity] (nothing can beat a
     full rank).  [thresh] must have length [>= n + 1]. *)
-
-val fill_power_thresholds :
-  t -> power_budget:float -> incumbent:int -> float array -> unit
-(** {!fill_thresholds} on the power axis: [thresh.(i) = power_budget -.
-    suffix_power ~from:i ~target:(incumbent+1)], with the same sentinel
-    conventions for [incumbent < 0] / [incumbent >= n].  The power-mode
-    DP prunes a state iff it fails {e either} axis's threshold. *)
 
 val suffix_reject : t -> Ir_assign.Greedy_fill.context -> bool
 (** {!Ir_assign.Greedy_fill.fast_reject} on the oracle's problem:
@@ -108,7 +79,6 @@ type probe = {
 
 val chain_probe :
   ?scratch:Ir_assign.Scratch.t ->
-  ?power:float ->
   t ->
   budget:float ->
   from_pair:int ->
@@ -125,14 +95,7 @@ val chain_probe :
     caller prepends the start state's own split history.
     [pb_reps_above] includes the start state's [count].  [None] when no
     boundary at all could be certified (even the degenerate empty
-    extension's suffix was refused, or no pairs remain).
-
-    [power] (default [0.]) is the start state's accumulated repeater
-    power; the chain's expansion screen then also enforces the problem's
-    power budget componentwise (the suffix beyond the boundary carries
-    zero repeaters, hence zero power, so the packer side needs no power
-    check).  With the default infinite budget the chain is exactly the
-    historical one. *)
+    extension's suffix was refused, or no pairs remain). *)
 val pessimistic_probe :
   ?scratch:Ir_assign.Scratch.t -> t -> budget:float -> probe
 (** [chain_probe] from the root (column 0, empty prefix): the
@@ -154,7 +117,6 @@ val note_incumbent : unit -> unit
 
 val note_gated : unit -> unit
 (** One optimistic-bound pre-check just gated (skipped) a chain-probe
-    packer call: the state's {!optimistic_boundary} (componentwise in
-    power mode) could not beat the incumbent, so the probe was never
-    run.  Deterministic like the rest — the gate reads the incumbent at
+    packer call: the state's {!optimistic_boundary} could not beat the
+    incumbent, so the probe was never run.  Deterministic like the rest — the gate reads the incumbent at
     a sequential barrier. *)

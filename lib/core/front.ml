@@ -60,15 +60,11 @@ type t = {
   cells : int;
   area : farray;  (* cells * stride, area-ascending per cell *)
   count : iarray;  (* cells * stride, count-descending per cell *)
-  (* Third objective plane, allocated only for power-mode stores
-     ([create ~powered:true]); length 0 otherwise so the 2-way paths pay
-     nothing.  In a powered store areas still ascend per cell but counts
-     no longer necessarily descend (3-way Pareto sets have no 2-D sorted
-     structure), so the 2-way binary-search entry point ([insert]) must
-     not be used — [seed_pw]/[insert_pw] below scan
-     linearly, which is cheap at width <= a few dozen. *)
-  power : farray;  (* cells * stride when powered, else empty *)
-  powered : bool;
+  (* Two retired slots (an empty float plane and [false]), kept so the
+     record marshals exactly as snapshot layout /3 did: the encoded
+     tables, and the digests pinned on them, do not move. *)
+  retired_plane : farray;
+  retired_flag : bool;
   state : iarray;  (* cells * stride, arena id per element *)
   len : iarray;  (* cells *)
   (* Parent-pointer arena: one (split, parent) pair per live state.  Ids
@@ -97,7 +93,7 @@ type t = {
 
 let no_parent = -1
 
-let create_gen ~powered ~cells ~width =
+let create ~cells ~width =
   if cells <= 0 then invalid_arg "Front.create: cells must be positive";
   if width <= 0 then invalid_arg "Front.create: width must be positive";
   let stride = width + 1 in
@@ -107,8 +103,8 @@ let create_gen ~powered ~cells ~width =
     cells;
     area = falloc (cells * stride);
     count = ialloc (cells * stride);
-    power = falloc (if powered then cells * stride else 0);
-    powered;
+    retired_plane = falloc 0;
+    retired_flag = false;
     state = ialloc ~init:no_parent (cells * stride);
     len = ialloc cells;
     arena_split = ialloc 256;
@@ -122,16 +118,11 @@ let create_gen ~powered ~cells ~width =
     truncations = 0;
   }
 
-let create ~cells ~width = create_gen ~powered:false ~cells ~width
-let create_powered ~cells ~width = create_gen ~powered:true ~cells ~width
-
 let width t = t.width
 let cells t = t.cells
-let powered t = t.powered
 let length t cell = t.len.{cell}
 let area t cell k = t.area.{(cell * t.stride) + k}
 let count t cell k = t.count.{(cell * t.stride) + k}
-let power t cell k = t.power.{(cell * t.stride) + k}
 let state t cell k = t.state.{(cell * t.stride) + k}
 
 (* Area-ascending order makes the minimum the first element. *)
@@ -142,7 +133,6 @@ let stride t = t.stride
    these aliases stay valid for the lifetime of [t]. *)
 let raw_area t = t.area
 let raw_count t = t.count
-let raw_power t = t.power
 let raw_len t = t.len
 let inserts t = t.inserts
 let dominated t = t.dominated
@@ -191,7 +181,6 @@ let seed t cell ~area ~count =
   let base = cell * t.stride in
   t.area.{base} <- area;
   t.count.{base} <- count;
-  if t.powered then t.power.{base} <- 0.0;
   t.state.{base} <- alloc_state t ~split:(-1) ~parent:no_parent;
   t.len.{cell} <- 1
 
@@ -247,84 +236,6 @@ let insert t cell ~area:a ~count:c ~split ~parent =
       t.area.{base + t.width - 1} <- t.area.{base + n' - 1};
       t.count.{base + t.width - 1} <- t.count.{base + n' - 1};
       t.state.{base + t.width - 1} <- t.state.{base + n' - 1};
-      t.len.{cell} <- t.width
-    end
-    else t.len.{cell} <- n'
-  end
-
-(* ---- 3-way (area, count, power) operations ----------------------------- *)
-
-(* The 2-way fast paths above lean on the sorted-both-ways invariant; a
-   3-objective Pareto set only keeps areas ascending, so dominance and
-   eviction are linear scans.  Width is small (max_pareto, default 8), so
-   the scans cost about what the binary searches do — the point of the
-   separate entry points is that the 2-way code above stays byte-for-byte
-   untouched for every power-blind build. *)
-
-let covers_pw t cell ~area:a ~count:c ~power:w =
-  let base = cell * t.stride in
-  let n = t.len.{cell} in
-  let k = ref 0 and hit = ref false in
-  while (not !hit) && !k < n do
-    if
-      t.area.{base + !k} <= a
-      && t.count.{base + !k} <= c
-      && t.power.{base + !k} <= w
-    then hit := true;
-    incr k
-  done;
-  !hit
-
-let insert_pw t cell ~area:a ~count:c ~power:w ~split ~parent =
-  t.inserts <- t.inserts + 1;
-  if covers_pw t cell ~area:a ~count:c ~power:w then
-    t.dominated <- t.dominated + 1
-  else begin
-    let base = cell * t.stride in
-    let n = t.len.{cell} in
-    (* Compact the survivors (elements the candidate does not dominate)
-       in place, preserving their area-ascending order. *)
-    let keep = ref 0 in
-    for k = 0 to n - 1 do
-      if a <= t.area.{base + k} && c <= t.count.{base + k}
-         && w <= t.power.{base + k}
-      then release_state t t.state.{base + k}
-      else begin
-        if !keep <> k then begin
-          t.area.{base + !keep} <- t.area.{base + k};
-          t.count.{base + !keep} <- t.count.{base + k};
-          t.power.{base + !keep} <- t.power.{base + k};
-          t.state.{base + !keep} <- t.state.{base + k}
-        end;
-        incr keep
-      end
-    done;
-    let n = !keep in
-    (* Insert position: after every element of equal or smaller area
-       (deterministic tie order, same convention as the 2-way path). *)
-    let p = ref 0 in
-    while !p < n && t.area.{base + !p} <= a do
-      incr p
-    done;
-    let p = !p in
-    let tail = n - p in
-    fblit t.area ~src:(base + p) ~dst:(base + p + 1) ~len:tail;
-    iblit t.count ~src:(base + p) ~dst:(base + p + 1) ~len:tail;
-    fblit t.power ~src:(base + p) ~dst:(base + p + 1) ~len:tail;
-    iblit t.state ~src:(base + p) ~dst:(base + p + 1) ~len:tail;
-    t.area.{base + p} <- a;
-    t.count.{base + p} <- c;
-    t.power.{base + p} <- w;
-    t.state.{base + p} <- alloc_state t ~split ~parent;
-    let n' = n + 1 in
-    if n' > t.width then begin
-      (* Width overflow drops the largest-area state (possibly the
-         candidate itself).  Any deterministic rule is sound here — the
-         drop is counted in [truncations], which forfeits the exact
-         claim and drives the widening ladder exactly as in 2-way
-         mode. *)
-      t.truncations <- t.truncations + 1;
-      release_state t t.state.{base + n' - 1};
       t.len.{cell} <- t.width
     end
     else t.len.{cell} <- n'

@@ -34,22 +34,10 @@ val create : cells : int -> width : int -> t
     [width] ([max_pareto]) each.  Raises [Invalid_argument] unless both
     are positive. *)
 
-val create_powered : cells : int -> width : int -> t
-(** {!create} with a third objective plane (power, watts) allocated
-    beside area and count, for 3-way Pareto builds.  In a powered store
-    areas still ascend per cell but counts need not descend, so use only
-    {!seed}, {!insert_pw} and {!covers_pw} on it — the 2-way
-    {!insert} binary searches assume the 2-D sorted invariant
-    and must not be mixed in.  {!powered} tells the two kinds apart. *)
-
 val width : t -> int
 
 val cells : t -> int
 (** The cell count the store was created for. *)
-
-val powered : t -> bool
-(** Whether the store carries the power plane (created via
-    {!create_powered}). *)
 
 (** {1 Front access}
 
@@ -59,10 +47,6 @@ val powered : t -> bool
 val length : t -> int -> int
 val area : t -> int -> int -> float
 val count : t -> int -> int -> int
-
-val power : t -> int -> int -> float
-(** Power coordinate of the element, watts.  Powered stores only —
-    reading it on a 2-way store is out of bounds. *)
 
 val state : t -> int -> int -> int
 (** Arena id of the element, for {!splits} and as [~parent] of successor
@@ -92,9 +76,6 @@ val raw_area : t -> farray
 val raw_count : t -> iarray
 val raw_len : t -> iarray
 
-val raw_power : t -> farray
-(** The power plane (empty on 2-way stores); same aliasing contract. *)
-
 (** {1 Building} *)
 
 val seed : t -> int -> area : float -> count : int -> unit
@@ -113,36 +94,6 @@ val insert :
     min-count last one are kept and {!truncations} grows by the number
     dropped.  [parent] is the arena id of the predecessor state
     ({!Front.state}), or [-1] for a root. *)
-
-(** {1 3-way operations (powered stores)}
-
-    With a third objective the Pareto set loses its 2-D sorted structure
-    (only areas stay ascending), so dominance and eviction are O(width)
-    linear scans — equivalent in cost to the binary searches at the
-    default width.  These are the only mutation/query entry points valid
-    on a powered store (besides {!seed}, whose root state has power 0). *)
-
-val insert_pw :
-  t ->
-  int ->
-  area : float ->
-  count : int ->
-  power : float ->
-  split : int ->
-  parent : int ->
-  unit
-(** 3-way {!insert}: the candidate is dropped if some element has area,
-    count {e and} power all [<=] (counted in {!dominated}); otherwise it
-    evicts the elements it dominates and lands in area order.  On width
-    overflow the largest-area element is dropped and {!truncations}
-    grows — same exactness forfeit and widening-ladder trigger as the
-    2-way rule (the specific drop choice is sound because truncation
-    already downgrades the build to a lower bound). *)
-
-val covers_pw : t -> int -> area : float -> count : int -> power : float -> bool
-(** Does the cell already hold an element with area, count and power
-    all [<=] the candidate's?  {!insert_pw}'s dominance pre-check,
-    without the insertion; no statistics move. *)
 
 (** {1 Witness reconstruction} *)
 

@@ -23,13 +23,6 @@ let stat_hinted = Ir_obs.counter "rank_dp/hinted_searches"
 let stat_hint_saved = Ir_obs.counter "rank_dp/hint_saved_probes"
 let stat_fan_rounds = Ir_obs.counter "rank_dp/probe_fan_rounds"
 
-(* Power-mode instruments, moved only by power-budgeted builds/queries:
-   with an infinite power budget the historical code paths run and these
-   stay at zero — which is itself asserted by the bench identity leg.
-   Deterministic like the rest (per-build tallies, sequential flush). *)
-let stat_power_states = Ir_obs.counter "power/states"
-let stat_power_wrejects = Ir_obs.counter "power/witness_rejects"
-let stat_power_inserts = Ir_obs.counter "power/front_inserts"
 let gauge_arena = Ir_obs.gauge "rank_dp/front_arena_states"
 let span_build = Ir_obs.span "rank_dp/build_tables"
 let span_search = Ir_obs.span "rank_dp/search"
@@ -155,10 +148,6 @@ type builder = {
   b_blocked_k : float array;
   b_prune : prune option;
   b_thresh : float array;  (* per-column prune thresholds, len n + 1 *)
-  b_powered : bool;  (* P.power_budgeted: 3-way front, power screens on *)
-  b_pbudget : float;  (* the power budget (infinity when not powered) *)
-  b_pthresh : float array;  (* power-axis prune thresholds (powered+prune) *)
-  b_live_idx : int array;  (* power-mode survivor indices, len width *)
   mutable b_thresh_inc : int;  (* incumbent the thresholds encode; -2 stale *)
   mutable b_level : int;  (* next boundary pair to expand; done at m - 1 *)
   mutable b_states : int;
@@ -172,19 +161,10 @@ let builder ?(max_pareto = 8) ?prune problem =
   let width = max 1 max_pareto in
   (* Rows 0..m-1 only: see [tables.front]. *)
   let cells = m * (n + 1) in
-  (* A finite power budget switches the build to power mode: a 3-way
-     (area, count, power) front and power screens mirroring the budget
-     screens.  With the default infinite budget, [power_budgeted] is
-     false and the build takes exactly the historical code paths — the
-     byte-identity anchor the bench asserts. *)
-  let powered = P.power_budgeted problem in
-  let front =
-    if powered then Front.create_powered ~cells ~width
-    else Front.create ~cells ~width
-  in
+  let front = Front.create ~cells ~width in
   (* Definition 3: if the WLD does not even fit ignoring delay, the rank
      is 0.  The screen is capacity-only, so the verdict holds for every
-     repeater and power budget a later rebind could ask about.  An
+     budget a later rebind could ask about.  An
      unassignable instance gets no root state and a build that is
      complete at once: every driver's c = 0 probe then answers
      unassignable from an empty front, and no driver expands a level of
@@ -211,13 +191,6 @@ let builder ?(max_pareto = 8) ?prune problem =
        nothing, which only holds for an instance that fits. *)
     b_prune = (if fits then prune else None);
     b_thresh = (match prune with None -> [||] | Some _ -> Array.make (n + 1) infinity);
-    b_powered = powered;
-    b_pbudget = P.power_budget problem;
-    b_pthresh =
-      (match prune with
-      | Some _ when powered -> Array.make (n + 1) infinity
-      | _ -> [||]);
-    b_live_idx = (if powered then Array.make width 0 else [||]);
     b_thresh_inc = -2;
     b_level = (if fits then 0 else m - 1);
     b_states = 0;
@@ -229,142 +202,6 @@ let builder ?(max_pareto = 8) ?prune problem =
    filled by level m - 2: a build has m - 1 levels. *)
 let builder_levels b = b.b_m - 1
 let builder_done b = b.b_level >= b.b_m - 1
-
-(* Power-mode analog of [builder_step]'s level body below — same
-   structure, three deltas.  (1) States carry a third coordinate: the
-   accumulated repeater power, advanced by [P.meeting_power] exactly as
-   area is advanced by [meeting_area], and screened against the power
-   budget wherever area is screened against the area budget.  (2)
-   Dominance is 3-way ([Front.covers_pw]/[insert_pw]); a powered cell
-   keeps areas ascending but not counts descending, so the survivor set
-   of source-state pruning is no longer an area-sorted prefix — the
-   survivors are gathered into [b_live_idx] by a linear scan instead of
-   a binary search.  (3) There is no power analog of the [min_area
-   +. d_area > budget] early break: the cell's min-area state need not
-   be its min-power state, so the power screen stays per-state. *)
-let builder_step_power b =
-  let j = b.b_level in
-  let problem = b.b_problem in
-  let front = b.b_front in
-  let n = b.b_n in
-  let cap = b.b_cap in
-  let budget = b.b_budget in
-  let pbudget = b.b_pbudget in
-  let blocked_k = b.b_blocked_k in
-  let live_idx = b.b_live_idx in
-  let f_area = Front.raw_area front in
-  let f_count = Front.raw_count front in
-  let f_power = Front.raw_power front in
-  let stride = Front.stride front in
-  let pruning =
-    match b.b_prune with
-    | None -> false
-    | Some pr ->
-        let inc = Ir_exec.Incumbent.current pr.pr_inc in
-        if inc <> b.b_thresh_inc then begin
-          Bounds.fill_thresholds pr.pr_bounds ~budget:b.b_budget ~incumbent:inc
-            b.b_thresh;
-          Bounds.fill_power_thresholds pr.pr_bounds ~power_budget:pbudget
-            ~incumbent:inc b.b_pthresh;
-          b.b_thresh_inc <- inc
-        end;
-        inc >= 0
-  in
-  let thresh = b.b_thresh in
-  let pthresh = b.b_pthresh in
-  for i = 0 to n do
-    let src = cell ~n j i in
-    let len = Front.length front src in
-    if len > 0 then begin
-      let sbase = src * stride in
-      (* Componentwise source-state pruning: over either axis's column
-         threshold means no completion beats incumbent + 1 within both
-         budgets.  Linear gather (see header note). *)
-      let live = ref 0 in
-      if not pruning then begin
-        for k = 0 to len - 1 do
-          live_idx.(k) <- k
-        done;
-        live := len
-      end
-      else begin
-        let ta = thresh.(i) and tp = pthresh.(i) in
-        for k = 0 to len - 1 do
-          if f_area.{sbase + k} <= ta && f_power.{sbase + k} <= tp then begin
-            live_idx.(!live) <- k;
-            incr live
-          end
-        done
-      end;
-      let live = !live in
-      b.b_pruned <- b.b_pruned + (len - live);
-      if live > 0 then begin
-        b.b_states <- b.b_states + live;
-        let wires_above = P.wires_before problem i in
-        let min_area = Front.min_area front src in
-        for t = 0 to live - 1 do
-          blocked_k.(t) <-
-            P.blocked problem ~pair:j ~wires_above
-              ~reps_above:f_count.{sbase + live_idx.(t)}
-        done;
-        try
-          for i2 = i to n do
-            if i2 = i then begin
-              (* Empty interval: pair j left unused; area, count and
-                 power all carry over unchanged, and survivors are by
-                 definition within this column's thresholds. *)
-              let dst = cell ~n (j + 1) i in
-              for t = 0 to live - 1 do
-                let k = live_idx.(t) in
-                let a = f_area.{sbase + k} in
-                let c = f_count.{sbase + k} in
-                let w = f_power.{sbase + k} in
-                if Front.covers_pw front dst ~area:a ~count:c ~power:w then
-                  b.b_skipped <- b.b_skipped + 1
-                else
-                  Front.insert_pw front dst ~area:a ~count:c ~power:w ~split:i
-                    ~parent:(Front.state front src k)
-              done
-            end
-            else if not (P.meeting_feasible problem ~pair:j ~lo:i ~hi:i2) then
-              raise Break
-            else begin
-              let d_area = P.meeting_area problem ~pair:j ~lo:i ~hi:i2 in
-              if min_area +. d_area > budget then raise Break;
-              let routing = P.interval_area problem ~pair:j ~lo:i ~hi:i2 in
-              if routing > cap then raise Break;
-              let d_count = P.meeting_count problem ~pair:j ~lo:i ~hi:i2 in
-              let d_power = P.meeting_power problem ~pair:j ~lo:i ~hi:i2 in
-              let dst = cell ~n (j + 1) i2 in
-              let t2 = if pruning then thresh.(i2) else infinity in
-              let t2p = if pruning then pthresh.(i2) else infinity in
-              for t = 0 to live - 1 do
-                let k = live_idx.(t) in
-                let a = f_area.{sbase + k} +. d_area in
-                let c = f_count.{sbase + k} + d_count in
-                let w = f_power.{sbase + k} +. d_power in
-                if
-                  a <= budget && w <= pbudget
-                  && routing +. blocked_k.(t) <= cap
-                then begin
-                  if pruning && (a > t2 || w > t2p) then
-                    b.b_pruned <- b.b_pruned + 1
-                  else if Front.covers_pw front dst ~area:a ~count:c ~power:w
-                  then b.b_skipped <- b.b_skipped + 1
-                  else
-                    Front.insert_pw front dst ~area:a ~count:c ~power:w
-                      ~split:i2
-                      ~parent:(Front.state front src k)
-                end
-              done
-            end
-          done
-        with Break -> ()
-      end
-    end
-  done;
-  b.b_level <- j + 1;
-  not (builder_done b)
 
 (* The number of states in the destination slice [dbase, dbase + dlen)
    with area <= [a]: by binary search when [from < 0], else by walking
@@ -395,7 +232,6 @@ let[@inline] position (f_area : Front.farray) ~dbase ~dlen ~from a =
    wavefront driver's per-level barrier). *)
 let builder_step b =
   if builder_done b then false
-  else if b.b_powered then builder_step_power b
   else begin
     let j = b.b_level in
     let problem = b.b_problem in
@@ -559,14 +395,6 @@ let builder_finish b =
   Ir_obs.add stat_dominated (Front.dominated front + b.b_skipped);
   Ir_obs.add stat_truncations (Front.truncations front);
   Ir_obs.set_max gauge_arena (Front.arena_states front);
-  if b.b_powered then begin
-    (* Power-mode builds additionally land on the power/* instruments —
-       the rank_dp/* totals above still include them, so the power
-       counters isolate the power-mode share for the bench identity
-       legs. *)
-    Ir_obs.add stat_power_states b.b_states;
-    Ir_obs.add stat_power_inserts (Front.inserts front + b.b_skipped)
-  end;
   Bounds.note_pruned b.b_pruned;
   let bounds, incumbent_floor, floor_witness =
     match b.b_prune with
@@ -633,23 +461,14 @@ let builder_advance_incumbent ?gf b =
             (* Element 0 is the cell's min-area state — the extender
                with the most budget left for the suffix; if it is over
                the family's smallest budget, every state in the cell
-               is.  (In power mode it need not be the min-power state,
-               but the gate stays sound: it only decides which cells
-               get probed, never an answer.)  Every non-empty cell the
+               is.  Every non-empty cell the
                optimistic pre-check turns away is a packer call that
                never ran — the [bounds/probe_gated] tally. *)
             let a0 = Front.min_area front src in
-            let w0 = if b.b_powered then Front.power front src 0 else 0.0 in
             let gated =
               a0 > pr.pr_budget_min
-              || w0 > b.b_pbudget
-              || (if b.b_powered then
-                    Bounds.optimistic_boundary_pw pr.pr_bounds
-                      ~budget:pr.pr_budget_min ~power_budget:b.b_pbudget
-                      ~area:a0 ~power:w0 ~from:!i
-                  else
-                    Bounds.optimistic_boundary pr.pr_bounds
-                      ~budget:pr.pr_budget_min ~area:a0 ~from:!i)
+              || Bounds.optimistic_boundary pr.pr_bounds
+                   ~budget:pr.pr_budget_min ~area:a0 ~from:!i
                  <= !best_c
             in
             if gated then Bounds.note_gated ()
@@ -657,7 +476,7 @@ let builder_advance_incumbent ?gf b =
               incr probes;
               let count = Front.count front src 0 in
               match
-                Bounds.chain_probe ?scratch:gf ~power:w0 pr.pr_bounds
+                Bounds.chain_probe ?scratch:gf pr.pr_bounds
                   ~budget:pr.pr_budget_min ~from_pair:row ~from_col:!i
                   ~area:a0 ~count
               with
@@ -728,13 +547,6 @@ let encode_tables t =
      invariant check, not a limitation anyone hits. *)
   if t.incumbent_floor >= 0 then
     invalid_arg "Rank_dp.encode_tables: pruned tables";
-  (* Powered tables are likewise out: the blob format predates the power
-     plane and a snapshot would be replayed against arbitrary future
-     power budgets (the displacement argument only covers budgets up to
-     the build's own).  The serve tier answers power-budgeted queries
-     cold, so nothing ever tries. *)
-  if Front.powered t.front then
-    invalid_arg "Rank_dp.encode_tables: power-mode tables";
   let payload =
     Marshal.to_string (t.n, t.m, t.max_pareto, t.truncations, t.front) []
   in
@@ -791,16 +603,6 @@ let feasible_witness ?memo ?gf tables c =
   let { problem; front; n; m; bounds; _ } = tables in
   let cap = P.capacity problem in
   let budget = P.budget problem in
-  (* The power budget is read from the problem at query time exactly like
-     the area budget, so power-budget rebinds of one powered build answer
-     a whole sweep ([compute_pareto_power]).  A powered front queried at
-     an infinite budget degrades to the pure area checks; the converse —
-     a finite power budget against a 2-way front — cannot be answered
-     (the states carry no power coordinate) and is a caller bug. *)
-  let powered = Front.powered front in
-  let pbudget = P.power_budget problem in
-  if (not powered) && pbudget < infinity then
-    invalid_arg "Rank_dp.feasible_witness: power-budgeted query on 2-way tables";
   let wires_c = P.wires_before problem c in
   (* With a memo, the greedy-fill suffix check goes through the
      [Suffix_fit] frontier cache (byte-identical verdicts, fewer oracle
@@ -845,7 +647,6 @@ let feasible_witness ?memo ?gf tables c =
         r
   in
   let probes = ref 0 in
-  let power_rejects = ref 0 in
   let exception Found of witness in
   let result =
     try
@@ -864,18 +665,11 @@ let feasible_witness ?memo ?gf tables c =
               let m_area = P.meeting_area problem ~pair:j ~lo:i ~hi:c in
               let m_count = P.meeting_count problem ~pair:j ~lo:i ~hi:c in
               let used_j = P.interval_area problem ~pair:j ~lo:i ~hi:c in
-              let m_power =
-                if powered then P.meeting_power problem ~pair:j ~lo:i ~hi:c
-                else 0.0
-              in
               let wires_i = P.wires_before problem i in
               for k = 0 to len - 1 do
                 let area = Front.area front src k in
                 let count = Front.count front src k in
-                if
-                  powered && Front.power front src k +. m_power > pbudget
-                then incr power_rejects
-                else if area +. m_area <= budget then begin
+                if area +. m_area <= budget then begin
                   let blocked_j =
                     P.blocked problem ~pair:j ~wires_above:wires_i
                       ~reps_above:count
@@ -911,7 +705,6 @@ let feasible_witness ?memo ?gf tables c =
     with Found w -> Some w
   in
   Ir_obs.add stat_witness_probes !probes;
-  if !power_rejects > 0 then Ir_obs.add stat_power_wrejects !power_rejects;
   result
 
 let outcome_of_boundary problem ~assignable ~exact c =
@@ -1170,49 +963,50 @@ let search_with_tables ?widen_on_overflow ?widen_cap ?hint ?probe_fan tables =
   search_tables ?hint ?probe_fan
     (widen_tables ?widen_on_overflow ?widen_cap tables)
 
-(* One build, many budgets.  The repeater and power budgets are re-read
-   from the problem at query time (see [feasible_witness]), so tables
-   built at the widest budgets answer any narrower rebind: a budget
-   prunes only states whose (monotone non-decreasing along a chain)
-   prefix cost exceeds it, and a state within a small budget can only be
-   displaced from a wider build's front by a dominator — lower area and
-   count (and power, in power mode) — which is itself within that budget
-   and passes every query check the displaced state would have (budgets,
-   blockage and the greedy-fill suffix are all monotone in those
-   coordinates).  Hence, as long as the shared build truncates nothing,
-   searching the rebound tables returns exactly what a build at the
-   narrower budgets would.  Callers check [table_truncations] first and
-   build per budget otherwise. *)
-let rebudget ?fraction ?power_budget tables =
+(* One build, many budgets.  The repeater budget is re-read from the
+   problem at query time (see [feasible_witness]), so tables built at the
+   widest budget answer any narrower rebind: a budget prunes only states
+   whose (monotone non-decreasing along a chain) prefix area exceeds it,
+   and a state within a small budget can only be displaced from a wider
+   build's front by a dominator — lower area and count — which is itself
+   within that budget and passes every query check the displaced state
+   would have (budget, blockage and the greedy-fill suffix are all
+   monotone in those coordinates).  Hence, as long as the shared build
+   truncates nothing, searching the rebound tables returns exactly what a
+   build at the narrower budget would.  A power budget is one more cap on
+   the same budget ([P.budget]), so it rebinds the same way.  Callers
+   check [table_truncations] first and build per budget otherwise. *)
+let rebudget ?fraction ?activity ?power_budget tables =
   let p = tables.problem in
   let p =
     match fraction with None -> p | Some f -> P.with_repeater_fraction p f
   in
+  let p = match activity with None -> p | Some a -> P.with_activity p a in
   let p =
     match power_budget with None -> p | Some b -> P.with_power_budget p b
   in
   { tables with problem = p }
 
-(* Repeater power a witness actually burns: the meeting intervals of the
-   prefix pairs (top-down) plus the boundary pair's, each an O(1)
-   [P.meeting_power] lookup.  Summed in the DP's own accumulation order
-   (top-down, empty intervals contributing nothing), so the figure is
-   byte-identical to the power coordinate the power-mode build carried
-   for that state — which is what lets tests assert the sweep's reported
-   powers against the model without a tolerance. *)
-let witness_power problem (w : witness) =
+(* Repeater area a witness spends, summed as the build accumulated it:
+   the meeting intervals of the prefix pairs top-down (empty intervals
+   carry the area over unchanged), then the boundary pair's.  This is the
+   very sum [feasible_witness] compared with the budget, so the reported
+   power [kappa *. area] is within any power budget the witness was
+   admitted under. *)
+let witness_area problem (w : witness) =
   let total = ref 0.0 in
   let lo = ref 0 in
   List.iteri
     (fun j e ->
       if e > !lo then
-        total := !total +. P.meeting_power problem ~pair:j ~lo:!lo ~hi:e;
+        total := !total +. P.meeting_area problem ~pair:j ~lo:!lo ~hi:e;
       lo := e)
     w.prefix_splits;
   if w.meet_hi > w.meet_lo then
     total :=
       !total
-      +. P.meeting_power problem ~pair:w.boundary_pair ~lo:w.meet_lo
+      +. P.meeting_area problem ~pair:w.boundary_pair ~lo:w.meet_lo
            ~hi:w.meet_hi;
   !total
 
+let witness_power problem w = P.kappa problem *. witness_area problem w

@@ -62,11 +62,12 @@ type tables
     after the build, so feasibility queries against the same tables may
     run concurrently (e.g. from an {!Ir_exec} domain pool).
 
-    The repeater and power budgets prune states during construction, so
-    a problem derived with {!Ir_assign.Problem.with_clock} (or a {e
+    The repeater budget ({!Ir_assign.Problem.budget}, which already
+    folds in any power budget) prunes states during construction, so a
+    problem derived with {!Ir_assign.Problem.with_clock} (or a {e
     larger} budget) needs its own tables.  A {e smaller} budget does
-    not: both budgets are re-read from the problem at query time, which
-    is what {!rebudget} exploits to answer a whole budget sweep from one
+    not: the budget is re-read from the problem at query time, which is
+    what {!rebudget} exploits to answer a whole budget sweep from one
     build. *)
 
 type prune
@@ -191,9 +192,8 @@ val encode_tables : tables -> string
 
     Raises [Invalid_argument] on pruned tables (a snapshot is replayed
     against arbitrary future fractions, which a pruning floor's
-    [budget_min] would not cover) and on power-mode tables (the blob
-    predates the power plane).  The serve tier only snapshots unpruned,
-    unpowered builds. *)
+    [budget_min] would not cover).  The serve tier only snapshots
+    unpruned builds. *)
 
 val decode_tables : Ir_assign.Problem.t -> string -> tables option
 (** Rebinds a blob from {!encode_tables} to [problem] (the caller
@@ -271,35 +271,23 @@ val search_with_tables :
 (** {!widen_tables} then {!search_tables}: the per-cell search half of
     {!Rank_grid.eval_batch}. *)
 
-val rebudget : ?fraction:float -> ?power_budget:float -> tables -> tables
+val rebudget :
+  ?fraction:float -> ?activity:float -> ?power_budget:float -> tables -> tables
 (** The same phase-A state queried at another repeater fraction and/or
-    power budget.  Exact — searches byte-identical to a fresh build at
-    those budgets — iff neither budget exceeds the one the tables were
+    power budget (at [activity], default the problem's own).  Both
+    reach the DP only through {!Ir_assign.Problem.budget}, so the result
+    is exact — searches byte-identical to a fresh build at those
+    budgets — iff that budget does not exceed the one the tables were
     built at {e and} [table_truncations t = 0] (the displacement
     argument: a state within a narrower budget survives the wider build
-    or is dominated by one that passes the same query checks).  A
-    finite power budget needs power-mode tables.  Callers must build
-    per budget otherwise; {!Rank_grid} does. *)
-
-(** {2 Power}
-
-    A problem with a {e finite} power budget
-    ({!Ir_assign.Problem.power_budgeted}) switches the build to power
-    mode: every state carries a third coordinate — the accumulated
-    repeater power, advanced by {!Ir_assign.Problem.meeting_power}
-    exactly as area is advanced by [meeting_area] — screened against the
-    power budget wherever area is screened against the area budget, with
-    3-way Pareto dominance ({!Front.insert_pw}).  With an {e infinite}
-    budget the historical 2-way paths run untouched — ranks, exact flags
-    and every counter byte-identical to a build without this mode (the
-    bench identity leg asserts it).  The [power/states],
-    [power/witness_rejects] and [power/front_inserts] counters move only
-    in power mode and are deterministic (jobs=1 ≡ jobs=N). *)
+    or is dominated by one that passes the same query checks).  Callers
+    must build per budget otherwise; {!Rank_grid} does. *)
 
 val witness_power : Ir_assign.Problem.t -> witness -> float
-(** Repeater power (watts) the witness's assignment burns: the sum of
-    {!Ir_assign.Problem.meeting_power} over its meeting intervals,
-    top-down — the DP's own accumulation order, so the figure is
-    byte-identical to the power coordinate the power-mode build carried
-    for that state.  The capacity-only suffix holds no repeaters and
-    contributes nothing. *)
+(** Repeater power (watts) the witness's assignment burns:
+    {!Ir_assign.Problem.kappa} times its repeater area, the area summed
+    over its meeting intervals top-down — the DP's own accumulation
+    order, so it is the very area the budget check admitted, and
+    [witness_power p w <= Ir_assign.Problem.power_budget p] for every
+    witness a search over [p] returns.  The capacity-only suffix holds
+    no repeaters and contributes nothing. *)

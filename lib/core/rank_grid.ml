@@ -25,11 +25,10 @@
      [Rank_dp.search_tables] over rebudgeted tables.
 
    This is the only DP driver.  A single query is a one-cell grid
-   ([compute]), a heterogeneous batch is a grid whose every cell is its
-   own plane ([eval_batch]), and the rank-vs-power sweep is one shared
-   power-mode plane rebudgeted per point ([compute_pareto_power]).  The
-   Definition-3 no-fit screen lives in [Rank_dp.builder], so every one
-   of these answers a no-fit cell without expanding a level.
+   ([compute]) and a heterogeneous batch is a grid whose every cell is
+   its own plane ([eval_batch]).  The Definition-3 no-fit screen lives
+   in [Rank_dp.builder], so each of these answers a no-fit cell without
+   expanding a level.
 
    The planes stay resident after evaluation: [perturb] answers a
    one-parameter delta by recomputing only the slice it invalidates — a
@@ -46,7 +45,6 @@ let stat_cells = Ir_obs.counter "grid/cells_evaluated"
 let stat_shared = Ir_obs.counter "grid/cells_shared"
 let stat_levels = Ir_obs.counter "grid/wavefront_levels"
 let stat_perturb = Ir_obs.counter "grid/perturb_recomputed"
-let stat_power_points = Ir_obs.counter "power/sweep_points"
 let span_wavefront = Ir_obs.span "grid/wavefront"
 let span_answer = Ir_obs.span "grid/answer"
 
@@ -207,8 +205,7 @@ let family_memo g =
 
 (* A cell answered with nothing shared: its own build, the widen ladder,
    an unhinted search.  The fallback for fractions a truncated plane
-   cannot answer, and for the power sweep's infinite and unshared
-   budgets. *)
+   cannot answer. *)
 let cold ?max_pareto ?widen_on_overflow ?widen_cap problem =
   Rank_dp.search_tables
     (Rank_dp.widen_tables ?widen_on_overflow ?widen_cap
@@ -530,19 +527,40 @@ let adopt g pt tables =
             };
           ]
 
-let query g pt =
+(* A power budget (at its activity factor) is one more cap on the
+   query's repeater budget, so it rebinds the resident tables exactly as
+   a fraction does; the covering checks compare the rebound budget with
+   the build's, and with the pruning floor's for a pruned plane. *)
+let query ?activity ?power_budget g pt =
   let pt = canonical g.g_base pt in
   let f = point_fraction g pt in
   match List.find_opt (fun pl -> plane_key_equal pl pt) g.g_planes with
-  | Some pl
-    when f <= pl.pl_f_max
-         && Rank_dp.table_truncations pl.pl_tables = 0
-         && (Rank_dp.table_incumbent_floor pl.pl_tables < 0
-            || f >= pl.pl_f_min) ->
-      let o, _ = List.hd (answer_fractions g pl [ f ]) in
-      Ir_obs.incr stat_cells;
-      Ir_obs.incr stat_shared;
-      Some o
+  | Some pl when Rank_dp.table_truncations pl.pl_tables = 0 ->
+      let at f' = P.with_repeater_fraction pl.pl_problem f' in
+      let q = at f in
+      let q = match activity with None -> q | Some a -> P.with_activity q a in
+      let q =
+        match power_budget with
+        | None -> q
+        | Some b -> P.with_power_budget q b
+      in
+      let budget = P.budget q in
+      if
+        budget <= P.budget (at pl.pl_f_max)
+        && (Rank_dp.table_incumbent_floor pl.pl_tables < 0
+           || budget >= P.budget (at pl.pl_f_min))
+      then begin
+        let ((o, _) as r) =
+          Rank_dp.search_tables ~memo:(family_memo g) ?hint:g.g_hint
+            (Rank_dp.rebudget ~fraction:f ?activity ?power_budget
+               pl.pl_tables)
+        in
+        if o.Outcome.assignable then g.g_hint <- Some o.Outcome.boundary_bunch;
+        Ir_obs.incr stat_cells;
+        Ir_obs.incr stat_shared;
+        Some r
+      end
+      else None
   | Some _ | None -> None
 
 (* ---- one cell --------------------------------------------------------- *)
@@ -583,54 +601,3 @@ let eval_batch ?max_pareto ?widen_on_overflow ?widen_cap ?jobs ?hint
       if o.Outcome.assignable then hint := Some o.Outcome.boundary_bunch;
       o)
     shared
-
-(* ---- rank-vs-power Pareto sweep ---------------------------------------- *)
-
-type power_point = { pp_budget : float; pp_outcome : Outcome.t; pp_power : float }
-
-(* One power-mode plane, many power budgets — the displacement argument
-   at [Rank_dp.rebudget], componentwise: the power budget enters no
-   phase-A table, so a truncation-free build at the largest finite
-   budget answers every finite point with the budget rebound.  Infinite
-   budgets are NOT answerable from it (states over the build's power
-   screen are absent) and take the historical area-only path, which
-   doubles as the soundness anchor.  The shared build runs first,
-   sequentially; the points then answer concurrently on the pool, with
-   no memo and no hint chain — those are single-domain, order-dependent
-   state, and dropping them is what keeps every per-point probe count,
-   hence every counter, jobs=1 ≡ jobs=N. *)
-let compute_pareto_power ?max_pareto ?widen_on_overflow ?widen_cap ?jobs
-    problem budgets =
-  List.iter
-    (fun b ->
-      if not (b > 0.0) then
-        invalid_arg "Rank_grid.compute_pareto_power: power budget <= 0")
-    budgets;
-  Ir_obs.add stat_power_points (List.length budgets);
-  Ir_obs.add stat_cells (List.length budgets);
-  let shared =
-    match List.filter (fun b -> b < infinity) budgets with
-    | [] -> None
-    | finite ->
-        let b_max = List.fold_left Float.max neg_infinity finite in
-        let t =
-          (wavefront ?jobs ?max_pareto ?widen_on_overflow ?widen_cap
-             [| P.with_power_budget problem b_max |]).(0)
-        in
-        if Rank_dp.table_truncations t = 0 then Some t else None
-  in
-  let answer b =
-    let p = P.with_power_budget problem b in
-    let o, w =
-      match shared with
-      | Some t when b < infinity ->
-          Rank_dp.search_tables (Rank_dp.rebudget ~power_budget:b t)
-      | _ -> cold ?max_pareto ?widen_on_overflow ?widen_cap p
-    in
-    {
-      pp_budget = b;
-      pp_outcome = o;
-      pp_power = (match w with Some w -> Rank_dp.witness_power p w | None -> 0.0);
-    }
-  in
-  Array.to_list (Ir_exec.parallel_map ?jobs answer (Array.of_list budgets))

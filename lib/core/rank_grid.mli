@@ -13,9 +13,10 @@
 
     This is the only DP driver.  One query is a one-cell grid
     ({!compute}, behind {!Rank.compute}); a heterogeneous batch is a
-    grid whose every cell is its own plane ({!eval_batch}); the
-    rank-vs-power sweep is one shared power-mode plane
-    ({!compute_pareto_power}).  The wavefront drives
+    grid whose every cell is its own plane ({!eval_batch}).  A power
+    budget on the base problem is an area cap
+    ({!Ir_assign.Problem.budget}), so it needs no path of its own.  The
+    wavefront drives
     {!Rank_dp.builder_step} (the same expansion code as
     {!Rank_dp.build_tables}), phase B runs {!Rank_dp.search_tables} over
     {!Rank_dp.rebudget}ed tables, and the Definition-3 no-fit screen
@@ -66,7 +67,7 @@ val evaluate :
     and [widen_cap] set the widening policy of {!Rank_dp.widen_tables};
     [jobs] the pool size.  Outcomes are independent of [jobs] (asserted
     by the bench counter-identity table).  A finite power budget on
-    [base] makes every plane a power-mode build.
+    [base] caps every point's repeater budget at its area equivalent.
 
     [~prune:true] (default false) runs every plane's build through the
     admissible-bound pruning layer: each plane gets one incumbent cell
@@ -143,14 +144,23 @@ val adopt : t -> point -> Rank_dp.tables -> unit
     was built for, which an adopted plane cannot know).
     @raise Invalid_argument if the tables are truncated or pruned. *)
 
-val query : t -> point -> Outcome.t option
-(** [query g pt] answers [pt] from resident planes only: [Some outcome]
-    — byte-identical to the point's own one-cell {!compute} — when the plane is
-    resident, truncation-free and was built at a fraction [>=] the
-    point's; [None] otherwise (caller decides whether to {!perturb} or
-    fall through cold).  Unlike {!perturb} it never builds and never
-    grows the cell arrays, so a long-running server can answer
-    arbitrarily many queries from a bounded grid. *)
+val query :
+  ?activity:float ->
+  ?power_budget:float ->
+  t ->
+  point ->
+  (Outcome.t * Rank_dp.witness option) option
+(** [query g pt] answers [pt] from resident planes only: [Some (outcome,
+    witness)] — byte-identical to the point's own one-cell {!compute} —
+    when the
+    plane is resident, truncation-free and was built at a repeater
+    budget [>=] the point's; [None] otherwise (caller decides whether to
+    {!perturb} or fall through cold).  [?power_budget] (watts, at
+    [?activity], both defaulting to the base's) caps the point's budget
+    through {!Rank_dp.rebudget}, so a powered point is answered from the
+    same plane.  Unlike {!perturb} it never builds and never grows the
+    cell arrays, so a long-running server can answer arbitrarily many
+    queries from a bounded grid. *)
 
 val compute :
   ?max_pareto:int ->
@@ -184,36 +194,3 @@ val eval_batch :
     probe-schedule-only).  [~prune:true]
     as in {!evaluate}, with each cell's incumbent probed at its own
     budget. *)
-
-type power_point = {
-  pp_budget : float;  (** the power budget this point was evaluated at *)
-  pp_outcome : Outcome.t;
-  pp_power : float;
-      (** repeater power (watts) of the returned witness; 0 when
-          unassignable *)
-}
-(** One point of the rank-vs-power frontier: the optimal rank at
-    [pp_budget] watts (and the fixed area budget), plus the witness's
-    actual power spend ([pp_power <= pp_budget] whenever assignable and
-    the budget is finite). *)
-
-val compute_pareto_power :
-  ?max_pareto:int ->
-  ?widen_on_overflow:bool ->
-  ?widen_cap:int ->
-  ?jobs:int ->
-  Ir_assign.Problem.t ->
-  float list ->
-  power_point list
-(** [compute_pareto_power problem budgets] evaluates the rank at each
-    power budget (watts, in list order; [infinity] allowed) with the
-    area budget fixed at [problem]'s own.  One power-mode build at the
-    largest {e finite} budget answers every finite point
-    ({!Rank_dp.rebudget}); if it truncates, finite points fall back to
-    independent one-cell builds.  [infinity] entries always take the
-    area-only path — they are {e not} answerable from the finite-budget
-    build, and running the untouched 2-way code doubles as the
-    byte-identity anchor.  The shared build runs once, then the points
-    answer concurrently on the {!Ir_exec} pool with no memo and no hint
-    chain, which keeps every counter jobs=1 ≡ jobs=N.
-    @raise Invalid_argument on a budget [<= 0]. *)

@@ -154,18 +154,23 @@ let canonical_of_fields fields =
 let canonical q = canonical_of_fields (canonical_fields q)
 let digest q = Digest.to_hex (Digest.string (canonical q))
 
-(* The warm-table pool serves every repeater fraction of a family from
-   tables built once at the full budget, and the algorithm choice never
-   enters phase A — mask both out of the key. *)
+(* The warm-table pool serves every repeater fraction and power budget
+   of a family from tables built once at the full budget (a power budget
+   is an area cap on the same budget), and the algorithm choice never
+   enters phase A — mask them all out of the key.  The power fields are
+   dropped rather than starred: they are absent from an unpowered query's
+   canonical form, so dropping them keeps its key unchanged. *)
+let budget_masked q =
+  List.filter_map
+    (fun (name, v) ->
+      match name with
+      | "power_budget" | "activity" -> None
+      | "repeater_fraction" | "algo" -> Some (name, "*")
+      | _ -> Some (name, v))
+    (canonical_fields q)
+
 let table_key q =
-  let masked =
-    List.map
-      (function
-        | "repeater_fraction", _ -> ("repeater_fraction", "*")
-        | "algo", _ -> ("algo", "*")
-        | kv -> kv)
-      (canonical_fields q)
-  in
+  let masked = budget_masked q in
   Digest.to_hex (Digest.string (canonical_of_fields masked))
 
 (* The grid family additionally masks materials and clock: those are the
@@ -176,11 +181,8 @@ let family_key q =
   let masked =
     List.map
       (fun (name, v) ->
-        match name with
-        | "repeater_fraction" | "algo" | "k" | "miller" | "clock_hz" ->
-            (name, "*")
-        | _ -> (name, v))
-      (canonical_fields q)
+        match name with "k" | "miller" | "clock_hz" -> (name, "*") | _ -> (name, v))
+      (budget_masked q)
   in
   Digest.to_hex (Digest.string (canonical_of_fields masked))
 

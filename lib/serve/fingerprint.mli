@@ -18,10 +18,11 @@
       previously persisted cache entry instead of silently aliasing old
       results onto new semantics.
 
-    The {e table key} is the fingerprint with the repeater fraction and
-    algorithm masked out: phase-A DP tables built once at the full
-    budget answer any repeater fraction of the same (node, architecture,
-    WLD, clock) family ({!Ir_core.Rank_dp.rebudget}), so
+    The {e table key} is the fingerprint with the repeater fraction, the
+    power fields and the algorithm masked out: phase-A DP tables built
+    once at the full budget answer any repeater fraction and any power
+    budget (an area cap, {!Ir_assign.Problem.budget}) of the same (node,
+    architecture, WLD, clock) family ({!Ir_core.Rank_dp.rebudget}), so
     queries differing only in those fields share a warm-table pool slot. *)
 
 type algo = Dp | Greedy
@@ -40,9 +41,8 @@ type t = private {
   algo : algo;
   power_budget : float;
       (** repeater power budget, watts ([infinity] = unconstrained, the
-          default).  A finite budget runs the DP in power mode, which
-          forfeits the warm-table path (tables predate the power plane)
-          and requires [algo = Dp] *)
+          default).  A finite budget caps the repeater area at its
+          power equivalent and requires [algo = Dp] *)
   activity : float;
       (** switching activity factor of the power model (default
           {!Ir_assign.Problem.default_activity}); enters the canonical
@@ -101,12 +101,14 @@ val digest : t -> string
     map and the on-disk store are all keyed by this. *)
 
 val table_key : t -> string
-(** Hex digest of the canonical form with [repeater_fraction] and [algo]
-    masked — the warm-table pool key (see above). *)
+(** Hex digest of the canonical form with [repeater_fraction],
+    [power_budget], [activity] and [algo] masked — the warm-table pool
+    key (see above).  An unpowered query's key is what it was before
+    the power fields were masked. *)
 
 val family_key : t -> string
-(** Hex digest with [repeater_fraction], [algo], [k], [miller] and
-    [clock_hz] masked — the resident-grid family key.  Queries sharing
+(** Hex digest with {!table_key}'s mask plus [k], [miller] and
+    [clock_hz] — the resident-grid family key.  Queries sharing
     it differ only in the coordinates a {!Ir_core.Rank_grid} perturbs
     over (each (materials, clock) pair is a plane inside one grid), so
     the pool answers neighboring-query misses from the family's resident

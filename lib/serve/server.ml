@@ -95,7 +95,8 @@ let pool_entry t key =
 (* The warm path is taken only when provably exact: DP algorithm, the
    query's (materials, clock) plane resident in the family grid, built
    at the full repeater budget with zero Pareto truncation — then one
-   phase-B search rebinds the budget (the
+   phase-B search rebinds the budget, fraction and any power cap alike
+   (the
    {!Ir_core.Rank_dp.rebudget} displacement argument, via
    {!Ir_core.Rank_grid.query}).  Everything else falls through to a cold
    compute, so served outcomes are always byte-identical to
@@ -104,24 +105,23 @@ let compute_outcome t (fp : Fingerprint.t) =
   let warm () =
     match fp.algo with
     | Fingerprint.Greedy -> None
-    (* Power-budgeted queries need the power plane, which the pool's
-       2-way tables predate; the budget-rebinding displacement argument
-       does not extend across that representation change, so they
-       compute cold (see DESIGN.md §17 on budget rebinding). *)
-    | Fingerprint.Dp when fp.power_budget < infinity -> None
     | Fingerprint.Dp ->
         let entry = pool_entry t (Fingerprint.family_key fp) in
         Mutex.lock entry.entry_lock;
         Fun.protect ~finally:(fun () -> Mutex.unlock entry.entry_lock)
         @@ fun () ->
-        (* The family's full-budget problem.  Only the first query of a
-           family builds it from scratch; every later plane derives from
-           the resident grid's base via the rescale-reuse constructors
-           (bit-equal to from-scratch — [Problem.with_materials] /
-           [with_clock] rebuild exactly what the knob moves). *)
+        (* The family's full-budget problem: fraction 1.0 and no power
+           cap, so every query's budget rebinds downward.  Only the first
+           query of a family builds it from scratch; every later plane
+           derives from the resident grid's base via the rescale-reuse
+           constructors (bit-equal to from-scratch —
+           [Problem.with_materials] / [with_clock] rebuild exactly what
+           the knob moves). *)
         let full () =
-          Ir_assign.Problem.with_repeater_fraction (Fingerprint.problem fp)
-            1.0
+          Ir_assign.Problem.with_power_budget
+            (Ir_assign.Problem.with_repeater_fraction (Fingerprint.problem fp)
+               1.0)
+            infinity
         in
         let grid =
           match entry.grid with
@@ -173,9 +173,11 @@ let compute_outcome t (fp : Fingerprint.t) =
                     | Some s -> Snapshot.save s ~key tables
                     | None -> ())
                 | Some _ | None -> ())));
-        Ir_core.Rank_grid.query grid
-          (Ir_core.Rank_grid.point ~materials ~clock:fp.clock
-             ~fraction:fp.repeater_fraction ())
+        Option.map fst
+          (Ir_core.Rank_grid.query ~activity:fp.activity
+             ~power_budget:fp.power_budget grid
+             (Ir_core.Rank_grid.point ~materials ~clock:fp.clock
+                ~fraction:fp.repeater_fraction ()))
   in
   match warm () with
   | Some outcome -> outcome

@@ -14,11 +14,13 @@
       [Overloaded] error (backpressure, never unbounded memory);
     + a worker computes it on the {e warm path} when it can: the pool
       holds one resident {!Ir_core.Rank_grid} per query family
-      ({!Fingerprint.family_key} — everything but materials, clock and
-      repeater fraction).  Each (materials, clock) value pair is one
-      plane inside the grid, built once ({!Fingerprint.table_key}) at
-      the full repeater budget; any repeater fraction is answered by
-      budget rebinding ({!Ir_core.Rank_grid.query}) with a family-wide
+      ({!Fingerprint.family_key} — everything but materials, clock,
+      repeater fraction and the power fields).  Each (materials, clock)
+      value pair is one plane inside the grid, built once
+      ({!Fingerprint.table_key}) at the full repeater budget with no
+      power cap; any repeater fraction and any power budget (an area
+      cap) is answered by budget rebinding
+      ({!Ir_core.Rank_grid.query}) with a family-wide
       suffix-fit memo and boundary warm-starts, and a query whose own
       plane is missing but whose {e family} grid is resident grows the
       grid by one plane ([serve/grid_hits]) instead of starting cold.

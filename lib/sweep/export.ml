@@ -419,12 +419,12 @@ type power_report = {
 }
 
 (* The CI gate reads [status]; anything but "ok" fails the build.  The
-   power subsystem's contracts, in soundness order: an infinite budget
+   power budget's contracts, in soundness order: an infinite budget
    must leave every rank, exact flag and counter byte-identical to a
-   power-free run (the anchor everything else stands on); the [power/*]
-   counters must not depend on the worker count; the shared power-mode
-   build must agree point-for-point with independent one-cell computes;
-   and the frontier must
+   power-free run (the anchor everything else stands on); the frontier's
+   counters must not depend on the worker count; the frontier, answered
+   from one resident plane, must agree point-for-point with independent
+   one-cell computes; and the frontier must
    be monotone with the full-spend point recovering the unconstrained
    rank.  The frontier's shape — where it bends, what rank a half-power
    budget keeps — is data, never gated. *)

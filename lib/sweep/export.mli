@@ -169,13 +169,13 @@ type power_report = {
   power_identity_ok : bool;
       (** infinite-budget runs over the full Table-4 corpus were
           byte-identical — ranks, exact flags and every counter — to
-          power-free runs (the soundness anchor of the subsystem) *)
+          power-free runs (the soundness anchor) *)
   power_counters_match : bool;
-      (** [power/*] (and all other) counter identity between the
-          frontier's jobs=1 and jobs=N evaluations *)
+      (** counter identity between the frontier's jobs=1 and jobs=N
+          evaluations *)
   power_engines_agree : bool;
-      (** every frontier point, answered from the shared power-mode
-          build ({!Ir_core.Rank_grid.compute_pareto_power}), equals an
+      (** every frontier point, answered from one resident plane by
+          budget rebinding ({!Ir_core.Rank_grid.query}), equals an
           independent one-cell compute at that power budget: rank,
           exact flag and witness watts *)
   power_monotone : bool;  (** {!Power_pareto.monotone} on the frontier *)
@@ -183,11 +183,11 @@ type power_report = {
 }
 (** The power-budget leg, exported under ["power"] (schema 10): the
     {!Power_pareto} frontier on the Table 2 baseline plus the
-    subsystem's four contracts.  Export derives a ["status"] the CI gate
+    power budget's four contracts.  Export derives a ["status"] the CI gate
     keys on: ["ok"], ["identity_broken"] (a power-free and an
     infinite-budget run diverged somewhere on the Table-4 corpus),
-    ["counters_mismatch"] ([power/*] varied with the worker count),
-    ["engine_mismatch"] (shared-build vs independent-compute
+    ["counters_mismatch"] (a counter varied with the worker count),
+    ["engine_mismatch"] (shared-plane vs independent-compute
     disagreement) or
     ["frontier_not_monotone"].  The frontier's shape is reported in
     [results/power_pareto.csv], never gated. *)

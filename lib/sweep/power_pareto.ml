@@ -28,10 +28,27 @@ let run ?jobs ?(config = Table4.default_config) ?activity
     fractions;
   let base = Table4.baseline_problem ?activity config in
   let t0 = Ir_exec.now () in
+  (* One resident plane at the baseline's own budget answers every
+     point: a power budget is an area cap no larger than that budget, so
+     each point is a phase-B search over the rebound tables
+     ([Rank_grid.query]).  A truncated plane refuses, and the point is
+     its own one-cell compute. *)
+  let grid = Ir_core.Rank_grid.resident ?jobs base in
+  let here = Ir_core.Rank_grid.point () in
+  ignore (Ir_core.Rank_grid.perturb grid here);
+  let answer ?power_budget () =
+    match Ir_core.Rank_grid.query ?power_budget grid here with
+    | Some r -> r
+    | None ->
+        Ir_core.Rank_grid.compute
+          (match power_budget with
+          | None -> base
+          | Some b -> Ir_assign.Problem.with_power_budget base b)
+  in
   (* Anchor: the area-only optimum and the watts its witness burns.
      Fractions of that spend make the sweep self-calibrating — the grid
      tracks the model constants instead of hard-coding watt values. *)
-  let unconstrained, w = Ir_core.Rank_grid.compute base in
+  let unconstrained, w = answer () in
   let p_inf =
     match w with Some w -> Ir_power.Power.of_witness base w | None -> 0.0
   in
@@ -42,17 +59,15 @@ let run ?jobs ?(config = Table4.default_config) ?activity
          unassignable points. *)
       []
     else
-      let budgets = List.map (fun f -> f *. p_inf) fractions in
-      List.map2
-        (fun fraction (pt : Ir_core.Rank_grid.power_point) ->
-          {
-            fraction;
-            budget = pt.Ir_core.Rank_grid.pp_budget;
-            outcome = pt.Ir_core.Rank_grid.pp_outcome;
-            power = pt.Ir_core.Rank_grid.pp_power;
-          })
+      List.map
+        (fun fraction ->
+          let budget = fraction *. p_inf in
+          let outcome, w = answer ~power_budget:budget () in
+          let power =
+            match w with Some w -> Ir_power.Power.of_witness base w | None -> 0.0
+          in
+          { fraction; budget; outcome; power })
         fractions
-        (Ir_power.Power.pareto ?jobs base budgets)
   in
   {
     activity = Ir_assign.Problem.activity base;

@@ -6,10 +6,13 @@
     optimum and the watts its witness burns ({e the unconstrained
     power}), then evaluates the frontier at a grid of {e fractions} of
     that spend — so the exported table tracks the power model's
-    calibration instead of hard-coding watt values.  All finite points
-    are answered from one shared power-mode build
-    ({!Ir_power.Power.pareto}); [?jobs] evaluates them concurrently with
-    identical outcomes and jobs-invariant [power/*] counters. *)
+    calibration instead of hard-coding watt values.  Power is
+    {!Ir_assign.Problem.kappa} times repeater area, so each point is the
+    baseline at the budget's area cap — the R column rescaled by
+    [kappa] — answered from one resident plane built at the baseline's
+    own budget ({!Ir_core.Rank_grid.query}); [?jobs] sets the plane
+    build's pool, with identical outcomes and jobs-invariant
+    counters. *)
 
 type row = {
   fraction : float;  (** budget as a fraction of the unconstrained power *)

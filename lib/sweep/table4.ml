@@ -96,8 +96,9 @@ let assemble defs results =
    clock) plane's tables built in a single level-synchronous pass (the
    pool parallelizes {e inside} each level, not across points), and the
    R column, the C column's base point and any base-valued K/M point
-   sharing one resident plane.  A finite power budget on the config
-   makes every plane a power-mode build.  The wall time is inherently
+   sharing one resident plane.  A finite power budget on the config is
+   an area cap on every point's budget (Problem.budget).  The wall time
+   is inherently
    collective, so each row reports the run's cost amortized evenly. *)
 let run_grid ?jobs ?prune base cells =
   let points = Array.map (fun (_, _, _, pt) -> pt) cells in

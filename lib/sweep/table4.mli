@@ -16,8 +16,9 @@
     {!Ir_exec.default_jobs}) parallelizes {e inside} each level, not
     across points — and the R column, the C column's base point and any
     base-valued K/M point all share one resident plane.  A finite
-    [power_budget] makes every plane a power-mode build; nothing else
-    changes.  Non-DP algorithms have no shared tables and compute each
+    [power_budget] caps every point's repeater area at its power
+    equivalent ({!Ir_assign.Problem.budget}); nothing else changes.
+    Non-DP algorithms have no shared tables and compute each
     point independently with {!Ir_core.Rank.compute} on the pool.
 
     Either way {!all} fuses the four columns into one run, rows come
@@ -51,10 +52,10 @@ type config = {
   activity : float;
       (** switching activity factor of the repeater power model *)
   power_budget : float;
-      (** repeater power budget, watts; [infinity] (the default) keeps
-          every sweep on the historical area-only paths.  A finite
-          budget runs every grid plane in power mode and requires the
-          DP algorithm. *)
+      (** repeater power budget, watts; [infinity] (the default) leaves
+          every point's area budget alone.  A finite budget caps each
+          point's repeater area at [power_budget / kappa] (kappa at that
+          point's clock) and requires the DP algorithm. *)
 }
 
 val default_config : config

@@ -556,30 +556,40 @@ let prop_max_take_maximal =
 
 let test_power_tables () =
   let p = fixed_instance () in
-  Alcotest.(check bool) "default problem is unconstrained" false
-    (P.power_budgeted p);
+  Alcotest.(check bool) "default problem is unconstrained" true
+    (P.power_budget p = infinity);
   check_close "default activity" P.default_activity (P.activity p);
+  Alcotest.(check bool) "kappa positive" true (P.kappa p > 0.0);
+  (* Power is kappa times repeater area on every pair: the per-repeater
+     power of the size-s model over the pair's repeater area. *)
+  let arch = P.arch p in
+  let design = arch.Ir_ia.Arch.design in
+  let node = design.Ir_tech.Design.node in
+  let vdd = Ir_tech.Node.vdd node in
   for j = 0 to P.n_pairs p - 1 do
-    Alcotest.(check bool)
-      (Printf.sprintf "per_rep_power %d positive" j)
-      true
-      (P.per_rep_power p ~pair:j > 0.0)
+    let pair = Ir_ia.Arch.pair arch j in
+    let s = pair.Ir_ia.Layer_pair.s_opt in
+    let watts =
+      (P.activity p *. s *. arch.Ir_ia.Arch.device.Ir_tech.Device.c_o *. vdd
+     *. vdd *. design.Ir_tech.Design.clock)
+      +. (Ir_tech.Node.leakage_per_size node *. s)
+    in
+    check_close ~eps:1e-12
+      (Printf.sprintf "pair %d: kappa = power / area" j)
+      1.0
+      (P.kappa p *. pair.Ir_ia.Layer_pair.repeater_area /. watts)
   done;
-  (* Rebinding the default activity must rebuild byte-identical tables
-     (same expressions over the same inputs). *)
-  let same = P.with_activity p P.default_activity in
-  for j = 0 to P.n_pairs p - 1 do
-    Alcotest.(check (float 0.0))
-      (Printf.sprintf "activity rebind at default, pair %d" j)
-      (P.per_rep_power p ~pair:j)
-      (P.per_rep_power same ~pair:j)
-  done;
+  (* Rebinding the default activity must reproduce kappa bit for bit
+     (same expression over the same inputs). *)
+  Alcotest.(check (float 0.0)) "activity rebind at default" (P.kappa p)
+    (P.kappa (P.with_activity p P.default_activity));
   let b = P.with_power_budget p 0.25 in
-  Alcotest.(check bool) "finite budget flips power_budgeted" true
-    (P.power_budgeted b);
   check_close "budget readable back" 0.25 (P.power_budget b);
-  Alcotest.(check bool) "infinite rebind stays unconstrained" false
-    (P.power_budgeted (P.with_power_budget p infinity));
+  Alcotest.(check bool) "a power budget only tightens the area budget" true
+    (P.budget b <= P.budget p);
+  Alcotest.(check (float 0.0)) "infinite rebind leaves the area budget"
+    (P.budget p)
+    (P.budget (P.with_power_budget p infinity));
   Alcotest.check_raises "budget 0 rejected"
     (Invalid_argument "Problem.with_power_budget: budget <= 0") (fun () ->
       ignore (P.with_power_budget p 0.0));
@@ -590,36 +600,20 @@ let test_power_tables () =
     (Invalid_argument "Problem.with_activity: activity must be in (0, 1]")
     (fun () -> ignore (P.with_activity p 1.01))
 
-(* Interval power is one float product over an exact integer repeater
-   count, so splitting an interval anywhere loses at most rounding in
-   the final product — and the min-power prefix must be monotone (it is
-   the admissible floor the power-mode bound oracle subtracts). *)
-let prop_meeting_power_additive =
-  qtest ~count:60 "meeting power additive over splits; prefix monotone"
-    Helpers.gen_instance (fun { problem; label } ->
-      let n = P.n_bunches problem in
-      let ok = ref true in
-      for j = 0 to P.n_pairs problem - 1 do
-        for mid = 0 to n do
-          let whole = P.meeting_power problem ~pair:j ~lo:0 ~hi:n in
-          let parts =
-            P.meeting_power problem ~pair:j ~lo:0 ~hi:mid
-            +. P.meeting_power problem ~pair:j ~lo:mid ~hi:n
-          in
-          if
-            Float.abs (whole -. parts)
-            > 1e-12 *. Float.max 1.0 (Float.abs whole)
-          then ok := false
-        done
-      done;
-      for i = 0 to n - 1 do
-        if
-          P.min_rep_power_before problem (i + 1)
-          < P.min_rep_power_before problem i
-        then ok := false
-      done;
-      if not !ok then
-        QCheck2.Test.fail_reportf "%s: power tables inconsistent" label
+(* A power budget P caps the repeater area at the largest area whose
+   reported power [kappa *. a] is within P — exactly, to the ulp: the
+   cap itself reports within P and the next float up does not. *)
+let prop_power_cap_exact =
+  qtest ~count:200 "power cap is the largest area within the budget"
+    QCheck2.Gen.(pair Helpers.gen_instance (float_range 1e-6 0.999))
+    (fun ({ problem; label }, u) ->
+      let full = P.with_repeater_fraction problem 1.0 in
+      let kappa = P.kappa full in
+      let watts = u *. kappa *. P.budget full in
+      let cap = P.budget (P.with_power_budget full watts) in
+      if not (kappa *. cap <= watts && kappa *. Float.succ cap > watts) then
+        QCheck2.Test.fail_reportf "%s: cap %h for %h W is not the boundary"
+          label cap watts
       else true)
 
 let () =
@@ -636,7 +630,7 @@ let () =
           Alcotest.test_case "validation" `Quick test_problem_validation;
           prop_meeting_cost_additive;
           Alcotest.test_case "power tables" `Quick test_power_tables;
-          prop_meeting_power_additive;
+          prop_power_cap_exact;
         ] );
       ( "rescale reuse",
         [

@@ -649,95 +649,6 @@ let prop_front_insert_matches_reference =
         ops;
       check_stats_equal ~label front stats)
 
-(* ---- powered (3-way) stores ------------------------------------------- *)
-
-(* Reference semantics of [insert_pw], mirrored from its documented
-   contract: 3-way dominance, survivors keep area-ascending order, the
-   candidate lands after every equal-or-smaller area, and width overflow
-   drops the largest-area element (one truncation). *)
-type pelt = { p_area : float; p_count : int; p_power : float }
-
-let pdominates a b =
-  a.p_area <= b.p_area && a.p_count <= b.p_count && a.p_power <= b.p_power
-
-let pinsert ~width ~stats set e =
-  stats.r_inserts <- stats.r_inserts + 1;
-  if List.exists (fun x -> pdominates x e) set then begin
-    stats.r_dominated <- stats.r_dominated + 1;
-    set
-  end
-  else begin
-    let survivors = List.filter (fun x -> not (pdominates e x)) set in
-    let rec land_after = function
-      | x :: rest when x.p_area <= e.p_area -> x :: land_after rest
-      | rest -> e :: rest
-    in
-    let merged = land_after survivors in
-    if List.length merged > width then begin
-      stats.r_truncations <- stats.r_truncations + 1;
-      List.filteri (fun k _ -> k < width) merged
-    end
-    else merged
-  end
-
-let gen_pw_insert_seq =
-  let open QCheck2.Gen in
-  let* width = int_range 1 8 in
-  let* ops =
-    list_size (int_range 1 60)
-      (triple
-         (map float_of_int (int_range 0 9))
-         (int_range 0 9)
-         (map float_of_int (int_range 0 9)))
-  in
-  return (width, ops)
-
-let prop_front_powered_matches_reference =
-  qtest ~count:500 "powered front insert matches the 3-way list reference"
-    gen_pw_insert_seq (fun (width, ops) ->
-      let label =
-        Printf.sprintf "pw width=%d n_ops=%d" width (List.length ops)
-      in
-      let stats = { r_inserts = 0; r_dominated = 0; r_truncations = 0 } in
-      let front = Front.create_powered ~cells:1 ~width in
-      if not (Front.powered front) then
-        QCheck2.Test.fail_reportf "%s: create_powered not powered" label;
-      let reference = ref [] in
-      List.iteri
-        (fun k (area, count, power) ->
-          reference :=
-            pinsert ~width ~stats !reference
-              { p_area = area; p_count = count; p_power = power };
-          Front.insert_pw front 0 ~area ~count ~power ~split:k ~parent:(-1);
-          let len = Front.length front 0 in
-          if len <> List.length !reference then
-            QCheck2.Test.fail_reportf "%s: after op %d length front=%d ref=%d"
-              label k len (List.length !reference);
-          List.iteri
-            (fun i r ->
-              if
-                Front.area front 0 i <> r.p_area
-                || Front.count front 0 i <> r.p_count
-                || Front.power front 0 i <> r.p_power
-              then
-                QCheck2.Test.fail_reportf
-                  "%s: after op %d elt %d front=(%g,%d,%g) ref=(%g,%d,%g)"
-                  label k i (Front.area front 0 i) (Front.count front 0 i)
-                  (Front.power front 0 i) r.p_area r.p_count r.p_power;
-              (* covers_pw must agree with the reference set's dominance
-                 view of every surviving element (probed exactly). *)
-              if
-                not
-                  (Front.covers_pw front 0 ~area:r.p_area ~count:r.p_count
-                     ~power:r.p_power)
-              then
-                QCheck2.Test.fail_reportf
-                  "%s: after op %d covers_pw misses its own element %d" label
-                  k i)
-            !reference)
-        ops;
-      check_stats_equal ~label front stats)
-
 (* Replays the phase-A build loop of [Rank_dp.build_tables] — the same
    root screen, iteration order, prune conditions and insert sequence —
    into {e both} a reference list matrix and a [Front], then requires
@@ -1735,7 +1646,7 @@ let test_hard_corpus () =
               ignore (Ir_core.Rank_grid.perturb g (Ir_core.Rank_grid.point ()));
               let pt = Ir_core.Rank_grid.point ~fraction:f () in
               match Ir_core.Rank_grid.query g pt with
-              | Some o -> o
+              | Some (o, _) -> o
               | None ->
                   let cells = Ir_core.Rank_grid.perturb g pt in
                   Ir_core.Rank_grid.outcome g cells.(Array.length cells - 1) );
@@ -1852,7 +1763,6 @@ let () =
           Alcotest.test_case "adversarial mirrored builds" `Quick
             test_front_mirror_adversarial;
           prop_front_insert_matches_reference;
-          prop_front_powered_matches_reference;
           prop_front_mirror_build;
           prop_front_mirror_build_4pair;
         ] );

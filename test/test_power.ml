@@ -1,15 +1,15 @@
-(* Tests for lib/power: the repeater power model and the dual-budget
-   (rank-vs-power) surface.  The QCheck properties pin the subsystem's
-   contracts on random instances: monotonicity of the model in activity
-   factor and clock, the three power accountings (assignment, witness,
-   the DP's own coordinate) agreeing without a tolerance, and the
-   infinite-budget run being byte-identical — outcome and counters — to
-   the area-only path. *)
+(* Tests for lib/power: the repeater power model and the power budget.
+   Power is kappa times repeater area, so a power budget is an area cap
+   on the one repeater budget the DP knows.  The QCheck properties pin
+   that reduction on random instances: monotonicity of the model in
+   activity factor and clock, the two power accountings (assignment,
+   witness) agreeing without a tolerance, a powered compute equal to the
+   area-only compute at the same budget, and a shared plane answering
+   power budgets exactly as independent computes do. *)
 
 open Helpers
 module P = Ir_assign.Problem
 module Power = Ir_power.Power
-module Dp = Ir_core.Rank_dp
 module Grid = Ir_core.Rank_grid
 
 let n_pairs p = Array.length (P.arch p).Ir_ia.Arch.pairs
@@ -80,10 +80,10 @@ let prop_monotone_clock =
 
 (* ---- accounting ------------------------------------------------------- *)
 
-(* Assignment.extract expands the same witness, so the three accountings —
-   the extracted assignment's interval sum, the witness sum, and a
-   by-hand replay of the documented formula — must agree to the byte,
-   no tolerance. *)
+(* Assignment.extract expands the same witness, so the accountings — the
+   extracted assignment's interval sum, the witness sum, and a by-hand
+   replay of the documented formula — must agree to the byte, no
+   tolerance. *)
 let prop_accounting_identity =
   qtest ~count:60 "of_assignment = of_witness = interval sum, byte-exact"
     gen_instance
@@ -93,38 +93,54 @@ let prop_accounting_identity =
       | o, Some w ->
           let a = Ir_core.Assignment.extract problem in
           let manual =
-            List.fold_left
-              (fun acc (pl : Ir_core.Assignment.pair_load) ->
-                if pl.bunch_hi > pl.bunch_lo then
-                  acc
-                  +. P.meeting_power problem ~pair:pl.pair ~lo:pl.bunch_lo
-                       ~hi:pl.bunch_hi
-                else acc)
-              0.0 a.Ir_core.Assignment.meeting
+            P.kappa problem
+            *. List.fold_left
+                 (fun acc (pl : Ir_core.Assignment.pair_load) ->
+                   if pl.bunch_hi > pl.bunch_lo then
+                     acc
+                     +. P.meeting_area problem ~pair:pl.pair ~lo:pl.bunch_lo
+                          ~hi:pl.bunch_hi
+                   else acc)
+                 0.0 a.Ir_core.Assignment.meeting
           in
           a.Ir_core.Assignment.outcome.Ir_core.Outcome.rank_wires
           = o.Ir_core.Outcome.rank_wires
           && Power.of_assignment problem a = manual
           && Power.of_assignment problem a = Power.of_witness problem w)
 
-(* ---- the dual budget -------------------------------------------------- *)
+(* ---- the power budget as an area cap ---------------------------------- *)
+
+(* The area-only instance whose repeater budget is exactly [budget]: the
+   fraction [budget / die] nudged by a few ulps until the product lands
+   on [budget], or [None] when no fraction near it does. *)
+let area_only p budget =
+  let die = P.budget (P.with_repeater_fraction p 1.0) in
+  let at f = P.with_repeater_fraction p f in
+  let rec nudge f k =
+    if k = 0 || not (f >= 0.0 && f <= 1.0) then None
+    else
+      let q = at f in
+      let b = P.budget q in
+      if b = budget then Some q
+      else nudge (if b < budget then Float.succ f else Float.pred f) (k - 1)
+  in
+  nudge (Float.min 1.0 (budget /. die)) 8
 
 (* The soundness anchor at instance granularity: threading an infinite
-   power budget (and a non-default activity, so the power tables really
-   differ) through the DP must leave the outcome AND every counter
+   power budget (and a non-default activity, so kappa really differs)
+   through the DP must leave the outcome, the witness AND every counter
    byte-identical to the area-only run. *)
 let prop_infinite_budget_identity =
   qtest ~count:40 "infinite budget = area-only, outcome and counters"
     gen_instance
     (fun { problem; label = _ } ->
       Ir_obs.reset ();
-      let plain = fst (Grid.compute problem) in
+      let plain = Grid.compute problem in
       let plain_snap = Ir_obs.snapshot () in
       Ir_obs.reset ();
       let powered_inf =
-        fst
-          (Grid.compute
-             (P.with_power_budget (P.with_activity problem 0.45) infinity))
+        Grid.compute
+          (P.with_power_budget (P.with_activity problem 0.45) infinity)
       in
       let inf_snap = Ir_obs.snapshot () in
       Ir_obs.reset ();
@@ -132,44 +148,73 @@ let prop_infinite_budget_identity =
       && plain_snap.Ir_obs.counters = inf_snap.Ir_obs.counters
       && plain_snap.Ir_obs.gauges = inf_snap.Ir_obs.gauges)
 
+(* A power budget is only an area cap: a powered compute equals the
+   area-only compute at the same repeater budget, outcome and witness,
+   with no tolerance, and its witness reports within the watts. *)
+let prop_powered_equals_area_only =
+  qtest ~count:40 "powered compute = area-only compute at its cap"
+    QCheck2.Gen.(pair gen_instance (float_range 0.05 1.2))
+    (fun ({ problem; label }, u) ->
+      match Grid.compute problem with
+      | _, None -> true
+      | _, Some w -> (
+          let p_inf = Power.of_witness problem w in
+          if not (p_inf > 0.0) then true
+          else
+            let watts = u *. p_inf in
+            let powered = P.with_power_budget problem watts in
+            let o, wp = Grid.compute powered in
+            (match wp with
+            | Some wp when Power.of_witness powered wp > watts ->
+                QCheck2.Test.fail_reportf "%s: witness burns %h W > %h W" label
+                  (Power.of_witness powered wp) watts
+            | _ -> ());
+            match area_only problem (P.budget powered) with
+            | None -> true
+            | Some q ->
+                let oq, wq = Grid.compute q in
+                if not (Ir_core.Outcome.equal o oq && wp = wq) then
+                  QCheck2.Test.fail_reportf
+                    "%s: powered rank %d, area-only rank %d at the same budget"
+                    label o.Ir_core.Outcome.rank_wires
+                    oq.Ir_core.Outcome.rank_wires
+                else true))
+
 (* A finite budget can only lose rank; the budget is respected by the
    returned witness; and a budget of exactly the unconstrained witness's
-   own spend loses nothing (the DP's power coordinate reproduces the
-   spend byte-for-byte, so the same witness stays admissible). *)
+   own spend loses nothing (its area is within the cap by construction,
+   so the same witness stays admissible). *)
 let prop_budget_binds_soundly =
   qtest ~count:40 "finite budgets: monotone loss, exact self-recovery"
     gen_instance
     (fun { problem; label = _ } ->
       match Grid.compute problem with
       | _, None -> true
-      | o, Some w -> (
+      | o, Some w ->
           let p_inf = Power.of_witness problem w in
           if not (p_inf > 0.0) then true
           else
-            let half = P.with_power_budget problem (0.5 *. p_inf) in
-            let oh, wh = Grid.compute half in
-            let within =
-              match wh with
-              | None -> true
-              | Some wh -> Power.of_witness half wh <= 0.5 *. p_inf
+            let within watts =
+              let p = P.with_power_budget problem watts in
+              let o', w' = Grid.compute p in
+              let spend =
+                match w' with Some w' -> Power.of_witness p w' | None -> 0.0
+              in
+              (o'.Ir_core.Outcome.rank_wires, spend <= watts)
             in
-            oh.Ir_core.Outcome.rank_wires <= o.Ir_core.Outcome.rank_wires
-            && within
-            &&
-            match
-              Grid.compute_pareto_power problem [ p_inf ]
-            with
-            | [ pt ] ->
-                pt.Grid.pp_outcome.Ir_core.Outcome.rank_wires
-                = o.Ir_core.Outcome.rank_wires
-                && pt.Grid.pp_power <= p_inf
-            | _ -> false))
+            let half, half_ok = within (0.5 *. p_inf) in
+            let full, full_ok = within p_inf in
+            half <= o.Ir_core.Outcome.rank_wires
+            && half_ok
+            && full = o.Ir_core.Outcome.rank_wires
+            && full_ok)
 
-(* One power-mode build answering a whole budget sweep must agree with
-   independently computed points (the componentwise displacement
-   argument behind compute_pareto_power). *)
+(* One resident plane answering a whole power-budget sweep must agree
+   with independently computed points: a power budget rebinds the plane
+   exactly as a fraction does (the displacement argument at
+   [Rank_dp.rebudget]). *)
 let prop_sweep_matches_independent =
-  qtest ~count:30 "compute_pareto_power = independent recomputes"
+  qtest ~count:30 "resident power budgets = independent recomputes"
     gen_instance
     (fun { problem; label = _ } ->
       match Grid.compute problem with
@@ -178,33 +223,88 @@ let prop_sweep_matches_independent =
           let p_inf = Power.of_witness problem w in
           if not (p_inf > 0.0) then true
           else
-            let budgets =
-              [ 0.3 *. p_inf; 0.7 *. p_inf; p_inf; infinity ]
-            in
-            let swept = Grid.compute_pareto_power problem budgets in
-            List.for_all2
-              (fun b (pt : Grid.power_point) ->
-                let alone = fst (Grid.compute (P.with_power_budget problem b)) in
-                pt.Grid.pp_budget = b && pt.Grid.pp_outcome = alone)
-              budgets swept)
+            let g = Grid.resident problem in
+            ignore (Grid.perturb g (Grid.point ()));
+            List.for_all
+              (fun b ->
+                let alone = Grid.compute (P.with_power_budget problem b) in
+                match Grid.query ~power_budget:b g (Grid.point ()) with
+                | Some shared -> shared = alone
+                | None -> true)
+              [ 0.3 *. p_inf; 0.7 *. p_inf; p_inf; infinity ])
 
-let test_powered_tables_refuse_encode () =
-  let p = P.with_power_budget (baseline_130nm_small ()) 0.01 in
-  let tables = Dp.build_tables p in
-  match Dp.encode_tables tables with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "power-mode tables must refuse encode_tables"
+(* On the Table-2 baseline, the witness at each repeater fraction,
+   budgeted at exactly its own reported power, is admitted again: the
+   rank is recovered with the same witness.  These fractions are the
+   floating-point ties the exact cap exists for — each witness's area
+   sits one ulp above [P /. kappa], so a cap of [fl (P / kappa)] drops
+   the rank by one bunch (at 0.39: 1,159,459 to 1,149,459). *)
+let test_baseline_self_recovery () =
+  let base = Ir_sweep.Table4.baseline_problem Ir_sweep.Table4.default_config in
+  let full = P.with_repeater_fraction base 1.0 in
+  List.iter
+    (fun (f, rank) ->
+      let p = P.with_repeater_fraction base f in
+      let o, w = Grid.compute p in
+      let label = Printf.sprintf "fraction %.3f" f in
+      Alcotest.(check int) (label ^ ": rank") rank o.Ir_core.Outcome.rank_wires;
+      let watts =
+        match w with
+        | Some w -> Power.of_witness p w
+        | None -> Alcotest.fail (label ^ ": unassignable")
+      in
+      let o', w' = Grid.compute (P.with_power_budget full watts) in
+      Alcotest.(check int) (label ^ ": own spend recovers the rank") rank
+        o'.Ir_core.Outcome.rank_wires;
+      Alcotest.(check bool) (label ^ ": same witness") true (w = w'))
+    [
+      (0.195, 580_267); (0.205, 610_267); (0.39, 1_159_459); (0.4, 1_199_459);
+    ]
 
-let test_pareto_validation () =
+(* A zero repeater budget, by area or by power: fraction 0 and a power
+   budget below one repeater's power both leave only the repeater-free
+   intervals, so both give the no-repeater rank the exhaustive oracle
+   finds at fraction 0. *)
+let prop_zero_budget_no_repeater_rank =
+  qtest ~count:80 "zero repeater budget = no-repeater rank (brute)"
+    gen_instance
+    (fun { problem; label } ->
+      let zero = P.with_repeater_fraction problem 0.0 in
+      let cheapest =
+        List.fold_left Float.min infinity
+          (List.init (n_pairs problem) (fun j ->
+               Power.per_repeater problem ~pair:j))
+      in
+      let starved = P.with_power_budget problem (0.5 *. cheapest) in
+      let brute = (Ir_core.Rank_brute.compute zero).Ir_core.Outcome.rank_wires in
+      let by_area = (fst (Grid.compute zero)).Ir_core.Outcome.rank_wires in
+      let by_power = (fst (Grid.compute starved)).Ir_core.Outcome.rank_wires in
+      if by_area <> brute || by_power <> brute then
+        QCheck2.Test.fail_reportf "%s: brute %d, fraction 0 %d, starved power %d"
+          label brute by_area by_power
+      else true)
+
+let test_budget_validation () =
   let p = baseline_130nm_small () in
   List.iter
-    (fun budgets ->
-      match Power.pareto p budgets with
+    (fun b ->
+      match P.with_power_budget p b with
       | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "expected Invalid_argument on budget <= 0")
-    [ [ 0.0 ]; [ -1.0 ]; [ 0.1; -0.1 ] ]
+      | _ -> Alcotest.failf "budget %g accepted" b)
+    [ 0.0; -1.0; Float.nan ]
 
-let test_pareto_small_frontier () =
+(* The frontier over a resident plane, as [Power_pareto] answers it. *)
+let frontier p budgets =
+  let g = Grid.resident p in
+  ignore (Grid.perturb g (Grid.point ()));
+  List.map
+    (fun b ->
+      match Grid.query ~power_budget:b g (Grid.point ()) with
+      | Some r -> r
+      | None -> Grid.compute (P.with_power_budget p b))
+    budgets
+
+let test_small_frontier () =
   let p = baseline_130nm_small () in
   let o, w = Grid.compute p in
   let p_inf =
@@ -213,43 +313,45 @@ let test_pareto_small_frontier () =
     | None -> Alcotest.fail "baseline unassignable"
   in
   let budgets = List.map (fun f -> f *. p_inf) [ 0.25; 0.5; 1.0 ] in
-  let pts = Power.pareto p budgets in
+  let pts = frontier p budgets in
   Alcotest.(check int) "three points" 3 (List.length pts);
   let ranks =
-    List.map (fun (pt : Grid.power_point) ->
-        pt.Grid.pp_outcome.Ir_core.Outcome.rank_wires)
-      pts
+    List.map (fun ((o : Ir_core.Outcome.t), _) -> o.rank_wires) pts
   in
   Alcotest.(check bool) "ranks nondecreasing in budget" true
     (List.sort compare ranks = ranks);
   List.iter2
-    (fun b (pt : Grid.power_point) ->
-      Alcotest.(check bool) "spend within budget" true (pt.Grid.pp_power <= b))
+    (fun b (_, w) ->
+      match w with
+      | Some w ->
+          Alcotest.(check bool) "spend within budget" true
+            (Power.of_witness p w <= b)
+      | None -> ())
     budgets pts;
   Alcotest.(check int) "full-spend budget recovers the unconstrained rank"
     o.Ir_core.Outcome.rank_wires
     (List.nth ranks 2)
 
-(* Power.pareto answers its points concurrently on the pool; a jobs=1
-   and a jobs=2 run must return identical frontiers. *)
+(* Power_pareto's plane build runs on the pool; a jobs=1 and a jobs=2
+   run must return identical frontiers. *)
 let test_pareto_engines_agree () =
-  let p = baseline_130nm_small () in
-  let _, w = Grid.compute p in
-  let p_inf =
-    match w with
-    | Some w -> Power.of_witness p w
-    | None -> Alcotest.fail "baseline unassignable"
+  let config =
+    {
+      Ir_sweep.Table4.default_config with
+      design = Ir_tech.Design.v ~node:Ir_tech.Node.N130 ~gates:40_000 ();
+      bunch_size = 500;
+    }
   in
-  let budgets = List.map (fun f -> f *. p_inf) [ 0.3; 0.6; 1.0 ] in
-  let seq = Power.pareto ~jobs:1 p budgets in
-  let par = Power.pareto ~jobs:2 p budgets in
-  List.iter2
-    (fun (a : Grid.power_point) (b : Grid.power_point) ->
-      Alcotest.(check bool) "identical point" true
-        (a.Grid.pp_budget = b.Grid.pp_budget
-        && a.Grid.pp_outcome = b.Grid.pp_outcome
-        && a.Grid.pp_power = b.Grid.pp_power))
-    seq par
+  let rows (r : Ir_sweep.Power_pareto.result) =
+    List.map
+      (fun (row : Ir_sweep.Power_pareto.row) ->
+        (row.fraction, row.budget, row.outcome, row.power))
+      r.rows
+  in
+  let seq = Ir_sweep.Power_pareto.run ~jobs:1 ~config () in
+  let par = Ir_sweep.Power_pareto.run ~jobs:2 ~config () in
+  Alcotest.(check bool) "non-empty frontier" true (seq.rows <> []);
+  Alcotest.(check bool) "identical frontiers" true (rows seq = rows par)
 
 let () =
   Alcotest.run "power"
@@ -268,12 +370,14 @@ let () =
       ( "dual budget",
         [
           prop_infinite_budget_identity;
+          prop_powered_equals_area_only;
           prop_budget_binds_soundly;
           prop_sweep_matches_independent;
-          Alcotest.test_case "encode refused" `Quick
-            test_powered_tables_refuse_encode;
-          Alcotest.test_case "budget validation" `Quick test_pareto_validation;
-          Alcotest.test_case "small frontier" `Quick test_pareto_small_frontier;
+          Alcotest.test_case "baseline self-recovery" `Quick
+            test_baseline_self_recovery;
+          prop_zero_budget_no_repeater_rank;
+          Alcotest.test_case "budget validation" `Quick test_budget_validation;
+          Alcotest.test_case "small frontier" `Quick test_small_frontier;
           Alcotest.test_case "engines agree" `Quick test_pareto_engines_agree;
         ] );
     ]

@@ -176,10 +176,15 @@ let test_fp_power_fields () =
   Alcotest.(check bool) "activity matters under a finite budget" true
     (F.digest (q ~power_budget:0.5 ~activity:0.3 ())
     <> F.digest (q ~power_budget:0.5 ()));
-  (* A finite budget forfeits the warm-table path, so it must not alias
-     onto the family's shared table key either. *)
-  Alcotest.(check bool) "finite budget changes the table key" true
-    (F.table_key (q ~power_budget:0.5 ()) <> F.table_key (q ()));
+  (* A finite budget is an area cap answered from the family's shared
+     tables, so it aliases onto the unpowered query's table and family
+     keys — and so does the activity it is priced at. *)
+  Alcotest.(check string) "finite budget shares the table key"
+    (F.table_key (q ()))
+    (F.table_key (q ~power_budget:0.5 ~activity:0.3 ()));
+  Alcotest.(check string) "finite budget shares the family key"
+    (F.family_key (q ()))
+    (F.family_key (q ~power_budget:0.5 ~activity:0.3 ()));
   let rejected what r =
     match r with
     | Error _ -> ()
@@ -1310,6 +1315,46 @@ let test_grid_neighbor_warm () =
   S.shutdown srv;
   S.join srv
 
+(* A power budget is an area cap on the same budget, so a powered DP
+   query on a warm family is one phase-B search over the resident plane:
+   no cold compute, no build, and the payload still byte-identical to a
+   cold computation — at the default activity and at another one. *)
+let test_grid_powered_warm () =
+  Ir_obs.reset ();
+  let cache = ok_exn "cache" (C.create ~capacity:16 ()) in
+  let srv = S.create ~workers:1 ~cache () in
+  let fp ?power_budget ?activity f =
+    ok_exn "fp"
+      (F.v ?power_budget ?activity ~repeater_fraction:f ~bunch_size:500
+         ~node:"130nm" ~gates:20_000 ())
+  in
+  let ask what q =
+    match S.submit_query srv q with
+    | Ok (payload, _) ->
+        Alcotest.(check string) (what ^ " = cold")
+          (Pr.result_payload (F.compute_cold q))
+          payload
+    | Error e -> Alcotest.failf "%s: %s" what (Pr.error_message e)
+  in
+  ask "base plane" (fp 0.3);
+  let base = F.problem (fp 0.3) in
+  let p_inf =
+    match Ir_core.Rank_grid.compute base with
+    | _, Some w -> Ir_power.Power.of_witness base w
+    | _, None -> Alcotest.fail "base unassignable"
+  in
+  let hits = counter "serve/table_hits" in
+  ask "half the base spend" (fp ~power_budget:(0.5 *. p_inf) 0.3);
+  ask "the base spend" (fp ~power_budget:p_inf 0.3);
+  ask "another activity" (fp ~power_budget:(0.5 *. p_inf) ~activity:0.3 0.6);
+  Alcotest.(check int) "powered queries hit the resident plane" (hits + 3)
+    (counter "serve/table_hits");
+  Alcotest.(check int) "no further builds" 1 (counter "serve/table_builds");
+  Alcotest.(check int) "nothing fell to the cold path" 0
+    (counter "serve/cold_computes");
+  S.shutdown srv;
+  S.join srv
+
 (* ---- sharded fleet over TCP ------------------------------------------- *)
 
 module Sh = Ir_serve.Shard
@@ -1566,6 +1611,8 @@ let () =
         [
           Alcotest.test_case "neighbor queries answered warm" `Quick
             test_grid_neighbor_warm;
+          Alcotest.test_case "powered queries answered warm" `Quick
+            test_grid_powered_warm;
         ] );
       ( "sharded",
         [

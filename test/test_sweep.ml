@@ -205,7 +205,8 @@ let frozen_powered =
     ( "R", [ 11559; 23484; 23484; 23484; 23484 ] );
   ]
 
-let frozen_p_inf = 0.16485747101729228
+(* kappa times the baseline witness's repeater area, watts. *)
+let frozen_p_inf = 0.16485747101729234
 
 (* One Table-4 row's own problem, derived from the config's base instance
    exactly as a grid cell is (materials, clock or fraction override). *)
