@@ -917,8 +917,9 @@ let serving_bench () =
    compared byte-for-byte against a local cold compute, and each shard's
    [serve/table_builds] is collected: their sum must not exceed the
    number of distinct warm-table families, which is the family-affinity
-   routing claim (no family built twice anywhere in the fleet).  Any
-   violation fails the bench process, not just the exported status. *)
+   routing claim (no family built twice anywhere in the fleet); and at
+   most half the storm may be shed.  Any non-ok status fails the bench
+   process, not just the exported one. *)
 let serving_sharded_bench () =
   section "Sharded serving leg: TCP client storm against a shard fleet";
   let exe =
@@ -1201,14 +1202,9 @@ let serving_sharded_bench () =
     report.sh_p99_ms report.shed_rate report.coalesce_rate
     (String.concat "; " (List.map string_of_int builds_per_shard))
     byte_identical;
-  if not byte_identical then
-    failwith
-      "sharded serving leg: sharded answers are not byte-identical to local \
-       cold computes";
-  if List.fold_left ( + ) 0 builds_per_shard > List.length families then
-    failwith
-      "sharded serving leg: some warm-table family was built by more than \
-       one shard (family-affinity routing broken)";
+  (match Ir_sweep.Export.sharded_status report with
+  | "ok" -> ()
+  | status -> failwith ("sharded serving leg: status " ^ status));
   leg_results_line "serving_sharded";
   report
 

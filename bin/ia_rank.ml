@@ -861,7 +861,7 @@ let serve_cmd =
         print_stats stats
       in
       if stdio then begin
-        Ir_serve.Server.serve_stdio srv stdin stdout;
+        Ir_serve.Server.serve_stdio srv Unix.stdin Unix.stdout;
         finish ()
       end
       else if socket = None && tcp = None then

@@ -4,7 +4,7 @@
    O(bunches) working arrays [Greedy_fill.run] and the rank DP allocate
    per call — and OCaml 5 minor collections are stop-the-world across
    every running domain, so each worker's allocation churn stalls all of
-   them.  An arena is a growable buffer pair a caller refills in place:
+   them.  An arena is a growable buffer a caller refills in place:
    the values written are exactly the ones a fresh [Array.init] would
    have produced, so every counter and verdict stays byte-identical to
    the allocating path (the differential tests in [test_assign] pin
@@ -17,13 +17,9 @@
    already holds it.  Correctness never depends on winning the CAS, only
    the allocation savings do. *)
 
-type t = {
-  mutable ints : int array;
-  mutable floats : float array;
-  busy : bool Atomic.t;
-}
+type t = { mutable ints : int array; busy : bool Atomic.t }
 
-let create () = { ints = [||]; floats = [||]; busy = Atomic.make false }
+let create () = { ints = [||]; busy = Atomic.make false }
 
 (* Doubling growth keeps refills amortized O(1) across the mixed problem
    sizes of one sweep; buffers never shrink for the arena's lifetime.
@@ -33,11 +29,6 @@ let ints t n =
   if Array.length t.ints < n then
     t.ints <- Array.make (max n (2 * Array.length t.ints)) 0;
   t.ints
-
-let floats t n =
-  if Array.length t.floats < n then
-    t.floats <- Array.make (max n (2 * Array.length t.floats)) 0.0;
-  t.floats
 
 let key : t Domain.DLS.key = Domain.DLS.new_key create
 

@@ -2,8 +2,8 @@
 
     Parallel sweeps used to allocate their O(bunches) working arrays
     fresh per feasibility probe; under OCaml 5's stop-the-world minor GC
-    every worker's churn stalls all domains.  A [t] is a pair of
-    growable buffers the hot paths refill in place instead.  Refilling
+    every worker's churn stalls all domains.  A [t] is a growable int
+    buffer the hot paths refill in place instead.  Refilling
     writes exactly the values fresh allocation would have, so verdicts,
     placements and counters are byte-identical either way — scratch is a
     pure allocation-traffic optimization, and the differential tests in
@@ -17,17 +17,14 @@
 type t
 
 val create : unit -> t
-(** A fresh arena with empty buffers; they grow on demand and never
-    shrink. *)
+(** A fresh arena with an empty buffer; it grows on demand and never
+    shrinks. *)
 
 val ints : t -> int -> int array
 (** [ints t n] returns the arena's int buffer, grown to at least [n]
     cells.  Contents beyond what the caller writes are unspecified
     (stale from previous uses) — callers must initialize [0 .. n-1]
     themselves and read nothing past it. *)
-
-val floats : t -> int -> float array
-(** Same contract for the float buffer. *)
 
 val with_arena : (t -> 'a) -> 'a
 (** [with_arena f] runs [f] with the calling {e domain}'s arena,

@@ -2,242 +2,71 @@ let stat_mem_hits = Ir_obs.counter "serve_cache/mem_hits"
 let stat_disk_hits = Ir_obs.counter "serve_cache/disk_hits"
 let stat_misses = Ir_obs.counter "serve_cache/misses"
 let stat_evictions = Ir_obs.counter "serve_cache/evictions"
-let stat_disk_corrupt = Ir_obs.counter "serve_cache/disk_corrupt"
-let stat_disk_errors = Ir_obs.counter "serve_cache/disk_errors"
 let stat_stores = Ir_obs.counter "serve_cache/stores"
-let stat_tmp_swept = Ir_obs.counter "serve_cache/tmp_swept"
 
-(* ---- in-memory LRU ---------------------------------------------------- *)
+let disk_counters =
+  {
+    Disk_store.corrupt = Ir_obs.counter "serve_cache/disk_corrupt";
+    errors = Ir_obs.counter "serve_cache/disk_errors";
+    tmp_swept = Ir_obs.counter "serve_cache/tmp_swept";
+  }
 
-(* Classic doubly-linked recency list + hashtable.  [head] is the most
-   recently used end, [tail] the next eviction victim.  All mutation
-   happens under the cache lock. *)
-type node = {
-  digest : string;
-  payload : string;
-  mutable prev : node option;  (* towards head (more recent) *)
-  mutable next : node option;  (* towards tail (less recent) *)
-}
+(* The tag versions the whole serving stack's result semantics: a change
+   to what a payload means bumps it.
+   /2: entries moved to the {!Disk_store} layout (shared with table
+   snapshots); /1 entries are discarded on load. *)
+let schema_tag = "ia-rank/cache/2"
+let suffix = ".entry"
 
 type t = {
-  capacity : int;
-  dir : string option;
   lock : Mutex.t;
-  table : (string, node) Hashtbl.t;
-  mutable head : node option;
-  mutable tail : node option;
+  mem : (string, string) Lru.t;
+  disk : Disk_store.t option;
 }
 
 let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let unlink t n =
-  (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> t.tail <- n.prev);
-  n.prev <- None;
-  n.next <- None
-
-let push_front t n =
-  n.next <- t.head;
-  n.prev <- None;
-  (match t.head with Some h -> h.prev <- Some n | None -> t.tail <- Some n);
-  t.head <- Some n
-
-(* Insert or refresh under the lock; evicts past capacity. *)
-let mem_store_locked t ~digest payload =
-  (match Hashtbl.find_opt t.table digest with
-  | Some n -> unlink t n; Hashtbl.remove t.table digest
-  | None -> ());
-  let n = { digest; payload; prev = None; next = None } in
-  push_front t n;
-  Hashtbl.replace t.table digest n;
-  while Hashtbl.length t.table > t.capacity do
-    match t.tail with
-    | None -> assert false
-    | Some victim ->
-        unlink t victim;
-        Hashtbl.remove t.table victim.digest;
-        Ir_obs.incr stat_evictions
-  done
-
-let mem_find_locked t ~digest =
-  match Hashtbl.find_opt t.table digest with
-  | None -> None
-  | Some n ->
-      unlink t n;
-      push_front t n;
-      Some n.payload
-
-(* ---- on-disk store ---------------------------------------------------- *)
-
-(* Entry file layout (text, four lines):
-     ia-rank/cache/1
-     digest: <fingerprint digest hex>
-     payload-md5: <hex md5 of the payload line, without its newline>
-     <payload>
-   The schema tag versions the whole serving stack's result semantics: a
-   future PR that changes what a payload means bumps it and every old
-   entry self-invalidates on load. *)
-let schema_tag = "ia-rank/cache/1"
-
-let entry_path ~dir ~digest =
-  (* Digests are hex, so the filename needs no escaping; reject anything
-     else outright rather than building a traversal path. *)
-  if
-    digest = ""
-    || String.exists
-         (fun c ->
-           not
-             ((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')
-             || (c >= 'A' && c <= 'F')))
-         digest
-  then invalid_arg "Cache.entry_path: digest is not hex";
-  Filename.concat dir (digest ^ ".entry")
-
-let render_entry ~digest payload =
-  String.concat ""
-    [
-      schema_tag; "\n"; "digest: "; digest; "\n"; "payload-md5: ";
-      Digest.to_hex (Digest.string payload); "\n"; payload; "\n";
-    ]
-
-let disk_store t ~digest payload =
-  match t.dir with
-  | None -> ()
-  | Some dir -> (
-      (* Temp-file + rename: concurrent servers sharing a cache dir (or a
-         crash mid-write) can never publish a torn entry — readers see
-         the old file or the complete new one. *)
-      match Filename.temp_file ~temp_dir:dir ("." ^ digest) ".tmp" with
-      | exception Sys_error _ -> Ir_obs.incr stat_disk_errors
-      | tmp -> (
-          match
-            Out_channel.with_open_bin tmp (fun oc ->
-                Out_channel.output_string oc (render_entry ~digest payload));
-            Sys.rename tmp (entry_path ~dir ~digest)
-          with
-          | () -> ()
-          | exception Sys_error _ ->
-              (* A failed write or rename must not leave the temp file
-                 behind: under steady traffic against a full or
-                 misbehaving disk the orphans would accumulate without
-                 bound (and each pins a directory entry the sweeps below
-                 then have to reap). *)
-              Ir_obs.incr stat_disk_errors;
-              (try Sys.remove tmp with Sys_error _ -> ())))
-
-(* Crash-orphaned temp files (a server killed between [temp_file] and the
-   rename) are reaped when a cache is opened over the directory.  Only
-   files demonstrably stale are touched: a concurrent server's in-flight
-   temp file is at most seconds old, so the age threshold keeps the sweep
-   safe against live writers sharing the directory. *)
-let tmp_stale_age = 600.0
-
-let sweep_stale_tmps dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> ()
-  | names ->
-      let now = Unix.gettimeofday () in
-      Array.iter
-        (fun name ->
-          if
-            String.length name > 4
-            && name.[0] = '.'
-            && Filename.check_suffix name ".tmp"
-          then
-            let path = Filename.concat dir name in
-            match Unix.stat path with
-            | exception Unix.Unix_error _ -> ()
-            | st ->
-                if now -. st.Unix.st_mtime > tmp_stale_age then (
-                  match Sys.remove path with
-                  | () -> Ir_obs.incr stat_tmp_swept
-                  | exception Sys_error _ -> ()))
-        names
-
-let discard_corrupt ~path =
-  Ir_obs.incr stat_disk_corrupt;
-  try Sys.remove path with Sys_error _ -> ()
-
-(* Validate everything before believing anything: schema tag, recorded
-   digest vs the digest requested, payload checksum.  The filename alone
-   proves nothing (an attacker or a confused sync tool can rename
-   files). *)
-let disk_find t ~digest =
-  match t.dir with
-  | None -> None
-  | Some dir -> (
-      let path = entry_path ~dir ~digest in
-      match In_channel.with_open_bin path In_channel.input_all with
-      | exception Sys_error _ -> None (* absent: a plain miss, not corruption *)
-      | contents -> (
-          match String.split_on_char '\n' contents with
-          | [ tag; digest_line; md5_line; payload; "" ]
-            when tag = schema_tag
-                 && digest_line = "digest: " ^ digest
-                 && md5_line
-                    = "payload-md5: "
-                      ^ Digest.to_hex (Digest.string payload) ->
-              Some payload
-          | _ ->
-              discard_corrupt ~path;
-              None))
-
-(* ---- public API ------------------------------------------------------- *)
+let entry_path ~dir ~digest = Disk_store.path ~dir ~suffix digest
 
 let create ?(capacity = 512) ?dir () =
-  let capacity = max 1 capacity in
-  let make () =
-    {
-      capacity;
-      dir;
-      lock = Mutex.create ();
-      table = Hashtbl.create (2 * capacity);
-      head = None;
-      tail = None;
-    }
+  let make disk =
+    Ok { lock = Mutex.create (); mem = Lru.create capacity; disk }
   in
   match dir with
-  | None -> Ok (make ())
-  | Some d -> (
-      match Ir_sweep.Export.ensure_dir d with
-      | Ok () ->
-          sweep_stale_tmps d;
-          Ok (make ())
+  | None -> make None
+  | Some dir -> (
+      match Disk_store.create ~tag:schema_tag ~suffix disk_counters ~dir with
+      | Ok store -> make (Some store)
       | Error e -> Error e)
 
 type source = Memory | Disk
 
+let mem_store t ~digest payload =
+  with_lock t (fun () ->
+      Ir_obs.add stat_evictions (Lru.add t.mem digest payload))
+
 let find t ~digest =
-  match with_lock t (fun () -> mem_find_locked t ~digest) with
+  match with_lock t (fun () -> Lru.find t.mem digest) with
   | Some payload ->
       Ir_obs.incr stat_mem_hits;
       Some (payload, Memory)
   | None -> (
-      match disk_find t ~digest with
-      | Some payload ->
+      match Option.map (fun d -> Disk_store.load d ~key:digest) t.disk with
+      | Some (Ok payload) ->
           (* Promote: the next lookup is a memory hit. *)
-          with_lock t (fun () -> mem_store_locked t ~digest payload);
+          mem_store t ~digest payload;
           Ir_obs.incr stat_disk_hits;
           Some (payload, Disk)
-      | None ->
+      | Some (Error _) | None ->
           Ir_obs.incr stat_misses;
           None)
 
 let store t ~digest payload =
   Ir_obs.incr stat_stores;
-  with_lock t (fun () -> mem_store_locked t ~digest payload);
-  disk_store t ~digest payload
+  mem_store t ~digest payload;
+  Option.iter (fun d -> ignore (Disk_store.save d ~key:digest payload)) t.disk
 
-let mem_count t = with_lock t (fun () -> Hashtbl.length t.table)
-
-let mem_keys_lru_first t =
-  with_lock t (fun () ->
-      let rec walk acc = function
-        | None -> acc
-        | Some n -> walk (n.digest :: acc) n.next
-      in
-      (* Walk head->tail collects most-recent-first; the accumulator
-         reverses it into LRU-first. *)
-      walk [] t.head)
+let mem_count t = with_lock t (fun () -> Lru.length t.mem)
+let mem_keys_lru_first t = with_lock t (fun () -> Lru.keys_lru_first t.mem)

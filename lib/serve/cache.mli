@@ -2,26 +2,17 @@
 
     Two tiers keyed by the query fingerprint ({!Fingerprint.digest}):
 
-    - a bounded in-memory LRU of result payloads (the canonical response
-      JSON bytes), evicting the least recently {e used} entry — lookups
-      refresh recency — when the capacity is exceeded;
-    - an optional on-disk store (one file per digest under the server's
-      [--cache-dir]) that survives restarts.
+    - a bounded in-memory {!Lru} of result payloads (the canonical
+      response JSON bytes), evicting the least recently {e used} entry —
+      lookups refresh recency — when the capacity is exceeded;
+    - an optional {!Disk_store} (one file per digest under the server's
+      [--cache-dir], tag [ia-rank/cache/2]) that survives restarts.  An
+      entry that fails verification is deleted, counted on
+      [serve_cache/disk_corrupt] and reported as a miss, so the server
+      recomputes.
 
-    {b The disk is never trusted.}  Entries are schema-versioned and
-    checksummed; on load, an entry is accepted only if its schema tag,
-    its recorded fingerprint digest (which must also match the digest
-    being asked for — the filename is not believed either) and its
-    payload checksum all verify.  Anything else — truncation, bit rot, a
-    concurrent writer's partial file, a stale schema from an older build
-    — is deleted, counted on [serve_cache/disk_corrupt], and reported as
-    a miss so the server recomputes.  Writes go through a temp file and
-    an atomic rename, so a crashed or concurrent server never publishes
-    a torn entry.
-
-    All operations are thread-safe (one lock per cache; the disk I/O of
-    a lookup happens outside it only for the payload read, which the
-    checksum then validates).  Counters land on [serve_cache/*]
+    All operations are thread-safe (one lock around the memory tier;
+    disk I/O runs outside it).  Counters land on [serve_cache/*]
     ({!Ir_obs}): [mem_hits], [disk_hits], [misses], [evictions],
     [disk_corrupt], [disk_errors], [stores], [tmp_swept]. *)
 
@@ -29,12 +20,8 @@ type t
 
 val create : ?capacity:int -> ?dir:string -> unit -> (t, string) result
 (** [capacity] (default 512, clamped to >= 1) bounds the in-memory tier;
-    [dir] enables the disk tier (created recursively if missing —
-    [Error] if a non-directory is in the way).  Opening a directory also
-    sweeps crash-orphaned write temp files ([.*.tmp] older than ten
-    minutes, counted on [serve_cache/tmp_swept]); the age threshold
-    keeps the sweep from racing a live concurrent writer's in-flight
-    temp file. *)
+    [dir] enables the disk tier ({!Disk_store.create}; stale temp files
+    swept count on [serve_cache/tmp_swept]). *)
 
 type source = Memory | Disk
 

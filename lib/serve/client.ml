@@ -1,67 +1,40 @@
 type t = {
   fd : Unix.file_descr;
-  ic : in_channel;
-  oc : out_channel;
+  reader : Tcp.line_reader;
   mutable next_id : int;
 }
 
-let connect ~socket =
-  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  match Unix.connect fd (Unix.ADDR_UNIX socket) with
-  | () ->
-      Ok
-        {
-          fd;
-          ic = Unix.in_channel_of_descr fd;
-          oc = Unix.out_channel_of_descr fd;
-          next_id = 0;
-        }
-  | exception Unix.Unix_error (e, _, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Error
-        (Printf.sprintf "cannot connect to %s: %s" socket
-           (Unix.error_message e))
+(* A server that hangs up mid-request must surface as [Error], not as a
+   SIGPIPE that kills the client. *)
+let of_fd =
+  Result.map (fun fd ->
+      Tcp.ignore_sigpipe ();
+      { fd; reader = Tcp.line_reader fd; next_id = 0 })
 
-let connect_tcp ~host ~port =
-  match Tcp.connect_tcp ~host ~port with
-  | Ok fd ->
-      Ok
-        {
-          fd;
-          ic = Unix.in_channel_of_descr fd;
-          oc = Unix.out_channel_of_descr fd;
-          next_id = 0;
-        }
-  | Error e -> Error e
-
+let connect ~socket = of_fd (Tcp.connect_unix ~socket)
+let connect_tcp ~host ~port = of_fd (Tcp.connect_tcp ~host ~port)
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
 let request t op =
-  let ( let* ) = Result.bind in
   t.next_id <- t.next_id + 1;
   let id = Printf.sprintf "c%d" t.next_id in
-  let* () =
-    match
-      Out_channel.output_string t.oc
-        (Protocol.encode_request { Protocol.id; op });
-      Out_channel.output_char t.oc '\n';
-      Out_channel.flush t.oc
-    with
-    | () -> Ok ()
-    | exception Sys_error e -> Error ("send failed: " ^ e)
-  in
-  let* line =
-    match In_channel.input_line t.ic with
-    | Some l -> Ok l
-    | None -> Error "server closed the connection"
-    | exception Sys_error e -> Error ("receive failed: " ^ e)
-  in
-  let* resp = Protocol.decode_response line in
-  if resp.Protocol.id <> id then
-    Error
-      (Printf.sprintf "response id %S does not match request id %S"
-         resp.Protocol.id id)
-  else Ok resp.Protocol.body
+  if not (Tcp.write_line t.fd (Protocol.encode_request { Protocol.id; op }))
+  then Error "send failed: server closed the connection"
+  else
+    match Tcp.read_line t.reader with
+    | `Eof -> Error "server closed the connection"
+    | `Overlong ->
+        Error
+          (Printf.sprintf "response line exceeds %d bytes"
+             Tcp.default_max_line)
+    | `Line line -> (
+        match Protocol.decode_response line with
+        | Error e -> Error e
+        | Ok resp when resp.Protocol.id <> id ->
+            Error
+              (Printf.sprintf "response id %S does not match request id %S"
+                 resp.Protocol.id id)
+        | Ok resp -> Ok resp.Protocol.body)
 
 let ping t =
   match request t Protocol.Ping with

@@ -2,9 +2,11 @@
 
     One connection, synchronous request/response (the protocol is
     line-delimited and the server answers in arrival order per
-    connection).  Ids are generated locally and checked on receipt, so a
+    connection), read and written through {!Tcp}'s bounded line I/O.
+    Ids are generated locally and checked on receipt, so a
     desynchronized stream surfaces as an error instead of a mismatched
-    answer. *)
+    answer.  Connecting ignores SIGPIPE ({!Tcp.ignore_sigpipe}), so a
+    server that hangs up is an [Error], not a dead client. *)
 
 type t
 

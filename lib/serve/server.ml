@@ -33,22 +33,19 @@ type job = {
 type pool_entry = {
   entry_lock : Mutex.t;
   mutable grid : Ir_core.Rank_grid.t option;  (* None until first query *)
-  mutable last_used : int;  (* pool's logical clock, for LRU eviction *)
 }
 
 type t = {
   cache : Cache.t;
   snapshot : Snapshot.t option;
   queue_capacity : int;
-  table_pool : int;
   request_timeout : float;
   on_compute_start : string -> unit;
   mutex : Mutex.t;
   cond : Condition.t;
   queue : job Queue.t;
   inflight : (string, job) Hashtbl.t;
-  pool : (string, pool_entry) Hashtbl.t;
-  mutable pool_clock : int;
+  pool : (string, pool_entry) Lru.t;  (* under [mutex] *)
   draining : bool Atomic.t;
   ticker_stop : bool Atomic.t;
   stop_pipe_r : Unix.file_descr;
@@ -61,34 +58,20 @@ let draining t = Atomic.get t.draining
 
 (* ---- warm-table pool -------------------------------------------------- *)
 
+(* The family's pool entry, created on first use; past [table_pool]
+   families the least recently used one is evicted.  A worker still
+   holding an evicted entry keeps its own reference; dropping it from
+   the pool only stops new queries from finding it. *)
 let pool_entry t key =
   Mutex.lock t.mutex;
   let entry =
-    match Hashtbl.find_opt t.pool key with
+    match Lru.find t.pool key with
     | Some e -> e
     | None ->
-        if Hashtbl.length t.pool >= t.table_pool then begin
-          (* Evict the least recently used family.  A worker still
-             holding the evicted entry keeps its own reference; dropping
-             it from the table only stops new queries from finding it. *)
-          let victim =
-            Hashtbl.fold
-              (fun k e acc ->
-                match acc with
-                | Some (_, best) when best.last_used <= e.last_used -> acc
-                | _ -> Some (k, e))
-              t.pool None
-          in
-          match victim with
-          | Some (k, _) -> Hashtbl.remove t.pool k
-          | None -> ()
-        end;
-        let e = { entry_lock = Mutex.create (); grid = None; last_used = 0 } in
-        Hashtbl.replace t.pool key e;
+        let e = { entry_lock = Mutex.create (); grid = None } in
+        ignore (Lru.add t.pool key e);
         e
   in
-  t.pool_clock <- t.pool_clock + 1;
-  entry.last_used <- t.pool_clock;
   Mutex.unlock t.mutex;
   entry
 
@@ -244,15 +227,13 @@ let create ?(workers = 2) ?(queue_capacity = 64) ?(table_pool = 8)
       cache;
       snapshot;
       queue_capacity = max 1 queue_capacity;
-      table_pool = max 1 table_pool;
       request_timeout;
       on_compute_start;
       mutex = Mutex.create ();
       cond = Condition.create ();
       queue = Queue.create ();
       inflight = Hashtbl.create 64;
-      pool = Hashtbl.create 16;
-      pool_clock = 0;
+      pool = Lru.create table_pool;
       draining = Atomic.make false;
       ticker_stop = Atomic.make false;
       stop_pipe_r;
@@ -391,25 +372,10 @@ let handle_line t line =
   | Error e ->
       Protocol.encode_response { Protocol.id = ""; body = Protocol.Error e }
 
-let serve_stdio t ic oc =
-  (* A supervisor pipe can vanish as abruptly as a socket client: ignore
-     SIGPIPE and treat any channel error as end-of-conversation instead
-     of letting Sys_error unwind through the daemon. *)
+let serve_stdio t input output =
+  (* A supervisor pipe can vanish as abruptly as a socket client. *)
   Tcp.ignore_sigpipe ();
-  let rec loop () =
-    match In_channel.input_line ic with
-    | exception Sys_error _ -> ()
-    | None -> ()
-    | Some line -> (
-        match
-          Out_channel.output_string oc (handle_line t line);
-          Out_channel.output_char oc '\n';
-          Out_channel.flush oc
-        with
-        | () -> loop ()
-        | exception Sys_error _ -> ())
-  in
-  loop ()
+  Tcp.connection_loop ~handler:(handle_line t) input output
 
 let live_connections t = Tcp.live_connections t.registry
 

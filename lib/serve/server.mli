@@ -104,11 +104,13 @@ val handle_line : t -> string -> string
     newline) — {!handle} plus framing.  Never raises; malformed lines
     answer [Bad_request] with an empty id. *)
 
-val serve_stdio : t -> in_channel -> out_channel -> unit
-(** Line-delimited request/response loop until EOF ([--stdio] mode: the
-    transport for tests, pipes and supervisors that speak stdin).
-    SIGPIPE is ignored and channel write failures (the peer vanished)
-    end the loop instead of raising. *)
+val serve_stdio : t -> Unix.file_descr -> Unix.file_descr -> unit
+(** [serve_stdio t input output] is {!Tcp.connection_loop} over
+    {!handle_line} on the two descriptors ([--stdio] mode passes stdin
+    and stdout: the transport for tests, pipes and supervisors that
+    speak stdin), with SIGPIPE ignored.  It has the socket paths'
+    bounds: it returns at end of input, on a failed write, or after
+    answering a line over {!Tcp.default_max_line} with [Bad_request]. *)
 
 val serve_listeners :
   t ->
@@ -118,9 +120,9 @@ val serve_listeners :
   unit ->
   (unit, string) result
 (** Accepts and serves on every configured listener at once — a
-    Unix-domain [socket] ({!Tcp.listen_unix} semantics), a [tcp]
-    [(host, port)] endpoint ({!Tcp.listen_tcp}; port 0 binds an
-    ephemeral port, reported through [on_tcp_listen]), or both — until
+    Unix-domain [socket], a [tcp] [(host, port)] endpoint (port 0 binds
+    an ephemeral port, reported through [on_tcp_listen]), or both
+    ({!Tcp.bind_listeners}) — until
     {!shutdown}.  Each connection runs on its own thread through the
     hardened {!Tcp.serve_loop} (bounded request lines, SIGPIPE-proof
     writes, leak-free connection registry).  Installing a SIGTERM

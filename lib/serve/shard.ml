@@ -155,12 +155,9 @@ let start ?(workers = 2) ?(cache_entries = 512) ?(table_pool = 8)
 (* ---- shard RPC --------------------------------------------------------- *)
 
 let connect_shard link =
-  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  match Unix.connect fd (Unix.ADDR_UNIX link.socket) with
-  | () -> Some { fd; reader = Tcp.line_reader fd }
-  | exception Unix.Unix_error _ ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      None
+  match Tcp.connect_unix ~socket:link.socket with
+  | Ok fd -> Some { fd; reader = Tcp.line_reader fd }
+  | Error _ -> None
 
 let checkout link =
   Mutex.lock link.mu;

@@ -6,20 +6,15 @@
     {!Fingerprint.table_key} — so a fresh process restores it with one
     file read and serves warm immediately.
 
-    {b The disk is never trusted}, and doubly so here: the payload is
-    [Marshal] output ({!Ir_core.Rank_dp.encode_tables}), which can crash
-    a process that unmarshals garbage.  Every snapshot is schema-tagged,
-    records its own key, and carries the blob's length and MD5; a file
-    is unmarshalled only after all four verify (and the decoder then
-    re-validates dimensions against the problem).  Anything else is
-    deleted, counted on [serve_snapshot/corrupt], and reported as a
-    miss so the server rebuilds.
-
-    Writes are temp-file + atomic rename, safe for shard fleets sharing
-    one directory; opening the store reaps crash-orphaned temp files
-    older than ten minutes (counted on [serve_snapshot/tmp_swept]).
-    Counters: [serve_snapshot/*] — [saves], [restores], [misses],
-    [corrupt], [errors], [tmp_swept]. *)
+    The store is a {!Disk_store} (tag [ia-rank/table-snapshot/3],
+    [<key>.tables] files).  Its payload is [Marshal] output
+    ({!Ir_core.Rank_dp.encode_tables}), which can crash a process that
+    unmarshals garbage, so a blob is decoded only after the store
+    verified it, and the decoder then re-validates dimensions against
+    the problem.  A blob that still fails is deleted, counted on
+    [serve_snapshot/corrupt] and reported as a miss so the server
+    rebuilds.  Counters: [serve_snapshot/*] — [saves], [restores],
+    [misses], [corrupt], [errors], [tmp_swept]. *)
 
 type t
 

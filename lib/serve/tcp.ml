@@ -16,9 +16,9 @@ let ignore_sigpipe () =
 
 (* 8 MiB comfortably holds the largest legitimate request (an inline WLD
    upload of hundreds of thousands of bins) while bounding what a
-   hostile client can make us buffer for one line.  [In_channel.input_line]
-   has no such bound, which is why the socket paths read through this
-   reader instead of a channel. *)
+   hostile client can make us buffer for one line.  A channel's
+   [input_line] has no such bound, which is why every line of the serve
+   tier, stdio and client included, is read through this reader. *)
 let default_max_line = 8 * 1024 * 1024
 
 type line_reader = {
@@ -90,7 +90,22 @@ let write_line fd line =
   Bytes.set b (String.length line) '\n';
   write_all fd b 0 (Bytes.length b)
 
-(* ---- listeners -------------------------------------------------------- *)
+(* ---- endpoints -------------------------------------------------------- *)
+
+(* A stream socket for [sockaddr], set up by [use] (bind and listen, or
+   connect); a Unix error closes it and becomes an [Error] naming the
+   failed call and [what]. *)
+let with_socket sockaddr ~what use =
+  let fd =
+    Unix.socket ~cloexec:true
+      (Unix.domain_of_sockaddr sockaddr)
+      Unix.SOCK_STREAM 0
+  in
+  match use fd with
+  | v -> Ok v
+  | exception Unix.Unix_error (e, fn, _) ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Error (Printf.sprintf "%s %s: %s" fn what (Unix.error_message e))
 
 let listen_unix ~socket =
   let ( let* ) = Result.bind in
@@ -112,64 +127,41 @@ let listen_unix ~socket =
     | exception Unix.Unix_error (e, _, _) ->
         Error (Printf.sprintf "%s: %s" socket (Unix.error_message e))
   in
-  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  match
-    Unix.bind fd (Unix.ADDR_UNIX socket);
-    Unix.listen fd 64
-  with
-  | () -> Ok fd
-  | exception Unix.Unix_error (e, fn, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Error (Printf.sprintf "%s %s: %s" fn socket (Unix.error_message e))
+  with_socket (Unix.ADDR_UNIX socket) ~what:socket (fun fd ->
+      Unix.bind fd (Unix.ADDR_UNIX socket);
+      Unix.listen fd 64;
+      fd)
 
-let resolve_host host =
+let inet ~host ~port =
   match Unix.inet_addr_of_string host with
-  | addr -> Ok addr
+  | addr -> Ok (Unix.ADDR_INET (addr, port))
   | exception Failure _ -> (
       match Unix.gethostbyname host with
       | { Unix.h_addr_list = [||]; _ } | (exception Not_found) ->
           Error (Printf.sprintf "cannot resolve host %S" host)
-      | h -> Ok h.Unix.h_addr_list.(0))
+      | h -> Ok (Unix.ADDR_INET (h.Unix.h_addr_list.(0), port)))
 
-let listen_tcp ?(backlog = 128) ?(host = "127.0.0.1") ~port () =
-  let ( let* ) = Result.bind in
-  let* addr = resolve_host host in
-  let sockaddr = Unix.ADDR_INET (addr, port) in
-  let fd =
-    Unix.socket ~cloexec:true
-      (Unix.domain_of_sockaddr sockaddr)
-      Unix.SOCK_STREAM 0
-  in
-  match
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd sockaddr;
-    Unix.listen fd backlog;
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> port
-  with
-  | bound_port -> Ok (fd, bound_port)
-  | exception Unix.Unix_error (e, fn, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Error
-        (Printf.sprintf "%s %s:%d: %s" fn host port (Unix.error_message e))
+let listen_tcp ~host ~port =
+  Result.bind (inet ~host ~port) (fun sockaddr ->
+      with_socket sockaddr ~what:(Printf.sprintf "%s:%d" host port) (fun fd ->
+          Unix.setsockopt fd Unix.SO_REUSEADDR true;
+          Unix.bind fd sockaddr;
+          Unix.listen fd 128;
+          ( fd,
+            match Unix.getsockname fd with
+            | Unix.ADDR_INET (_, p) -> p
+            | _ -> port )))
 
 let connect_tcp ~host ~port =
-  let ( let* ) = Result.bind in
-  let* addr = resolve_host host in
-  let sockaddr = Unix.ADDR_INET (addr, port) in
-  let fd =
-    Unix.socket ~cloexec:true
-      (Unix.domain_of_sockaddr sockaddr)
-      Unix.SOCK_STREAM 0
-  in
-  match Unix.connect fd sockaddr with
-  | () -> Ok fd
-  | exception Unix.Unix_error (e, _, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Error
-        (Printf.sprintf "cannot connect to %s:%d: %s" host port
-           (Unix.error_message e))
+  Result.bind (inet ~host ~port) (fun sockaddr ->
+      with_socket sockaddr ~what:(Printf.sprintf "%s:%d" host port) (fun fd ->
+          Unix.connect fd sockaddr;
+          fd))
+
+let connect_unix ~socket =
+  with_socket (Unix.ADDR_UNIX socket) ~what:socket (fun fd ->
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      fd)
 
 (* Bind whichever listeners the caller configured.  Returns the listening
    fds plus a cleanup closing them (and unlinking the unix socket). *)
@@ -193,7 +185,7 @@ let bind_listeners ?tcp ?on_tcp_listen ?socket () =
     match tcp with
     | None -> Ok None
     | Some (host, port) -> (
-        match listen_tcp ~host ~port () with
+        match listen_tcp ~host ~port with
         | Ok (fd, bound) ->
             Option.iter (fun f -> f bound) on_tcp_listen;
             Ok (Some fd)
@@ -247,20 +239,20 @@ let overlong_response =
                    default_max_line));
        })
 
-(* One connection: read lines, apply [handler], write responses.  Every
-   failure mode — client gone mid-read, client gone mid-write, an
-   oversized line — ends this connection only. *)
-let connection_loop ~handler fd =
-  let r = line_reader fd in
+(* One conversation: read lines from [input], apply [handler], write
+   responses to [output].  Every failure mode — peer gone mid-read, peer
+   gone mid-write, an oversized line — ends this conversation only. *)
+let connection_loop ~handler input output =
+  let r = line_reader input in
   let rec loop () =
     match read_line r with
     | `Eof -> ()
     | `Overlong ->
         Ir_obs.incr stat_overlong;
-        (* Answer if the client still listens, then hang up: resyncing a
+        (* Answer if the peer still listens, then hang up: resyncing a
            line protocol mid-flood is not worth the buffer. *)
-        ignore (write_line fd (Lazy.force overlong_response))
-    | `Line line -> if write_line fd (handler line) then loop ()
+        ignore (write_line output (Lazy.force overlong_response))
+    | `Line line -> if write_line output (handler line) then loop ()
   in
   loop ()
 
@@ -272,7 +264,7 @@ let spawn_connection reg ~handler fd =
   let th =
     Thread.create
       (fun () ->
-        (match connection_loop ~handler fd with
+        (match connection_loop ~handler fd fd with
         | () -> ()
         | exception _ -> ());
         Mutex.lock reg.mu;

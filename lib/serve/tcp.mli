@@ -1,16 +1,18 @@
 (** Hardened line-protocol transport shared by every serve surface.
 
-    One module owns the hostile-client defenses so the unix-socket
-    server, the TCP listener and the shard router cannot drift apart:
+    Every line the serve tier reads or writes — the unix-socket and TCP
+    listeners, stdio serving, the shard router and the client — goes
+    through this module, so their hostile-peer defenses cannot drift
+    apart:
 
     - {b SIGPIPE is ignored} ({!ignore_sigpipe}) and every write goes
-      through {!write_all}, which turns a client disconnect mid-response
+      through {!write_line}, which turns a peer disconnect mid-response
       into a counted failure ([serve_net/write_failures]) instead of
       process death.
     - {b Reads are bounded} ({!read_line}): a request line longer than
-      {!default_max_line} gets a [Bad_request] answer and the connection
-      closed, rather than buffering without limit the way
-      [In_channel.input_line] would.
+      {!default_max_line} gets a [Bad_request] answer and the
+      conversation ends ({!connection_loop}), rather than buffering
+      without limit the way a channel's [input_line] would.
     - {b Connections are registered} ({!registry}): each live connection
       holds a slot it removes {e itself} from (closing its fd under the
       registry lock) when it ends.  Drain shuts down only descriptors
@@ -24,7 +26,7 @@
 val ignore_sigpipe : unit -> unit
 (** Idempotently sets [SIGPIPE] to ignore (no-op on platforms without
     it).  Called by {!serve_loop}; entry points that write to
-    possibly-dead peers outside a loop (stdio serving, the shard router)
+    possibly-dead peers outside it (stdio serving, the shard router)
     call it themselves. *)
 
 val default_max_line : int
@@ -44,33 +46,28 @@ val read_line :
     Read errors count on [serve_net/read_failures] and surface as
     end-of-stream. *)
 
-val write_all : Unix.file_descr -> bytes -> int -> int -> bool
-(** Full write of a byte range; [false] (plus a [write_failures] count)
-    if the peer is gone.  Never raises on I/O errors. *)
-
 val write_line : Unix.file_descr -> string -> bool
-(** [write_all] of [line] plus a newline. *)
+(** Full write of [line] plus a newline; [false] (plus a
+    [write_failures] count) if the peer is gone.  Never raises on I/O
+    errors. *)
 
-(** {1 Listeners} *)
+val connection_loop :
+  handler:(string -> string) -> Unix.file_descr -> Unix.file_descr -> unit
+(** [connection_loop ~handler input output] answers each line read from
+    [input] with [handler line] on [output] until end of stream, a
+    failed write or an overlong line — which is answered with
+    [Bad_request] and counted on [serve_net/overlong_lines] before the
+    loop ends.  Socket connections pass their fd twice; stdio serving
+    passes stdin and stdout. *)
 
-val listen_unix : socket:string -> (Unix.file_descr, string) result
-(** Bound, listening unix-domain socket at [socket].  A stale socket
-    file left by a dead server is replaced; any other kind of file in
-    the way is an error. *)
-
-val listen_tcp :
-  ?backlog:int ->
-  ?host:string ->
-  port:int ->
-  unit ->
-  (Unix.file_descr * int, string) result
-(** Bound, listening TCP socket on [host] (default 127.0.0.1) with
-    [SO_REUSEADDR].  Returns the fd and the bound port — pass [port:0]
-    for an ephemeral port and read the real one from the result. *)
+(** {1 Endpoints} *)
 
 val connect_tcp :
   host:string -> port:int -> (Unix.file_descr, string) result
-(** Client side of {!listen_tcp}. *)
+(** Client side of a [tcp] listener. *)
+
+val connect_unix : socket:string -> (Unix.file_descr, string) result
+(** Client side of a unix-socket listener. *)
 
 val bind_listeners :
   ?tcp:string * int ->
@@ -79,9 +76,12 @@ val bind_listeners :
   unit ->
   (Unix.file_descr list * (unit -> unit), string) result
 (** Binds whichever listeners are configured (at least one required):
-    [socket] via {!listen_unix}, [tcp] via {!listen_tcp} (the bound port
-    reported through [on_tcp_listen]).  Returns the listening fds and a
-    cleanup that closes them and unlinks the socket file. *)
+    a unix-domain [socket] (a stale socket file left by a dead server is
+    replaced; any other kind of file in the way is an error) and a [tcp]
+    [(host, port)] endpoint with [SO_REUSEADDR] (port 0 binds an
+    ephemeral port; the bound port is reported through
+    [on_tcp_listen]).  Returns the listening fds and a cleanup that
+    closes them and unlinks the socket file. *)
 
 (** {1 Accept loop and connection registry} *)
 

@@ -536,6 +536,41 @@ let test_disk_digest_mismatch () =
   Alcotest.(check bool) "rejected entry deleted" false
     (Sys.file_exists (C.entry_path ~dir ~digest:d2))
 
+(* An entry in the previous on-disk layout ([ia-rank/cache/1]) is never
+   believed, even when its own checksum holds: it is discarded, counted,
+   and the query is recomputed. *)
+let test_disk_old_schema () =
+  Ir_obs.reset ();
+  with_temp_dir @@ fun dir ->
+  let q =
+    ok_exn "fp"
+      (F.v ~repeater_fraction:0.35 ~bunch_size:500 ~node:"130nm"
+         ~gates:20_000 ())
+  in
+  let d = F.digest q in
+  let forged = "forged-payload" in
+  let path = C.entry_path ~dir ~digest:d in
+  let cache = ok_exn "cache" (C.create ~dir ()) in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc
+        (String.concat "\n"
+           [
+             "ia-rank/cache/1"; "digest: " ^ d;
+             "payload-md5: " ^ digest_of forged; forged; "";
+           ]));
+  let srv = S.create ~workers:1 ~cache () in
+  (match S.submit_query srv q with
+  | Ok (payload, source) ->
+      Alcotest.(check string) "recomputed, not served from disk" "cold" source;
+      Alcotest.(check string) "payload = cold"
+        (Pr.result_payload (F.compute_cold q))
+        payload
+  | Error e -> Alcotest.failf "query: %s" (Pr.error_message e));
+  Alcotest.(check int) "old entry counted corrupt" 1
+    (counter "serve_cache/disk_corrupt");
+  S.shutdown srv;
+  S.join srv
+
 (* ---- server: differential cached = cold ------------------------------- *)
 
 let test_differential_cached_equals_cold () =
@@ -913,6 +948,48 @@ let test_e2e_overlong_line () =
     (counter "serve_net/overlong_lines");
   S.shutdown srv;
   Thread.join server_thread
+
+(* The stdio transport has the socket paths' bound: a line over 8 MiB
+   is answered with Bad_request, counted, and ends the loop while its
+   input is still open. *)
+let test_stdio_overlong_line () =
+  Ir_obs.reset ();
+  let cache = ok_exn "cache" (C.create ~capacity:16 ()) in
+  let srv = S.create ~workers:1 ~cache () in
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let ended = Atomic.make false in
+  let loop =
+    Thread.create
+      (fun () ->
+        S.serve_stdio srv in_r out_w;
+        Atomic.set ended true)
+      ()
+  in
+  let chunk = String.make 65536 'a' in
+  for _ = 1 to Ir_serve.Tcp.default_max_line / String.length chunk do
+    send_raw in_w chunk
+  done;
+  send_raw in_w "a";
+  wait_for ~timeout:30.0 "the stdio loop to end" (fun () -> Atomic.get ended);
+  Thread.join loop;
+  Unix.close out_w;
+  let ic = Unix.in_channel_of_descr out_r in
+  (match In_channel.input_line ic with
+  | None -> Alcotest.fail "no response to an overlong line"
+  | Some line -> (
+      match (ok_exn "decode" (Pr.decode_response line)).Pr.body with
+      | Pr.Error (Pr.Bad_request _) -> ()
+      | _ -> Alcotest.fail "expected Bad_request for an overlong line"));
+  Alcotest.(check bool) "one answer only" true
+    (In_channel.input_line ic = None);
+  Alcotest.(check int) "overlong line counted" 1
+    (counter "serve_net/overlong_lines");
+  In_channel.close ic;
+  Unix.close in_r;
+  Unix.close in_w;
+  S.shutdown srv;
+  S.join srv
 
 (* ---- cache: write failures and temp-file hygiene ---------------------- *)
 
@@ -1315,6 +1392,36 @@ let test_grid_neighbor_warm () =
   S.shutdown srv;
   S.join srv
 
+(* With room for one resident family, alternating between two families
+   evicts the other's grid at every switch: each query rebuilds its
+   plane, and every payload still equals a cold computation. *)
+let test_pool_eviction () =
+  Ir_obs.reset ();
+  let cache = ok_exn "cache" (C.create ~capacity:64 ()) in
+  let srv = S.create ~workers:1 ~table_pool:1 ~cache () in
+  List.iteri
+    (fun i f ->
+      let node = if i mod 2 = 0 then "130nm" else "90nm" in
+      let q =
+        ok_exn "fp"
+          (F.v ~repeater_fraction:f ~bunch_size:500 ~node ~gates:20_000 ())
+      in
+      (match S.submit_query srv q with
+      | Ok (payload, _) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s at %.1f = cold" node f)
+            (Pr.result_payload (F.compute_cold q))
+            payload
+      | Error e -> Alcotest.failf "query: %s" (Pr.error_message e));
+      Alcotest.(check int)
+        (Printf.sprintf "switch %d rebuilt the evicted family" i)
+        (i + 1)
+        (counter "serve/table_builds"))
+    [ 0.2; 0.3; 0.4; 0.5; 0.6; 0.7 ];
+  Alcotest.(check int) "every answer warm" 0 (counter "serve/cold_computes");
+  S.shutdown srv;
+  S.join srv
+
 (* A power budget is an area cap on the same budget, so a powered DP
    query on a warm family is one phase-B search over the resident plane:
    no cold compute, no build, and the payload still byte-identical to a
@@ -1570,6 +1677,8 @@ let () =
             test_disk_corruption_rejected;
           Alcotest.test_case "disk digest mismatch" `Quick
             test_disk_digest_mismatch;
+          Alcotest.test_case "disk old schema discarded" `Quick
+            test_disk_old_schema;
         ] );
       ( "server",
         [
@@ -1588,6 +1697,8 @@ let () =
             test_e2e_disconnect_mid_response;
           Alcotest.test_case "fd churn storm" `Quick test_e2e_fd_churn_storm;
           Alcotest.test_case "overlong line" `Quick test_e2e_overlong_line;
+          Alcotest.test_case "stdio overlong line" `Quick
+            test_stdio_overlong_line;
         ] );
       ( "cache hardening",
         [
@@ -1613,6 +1724,8 @@ let () =
             test_grid_neighbor_warm;
           Alcotest.test_case "powered queries answered warm" `Quick
             test_grid_powered_warm;
+          Alcotest.test_case "family pool evicts least recently used" `Quick
+            test_pool_eviction;
         ] );
       ( "sharded",
         [
