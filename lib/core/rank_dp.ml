@@ -19,6 +19,8 @@ let stat_truncations = Ir_obs.counter "rank_dp/pareto_truncations"
 let stat_witness_probes = Ir_obs.counter "rank_dp/witness_probes"
 let stat_search_probes = Ir_obs.counter "rank_dp/search_probes"
 let stat_widen_retries = Ir_obs.counter "rank_dp/widen_retries"
+let stat_levels_suspended = Ir_obs.counter "rank_dp/levels_suspended"
+let stat_rung_resumes = Ir_obs.counter "rank_dp/rung_resumes"
 let stat_hinted = Ir_obs.counter "rank_dp/hinted_searches"
 let stat_hint_saved = Ir_obs.counter "rank_dp/hint_saved_probes"
 let stat_fan_rounds = Ir_obs.counter "rank_dp/probe_fan_rounds"
@@ -35,6 +37,20 @@ type witness = {
   meet_hi : int;
   reps_above : int;  (** repeaters in pairs above the boundary *)
   reps_total : int;  (** including the boundary pair's *)
+}
+
+(* One pruning context: the bound oracle, the shared incumbent cell, the
+   smallest budget any query of this build will run under (the floor's
+   witness must be achievable there — budget monotonicity extends it to
+   every larger fraction), and the witness of the currently published
+   incumbent.  [pr_witness] is only written from sequential sections
+   (prune_for, the barrier hook below), same convention as
+   [Incumbent.publish]. *)
+type prune = {
+  pr_bounds : Bounds.t;
+  pr_inc : Ir_exec.Incumbent.t;
+  pr_budget_min : float;
+  mutable pr_witness : witness option;
 }
 
 type tables = {
@@ -56,8 +72,9 @@ type tables = {
          phase-A front is complete and the search is exact *)
   ladder_prev : int option;
       (* truncations of the rung these tables widened; None for a first
-         rung.  The widen ladder resumes from it, so continuing the
-         ladder on its own output is a no-op. *)
+         rung and for a truncation-free one, which ends the ladder.  The
+         widen ladder resumes from it, so continuing the ladder on its
+         own output is a no-op. *)
   bounds : Bounds.t option;
       (* present iff the build ran with pruning: feasible_witness then
          pre-screens suffix queries with the bound oracle *)
@@ -70,6 +87,46 @@ type tables = {
   floor_witness : witness option;
       (* the achievability certificate behind incumbent_floor; Some
          whenever incumbent_floor >= 0 *)
+  pending : builder option;
+      (* the suspended builder these tables still belong to: the front
+         holds only the levels built so far, and [truncations] is the
+         count up to the suspension (>= 1).  Only [widen_tables] reads
+         such tables; it either abandons the rung or [resume]s it. *)
+}
+
+(* One in-progress build.  A builder that may suspend stops after the
+   first level that truncates, with levels left to expand: [b_suspended]
+   is set and [builder_done] holds, but [b_level] still names the next
+   level, so [resume] can expand the rest in place.  The tallies are
+   flushed per stretch of work: [b_flushed] is what earlier flushes have
+   already added to the counters. *)
+and builder = {
+  b_problem : P.t;
+  b_front : Front.t;
+  b_n : int;
+  b_m : int;
+  b_max_pareto : int;
+  b_cap : float;
+  b_budget : float;
+  b_blocked_k : float array;
+  b_prune : prune option;
+  b_thresh : float array;  (* per-column prune thresholds, len n + 1 *)
+  mutable b_thresh_inc : int;  (* incumbent the thresholds encode; -2 stale *)
+  mutable b_level : int;  (* next boundary pair to expand; done at m - 1 *)
+  mutable b_states : int;
+  mutable b_skipped : int;
+  mutable b_pruned : int;
+  mutable b_suspendable : bool;  (* unpruned, and not resumed yet *)
+  mutable b_suspended : bool;
+  mutable b_flushed : tally;
+}
+
+and tally = {
+  t_states : int;
+  t_inserts : int;
+  t_dominated : int;
+  t_truncations : int;
+  t_pruned : int;
 }
 
 let cell ~n j i = (j * (n + 1)) + i
@@ -86,20 +143,6 @@ exception Break
    wavefront (which interleaves the levels of many builds) execute the
    {e same} expansion code on the same state — byte-identical fronts,
    tallies and witnesses by construction, not by reimplementation. *)
-(* One pruning context: the bound oracle, the shared incumbent cell, the
-   smallest budget any query of this build will run under (the floor's
-   witness must be achievable there — budget monotonicity extends it to
-   every larger fraction), and the witness of the currently published
-   incumbent.  [pr_witness] is only written from sequential sections
-   (prune_for, the barrier hook below), same convention as
-   [Incumbent.publish]. *)
-type prune = {
-  pr_bounds : Bounds.t;
-  pr_inc : Ir_exec.Incumbent.t;
-  pr_budget_min : float;
-  mutable pr_witness : witness option;
-}
-
 (* The floor witness is the probe's own certifying chain — a DP path
    the exact build also constructs (Bounds.pessimistic_probe evaluates
    the expansion screens with the DP's float expressions), re-packaged
@@ -137,28 +180,18 @@ let prune_for ?gf ?budget_min problem =
   end;
   pr
 
-type builder = {
-  b_problem : P.t;
-  b_front : Front.t;
-  b_n : int;
-  b_m : int;
-  b_max_pareto : int;
-  b_cap : float;
-  b_budget : float;
-  b_blocked_k : float array;
-  b_prune : prune option;
-  b_thresh : float array;  (* per-column prune thresholds, len n + 1 *)
-  mutable b_thresh_inc : int;  (* incumbent the thresholds encode; -2 stale *)
-  mutable b_level : int;  (* next boundary pair to expand; done at m - 1 *)
-  mutable b_states : int;
-  mutable b_skipped : int;
-  mutable b_pruned : int;
-}
+let no_tally =
+  { t_states = 0; t_inserts = 0; t_dominated = 0; t_truncations = 0; t_pruned = 0 }
 
-let builder ?(max_pareto = 8) ?prune problem =
+(* [~suspend:false] is [build_tables]' builder, which always runs to
+   completion; the public [builder] may suspend. *)
+let make_builder ~suspend ?(max_pareto = 8) ?prune problem =
+  (* The ladder doubles the width, so a width below 1 would never
+     widen. *)
+  if max_pareto < 1 then invalid_arg "Rank_dp.builder: max_pareto < 1";
   let n = P.n_bunches problem in
   let m = P.n_pairs problem in
-  let width = max 1 max_pareto in
+  let width = max_pareto in
   (* Rows 0..m-1 only: see [tables.front]. *)
   let cells = m * (n + 1) in
   let front = Front.create ~cells ~width in
@@ -196,12 +229,21 @@ let builder ?(max_pareto = 8) ?prune problem =
     b_states = 0;
     b_skipped = 0;
     b_pruned = 0;
+    (* A pruned build never suspends: its resumed levels would prune
+       against a later incumbent than a straight build's. *)
+    b_suspendable = suspend && prune = None;
+    b_suspended = false;
+    b_flushed = no_tally;
   }
+
+let builder ?max_pareto ?prune problem =
+  make_builder ~suspend:true ?max_pareto ?prune problem
 
 (* Level j fills row j + 1, so the last row the search reads (m - 1) is
    filled by level m - 2: a build has m - 1 levels. *)
 let builder_levels b = b.b_m - 1
-let builder_done b = b.b_level >= b.b_m - 1
+let complete b = b.b_level >= b.b_m - 1
+let builder_done b = b.b_suspended || complete b
 
 (* The number of states in the destination slice [dbase, dbase + dlen)
    with area <= [a]: by binary search when [from < 0], else by walking
@@ -226,10 +268,10 @@ let[@inline] position (f_area : Front.farray) ~dbase ~dlen ~from a =
   end
 
 (* Expand one boundary-pair level.  Returns [true] while more levels
-   remain.  The step touches only this builder's own state (front,
-   tallies), so independent builders may step on different domains —
-   provided each individual builder's steps are externally ordered (the
-   wavefront driver's per-level barrier). *)
+   remain and the builder has not suspended.  The step touches only this
+   builder's own state (front, tallies), so independent builders may
+   step on different domains — provided each individual builder's steps
+   are externally ordered (the wavefront driver's per-level barrier). *)
 let builder_step b =
   if builder_done b then false
   else begin
@@ -380,22 +422,44 @@ let builder_step b =
       end
     done;
     b.b_level <- j + 1;
+    (* A truncating rung is the widen ladder's to finish: the level that
+       dropped a state is the first one the ladder needs, and the next
+       rung may make the rest unnecessary. *)
+    if b.b_suspendable && Front.truncations front > 0 && not (complete b) then
+      b.b_suspended <- true;
     not (builder_done b)
   end
 
+(* Add the work done since the last flush to the counters. *)
+let flush b =
+  let front = b.b_front in
+  let now =
+    {
+      t_states = b.b_states;
+      t_inserts = Front.inserts front + b.b_skipped;
+      t_dominated = Front.dominated front + b.b_skipped;
+      t_truncations = Front.truncations front;
+      t_pruned = b.b_pruned;
+    }
+  in
+  let was = b.b_flushed in
+  Ir_obs.add stat_states (now.t_states - was.t_states);
+  Ir_obs.add stat_inserts (now.t_inserts - was.t_inserts);
+  Ir_obs.add stat_dominated (now.t_dominated - was.t_dominated);
+  Ir_obs.add stat_truncations (now.t_truncations - was.t_truncations);
+  Ir_obs.set_max gauge_arena (Front.arena_states front);
+  Bounds.note_pruned (now.t_pruned - was.t_pruned);
+  b.b_flushed <- now
+
 (* Flush the tallies and seal the build.  Must be called exactly once per
    builder (the counters would double-count otherwise), after the last
-   level. *)
+   level or the suspension.  Tables of a suspended builder keep it in
+   [pending]; a resume flushes only the work it adds. *)
 let builder_finish b =
   if not (builder_done b) then
     invalid_arg "Rank_dp.builder_finish: build not complete";
   let front = b.b_front in
-  Ir_obs.add stat_states b.b_states;
-  Ir_obs.add stat_inserts (Front.inserts front + b.b_skipped);
-  Ir_obs.add stat_dominated (Front.dominated front + b.b_skipped);
-  Ir_obs.add stat_truncations (Front.truncations front);
-  Ir_obs.set_max gauge_arena (Front.arena_states front);
-  Bounds.note_pruned b.b_pruned;
+  flush b;
   let bounds, incumbent_floor, floor_witness =
     match b.b_prune with
     | None -> (None, -1, None)
@@ -421,6 +485,7 @@ let builder_finish b =
     bounds;
     incumbent_floor;
     floor_witness;
+    pending = (if b.b_suspended then Some b else None);
   }
 
 (* Sequential-barrier hook: after a level completes (and before the next
@@ -509,18 +574,47 @@ let builder_advance_incumbent ?gf b =
         | None -> ()
       end
 
-let build_tables ?max_pareto ?prune problem =
-  Ir_obs.time span_build @@ fun () ->
-  let b = builder ?max_pareto ?prune problem in
-  (* A barrier after every level, the last included — the same sequence
-     [Rank_grid]'s wavefront runs, so the probe of row m - 1 (the last
-     row built) raises the floor here too. *)
+(* Step [b] until it is done.  A barrier after every level, the last
+   included — the same sequence [Rank_grid]'s wavefront runs, so the
+   probe of row m - 1 (the last row built) raises the floor here too. *)
+let run_levels b =
   Scratch.with_arena (fun gf ->
       while not (builder_done b) do
         ignore (builder_step b);
         builder_advance_incumbent ~gf b
-      done);
+      done)
+
+let build ~suspend ?max_pareto ?prune problem =
+  Ir_obs.time span_build @@ fun () ->
+  let b = make_builder ~suspend ?max_pareto ?prune problem in
+  run_levels b;
   builder_finish b
+
+let build_tables = build ~suspend:false
+
+(* Expand a suspended rung's remaining levels in place and flush what
+   they add: the same fronts and totals as a build that never stopped. *)
+let resume tables =
+  match tables.pending with
+  | None -> tables
+  | Some b ->
+      Ir_obs.incr stat_rung_resumes;
+      b.b_suspended <- false;
+      b.b_suspendable <- false;
+      Ir_obs.time span_build (fun () -> run_levels b);
+      flush b;
+      { tables with truncations = Front.truncations b.b_front; pending = None }
+
+(* The ladder drops a suspended rung: count the levels it never ran. *)
+let abandon tables =
+  match tables.pending with
+  | None -> ()
+  | Some b -> Ir_obs.add stat_levels_suspended (builder_levels b - b.b_level)
+
+(* Suspended tables hold a partial front; only the ladder may read them. *)
+let sealed fn tables =
+  if Option.is_some tables.pending then
+    invalid_arg ("Rank_dp." ^ fn ^ ": suspended rung")
 
 let table_truncations tables = tables.truncations
 let table_incumbent_floor tables = tables.incumbent_floor
@@ -545,6 +639,7 @@ let encode_tables t =
      would not cover them) and the blob format predates pruning.  The
      serve tier only ever encodes unpruned builds, so this is an
      invariant check, not a limitation anyone hits. *)
+  sealed "encode_tables" t;
   if t.incumbent_floor >= 0 then
     invalid_arg "Rank_dp.encode_tables: pruned tables";
   let payload =
@@ -570,7 +665,7 @@ let decode_tables problem blob =
             n = P.n_bunches problem
             && m = P.n_pairs problem
             && Front.cells front = m * (n + 1)
-            && Front.width front = max 1 max_pareto
+            && Front.width front = max_pareto
             && truncations >= 0
           then
             Some
@@ -585,6 +680,7 @@ let decode_tables problem blob =
                 bounds = None;
                 incumbent_floor = -1;
                 floor_witness = None;
+                pending = None;
               }
           else None
 
@@ -753,6 +849,7 @@ let cold_probe_cost n =
   !steps
 
 let search_tables ?(exhaustive = false) ?memo ?hint ?(probe_fan = 1) tables =
+  sealed "search_tables" tables;
   Ir_obs.time span_search @@ fun () ->
   Scratch.with_arena @@ fun gf ->
   let problem = tables.problem in
@@ -939,7 +1036,18 @@ let default_widen_cap = 128
    with the width, which is why the ladder is gated on convergence rather
    than run to [widen_cap] unconditionally.  A retry keeps the prune
    context: the incumbent only grows, so a later rung prunes at least as
-   hard (and stays sound for the same reason the first rung was). *)
+   hard (and stays sound for the same reason the first rung was).
+
+   Rungs are built suspendable: an unpruned rung stops after its first
+   truncating level, since all the ladder needs to know to take the
+   first retry is that the rung truncates.  If the next rung truncates
+   nothing it is the answer, and the suspended rung's remaining levels
+   never run.  Otherwise both rungs are resumed, so the convergence test
+   compares full counts and the ladder returns complete tables — the
+   same tables and the same counter totals as a ladder of complete
+   builds.  A suspended rung's [truncations] is a partial count, but it
+   is positive, which is all the first retry reads; [ladder_prev] is
+   only ever a complete rung's count. *)
 let rec widen_tables ?(widen_on_overflow = true)
     ?(widen_cap = default_widen_cap) ?prune tables =
   let t = tables.truncations in
@@ -950,12 +1058,19 @@ let rec widen_tables ?(widen_on_overflow = true)
   if t > 0 && widen_on_overflow && mp < widen_cap && converging then begin
     Ir_obs.incr stat_widen_retries;
     let next =
-      build_tables ~max_pareto:(min widen_cap (2 * mp)) ?prune tables.problem
+      build ~suspend:true ~max_pareto:(min widen_cap (2 * mp)) ?prune
+        tables.problem
     in
-    widen_tables ~widen_on_overflow ~widen_cap ?prune
-      { next with ladder_prev = Some t }
+    if next.truncations = 0 then begin
+      abandon tables;
+      next
+    end
+    else
+      let tables = resume tables in
+      widen_tables ~widen_on_overflow ~widen_cap ?prune
+        { (resume next) with ladder_prev = Some tables.truncations }
   end
-  else tables
+  else resume tables
 
 (* The widen ladder continued from a first rung built elsewhere, then the
    boundary search — the search half of {!Rank_grid.eval_batch}. *)

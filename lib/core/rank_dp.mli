@@ -94,7 +94,10 @@ val prune_for :
 val build_tables : ?max_pareto:int -> ?prune:prune -> Ir_assign.Problem.t -> tables
 (** Tabulates phase A (default [max_pareto = 8]) into freshly allocated
     storage: {!builder}, {!builder_step} to completion with
-    {!builder_advance_incumbent} between levels, {!builder_finish}.
+    {!builder_advance_incumbent} between levels, {!builder_finish}.  The
+    build is always complete: unlike a {!builder}'s, it never suspends
+    at a truncating level.  Raises [Invalid_argument] if
+    [max_pareto < 1].
 
     [?prune] threads a pruning context through the build: states (and
     candidate insertions) whose admissible optimistic bound cannot beat
@@ -111,7 +114,14 @@ val build_tables : ?max_pareto:int -> ?prune:prune -> Ir_assign.Problem.t -> tab
     interleave the levels of many concurrent builds.  {!build_tables} is
     exactly [builder] / [builder_step]-to-completion / [builder_finish],
     so stepped and monolithic builds produce byte-identical fronts,
-    counter tallies and witnesses by shared code, not by contract. *)
+    counter tallies and witnesses by shared code, not by contract.
+
+    A stepped build is a rung of the widen ladder, and an unpruned one
+    {e suspends} after the first level that truncates: the ladder will
+    retry at double width whatever the remaining levels hold, and if the
+    wider rung truncates nothing they are never needed.  The remaining
+    levels are kept, not dropped; {!widen_tables} resumes the rung when
+    its decisions need the full count. *)
 
 type builder
 (** One in-progress phase-A build: the front store plus the next level to
@@ -129,7 +139,9 @@ val builder : ?max_pareto:int -> ?prune:prune -> Ir_assign.Problem.t -> builder
     expanded.  [?prune] is as in {!build_tables}; each {!builder_step}
     re-reads the published incumbent once at entry, so all builders
     stepped between two barriers prune against the same value
-    regardless of scheduling. *)
+    regardless of scheduling.  A pruned builder never suspends: resumed
+    levels would prune against a later incumbent.  Raises
+    [Invalid_argument] if [max_pareto < 1]. *)
 
 val builder_levels : builder -> int
 (** Total number of boundary-pair levels, [Problem.n_pairs - 1]: level
@@ -137,12 +149,16 @@ val builder_levels : builder -> int
     reads. *)
 
 val builder_done : builder -> bool
-(** No level left to expand — from the start for a no-fit instance. *)
+(** No level left to expand — from the start for a no-fit instance — or
+    the builder has suspended. *)
 
 val builder_step : builder -> bool
 (** Expands one boundary-pair level.  Returns [true] while more levels
-    remain, [false] once the build is complete (further calls are
-    no-ops returning [false]). *)
+    remain, [false] once the build is complete or has suspended (further
+    calls are no-ops returning [false]).  An unpruned builder suspends
+    after a level that leaves it with truncations and levels still to
+    expand.  A level-synchronous driver drops a suspended builder from
+    its active set as it drops a complete one. *)
 
 val builder_advance_incumbent : ?gf:Ir_assign.Scratch.t -> builder -> unit
 (** Sequential-barrier hook for pruned builds (no-op otherwise): takes
@@ -158,9 +174,15 @@ val builder_advance_incumbent : ?gf:Ir_assign.Scratch.t -> builder -> unit
 
 val builder_finish : builder -> tables
 (** Seals the build: flushes the per-build tallies to the [rank_dp/*]
-    counters (exactly once — call once per builder, from one domain) and
-    returns the tables.  Raises [Invalid_argument] before the last level
-    has been stepped. *)
+    counters (call once per builder, from one domain) and returns the
+    tables.  Raises [Invalid_argument] while the builder is not done.
+
+    A suspended builder seals into {e suspended} tables, which still own
+    the builder and its unbuilt levels.  Only {!widen_tables} accepts
+    them; {!search_tables} and {!encode_tables} raise
+    [Invalid_argument].  The tallies flushed here cover the levels built
+    so far, and a resume flushes only what it adds, so no work is
+    counted twice. *)
 
 val table_truncations : tables -> int
 (** Number of non-dominated states dropped because a per-state Pareto set
@@ -169,7 +191,10 @@ val table_truncations : tables -> int
     probe could have read.  [0] means phase A is complete and any search
     over these tables is exact; positive means outcomes derived from
     them carry [exact = false] (a lower bound) and {!widen_tables}
-    retries at a wider front. *)
+    retries at a wider front.  On suspended tables it is the count up to
+    the suspension, a partial count [>= 1]: callers only ever test it
+    against [0], and that test has the same answer as on the complete
+    build. *)
 
 val table_incumbent_floor : tables -> int
 (** Largest boundary proven achievable during a pruned build ([-1] for
@@ -259,7 +284,17 @@ val widen_tables :
     Rebuilds of a pruned first rung keep pruning only if the {e same}
     [?prune] context is passed back in (the wavefront driver does).  The
     ladder's state travels with the tables, so widening the ladder's own
-    output again is a no-op. *)
+    output again is a no-op.
+
+    The first rung may be suspended (see {!builder_finish}), and each
+    retry rung is built suspendable too.  If a retry rung truncates
+    nothing it is the answer, and the suspended rung before it never
+    runs its remaining levels ([rank_dp/levels_suspended] counts them).
+    In every other case — the retry truncates too, widening is off, or
+    the width is at [widen_cap] — the ladder resumes the rungs it holds
+    ([rank_dp/rung_resumes]), so its decisions read full counts and the
+    result is the complete build a ladder of complete rungs returns,
+    with the same counter totals.  The result is never suspended. *)
 
 val search_with_tables :
   ?widen_on_overflow:bool ->

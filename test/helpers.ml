@@ -108,3 +108,57 @@ let baseline_130nm_small ?(gates = 40_000) ?(bunch_size = 500) () =
       (Ir_wld.Davis.params ~gates ~rent_p:0.6 ~fan_out:3.0 ())
   in
   Ir_assign.Problem.make ~bunch_size ~arch ~wld ()
+
+(* ---- Reference widen ladder ------------------------------------------ *)
+
+(* The widen ladder as a sequence of complete builds: every rung runs
+   all its levels, and each retry decision reads full truncation counts
+   — the first retry whenever the rung truncates, each further one only
+   if the last retry at least halved the count, never past [widen_cap].
+   Returns the last rung's tables and the number of retries. *)
+let reference_ladder ~widen_on_overflow ~widen_cap ~max_pareto problem =
+  let rec go width prev retries =
+    let t = Ir_core.Rank_dp.build_tables ~max_pareto:width problem in
+    let truncations = Ir_core.Rank_dp.table_truncations t in
+    let converging =
+      match prev with None -> true | Some p -> 2 * truncations <= p
+    in
+    if truncations > 0 && widen_on_overflow && width < widen_cap && converging
+    then go (min widen_cap (2 * width)) (Some truncations) (retries + 1)
+    else (t, retries)
+  in
+  go max_pareto None 0
+
+(* ---- Parser fuzzing --------------------------------------------------- *)
+
+(* Fuzz input for a parser: arbitrary bytes, or one valid input with a
+   single byte replaced, deleted or inserted. *)
+let gen_fuzz valid =
+  let open QCheck2.Gen in
+  let arbitrary = string_size ~gen:char (int_range 0 200) in
+  let mutated =
+    let* s = valid in
+    let len = String.length s in
+    let* i = int_range 0 len in
+    let* c = char in
+    let* edit = int_range 0 2 in
+    let before = String.sub s 0 i in
+    return
+      (match edit with
+      | 0 when i < len ->
+          before ^ String.make 1 c ^ String.sub s (i + 1) (len - i - 1)
+      | 1 when i < len -> before ^ String.sub s (i + 1) (len - i - 1)
+      | _ -> before ^ String.make 1 c ^ String.sub s i (len - i))
+  in
+  oneof [ arbitrary; mutated ]
+
+(* [parse] must never raise, and must reject with a non-empty message. *)
+let fuzz_parser ?(count = 500) name valid parse =
+  qtest ~count name (gen_fuzz valid) (fun input ->
+      match parse input with
+      | Ok _ -> true
+      | Error "" -> QCheck2.Test.fail_reportf "%S: empty error message" input
+      | Error _ -> true
+      | exception e ->
+          QCheck2.Test.fail_reportf "%S raised %s" input
+            (Printexc.to_string e))

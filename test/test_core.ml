@@ -996,6 +996,145 @@ let test_builder_finish_early () =
     (Invalid_argument "Rank_dp.builder_finish: build not complete")
     (fun () -> ignore (Ir_core.Rank_dp.builder_finish b))
 
+(* Work counter deltas of [f ()], by counter name. *)
+let counting f =
+  let read () =
+    let snap = Ir_obs.snapshot () in
+    fun name -> Option.value ~default:0 (Ir_obs.find_counter snap name)
+  in
+  let before = read () in
+  let r = f () in
+  let after = read () in
+  (r, fun name -> after name - before name)
+
+let stepped_to_done ?max_pareto p =
+  let b = Ir_core.Rank_dp.builder ?max_pareto p in
+  let steps = ref 1 in
+  while Ir_core.Rank_dp.builder_step b do
+    incr steps
+  done;
+  (b, !steps)
+
+let encoded_digest t =
+  Digest.to_hex (Digest.string (Ir_core.Rank_dp.encode_tables t))
+
+(* A rung that truncates stops at that level and leaves the rest to the
+   widen ladder.  The 4-pair walking instance truncates at level 1 of 3
+   at width 8.  With widening off the ladder resumes it into the complete
+   width-8 build; with widening on the width-16 rung truncates nothing,
+   so the width-8 rung's last level never runs.  A 3-pair rung never
+   suspends: its level 0 expands the single root state, so only its last
+   level can truncate. *)
+let test_rung_suspends () =
+  let p = walking_problem () in
+  let b, steps = stepped_to_done p in
+  let levels = Ir_core.Rank_dp.builder_levels b in
+  Alcotest.(check bool) "stops before the last level" true (steps < levels);
+  Alcotest.(check bool) "done once suspended" true
+    (Ir_core.Rank_dp.builder_done b);
+  Alcotest.(check bool) "a suspended builder does not step" false
+    (Ir_core.Rank_dp.builder_step b);
+  let suspended = Ir_core.Rank_dp.builder_finish b in
+  Alcotest.(check bool) "partial truncation count is positive" true
+    (Ir_core.Rank_dp.table_truncations suspended > 0);
+  Alcotest.check_raises "search refuses a suspended rung"
+    (Invalid_argument "Rank_dp.search_tables: suspended rung") (fun () ->
+      ignore (Ir_core.Rank_dp.search_tables suspended));
+  let full, n =
+    counting (fun () ->
+        Ir_core.Rank_dp.widen_tables ~widen_on_overflow:false suspended)
+  in
+  Alcotest.(check string) "resumed rung = frozen width-8 tables"
+    "2a1d1fd29edb39612a5a964d97706bd1" (encoded_digest full);
+  Alcotest.(check (pair int int)) "one resume, nothing abandoned" (1, 0)
+    (n "rank_dp/rung_resumes", n "rank_dp/levels_suspended");
+  let b, steps = stepped_to_done p in
+  let widened, n =
+    counting (fun () ->
+        Ir_core.Rank_dp.widen_tables (Ir_core.Rank_dp.builder_finish b))
+  in
+  Alcotest.(check string) "ladder = complete build at width 16"
+    (encoded_digest (Ir_core.Rank_dp.build_tables ~max_pareto:16 p))
+    (encoded_digest widened);
+  Alcotest.(check (triple int int int))
+    "retries, abandoned levels, resumes"
+    (1, levels - steps, 0)
+    ( n "rank_dp/widen_retries",
+      n "rank_dp/levels_suspended",
+      n "rank_dp/rung_resumes" );
+  let p3 = overflowing_problem () in
+  let b, steps = stepped_to_done p3 in
+  Alcotest.(check int) "a 3-pair rung runs every level"
+    (Ir_core.Rank_dp.builder_levels b) steps;
+  Alcotest.(check string) "3-pair rung = frozen width-8 tables"
+    "fd218d552541b3b6f72f98a77007da8b"
+    (encoded_digest
+       (Ir_core.Rank_dp.widen_tables ~widen_on_overflow:false
+          (Ir_core.Rank_dp.builder_finish b)))
+
+let test_builder_rejects_zero_width () =
+  let p = baseline_130nm_small () in
+  let rejects what f =
+    Alcotest.check_raises what
+      (Invalid_argument "Rank_dp.builder: max_pareto < 1") (fun () ->
+        ignore (f ()))
+  in
+  rejects "builder" (fun () -> Ir_core.Rank_dp.builder ~max_pareto:0 p);
+  rejects "build_tables" (fun () ->
+      Ir_core.Rank_dp.build_tables ~max_pareto:(-1) p);
+  rejects "one-cell grid" (fun () -> Ir_core.Rank_grid.compute ~max_pareto:0 p)
+
+(* The suspendable ladder against [Helpers.reference_ladder], which
+   builds every rung complete: the same final tables, outcome, witness
+   and retries.  Where no rung was abandoned the work counters must
+   match too, which is what catches a resume that skips or repeats
+   levels or loses its tallies; an abandoned rung can only save work. *)
+let prop_suspended_ladder_matches_reference =
+  qtest ~count:200 "suspendable widen ladder = ladder of complete rungs"
+    QCheck2.Gen.(
+      quad Helpers.gen_instance_4pair (int_range 1 3) bool
+        (oneofl [ 2; 4; 128 ]))
+    (fun ({ problem; label }, width, widen_on_overflow, widen_cap) ->
+      let label =
+        Printf.sprintf "%s width=%d widen=%b cap=%d" label width
+          widen_on_overflow widen_cap
+      in
+      let (ref_tables, ref_retries), ref_n =
+        counting (fun () ->
+            Helpers.reference_ladder ~widen_on_overflow ~widen_cap
+              ~max_pareto:width problem)
+      in
+      let tables, n =
+        counting (fun () ->
+            let b, _ = stepped_to_done ~max_pareto:width problem in
+            Ir_core.Rank_dp.widen_tables ~widen_on_overflow ~widen_cap
+              (Ir_core.Rank_dp.builder_finish b))
+      in
+      let o, w = Ir_core.Rank_dp.search_tables tables in
+      let ro, rw = Ir_core.Rank_dp.search_tables ref_tables in
+      if not (Ir_core.Outcome.equal o ro) then
+        QCheck2.Test.fail_reportf "%s: outcomes differ" label;
+      if w <> rw then QCheck2.Test.fail_reportf "%s: witnesses differ" label;
+      if
+        Ir_core.Rank_dp.encode_tables tables
+        <> Ir_core.Rank_dp.encode_tables ref_tables
+      then QCheck2.Test.fail_reportf "%s: final tables differ" label;
+      if n "rank_dp/widen_retries" <> ref_retries then
+        QCheck2.Test.fail_reportf "%s: %d retries, reference %d" label
+          (n "rank_dp/widen_retries") ref_retries;
+      let abandoned = n "rank_dp/levels_suspended" > 0 in
+      List.iter
+        (fun c ->
+          let ok = if abandoned then n c <= ref_n c else n c = ref_n c in
+          if not ok then
+            QCheck2.Test.fail_reportf "%s: %s %d, reference %d (abandoned %b)"
+              label c (n c) (ref_n c) abandoned)
+        [
+          "rank_dp/states_expanded"; "rank_dp/pareto_inserts";
+          "rank_dp/pareto_dominated"; "rank_dp/pareto_truncations";
+        ];
+      true)
+
 let test_decode_fuzz () =
   let p = baseline_130nm_small () in
   let t = Ir_core.Rank_dp.build_tables p in
@@ -1520,15 +1659,17 @@ let test_with_materials_equals_fresh () =
 
 (* A fixed quick corpus of the cases the Table-4 corpus never hits:
    Definition-3 no-fit, a front that truncates at width 1 (with the widen
-   ladder on and off), one that truncates at the default width 8 and
-   widens, a single bunch, a powered instance and an 8-layer stack.
+   ladder on and off), two that truncate at the default width 8 and widen
+   (the 4-pair one suspends its width-8 rung), a single bunch, a powered
+   instance and an 8-layer stack.
    Each case's outcome must be the same through every driver — a
    one-cell grid, a shared plane of [evaluate], the heterogeneous
    [eval_batch] and a resident grid's [query] — and match the
    brute-force oracle where that is small enough.  Work is gated too: a
    no-fit cell must expand no state and insert nothing into a front in
-   any driver, and a [ladder] case must take the same widen retries and
-   truncations in every driver, at least one retry.  (Only a case whose
+   any driver, and a [ladder] case must take the same widen retries,
+   truncations, suspended levels and rung resumes in every driver, at
+   least one retry.  (Only a case whose
    budget never binds can be a [ladder] case: the resident driver builds
    its plane at fraction 1.0.) *)
 type hard_case = {
@@ -1593,6 +1734,8 @@ let hard_corpus () =
     case "width-1, ladder off" (rank_changing_problem ()) ~max_pareto:1
       ~widen:false;
     case "width-8, widens" (overflowing_problem ()) ~brute:true ~ladder:true;
+    case "4-pair width-8, suspends" (walking_problem ()) ~brute:true
+      ~ladder:true;
     case "single bunch" single ~brute:true;
     case "powered" powered;
     case "8-layer stack" eight_layer;
@@ -1611,7 +1754,8 @@ let test_hard_corpus () =
         let n name = Option.value ~default:0 (Ir_obs.find_counter snap name) in
         ( o,
           n "rank_dp/states_expanded" + n "rank_dp/pareto_inserts",
-          (n "rank_dp/widen_retries", n "rank_dp/pareto_truncations") )
+          ( (n "rank_dp/widen_retries", n "rank_dp/pareto_truncations"),
+            (n "rank_dp/levels_suspended", n "rank_dp/rung_resumes") ) )
       in
       let drivers =
         [
@@ -1657,7 +1801,8 @@ let test_hard_corpus () =
             Ir_core.Rank_grid.compute ?max_pareto ?widen_on_overflow p)
       in
       if c.hc_ladder then
-        Alcotest.(check bool) (c.hc_name ^ ": widens") true (fst ladder > 0);
+        Alcotest.(check bool) (c.hc_name ^ ": widens") true
+          (fst (fst ladder) > 0);
       if max_pareto = None && widen_on_overflow = None then
         Alcotest.(check bool) (c.hc_name ^ ": Rank.compute") true
           (Ir_core.Outcome.equal reference (Ir_core.Rank.compute p));
@@ -1669,9 +1814,11 @@ let test_hard_corpus () =
             true
             (Ir_core.Outcome.equal reference o);
           if c.hc_ladder then
-            Alcotest.(check (pair int int))
-              (Printf.sprintf "%s: %s widen retries, truncations" c.hc_name
-                 name)
+            Alcotest.(check (pair (pair int int) (pair int int)))
+              (Printf.sprintf
+                 "%s: %s widen retries, truncations, levels suspended, \
+                  rung resumes"
+                 c.hc_name name)
               ladder ladder';
           if c.hc_nofit then
             Alcotest.(check int)
@@ -1731,6 +1878,11 @@ let () =
             test_pruned_tables_not_encodable;
           Alcotest.test_case "builder finish guard" `Quick
             test_builder_finish_early;
+          Alcotest.test_case "a truncating rung suspends" `Quick
+            test_rung_suspends;
+          Alcotest.test_case "builder rejects width < 1" `Quick
+            test_builder_rejects_zero_width;
+          prop_suspended_ladder_matches_reference;
           Alcotest.test_case "table codec fuzz" `Quick test_decode_fuzz;
           Alcotest.test_case "table codec rejects a row-m front" `Quick
             test_decode_row_m_front;

@@ -383,6 +383,24 @@ let test_protocol_epsilon_retired () =
   | Error _ -> Alcotest.fail "nonzero epsilon: not a bad_request"
   | Ok _ -> Alcotest.fail "nonzero epsilon accepted"
 
+(* Wire lines are untrusted: arbitrary bytes and single-byte edits of
+   valid requests must decode or be refused with a message, never
+   raise. *)
+let prop_decode_request_fuzz =
+  fuzz_parser "decode_request never raises on fuzzed lines"
+    QCheck2.Gen.(
+      oneof
+        [
+          map
+            (fun (id, q) -> Pr.encode_request { Pr.id; op = Pr.Query q })
+            gen_query;
+          map
+            (fun op -> Pr.encode_request { Pr.id = "f"; op })
+            (oneofl [ Pr.Ping; Pr.Stats ]);
+        ])
+    (fun line ->
+      Result.map_error Pr.error_message (Pr.decode_request line))
+
 let test_protocol_errors () =
   let bad line =
     match Pr.decode_request line with
@@ -1665,6 +1683,7 @@ let () =
           Alcotest.test_case "power compatibility" `Quick
             test_protocol_power_compat;
           Alcotest.test_case "errors" `Quick test_protocol_errors;
+          prop_decode_request_fuzz;
           Alcotest.test_case "epsilon retired" `Quick
             test_protocol_epsilon_retired;
         ] );

@@ -334,6 +334,23 @@ let prop_io_roundtrip =
       | Ok d2 -> Ir_wld.Dist.equal d d2
       | Error _ -> false)
 
+(* Client-supplied WLDs go through the strict parser: arbitrary bytes
+   and single-byte edits of valid CSVs must parse or be refused with a
+   message, never raise. *)
+let prop_io_strict_fuzz =
+  fuzz_parser "strict CSV parser never raises on fuzzed input"
+    QCheck2.Gen.(
+      map
+        (fun raw ->
+          Ir_wld.Io.to_string
+            (Ir_wld.Dist.of_bins
+               (List.map
+                  (fun (l, c) -> { Ir_wld.Dist.length = l; count = c })
+                  raw)))
+        (list_size (int_range 1 8)
+           (pair (float_range 0.001 5000.0) (int_range 1 100000))))
+    (Ir_wld.Io.of_string ~strict:true)
+
 let test_stats_summary () =
   let d =
     Ir_wld.Dist.of_bins
@@ -425,6 +442,7 @@ let () =
           Alcotest.test_case "strict mode" `Quick test_io_strict_mode;
           Alcotest.test_case "files" `Quick test_io_files;
           prop_io_roundtrip;
+          prop_io_strict_fuzz;
         ] );
       ( "coarsen",
         [
