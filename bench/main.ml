@@ -570,112 +570,6 @@ let grid_bench () =
   | status -> failwith ("grid leg: status " ^ status));
   report
 
-(* Pruning leg: the Table-4 grid run twice at the same worker count —
-   exact wavefront vs admissible-bound pruning (~prune:true) — asserting
-   per-cell byte-identity at ε=0, then a jobs=1 pruned rerun asserting
-   the bounds/* counters (and all other structural counters) are
-   schedule-invariant.  The reduction in Front insertions and packer
-   witness probes is the headline; wall clock is reported honestly
-   either way.  Any identity violation fails the bench process. *)
-let pruning_bench () =
-  section "Pruning leg: exact wavefront vs admissible-bound pruning";
-  let config = sweep_config () in
-  let jobs =
-    if Ir_exec.hardware_jobs () <= 1 then 1 else par_jobs ()
-  in
-  Ir_obs.reset ();
-  let t0 = Ir_exec.now () in
-  let base = Ir_sweep.Table4.all ~jobs ~config () in
-  let base_s = Ir_exec.now () -. t0 in
-  let base_snap = identity_snapshot () in
-  Ir_obs.reset ();
-  let t0 = Ir_exec.now () in
-  let pruned = Ir_sweep.Table4.all ~jobs ~prune:true ~config () in
-  let pruned_s = Ir_exec.now () -. t0 in
-  let pruned_snap = identity_snapshot () in
-  let identical =
-    List.for_all2 (fun a b -> sweep_sig a = sweep_sig b) base pruned
-  in
-  (* The incumbent is only published at sequential barriers, so the
-     bounds/* tallies — and every other structural counter of the pruned
-     run — must not depend on the worker count. *)
-  let counters_match, jobs1_identical =
-    if jobs = 1 then (true, true)
-    else begin
-      Ir_obs.reset ();
-      let pruned1 = Ir_sweep.Table4.all ~jobs:1 ~prune:true ~config () in
-      let snap1 = identity_snapshot () in
-      ( snap1.Ir_obs.counters = pruned_snap.Ir_obs.counters
-        && snap1.Ir_obs.gauges = pruned_snap.Ir_obs.gauges,
-        List.for_all2 (fun a b -> sweep_sig a = sweep_sig b) pruned pruned1
-      )
-    end
-  in
-  Ir_obs.reset ();
-  let counter snap name =
-    Option.value ~default:0 (Ir_obs.find_counter snap name)
-  in
-  let points =
-    List.fold_left
-      (fun a (s : Ir_sweep.Table4.sweep) -> a + List.length s.rows)
-      0 pruned
-  in
-  let report =
-    {
-      Ir_sweep.Export.pruning_points = points;
-      baseline_seconds = base_s;
-      pruned_seconds = pruned_s;
-      front_inserts_baseline = counter base_snap "rank_dp/pareto_inserts";
-      front_inserts_pruned = counter pruned_snap "rank_dp/pareto_inserts";
-      witness_probes_baseline = counter base_snap "rank_dp/witness_probes";
-      witness_probes_pruned = counter pruned_snap "rank_dp/witness_probes";
-      states_pruned = counter pruned_snap "bounds/states_pruned";
-      oracle_calls_saved = counter pruned_snap "bounds/oracle_calls_saved";
-      incumbent_updates = counter pruned_snap "bounds/incumbent_updates";
-      memo_preempted = counter pruned_snap "bounds/memo_preempted";
-      pruning_identical = identical && jobs1_identical;
-      pruning_counters_match = counters_match;
-    }
-  in
-  let pct b p =
-    if b <= 0 then "-"
-    else Printf.sprintf "-%.1f%%" (100.0 *. float_of_int (b - p) /. float_of_int b)
-  in
-  Ir_sweep.Report.table
-    ~header:[ "pruning leg"; "front inserts"; "witness probes"; "wall time" ]
-    ~rows:
-      [
-        [
-          Printf.sprintf "exact (jobs=%d)" jobs;
-          string_of_int report.front_inserts_baseline;
-          string_of_int report.witness_probes_baseline;
-          Printf.sprintf "%.2f s" base_s;
-        ];
-        [
-          Printf.sprintf "pruned (jobs=%d)" jobs;
-          Printf.sprintf "%d (%s)" report.front_inserts_pruned
-            (pct report.front_inserts_baseline report.front_inserts_pruned);
-          Printf.sprintf "%d (%s)" report.witness_probes_pruned
-            (pct report.witness_probes_baseline report.witness_probes_pruned);
-          Printf.sprintf "%.2f s" pruned_s;
-        ];
-      ]
-    Format.std_formatter;
-  Format.printf
-    "%d points: pruned %d states, saved %d oracle calls, %d incumbent      raises, %d memo preempts; status %s@."
-    points report.states_pruned report.oracle_calls_saved
-    report.incumbent_updates report.memo_preempted
-    (Ir_sweep.Export.pruning_status report);
-  if pruned_s > 1.05 *. base_s then
-    Format.printf
-      "@.*** WARNING: the pruned leg (%.2f s) is SLOWER than the exact        leg (%.2f s) on this machine/workload. ***@."
-      pruned_s base_s;
-  leg_results_line "pruning";
-  (match Ir_sweep.Export.pruning_status report with
-  | "ok" -> ()
-  | status -> failwith ("pruning leg: status " ^ status));
-  report
-
 (* Power leg: the power budget's four contracts, CI-gated through the
    exported "power" status.  A power budget is an area cap (kappa times
    repeater area is power), so these pin that reduction.  (a) The
@@ -1588,8 +1482,8 @@ let study_netlist () =
      lengths; the@.closed form the paper adopts in footnote 2 tracks the \
      measured shape.)@."
 
-let export_artifacts ?metrics ?kernel ?parallel ?scaling ?grid ?pruning
-    ?power ?serving ?serving_sharded sweeps cells timings =
+let export_artifacts ?metrics ?kernel ?parallel ?scaling ?grid ?power
+    ?serving ?serving_sharded sweeps cells timings =
   section "Artifacts";
   let dir = results_dir () in
   (* Say where the artifacts land: quick runs write results-quick/ (kept
@@ -1614,7 +1508,7 @@ let export_artifacts ?metrics ?kernel ?parallel ?scaling ?grid ?pruning
         (parallel table4 leg plus cross-node), before the kernel
         microbenchmarks pollute the span registry. *)
      Ir_sweep.Export.write_bench_json ~dir ~jobs:(par_jobs ()) ~timings
-       ?metrics ?kernel ?parallel ?scaling ?grid ?pruning
+       ?metrics ?kernel ?parallel ?scaling ?grid
        ?power:(Option.map fst power) ?serving ?serving_sharded ~sweeps
        ~cross:cells ()
    with
@@ -1644,18 +1538,6 @@ let export_artifacts ?metrics ?kernel ?parallel ?scaling ?grid ?pruning
                     g.per_point_seconds g.grid_seconds
                     (g.per_point_seconds /. Float.max 1e-9 g.grid_seconds)
                     g.perturb_recomputed g.perturb_grid_cells );
-              ])
-        @ (match pruning with
-          | None -> []
-          | Some (p : Ir_sweep.Export.pruning_report) ->
-              [
-                ( "pruning",
-                  Printf.sprintf
-                    "status %s: front inserts %d -> %d, witness probes %d                      -> %d; exact %.2f s vs pruned %.2f s"
-                    (Ir_sweep.Export.pruning_status p)
-                    p.front_inserts_baseline p.front_inserts_pruned
-                    p.witness_probes_baseline p.witness_probes_pruned
-                    p.baseline_seconds p.pruned_seconds );
               ])
         @ (match power with
           | None -> []
@@ -1839,14 +1721,13 @@ let () =
       let metrics = Ir_obs.snapshot () in
       let scaling = experiment_scaling () in
       let grid = grid_bench () in
-      let pruning = pruning_bench () in
       let power = power_bench () in
       let serving = serving_bench () in
       let serving_sharded = serving_sharded_bench () in
       let kernel = kernel_bench () @ kernel_entries metrics legs in
       export_artifacts ~metrics ~kernel
         ~parallel:(parallel_report legs)
-        ~scaling ~grid ~pruning ~power ~serving ~serving_sharded sweeps
+        ~scaling ~grid ~power ~serving ~serving_sharded sweeps
         cells timings
   | `All ->
       experiment_tables ();
@@ -1872,14 +1753,13 @@ let () =
       study_variation ();
       study_netlist ();
       let grid = grid_bench () in
-      let pruning = pruning_bench () in
       let power = power_bench () in
       let serving = serving_bench () in
       let serving_sharded = serving_sharded_bench () in
       let kernel = kernel_bench () @ kernel_entries metrics legs in
       export_artifacts ~metrics ~kernel
         ~parallel:(parallel_report legs)
-        ~scaling ~grid ~pruning ~power ~serving ~serving_sharded sweeps
+        ~scaling ~grid ~power ~serving ~serving_sharded sweeps
         cells timings;
       run_bechamel ());
   Format.printf "@.total harness wall time: %.1f s@." (Ir_exec.now () -. t0)

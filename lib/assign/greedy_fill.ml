@@ -111,13 +111,7 @@ let max_take ~cap ~a_w ~wire_area ~via ~v ~base_wires ~reps ~suffix_above
    pair).  Demand strictly above availability is a certain reject; the
    relative slack keeps float summation-order noise (both sides are
    prefix-table differences, the packer accumulates in another order)
-   from ever rejecting a context the packer could satisfy.
-
-   Exposed on its own so the pruning layer (Ir_core.Bounds) can answer
-   a suffix query with {e this exact computation} — same expressions,
-   same evaluation order — before the memo or the packer is consulted:
-   the pre-screen then rejects precisely the contexts [run] would,
-   never more. *)
+   from ever rejecting a context the packer could satisfy. *)
 let fast_reject t ctx =
   let n = Problem.n_bunches t in
   let m = Problem.n_pairs t in

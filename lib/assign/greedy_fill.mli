@@ -93,14 +93,3 @@ val pack : ?scratch:Scratch.t -> Problem.t -> context -> placement list option
 val fits : ?scratch:Scratch.t -> Problem.t -> context -> bool
 (** {!pack} without materializing the placement list. *)
 
-val fast_reject : Problem.t -> context -> bool
-(** The O(pairs) demand-vs-availability screen {!pack} and {!fits} run
-    before their O(bunches) packing loop, exposed on its own: [true] is
-    a {e certain} reject ([fits] would return [false], charging a
-    [greedy_fill/fast_fails] event on the way).  The pruning layer
-    ([Ir_core.Bounds]) calls this before consulting the {!Suffix_fit}
-    memo or the packer; because it is the very same computation — not a
-    reimplementation — the pre-screen can never disagree with the
-    oracle.  Does not validate or count: the context must already be
-    in-range (as every context built by the DP is), and no
-    [greedy_fill/*] counters move. *)

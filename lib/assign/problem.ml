@@ -23,12 +23,6 @@ type t = {
   rep_area_prefix : float array array;
   rep_count_prefix : int array array;
   bad_prefix : int array array;
-  (* min_rep_area_prefix.(i): lower bound on the repeater area needed to
-     meet bunches [0..i), letting every bunch pick its cheapest pair
-     independently (a fractional relaxation of the contiguous-split
-     constraint).  +infinity from the first bunch infeasible on every
-     pair onward: no assignment can meet past it. *)
-  min_rep_area_prefix : float array;
   (* Repeater power model.  A repeater of size s burns
      s * (activity * c_o * Vdd^2 * f + leakage_per_size) watts and
      occupies s * A_dev of silicon, so power is kappa times repeater area
@@ -77,7 +71,6 @@ let[@inline] meeting_area t ~pair ~lo ~hi =
 let[@inline] meeting_count t ~pair ~lo ~hi =
   t.rep_count_prefix.(pair).(hi) - t.rep_count_prefix.(pair).(lo)
 
-let min_rep_area_before t i = t.min_rep_area_prefix.(i)
 let activity t = t.activity
 let power_budget t = t.power_budget
 let kappa t = t.kappa
@@ -170,20 +163,7 @@ let repeater_tables ~arch ~noise_limit ~targets bunches =
           bad_prefix.(j).(b + 1) <- bad_prefix.(j).(b) + 1
     done
   done;
-  (* Relaxation prefix: each bunch takes the cheapest pair that can meet
-     it, ignoring contiguity.  Any real split pays at least this much, so
-     the prefix is admissible for the pruning bound (Ir_core.Bounds). *)
-  let min_rep_area_prefix = Array.make (n + 1) 0.0 in
-  for b = 0 to n - 1 do
-    let best = ref infinity in
-    for j = 0 to m - 1 do
-      if eta.(j).(b) >= 0 then
-        let a = rep_area_prefix.(j).(b + 1) -. rep_area_prefix.(j).(b) in
-        if a < !best then best := a
-    done;
-    min_rep_area_prefix.(b + 1) <- min_rep_area_prefix.(b) +. !best
-  done;
-  (eta, rep_area_prefix, rep_count_prefix, bad_prefix, min_rep_area_prefix)
+  (eta, rep_area_prefix, rep_count_prefix, bad_prefix)
 
 let default_activity = 0.15
 
@@ -252,8 +232,7 @@ let build ?(activity = default_activity) ?(power_budget = infinity) ~arch
     wire_prefix.(i + 1) <- wire_prefix.(i) + bunches.(i).Ir_wld.Dist.count
   done;
   let area_prefix = area_tables ~arch bunches in
-  let eta, rep_area_prefix, rep_count_prefix, bad_prefix, min_rep_area_prefix
-      =
+  let eta, rep_area_prefix, rep_count_prefix, bad_prefix =
     repeater_tables ~arch ~noise_limit ~targets bunches
   in
   with_power ~activity ~power_budget
@@ -269,7 +248,6 @@ let build ?(activity = default_activity) ?(power_budget = infinity) ~arch
     rep_area_prefix;
     rep_count_prefix;
     bad_prefix;
-    min_rep_area_prefix;
     activity;
     power_budget;
     kappa = 0.0;
@@ -313,8 +291,7 @@ let with_repeater_fraction t fraction =
    same float expressions over the same inputs. *)
 let with_materials t materials =
   let arch = Ir_ia.Arch.with_materials t.arch materials in
-  let eta, rep_area_prefix, rep_count_prefix, bad_prefix, min_rep_area_prefix
-      =
+  let eta, rep_area_prefix, rep_count_prefix, bad_prefix =
     repeater_tables ~arch ~noise_limit:t.noise_limit ~targets:t.targets
       t.bunches
   in
@@ -327,7 +304,6 @@ let with_materials t materials =
     rep_area_prefix;
     rep_count_prefix;
     bad_prefix;
-    min_rep_area_prefix;
   }
 
 (* A clock change moves only the per-bunch targets and everything derived
@@ -337,8 +313,7 @@ let with_clock t clock =
   let design = Ir_tech.Design.with_clock t.arch.Ir_ia.Arch.design clock in
   let arch = Ir_ia.Arch.with_design t.arch design in
   let targets = targets_for ~arch ~target_model:t.target_model t.bunches in
-  let eta, rep_area_prefix, rep_count_prefix, bad_prefix, min_rep_area_prefix
-      =
+  let eta, rep_area_prefix, rep_count_prefix, bad_prefix =
     repeater_tables ~arch ~noise_limit:t.noise_limit ~targets t.bunches
   in
   (* The dynamic power term is proportional to the clock: kappa, and
@@ -352,7 +327,6 @@ let with_clock t clock =
       rep_area_prefix;
       rep_count_prefix;
       bad_prefix;
-      min_rep_area_prefix;
     }
 
 (* Power enters no table: a new budget or activity moves only kappa and

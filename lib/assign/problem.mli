@@ -138,20 +138,6 @@ val meeting_count : t -> pair:int -> lo:int -> hi:int -> int
     int)] per call — hundreds of millions of calls per table build in the
     rank DP made that option the dominant allocation source. *)
 
-val min_rep_area_before : t -> int -> float
-(** [min_rep_area_before t i] is a {e lower bound} on the repeater area
-    any assignment must spend to meet the targets of bunches [[0..i)]:
-    each bunch independently takes the cheapest pair that can meet it
-    (a fractional relaxation of the contiguous-split constraint the DP
-    enforces).  Returns [+infinity] once [[0..i)] contains a bunch
-    infeasible on every pair — no assignment can meet that far.
-    Differencing two finite prefix values bounds the suffix cost of a
-    partial DP state; the pruning layer ([Ir_core.Bounds]) scales the
-    difference by [1 -. 1e-9] to absorb prefix-rounding before using it
-    as an admissible bound.  Like the other repeater tables this is
-    budget-independent, so it survives {!with_repeater_fraction}
-    verbatim. *)
-
 val wire_delay_on_pair : t -> pair:int -> eta:int -> float -> float
 (** Eq. (3) delay of a single wire of the given length (m) on [pair] with
     [eta] repeaters of the pair's uniform size — exposed for reporting. *)

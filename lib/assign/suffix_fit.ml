@@ -37,13 +37,6 @@
 let stat_hits = Ir_obs.counter "suffix_fit/hits"
 let stat_misses = Ir_obs.counter "suffix_fit/misses"
 
-(* Queries the bound oracle (Ir_core.Bounds) answered before this memo
-   was even consulted.  Kept here, next to hits/misses, so the bench's
-   hit-rate math can use one denominator: hits + misses + preempted =
-   suffix queries issued by the DP. *)
-let stat_preempted = Ir_obs.counter "bounds/memo_preempted"
-let note_preempted () = Ir_obs.incr stat_preempted
-
 (* One bounded Pareto frontier: parallel arrays of answered contexts.
    [used] is the float load; the other four are the int load counts.
    Capacity-bounded with round-robin replacement — dropping an entry can

@@ -50,12 +50,3 @@ val fits :
 (** Same verdict as [Greedy_fill.fits] on the corresponding
     {!Greedy_fill.context} — by frontier dominance when covered, by the
     oracle otherwise. *)
-
-val note_preempted : unit -> unit
-(** Record on [bounds/memo_preempted] that the pruning layer's bound
-    oracle answered a suffix query {e before} this memo was consulted
-    ({!fits} was never called for it).  The counter lives here so the
-    memo's accounting stays closed: [suffix_fit/hits] +
-    [suffix_fit/misses] + [bounds/memo_preempted] is the total number
-    of suffix-feasibility questions the DP asked while a memo was
-    installed. *)

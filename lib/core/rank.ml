@@ -11,9 +11,9 @@ let problem_of_design ?structure ?materials ?target_model ?bunch_size design
   in
   Ir_assign.Problem.make ?target_model ?bunch_size ~arch ~wld ()
 
-let compute ?(algo = Dp) ?prune problem =
+let compute ?(algo = Dp) problem =
   match algo with
-  | Dp -> fst (Rank_grid.compute ?prune problem)
+  | Dp -> fst (Rank_grid.compute problem)
   | Greedy -> Rank_greedy.compute problem
   | Exact { r_steps } -> Rank_exact.compute ~r_steps problem
 

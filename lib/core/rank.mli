@@ -24,12 +24,10 @@ val problem_of_design :
     structure and materials by default) and bunches the instance
     (default bunch size 10000, the paper's). *)
 
-val compute : ?algo:algo -> ?prune:bool -> Ir_assign.Problem.t -> Outcome.t
+val compute : ?algo:algo -> Ir_assign.Problem.t -> Outcome.t
 (** Runs the chosen algorithm (default [Dp]) on a prepared instance.
     [Dp] is a one-cell {!Rank_grid} at jobs 1 ({!Rank_grid.compute}).
-    [prune] (default false) enables {!Rank_dp}'s admissible-bound
-    pruning — byte-identical results, less work; [Dp] only.  The
-    witness behind a [Dp] rank comes from {!Rank_grid.compute}. *)
+    The witness behind a [Dp] rank comes from {!Rank_grid.compute}. *)
 
 val of_design :
   ?algo:algo ->

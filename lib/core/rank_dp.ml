@@ -39,20 +39,6 @@ type witness = {
   reps_total : int;  (** including the boundary pair's *)
 }
 
-(* One pruning context: the bound oracle, the shared incumbent cell, the
-   smallest budget any query of this build will run under (the floor's
-   witness must be achievable there — budget monotonicity extends it to
-   every larger fraction), and the witness of the currently published
-   incumbent.  [pr_witness] is only written from sequential sections
-   (prune_for, the barrier hook below), same convention as
-   [Incumbent.publish]. *)
-type prune = {
-  pr_bounds : Bounds.t;
-  pr_inc : Ir_exec.Incumbent.t;
-  pr_budget_min : float;
-  mutable pr_witness : witness option;
-}
-
 type tables = {
   problem : P.t;
   front : Front.t;
@@ -75,18 +61,6 @@ type tables = {
          rung and for a truncation-free one, which ends the ladder.  The
          widen ladder resumes from it, so continuing the ladder on its
          own output is a no-op. *)
-  bounds : Bounds.t option;
-      (* present iff the build ran with pruning: feasible_witness then
-         pre-screens suffix queries with the bound oracle *)
-  incumbent_floor : int;
-      (* largest boundary proven achievable during a pruned build; -1
-         for unpruned tables.  States that could only have certified
-         boundaries <= floor may have been pruned away, so searches must
-         start from the floor (never probe at or below it) — which is
-         also why the floor always travels with its witness below. *)
-  floor_witness : witness option;
-      (* the achievability certificate behind incumbent_floor; Some
-         whenever incumbent_floor >= 0 *)
   pending : builder option;
       (* the suspended builder these tables still belong to: the front
          holds only the levels built so far, and [truncations] is the
@@ -109,14 +83,10 @@ and builder = {
   b_cap : float;
   b_budget : float;
   b_blocked_k : float array;
-  b_prune : prune option;
-  b_thresh : float array;  (* per-column prune thresholds, len n + 1 *)
-  mutable b_thresh_inc : int;  (* incumbent the thresholds encode; -2 stale *)
   mutable b_level : int;  (* next boundary pair to expand; done at m - 1 *)
   mutable b_states : int;
   mutable b_skipped : int;
-  mutable b_pruned : int;
-  mutable b_suspendable : bool;  (* unpruned, and not resumed yet *)
+  mutable b_suspend : bool;  (* may suspend: not [build_tables]', not resumed *)
   mutable b_suspended : bool;
   mutable b_flushed : tally;
 }
@@ -126,7 +96,6 @@ and tally = {
   t_inserts : int;
   t_dominated : int;
   t_truncations : int;
-  t_pruned : int;
 }
 
 let cell ~n j i = (j * (n + 1)) + i
@@ -143,49 +112,11 @@ exception Break
    wavefront (which interleaves the levels of many builds) execute the
    {e same} expansion code on the same state — byte-identical fronts,
    tallies and witnesses by construction, not by reimplementation. *)
-(* The floor witness is the probe's own certifying chain — a DP path
-   the exact build also constructs (Bounds.pessimistic_probe evaluates
-   the expansion screens with the DP's float expressions), re-packaged
-   in [feasible_witness]'s shape.  Witness payloads are internal
-   (outcomes carry rank / boundary / flags only), so the floor case
-   never leaks a non-canonical witness to an observable surface. *)
-let probe_witness (pb : Bounds.probe) =
-  {
-    boundary_pair = pb.Bounds.pb_pair;
-    prefix_splits = pb.Bounds.pb_splits;
-    meet_lo = pb.Bounds.pb_meet_lo;
-    meet_hi = pb.Bounds.pb_boundary;
-    reps_above = pb.Bounds.pb_reps_above;
-    reps_total = pb.Bounds.pb_reps_total;
-  }
-
-let prune_for ?gf ?budget_min problem =
-  let bounds = Bounds.create problem in
-  let budget_min =
-    match budget_min with Some b -> b | None -> P.budget problem
-  in
-  let pr =
-    {
-      pr_bounds = bounds;
-      pr_inc = Ir_exec.Incumbent.create ();
-      pr_budget_min = budget_min;
-      pr_witness = None;
-    }
-  in
-  let pb = Bounds.pessimistic_probe ?scratch:gf bounds ~budget:budget_min in
-  Ir_exec.Incumbent.offer pr.pr_inc pb.Bounds.pb_boundary;
-  if Ir_exec.Incumbent.publish pr.pr_inc then begin
-    Bounds.note_incumbent ();
-    pr.pr_witness <- Some (probe_witness pb)
-  end;
-  pr
-
-let no_tally =
-  { t_states = 0; t_inserts = 0; t_dominated = 0; t_truncations = 0; t_pruned = 0 }
+let no_tally = { t_states = 0; t_inserts = 0; t_dominated = 0; t_truncations = 0 }
 
 (* [~suspend:false] is [build_tables]' builder, which always runs to
    completion; the public [builder] may suspend. *)
-let make_builder ~suspend ?(max_pareto = 8) ?prune problem =
+let make_builder ~suspend ?(max_pareto = 8) problem =
   (* The ladder doubles the width, so a width below 1 would never
      widen. *)
   if max_pareto < 1 then invalid_arg "Rank_dp.builder: max_pareto < 1";
@@ -219,25 +150,15 @@ let make_builder ~suspend ?(max_pareto = 8) ?prune problem =
        repeater count — not on the interval end — so one fill per
        (pair, start) replaces a boxed call per (state, end). *)
     b_blocked_k = Array.make width 0.0;
-    (* A no-fit build drops its pruning context: the context's seed
-       probe reports boundary 0 as achievable whenever it certifies
-       nothing, which only holds for an instance that fits. *)
-    b_prune = (if fits then prune else None);
-    b_thresh = (match prune with None -> [||] | Some _ -> Array.make (n + 1) infinity);
-    b_thresh_inc = -2;
     b_level = (if fits then 0 else m - 1);
     b_states = 0;
     b_skipped = 0;
-    b_pruned = 0;
-    (* A pruned build never suspends: its resumed levels would prune
-       against a later incumbent than a straight build's. *)
-    b_suspendable = suspend && prune = None;
+    b_suspend = suspend;
     b_suspended = false;
     b_flushed = no_tally;
   }
 
-let builder ?max_pareto ?prune problem =
-  make_builder ~suspend:true ?max_pareto ?prune problem
+let builder ?max_pareto problem = make_builder ~suspend:true ?max_pareto problem
 
 (* Level j fills row j + 1, so the last row the search reads (m - 1) is
    filled by level m - 2: a build has m - 1 levels. *)
@@ -305,127 +226,74 @@ let builder_step b =
     let f_count = Front.raw_count front in
     let f_len = Front.raw_len front in
     let stride = Front.stride front in
-    (* Pruning thresholds for this level.  The incumbent is read once,
-       here, and the level is expanded against that single value: the
-       cell is only published at sequential barriers (Incumbent's
-       contract), so every domain stepping builders of this wavefront
-       level sees the same thresholds and the prune tallies stay
-       jobs-invariant.  Refreshed only when the incumbent moved. *)
-    let pruning =
-      match b.b_prune with
-      | None -> false
-      | Some pr ->
-          let inc = Ir_exec.Incumbent.current pr.pr_inc in
-          if inc <> b.b_thresh_inc then begin
-            Bounds.fill_thresholds pr.pr_bounds ~budget:b.b_budget
-              ~incumbent:inc b.b_thresh;
-            b.b_thresh_inc <- inc
-          end;
-          inc >= 0
-    in
-    let thresh = b.b_thresh in
     for i = 0 to n do
       let src = cell ~n j i in
       let len = Front.length front src in
       if len > 0 then begin
         let sbase = src * stride in
-        (* Source-state pruning: a state over the column threshold
-           cannot reach boundary incumbent + 1 within the budget
-           (admissible bound, see Bounds), and neither can any successor
-           — extending a chain only adds at least the relaxed suffix
-           cost.  Areas ascend within a cell, so the prunable states are
-           a suffix: one binary search bounds the survivors.  (A NaN
-           threshold — infinite relaxation prefix — only occurs for
-           unreachable columns, whose cells are empty.) *)
-        let live =
-          if not pruning then len
-          else begin
-            let tl = thresh.(i) in
-            let lo = ref 0 and hi = ref len in
-            while !hi > !lo do
-              let mid = (!lo + !hi) / 2 in
-              if f_area.{sbase + mid} <= tl then lo := mid + 1
-              else hi := mid
-            done;
-            !lo
-          end
-        in
-        b.b_pruned <- b.b_pruned + (len - live);
-        if live > 0 then begin
-          b.b_states <- b.b_states + live;
-          let wires_above = P.wires_before problem i in
-          let min_area = Front.min_area front src in
-          for k = 0 to live - 1 do
-            blocked_k.(k) <-
-              P.blocked problem ~pair:j ~wires_above
-                ~reps_above:f_count.{sbase + k}
-          done;
-          try
-            for i2 = i to n do
-              if i2 = i then begin
-                (* Empty interval: pair j left unused.  Survivors are by
-                   definition within this column's threshold, so no
-                   candidate check is needed here. *)
-                let dst = cell ~n (j + 1) i in
-                let dbase = dst * stride in
-                let p = ref (-1) in
-                for k = 0 to live - 1 do
-                  let a = f_area.{sbase + k} in
-                  let c = f_count.{sbase + k} in
+        b.b_states <- b.b_states + len;
+        let wires_above = P.wires_before problem i in
+        let min_area = Front.min_area front src in
+        for k = 0 to len - 1 do
+          blocked_k.(k) <-
+            P.blocked problem ~pair:j ~wires_above
+              ~reps_above:f_count.{sbase + k}
+        done;
+        try
+          for i2 = i to n do
+            if i2 = i then begin
+              (* Empty interval: pair j left unused. *)
+              let dst = cell ~n (j + 1) i in
+              let dbase = dst * stride in
+              let p = ref (-1) in
+              for k = 0 to len - 1 do
+                let a = f_area.{sbase + k} in
+                let c = f_count.{sbase + k} in
+                p := position f_area ~dbase ~dlen:f_len.{dst} ~from:!p a;
+                if !p > 0 && f_count.{dbase + !p - 1} <= c then
+                  b.b_skipped <- b.b_skipped + 1
+                else begin
+                  Front.insert front dst ~area:a ~count:c ~split:i
+                    ~parent:(Front.state front src k);
+                  p := -1
+                end
+              done
+            end
+            else if not (P.meeting_feasible problem ~pair:j ~lo:i ~hi:i2)
+            then raise Break
+            else begin
+              let d_area = P.meeting_area problem ~pair:j ~lo:i ~hi:i2 in
+              if min_area +. d_area > budget then raise Break;
+              let routing = P.interval_area problem ~pair:j ~lo:i ~hi:i2 in
+              if routing > cap then raise Break;
+              let d_count = P.meeting_count problem ~pair:j ~lo:i ~hi:i2 in
+              let dst = cell ~n (j + 1) i2 in
+              let dbase = dst * stride in
+              let p = ref (-1) in
+              for k = 0 to len - 1 do
+                let a = f_area.{sbase + k} +. d_area in
+                let c = f_count.{sbase + k} + d_count in
+                if a <= budget && routing +. blocked_k.(k) <= cap then begin
                   p := position f_area ~dbase ~dlen:f_len.{dst} ~from:!p a;
                   if !p > 0 && f_count.{dbase + !p - 1} <= c then
                     b.b_skipped <- b.b_skipped + 1
                   else begin
-                    Front.insert front dst ~area:a ~count:c ~split:i
+                    Front.insert front dst ~area:a ~count:c ~split:i2
                       ~parent:(Front.state front src k);
                     p := -1
                   end
-                done
-              end
-              else if not (P.meeting_feasible problem ~pair:j ~lo:i ~hi:i2)
-              then raise Break
-              else begin
-                let d_area = P.meeting_area problem ~pair:j ~lo:i ~hi:i2 in
-                if min_area +. d_area > budget then raise Break;
-                let routing = P.interval_area problem ~pair:j ~lo:i ~hi:i2 in
-                if routing > cap then raise Break;
-                let d_count = P.meeting_count problem ~pair:j ~lo:i ~hi:i2 in
-                let dst = cell ~n (j + 1) i2 in
-                let dbase = dst * stride in
-                let t2 = if pruning then thresh.(i2) else infinity in
-                let p = ref (-1) in
-                for k = 0 to live - 1 do
-                  let a = f_area.{sbase + k} +. d_area in
-                  let c = f_count.{sbase + k} + d_count in
-                  if a <= budget && routing +. blocked_k.(k) <= cap then begin
-                    if pruning && a > t2 then
-                      (* Candidate lands at column i2 already over that
-                         column's threshold: prune before the front is
-                         even consulted. *)
-                      b.b_pruned <- b.b_pruned + 1
-                    else begin
-                      p := position f_area ~dbase ~dlen:f_len.{dst} ~from:!p a;
-                      if !p > 0 && f_count.{dbase + !p - 1} <= c then
-                        b.b_skipped <- b.b_skipped + 1
-                      else begin
-                        Front.insert front dst ~area:a ~count:c ~split:i2
-                          ~parent:(Front.state front src k);
-                        p := -1
-                      end
-                    end
-                  end
-                done
-              end
-            done
-          with Break -> ()
-        end
+                end
+              done
+            end
+          done
+        with Break -> ()
       end
     done;
     b.b_level <- j + 1;
     (* A truncating rung is the widen ladder's to finish: the level that
        dropped a state is the first one the ladder needs, and the next
        rung may make the rest unnecessary. *)
-    if b.b_suspendable && Front.truncations front > 0 && not (complete b) then
+    if b.b_suspend && Front.truncations front > 0 && not (complete b) then
       b.b_suspended <- true;
     not (builder_done b)
   end
@@ -439,7 +307,6 @@ let flush b =
       t_inserts = Front.inserts front + b.b_skipped;
       t_dominated = Front.dominated front + b.b_skipped;
       t_truncations = Front.truncations front;
-      t_pruned = b.b_pruned;
     }
   in
   let was = b.b_flushed in
@@ -448,7 +315,6 @@ let flush b =
   Ir_obs.add stat_dominated (now.t_dominated - was.t_dominated);
   Ir_obs.add stat_truncations (now.t_truncations - was.t_truncations);
   Ir_obs.set_max gauge_arena (Front.arena_states front);
-  Bounds.note_pruned (now.t_pruned - was.t_pruned);
   b.b_flushed <- now
 
 (* Flush the tallies and seal the build.  Must be called exactly once per
@@ -460,20 +326,6 @@ let builder_finish b =
     invalid_arg "Rank_dp.builder_finish: build not complete";
   let front = b.b_front in
   flush b;
-  let bounds, incumbent_floor, floor_witness =
-    match b.b_prune with
-    | None -> (None, -1, None)
-    | Some pr ->
-        let floor = Ir_exec.Incumbent.current pr.pr_inc in
-        (* The floor is the largest incumbent any level pruned against:
-           the incumbent only grows, so every pruned state could at most
-           have certified a boundary <= floor — which the witness below
-           certifies anyway.  An incumbent always comes with its
-           certificate (prune_for and the barrier hook set both under
-           the same publish). *)
-        assert (floor < 0 || pr.pr_witness <> None);
-        (Some pr.pr_bounds, floor, pr.pr_witness)
-  in
   {
     problem = b.b_problem;
     front;
@@ -482,111 +334,22 @@ let builder_finish b =
     max_pareto = b.b_max_pareto;
     truncations = Front.truncations front;
     ladder_prev = None;
-    bounds;
-    incumbent_floor;
-    floor_witness;
     pending = (if b.b_suspended then Some b else None);
   }
 
-(* Sequential-barrier hook: after a level completes (and before the next
-   one reads the incumbent), try to raise the incumbent from the freshly
-   built row.  Non-empty cells are scanned deepest-first and each cell's
-   cheapest state greedy-chain-extended over the remaining pairs
-   (Bounds.chain_probe: the exact expansion screens, then the largest
-   packer-certified boundary along the chain); the best certified
-   boundary of the scan is published.  Exact prefix plus greedy
-   completion typically lands within a bunch or two of the DP optimum,
-   which is what arms the thresholds for the heavy later levels — and
-   since a build has only [m - 1] barriers, probing a handful of columns
-   per barrier costs noise next to the witness probes it saves.  The
-   optimistic-bound pre-check (O(log n), no packer) skips columns whose
-   relaxation cannot beat the best boundary seen, so the probe budget
-   [max_barrier_probes] is spent only on genuine contenders.  A probed
-   state's area must fit the smallest budget of the build's query family
-   ([pr_budget_min]): budget monotonicity then makes the floor valid for
-   every fraction the shared tables will answer.  Must only run from
-   sequential sections — it publishes (see Ir_exec.Incumbent). *)
-let max_barrier_probes = 32
+(* A no-op: the per-level barrier hook of the removed pruning layer,
+   kept so perfbench's traced replay still compiles.  Nothing in the
+   library calls it. *)
+let builder_advance_incumbent (_ : builder) = ()
 
-let builder_advance_incumbent ?gf b =
-  match b.b_prune with
-  | None -> ()
-  | Some pr ->
-      let row = b.b_level in
-      if row >= 1 && row < b.b_m then begin
-        let n = b.b_n in
-        let front = b.b_front in
-        let best = ref None in
-        let best_c = ref (Ir_exec.Incumbent.current pr.pr_inc) in
-        let probes = ref 0 in
-        let i = ref n in
-        while !probes < max_barrier_probes && !i >= 0 do
-          let src = cell ~n row !i in
-          if Front.length front src > 0 then begin
-            (* Element 0 is the cell's min-area state — the extender
-               with the most budget left for the suffix; if it is over
-               the family's smallest budget, every state in the cell
-               is.  Every non-empty cell the
-               optimistic pre-check turns away is a packer call that
-               never ran — the [bounds/probe_gated] tally. *)
-            let a0 = Front.min_area front src in
-            let gated =
-              a0 > pr.pr_budget_min
-              || Bounds.optimistic_boundary pr.pr_bounds
-                   ~budget:pr.pr_budget_min ~area:a0 ~from:!i
-                 <= !best_c
-            in
-            if gated then Bounds.note_gated ()
-            else begin
-              incr probes;
-              let count = Front.count front src 0 in
-              match
-                Bounds.chain_probe ?scratch:gf pr.pr_bounds
-                  ~budget:pr.pr_budget_min ~from_pair:row ~from_col:!i
-                  ~area:a0 ~count
-              with
-              | Some pb when pb.Bounds.pb_boundary > !best_c ->
-                  best_c := pb.Bounds.pb_boundary;
-                  best := Some (pb, src)
-              | _ -> ()
-            end
-          end;
-          decr i
-        done;
-        match !best with
-        | Some (pb, src) ->
-            Ir_exec.Incumbent.offer pr.pr_inc pb.Bounds.pb_boundary;
-            if Ir_exec.Incumbent.publish pr.pr_inc then begin
-              Bounds.note_incumbent ();
-              pr.pr_witness <-
-                Some
-                  {
-                    boundary_pair = pb.Bounds.pb_pair;
-                    prefix_splits =
-                      Front.splits front (Front.state front src 0)
-                      @ pb.Bounds.pb_splits;
-                    meet_lo = pb.Bounds.pb_meet_lo;
-                    meet_hi = pb.Bounds.pb_boundary;
-                    reps_above = pb.Bounds.pb_reps_above;
-                    reps_total = pb.Bounds.pb_reps_total;
-                  }
-            end
-        | None -> ()
-      end
-
-(* Step [b] until it is done.  A barrier after every level, the last
-   included — the same sequence [Rank_grid]'s wavefront runs, so the
-   probe of row m - 1 (the last row built) raises the floor here too. *)
 let run_levels b =
-  Scratch.with_arena (fun gf ->
-      while not (builder_done b) do
-        ignore (builder_step b);
-        builder_advance_incumbent ~gf b
-      done)
+  while builder_step b do
+    ()
+  done
 
-let build ~suspend ?max_pareto ?prune problem =
+let build ~suspend ?max_pareto problem =
   Ir_obs.time span_build @@ fun () ->
-  let b = make_builder ~suspend ?max_pareto ?prune problem in
+  let b = make_builder ~suspend ?max_pareto problem in
   run_levels b;
   builder_finish b
 
@@ -600,7 +363,7 @@ let resume tables =
   | Some b ->
       Ir_obs.incr stat_rung_resumes;
       b.b_suspended <- false;
-      b.b_suspendable <- false;
+      b.b_suspend <- false;
       Ir_obs.time span_build (fun () -> run_levels b);
       flush b;
       { tables with truncations = Front.truncations b.b_front; pending = None }
@@ -617,7 +380,6 @@ let sealed fn tables =
     invalid_arg ("Rank_dp." ^ fn ^ ": suspended rung")
 
 let table_truncations tables = tables.truncations
-let table_incumbent_floor tables = tables.incumbent_floor
 
 (* ---- snapshot serialization ------------------------------------------- *)
 
@@ -634,14 +396,7 @@ let table_incumbent_floor tables = tables.incumbent_floor
    whole blob externally; this internal digest is the last line of
    defense, not a substitute for theirs. *)
 let encode_tables t =
-  (* Pruned tables are deliberately not snapshotable: a snapshot is
-     replayed against arbitrary future fractions (the floor's budget_min
-     would not cover them) and the blob format predates pruning.  The
-     serve tier only ever encodes unpruned builds, so this is an
-     invariant check, not a limitation anyone hits. *)
   sealed "encode_tables" t;
-  if t.incumbent_floor >= 0 then
-    invalid_arg "Rank_dp.encode_tables: pruned tables";
   let payload =
     Marshal.to_string (t.n, t.m, t.max_pareto, t.truncations, t.front) []
   in
@@ -677,9 +432,6 @@ let decode_tables problem blob =
                 max_pareto;
                 truncations;
                 ladder_prev = None;
-                bounds = None;
-                incumbent_floor = -1;
-                floor_witness = None;
                 pending = None;
               }
           else None
@@ -696,7 +448,7 @@ let decode_tables problem blob =
    areas only grow along a chain, so no over-budget prefix can lead to a
    within-budget witness). *)
 let feasible_witness ?memo ?gf tables c =
-  let { problem; front; n; m; bounds; _ } = tables in
+  let { problem; front; n; m; _ } = tables in
   let cap = P.capacity problem in
   let budget = P.budget problem in
   let wires_c = P.wires_before problem c in
@@ -718,29 +470,6 @@ let feasible_witness ?memo ?gf tables c =
           (GF.context ~top_pair_used ~wires_above_top ~reps_above_top
              ~wires_above_below:wires_c ~reps_above_below ~from_bunch:c
              ~top_pair ())
-  in
-  (* With a bound oracle installed (pruned builds), its O(pairs) screen
-     — the packer's own fast-fail, not a reimplementation — answers
-     certain-rejects before the memo or the packer run.  Each hit is an
-     oracle call saved; when a memo was installed it is also a query the
-     memo never saw, counted so the memo's hit-rate denominator stays
-     honest (Suffix_fit.note_preempted). *)
-  let bound_rejects ~top_pair_used ~wires_above_top ~reps_above_top
-      ~reps_above_below ~top_pair =
-    match bounds with
-    | None -> false
-    | Some bo ->
-        let r =
-          Bounds.suffix_reject bo
-            (GF.context ~top_pair_used ~wires_above_top ~reps_above_top
-               ~wires_above_below:wires_c ~reps_above_below ~from_bunch:c
-               ~top_pair ())
-        in
-        if r then begin
-          Bounds.note_saved ();
-          if memo <> None then Ir_assign.Suffix_fit.note_preempted ()
-        end;
-        r
   in
   let probes = ref 0 in
   let exception Found of witness in
@@ -772,10 +501,6 @@ let feasible_witness ?memo ?gf tables c =
                   in
                   if
                     used_j +. blocked_j <= cap
-                    && (not
-                          (bound_rejects ~top_pair_used:used_j
-                             ~wires_above_top:wires_i ~reps_above_top:count
-                             ~reps_above_below:(count + m_count) ~top_pair:j))
                     && suffix_fits ~top_pair_used:used_j
                          ~wires_above_top:wires_i ~reps_above_top:count
                          ~reps_above_below:(count + m_count) ~top_pair:j
@@ -856,27 +581,13 @@ let search_tables ?(exhaustive = false) ?memo ?hint ?(probe_fan = 1) tables =
   let n = tables.n in
   let exact = tables.truncations = 0 in
   let probes = ref 0 in
-  (* Pruned tables carry a pre-certified floor: boundaries at or below
-     it are known achievable (witness included), and states that could
-     only have certified those boundaries may be gone — so the search
-     starts from the floor and never probes at or below it.  Unpruned
-     tables have floor -1 and take the historical c = 0 probe. *)
-  let start =
-    match tables.floor_witness with
-    | Some w when tables.incumbent_floor >= 0 ->
-        Some (tables.incumbent_floor, w)
-    | _ -> (
-        match feasible_witness ?memo ~gf tables 0 with
-        | None -> None
-        | Some w0 -> Some (0, w0))
-  in
   let result =
-    match start with
+    match feasible_witness ?memo ~gf tables 0 with
     | None ->
         ( Outcome.unassignable ~exact ~total_wires:(P.total_wires problem) (),
           None )
-    | Some (c0, w0) ->
-        let best = ref c0 and best_w = ref w0 in
+    | Some w0 ->
+        let best = ref 0 and best_w = ref w0 in
         let try_c c =
           incr probes;
           match feasible_witness ?memo ~gf tables c with
@@ -890,9 +601,8 @@ let search_tables ?(exhaustive = false) ?memo ?hint ?(probe_fan = 1) tables =
            boundary that produced a witness (feasible unconditionally),
            [hi] when < n + 1 was probed infeasible.  Monotonicity (proof
            above) makes the final [best] also maximal.  [lo] starts at
-           the certified floor [c0] (0 for unpruned tables), and no
-           strategy probes at or below it. *)
-        let lo = ref c0 and hi = ref (n + 1) in
+           the c = 0 probe, and no strategy probes at or below it. *)
+        let lo = ref 0 and hi = ref (n + 1) in
         let bisect () =
           while !hi - !lo > 1 do
             let mid = !lo + ((!hi - !lo) / 2) in
@@ -959,21 +669,21 @@ let search_tables ?(exhaustive = false) ?memo ?hint ?(probe_fan = 1) tables =
         in
         if exhaustive then begin
           let c = ref n in
-          while !c > c0 && not (try_c !c) do
+          while !c > 0 && not (try_c !c) do
             decr c
           done
         end
         else begin
           (match hint with
-          | Some h when n > c0 ->
+          | Some h when n > 0 ->
               (* Warm start: bracket the boundary by galloping away from
                  the hint.  Any hint value is sound — the bracket is
                  established by probes, the hint only chooses where they
                  land — so stale or out-of-range hints cost extra probes,
-                 never a wrong rank.  Clamped above the floor: probes
-                 at or below [c0] are answered by its certificate. *)
+                 never a wrong rank.  Clamped to [1, n]: c = 0 is
+                 already probed. *)
               Ir_obs.incr stat_hinted;
-              let h = min (max h (c0 + 1)) n in
+              let h = min (max h 1) n in
               if try_c h then begin
                 lo := h;
                 let step = ref 1 in
@@ -992,8 +702,8 @@ let search_tables ?(exhaustive = false) ?memo ?hint ?(probe_fan = 1) tables =
                 hi := h;
                 let step = ref 1 in
                 (try
-                   while !hi > c0 + 1 do
-                     let c = max (c0 + 1) (!hi - !step) in
+                   while !hi > 1 do
+                     let c = max 1 (!hi - !step) in
                      if try_c c then begin
                        lo := c;
                        raise Break
@@ -1005,9 +715,9 @@ let search_tables ?(exhaustive = false) ?memo ?hint ?(probe_fan = 1) tables =
               end
           | _ ->
               (* Cold: probe [n] first (the historical path — also what
-                 the [cold_probe_cost] baseline models).  A floor of [n]
-                 needs no probe at all. *)
-              if c0 < n then if try_c n then lo := n else hi := n);
+                 the [cold_probe_cost] baseline models).  An empty WLD
+                 (n = 0) needs no probe at all. *)
+              if n > 0 then if try_c n then lo := n else hi := n);
           if !hi - !lo > 1 then
             if probe_fan > 1 then fan_rounds () else bisect ();
           if hint <> None then
@@ -1034,11 +744,9 @@ let default_widen_cap = 128
    probe and reported as a lower bound ([exact = false]) — callers can
    pass a larger [max_pareto] explicitly.  Build cost grows superlinearly
    with the width, which is why the ladder is gated on convergence rather
-   than run to [widen_cap] unconditionally.  A retry keeps the prune
-   context: the incumbent only grows, so a later rung prunes at least as
-   hard (and stays sound for the same reason the first rung was).
+   than run to [widen_cap] unconditionally.
 
-   Rungs are built suspendable: an unpruned rung stops after its first
+   Rungs are built suspendable: a rung stops after its first
    truncating level, since all the ladder needs to know to take the
    first retry is that the rung truncates.  If the next rung truncates
    nothing it is the answer, and the suspended rung's remaining levels
@@ -1049,7 +757,7 @@ let default_widen_cap = 128
    is positive, which is all the first retry reads; [ladder_prev] is
    only ever a complete rung's count. *)
 let rec widen_tables ?(widen_on_overflow = true)
-    ?(widen_cap = default_widen_cap) ?prune tables =
+    ?(widen_cap = default_widen_cap) tables =
   let t = tables.truncations in
   let mp = tables.max_pareto in
   let converging =
@@ -1058,8 +766,7 @@ let rec widen_tables ?(widen_on_overflow = true)
   if t > 0 && widen_on_overflow && mp < widen_cap && converging then begin
     Ir_obs.incr stat_widen_retries;
     let next =
-      build ~suspend:true ~max_pareto:(min widen_cap (2 * mp)) ?prune
-        tables.problem
+      build ~suspend:true ~max_pareto:(min widen_cap (2 * mp)) tables.problem
     in
     if next.truncations = 0 then begin
       abandon tables;
@@ -1067,7 +774,7 @@ let rec widen_tables ?(widen_on_overflow = true)
     end
     else
       let tables = resume tables in
-      widen_tables ~widen_on_overflow ~widen_cap ?prune
+      widen_tables ~widen_on_overflow ~widen_cap
         { (resume next) with ladder_prev = Some tables.truncations }
   end
   else resume tables

@@ -70,42 +70,12 @@ type tables
     what {!rebudget} exploits to answer a whole budget sweep from one
     build. *)
 
-type prune
-(** One pruning context: the admissible bound oracle ({!Bounds}), the
-    shared incumbent cell ({!Ir_exec.Incumbent}), the smallest budget
-    any query of the build will run under, and the witness certifying
-    the published incumbent.  Create one per (plane, budget family) with
-    {!prune_for}; hand the {e same} value to every build rung and the
-    wavefront barrier hook so the incumbent accumulates. *)
-
-val prune_for :
-  ?gf:Ir_assign.Scratch.t ->
-  ?budget_min:float ->
-  Ir_assign.Problem.t ->
-  prune
-(** Creates a pruning context for [problem] (built at the {e largest}
-    budget of its query family) and seeds the incumbent with one
-    {!Bounds.pessimistic_probe} at [budget_min] (default: [problem]'s
-    own budget).  [budget_min] must be the smallest budget the tables
-    will ever be queried at — the probe's witness must hold there;
-    budget monotonicity lifts it to every larger fraction.  Sequential
-    code only (it publishes). *)
-
-val build_tables : ?max_pareto:int -> ?prune:prune -> Ir_assign.Problem.t -> tables
+val build_tables : ?max_pareto:int -> Ir_assign.Problem.t -> tables
 (** Tabulates phase A (default [max_pareto = 8]) into freshly allocated
-    storage: {!builder}, {!builder_step} to completion with
-    {!builder_advance_incumbent} between levels, {!builder_finish}.  The
-    build is always complete: unlike a {!builder}'s, it never suspends
-    at a truncating level.  Raises [Invalid_argument] if
-    [max_pareto < 1].
-
-    [?prune] threads a pruning context through the build: states (and
-    candidate insertions) whose admissible optimistic bound cannot beat
-    the published incumbent are dropped before any Front insertion, and
-    the incumbent is advanced between levels.  Pruning is {e invisible}
-    in results: ranks, exact flags and payloads are byte-identical to an
-    unpruned build-and-search (QCheck-differential-tested); only the
-    [bounds/*] and work counters move. *)
+    storage: {!builder}, {!builder_step} to completion,
+    {!builder_finish}.  The build is always complete: unlike a
+    {!builder}'s, it never suspends at a truncating level.  Raises
+    [Invalid_argument] if [max_pareto < 1]. *)
 
 (** {2 Incremental level-stepped build}
 
@@ -116,8 +86,7 @@ val build_tables : ?max_pareto:int -> ?prune:prune -> Ir_assign.Problem.t -> tab
     so stepped and monolithic builds produce byte-identical fronts,
     counter tallies and witnesses by shared code, not by contract.
 
-    A stepped build is a rung of the widen ladder, and an unpruned one
-    {e suspends} after the first level that truncates: the ladder will
+    A stepped build is a rung of the widen ladder, and it {e suspends} after the first level that truncates: the ladder will
     retry at double width whatever the remaining levels hold, and if the
     wider rung truncates nothing they are never needed.  The remaining
     levels are kept, not dropped; {!widen_tables} resumes the rung when
@@ -129,19 +98,14 @@ type builder
     be externally ordered — but distinct builders may step concurrently
     on different domains (each touches only its own state). *)
 
-val builder : ?max_pareto:int -> ?prune:prune -> Ir_assign.Problem.t -> builder
+val builder : ?max_pareto:int -> Ir_assign.Problem.t -> builder
 (** Allocates the front store and runs the Definition-3 capacity screen
     (one {!Ir_assign.Greedy_fill} packing of the whole WLD, delay
     ignored).  An instance that fits gets the root state and [levels]
     steps to go.  A no-fit instance gets no root state and a build that
     is already done: its tables are empty, so the [c = 0] probe of any
     search answers unassignable (rank 0, exact) and no level is ever
-    expanded.  [?prune] is as in {!build_tables}; each {!builder_step}
-    re-reads the published incumbent once at entry, so all builders
-    stepped between two barriers prune against the same value
-    regardless of scheduling.  A pruned builder never suspends: resumed
-    levels would prune against a later incumbent.  Raises
-    [Invalid_argument] if [max_pareto < 1]. *)
+    expanded.  Raises [Invalid_argument] if [max_pareto < 1]. *)
 
 val builder_levels : builder -> int
 (** Total number of boundary-pair levels, [Problem.n_pairs - 1]: level
@@ -155,22 +119,15 @@ val builder_done : builder -> bool
 val builder_step : builder -> bool
 (** Expands one boundary-pair level.  Returns [true] while more levels
     remain, [false] once the build is complete or has suspended (further
-    calls are no-ops returning [false]).  An unpruned builder suspends
-    after a level that leaves it with truncations and levels still to
+    calls are no-ops returning [false]).  The builder suspends after a
+    level that leaves it with truncations and levels still to
     expand.  A level-synchronous driver drops a suspended builder from
     its active set as it drops a complete one. *)
 
-val builder_advance_incumbent : ?gf:Ir_assign.Scratch.t -> builder -> unit
-(** Sequential-barrier hook for pruned builds (no-op otherwise): takes
-    the deepest state of the last completed level, greedy-chain-extends
-    it across the remaining pairs ({!Ir_core.Bounds.chain_probe} — the
-    DP's own expansion screens, then usually one packer call) and, if
-    the certified boundary beats the incumbent (within the context's
-    [budget_min]), offers and {e publishes} it.  An optimistic-bound
-    pre-check skips states whose relaxation cannot beat the incumbent.
-    Call between levels from sequential code only — the wavefront
-    driver calls it at its per-level barrier, {!build_tables} between
-    its own steps — never from inside a [parallel_map] body. *)
+val builder_advance_incumbent : builder -> unit
+(** A no-op.  It was the per-level barrier hook of the removed pruning
+    layer and is kept only so perfbench's traced replay, which calls it
+    between levels, still compiles.  Nothing in the library calls it. *)
 
 val builder_finish : builder -> tables
 (** Seals the build: flushes the per-build tallies to the [rank_dp/*]
@@ -196,16 +153,6 @@ val table_truncations : tables -> int
     against [0], and that test has the same answer as on the complete
     build. *)
 
-val table_incumbent_floor : tables -> int
-(** Largest boundary proven achievable during a pruned build ([-1] for
-    unpruned tables).  Searches over these tables start from the floor
-    and never probe at or below it: states that could only have
-    certified smaller boundaries may have been pruned away, but the
-    floor's own witness travels with the tables.  The floor is only
-    valid for budgets at or above the [budget_min] the pruning context
-    was created with — {!Rank_grid} rebuilds a plane rather than query a
-    pruned one below that fraction. *)
-
 val encode_tables : tables -> string
 (** Serializes the phase-A tables (everything except the problem) into a
     binary blob for {!decode_tables} — the serve tier's warm-table
@@ -213,12 +160,7 @@ val encode_tables : tables -> string
     16-byte MD5; {!decode_tables} verifies the digest before unmarshaling,
     so truncated or bit-flipped blobs return [None] instead of crashing.
     Stores should still layer their own framing checks (the snapshot
-    store checksums the whole blob externally).
-
-    Raises [Invalid_argument] on pruned tables (a snapshot is replayed
-    against arbitrary future fractions, which a pruning floor's
-    [budget_min] would not cover).  The serve tier only snapshots
-    unpruned builds. *)
+    store checksums the whole blob externally). *)
 
 val decode_tables : Ir_assign.Problem.t -> string -> tables option
 (** Rebinds a blob from {!encode_tables} to [problem] (the caller
@@ -270,7 +212,6 @@ val search_tables :
 val widen_tables :
   ?widen_on_overflow:bool ->
   ?widen_cap:int ->
-  ?prune:prune ->
   tables ->
   tables
 (** The widening ladder, continued from an already-built first rung:
@@ -281,9 +222,7 @@ val widen_tables :
     [widen_cap] (default 128).  Small overflows therefore converge to an
     exact result, while genuinely exponential fronts (where widening
     cannot win) cost one retry and come back as an honest lower bound.
-    Rebuilds of a pruned first rung keep pruning only if the {e same}
-    [?prune] context is passed back in (the wavefront driver does).  The
-    ladder's state travels with the tables, so widening the ladder's own
+    The ladder's state travels with the tables, so widening the ladder's own
     output again is a no-op.
 
     The first rung may be suspended (see {!builder_finish}), and each

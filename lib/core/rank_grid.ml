@@ -64,12 +64,6 @@ type plane = {
   pl_clock : float option;
   pl_problem : P.t;  (* at the base fraction; rebound per query *)
   mutable pl_f_max : float;
-  (* Smallest fraction the plane's pruning floor was certified at: a
-     pruned build's tables only answer budgets >= this fraction's (the
-     floor witness is only proven achievable there — budget
-     monotonicity covers everything above).  Unpruned planes keep it at
-     the smallest fraction seen, but nothing reads it then. *)
-  mutable pl_f_min : float;
   mutable pl_tables : Rank_dp.tables;
   mutable pl_points : int list;  (* grid cell indices, oldest first *)
 }
@@ -81,7 +75,6 @@ type t = {
   g_widen_on_overflow : bool option;
   g_widen_cap : int option;
   g_jobs : int option;
-  g_prune : bool;
   mutable g_points : point array;  (* canonicalized; index = grid cell *)
   mutable g_outcomes : Outcome.t array;  (* index = grid cell *)
   mutable g_witnesses : Rank_dp.witness option array;  (* index = grid cell *)
@@ -156,37 +149,23 @@ let point_fraction g pt =
    (see [Rank_dp.widen_tables]).  Finishing (counter flush) and the
    widening-ladder continuation run sequentially afterwards, so every
    [Ir_obs] tally is deterministic. *)
-let wavefront ?jobs ?max_pareto ?widen_on_overflow ?widen_cap ?prunes
-    problems =
+let wavefront ?jobs ?max_pareto ?widen_on_overflow ?widen_cap problems =
   Ir_obs.time span_wavefront @@ fun () ->
-  let prune_of i =
-    match prunes with None -> None | Some a -> a.(i)
-  in
-  let builders =
-    Array.mapi
-      (fun i p -> Rank_dp.builder ?max_pareto ?prune:(prune_of i) p)
-      problems
-  in
+  let builders = Array.map (Rank_dp.builder ?max_pareto) problems in
   let active = ref (Array.to_list builders) in
   while !active <> [] do
     let batch = Array.of_list !active in
     let more = Ir_exec.parallel_map ?jobs Rank_dp.builder_step batch in
     Ir_obs.incr stat_levels;
-    (* Sequential barrier: raise and {e publish} each plane's incumbent
-       from the level just built, in the deterministic batch order —
-       the only place the cells move, which is what keeps the bounds/*
-       tallies identical across jobs settings (a no-op for unpruned
-       builders).  The next level's thresholds then see the new floors. *)
-    Array.iter Rank_dp.builder_advance_incumbent batch;
     let still = ref [] in
     for i = Array.length batch - 1 downto 0 do
       if more.(i) then still := batch.(i) :: !still
     done;
     active := !still
   done;
-  Array.mapi
-    (fun i b ->
-      Rank_dp.widen_tables ?widen_on_overflow ?widen_cap ?prune:(prune_of i)
+  Array.map
+    (fun b ->
+      Rank_dp.widen_tables ?widen_on_overflow ?widen_cap
         (Rank_dp.builder_finish b))
     builders
 
@@ -233,7 +212,7 @@ let answer_fractions g pl fractions =
         if exact then
           Rank_dp.search_tables ~memo:(family_memo g) ?hint:g.g_hint
             (Rank_dp.rebudget ~fraction:f shared)
-        else if f = pl.pl_f_max && not g.g_prune then
+        else if f = pl.pl_f_max then
           (* The plane's own build is this fraction's cold answer. *)
           Rank_dp.search_tables shared
         else
@@ -267,7 +246,6 @@ type group = {
   gr_pt : point;
   gr_problem : P.t;
   mutable gr_f_max : float;
-  mutable gr_f_min : float;
   mutable gr_points : int list;  (* reversed during grouping *)
 }
 
@@ -286,7 +264,6 @@ let group_points g points =
       with
       | Some gr ->
           gr.gr_f_max <- Float.max gr.gr_f_max f;
-          gr.gr_f_min <- Float.min gr.gr_f_min f;
           gr.gr_points <- idx :: gr.gr_points;
           Ir_obs.incr stat_shared
       | None ->
@@ -295,27 +272,13 @@ let group_points g points =
               gr_pt = pt;
               gr_problem = plane_problem g.g_base pt;
               gr_f_max = f;
-              gr_f_min = f;
               gr_points = [ idx ];
             }
             :: !groups)
     points;
   List.rev !groups
 
-(* A plane's pruning context: bounds and thresholds live at the build
-   problem (the plane's f_max budget — preserving the displacement
-   argument that lets one build answer every fraction), while the
-   incumbent floor is probed at the {e smallest} fraction any of the
-   plane's points asks for, so its witness holds for every query (budget
-   monotonicity).  Sequential: prune_for publishes. *)
-let plane_prune gr build_problem =
-  Rank_dp.prune_for
-    ~budget_min:
-      (P.budget (P.with_repeater_fraction gr.gr_problem gr.gr_f_min))
-    build_problem
-
-let evaluate ?max_pareto ?widen_on_overflow ?widen_cap ?jobs ?(prune = false)
-    base points =
+let evaluate ?max_pareto ?widen_on_overflow ?widen_cap ?jobs base points =
   let points = Array.map (canonical base) points in
   let n = Array.length points in
   let g =
@@ -326,7 +289,6 @@ let evaluate ?max_pareto ?widen_on_overflow ?widen_cap ?jobs ?(prune = false)
       g_widen_on_overflow = widen_on_overflow;
       g_widen_cap = widen_cap;
       g_jobs = jobs;
-      g_prune = prune;
       g_points = points;
       g_outcomes =
         Array.make (max 1 n)
@@ -345,18 +307,8 @@ let evaluate ?max_pareto ?widen_on_overflow ?widen_cap ?jobs ?(prune = false)
          (fun gr -> P.with_repeater_fraction gr.gr_problem gr.gr_f_max)
          groups)
   in
-  let prunes =
-    if not prune then None
-    else
-      Some
-        (Array.of_list
-           (List.mapi
-              (fun i gr -> Some (plane_prune gr build_problems.(i)))
-              groups))
-  in
   let shared =
-    wavefront ?jobs ?max_pareto ?widen_on_overflow ?widen_cap ?prunes
-      build_problems
+    wavefront ?jobs ?max_pareto ?widen_on_overflow ?widen_cap build_problems
   in
   g.g_planes <-
     List.mapi
@@ -366,7 +318,6 @@ let evaluate ?max_pareto ?widen_on_overflow ?widen_cap ?jobs ?(prune = false)
           pl_clock = gr.gr_pt.clock;
           pl_problem = gr.gr_problem;
           pl_f_max = gr.gr_f_max;
-          pl_f_min = gr.gr_f_min;
           pl_tables = shared.(i);
           pl_points = List.rev gr.gr_points;
         })
@@ -396,13 +347,11 @@ let perturb g pt =
   end;
   let changed =
     match List.find_opt (fun pl -> plane_key_equal pl pt) g.g_planes with
-    | Some pl
-      when f <= pl.pl_f_max
-           && Rank_dp.table_truncations pl.pl_tables = 0
-           && (Rank_dp.table_incumbent_floor pl.pl_tables < 0
-              || f >= pl.pl_f_min) ->
-        (* Resident plane already covers this budget: one phase-B search
-           against the resident tables, nothing rebuilt. *)
+    | Some pl when f <= pl.pl_f_max ->
+        (* Resident plane already covers this budget: nothing of the
+           plane is rebuilt.  A truncation-free plane answers with one
+           phase-B search; a truncated one answers this cell alone, as
+           [answer_fractions] answers any of its fractions. *)
         Ir_obs.incr stat_shared;
         let o, w = List.hd (answer_fractions g pl [ f ]) in
         Ir_obs.incr stat_cells;
@@ -411,36 +360,17 @@ let perturb g pt =
         pl.pl_points <- pl.pl_points @ [ idx ];
         [| idx |]
     | Some pl ->
-        (* Budget grew past the resident build, the plane is truncated,
-           or a pruned plane is asked below its certified floor
-           fraction: rebuild this plane's slice over the widened
-           fraction range and re-answer {e its} points only — every
-           other plane's cells are untouched. *)
-        pl.pl_f_max <- Float.max pl.pl_f_max f;
-        pl.pl_f_min <- Float.min pl.pl_f_min f;
+        (* Budget grew past the resident build: rebuild this plane's
+           slice at the new fraction and re-answer {e its} points only —
+           every other plane's cells are untouched. *)
+        pl.pl_f_max <- f;
         pl.pl_points <- pl.pl_points @ [ idx ];
         Ir_obs.incr stat_shared;
-        let build_problem =
-          P.with_repeater_fraction pl.pl_problem pl.pl_f_max
-        in
-        let prunes =
-          if not g.g_prune then None
-          else
-            Some
-              [|
-                Some
-                  (Rank_dp.prune_for
-                     ~budget_min:
-                       (P.budget
-                          (P.with_repeater_fraction pl.pl_problem
-                             pl.pl_f_min))
-                     build_problem);
-              |]
-        in
         let shared =
           wavefront ?jobs:g.g_jobs ?max_pareto:g.g_max_pareto
             ?widen_on_overflow:g.g_widen_on_overflow
-            ?widen_cap:g.g_widen_cap ?prunes [| build_problem |]
+            ?widen_cap:g.g_widen_cap
+            [| P.with_repeater_fraction pl.pl_problem f |]
         in
         pl.pl_tables <- shared.(0);
         answer_plane g pl;
@@ -448,15 +378,11 @@ let perturb g pt =
     | None ->
         (* New (materials, clock) value: one new plane, built alone. *)
         let problem = plane_problem g.g_base pt in
-        let build_problem = P.with_repeater_fraction problem f in
-        let prunes =
-          if not g.g_prune then None
-          else Some [| Some (Rank_dp.prune_for build_problem) |]
-        in
         let shared =
           wavefront ?jobs:g.g_jobs ?max_pareto:g.g_max_pareto
             ?widen_on_overflow:g.g_widen_on_overflow
-            ?widen_cap:g.g_widen_cap ?prunes [| build_problem |]
+            ?widen_cap:g.g_widen_cap
+            [| P.with_repeater_fraction problem f |]
         in
         let pl =
           {
@@ -464,7 +390,6 @@ let perturb g pt =
             pl_clock = pt.clock;
             pl_problem = problem;
             pl_f_max = f;
-            pl_f_min = f;
             pl_tables = shared.(0);
             pl_points = [ idx ];
           }
@@ -492,7 +417,6 @@ let resident ?max_pareto ?widen_on_overflow ?widen_cap ?jobs base =
     g_widen_on_overflow = widen_on_overflow;
     g_widen_cap = widen_cap;
     g_jobs = jobs;
-    g_prune = false;
     g_points = [||];
     g_outcomes = [||];
     g_witnesses = [||];
@@ -510,14 +434,11 @@ let plane_tables g pt = Option.map (fun pl -> pl.pl_tables) (find_plane g pt)
 let adopt g pt tables =
   if Rank_dp.table_truncations tables <> 0 then
     invalid_arg "Rank_grid.adopt: truncated tables";
-  if Rank_dp.table_incumbent_floor tables >= 0 then
-    invalid_arg "Rank_grid.adopt: pruned tables";
   let pt = canonical g.g_base pt in
   match List.find_opt (fun pl -> plane_key_equal pl pt) g.g_planes with
   | Some pl ->
       pl.pl_tables <- tables;
-      pl.pl_f_max <- g.g_base_fraction;
-      pl.pl_f_min <- g.g_base_fraction
+      pl.pl_f_max <- g.g_base_fraction
   | None ->
       g.g_planes <-
         g.g_planes
@@ -527,7 +448,6 @@ let adopt g pt tables =
               pl_clock = pt.clock;
               pl_problem = plane_problem g.g_base pt;
               pl_f_max = g.g_base_fraction;
-              pl_f_min = g.g_base_fraction;
               pl_tables = tables;
               pl_points = [];
             };
@@ -535,15 +455,14 @@ let adopt g pt tables =
 
 (* A power budget (at its activity factor) is one more cap on the
    query's repeater budget, so it rebinds the resident tables exactly as
-   a fraction does; the covering checks compare the rebound budget with
-   the build's, and with the pruning floor's for a pruned plane. *)
+   a fraction does; the covering check compares the rebound budget with
+   the build's. *)
 let query ?activity ?power_budget g pt =
   let pt = canonical g.g_base pt in
   let f = point_fraction g pt in
   match List.find_opt (fun pl -> plane_key_equal pl pt) g.g_planes with
   | Some pl when Rank_dp.table_truncations pl.pl_tables = 0 ->
-      let at f' = P.with_repeater_fraction pl.pl_problem f' in
-      let q = at f in
+      let q = P.with_repeater_fraction pl.pl_problem f in
       let q = match activity with None -> q | Some a -> P.with_activity q a in
       let q =
         match power_budget with
@@ -552,9 +471,8 @@ let query ?activity ?power_budget g pt =
       in
       let budget = P.budget q in
       if
-        budget <= P.budget (at pl.pl_f_max)
-        && (Rank_dp.table_incumbent_floor pl.pl_tables < 0
-           || budget >= P.budget (at pl.pl_f_min))
+        budget
+        <= P.budget (P.with_repeater_fraction pl.pl_problem pl.pl_f_max)
       then begin
         let ((o, _) as r) =
           Rank_dp.search_tables ~memo:(family_memo g) ?hint:g.g_hint
@@ -571,9 +489,9 @@ let query ?activity ?power_budget g pt =
 
 (* ---- one cell --------------------------------------------------------- *)
 
-let compute ?max_pareto ?widen_on_overflow ?widen_cap ?prune problem =
+let compute ?max_pareto ?widen_on_overflow ?widen_cap problem =
   let g =
-    evaluate ?max_pareto ?widen_on_overflow ?widen_cap ~jobs:1 ?prune problem
+    evaluate ?max_pareto ?widen_on_overflow ?widen_cap ~jobs:1 problem
       [| point () |]
   in
   (g.g_outcomes.(0), g.g_witnesses.(0))
@@ -585,16 +503,9 @@ let compute ?max_pareto ?widen_on_overflow ?widen_cap ?prune problem =
    wavefront (pool parallelism inside levels, not across points) and the
    sequential hint chain.  Phase B is [Rank_dp.search_with_tables]. *)
 let eval_batch ?max_pareto ?widen_on_overflow ?widen_cap ?jobs ?hint
-    ?probe_fan ?(prune = false) problems =
-  let prunes =
-    (* Heterogeneous cells each query at their own build budget, so the
-       default budget_min (the problem's own) is exactly right. *)
-    if not prune then None
-    else Some (Array.map (fun p -> Some (Rank_dp.prune_for p)) problems)
-  in
+    ?probe_fan problems =
   let shared =
-    wavefront ?jobs ?max_pareto ?widen_on_overflow ?widen_cap ?prunes
-      problems
+    wavefront ?jobs ?max_pareto ?widen_on_overflow ?widen_cap problems
   in
   Ir_obs.add stat_cells (Array.length problems);
   let hint = ref hint in

@@ -58,7 +58,6 @@ val evaluate :
   ?widen_on_overflow:bool ->
   ?widen_cap:int ->
   ?jobs:int ->
-  ?prune:bool ->
   Ir_assign.Problem.t ->
   point array ->
   t
@@ -67,15 +66,7 @@ val evaluate :
     and [widen_cap] set the widening policy of {!Rank_dp.widen_tables};
     [jobs] the pool size.  Outcomes are independent of [jobs] (asserted
     by the bench counter-identity table).  A finite power budget on
-    [base] caps every point's repeater budget at its area equivalent.
-
-    [~prune:true] (default false) runs every plane's build through the
-    admissible-bound pruning layer: each plane gets one incumbent cell
-    seeded at its points' {e smallest} fraction, raised and published at
-    the wavefront's per-level sequential barrier, with thresholds at the
-    build's own largest-fraction budget.  Outcomes are byte-identical to
-    the unpruned grid; only the work and [bounds/*] counters move, and they remain jobs-invariant
-    because the incumbent is only published at barriers. *)
+    [base] caps every point's repeater budget at its area equivalent. *)
 
 val results : t -> Outcome.t array
 (** Per-point outcomes, in [points] order (a copy). *)
@@ -95,13 +86,14 @@ val perturb : t -> point -> int array
     wavefront slice the delta invalidates, returning the indices of the
     recomputed cells (always including the new cell, [cells g - 1] after
     the call):
-    - plane resident, fraction within its build, truncation-free: one
-      phase-B search, [[| new |]] — no phase-A work;
-    - fraction above the resident build, plane truncated, or a pruned
-      plane queried below the fraction its incumbent floor was certified
-      at: that plane's slice is rebuilt over the widened fraction range
-      and all {e its} cells re-answered (values are preserved by the displacement argument;
-      they are still reported as recomputed);
+    - plane resident, fraction within its build: [[| new |]], and the
+      plane is not rebuilt.  A truncation-free plane answers with one
+      phase-B search; a truncated one answers the new cell alone, from
+      its own build at the build's fraction and cold below it;
+    - fraction above the resident build: that plane's slice is rebuilt
+      at the new fraction and all {e its} cells re-answered (values are
+      preserved by the displacement argument; they are still reported
+      as recomputed);
     - new (materials, clock) value: one new plane built alone,
       [[| new |]].
     Every other plane's cells are untouched — strictly fewer cells than
@@ -139,10 +131,8 @@ val adopt : t -> point -> Rank_dp.tables -> unit
     tables as the resident plane for [pt]'s (materials, clock) key,
     replacing any current tables.  The tables must be truncation-free
     and built at [g]'s base repeater fraction ({!resident}'s contract —
-    the serve tier only ever snapshots such planes, and never pruned
-    ones — a pruning floor is only valid down to the fraction range it
-    was built for, which an adopted plane cannot know).
-    @raise Invalid_argument if the tables are truncated or pruned. *)
+    the serve tier only ever snapshots such planes).
+    @raise Invalid_argument if the tables are truncated. *)
 
 val query :
   ?activity:float ->
@@ -166,7 +156,6 @@ val compute :
   ?max_pareto:int ->
   ?widen_on_overflow:bool ->
   ?widen_cap:int ->
-  ?prune:bool ->
   Ir_assign.Problem.t ->
   Outcome.t * Rank_dp.witness option
 (** [compute problem] is the one-cell {!evaluate} at jobs 1: the
@@ -183,7 +172,6 @@ val eval_batch :
   ?jobs:int ->
   ?hint:int ->
   ?probe_fan:int ->
-  ?prune:bool ->
   Ir_assign.Problem.t array ->
   Outcome.t array
 (** Heterogeneous batch (cross-node cells, optimizer candidates): each
@@ -191,6 +179,4 @@ val eval_batch :
     as one batched wavefront and phase B threads boundary hints down the
     batch through {!Rank_dp.search_with_tables}.  Outcome [i] equals
     [fst (compute problems.(i))] ([hint]/[probe_fan] are
-    probe-schedule-only).  [~prune:true]
-    as in {!evaluate}, with each cell's incumbent probed at its own
-    budget. *)
+    probe-schedule-only). *)

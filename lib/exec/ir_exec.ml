@@ -318,30 +318,3 @@ let parallel_group_map ?jobs ?weight f xs =
         run_pool ~jobs ~tasks:(Array.map (fun i -> (i, i + 1)) order) f xs
 
 let now () = Unix.gettimeofday ()
-
-module Incumbent = struct
-  type t = { pending : int Atomic.t; published : int Atomic.t }
-
-  let create ?(floor = -1) () =
-    { pending = Atomic.make floor; published = Atomic.make floor }
-
-  let offer t v =
-    let rec raise_to cell =
-      let cur = Atomic.get cell in
-      if v > cur && not (Atomic.compare_and_set cell cur v) then raise_to cell
-    in
-    raise_to t.pending
-
-  let publish t =
-    let p = Atomic.get t.pending in
-    let rec raise_to () =
-      let cur = Atomic.get t.published in
-      if p > cur then
-        if Atomic.compare_and_set t.published cur p then true else raise_to ()
-      else false
-    in
-    raise_to ()
-
-  let current t = Atomic.get t.published
-  let best_offer t = Atomic.get t.pending
-end

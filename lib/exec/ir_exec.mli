@@ -197,44 +197,3 @@ val now : unit -> float
     timings use wall time, not [Sys.time]: under parallel execution the
     process CPU time aggregates every domain and stops measuring the
     latency a user actually observes. *)
-
-(** {2 Shared incumbent cell}
-
-    A monotone integer shared across pool domains, used by the DP
-    pruning layer as its incumbent (best {e achievable} boundary found
-    so far).  The cell is split in two so that concurrent improvement
-    never leaks into in-flight work:
-
-    - {!Incumbent.offer} folds a candidate into the {e pending} side
-      with an atomic max — commutative, so any interleaving of offers
-      from any number of domains converges to the same value;
-    - {!Incumbent.publish} copies pending into the {e published} side —
-      the only value {!Incumbent.current} ever returns.
-
-    The determinism contract is a calling convention, not a lock:
-    [publish] must only be called from sequential sections (between
-    wavefront levels, before a build), never from inside a
-    [parallel_map] body.  Workers then observe the same published
-    incumbent for the whole level regardless of the schedule, which is
-    what keeps the [bounds/*] counters jobs=1 ≡ jobs=N identical. *)
-module Incumbent : sig
-  type t
-
-  val create : ?floor:int -> unit -> t
-  (** Fresh cell; both sides start at [floor] (default [-1] = no
-      incumbent). *)
-
-  val offer : t -> int -> unit
-  (** Atomic max into the pending side.  Safe from any domain. *)
-
-  val publish : t -> bool
-  (** Make the pending value visible to {!current}.  Returns [true] iff
-      the published value was raised.  Sequential sections only (see
-      above). *)
-
-  val current : t -> int
-  (** The last published value.  Safe from any domain. *)
-
-  val best_offer : t -> int
-  (** The pending value (diagnostics; may be ahead of {!current}). *)
-end

@@ -348,66 +348,6 @@ let json_grid g =
           ] );
     ]
 
-type pruning_report = {
-  pruning_points : int;
-  baseline_seconds : float;
-  pruned_seconds : float;
-  front_inserts_baseline : int;
-  front_inserts_pruned : int;
-  witness_probes_baseline : int;
-  witness_probes_pruned : int;
-  states_pruned : int;
-  oracle_calls_saved : int;
-  incumbent_updates : int;
-  memo_preempted : int;
-  pruning_identical : bool;
-  pruning_counters_match : bool;
-}
-
-(* The CI gate reads [status]; anything but "ok" fails the build.  The
-   pruning layer's contracts: the pruned grid must answer every
-   Table-4 cell byte-identically to the unpruned one, and the bounds/*
-   tallies must not depend on the worker count (the incumbent is only
-   published at sequential barriers).  The reduction itself — how much
-   work the bound actually cuts — is reported but never gated: it is a
-   property of the corpus, not a correctness claim. *)
-let pruning_status p =
-  if not p.pruning_identical then "mismatch"
-  else if not p.pruning_counters_match then "counters_mismatch"
-  else "ok"
-
-let reduction ~baseline ~pruned =
-  if baseline <= 0 then 0.0
-  else float_of_int (baseline - pruned) /. float_of_int baseline
-
-let json_pruning p =
-  json_obj
-    [
-      ("status", json_string (pruning_status p));
-      ("points", string_of_int p.pruning_points);
-      ("baseline_seconds", json_float p.baseline_seconds);
-      ("pruned_seconds", json_float p.pruned_seconds);
-      ("front_inserts_baseline", string_of_int p.front_inserts_baseline);
-      ("front_inserts_pruned", string_of_int p.front_inserts_pruned);
-      ( "front_insert_reduction",
-        json_float
-          (reduction ~baseline:p.front_inserts_baseline
-             ~pruned:p.front_inserts_pruned) );
-      ("witness_probes_baseline", string_of_int p.witness_probes_baseline);
-      ("witness_probes_pruned", string_of_int p.witness_probes_pruned);
-      ( "witness_probe_reduction",
-        json_float
-          (reduction ~baseline:p.witness_probes_baseline
-             ~pruned:p.witness_probes_pruned) );
-      ("states_pruned", string_of_int p.states_pruned);
-      ("oracle_calls_saved", string_of_int p.oracle_calls_saved);
-      ("incumbent_updates", string_of_int p.incumbent_updates);
-      ("memo_preempted", string_of_int p.memo_preempted);
-      ("identical", if p.pruning_identical then "true" else "false");
-      ( "counters_match",
-        if p.pruning_counters_match then "true" else "false" );
-    ]
-
 type power_report = {
   power_points : int;
   unconstrained_power : float;
@@ -498,7 +438,7 @@ let json_serving_sharded s =
     ]
 
 let write_bench_json ~dir ~jobs ~timings ?metrics ?kernel ?parallel ?scaling
-    ?grid ?pruning ?power ?serving ?serving_sharded ~sweeps ~cross () =
+    ?grid ?power ?serving ?serving_sharded ~sweeps ~cross () =
   match ensure_dir dir with
   | Error msg -> Error msg
   | Ok () ->
@@ -547,7 +487,7 @@ let write_bench_json ~dir ~jobs ~timings ?metrics ?kernel ?parallel ?scaling
       let contents =
         json_obj
           ([
-             ("schema", json_string "ia-rank/bench-sweeps/10");
+             ("schema", json_string "ia-rank/bench-sweeps/11");
              ("jobs", string_of_int jobs);
              ( "timings",
                json_obj (List.map (fun (k, v) -> (k, json_float v)) timings)
@@ -570,9 +510,6 @@ let write_bench_json ~dir ~jobs ~timings ?metrics ?kernel ?parallel ?scaling
           @ (match grid with
             | None -> []
             | Some g -> [ ("grid", json_grid g) ])
-          @ (match pruning with
-            | None -> []
-            | Some p -> [ ("pruning", json_pruning p) ])
           @ (match power with
             | None -> []
             | Some p -> [ ("power", json_power p) ])

@@ -131,36 +131,6 @@ val grid_status : grid_report -> string
 (** The derived ["status"] string described above — exposed so the bench
     harness can print and gate on the same verdict the JSON exports. *)
 
-type pruning_report = {
-  pruning_points : int;  (** Table-4 cells both legs evaluated *)
-  baseline_seconds : float;  (** grid leg, pruning off *)
-  pruned_seconds : float;  (** same workload, same jobs, [~prune:true] *)
-  front_inserts_baseline : int;  (** [rank_dp/pareto_inserts], baseline *)
-  front_inserts_pruned : int;
-  witness_probes_baseline : int;  (** [rank_dp/witness_probes], baseline *)
-  witness_probes_pruned : int;
-  states_pruned : int;  (** [bounds/states_pruned], pruned leg *)
-  oracle_calls_saved : int;  (** [bounds/oracle_calls_saved], pruned leg *)
-  incumbent_updates : int;  (** [bounds/incumbent_updates], pruned leg *)
-  memo_preempted : int;  (** [bounds/memo_preempted], pruned leg *)
-  pruning_identical : bool;
-      (** per-cell rank / exact-flag / payload identity between the legs *)
-  pruning_counters_match : bool;
-      (** [bounds/*] identity between the pruned leg's jobs=1 and
-          jobs=N runs — published-at-barriers makes them structural *)
-}
-(** The admissible-bound pruning leg, exported under ["pruning"]
-    (schema 9): the Table-4 grid run unpruned and with [~prune:true] at
-    the same worker count.  Export derives ["front_insert_reduction"] /
-    ["witness_probe_reduction"] (fractions of baseline work the bound
-    eliminated — reported, never gated) and a ["status"] the CI gate
-    keys on: ["ok"], ["mismatch"] (byte-identity broken) or
-    ["counters_mismatch"] ([bounds/*] varied with the worker count). *)
-
-val pruning_status : pruning_report -> string
-(** The derived ["status"] string described above — exposed so the bench
-    harness can print and gate on the same verdict the JSON exports. *)
-
 type power_report = {
   power_points : int;  (** budget points in the measured frontier *)
   unconstrained_power : float;
@@ -236,7 +206,6 @@ val write_bench_json :
   ?parallel:parallel_report ->
   ?scaling:scaling_report ->
   ?grid:grid_report ->
-  ?pruning:pruning_report ->
   ?power:power_report ->
   ?serving:serving_report ->
   ?serving_sharded:serving_sharded_report ->
@@ -245,7 +214,7 @@ val write_bench_json :
   unit ->
   (string, string) result
 (** Writes the machine-readable sweep benchmark
-    ([<dir>/BENCH_sweeps.json], schema [ia-rank/bench-sweeps/10]) used to
+    ([<dir>/BENCH_sweeps.json], schema [ia-rank/bench-sweeps/11]) used to
     track the perf trajectory across PRs: the named wall-clock [timings]
     (e.g. the sequential and parallel table4 legs), an optional [kernel]
     timings object (flat name/seconds pairs from the kernel
@@ -258,9 +227,9 @@ val write_bench_json :
     [rank_dp/probe_fan_rounds] and [greedy_fill/fast_fails]), an optional
     [parallel] two-leg report (see {!parallel_report}), an optional
     [scaling] jobs curve (see {!scaling_report}), an optional [grid]
-    engine report (see {!grid_report}), an optional [pruning] leg
-    (see {!pruning_report}, since schema 9), an optional [power] leg
-    (see {!power_report}, since schema 10), every Table 4 row
+    engine report (see {!grid_report}), an optional [power] leg
+    (see {!power_report}, since schema 10; schema 11 dropped the
+    [pruning] leg), every Table 4 row
     (param, normalized rank, rank wires, exactness, per-point seconds)
     and the cross-node cells.  [jobs] records the worker count the
     parallel leg requested. *)

@@ -100,13 +100,13 @@ let assemble defs results =
    an area cap on every point's budget (Problem.budget).  The wall time
    is inherently
    collective, so each row reports the run's cost amortized evenly. *)
-let run_grid ?jobs ?prune base cells =
+let run_grid ?jobs base cells =
   let points = Array.map (fun (_, _, _, pt) -> pt) cells in
   Logs.debug (fun f -> f "table4: grid of %d cells" (Array.length points));
   let t0 = Ir_exec.now () in
   let grid =
     Ir_obs.time span_grid @@ fun () ->
-    Ir_core.Rank_grid.evaluate ?jobs ?prune base points
+    Ir_core.Rank_grid.evaluate ?jobs base points
   in
   let per =
     (Ir_exec.now () -. t0) /. float_of_int (max 1 (Array.length points))
@@ -142,7 +142,7 @@ let run_each ?jobs algo problem_of_materials base cells =
       (sweep, idx, { param; outcome; seconds = Ir_exec.now () -. t0 }))
     cells
 
-let run_defs ?jobs ?prune config defs =
+let run_defs ?jobs config defs =
   let wld = shared_wld config in
   (* Bunching depends only on the design (WLD + gate pitch), not on the
      materials, clock or budget a point varies — one bunching serves
@@ -172,7 +172,7 @@ let run_defs ?jobs ?prune config defs =
   in
   assemble defs
     (match config.algo with
-    | Ir_core.Rank.Dp -> run_grid ?jobs ?prune base cells
+    | Ir_core.Rank.Dp -> run_grid ?jobs base cells
     | algo -> run_each ?jobs algo problem_of_materials base cells)
 
 let grid_desc ~from ~until ~step =
@@ -226,25 +226,21 @@ let r_def () =
         [ 0.1; 0.2; 0.3; 0.4; 0.5 ];
   }
 
-let one ?jobs ?prune config d = List.hd (run_defs ?jobs ?prune config [ d ])
+let one ?jobs config d = List.hd (run_defs ?jobs config [ d ])
 
-let k_sweep ?jobs ?prune ?(config = default_config) () =
-  one ?jobs ?prune config (k_def ())
+let k_sweep ?jobs ?(config = default_config) () = one ?jobs config (k_def ())
 
-let m_sweep ?jobs ?prune ?(config = default_config) () =
-  one ?jobs ?prune config (m_def ())
+let m_sweep ?jobs ?(config = default_config) () = one ?jobs config (m_def ())
 
-let c_sweep ?jobs ?prune ?(config = default_config) () =
-  one ?jobs ?prune config (c_def ())
+let c_sweep ?jobs ?(config = default_config) () = one ?jobs config (c_def ())
 
-let r_sweep ?jobs ?prune ?(config = default_config) () =
-  one ?jobs ?prune config (r_def ())
+let r_sweep ?jobs ?(config = default_config) () = one ?jobs config (r_def ())
 
 (* The four columns fused into one run: on the grid every plane of the
    four columns builds in one wavefront, so the tail of one column
    cannot idle workers the next could use. *)
-let all ?jobs ?prune ?(config = default_config) () =
-  run_defs ?jobs ?prune config [ k_def (); m_def (); c_def (); r_def () ]
+let all ?jobs ?(config = default_config) () =
+  run_defs ?jobs config [ k_def (); m_def (); c_def (); r_def () ]
 
 let normalized sweep =
   List.map

@@ -73,24 +73,19 @@ val baseline_problem : ?activity:float -> config -> Ir_assign.Problem.t
     [?activity] sets the power model's switching activity factor
     (default {!Ir_assign.Problem.default_activity}). *)
 
-(** Every sweep entry point takes [?prune] (default false):
-    {!Ir_core.Rank_grid.evaluate}'s admissible-bound pruning, DP only.
-    Results are byte-identical either way — the flag only moves work
-    counters. *)
-
-val k_sweep : ?jobs:int -> ?prune:bool -> ?config:config -> unit -> sweep
+val k_sweep : ?jobs:int -> ?config:config -> unit -> sweep
 (** ILD permittivity from 3.9 down to 1.8 in steps of 0.1 (Table 4 K). *)
 
-val m_sweep : ?jobs:int -> ?prune:bool -> ?config:config -> unit -> sweep
+val m_sweep : ?jobs:int -> ?config:config -> unit -> sweep
 (** Miller factor from 2.0 down to 1.0 in steps of 0.05 (Table 4 M). *)
 
-val c_sweep : ?jobs:int -> ?prune:bool -> ?config:config -> unit -> sweep
+val c_sweep : ?jobs:int -> ?config:config -> unit -> sweep
 (** Clock from 0.5 GHz to 1.7 GHz in steps of 0.1 GHz (Table 4 C). *)
 
-val r_sweep : ?jobs:int -> ?prune:bool -> ?config:config -> unit -> sweep
+val r_sweep : ?jobs:int -> ?config:config -> unit -> sweep
 (** Repeater fraction from 0.1 to 0.5 in steps of 0.1 (Table 4 R). *)
 
-val all : ?jobs:int -> ?prune:bool -> ?config:config -> unit -> sweep list
+val all : ?jobs:int -> ?config:config -> unit -> sweep list
 (** The four columns in the paper's order: K, M, C, R — fused into a
     single batch (one grid wavefront, or one pool run of independent
     points for non-DP algorithms) so the tail of one column cannot idle

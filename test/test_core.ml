@@ -7,8 +7,8 @@ module P = Ir_assign.Problem
 
 (* The per-point reference: one query as a one-cell grid, nothing
    shared with any other point. *)
-let compute ?max_pareto ?widen_on_overflow ?prune p =
-  fst (Ir_core.Rank_grid.compute ?max_pareto ?widen_on_overflow ?prune p)
+let compute ?max_pareto ?widen_on_overflow p =
+  fst (Ir_core.Rank_grid.compute ?max_pareto ?widen_on_overflow p)
 
 (* The boundary search over [p]'s first-rung tables, scanning top-down
    instead of bracketing. *)
@@ -1320,205 +1320,6 @@ let prop_eval_batch_matches_compute =
         problems;
       true)
 
-(* ---- admissible-bound pruning ----------------------------------------- *)
-
-(* The ε=0 soundness contract: pruning is observationally invisible.
-   Every outcome field — rank, assignability, boundary, exact flag —
-   must be byte-identical to the unpruned path on arbitrary instances,
-   not just the Table-4 corpus the bench gates. *)
-let prop_pruned_compute_identical =
-  qtest ~count:150 "pruned compute = exact compute (epsilon 0)"
-    Helpers.gen_instance (fun { problem; label } ->
-      let exact = compute problem in
-      let pruned = compute ~prune:true problem in
-      if not (Ir_core.Outcome.equal exact pruned) then
-        QCheck2.Test.fail_reportf "%s: pruned=%d/%b/%b exact=%d/%b/%b" label
-          pruned.Ir_core.Outcome.rank_wires pruned.Ir_core.Outcome.assignable
-          pruned.Ir_core.Outcome.exact exact.Ir_core.Outcome.rank_wires
-          exact.Ir_core.Outcome.assignable exact.Ir_core.Outcome.exact
-      else true)
-
-let prop_pruned_budgets_identical =
-  qtest ~count:80 "pruned budget sweep = exact budget sweep (epsilon 0)"
-    gen_budget_instance (fun ({ problem; label }, fractions) ->
-      let sweep prune =
-        let points =
-          List.map (fun f -> Ir_core.Rank_grid.point ~fraction:f ()) fractions
-        in
-        let g =
-          Ir_core.Rank_grid.evaluate ~prune problem (Array.of_list points)
-        in
-        List.mapi (fun i _ -> Ir_core.Rank_grid.outcome g i) fractions
-      in
-      let exact = sweep false in
-      let pruned = sweep true in
-      List.iteri
-        (fun i (e, p) ->
-          if not (Ir_core.Outcome.equal e p) then
-            QCheck2.Test.fail_reportf
-              "%s: fraction #%d pruned=%d/%b/%b exact=%d/%b/%b" label i
-              p.Ir_core.Outcome.rank_wires p.Ir_core.Outcome.assignable
-              p.Ir_core.Outcome.exact e.Ir_core.Outcome.rank_wires
-              e.Ir_core.Outcome.assignable e.Ir_core.Outcome.exact)
-        (List.combine exact pruned);
-      true)
-
-(* The two frozen adversarial instances from the truncation work are the
-   hard cases for pruning too: one overflows the default front width (the
-   widening ladder engages), the other loses the optimum behind a width-1
-   truncation.  Pruning must change nothing on either. *)
-let test_pruned_adversarial_identity () =
-  List.iter
-    (fun (name, p) ->
-      let exact = compute p in
-      let pruned = compute ~prune:true p in
-      Alcotest.(check bool) (name ^ ": identical outcome") true
-        (Ir_core.Outcome.equal exact pruned))
-    [
-      ("overflowing", overflowing_problem ());
-      ("row-m overflow", row_m_overflow_problem ());
-      ("rank-changing", rank_changing_problem ());
-    ]
-
-(* Admissibility of the bound oracle itself: the optimistic boundary from
-   the root state can never undershoot the DP's true boundary, and the
-   greedy-chain pessimistic floor can never overshoot it. *)
-let prop_bounds_bracket_boundary =
-  qtest ~count:120 "optimistic/pessimistic bounds bracket the boundary"
-    Helpers.gen_instance (fun { problem; label } ->
-      let o = compute problem in
-      let b = Ir_core.Bounds.create problem in
-      let budget = P.budget problem in
-      let opt =
-        Ir_core.Bounds.optimistic_boundary b ~budget ~area:0.0 ~from:0
-      in
-      let pess =
-        (Ir_core.Bounds.pessimistic_probe b ~budget).Ir_core.Bounds.pb_boundary
-      in
-      if o.Ir_core.Outcome.assignable && opt < o.Ir_core.Outcome.boundary_bunch
-      then
-        QCheck2.Test.fail_reportf "%s: optimistic %d < boundary %d" label opt
-          o.Ir_core.Outcome.boundary_bunch
-      else if
-        o.Ir_core.Outcome.assignable
-        && o.Ir_core.Outcome.exact
-        && pess > o.Ir_core.Outcome.boundary_bunch
-      then
-        QCheck2.Test.fail_reportf "%s: pessimistic %d > boundary %d" label
-          pess o.Ir_core.Outcome.boundary_bunch
-      else if
-        pess > 0
-        && pess > (exhaustive problem).Ir_core.Outcome.boundary_bunch
-      then
-        QCheck2.Test.fail_reportf "%s: pessimistic %d not achievable" label
-          pess
-      else true)
-
-(* Pruned tables remember their incumbent floor and refuse snapshot
-   encoding — a snapshot replays against arbitrary budgets the floor's
-   witness was never certified for. *)
-let test_pruned_tables_not_encodable () =
-  let p = baseline_130nm_small () in
-  let exact_t = Ir_core.Rank_dp.build_tables p in
-  Alcotest.(check int) "unpruned floor is -1" (-1)
-    (Ir_core.Rank_dp.table_incumbent_floor exact_t);
-  Alcotest.(check bool) "unpruned tables encode" true
-    (String.length (Ir_core.Rank_dp.encode_tables exact_t) > 0);
-  let pr = Ir_core.Rank_dp.prune_for p in
-  let pruned_t = Ir_core.Rank_dp.build_tables ~prune:pr p in
-  if Ir_core.Rank_dp.table_incumbent_floor pruned_t >= 0 then
-    Alcotest.check_raises "pruned tables refuse encoding"
-      (Invalid_argument "Rank_dp.encode_tables: pruned tables") (fun () ->
-        ignore (Ir_core.Rank_dp.encode_tables pruned_t))
-
-(* The probe gate: every non-empty cell the optimistic pre-check turns
-   away at a barrier is a packer call that never ran, tallied in
-   bounds/probe_gated.  The counter is structural — the gate reads the
-   incumbent only at sequential barriers — so it must not move with the
-   worker count, and it must actually fire on the pruned baseline (a
-   gate that never gates is a dead counter). *)
-let test_probe_gated_jobs_invariant () =
-  let p = baseline_130nm_small () in
-  let gated () =
-    Option.value ~default:0
-      (Ir_obs.find_counter (Ir_obs.snapshot ()) "bounds/probe_gated")
-  in
-  Ir_obs.reset ();
-  ignore (compute ~prune:true p);
-  let seq = gated () in
-  Alcotest.(check bool) "gate fires on the pruned baseline" true (seq > 0);
-  let points =
-    Array.of_list
-      (List.map
-         (fun f -> Ir_core.Rank_grid.point ~fraction:f ())
-         [ 0.2; 0.4; 0.6; 0.8 ])
-  in
-  Ir_obs.reset ();
-  ignore (Ir_core.Rank_grid.evaluate ~jobs:1 ~prune:true p points);
-  let g1 = gated () in
-  Ir_obs.reset ();
-  ignore (Ir_core.Rank_grid.evaluate ~jobs:4 ~prune:true p points);
-  let g4 = gated () in
-  Ir_obs.reset ();
-  Alcotest.(check int) "probe_gated identical at jobs=1 and jobs=4" g1 g4;
-  Alcotest.(check bool) "gate fired in the grid engine" true (g1 > 0)
-
-(* The grid engine with pruning: identical outcomes to the unpruned grid,
-   and the bounds/* counters (structural — the incumbent is published
-   only at the wavefront's sequential barriers) invariant across worker
-   counts. *)
-let prop_grid_pruned_identical =
-  qtest ~count:40 "pruned grid = exact grid, bounds counters jobs-invariant"
-    gen_grid_instance (fun ({ problem; label }, raw) ->
-      let points = grid_points problem raw in
-      let exact = Ir_core.Rank_grid.evaluate problem points in
-      Ir_obs.reset ();
-      let p1 = Ir_core.Rank_grid.evaluate ~jobs:1 ~prune:true problem points in
-      let snap1 = (Ir_obs.snapshot ()).Ir_obs.counters in
-      Ir_obs.reset ();
-      let pn = Ir_core.Rank_grid.evaluate ~jobs:4 ~prune:true problem points in
-      let snapn = (Ir_obs.snapshot ()).Ir_obs.counters in
-      Ir_obs.reset ();
-      Array.iteri
-        (fun i _ ->
-          let e = Ir_core.Rank_grid.outcome exact i in
-          let a = Ir_core.Rank_grid.outcome p1 i in
-          let b = Ir_core.Rank_grid.outcome pn i in
-          if not (Ir_core.Outcome.equal e a && Ir_core.Outcome.equal e b) then
-            QCheck2.Test.fail_reportf "%s: cell #%d diverges under pruning"
-              label i)
-        points;
-      let bounds snap =
-        List.filter
-          (fun (name, _) ->
-            String.length name >= 7 && String.sub name 0 7 = "bounds/")
-          snap
-      in
-      if bounds snap1 <> bounds snapn then
-        QCheck2.Test.fail_reportf "%s: bounds/* counters depend on jobs" label
-      else true)
-
-let test_grid_pruned_floor_requery () =
-  (* A pruned plane asked below the fraction its floor was certified at
-     must rebuild (the floor witness only holds for budgets >= the build
-     family's smallest), and the answer must match a cold compute. *)
-  let p = baseline_130nm_small () in
-  let grid =
-    Ir_core.Rank_grid.evaluate ~prune:true p
-      [| Ir_core.Rank_grid.point ~fraction:0.4 () |]
-  in
-  let changed =
-    Ir_core.Rank_grid.perturb grid (Ir_core.Rank_grid.point ~fraction:0.05 ())
-  in
-  let idx = Ir_core.Rank_grid.cells grid - 1 in
-  Alcotest.(check bool) "perturb reports the new cell" true
-    (Array.mem idx changed);
-  let cold =
-    compute (P.with_repeater_fraction p 0.05)
-  in
-  Alcotest.(check bool) "below-floor query matches cold compute" true
-    (Ir_core.Outcome.equal cold (Ir_core.Rank_grid.outcome grid idx))
-
 let test_grid_budgets_column () =
   (* The grid's R column — one shared plane — must be byte-identical to
      each fraction's own one-cell compute. *)
@@ -1625,6 +1426,46 @@ let test_grid_perturb_touches_fewer () =
         true
         (Ir_core.Outcome.equal ind (Ir_core.Rank_grid.outcome g i)))
     all_points
+
+(* A truncated plane already built at or above a new fraction answers
+   that fraction alone — cold below its build fraction — without
+   rebuilding the plane or re-answering its other cells. *)
+let test_grid_perturb_truncated_plane () =
+  let p = overflowing_problem () in
+  let pt f = Ir_core.Rank_grid.point ~fraction:f () in
+  let g =
+    Ir_core.Rank_grid.evaluate ~widen_on_overflow:false p
+      [| pt 0.4; pt 0.6; pt 0.8 |]
+  in
+  Alcotest.(check bool) "the plane truncates at width 8" true
+    (match Ir_core.Rank_grid.plane_tables g (pt 0.8) with
+    | Some t -> Ir_core.Rank_dp.table_truncations t > 0
+    | None -> false);
+  let changed, n = counting (fun () -> Ir_core.Rank_grid.perturb g (pt 0.5)) in
+  Alcotest.(check (array int)) "only the new cell" [| 3 |] changed;
+  Alcotest.(check int) "one cell recomputed" 1 (n "grid/perturb_recomputed");
+  let cold, n_cold =
+    counting (fun () ->
+        compute ~widen_on_overflow:false (P.with_repeater_fraction p 0.5))
+  in
+  Alcotest.(check int) "the work of one cold cell"
+    (n_cold "rank_dp/states_expanded")
+    (n "rank_dp/states_expanded");
+  Alcotest.(check bool) "the cold cell's outcome" true
+    (Ir_core.Outcome.equal cold (Ir_core.Rank_grid.outcome g 3))
+
+(* A resident grid only adopts truncation-free tables: a truncated
+   front cannot answer the narrower fractions a plane is rebound to. *)
+let test_grid_adopt_refuses_truncated () =
+  let p = overflowing_problem () in
+  let tables = Ir_core.Rank_dp.build_tables ~max_pareto:8 p in
+  Alcotest.(check bool) "tables truncate at width 8" true
+    (Ir_core.Rank_dp.table_truncations tables > 0);
+  let g = Ir_core.Rank_grid.resident p in
+  Alcotest.check_raises "adopt refuses truncated tables"
+    (Invalid_argument "Rank_grid.adopt: truncated tables") (fun () ->
+      Ir_core.Rank_grid.adopt g (Ir_core.Rank_grid.point ()) tables);
+  Alcotest.(check int) "no plane installed" 0 (Ir_core.Rank_grid.planes g)
 
 let test_with_materials_equals_fresh () =
   (* [Problem.with_materials] must be indistinguishable from constructing
@@ -1869,13 +1710,6 @@ let () =
           prop_search_budgets_matches_individual;
           Alcotest.test_case "stepped builder = monolithic build" `Quick
             test_builder_matches_build;
-          prop_pruned_compute_identical;
-          prop_pruned_budgets_identical;
-          Alcotest.test_case "pruned adversarial identity" `Quick
-            test_pruned_adversarial_identity;
-          prop_bounds_bracket_boundary;
-          Alcotest.test_case "pruned tables not encodable" `Quick
-            test_pruned_tables_not_encodable;
           Alcotest.test_case "builder finish guard" `Quick
             test_builder_finish_early;
           Alcotest.test_case "a truncating rung suspends" `Quick
@@ -1901,11 +1735,10 @@ let () =
             test_with_materials_equals_fresh;
           prop_grid_matches_per_point;
           prop_eval_batch_matches_compute;
-          prop_grid_pruned_identical;
-          Alcotest.test_case "pruned plane floor re-query" `Quick
-            test_grid_pruned_floor_requery;
-          Alcotest.test_case "probe gate fires, jobs-invariant" `Quick
-            test_probe_gated_jobs_invariant;
+          Alcotest.test_case "perturb on a truncated plane answers one cell"
+            `Quick test_grid_perturb_truncated_plane;
+          Alcotest.test_case "adopt refuses truncated tables" `Quick
+            test_grid_adopt_refuses_truncated;
           Alcotest.test_case "hard corpus: every driver agrees" `Quick
             test_hard_corpus;
         ] );

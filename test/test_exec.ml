@@ -312,43 +312,6 @@ let prop_units_sum_to_n =
       | None -> false
       | Some st -> Array.fold_left ( + ) 0 st.Ir_exec.units = n)
 
-(* The incumbent cell's two-sided protocol: offers accumulate (max) on
-   the pending side from any domain, and only [publish] — called at
-   sequential barriers — moves them into [current].  Concurrent offers
-   commute, which is what makes the pruning counters jobs-invariant. *)
-let test_incumbent_protocol () =
-  let c = Ir_exec.Incumbent.create () in
-  Alcotest.(check int) "fresh current" (-1) (Ir_exec.Incumbent.current c);
-  Ir_exec.Incumbent.offer c 5;
-  Ir_exec.Incumbent.offer c 3;
-  Alcotest.(check int) "offers invisible until publish" (-1)
-    (Ir_exec.Incumbent.current c);
-  Alcotest.(check int) "pending is the max offer" 5
-    (Ir_exec.Incumbent.best_offer c);
-  Alcotest.(check bool) "publish raises" true (Ir_exec.Incumbent.publish c);
-  Alcotest.(check int) "published" 5 (Ir_exec.Incumbent.current c);
-  Alcotest.(check bool) "idle publish is a no-op" false
-    (Ir_exec.Incumbent.publish c);
-  Ir_exec.Incumbent.offer c 4;
-  Alcotest.(check bool) "lower offer never regresses" false
-    (Ir_exec.Incumbent.publish c);
-  Alcotest.(check int) "still 5" 5 (Ir_exec.Incumbent.current c);
-  let f = Ir_exec.Incumbent.create ~floor:7 () in
-  Alcotest.(check int) "floor seeds current" 7 (Ir_exec.Incumbent.current f)
-
-let test_incumbent_concurrent_offers () =
-  (* Offers race from every domain; the published value is the max no
-     matter the interleaving. *)
-  let c = Ir_exec.Incumbent.create () in
-  ignore
-    (Ir_exec.parallel_map ~jobs:4
-       (fun x ->
-         Ir_exec.Incumbent.offer c x;
-         x)
-       (Array.init 64 (fun i -> (i * 37) mod 64)));
-  ignore (Ir_exec.Incumbent.publish c);
-  Alcotest.(check int) "max of all offers" 63 (Ir_exec.Incumbent.current c)
-
 let () =
   Alcotest.run "exec"
     [
@@ -363,13 +326,6 @@ let () =
             test_singleton_sequential;
           Alcotest.test_case "exception propagation" `Quick
             test_exception_propagation;
-        ] );
-      ( "incumbent",
-        [
-          Alcotest.test_case "offer/publish protocol" `Quick
-            test_incumbent_protocol;
-          Alcotest.test_case "concurrent offers" `Quick
-            test_incumbent_concurrent_offers;
         ] );
       ( "parallel_map_chunked",
         [ Alcotest.test_case "chunk sizes" `Quick test_chunked_equivalence ] );

@@ -397,22 +397,6 @@ let test_export () =
               perturb_seconds = 0.01;
               full_eval_seconds = 0.4;
             }
-          ~pruning:
-            {
-              Ir_sweep.Export.pruning_points = 57;
-              baseline_seconds = 1.6;
-              pruned_seconds = 1.0;
-              front_inserts_baseline = 1000;
-              front_inserts_pruned = 600;
-              witness_probes_baseline = 200;
-              witness_probes_pruned = 150;
-              states_pruned = 400;
-              oracle_calls_saved = 50;
-              incumbent_updates = 12;
-              memo_preempted = 7;
-              pruning_identical = true;
-              pruning_counters_match = true;
-            }
           ~power:
             {
               Ir_sweep.Export.power_points = 11;
@@ -464,7 +448,7 @@ let test_export () =
                 true
                 (Astring_contains.contains contents needle))
             [
-              "\"schema\":\"ia-rank/bench-sweeps/10\"";
+              "\"schema\":\"ia-rank/bench-sweeps/11\"";
               "\"jobs\":4";
               (* The grid leg: 4.0 s per-point over 1.6 s grid = 2.5x,
                  perturb touching 1 of 10 cells. *)
@@ -473,15 +457,6 @@ let test_export () =
               "\"planes\":33";
               "\"speedup\":2.5";
               "\"perturb\":{\"recomputed_cells\":1,\"grid_cells\":10";
-              (* The pruning leg: 400 of 1000 baseline front inserts
-                 eliminated (reduction 0.4), 50 of 200 witness probes
-                 (0.25), both legs byte-identical. *)
-              "\"pruning\":{\"status\":\"ok\"";
-              "\"front_insert_reduction\":0.4";
-              "\"witness_probe_reduction\":0.25";
-              "\"states_pruned\":400";
-              "\"incumbent_updates\":12";
-              "\"memo_preempted\":7";
               (* The power leg: all four contracts green. *)
               "\"power\":{\"status\":\"ok\"";
               "\"unconstrained_power_watts\":0.4106";
@@ -630,7 +605,7 @@ let test_grid_status () =
     (status { grid_report_base with grid_seconds = 9.0 })
 
 (* Satellite of the grid PR: the exported BENCH_sweeps.json must parse
-   as JSON and carry the schema-10 top-level contract — every object the
+   as JSON and carry the schema-11 top-level contract — every object the
    CI gates read, with the right shapes. *)
 let test_bench_schema () =
   let dir = Filename.temp_file "ia_rank" "_schema" in
@@ -713,7 +688,7 @@ let test_bench_schema () =
       in
       Alcotest.(check (option string))
         "schema tag"
-        (Some "ia-rank/bench-sweeps/10")
+        (Some "ia-rank/bench-sweeps/11")
         (Sj.to_str (mem "schema"));
       Alcotest.(check (option int)) "jobs" (Some 2) (Sj.to_int (mem "jobs"));
       List.iter
@@ -988,7 +963,7 @@ let () =
             test_export_single_core;
           Alcotest.test_case "sharded status" `Quick test_sharded_status;
           Alcotest.test_case "grid status" `Quick test_grid_status;
-          Alcotest.test_case "bench json schema 10" `Quick test_bench_schema;
+          Alcotest.test_case "bench json schema 11" `Quick test_bench_schema;
           Alcotest.test_case "bad directory" `Quick test_export_bad_dir;
           Alcotest.test_case "recursive directory creation" `Quick
             test_ensure_dir_recursive;
