@@ -8,39 +8,13 @@
    including the paper's Section 5.2 runtime claim (rank in < 200 s —
    here: well under a second per point).
 
+   The identity checks (jobs=1 vs jobs=N, shared vs unshared grids, the
+   power budget, serving) are tests under test/; timings of the engine
+   and serve tier are recorded by perfbench/.
+
    Run with:  dune exec bench/main.exe *)
 
 let section title = Format.printf "@.==== %s ====@.@." title
-
-(* IA_RANK_BENCH_QUICK=1 shrinks the sweep workload (100k-gate design,
-   small cross-node matrix, short microbenchmarks) so the whole `sweeps`
-   pipeline — including the jobs=1 vs jobs=N rank/counter identity
-   checks — runs in seconds.  `dune runtest` drives this mode via a rule
-   in bench/dune, making the determinism checks part of tier-1 verify.
-   Quick runs export to results-quick/ so they can never clobber the
-   committed full-workload results/. *)
-let quick =
-  match Sys.getenv_opt "IA_RANK_BENCH_QUICK" with
-  | Some ("" | "0") | None -> false
-  | Some _ -> true
-
-let sweep_config () =
-  if quick then
-    {
-      Ir_sweep.Table4.default_config with
-      design = Ir_core.Rank.baseline_design ~gates:100_000 Ir_tech.Node.N130;
-    }
-  else Ir_sweep.Table4.default_config
-
-let results_dir () = if quick then "results-quick" else "results"
-
-(* Honesty line printed by every leg: which results directory this
-   run's artifacts land in.  Quick runs export to results-quick/ —
-   gitignored — so a shrunk-workload run can never masquerade as the
-   committed full-workload results/. *)
-let leg_results_line leg =
-  Format.printf "[%s] artifacts export to %s/%s@." leg (results_dir ())
-    (if quick then " (quick mode; gitignored)" else "")
 
 (* ---------------------------------------------------------------------- *)
 (* Part 1: experiment regeneration                                         *)
@@ -56,24 +30,9 @@ let experiment_tables () =
     "Baseline (Table 2): k=3.9, Miller=2.0, repeater fraction=0.4,@.2 \
      semi-global + 1 global layer-pairs, 500 MHz target clock.@."
 
-(* Worker count for the parallel table4 leg.  On many-core hosts this is
-   the Ir_exec default; on small boxes we still spawn 4 domains so the
-   determinism check exercises real cross-domain interleaving (the
-   speedup column then just reports ~1x). *)
-let par_jobs () = max 4 (Ir_exec.default_jobs ())
-
-(* The per-leg phase split: how much of a leg's (cumulative, across
-   domains) busy time went into phase-A table builds vs boundary
-   searches. *)
-let phase_cell snap name =
-  match Ir_obs.find_span snap name with
-  | Some { Ir_obs.calls; seconds } ->
-      Printf.sprintf "%.2f s / %d calls" seconds calls
-  | None -> "-"
-
-(* Per-sweep signature for the jobs=1 vs jobs=N identity checks: the
-   rank and the exactness flag of every row.  (Normalized ranks derive
-   from rank_wires, so this is the full result identity.) *)
+(* Per-sweep signature for the scaling curve's identity checks: the rank
+   and the exactness flag of every row.  (Normalized ranks derive from
+   rank_wires, so this is the full result identity.) *)
 let sweep_sig (s : Ir_sweep.Table4.sweep) =
   List.map
     (fun (r : Ir_sweep.Table4.row) ->
@@ -82,46 +41,15 @@ let sweep_sig (s : Ir_sweep.Table4.sweep) =
         r.outcome.Ir_core.Outcome.exact ))
     s.rows
 
-(* Snapshot for leg-identity comparison: everything except the
+(* Snapshot for the identity comparison: everything except the
    [exec/sched/] namespace, whose counters (steals, clamp events) count
    the schedule itself and legitimately differ between worker counts. *)
 let identity_snapshot () =
   Ir_obs.filter_out ~prefix:"exec/sched/" (Ir_obs.snapshot ())
 
 let experiment_table4 () =
-  section
-    (if quick then "E1-E4: Table 4 (QUICK mode; 130nm, 100k gates)"
-     else "E1-E4: Table 4 (rank vs K, M, C, R; 130nm, 1M gates)");
-  let config = sweep_config () in
-  (* Each leg runs from a zeroed metrics registry so the two snapshots
-     are comparable: outside the scheduler's own [exec/sched/] namespace
-     every Ir_obs counter (and gauge) is a deterministic quantity, so
-     jobs=1 and jobs=N must agree exactly — a cross-domain determinism
-     check on the whole DP + packing stack, on top of the rank-identity
-     check below. *)
-  Ir_obs.reset ();
-  let t0 = Ir_exec.now () in
-  let seq = Ir_sweep.Table4.all ~jobs:1 ~config () in
-  let seq_s = Ir_exec.now () -. t0 in
-  let seq_snap = identity_snapshot () in
-  let jobs = par_jobs () in
-  let par_leg =
-    (* On a single-core box the "parallel" leg would be the identical
-       sequential execution run twice (the clamp takes effective jobs to
-       1): its timing can only measure noise, and flagging noise as a
-       parallel regression was a bug.  Skip the leg and report the skip. *)
-    if Ir_exec.hardware_jobs () <= 1 then None
-    else begin
-      Ir_obs.reset ();
-      let t0 = Ir_exec.now () in
-      let sweeps = Ir_sweep.Table4.all ~jobs ~config () in
-      let par_s = Ir_exec.now () -. t0 in
-      Some (sweeps, par_s, identity_snapshot ())
-    end
-  in
-  let sweeps =
-    match par_leg with Some (sweeps, _, _) -> sweeps | None -> seq
-  in
+  section "E1-E4: Table 4 (rank vs K, M, C, R; 130nm, 1M gates)";
+  let sweeps = Ir_sweep.Table4.all () in
   List.iter
     (fun s ->
       Ir_sweep.Report.sweep_table s Format.std_formatter;
@@ -134,91 +62,15 @@ let experiment_table4 () =
            (Ir_sweep.Table4.normalized s)
            s.Ir_sweep.Table4.paper))
     sweeps;
-  (match par_leg with
-  | None ->
-      Format.printf
-        "@.table4 jobs=1: %.2f s.  Parallel leg skipped: single-core \
-         hardware (hardware_jobs = 1) — rerunning identical work cannot \
-         measure a speedup, and schema 6 reports \"skipped_single_core\" \
-         instead of a false regression.@."
-        seq_s
-  | Some (par_sweeps, par_s, par_snap) ->
-      let identical =
-        List.for_all2 (fun a b -> sweep_sig a = sweep_sig b) seq par_sweeps
-      in
-      let counters_identical =
-        seq_snap.Ir_obs.counters = par_snap.Ir_obs.counters
-        && seq_snap.Ir_obs.gauges = par_snap.Ir_obs.gauges
-      in
-      (* Both legs run the same code on the same workload — the labels
-         name only the worker count.  Per-phase spans are cumulative busy
-         time across all domains of the leg, so the jobs=N row can exceed
-         its own wall time. *)
-      Ir_sweep.Report.table
-        ~header:
-          [ "table4 leg"; "wall time"; "speedup vs jobs=1";
-            "rank_dp/build_tables"; "rank_dp/search"; "ranks identical" ]
-        ~rows:
-          [
-            [
-              "jobs=1"; Printf.sprintf "%.2f s" seq_s; "1.00x";
-              phase_cell seq_snap "rank_dp/build_tables";
-              phase_cell seq_snap "rank_dp/search"; "-";
-            ];
-            [
-              Printf.sprintf "jobs=%d" jobs;
-              Printf.sprintf "%.2f s" par_s;
-              Printf.sprintf "%.2fx" (seq_s /. Float.max 1e-9 par_s);
-              phase_cell par_snap "rank_dp/build_tables";
-              phase_cell par_snap "rank_dp/search";
-              (if identical then "yes" else "NO (BUG)");
-            ];
-          ]
-        Format.std_formatter;
-      if par_s > seq_s then
-        Format.printf
-          "@.*** WARNING: the jobs=%d leg (%.2f s) is SLOWER than jobs=1 \
-           (%.2f s). ***@.*** Parallel execution is losing to its own \
-           overhead on this machine/workload. ***@."
-          jobs par_s seq_s;
-      Ir_sweep.Report.table
-        ~header:
-          [ "counter"; "jobs=1"; Printf.sprintf "jobs=%d" jobs; "match" ]
-        ~rows:
-          (List.map
-             (fun (name, v1) ->
-               let vn = Ir_obs.find_counter par_snap name in
-               [
-                 name;
-                 string_of_int v1;
-                 (match vn with Some v -> string_of_int v | None -> "-");
-                 (if vn = Some v1 then "yes" else "NO (BUG)");
-               ])
-             seq_snap.Ir_obs.counters
-          @ List.map
-              (fun (name, v1) ->
-                let vn = Ir_obs.find_gauge par_snap name in
-                [
-                  name ^ " (gauge)";
-                  string_of_int v1;
-                  (match vn with Some v -> string_of_int v | None -> "-");
-                  (if vn = Some v1 then "yes" else "NO (BUG)");
-                ])
-              seq_snap.Ir_obs.gauges)
-        Format.std_formatter;
-      if not identical then
-        failwith "table4: parallel ranks differ from sequential ranks";
-      if not counters_identical then
-        failwith "table4: parallel counters/gauges differ from sequential");
-  leg_results_line "table4";
-  ( sweeps,
-    (("table4_jobs1_seconds", seq_s)
-    ::
-    (match par_leg with
-    | Some (_, par_s, _) ->
-        [ (Printf.sprintf "table4_jobs%d_seconds" jobs, par_s) ]
-    | None -> [])),
-    (seq_s, Option.map (fun (_, par_s, _) -> par_s) par_leg) )
+  sweeps
+
+(* The scaling curve's workload: Table 4 on a 100k-gate 130nm design,
+   a second or two per point. *)
+let scaling_config =
+  {
+    Ir_sweep.Table4.default_config with
+    design = Ir_core.Rank.baseline_design ~gates:100_000 Ir_tech.Node.N130;
+  }
 
 (* Worker counts for the scaling curve: every count up to 8, then powers
    of two, then the core count itself — dense where the knee usually
@@ -229,11 +81,13 @@ let scaling_jobs_list hw =
     let rec pows acc p = if p >= hw then acc else pows (p :: acc) (2 * p) in
     List.sort_uniq compare ((hw :: List.init 8 (fun i -> i + 1)) @ pows [] 16)
 
+(* Returns the worker counts whose point took longer than jobs=1: a
+   parallel regression, which [main.exe scaling] turns into exit 1. *)
 let experiment_scaling () =
   section
     (Printf.sprintf "Scaling: table4 sweep at jobs = 1..%d"
        (Ir_exec.hardware_jobs ()));
-  let config = sweep_config () in
+  let config = scaling_config in
   let hw = Ir_exec.hardware_jobs () in
   let jobs_list = scaling_jobs_list hw in
   (* One point per worker count, identical workload; every point is
@@ -288,14 +142,14 @@ let experiment_scaling () =
     Format.std_formatter;
   if hw <= 1 then
     Format.printf
-      "@.Single-core hardware: only the jobs=1 point exists; the exported \
-       scaling status is \"skipped_single_core\" rather than a false \
-       regression.@."
+      "@.Single-core hardware: only the jobs=1 point exists, so there is no \
+       parallel point to compare (skipped, not a regression).@."
   else
     Format.printf "@.All %d points rank- and counter-identical to jobs=1.@."
       (List.length points);
-  leg_results_line "scaling";
-  { Ir_sweep.Export.max_jobs = hw; points }
+  List.filter_map
+    (fun (j, s) -> if j > 1 && s > jobs1 then Some j else None)
+    points
 
 let experiment_figure2 () =
   section "E5: Figure 2 (suboptimality of greedy assignment)";
@@ -319,788 +173,35 @@ let experiment_headline () =
 
 let experiment_cross_node () =
   section "E9: unreported cross-node baselines (Section 5.2)";
-  let matrix =
-    if quick then
-      [
-        (Ir_tech.Node.N180, 100_000);
-        (Ir_tech.Node.N130, 100_000);
-        (Ir_tech.Node.N90, 100_000);
-      ]
-    else
-      [
-        (Ir_tech.Node.N180, 1_000_000);
-        (Ir_tech.Node.N130, 1_000_000);
-        (Ir_tech.Node.N130, 4_000_000);
-        (Ir_tech.Node.N90, 4_000_000);
-        (Ir_tech.Node.N90, 10_000_000);
-      ]
-  in
-  let cells = Ir_sweep.Cross_node.run ~matrix () in
-  Ir_sweep.Report.cross_node_table cells Format.std_formatter;
-  if not quick then begin
-    (* A 10M-gate design does not fit the baseline 4-pair architecture at
-       all (Definition 3, rank 0) — the paper's footnote 1 point that via
-       blockage and wiring demand drive layer count.  The 90nm stack has
-       the layers for a third semi-global pair; with it the design
-       routes. *)
-    Format.printf
-      "@.Same 90nm/10M design with a third semi-global pair (8-layer \
-       stack):@.";
-    let structure =
-      { Ir_ia.Arch.local_pairs = 1; semi_global_pairs = 3; global_pairs = 1 }
-    in
-    Ir_sweep.Report.cross_node_table
-      (Ir_sweep.Cross_node.run ~structure
-         ~matrix:[ (Ir_tech.Node.N90, 10_000_000) ] ())
-      Format.std_formatter
-  end;
-  leg_results_line "cross_node";
-  cells
-
-(* Kernel microbenchmarks for the BENCH_sweeps.json "kernel" object:
-   raw Front insert throughput (synthetic workload, deterministic LCG)
-   and one timed phase-A [Rank_dp.build_tables] on the baseline
-   instance.  Runs after the metrics snapshot is taken so its spans do
-   not pollute the exported sweep metrics. *)
-let kernel_bench () =
-  section "Kernel micro-benchmark (flat Pareto front)";
-  let module Front = Ir_core.Front in
-  let cells = 512 and width = 8 in
-  let inserts = if quick then 200_000 else 2_000_000 in
-  let front = Front.create ~cells ~width in
-  (* Deterministic 64-bit LCG (MMIX constants) — no Random state, so the
-     workload is identical run to run. *)
-  let seed = ref 0x9E3779B97F4A7C15L in
-  let next () =
-    seed := Int64.add (Int64.mul !seed 6364136223846793005L) 1442695040888963407L;
-    Int64.to_int (Int64.shift_right_logical !seed 17)
-  in
-  let t0 = Ir_exec.now () in
-  for _ = 1 to inserts do
-    let r = next () in
-    let cell = r mod cells in
-    let area = float_of_int ((r lsr 10) land 0xFFFF) in
-    let count = (r lsr 26) land 0xFF in
-    ignore
-      (Front.insert front cell ~area ~count ~split:0 ~parent:(-1))
-  done;
-  let insert_s = Ir_exec.now () -. t0 in
-  let per_insert_ns = insert_s *. 1e9 /. float_of_int inserts in
-  let gates = if quick then 100_000 else 1_000_000 in
-  let design = Ir_core.Rank.baseline_design ~gates Ir_tech.Node.N130 in
-  let problem = Ir_core.Rank.problem_of_design design in
-  let t0 = Ir_exec.now () in
-  let tables = Ir_core.Rank_dp.build_tables problem in
-  let build_s = Ir_exec.now () -. t0 in
-  ignore (Sys.opaque_identity tables);
-  Ir_sweep.Report.table
-    ~header:[ "kernel benchmark"; "result" ]
-    ~rows:
-      [
+  let cells =
+    Ir_sweep.Cross_node.run
+      ~matrix:
         [
-          Printf.sprintf "front/insert x%d (%d cells, width %d)" inserts
-            cells width;
-          Printf.sprintf "%.3f s total, %.0f ns/insert" insert_s
-            per_insert_ns;
-        ];
-        [
-          Printf.sprintf "rank_dp/build_tables (130nm, %d gates)" gates;
-          Printf.sprintf "%.3f s" build_s;
-        ];
-      ]
-    Format.std_formatter;
-  leg_results_line "kernel";
-  [
-    ("front_insert_ns", per_insert_ns);
-    ("build_tables_seconds", build_s);
-  ]
-
-(* One Table-4 row's own problem, derived from the sweep's base instance
-   exactly as a grid cell is (materials, clock or fraction override). *)
-let row_problem base (s : Ir_sweep.Table4.sweep) param =
-  match s.Ir_sweep.Table4.name with
-  | "K" -> Ir_assign.Problem.with_materials base (Ir_ia.Materials.v ~k:param ())
-  | "M" ->
-      Ir_assign.Problem.with_materials base (Ir_ia.Materials.v ~miller:param ())
-  | "C" -> Ir_assign.Problem.with_clock base param
-  | "R" -> Ir_assign.Problem.with_repeater_fraction base param
-  | name -> invalid_arg ("row_problem: unknown sweep " ^ name)
-
-(* Grid leg: the same Table-4 sweep without plane sharing —
-   Rank_grid.eval_batch over every point's own problem, each cell its own
-   plane — and through the shared Rank_grid wavefront, at the same
-   worker count: the headline number of plane sharing.  Plus a perturb
-   micro-leg showing incremental re-evaluation touches strictly fewer
-   cells than a full rebuild.  The grid leg also reruns at jobs=1 to
-   assert the grid/* counters (and the results) are schedule-invariant.
-   Any identity violation fails the bench process; the speedup itself is
-   reported honestly, never gated. *)
-let grid_bench () =
-  section "Grid leg: unshared per-point batch vs shared-plane grid (same jobs)";
-  let config = sweep_config () in
-  let jobs =
-    if Ir_exec.hardware_jobs () <= 1 then 1 else par_jobs ()
-  in
-  Ir_obs.reset ();
-  let t0 = Ir_exec.now () in
-  let gr = Ir_sweep.Table4.all ~jobs ~config () in
-  let grid_s = Ir_exec.now () -. t0 in
-  let grid_snap = identity_snapshot () in
-  let base = Ir_sweep.Table4.baseline_problem config in
-  let rows =
-    List.concat_map
-      (fun (s : Ir_sweep.Table4.sweep) ->
-        List.map (fun (r : Ir_sweep.Table4.row) -> (s, r)) s.rows)
-      gr
-  in
-  Ir_obs.reset ();
-  let t0 = Ir_exec.now () in
-  let unshared =
-    Ir_core.Rank_grid.eval_batch ~jobs
-      (Array.of_list
-         (List.map
-            (fun (s, (r : Ir_sweep.Table4.row)) -> row_problem base s r.param)
-            rows))
-  in
-  let pp_s = Ir_exec.now () -. t0 in
-  let engines_identical =
-    List.for_all2
-      (fun (_, (r : Ir_sweep.Table4.row)) o ->
-        r.outcome.Ir_core.Outcome.rank_wires = o.Ir_core.Outcome.rank_wires
-        && r.outcome.Ir_core.Outcome.exact = o.Ir_core.Outcome.exact)
-      rows (Array.to_list unshared)
-  in
-  (* The grid counters are structural (cells, planes, wavefront levels):
-     a jobs=1 rerun must reproduce them — and the ranks — exactly. *)
-  let counters_match, jobs1_identical =
-    if jobs = 1 then (true, true)
-    else begin
-      Ir_obs.reset ();
-      let gr1 = Ir_sweep.Table4.all ~jobs:1 ~config () in
-      let snap1 = identity_snapshot () in
-      ( snap1.Ir_obs.counters = grid_snap.Ir_obs.counters
-        && snap1.Ir_obs.gauges = grid_snap.Ir_obs.gauges,
-        List.for_all2 (fun a b -> sweep_sig a = sweep_sig b) gr gr1 )
-    end
-  in
-  let gcounter name =
-    Option.value ~default:0 (Ir_obs.find_counter grid_snap name)
-  in
-  let points =
-    List.fold_left
-      (fun a (s : Ir_sweep.Table4.sweep) -> a + List.length s.rows)
-      0 gr
-  in
-  (* cells_evaluated - cells_shared = planes actually built: every cell
-     is either answered from a plane built for it or shared. *)
-  let planes =
-    gcounter "grid/cells_evaluated" - gcounter "grid/cells_shared"
-  in
-  (* Perturb micro-leg: a K x R micro grid built once, then one new K
-     value perturbed in — only the new cell's (single-cell) slice is
-     recomputed, never the other planes. *)
-  Ir_obs.reset ();
-  let micro_design = config.Ir_sweep.Table4.design in
-  let base = Ir_core.Rank.problem_of_design micro_design in
-  let micro_points =
-    Array.of_list
-      (List.concat_map
-         (fun k ->
-           List.map
-             (fun f ->
-               Ir_core.Rank_grid.point
-                 ~materials:(Ir_ia.Materials.v ~k ())
-                 ~fraction:f ())
-             [ 0.2; 0.3; 0.4 ])
-         [ 3.9; 3.3; 2.7 ])
-  in
-  let t0 = Ir_exec.now () in
-  let micro = Ir_core.Rank_grid.evaluate ~jobs base micro_points in
-  let full_eval_s = Ir_exec.now () -. t0 in
-  let t0 = Ir_exec.now () in
-  let changed =
-    Ir_core.Rank_grid.perturb micro
-      (Ir_core.Rank_grid.point
-         ~materials:(Ir_ia.Materials.v ~k:2.1 ())
-         ~fraction:0.3 ())
-  in
-  let perturb_s = Ir_exec.now () -. t0 in
-  Ir_obs.reset ();
-  let report =
-    {
-      Ir_sweep.Export.grid_points = points;
-      grid_planes = planes;
-      per_point_seconds = pp_s;
-      grid_seconds = grid_s;
-      grid_identical = engines_identical && jobs1_identical;
-      grid_counters_match = counters_match;
-      perturb_recomputed = Array.length changed;
-      perturb_grid_cells = Ir_core.Rank_grid.cells micro;
-      perturb_seconds = perturb_s;
-      full_eval_seconds = full_eval_s;
-    }
-  in
-  Ir_sweep.Report.table
-    ~header:[ "grid leg"; "wall time"; "speedup" ]
-    ~rows:
-      [
-        [ Printf.sprintf "unshared batch (jobs=%d)" jobs;
-          Printf.sprintf "%.2f s" pp_s; "1.00x" ];
-        [
-          Printf.sprintf "grid wavefront (jobs=%d)" jobs;
-          Printf.sprintf "%.2f s" grid_s;
-          Printf.sprintf "%.2fx" (pp_s /. Float.max 1e-9 grid_s);
-        ];
-      ]
-    Format.std_formatter;
-  Format.printf
-    "%d points over %d planes; perturb recomputed %d of %d cells (%.4f s \
-     vs %.4f s full build); status %s@."
-    points planes report.perturb_recomputed report.perturb_grid_cells
-    perturb_s full_eval_s
-    (Ir_sweep.Export.grid_status report);
-  if grid_s > 1.05 *. pp_s then
-    Format.printf
-      "@.*** WARNING: the grid leg (%.2f s) is SLOWER than the unshared \
-       batch (%.2f s) on this machine/workload. ***@."
-      grid_s pp_s;
-  leg_results_line "grid";
-  (match Ir_sweep.Export.grid_status report with
-  | "ok" -> ()
-  | status -> failwith ("grid leg: status " ^ status));
-  report
-
-(* Power leg: the power budget's four contracts, CI-gated through the
-   exported "power" status.  A power budget is an area cap (kappa times
-   repeater area is power), so these pin that reduction.  (a) The
-   soundness anchor: the full Table-4 corpus run power-free and rerun
-   with an explicitly threaded infinite power budget — at a deliberately
-   non-default activity, so kappa genuinely differs — must be
-   byte-identical: every rank, every exact flag, every counter.  (b)
-   The Power_pareto frontier evaluated at jobs=1 and jobs=N must return
-   identical rows with identical counters.  (c) Every frontier row,
-   answered from one resident plane by budget rebinding, must agree with
-   an independent one-cell compute at that row's power budget
-   (Rank_grid.compute on the problem rebound through
-   Problem.with_power_budget): rank, exact flag and reported watts.
-   (d) The frontier is monotone and its fraction-1.0 point recovers the
-   unconstrained rank.  Any violation fails the bench process; the
-   frontier's shape goes to power_pareto.csv, reported, never gated. *)
-let power_bench () =
-  section "Power leg: rank-vs-power frontier and the infinite-budget anchor";
-  let config = sweep_config () in
-  let jobs = if Ir_exec.hardware_jobs () <= 1 then 1 else par_jobs () in
-  Ir_obs.reset ();
-  let plain = Ir_sweep.Table4.all ~jobs ~config () in
-  let plain_snap = identity_snapshot () in
-  Ir_obs.reset ();
-  let inf_config =
-    {
-      config with
-      Ir_sweep.Table4.activity = 2.0 *. Ir_assign.Problem.default_activity;
-      power_budget = infinity;
-    }
-  in
-  let inf = Ir_sweep.Table4.all ~jobs ~config:inf_config () in
-  let inf_snap = identity_snapshot () in
-  let identity_ok =
-    List.for_all2 (fun a b -> sweep_sig a = sweep_sig b) plain inf
-    && plain_snap.Ir_obs.counters = inf_snap.Ir_obs.counters
-    && plain_snap.Ir_obs.gauges = inf_snap.Ir_obs.gauges
-  in
-  (* Full-row frontier signature: fractions, budgets, ranks, exact
-     flags and witness watts — jobs=1 and jobs=N must agree on all of
-     it, and so must the independent computes below. *)
-  let frontier_sig (r : Ir_sweep.Power_pareto.result) =
-    ( r.unconstrained.Ir_core.Outcome.rank_wires,
-      r.unconstrained_power,
-      List.map
-        (fun (row : Ir_sweep.Power_pareto.row) ->
-          ( row.fraction, row.budget,
-            row.outcome.Ir_core.Outcome.rank_wires,
-            row.outcome.Ir_core.Outcome.exact, row.power ))
-        r.rows )
-  in
-  Ir_obs.reset ();
-  let seq = Ir_sweep.Power_pareto.run ~jobs:1 ~config () in
-  let seq_snap = identity_snapshot () in
-  let counters_match =
-    if jobs = 1 then true
-    else begin
-      Ir_obs.reset ();
-      let par = Ir_sweep.Power_pareto.run ~jobs ~config () in
-      let par_snap = identity_snapshot () in
-      frontier_sig par = frontier_sig seq
-      && par_snap.Ir_obs.counters = seq_snap.Ir_obs.counters
-      && par_snap.Ir_obs.gauges = seq_snap.Ir_obs.gauges
-    end
-  in
-  Ir_obs.reset ();
-  (* Sharing cross-check: every frontier point, answered from the shared
-     plane, against its own build at that power budget, nothing shared. *)
-  let engines_agree =
-    let base = Ir_sweep.Table4.baseline_problem config in
-    List.for_all
-      (fun (row : Ir_sweep.Power_pareto.row) ->
-        let p = Ir_assign.Problem.with_power_budget base row.budget in
-        let o, w = Ir_core.Rank_grid.compute p in
-        o.Ir_core.Outcome.rank_wires = row.outcome.Ir_core.Outcome.rank_wires
-        && o.Ir_core.Outcome.exact = row.outcome.Ir_core.Outcome.exact
-        && (match w with
-           | Some w -> Ir_core.Rank_dp.witness_power p w
-           | None -> 0.0)
-           = row.power)
-      seq.rows
-  in
-  Ir_obs.reset ();
-  let monotone = Ir_sweep.Power_pareto.monotone seq in
-  let report =
-    {
-      Ir_sweep.Export.power_points = List.length seq.rows;
-      unconstrained_power = seq.unconstrained_power;
-      power_identity_ok = identity_ok;
-      power_counters_match = counters_match;
-      power_engines_agree = engines_agree;
-      power_monotone = monotone;
-      power_seconds = seq.seconds;
-    }
-  in
-  Ir_sweep.Report.table
-    ~header:
-      [ "fraction"; "budget (W)"; "power (W)"; "rank (wires)"; "normalized" ]
-    ~rows:
-      (List.map
-         (fun (r : Ir_sweep.Power_pareto.row) ->
-           [
-             Printf.sprintf "%.2f" r.fraction;
-             Printf.sprintf "%.4g" r.budget;
-             Printf.sprintf "%.4g" r.power;
-             string_of_int r.outcome.Ir_core.Outcome.rank_wires;
-             Printf.sprintf "%.6f" (Ir_core.Outcome.normalized r.outcome);
-           ])
-         seq.rows)
-    Format.std_formatter;
-  Format.printf
-    "unconstrained: rank %d at %.4g W (activity %.2f); %d budget points in \
-     %.2f s@.infinite-budget identity %s, jobs=1 vs jobs=%d %s, engines %s, \
-     frontier %s; status %s@."
-    seq.unconstrained.Ir_core.Outcome.rank_wires seq.unconstrained_power
-    seq.activity (List.length seq.rows) seq.seconds
-    (if identity_ok then "byte-identical" else "BROKEN")
-    jobs
-    (if counters_match then "identical" else "MISMATCH")
-    (if engines_agree then "agree" else "DISAGREE")
-    (if monotone then "monotone" else "NOT MONOTONE")
-    (Ir_sweep.Export.power_status report);
-  leg_results_line "power";
-  (match Ir_sweep.Export.power_status report with
-  | "ok" -> ()
-  | status -> failwith ("power leg: status " ^ status));
-  (report, seq)
-
-(* Serving leg: replay a fixed query trace against an in-process rank
-   server — fresh cache, fresh warm-table pool — once at jobs=1 and once
-   at jobs=N, asserting the serve/serve_cache counter identity the rest
-   of the harness asserts for the DP counters.  The trace visits each
-   distinct query three times, so the steady-state hit rate is exactly
-   2/3 and every counter is trace-determined.  Runs after the sweep
-   metrics snapshot so its instruments never pollute the exported sweep
-   metrics (and resets the registry on exit for the same reason). *)
-let serving_bench () =
-  section "Serving leg: replayed query trace against the rank service";
-  let gates = if quick then 50_000 else 400_000 in
-  let fractions =
-    if quick then [ 0.3; 0.4; 0.5 ] else [ 0.2; 0.3; 0.4; 0.5; 0.6 ]
-  in
-  let nodes = if quick then [ "130nm" ] else [ "130nm"; "90nm" ] in
-  let distinct =
-    List.concat_map
-      (fun node -> List.map (fun f -> (node, f)) fractions)
-      nodes
-  in
-  let trace = distinct @ distinct @ distinct in
-  let replay jobs =
-    Ir_obs.reset ();
-    Ir_exec.with_default_jobs (Some jobs) @@ fun () ->
-    let cache =
-      match Ir_serve.Cache.create ~capacity:64 () with
-      | Ok c -> c
-      | Error e -> failwith ("serving leg: " ^ e)
-    in
-    let server = Ir_serve.Server.create ~workers:2 ~cache () in
-    let latencies =
-      List.mapi
-        (fun i (node, f) ->
-          let q =
-            Ir_serve.Protocol.query ~repeater_fraction:f ~node ~gates ()
-          in
-          let req =
-            {
-              Ir_serve.Protocol.id = Printf.sprintf "t%d" i;
-              op = Ir_serve.Protocol.Query q;
-            }
-          in
-          let t0 = Ir_exec.now () in
-          let resp = Ir_serve.Server.handle server req in
-          (match resp.Ir_serve.Protocol.body with
-          | Ir_serve.Protocol.Result _ -> ()
-          | Ir_serve.Protocol.Error e ->
-              failwith
-                ("serving leg: " ^ Ir_serve.Protocol.error_message e)
-          | _ -> failwith "serving leg: unexpected response body");
-          (Ir_exec.now () -. t0) *. 1e3)
-        trace
-    in
-    Ir_serve.Server.shutdown server;
-    Ir_serve.Server.join server;
-    (Ir_obs.filter ~prefix:"serve" (Ir_obs.snapshot ()), latencies)
-  in
-  let snap1, lat1 = replay 1 in
-  let snapn, _ = replay (par_jobs ()) in
-  if
-    not
-      (snap1.Ir_obs.counters = snapn.Ir_obs.counters
-      && snap1.Ir_obs.gauges = snapn.Ir_obs.gauges)
-  then begin
-    Format.printf "jobs=1 serving metrics:@.%a@." Ir_obs.pp_report snap1;
-    Format.printf "jobs=N serving metrics:@.%a@." Ir_obs.pp_report snapn;
-    failwith
-      "serving leg: serve counters differ between jobs=1 and jobs=N replays"
-  end;
-  Ir_obs.reset ();
-  let pct p =
-    let arr = Array.of_list lat1 in
-    Array.sort compare arr;
-    let n = Array.length arr in
-    arr.(min (n - 1) (int_of_float (p *. float_of_int n)))
-  in
-  let counter name =
-    Option.value ~default:0 (Ir_obs.find_counter snap1 name)
-  in
-  let hits =
-    counter "serve_cache/mem_hits" + counter "serve_cache/disk_hits"
-  in
-  let misses = counter "serve_cache/misses" in
-  let report =
-    {
-      Ir_sweep.Export.trace_requests = List.length trace;
-      distinct_queries = List.length distinct;
-      hit_rate = float_of_int hits /. float_of_int (max 1 (hits + misses));
-      p50_ms = pct 0.50;
-      p95_ms = pct 0.95;
-      p99_ms = pct 0.99;
-      computes = counter "serve/computes";
-      table_builds = counter "serve/table_builds";
-      counters_match = true;
-    }
-  in
-  Format.printf
-    "%d requests (%d distinct): hit rate %.2f, latency p50 %.1f / p95 %.1f \
-     / p99 %.1f ms@.computes %d, warm-table builds %d, jobs=1 vs jobs=N \
-     counters identical@."
-    report.trace_requests report.distinct_queries report.hit_rate
-    report.p50_ms report.p95_ms report.p99_ms report.computes
-    report.table_builds;
-  leg_results_line "serving";
-  report
-
-(* Sharded serving leg: a real fleet — N forked [ia_rank serve] worker
-   processes behind the in-process shard router on an ephemeral TCP port
-   — under a zipf-skewed storm of concurrent client threads.  After the
-   storm, every distinct query is re-asked through the router and
-   compared byte-for-byte against a local cold compute, and each shard's
-   [serve/table_builds] is collected: their sum must not exceed the
-   number of distinct warm-table families, which is the family-affinity
-   routing claim (no family built twice anywhere in the fleet); and at
-   most half the storm may be shed.  Any non-ok status fails the bench
-   process, not just the exported one. *)
-let serving_sharded_bench () =
-  section "Sharded serving leg: TCP client storm against a shard fleet";
-  let exe =
-    let candidate =
-      match Sys.getenv_opt "IA_RANK_EXE" with
-      | Some p when p <> "" -> p
-      | _ ->
-          (* Relative to the bench binary inside _build/default. *)
-          Filename.concat
-            (Filename.dirname (Filename.dirname Sys.executable_name))
-            (Filename.concat "bin" "ia_rank.exe")
-    in
-    if Sys.file_exists candidate then candidate
-    else
-      failwith
-        (Printf.sprintf
-           "sharded serving leg: ia_rank binary not found at %s (build \
-            bin/ia_rank.exe or set IA_RANK_EXE)"
-           candidate)
-  in
-  let shards = if quick then 2 else 4 in
-  let clients = if quick then 32 else 1000 in
-  let per_client = if quick then 6 else 10 in
-  let gates_list = if quick then [ 50_000 ] else [ 200_000; 400_000 ] in
-  let fractions =
-    if quick then [ 0.25; 0.3; 0.35; 0.4; 0.45; 0.5 ]
-    else [ 0.2; 0.25; 0.3; 0.35; 0.4; 0.45; 0.5; 0.55; 0.6; 0.65; 0.7; 0.75 ]
-  in
-  let nodes = [ "130nm"; "90nm" ] in
-  let distinct =
-    List.concat_map
-      (fun node ->
-        List.concat_map
-          (fun gates ->
-            List.map
-              (fun f ->
-                Ir_serve.Protocol.query ~repeater_fraction:f ~node ~gates ())
-              fractions
-            (* One greedy query per (node, gates): exercises the cold
-               path through the fleet without adding a table family. *)
-            @ [
-                Ir_serve.Protocol.query ~repeater_fraction:0.4 ~greedy:true
-                  ~node ~gates ();
-              ])
-          gates_list)
-      nodes
-  in
-  let fingerprints =
-    List.map
-      (fun q ->
-        match Ir_serve.Protocol.fingerprint_of_query q with
-        | Ok fp -> fp
-        | Error e -> failwith ("sharded serving leg: bad query: " ^ e))
-      distinct
-  in
-  let families =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun (fp : Ir_serve.Fingerprint.t) ->
-           match fp.algo with
-           | Ir_serve.Fingerprint.Dp -> Some (Ir_serve.Fingerprint.table_key fp)
-           | Ir_serve.Fingerprint.Greedy -> None)
-         fingerprints)
-  in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ia-rank-sharded-bench-%d" (Unix.getpid ()))
-  in
-  let rec rm_rf path =
-    match Unix.lstat path with
-    | exception Unix.Unix_error _ -> ()
-    | { Unix.st_kind = Unix.S_DIR; _ } ->
-        Array.iter
-          (fun name -> rm_rf (Filename.concat path name))
-          (try Sys.readdir path with Sys_error _ -> [||]);
-        (try Unix.rmdir path with Unix.Unix_error _ -> ())
-    | _ -> ( try Sys.remove path with Sys_error _ -> ())
-  in
-  rm_rf dir;
-  Ir_obs.reset ();
-  let fleet =
-    match
-      Ir_serve.Shard.start ~workers:2 ~queue_capacity:128
-        ~cache_dir:(Filename.concat dir "cache")
-        ~snapshot_dir:(Filename.concat dir "snap")
-        ~exe ~shards ~dir ()
-    with
-    | Ok f -> f
-    | Error e -> failwith ("sharded serving leg: " ^ e)
-  in
-  let port_mu = Mutex.create () in
-  let port = ref None in
-  let serve_th =
-    Thread.create
-      (fun () ->
-        match
-          Ir_serve.Shard.serve fleet
-            ~tcp:("127.0.0.1", 0)
-            ~on_tcp_listen:(fun p ->
-              Mutex.lock port_mu;
-              port := Some p;
-              Mutex.unlock port_mu)
-            ()
-        with
-        | Ok () -> ()
-        | Error e -> prerr_endline ("sharded serving leg: serve: " ^ e))
+          (Ir_tech.Node.N180, 1_000_000);
+          (Ir_tech.Node.N130, 1_000_000);
+          (Ir_tech.Node.N130, 4_000_000);
+          (Ir_tech.Node.N90, 4_000_000);
+          (Ir_tech.Node.N90, 10_000_000);
+        ]
       ()
   in
-  let rec await_port n =
-    let p =
-      Mutex.lock port_mu;
-      let p = !port in
-      Mutex.unlock port_mu;
-      p
-    in
-    match p with
-    | Some p -> p
-    | None ->
-        if n > 500 then failwith "sharded serving leg: router did not come up"
-        else begin
-          Thread.delay 0.02;
-          await_port (n + 1)
-        end
-  in
-  let tcp_port = await_port 0 in
-  (* Zipf-skewed query mix (s ~ 1.1) over the distinct corpus, sampled
-     through a per-client deterministic LCG: a few hot families absorb
-     most of the traffic — the regime coalescing and the warm pool are
-     built for — while the tail still touches every query. *)
-  let queries = Array.of_list distinct in
-  let zipf_cum =
-    let n = Array.length queries in
-    let w = Array.init n (fun i -> 1.0 /. Float.pow (float_of_int (i + 1)) 1.1) in
-    let c = Array.make n 0.0 in
-    let total = ref 0.0 in
-    Array.iteri
-      (fun i wi ->
-        total := !total +. wi;
-        c.(i) <- !total)
-      w;
-    Array.map (fun x -> x /. !total) c
-  in
-  let pick u =
-    let n = Array.length zipf_cum in
-    let rec bisect lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if zipf_cum.(mid) < u then bisect (mid + 1) hi else bisect lo mid
-    in
-    queries.(bisect 0 (n - 1))
-  in
-  let agg_mu = Mutex.create () in
-  let all_latencies = ref [] in
-  let sheds = ref 0 in
-  let failures = ref [] in
-  let storm_requests = clients * per_client in
-  let client_thread ci () =
-    let seed = ref ((ci + 1) * 2654435761) in
-    let next_u () =
-      seed := ((!seed * 25214903917) + 11) land max_int;
-      float_of_int (!seed land 0xFFFFFF) /. float_of_int 0x1000000
-    in
-    match Ir_serve.Client.connect_tcp ~host:"127.0.0.1" ~port:tcp_port with
-    | Error e ->
-        Mutex.lock agg_mu;
-        failures := ("connect: " ^ e) :: !failures;
-        Mutex.unlock agg_mu
-    | Ok c ->
-        Fun.protect ~finally:(fun () -> Ir_serve.Client.close c) @@ fun () ->
-        for _ = 1 to per_client do
-          let q = pick (next_u ()) in
-          let t0 = Ir_exec.now () in
-          let r = Ir_serve.Client.request c (Ir_serve.Protocol.Query q) in
-          let dt = (Ir_exec.now () -. t0) *. 1e3 in
-          Mutex.lock agg_mu;
-          (match r with
-          | Ok (Ir_serve.Protocol.Result _) ->
-              all_latencies := dt :: !all_latencies
-          | Ok (Ir_serve.Protocol.Error Ir_serve.Protocol.Overloaded) ->
-              incr sheds
-          | Ok (Ir_serve.Protocol.Error e) ->
-              failures := Ir_serve.Protocol.error_message e :: !failures
-          | Ok _ -> failures := "unexpected response body" :: !failures
-          | Error e -> failures := e :: !failures);
-          Mutex.unlock agg_mu
-        done
-  in
-  let storm_threads =
-    List.init clients (fun ci -> Thread.create (client_thread ci) ())
-  in
-  List.iter Thread.join storm_threads;
-  (match !failures with
-  | [] -> ()
-  | e :: _ ->
-      failwith
-        (Printf.sprintf "sharded serving leg: %d storm failures (first: %s)"
-           (List.length !failures) e));
-  (* Post-storm byte-identity: every distinct query through the router
-     must equal a local cold compute, byte for byte. *)
-  let byte_identical =
-    match Ir_serve.Client.connect_tcp ~host:"127.0.0.1" ~port:tcp_port with
-    | Error e -> failwith ("sharded serving leg: verify connect: " ^ e)
-    | Ok c ->
-        Fun.protect ~finally:(fun () -> Ir_serve.Client.close c) @@ fun () ->
-        List.for_all2
-          (fun q fp ->
-            match Ir_serve.Client.request c (Ir_serve.Protocol.Query q) with
-            | Ok (Ir_serve.Protocol.Result { payload; _ }) ->
-                payload
-                = Ir_serve.Protocol.result_payload
-                    (Ir_serve.Fingerprint.compute_cold fp)
-            | _ -> false)
-          distinct fingerprints
-  in
-  (* Fleet-wide rates through the router's aggregated stats; per-shard
-     build counts straight from each shard's own socket. *)
-  let router_stats =
-    match Ir_serve.Client.connect_tcp ~host:"127.0.0.1" ~port:tcp_port with
-    | Error e -> failwith ("sharded serving leg: stats connect: " ^ e)
-    | Ok c ->
-        Fun.protect ~finally:(fun () -> Ir_serve.Client.close c) @@ fun () ->
-        (match Ir_serve.Client.stats c with
-        | Ok kvs -> kvs
-        | Error e -> failwith ("sharded serving leg: stats: " ^ e))
-  in
-  let stat kvs name = Option.value ~default:0 (List.assoc_opt name kvs) in
-  let builds_per_shard =
-    Array.to_list
-      (Array.map
-         (fun socket ->
-           match Ir_serve.Client.connect ~socket with
-           | Error e ->
-               failwith ("sharded serving leg: shard stats: " ^ e)
-           | Ok c ->
-               Fun.protect ~finally:(fun () -> Ir_serve.Client.close c)
-               @@ fun () ->
-               (match Ir_serve.Client.stats c with
-               | Ok kvs -> stat kvs "serve/table_builds"
-               | Error e ->
-                   failwith ("sharded serving leg: shard stats: " ^ e)))
-         (Ir_serve.Shard.shard_sockets fleet))
-  in
-  Ir_serve.Shard.shutdown fleet;
-  (try Thread.join serve_th with _ -> ());
-  rm_rf dir;
-  let latencies = Array.of_list !all_latencies in
-  Array.sort compare latencies;
-  let pct p =
-    let n = Array.length latencies in
-    if n = 0 then 0.0
-    else latencies.(min (n - 1) (int_of_float (p *. float_of_int n)))
-  in
-  let report =
-    {
-      Ir_sweep.Export.shards;
-      clients;
-      storm_requests;
-      distinct_families = List.length families;
-      sh_distinct_queries = List.length distinct;
-      sh_p50_ms = pct 0.50;
-      sh_p95_ms = pct 0.95;
-      sh_p99_ms = pct 0.99;
-      shed_rate = float_of_int !sheds /. float_of_int (max 1 storm_requests);
-      coalesce_rate =
-        float_of_int (stat router_stats "serve/coalesced")
-        /. float_of_int (max 1 (stat router_stats "serve/requests"));
-      table_builds_per_shard = builds_per_shard;
-      byte_identical;
-    }
-  in
-  Ir_obs.reset ();
+  Ir_sweep.Report.cross_node_table cells Format.std_formatter;
+  (* A 10M-gate design does not fit the baseline 4-pair architecture at
+     all (Definition 3, rank 0) — the paper's footnote 1 point that via
+     blockage and wiring demand drive layer count.  The 90nm stack has
+     the layers for a third semi-global pair; with it the design
+     routes. *)
   Format.printf
-    "%d shards, %d clients x %d requests (%d distinct, %d families): \
-     latency p50 %.1f / p95 %.1f / p99 %.1f ms@.shed rate %.3f, coalesce \
-     rate %.3f, table builds per shard [%s], byte-identical %b@."
-    shards clients per_client report.sh_distinct_queries
-    report.distinct_families report.sh_p50_ms report.sh_p95_ms
-    report.sh_p99_ms report.shed_rate report.coalesce_rate
-    (String.concat "; " (List.map string_of_int builds_per_shard))
-    byte_identical;
-  (match Ir_sweep.Export.sharded_status report with
-  | "ok" -> ()
-  | status -> failwith ("sharded serving leg: status " ^ status));
-  leg_results_line "serving_sharded";
-  report
+    "@.Same 90nm/10M design with a third semi-global pair (8-layer \
+     stack):@.";
+  let structure =
+    { Ir_ia.Arch.local_pairs = 1; semi_global_pairs = 3; global_pairs = 1 }
+  in
+  Ir_sweep.Report.cross_node_table
+    (Ir_sweep.Cross_node.run ~structure
+       ~matrix:[ (Ir_tech.Node.N90, 10_000_000) ] ())
+    Format.std_formatter;
+  cells
 
 let experiment_runtime_claim () =
   section "E8: runtime claim (paper: < 200 s per rank on a 2003 Xeon)";
@@ -1482,102 +583,17 @@ let study_netlist () =
      lengths; the@.closed form the paper adopts in footnote 2 tracks the \
      measured shape.)@."
 
-let export_artifacts ?metrics ?kernel ?parallel ?scaling ?grid ?power
-    ?serving ?serving_sharded sweeps cells timings =
+(* The committed results/table4_*.csv and results/cross_node.csv; the
+   runtest rules in results/dune regenerate and diff them. *)
+let export_artifacts sweeps cells =
   section "Artifacts";
-  let dir = results_dir () in
-  (* Say where the artifacts land: quick runs write results-quick/ (kept
-     out of git) so they can never clobber the committed full-workload
-     results/. *)
-  Format.printf "results directory: %s/%s@." dir
-    (if quick then "  (quick mode; gitignored)" else "");
+  let dir = "results" in
   (match Ir_sweep.Export.write_sweeps ~dir sweeps with
   | Ok paths -> List.iter (Format.printf "wrote %s@.") paths
   | Error e -> Format.printf "sweep export failed: %s@." e);
-  (match Ir_sweep.Export.write_cross ~dir cells with
+  match Ir_sweep.Export.write_cross ~dir cells with
   | Ok path -> Format.printf "wrote %s@." path
-  | Error e -> Format.printf "cross export failed: %s@." e);
-  (match power with
-  | None -> ()
-  | Some (_, result) -> (
-      match Ir_sweep.Export.write_power_pareto ~dir result with
-      | Ok path -> Format.printf "wrote %s@." path
-      | Error e -> Format.printf "power pareto export failed: %s@." e));
-  (match
-     (* [metrics] is the snapshot taken right after the sweep sections
-        (parallel table4 leg plus cross-node), before the kernel
-        microbenchmarks pollute the span registry. *)
-     Ir_sweep.Export.write_bench_json ~dir ~jobs:(par_jobs ()) ~timings
-       ?metrics ?kernel ?parallel ?scaling ?grid
-       ?power:(Option.map fst power) ?serving ?serving_sharded ~sweeps
-       ~cross:cells ()
-   with
-  | Ok path -> Format.printf "wrote %s@." path
-  | Error e -> Format.printf "bench json export failed: %s@." e);
-  match
-    Ir_sweep.Export.write_manifest ~dir
-      ~entries:
-        ([ ("source", "dune exec bench/main.exe") ]
-        @ List.map
-            (fun (s : Ir_sweep.Table4.sweep) ->
-              ( "table4_" ^ String.lowercase_ascii s.name,
-                Printf.sprintf "correlation %.4f vs published column"
-                  (Ir_sweep.Report.correlation
-                     (Ir_sweep.Table4.normalized s)
-                     s.paper) ))
-            sweeps
-        @ (match grid with
-          | None -> []
-          | Some (g : Ir_sweep.Export.grid_report) ->
-              [
-                ( "grid",
-                  Printf.sprintf
-                    "status %s: per-point %.2f s vs grid %.2f s (%.2fx); \
-                     perturb recomputed %d of %d cells"
-                    (Ir_sweep.Export.grid_status g)
-                    g.per_point_seconds g.grid_seconds
-                    (g.per_point_seconds /. Float.max 1e-9 g.grid_seconds)
-                    g.perturb_recomputed g.perturb_grid_cells );
-              ])
-        @ (match power with
-          | None -> []
-          | Some ((p : Ir_sweep.Export.power_report), _) ->
-              [
-                ( "power",
-                  Printf.sprintf
-                    "status %s: %d budget points, unconstrained %.4g W, \
-                     frontier in %.2f s"
-                    (Ir_sweep.Export.power_status p)
-                    p.power_points p.unconstrained_power p.power_seconds );
-              ])
-        @ (match serving with
-          | None -> []
-          | Some (s : Ir_sweep.Export.serving_report) ->
-              [
-                ( "serving",
-                  Printf.sprintf
-                    "%d requests (%d distinct): hit rate %.2f, p95 %.1f ms, \
-                     counters %s"
-                    s.trace_requests s.distinct_queries s.hit_rate s.p95_ms
-                    (if s.counters_match then "jobs-identical" else "MISMATCH")
-                );
-              ])
-        @
-        match serving_sharded with
-        | None -> []
-        | Some (s : Ir_sweep.Export.serving_sharded_report) ->
-            [
-              ( "serving_sharded",
-                Printf.sprintf
-                  "%d shards, %d clients, %d requests: status %s, p95 %.1f \
-                   ms, shed %.3f"
-                  s.shards s.clients s.storm_requests
-                  (Ir_sweep.Export.sharded_status s)
-                  s.sh_p95_ms s.shed_rate );
-            ])
-  with
-  | Ok path -> Format.printf "wrote %s@." path
-  | Error e -> Format.printf "manifest export failed: %s@." e
+  | Error e -> Format.printf "cross export failed: %s@." e
 
 (* ---------------------------------------------------------------------- *)
 (* Part 3: Bechamel micro-benchmarks                                       *)
@@ -1666,77 +682,36 @@ let run_bechamel () =
     Format.std_formatter
 
 (* Section selector: `dune exec bench/main.exe` runs the full harness;
-   `-- sweeps` runs only the sections that feed results/BENCH_sweeps.json
-   (table4 before/after legs, cross-node, scaling curve, artifact
-   export); `-- scaling` runs only the jobs=1..ncores scaling curve and
-   exports it (the CI regression gate); `-- micro` runs only the
-   Bechamel micro-benchmarks. *)
+   `-- scaling` runs only the jobs=1..ncores scaling curve (the CI
+   parallel-regression gate: exit 1 when a jobs>1 point is slower than
+   jobs=1); `-- micro` runs only the Bechamel micro-benchmarks. *)
 let () =
   let what =
     match Array.to_list Sys.argv with
     | [ _ ] -> `All
-    | [ _; "sweeps" ] -> `Sweeps
     | [ _; "scaling" ] -> `Scaling
     | [ _; "micro" ] -> `Micro
     | _ ->
-        prerr_endline "usage: main.exe [sweeps|scaling|micro]";
+        prerr_endline "usage: main.exe [scaling|micro]";
         exit 2
   in
   let t0 = Ir_exec.now () in
-  (* The kernel object tracks the perf trajectory across PRs: the
-     microbenchmarks, the cumulative phase-A build span of the parallel
-     leg + cross-node (the snapshot taken before kernel_bench), and both
-     table4 leg wall times. *)
-  let kernel_entries metrics (seq_s, par_s) =
-    (match Ir_obs.find_span metrics "rank_dp/build_tables" with
-    | Some { Ir_obs.seconds; _ } -> [ ("span_build_tables_seconds", seconds) ]
-    | None -> [])
-    @ [ ("table4_jobs1_seconds", seq_s) ]
-    @
-    match par_s with
-    | Some par_s -> [ ("table4_jobsN_seconds", par_s) ]
-    | None -> []
-  in
-  let parallel_report (seq_s, par_s) =
-    {
-      Ir_sweep.Export.requested_jobs = par_jobs ();
-      effective_jobs = min (par_jobs ()) (Ir_exec.hardware_jobs ());
-      jobs1_seconds = seq_s;
-      jobsn_seconds = par_s;
-    }
-  in
   (match what with
   | `Micro -> run_bechamel ()
-  | `Scaling ->
-      let scaling = experiment_scaling () in
-      let timings =
-        List.map
-          (fun (j, s) -> (Printf.sprintf "scaling_jobs%d_seconds" j, s))
-          scaling.Ir_sweep.Export.points
-      in
-      export_artifacts ~scaling [] [] timings
-  | `Sweeps ->
-      let sweeps, timings, legs = experiment_table4 () in
-      let cells = experiment_cross_node () in
-      let metrics = Ir_obs.snapshot () in
-      let scaling = experiment_scaling () in
-      let grid = grid_bench () in
-      let power = power_bench () in
-      let serving = serving_bench () in
-      let serving_sharded = serving_sharded_bench () in
-      let kernel = kernel_bench () @ kernel_entries metrics legs in
-      export_artifacts ~metrics ~kernel
-        ~parallel:(parallel_report legs)
-        ~scaling ~grid ~power ~serving ~serving_sharded sweeps
-        cells timings
+  | `Scaling -> (
+      match experiment_scaling () with
+      | [] -> ()
+      | slow ->
+          Format.eprintf "parallel regression at jobs=%s@."
+            (String.concat "," (List.map string_of_int slow));
+          exit 1)
   | `All ->
       experiment_tables ();
-      let sweeps, timings, legs = experiment_table4 () in
+      let sweeps = experiment_table4 () in
       experiment_figure2 ();
       experiment_headline ();
       let cells = experiment_cross_node () in
-      let metrics = Ir_obs.snapshot () in
-      let scaling = experiment_scaling () in
+      export_artifacts sweeps cells;
       experiment_runtime_claim ();
       ablation_bunch_size ();
       ablation_binning ();
@@ -1752,14 +727,5 @@ let () =
       study_anneal ();
       study_variation ();
       study_netlist ();
-      let grid = grid_bench () in
-      let power = power_bench () in
-      let serving = serving_bench () in
-      let serving_sharded = serving_sharded_bench () in
-      let kernel = kernel_bench () @ kernel_entries metrics legs in
-      export_artifacts ~metrics ~kernel
-        ~parallel:(parallel_report legs)
-        ~scaling ~grid ~power ~serving ~serving_sharded sweeps
-        cells timings;
       run_bechamel ());
   Format.printf "@.total harness wall time: %.1f s@." (Ir_exec.now () -. t0)

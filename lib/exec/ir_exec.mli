@@ -112,9 +112,9 @@ val with_default_jobs : int option -> (unit -> 'a) -> 'a
 (** Runs the thunk with the override installed and restores the
     {e previous} override (not merely [None]) on the way out, exceptions
     included — a plain [set_default_jobs] pair leaks the override into
-    everything after the first exception.  The bench's serving leg uses
+    everything after the first exception.  The serving replay test uses
     this to replay a trace at jobs=1 and jobs=N without the last replay's
-    setting bleeding into later sections. *)
+    setting bleeding into later tests. *)
 
 val default_jobs : unit -> int
 (** The job count used when [?jobs] is omitted (see resolution order

@@ -110,7 +110,7 @@ val reset : unit -> unit
 val filter : prefix:string -> snapshot -> snapshot
 (** The sub-snapshot of instruments whose names start with [prefix]
     (e.g. [~prefix:"serve"] isolates the serving layer's counters for
-    the bench's determinism comparison). *)
+    the serving replay's determinism comparison). *)
 
 val filter_out : prefix:string -> snapshot -> snapshot
 (** The complement of {!filter}: drops instruments whose names start

@@ -42,7 +42,8 @@
     [cold_computes], [table_builds], [table_hits], [table_restores]; gauge
     [serve/queue_depth_max]; spans [serve/request] and [serve/compute].
     All are deterministic for a sequentially replayed trace against a
-    fresh server — the bench's serving leg asserts exactly that. *)
+    fresh server — test_serve's "bench gates" replay asserts exactly
+    that. *)
 
 type t
 

@@ -45,7 +45,7 @@ val run :
     @raise Invalid_argument on a fraction outside (0, 1]. *)
 
 val monotone : result -> bool
-(** The frontier's sanity contract, exposed for the bench gate: rank
+(** The frontier's sanity contract, exposed for the power gate test: rank
     non-decreasing in the budget, and the fraction-1.0 point (budget =
     the unconstrained witness's own spend) recovering exactly the
     unconstrained rank. *)

@@ -1652,6 +1652,193 @@ let test_shard_supervisor_restart () =
   Alcotest.(check bool) "replacement has a fresh pid" true
     (pids'.(victim) <> pids.(victim))
 
+(* A zipf-skewed storm against a 2-shard fleet: 32 client threads x 6
+   requests over a 14-query corpus ({130nm, 90nm} x 50k gates x 6
+   fractions, plus one greedy query per node).  No request may fail,
+   every query re-asked after the storm must equal a local cold compute
+   byte for byte, the fleet must build each table family at most once
+   (family-affinity routing), and at most half the storm may be shed. *)
+let test_sharded_storm () =
+  let clients = 32 and per_client = 6 in
+  let corpus =
+    List.concat_map
+      (fun node ->
+        List.map
+          (fun f -> Pr.query ~repeater_fraction:f ~node ~gates:50_000 ())
+          [ 0.25; 0.3; 0.35; 0.4; 0.45; 0.5 ]
+        @ [ Pr.query ~repeater_fraction:0.4 ~greedy:true ~node ~gates:50_000 () ])
+      [ "130nm"; "90nm" ]
+  in
+  let fingerprints =
+    List.map (fun q -> ok_exn "fp" (Pr.fingerprint_of_query q)) corpus
+  in
+  let families =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (fp : F.t) ->
+           match fp.algo with F.Dp -> Some (F.table_key fp) | F.Greedy -> None)
+         fingerprints)
+  in
+  let dir = temp_path "storm" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let fleet =
+    ok_exn "fleet"
+      (Sh.start ~workers:2 ~queue_capacity:128
+         ~cache_dir:(Filename.concat dir "cache")
+         ~snapshot_dir:(Filename.concat dir "snap")
+         ~exe:(ia_rank_exe ()) ~shards:2 ~dir ())
+  in
+  let port_set = Atomic.make 0 in
+  let serve_thread =
+    Thread.create
+      (fun () ->
+        ok_exn "shard serve"
+          (Sh.serve fleet
+             ~tcp:("127.0.0.1", 0)
+             ~on_tcp_listen:(fun p -> Atomic.set port_set p)
+             ()))
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Sh.shutdown fleet;
+      Thread.join serve_thread)
+  @@ fun () ->
+  wait_for "the router to listen" (fun () -> Atomic.get port_set <> 0);
+  let port = Atomic.get port_set in
+  (* Zipf(1.1) over the corpus, sampled through a per-client LCG: a few
+     hot families take most of the traffic, the tail still touches every
+     query. *)
+  let queries = Array.of_list corpus in
+  let n = Array.length queries in
+  let zipf_cum =
+    let c = Array.make n 0.0 and total = ref 0.0 in
+    for i = 0 to n - 1 do
+      total := !total +. (1.0 /. Float.pow (float_of_int (i + 1)) 1.1);
+      c.(i) <- !total
+    done;
+    Array.map (fun x -> x /. !total) c
+  in
+  let pick u =
+    let rec bisect lo hi =
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if zipf_cum.(mid) < u then bisect (mid + 1) hi else bisect lo mid
+    in
+    queries.(bisect 0 (n - 1))
+  in
+  let mu = Mutex.create () in
+  let sheds = ref 0 and failures = ref [] in
+  let record f =
+    Mutex.lock mu;
+    f ();
+    Mutex.unlock mu
+  in
+  let client ci () =
+    let seed = ref ((ci + 1) * 2654435761) in
+    let next_u () =
+      seed := ((!seed * 25214903917) + 11) land max_int;
+      float_of_int (!seed land 0xFFFFFF) /. float_of_int 0x1000000
+    in
+    match Cl.connect_tcp ~host:"127.0.0.1" ~port with
+    | Error e -> record (fun () -> failures := ("connect: " ^ e) :: !failures)
+    | Ok c ->
+        Fun.protect ~finally:(fun () -> Cl.close c) @@ fun () ->
+        for _ = 1 to per_client do
+          match Cl.request c (Pr.Query (pick (next_u ()))) with
+          | Ok (Pr.Result _) -> ()
+          | Ok (Pr.Error Pr.Overloaded) -> record (fun () -> incr sheds)
+          | Ok (Pr.Error e) ->
+              record (fun () -> failures := Pr.error_message e :: !failures)
+          | Ok _ -> record (fun () -> failures := "unexpected body" :: !failures)
+          | Error e -> record (fun () -> failures := e :: !failures)
+        done
+  in
+  List.iter Thread.join (List.init clients (fun ci -> Thread.create (client ci) ()));
+  Alcotest.(check (list string)) "no storm failures" [] !failures;
+  let c = ok_exn "verify connect" (Cl.connect_tcp ~host:"127.0.0.1" ~port) in
+  Fun.protect ~finally:(fun () -> Cl.close c) (fun () ->
+      List.iteri
+        (fun i q ->
+          match Cl.request c (Pr.Query q) with
+          | Ok (Pr.Result { payload; _ }) ->
+              Alcotest.(check string)
+                (Printf.sprintf "corpus %d: after the storm = cold" i)
+                (Pr.result_payload (F.compute_cold (List.nth fingerprints i)))
+                payload
+          | Ok _ -> Alcotest.failf "corpus %d: non-result response" i
+          | Error e -> Alcotest.failf "corpus %d: %s" i e)
+        corpus);
+  let builds =
+    Array.fold_left
+      (fun acc socket ->
+        let c = ok_exn "shard stats" (Cl.connect ~socket) in
+        let kvs = ok_exn "stats" (Cl.stats c) in
+        Cl.close c;
+        acc
+        + Option.value ~default:0 (List.assoc_opt "serve/table_builds" kvs))
+      0 (Sh.shard_sockets fleet)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d table builds fleet-wide for %d families" builds
+       (List.length families))
+    true
+    (builds <= List.length families);
+  let shed_rate =
+    float_of_int !sheds /. float_of_int (clients * per_client)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "shed rate %.3f <= 0.5" shed_rate)
+    true (shed_rate <= 0.5)
+
+(* ---- bench gates ------------------------------------------------------ *)
+
+(* A fixed trace ({130nm, 50k gates} x fractions 0.3/0.4/0.5, each asked
+   three times) replayed against a fresh in-process server at jobs=1
+   and at jobs=N: every reply is a result, and every serve* counter and
+   gauge is the same.  Runs last in this file: its jobs=N replay spawns
+   domains, after which OCaml 5 refuses [Unix.fork]. *)
+let test_gate_serving_replay () =
+  let distinct = [ 0.3; 0.4; 0.5 ] in
+  let trace = distinct @ distinct @ distinct in
+  let replay jobs =
+    Ir_obs.reset ();
+    Ir_exec.with_default_jobs (Some jobs) @@ fun () ->
+    let cache = ok_exn "cache" (C.create ~capacity:64 ()) in
+    let server = S.create ~workers:2 ~cache () in
+    Fun.protect
+      ~finally:(fun () ->
+        S.shutdown server;
+        S.join server)
+      (fun () ->
+        List.iteri
+          (fun i f ->
+            let q =
+              Pr.query ~repeater_fraction:f ~node:"130nm" ~gates:50_000 ()
+            in
+            let req = { Pr.id = Printf.sprintf "t%d" i; op = Pr.Query q } in
+            match (S.handle server req).Pr.body with
+            | Pr.Result _ -> ()
+            | Pr.Error e ->
+                Alcotest.failf "request %d: %s" i (Pr.error_message e)
+            | _ -> Alcotest.failf "request %d: unexpected response body" i)
+          trace);
+    Ir_obs.filter ~prefix:"serve" (Ir_obs.snapshot ())
+  in
+  let jobs = max 4 (Ir_exec.default_jobs ()) in
+  let seq = replay 1 in
+  let par =
+    Ir_exec.set_allow_oversubscribe true;
+    Fun.protect
+      ~finally:(fun () -> Ir_exec.set_allow_oversubscribe false)
+      (fun () -> replay jobs)
+  in
+  Alcotest.(check (list (pair string int))) "serve counters" seq.counters
+    par.counters;
+  Alcotest.(check (list (pair string int))) "serve gauges" seq.gauges
+    par.gauges
+
 let () =
   Alcotest.run "serve"
     [
@@ -1754,5 +1941,11 @@ let () =
             test_shard_supervisor_restart;
           Alcotest.test_case "fleet after domain spawn" `Quick
             test_fleet_after_domain;
+          Alcotest.test_case "zipf storm" `Quick test_sharded_storm;
+        ] );
+      ( "bench gates",
+        [
+          Alcotest.test_case "replay counters jobs=1 = jobs=N" `Quick
+            test_gate_serving_replay;
         ] );
     ]

@@ -122,7 +122,8 @@ let test_parallel_determinism () =
       List.map
         (fun (r : Ir_sweep.Table4.row) ->
           (r.param, r.outcome.Ir_core.Outcome.rank_wires,
-           r.outcome.Ir_core.Outcome.total_wires))
+           r.outcome.Ir_core.Outcome.total_wires,
+           r.outcome.Ir_core.Outcome.exact))
         s.rows )
   in
   let seq = List.map strip (Ir_sweep.Table4.all ~jobs:1 ~config:tiny ()) in
@@ -148,12 +149,14 @@ let test_parallel_determinism () =
     (List.map
        (fun (c : Ir_sweep.Cross_node.cell) ->
          (Ir_tech.Node.name c.node, c.gates,
-          c.outcome.Ir_core.Outcome.rank_wires))
+          c.outcome.Ir_core.Outcome.rank_wires,
+          c.outcome.Ir_core.Outcome.exact))
        cseq
     = List.map
         (fun (c : Ir_sweep.Cross_node.cell) ->
           (Ir_tech.Node.name c.node, c.gates,
-           c.outcome.Ir_core.Outcome.rank_wires))
+           c.outcome.Ir_core.Outcome.rank_wires,
+           c.outcome.Ir_core.Outcome.exact))
         cpar)
 
 (* Frozen Table-4 ranks of [small_config], column by column, as the
@@ -349,409 +352,17 @@ let test_export () =
           in
           Alcotest.(check bool) "csv has paper column" true
             (Astring_contains.contains contents "0.117438"));
-      (match
-         Ir_sweep.Export.write_cross ~dir
-           (Ir_sweep.Cross_node.run ~bunch_size:500
-              ~matrix:[ (Ir_tech.Node.N130, 40_000) ] ())
-       with
+      match
+        Ir_sweep.Export.write_cross ~dir
+          (Ir_sweep.Cross_node.run ~bunch_size:500
+             ~matrix:[ (Ir_tech.Node.N130, 40_000) ] ())
+      with
       | Error e -> Alcotest.failf "write_cross: %s" e
       | Ok path ->
-          Alcotest.(check bool) "cross file exists" true
-            (Sys.file_exists path));
-      (match
-         Ir_sweep.Export.write_manifest ~dir
-           ~entries:[ ("E4", "table4 column R") ]
-       with
-      | Error e -> Alcotest.failf "write_manifest: %s" e
-      | Ok path ->
-          let contents = In_channel.with_open_text path In_channel.input_all in
-          Alcotest.(check bool) "manifest entry" true
-            (Astring_contains.contains contents "E4: table4 column R"));
-      match
-        Ir_sweep.Export.write_bench_json ~dir ~jobs:4
-          ~timings:[ ("table4_jobs1_seconds", 1.25) ]
-          ~metrics:(Ir_obs.snapshot ())
-          ~kernel:[ ("front_insert_ns", 12.5) ]
-          ~parallel:
-            {
-              Ir_sweep.Export.requested_jobs = 4;
-              effective_jobs = 1;
-              jobs1_seconds = 1.25;
-              jobsn_seconds = Some 2.5;
-            }
-          ~scaling:
-            {
-              Ir_sweep.Export.max_jobs = 4;
-              points = [ (1, 4.0); (2, 2.0); (4, 1.95) ];
-            }
-          ~grid:
-            {
-              Ir_sweep.Export.grid_points = 57;
-              grid_planes = 33;
-              per_point_seconds = 4.0;
-              grid_seconds = 1.6;
-              grid_identical = true;
-              grid_counters_match = true;
-              perturb_recomputed = 1;
-              perturb_grid_cells = 10;
-              perturb_seconds = 0.01;
-              full_eval_seconds = 0.4;
-            }
-          ~power:
-            {
-              Ir_sweep.Export.power_points = 11;
-              unconstrained_power = 0.4106;
-              power_identity_ok = true;
-              power_counters_match = true;
-              power_engines_agree = true;
-              power_monotone = true;
-              power_seconds = 0.5;
-            }
-          ~serving:
-            {
-              Ir_sweep.Export.trace_requests = 9;
-              distinct_queries = 3;
-              hit_rate = 0.75;
-              p50_ms = 1.0;
-              p95_ms = 2.0;
-              p99_ms = 3.0;
-              computes = 3;
-              table_builds = 1;
-              counters_match = true;
-            }
-          ~serving_sharded:
-            {
-              Ir_sweep.Export.shards = 2;
-              clients = 32;
-              storm_requests = 192;
-              distinct_families = 2;
-              sh_distinct_queries = 14;
-              sh_p50_ms = 1.0;
-              sh_p95_ms = 2.0;
-              sh_p99_ms = 3.0;
-              shed_rate = 0.0;
-              coalesce_rate = 0.25;
-              table_builds_per_shard = [ 1; 1 ];
-              byte_identical = true;
-            }
-          ~sweeps:[ sweep ] ~cross:[] ()
-      with
-      | Error e -> Alcotest.failf "write_bench_json: %s" e
-      | Ok path ->
-          Alcotest.(check string) "path" (Ir_sweep.Export.bench_json_path ~dir)
-            path;
-          let contents = In_channel.with_open_text path In_channel.input_all in
-          List.iter
-            (fun needle ->
-              Alcotest.(check bool)
-                ("bench json has " ^ needle)
-                true
-                (Astring_contains.contains contents needle))
-            [
-              "\"schema\":\"ia-rank/bench-sweeps/11\"";
-              "\"jobs\":4";
-              (* The grid leg: 4.0 s per-point over 1.6 s grid = 2.5x,
-                 perturb touching 1 of 10 cells. *)
-              "\"grid\":{\"status\":\"ok\"";
-              "\"points\":57";
-              "\"planes\":33";
-              "\"speedup\":2.5";
-              "\"perturb\":{\"recomputed_cells\":1,\"grid_cells\":10";
-              (* The power leg: all four contracts green. *)
-              "\"power\":{\"status\":\"ok\"";
-              "\"unconstrained_power_watts\":0.4106";
-              "\"identity_ok\":true";
-              "\"engines_agree\":true";
-              "\"monotone\":true";
-              "\"serving\":{\"trace_requests\":9";
-              "\"serving_sharded\":{\"status\":\"ok\"";
-              "\"table_builds_per_shard\":[1,1]";
-              "\"byte_identical\":true";
-              "\"counters_match\":true";
-              "\"hit_rate\":0.75";
-              "\"requested_jobs\":4";
-              "\"effective_jobs\":1";
-              "\"speedup\":0.5";
-              "\"parallel_regression\":true";
-              (* The scaling curve: 4.0 s at jobs=1, 2.0 s at jobs=2
-                 (speedup 2, the >=5% knee), 1.95 s at jobs=4 (speedup
-                 2.05 — under the 5% marginal-gain bar). *)
-              "\"scaling\":{\"max_jobs\":4";
-              "\"status\":\"ok\"";
-              "\"knee_jobs\":2";
-              "\"speedup\":2,\"parallel_regression\":false";
-              "\"kernel\":{\"front_insert_ns\":12.5}";
-              "\"gauges\":{";
-              "\"table4_jobs1_seconds\":1.25";
-              "\"rank_wires\"";
-              "\"exact\":true";
-              "\"metrics\":{\"counters\":{";
-              "\"sweep/points\"";
-              "\"cross_node\":[]";
-            ])
-
-(* Satellite of the scheduler PR: on a single-core box the parallel leg
-   is skipped, and both the two-leg report and the scaling curve must
-   say "skipped_single_core" instead of flagging a false regression. *)
-let test_export_single_core () =
-  let dir = Filename.temp_file "ia_rank" "_single" in
-  Sys.remove dir;
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter (fun f -> Sys.remove (Filename.concat dir f))
-          (Sys.readdir dir);
-        Sys.rmdir dir
-      end)
-  @@ fun () ->
-  match
-    Ir_sweep.Export.write_bench_json ~dir ~jobs:4
-      ~timings:[ ("table4_jobs1_seconds", 1.25) ]
-      ~parallel:
-        {
-          Ir_sweep.Export.requested_jobs = 4;
-          effective_jobs = 1;
-          jobs1_seconds = 1.25;
-          jobsn_seconds = None;
-        }
-      ~scaling:{ Ir_sweep.Export.max_jobs = 1; points = [ (1, 1.25) ] }
-      ~sweeps:[] ~cross:[] ()
-  with
-  | Error e -> Alcotest.failf "write_bench_json: %s" e
-  | Ok path ->
-      let contents = In_channel.with_open_text path In_channel.input_all in
-      List.iter
-        (fun needle ->
-          Alcotest.(check bool)
-            ("single-core json has " ^ needle)
-            true
-            (Astring_contains.contains contents needle))
-        [
-          "\"parallel_regression\":\"skipped_single_core\"";
-          "\"status\":\"skipped_single_core\"";
-          "\"knee_jobs\":1";
-        ];
-      (* No fabricated jobs=N numbers anywhere. *)
-      List.iter
-        (fun needle ->
-          Alcotest.(check bool)
-            ("single-core json lacks " ^ needle)
-            false
-            (Astring_contains.contains contents needle))
-        [ "\"jobsN_seconds\""; "\"parallel_regression\":true" ]
-
-(* The derived serving_sharded status the CI gate keys on: each failure
-   mode maps to its own verdict, checked worst-first. *)
-let test_sharded_status () =
-  let base =
-    {
-      Ir_sweep.Export.shards = 2;
-      clients = 8;
-      storm_requests = 64;
-      distinct_families = 2;
-      sh_distinct_queries = 6;
-      sh_p50_ms = 1.0;
-      sh_p95_ms = 2.0;
-      sh_p99_ms = 3.0;
-      shed_rate = 0.0;
-      coalesce_rate = 0.1;
-      table_builds_per_shard = [ 1; 1 ];
-      byte_identical = true;
-    }
-  in
-  let status = Ir_sweep.Export.sharded_status in
-  Alcotest.(check string) "clean run" "ok" (status base);
-  Alcotest.(check string) "byte identity dominates" "mismatch"
-    (status { base with byte_identical = false; shed_rate = 1.0 });
-  Alcotest.(check string) "a family built twice" "duplicate_family_builds"
-    (status { base with table_builds_per_shard = [ 2; 1 ] });
-  Alcotest.(check string) "over half the storm shed" "shed_exceeded"
-    (status { base with shed_rate = 0.6 });
-  Alcotest.(check string) "heavy but acceptable shed" "ok"
-    (status { base with shed_rate = 0.5 })
-
-let grid_report_base =
-  {
-    Ir_sweep.Export.grid_points = 57;
-    grid_planes = 33;
-    per_point_seconds = 4.0;
-    grid_seconds = 1.6;
-    grid_identical = true;
-    grid_counters_match = true;
-    perturb_recomputed = 1;
-    perturb_grid_cells = 10;
-    perturb_seconds = 0.01;
-    full_eval_seconds = 0.4;
-  }
-
-let test_grid_status () =
-  let status = Ir_sweep.Export.grid_status in
-  Alcotest.(check string) "clean run" "ok" (status grid_report_base);
-  Alcotest.(check string) "byte identity dominates" "mismatch"
-    (status
-       {
-         grid_report_base with
-         grid_identical = false;
-         grid_counters_match = false;
-       });
-  Alcotest.(check string) "schedule-variant counters" "counters_mismatch"
-    (status { grid_report_base with grid_counters_match = false });
-  Alcotest.(check string) "perturb as costly as a rebuild"
-    "perturb_not_incremental"
-    (status { grid_report_base with perturb_recomputed = 10 });
-  (* The speedup is reported, never gated: a slower grid is still
-     honest. *)
-  Alcotest.(check string) "slow grid still ok" "ok"
-    (status { grid_report_base with grid_seconds = 9.0 })
-
-(* Satellite of the grid PR: the exported BENCH_sweeps.json must parse
-   as JSON and carry the schema-11 top-level contract — every object the
-   CI gates read, with the right shapes. *)
-let test_bench_schema () =
-  let dir = Filename.temp_file "ia_rank" "_schema" in
-  Sys.remove dir;
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter (fun f -> Sys.remove (Filename.concat dir f))
-          (Sys.readdir dir);
-        Sys.rmdir dir
-      end)
-  @@ fun () ->
-  match
-    Ir_sweep.Export.write_bench_json ~dir ~jobs:2
-      ~timings:[ ("table4_jobs1_seconds", 2.0) ]
-      ~metrics:(Ir_obs.snapshot ())
-      ~kernel:[ ("front_insert_ns", 12.5) ]
-      ~parallel:
-        {
-          Ir_sweep.Export.requested_jobs = 2;
-          effective_jobs = 2;
-          jobs1_seconds = 2.0;
-          jobsn_seconds = Some 1.0;
-        }
-      ~scaling:
-        { Ir_sweep.Export.max_jobs = 2; points = [ (1, 2.0); (2, 1.0) ] }
-      ~grid:grid_report_base
-      ~power:
-        {
-          Ir_sweep.Export.power_points = 4;
-          unconstrained_power = 0.2;
-          power_identity_ok = true;
-          power_counters_match = true;
-          power_engines_agree = true;
-          power_monotone = true;
-          power_seconds = 0.1;
-        }
-      ~serving:
-        {
-          Ir_sweep.Export.trace_requests = 9;
-          distinct_queries = 3;
-          hit_rate = 0.75;
-          p50_ms = 1.0;
-          p95_ms = 2.0;
-          p99_ms = 3.0;
-          computes = 3;
-          table_builds = 1;
-          counters_match = true;
-        }
-      ~serving_sharded:
-        {
-          Ir_sweep.Export.shards = 2;
-          clients = 32;
-          storm_requests = 192;
-          distinct_families = 2;
-          sh_distinct_queries = 14;
-          sh_p50_ms = 1.0;
-          sh_p95_ms = 2.0;
-          sh_p99_ms = 3.0;
-          shed_rate = 0.0;
-          coalesce_rate = 0.25;
-          table_builds_per_shard = [ 1; 1 ];
-          byte_identical = true;
-        }
-      ~sweeps:[] ~cross:[] ()
-  with
-  | Error e -> Alcotest.failf "write_bench_json: %s" e
-  | Ok path ->
-      let module Sj = Ir_serve.Json in
-      let contents = In_channel.with_open_text path In_channel.input_all in
-      let json =
-        match Sj.of_string contents with
-        | Ok j -> j
-        | Error e -> Alcotest.failf "bench json does not parse: %s" e
-      in
-      let mem k =
-        match Sj.member k json with
-        | Some v -> v
-        | None -> Alcotest.failf "missing top-level key %S" k
-      in
-      Alcotest.(check (option string))
-        "schema tag"
-        (Some "ia-rank/bench-sweeps/11")
-        (Sj.to_str (mem "schema"));
-      Alcotest.(check (option int)) "jobs" (Some 2) (Sj.to_int (mem "jobs"));
-      List.iter
-        (fun k ->
-          match mem k with
-          | Sj.Obj _ -> ()
-          | _ -> Alcotest.failf "top-level %S is not an object" k)
-        [
-          "timings"; "parallel"; "scaling"; "kernel"; "grid"; "power";
-          "serving"; "serving_sharded"; "metrics";
-        ];
-      List.iter
-        (fun k ->
-          match mem k with
-          | Sj.Arr _ -> ()
-          | _ -> Alcotest.failf "top-level %S is not an array" k)
-        [ "table4"; "cross_node" ];
-      (* The grid object carries exactly what the CI gate reads. *)
-      let grid = mem "grid" in
-      let gmem k =
-        match Sj.member k grid with
-        | Some v -> v
-        | None -> Alcotest.failf "grid object missing %S" k
-      in
-      Alcotest.(check (option string))
-        "grid status" (Some "ok")
-        (Sj.to_str (gmem "status"));
-      Alcotest.(check (option int)) "grid points" (Some 57)
-        (Sj.to_int (gmem "points"));
-      Alcotest.(check (option int)) "grid planes" (Some 33)
-        (Sj.to_int (gmem "planes"));
-      (match Sj.to_float (gmem "speedup") with
-      | Some s -> Alcotest.(check (float 1e-9)) "grid speedup" 2.5 s
-      | None -> Alcotest.fail "grid speedup is not a number");
-      let perturb = gmem "perturb" in
-      Alcotest.(check (option int))
-        "perturb recomputed" (Some 1)
-        (Sj.to_int
-           (Option.value ~default:Sj.Null
-              (Sj.member "recomputed_cells" perturb)));
-      Alcotest.(check (option int))
-        "perturb grid cells" (Some 10)
-        (Sj.to_int
-           (Option.value ~default:Sj.Null (Sj.member "grid_cells" perturb)));
-      (* The power object carries exactly what the CI gate reads. *)
-      let power = mem "power" in
-      let pmem k =
-        match Sj.member k power with
-        | Some v -> v
-        | None -> Alcotest.failf "power object missing %S" k
-      in
-      Alcotest.(check (option string))
-        "power status" (Some "ok")
-        (Sj.to_str (pmem "status"));
-      Alcotest.(check (option int))
-        "power points" (Some 4)
-        (Sj.to_int (pmem "points"));
-      match Sj.to_float (pmem "unconstrained_power_watts") with
-      | Some w -> Alcotest.(check (float 1e-9)) "power watts" 0.2 w
-      | None -> Alcotest.fail "unconstrained_power_watts is not a number"
+          Alcotest.(check bool) "cross file exists" true (Sys.file_exists path))
 
 let test_export_bad_dir () =
-  match Ir_sweep.Export.write_manifest ~dir:"/proc/nope/never" ~entries:[] with
+  match Ir_sweep.Export.write_cross ~dir:"/proc/nope/never" [] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected filesystem error"
 
@@ -890,36 +501,193 @@ let test_write_power_pareto () =
       Alcotest.(check int) "one line per row plus header" 3
         (List.length lines)
 
-let power_report_base =
+(* ---- bench gates: identities on the 100k-gate Table-4 workload ------- *)
+
+(* Table 4 on a 100k-gate 130nm design at the default bunch size: the
+   workload the bench's identity checks ran, about a second for all
+   three gates below. *)
+let gate_config =
   {
-    Ir_sweep.Export.power_points = 4;
-    unconstrained_power = 0.2;
-    power_identity_ok = true;
-    power_counters_match = true;
-    power_engines_agree = true;
-    power_monotone = true;
-    power_seconds = 0.1;
+    Ir_sweep.Table4.default_config with
+    design = Ir_core.Rank.baseline_design ~gates:100_000 Ir_tech.Node.N130;
   }
 
-(* Status precedence mirrors soundness severity: the identity anchor
-   outranks everything, then jobs-counter identity, then engine
-   agreement, then frontier shape. *)
-let test_power_status () =
-  let status = Ir_sweep.Export.power_status in
-  Alcotest.(check string) "ok" "ok" (status power_report_base);
-  Alcotest.(check string) "identity outranks monotone" "identity_broken"
-    (status
-       {
-         power_report_base with
-         power_identity_ok = false;
-         power_monotone = false;
-       });
-  Alcotest.(check string) "counters" "counters_mismatch"
-    (status { power_report_base with power_counters_match = false });
-  Alcotest.(check string) "engines" "engine_mismatch"
-    (status { power_report_base with power_engines_agree = false });
-  Alcotest.(check string) "monotone" "frontier_not_monotone"
-    (status { power_report_base with power_monotone = false })
+(* The jobs=N side: at least 4 workers, run with the hardware clamp
+   lifted so it really runs that many domains on every box. *)
+let gate_jobs () = max 4 (Ir_exec.default_jobs ())
+
+let oversubscribed f =
+  Ir_exec.set_allow_oversubscribe true;
+  Fun.protect ~finally:(fun () -> Ir_exec.set_allow_oversubscribe false) f
+
+(* Runs [f] from a zeroed registry and returns its result with the
+   metrics it left outside [exec/sched/] (steal tallies and clamp events
+   describe the schedule, not the work, so they may differ by jobs). *)
+let measured f =
+  Ir_obs.reset ();
+  let x = f () in
+  (x, Ir_obs.filter_out ~prefix:"exec/sched/" (Ir_obs.snapshot ()))
+
+let check_same_metrics label (a : Ir_obs.snapshot) (b : Ir_obs.snapshot) =
+  Alcotest.(check (list (pair string int))) (label ^ ": counters")
+    a.counters b.counters;
+  Alcotest.(check (list (pair string int))) (label ^ ": gauges") a.gauges
+    b.gauges
+
+let check_same_rows label a b =
+  let sigs =
+    List.map (fun (s : Ir_sweep.Table4.sweep) ->
+        ( s.name,
+          List.map
+            (fun (r : Ir_sweep.Table4.row) ->
+              ( r.param,
+                r.outcome.Ir_core.Outcome.rank_wires,
+                r.outcome.Ir_core.Outcome.exact ))
+            s.rows ))
+  in
+  Alcotest.(check (list (pair string (list (triple (float 0.0) int bool)))))
+    label (sigs a) (sigs b)
+
+(* [gate_config]'s Table 4 at jobs=1 and at jobs=N, each with its own
+   metrics; shared by the three gates below. *)
+let gate_table4 =
+  lazy
+    (let seq =
+       measured (fun () -> Ir_sweep.Table4.all ~jobs:1 ~config:gate_config ())
+     in
+     let par =
+       oversubscribed (fun () ->
+           measured (fun () ->
+               Ir_sweep.Table4.all ~jobs:(gate_jobs ()) ~config:gate_config ()))
+     in
+     (seq, par))
+
+(* Every row's rank and exact flag, and every counter and gauge, are
+   independent of the worker count. *)
+let test_gate_table4 () =
+  let (seq, seq_snap), (par, par_snap) = Lazy.force gate_table4 in
+  check_same_rows "jobs=1 vs jobs=N rows" seq par;
+  check_same_metrics "jobs=1 vs jobs=N" seq_snap par_snap
+
+(* The shared-plane grid equals an unshared evaluation of every row's
+   own problem (each cell its own plane), and perturbing one new K
+   value into a K x R grid recomputes fewer cells than the grid holds. *)
+let test_gate_grid () =
+  let _, (shared, _) = Lazy.force gate_table4 in
+  let jobs = gate_jobs () in
+  oversubscribed @@ fun () ->
+  let base = Ir_sweep.Table4.baseline_problem gate_config in
+  let rows =
+    List.concat_map
+      (fun (s : Ir_sweep.Table4.sweep) ->
+        List.map (fun (r : Ir_sweep.Table4.row) -> (s, r)) s.rows)
+      shared
+  in
+  let unshared =
+    Ir_core.Rank_grid.eval_batch ~jobs
+      (Array.of_list
+         (List.map
+            (fun (s, (r : Ir_sweep.Table4.row)) -> row_problem base s r.param)
+            rows))
+  in
+  List.iteri
+    (fun i ((s : Ir_sweep.Table4.sweep), (r : Ir_sweep.Table4.row)) ->
+      Alcotest.(check (pair int bool))
+        (Printf.sprintf "%s param %.4g: shared = unshared" s.name r.param)
+        ( unshared.(i).Ir_core.Outcome.rank_wires,
+          unshared.(i).Ir_core.Outcome.exact )
+        (r.outcome.Ir_core.Outcome.rank_wires, r.outcome.Ir_core.Outcome.exact))
+    rows;
+  let grid =
+    Ir_core.Rank_grid.evaluate ~jobs
+      (Ir_core.Rank.problem_of_design gate_config.design)
+      (Array.of_list
+         (List.concat_map
+            (fun k ->
+              List.map
+                (fun f ->
+                  Ir_core.Rank_grid.point
+                    ~materials:(Ir_ia.Materials.v ~k ())
+                    ~fraction:f ())
+                [ 0.2; 0.3; 0.4 ])
+            [ 3.9; 3.3; 2.7 ]))
+  in
+  let changed =
+    Ir_core.Rank_grid.perturb grid
+      (Ir_core.Rank_grid.point
+         ~materials:(Ir_ia.Materials.v ~k:2.1 ())
+         ~fraction:0.3 ())
+  in
+  let cells = Ir_core.Rank_grid.cells grid in
+  Alcotest.(check bool)
+    (Printf.sprintf "perturb recomputed %d of %d cells"
+       (Array.length changed) cells)
+    true
+    (Array.length changed < cells)
+
+(* A power budget is an area cap, so: an infinite budget at a
+   non-default activity (kappa differs) changes no row, counter or
+   gauge; the frontier and its metrics do not depend on the worker
+   count; every frontier row equals an independent one-cell compute at
+   its budget (rank, exact flag, witness watts); and the frontier is
+   monotone. *)
+let test_gate_power () =
+  let _, (plain, plain_snap) = Lazy.force gate_table4 in
+  let jobs = gate_jobs () in
+  oversubscribed @@ fun () ->
+  let inf, inf_snap =
+    measured (fun () ->
+        Ir_sweep.Table4.all ~jobs
+          ~config:
+            {
+              gate_config with
+              activity = 2.0 *. P.default_activity;
+              power_budget = infinity;
+            }
+          ())
+  in
+  check_same_rows "plain vs infinite budget rows" plain inf;
+  check_same_metrics "plain vs infinite budget" plain_snap inf_snap;
+  let frontier (r : Ir_sweep.Power_pareto.result) =
+    ( (r.unconstrained.Ir_core.Outcome.rank_wires, r.unconstrained_power),
+      List.map
+        (fun (row : Ir_sweep.Power_pareto.row) ->
+          ( (row.fraction, row.budget),
+            ( row.outcome.Ir_core.Outcome.rank_wires,
+              row.outcome.Ir_core.Outcome.exact,
+              row.power ) ))
+        r.rows )
+  in
+  let seq, seq_snap =
+    measured (fun () -> Ir_sweep.Power_pareto.run ~jobs:1 ~config:gate_config ())
+  in
+  let par, par_snap =
+    measured (fun () -> Ir_sweep.Power_pareto.run ~jobs ~config:gate_config ())
+  in
+  Alcotest.(
+    check
+      (pair (pair int (float 0.0))
+         (list (pair (pair (float 0.0) (float 0.0)) (triple int bool (float 0.0))))))
+    "frontier jobs=1 vs jobs=N" (frontier seq) (frontier par);
+  check_same_metrics "frontier jobs=1 vs jobs=N" seq_snap par_snap;
+  let base = Ir_sweep.Table4.baseline_problem gate_config in
+  List.iter
+    (fun (row : Ir_sweep.Power_pareto.row) ->
+      let p = P.with_power_budget base row.budget in
+      let o, w = Ir_core.Rank_grid.compute p in
+      Alcotest.(check (triple int bool (float 0.0)))
+        (Printf.sprintf "fraction %.2f: frontier = one-cell compute"
+           row.fraction)
+        ( o.Ir_core.Outcome.rank_wires,
+          o.Ir_core.Outcome.exact,
+          match w with Some w -> Ir_core.Rank_dp.witness_power p w | None -> 0.0
+        )
+        ( row.outcome.Ir_core.Outcome.rank_wires,
+          row.outcome.Ir_core.Outcome.exact,
+          row.power ))
+    seq.rows;
+  Alcotest.(check bool) "frontier monotone" true
+    (Ir_sweep.Power_pareto.monotone seq)
 
 let () =
   Alcotest.run "sweep"
@@ -954,21 +722,22 @@ let () =
             test_table4_power_budgeted;
           Alcotest.test_case "power_pareto.csv round trip" `Slow
             test_write_power_pareto;
-          Alcotest.test_case "status derivation" `Quick test_power_status;
         ] );
       ( "export",
         [
           Alcotest.test_case "round trip" `Slow test_export;
-          Alcotest.test_case "single-core skip report" `Quick
-            test_export_single_core;
-          Alcotest.test_case "sharded status" `Quick test_sharded_status;
-          Alcotest.test_case "grid status" `Quick test_grid_status;
-          Alcotest.test_case "bench json schema 11" `Quick test_bench_schema;
           Alcotest.test_case "bad directory" `Quick test_export_bad_dir;
           Alcotest.test_case "recursive directory creation" `Quick
             test_ensure_dir_recursive;
           Alcotest.test_case "lowercase csv collision" `Slow
             test_sweep_csv_collision;
+        ] );
+      ( "bench gates",
+        [
+          Alcotest.test_case "table4 jobs=1 = jobs=N" `Slow test_gate_table4;
+          Alcotest.test_case "grid shared = unshared, perturb incremental"
+            `Slow test_gate_grid;
+          Alcotest.test_case "power budget identities" `Slow test_gate_power;
         ] );
       ( "report",
         [
