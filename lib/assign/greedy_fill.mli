@@ -74,6 +74,22 @@ val max_take :
     either direction from float rounding.  Exposed for the regression
     tests pinning that behaviour. *)
 
+val fast_reject : Problem.t -> context -> bool
+(** The O(pairs) capacity screen {!pack} and {!fits} run first: [true]
+    when the suffix's area demand at the narrowest pitch among pairs
+    [top_pair ..] exceeds, by more than a [1e-9] relative slack, the
+    summed per-pair capacity net of the context's blockage floor (the
+    via stacks of the context's wires and repeaters alone, as if no
+    suffix wire were ever above a pair).  [true] is a certain reject:
+    any packing of the suffix on those pairs routes at least that area
+    (a wire's area is its length times its pair's pitch) and keeps each
+    pair's routing plus blockage within capacity, and blockage never
+    falls below the floor.  So [fast_reject t ctx] implies
+    [not (fits t ctx)], and it stays true for any context with more
+    wires or repeaters above and no more room on [top_pair].  [false]
+    decides nothing.  Counts nothing; assumes a context {!pack} would
+    accept. *)
+
 val pack : ?scratch:Scratch.t -> Problem.t -> context -> placement list option
 (** Packs the suffix; returns placements (bottom-up order) or [None] when
     it does not fit.  [?scratch] reuses the arena's int buffer for the
@@ -82,13 +98,11 @@ val pack : ?scratch:Scratch.t -> Problem.t -> context -> placement list option
     writes exactly what fresh allocation would).
     @raise Invalid_argument on out-of-range context fields.
 
-    Both entry points first run an O(pairs) capacity screen: when the
-    suffix's area demand at the narrowest available pitch already
-    exceeds the summed per-pair capacity net of the context's blockage
-    floor, the packing loop cannot succeed and is skipped (counter
-    [greedy_fill/fast_fails]).  The screen is conservative — same
-    verdicts, with a relative slack absorbing float summation-order
-    differences — so only [greedy_fill/wires_packed] totals change. *)
+    Both entry points first run {!fast_reject}: a context it rejects
+    skips the packing loop (counter [greedy_fill/fast_fails]).  The
+    screen is conservative — same verdicts, with a relative slack
+    absorbing float summation-order differences — so only
+    [greedy_fill/wires_packed] totals change. *)
 
 val fits : ?scratch:Scratch.t -> Problem.t -> context -> bool
 (** {!pack} without materializing the placement list. *)

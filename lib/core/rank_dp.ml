@@ -16,6 +16,7 @@ let stat_states = Ir_obs.counter "rank_dp/states_expanded"
 let stat_inserts = Ir_obs.counter "rank_dp/pareto_inserts"
 let stat_dominated = Ir_obs.counter "rank_dp/pareto_dominated"
 let stat_truncations = Ir_obs.counter "rank_dp/pareto_truncations"
+let stat_screened = Ir_obs.counter "rank_dp/cells_screened"
 let stat_witness_probes = Ir_obs.counter "rank_dp/witness_probes"
 let stat_search_probes = Ir_obs.counter "rank_dp/search_probes"
 let stat_widen_retries = Ir_obs.counter "rank_dp/widen_retries"
@@ -53,9 +54,10 @@ type tables = {
   m : int;
   max_pareto : int;
   truncations : int;
-      (* non-dominated states dropped past max_pareto from the rows the
-         search reads (the build fills no other row); 0 means the
-         phase-A front is complete and the search is exact *)
+      (* non-dominated states dropped past max_pareto from the kept
+         cells of the rows the search reads (the build fills no other
+         cell); 0 means the phase-A front is complete and the search is
+         exact *)
   ladder_prev : int option;
       (* truncations of the rung these tables widened; None for a first
          rung and for a truncation-free one, which ends the ladder.  The
@@ -86,6 +88,8 @@ and builder = {
   mutable b_level : int;  (* next boundary pair to expand; done at m - 1 *)
   mutable b_states : int;
   mutable b_skipped : int;
+  mutable b_cells_screened : int;
+      (* screened destinations skipped, once per source cell reaching one *)
   mutable b_suspend : bool;  (* may suspend: not [build_tables]', not resumed *)
   mutable b_suspended : bool;
   mutable b_flushed : tally;
@@ -93,6 +97,7 @@ and builder = {
 
 and tally = {
   t_states : int;
+  t_screened : int;
   t_inserts : int;
   t_dominated : int;
   t_truncations : int;
@@ -112,7 +117,14 @@ exception Break
    wavefront (which interleaves the levels of many builds) execute the
    {e same} expansion code on the same state — byte-identical fronts,
    tallies and witnesses by construction, not by reimplementation. *)
-let no_tally = { t_states = 0; t_inserts = 0; t_dominated = 0; t_truncations = 0 }
+let no_tally =
+  {
+    t_states = 0;
+    t_screened = 0;
+    t_inserts = 0;
+    t_dominated = 0;
+    t_truncations = 0;
+  }
 
 (* [~suspend:false] is [build_tables]' builder, which always runs to
    completion; the public [builder] may suspend. *)
@@ -132,7 +144,9 @@ let make_builder ~suspend ?(max_pareto = 8) problem =
      unassignable instance gets no root state and a build that is
      complete at once: every driver's c = 0 probe then answers
      unassignable from an empty front, and no driver expands a level of
-     a no-fit cell. *)
+     a no-fit cell.  This is the per-cell screen of [screen_row] at cell
+     (0, 0), decided by the exact packing rather than its counting
+     bound. *)
   let fits =
     Scratch.with_arena (fun gf ->
         GF.fits ~scratch:gf problem (GF.context ~from_bunch:0 ~top_pair:0 ()))
@@ -153,6 +167,7 @@ let make_builder ~suspend ?(max_pareto = 8) problem =
     b_level = (if fits then 0 else m - 1);
     b_states = 0;
     b_skipped = 0;
+    b_cells_screened = 0;
     b_suspend = suspend;
     b_suspended = false;
     b_flushed = no_tally;
@@ -188,6 +203,19 @@ let[@inline] position (f_area : Front.farray) ~dbase ~dlen ~from a =
     !lo
   end
 
+(* The per-cell Definition-3 screen over row [row]: cell [(row, i)] is
+   screened when bunches [i..n) cannot fit on pairs [row..m) even with
+   no repeater above.  Its soundness and its closure under the
+   transitions below (a screened cell only ever sends candidates to
+   screened cells, so no kept cell's candidate stream changes) are
+   argued at [builder] in the interface. *)
+let screen_row problem ~n ~row =
+  Array.init (n + 1) (fun i ->
+      let w = P.wires_before problem i in
+      GF.fast_reject problem
+        (GF.context ~wires_above_top:w ~wires_above_below:w ~from_bunch:i
+           ~top_pair:row ()))
+
 (* Expand one boundary-pair level.  Returns [true] while more levels
    remain and the builder has not suspended.  The step touches only this
    builder's own state (front, tallies), so independent builders may
@@ -203,6 +231,7 @@ let builder_step b =
     let cap = b.b_cap in
     let budget = b.b_budget in
     let blocked_k = b.b_blocked_k in
+    let screened = screen_row problem ~n ~row:(j + 1) in
     (* Raw views into the front's planes, for the inlined dominance
        pre-check below.  Without flambda every [Front.insert] call boxes
        its float [~area] argument, and most candidates (95.8% on the
@@ -243,21 +272,25 @@ let builder_step b =
           for i2 = i to n do
             if i2 = i then begin
               (* Empty interval: pair j left unused. *)
-              let dst = cell ~n (j + 1) i in
-              let dbase = dst * stride in
-              let p = ref (-1) in
-              for k = 0 to len - 1 do
-                let a = f_area.{sbase + k} in
-                let c = f_count.{sbase + k} in
-                p := position f_area ~dbase ~dlen:f_len.{dst} ~from:!p a;
-                if !p > 0 && f_count.{dbase + !p - 1} <= c then
-                  b.b_skipped <- b.b_skipped + 1
-                else begin
-                  Front.insert front dst ~area:a ~count:c ~split:i
-                    ~parent:(Front.state front src k);
-                  p := -1
-                end
-              done
+              if screened.(i) then
+                b.b_cells_screened <- b.b_cells_screened + 1
+              else begin
+                let dst = cell ~n (j + 1) i in
+                let dbase = dst * stride in
+                let p = ref (-1) in
+                for k = 0 to len - 1 do
+                  let a = f_area.{sbase + k} in
+                  let c = f_count.{sbase + k} in
+                  p := position f_area ~dbase ~dlen:f_len.{dst} ~from:!p a;
+                  if !p > 0 && f_count.{dbase + !p - 1} <= c then
+                    b.b_skipped <- b.b_skipped + 1
+                  else begin
+                    Front.insert front dst ~area:a ~count:c ~split:i
+                      ~parent:(Front.state front src k);
+                    p := -1
+                  end
+                done
+              end
             end
             else if not (P.meeting_feasible problem ~pair:j ~lo:i ~hi:i2)
             then raise Break
@@ -266,24 +299,30 @@ let builder_step b =
               if min_area +. d_area > budget then raise Break;
               let routing = P.interval_area problem ~pair:j ~lo:i ~hi:i2 in
               if routing > cap then raise Break;
-              let d_count = P.meeting_count problem ~pair:j ~lo:i ~hi:i2 in
-              let dst = cell ~n (j + 1) i2 in
-              let dbase = dst * stride in
-              let p = ref (-1) in
-              for k = 0 to len - 1 do
-                let a = f_area.{sbase + k} +. d_area in
-                let c = f_count.{sbase + k} + d_count in
-                if a <= budget && routing +. blocked_k.(k) <= cap then begin
-                  p := position f_area ~dbase ~dlen:f_len.{dst} ~from:!p a;
-                  if !p > 0 && f_count.{dbase + !p - 1} <= c then
-                    b.b_skipped <- b.b_skipped + 1
-                  else begin
-                    Front.insert front dst ~area:a ~count:c ~split:i2
-                      ~parent:(Front.state front src k);
-                    p := -1
+              (* A screened destination is skipped only after the [Break]
+                 tests, so the [i2] loop ends where it always has. *)
+              if screened.(i2) then
+                b.b_cells_screened <- b.b_cells_screened + 1
+              else begin
+                let d_count = P.meeting_count problem ~pair:j ~lo:i ~hi:i2 in
+                let dst = cell ~n (j + 1) i2 in
+                let dbase = dst * stride in
+                let p = ref (-1) in
+                for k = 0 to len - 1 do
+                  let a = f_area.{sbase + k} +. d_area in
+                  let c = f_count.{sbase + k} + d_count in
+                  if a <= budget && routing +. blocked_k.(k) <= cap then begin
+                    p := position f_area ~dbase ~dlen:f_len.{dst} ~from:!p a;
+                    if !p > 0 && f_count.{dbase + !p - 1} <= c then
+                      b.b_skipped <- b.b_skipped + 1
+                    else begin
+                      Front.insert front dst ~area:a ~count:c ~split:i2
+                        ~parent:(Front.state front src k);
+                      p := -1
+                    end
                   end
-                end
-              done
+                done
+              end
             end
           done
         with Break -> ()
@@ -304,6 +343,7 @@ let flush b =
   let now =
     {
       t_states = b.b_states;
+      t_screened = b.b_cells_screened;
       t_inserts = Front.inserts front + b.b_skipped;
       t_dominated = Front.dominated front + b.b_skipped;
       t_truncations = Front.truncations front;
@@ -311,6 +351,7 @@ let flush b =
   in
   let was = b.b_flushed in
   Ir_obs.add stat_states (now.t_states - was.t_states);
+  Ir_obs.add stat_screened (now.t_screened - was.t_screened);
   Ir_obs.add stat_inserts (now.t_inserts - was.t_inserts);
   Ir_obs.add stat_dominated (now.t_dominated - was.t_dominated);
   Ir_obs.add stat_truncations (now.t_truncations - was.t_truncations);

@@ -105,7 +105,42 @@ val builder : ?max_pareto:int -> Ir_assign.Problem.t -> builder
     steps to go.  A no-fit instance gets no root state and a build that
     is already done: its tables are empty, so the [c = 0] probe of any
     search answers unassignable (rank 0, exact) and no level is ever
-    expanded.  Raises [Invalid_argument] if [max_pareto < 1]. *)
+    expanded.  Raises [Invalid_argument] if [max_pareto < 1].
+
+    {b The per-cell screen.}  Definition 3 counts a prefix only if the
+    remaining wires still fit, delay ignored, and every level applies
+    that test to each cell it fills: cell [(j, i)] is {e screened} when
+    {!Ir_assign.Greedy_fill.fast_reject} rejects the context
+    [from_bunch = i], [top_pair = j], [wires_above_top =
+    wires_above_below = wires_before i], no repeaters — bunches [i..n)
+    cannot fit on pairs [j..m) even at the narrowest pitch and the
+    blockage floor of the prefix wires alone.  A screened cell gets no
+    state.  The root no-fit test above is the same rule at [(0, 0)],
+    made exact by a full packing.
+
+    {e Soundness} (a counting argument; Lemma 1 is not used): every
+    completion of a state in cell [(j, i)] — a meeting interval on
+    pair [j], a capacity-only suffix, or further DP transitions — puts
+    bunches [i..n) on pairs [j..m).  The DP's and the packer's own
+    checks keep each pair's routing plus blockage within capacity;
+    blockage only grows as wires or repeaters are added above, so it is
+    at least the floor; and a wire's area is its length times its
+    pair's pitch, so the narrowest pitch bounds the demand from below.
+    A screened state therefore never completes, at any budget.
+
+    {e Closure}: with [P_j] the narrowest pitch over pairs [>= j] and
+    [L] summed wire length, [P_j L(i..n) <= area_j(i..i2) + P_(j+1)
+    L(i2..n)]; a transition from [(j, i)] to [(j+1, i2)] pays
+    [area_j(i..i2)] out of pair [j]'s room, and the floor only rises
+    with [i2].  So every candidate a screened cell would send lands in
+    a screened cell, and every kept cell receives exactly the candidate
+    stream, and holds exactly the front, it would without the screen.
+    The skip is tested after the transition loop's [Break] tests, so
+    the loop ends where it would anyway.  Screened cells skipped are
+    counted on [rank_dp/cells_screened], once per source cell whose
+    transition loop reaches one.  Ranks and witnesses are those of the
+    unscreened build wherever that build was exact; an outcome's
+    [exact] flag can only go from [false] to [true]. *)
 
 val builder_levels : builder -> int
 (** Total number of boundary-pair levels, [Problem.n_pairs - 1]: level
@@ -143,9 +178,11 @@ val builder_finish : builder -> tables
 
 val table_truncations : tables -> int
 (** Number of non-dominated states dropped because a per-state Pareto set
-    exceeded [max_pareto] during the build — in rows [0 .. m-1], the
-    only rows built, so every counted drop is a state some boundary
-    probe could have read.  [0] means phase A is complete and any search
+    exceeded [max_pareto] during the build — in the kept cells of rows
+    [0 .. m-1], the only cells filled (see {!builder}'s per-cell
+    screen), so every counted drop is a state some boundary probe could
+    have read, and none is a state the screen proves can never
+    complete.  [0] means phase A is complete and any search
     over these tables is exact; positive means outcomes derived from
     them carry [exact = false] (a lower bound) and {!widen_tables}
     retries at a wider front.  On suspended tables it is the count up to

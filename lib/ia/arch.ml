@@ -136,15 +136,26 @@ let blocked_area t ~pair_index ~wires_above ~repeaters_above =
   let repeater_pads = float_of_int repeaters_above in
   (wire_pads +. repeater_pads) *. pad
 
-let with_materials t materials =
-  make ~structure:t.structure ~materials ~device:t.device ~stack:t.stack
-    ~utilization:t.utilization ~vias_per_wire:t.vias_per_wire
-    ~via_model:t.via_model ~design:t.design ()
+(* Re-derive every pair from its own class and geometry, so an arch from
+   [custom] keeps its explicit pairs (which its node's stack may not
+   provide); for an arch from [make] the pairs' geometries are the
+   stack's, and this is the pair list [make] would build. *)
+let rebind t ~materials ~design =
+  let node = design.Ir_tech.Design.node in
+  {
+    t with
+    design;
+    materials;
+    pairs =
+      Array.map
+        (fun (p : Layer_pair.t) ->
+          Layer_pair.make ~device:t.device ~materials ~node ~cls:p.cls p.geom)
+        t.pairs;
+    die_area = Ir_tech.Design.die_area design;
+  }
 
-let with_design t design =
-  make ~structure:t.structure ~materials:t.materials ~device:t.device
-    ~stack:t.stack ~utilization:t.utilization
-    ~vias_per_wire:t.vias_per_wire ~via_model:t.via_model ~design ()
+let with_materials t materials = rebind t ~materials ~design:t.design
+let with_design t design = rebind t ~materials:t.materials ~design
 
 let pp_summary ppf t =
   let open Format in

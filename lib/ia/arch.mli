@@ -97,11 +97,13 @@ val blocked_area : t -> pair_index:int -> wires_above:int -> repeaters_above:int
 
 val with_materials : t -> Materials.t -> t
 (** Rebuilds the architecture (and all derived electricals) with different
-    materials; design, structure and device are preserved. *)
+    materials; design, structure, device and every pair's class and
+    geometry are preserved, so an architecture from {!custom} stays the
+    one [custom] builds at the new materials. *)
 
 val with_design : t -> Ir_tech.Design.t -> t
 (** Rebuilds the architecture for a modified design (e.g. different clock
-    or repeater fraction). *)
+    or repeater fraction), keeping its pairs' classes and geometries. *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** One-line-per-pair summary: class, pitch, r̄, c̄, s_opt. *)

@@ -563,6 +563,7 @@ type rstats = {
   mutable r_inserts : int;
   mutable r_dominated : int;
   mutable r_truncations : int;
+  mutable r_screened : int;
 }
 
 let rdominates a b = a.r_area <= b.r_area && a.r_count <= b.r_count
@@ -636,7 +637,9 @@ let prop_front_insert_matches_reference =
   qtest ~count:500 "flat front insert matches the list reference"
     gen_insert_seq (fun (width, ops) ->
       let label = Printf.sprintf "width=%d n_ops=%d" width (List.length ops) in
-      let stats = { r_inserts = 0; r_dominated = 0; r_truncations = 0 } in
+      let stats =
+        { r_inserts = 0; r_dominated = 0; r_truncations = 0; r_screened = 0 }
+      in
       let front = Front.create ~cells:1 ~width in
       let reference = ref [] in
       List.iteri
@@ -649,16 +652,39 @@ let prop_front_insert_matches_reference =
         ops;
       check_stats_equal ~label front stats)
 
+(* The phase-A front of built tables, read back from their blob (the
+   layout [test_decode_row_m_front] writes). *)
+let tables_front t =
+  let blob = Ir_core.Rank_dp.encode_tables t in
+  let _, _, _, _, front =
+    (Marshal.from_string blob 16 : int * int * int * int * Front.t)
+  in
+  front
+
+(* The builder's per-cell capacity screen, restated from its definition:
+   cell (j, i) is screened when bunches [i..n) cannot fit on pairs
+   [j..m) even with no repeater above, by the greedy-fill counting
+   screen. *)
+let cell_screened problem j i =
+  let w = P.wires_before problem i in
+  Ir_assign.Greedy_fill.fast_reject problem
+    (Ir_assign.Greedy_fill.context ~wires_above_top:w ~wires_above_below:w
+       ~from_bunch:i ~top_pair:j ())
+
 (* Replays the phase-A build loop of [Rank_dp.build_tables] — the same
-   root screen, iteration order, prune conditions and insert sequence —
-   into {e both} a reference list matrix and a [Front], then requires
-   every cell, every splits chain and all three tallies to agree.  Parent
-   ids are read back from the front as the build goes, so this also pins
-   the arena wiring. *)
-let mirror_build ~width problem =
+   root screen, per-cell screen, iteration order, prune conditions and
+   insert sequence — into {e both} a reference list matrix and a
+   [Front], then requires every cell, every splits chain and all three
+   tallies to agree.  Parent ids are read back from the front as the
+   build goes, so this also pins the arena wiring.  [~screen:false]
+   replays the build without the per-cell screen: the reference the
+   screen's soundness property compares against. *)
+let mirror_build ?(screen = true) ~width problem =
   let n = P.n_bunches problem and m = P.n_pairs problem in
   let cap = P.capacity problem and budget = P.budget problem in
-  let stats = { r_inserts = 0; r_dominated = 0; r_truncations = 0 } in
+  let stats =
+    { r_inserts = 0; r_dominated = 0; r_truncations = 0; r_screened = 0 }
+  in
   let dp = Array.make_matrix m (n + 1) [] in
   let front = Front.create ~cells:(m * (n + 1)) ~width in
   let cell j i = (j * (n + 1)) + i in
@@ -695,6 +721,14 @@ let mirror_build ~width problem =
               ~count:(e.r_count + d_count)
               ~split ~parent:parents.(k)
           in
+          (* The builder's skip: a screened destination gets no candidate,
+             decided after the [Break] tests and counted once per source
+             cell. *)
+          let offer dst insert =
+            if screen && cell_screened problem (j + 1) dst then
+              stats.r_screened <- stats.r_screened + 1
+            else insert ()
+          in
           let wires_above = P.wires_before problem i in
           let min_area =
             List.fold_left
@@ -706,9 +740,10 @@ let mirror_build ~width problem =
              for i2 = i to n do
                if i2 = i then
                  (* Empty interval: pair j left unused. *)
-                 List.iteri
-                   (fun k e -> ins i ~split:i k e ~d_area:0.0 ~d_count:0)
-                   elts
+                 offer i (fun () ->
+                     List.iteri
+                       (fun k e -> ins i ~split:i k e ~d_area:0.0 ~d_count:0)
+                       elts)
                else
                  match P.meeting_cost problem ~pair:j ~lo:i ~hi:i2 with
                  | None -> raise Break
@@ -718,17 +753,18 @@ let mirror_build ~width problem =
                        P.interval_area problem ~pair:j ~lo:i ~hi:i2
                      in
                      if routing > cap then raise Break;
-                     List.iteri
-                       (fun k e ->
-                         let blocked =
-                           P.blocked problem ~pair:j ~wires_above
-                             ~reps_above:e.r_count
-                         in
-                         if
-                           e.r_area +. d_area <= budget
-                           && routing +. blocked <= cap
-                         then ins i2 ~split:i2 k e ~d_area ~d_count)
-                       elts
+                     offer i2 (fun () ->
+                         List.iteri
+                           (fun k e ->
+                             let blocked =
+                               P.blocked problem ~pair:j ~wires_above
+                                 ~reps_above:e.r_count
+                             in
+                             if
+                               e.r_area +. d_area <= budget
+                               && routing +. blocked <= cap
+                             then ins i2 ~split:i2 k e ~d_area ~d_count)
+                           elts)
              done
            with Break -> ())
     done
@@ -753,10 +789,13 @@ let check_mirror ~label ~width problem =
      front happens to come out right. *)
   let inserts = Ir_obs.counter "rank_dp/pareto_inserts" in
   let dominated = Ir_obs.counter "rank_dp/pareto_dominated" in
+  let screened = Ir_obs.counter "rank_dp/cells_screened" in
   let inserts0 = Ir_obs.value inserts and dominated0 = Ir_obs.value dominated in
+  let screened0 = Ir_obs.value screened in
   let tables = Ir_core.Rank_dp.build_tables ~max_pareto:width problem in
   let d_inserts = Ir_obs.value inserts - inserts0 in
   let d_dominated = Ir_obs.value dominated - dominated0 in
+  let d_screened = Ir_obs.value screened - screened0 in
   if Ir_core.Rank_dp.table_truncations tables <> stats.r_truncations then
     QCheck2.Test.fail_reportf "%s: build_tables truncations %d <> mirror %d"
       label
@@ -767,6 +806,11 @@ let check_mirror ~label ~width problem =
     QCheck2.Test.fail_reportf
       "%s: build_tables (inserts, dominated) (%d,%d) <> mirror (%d,%d)" label
       d_inserts d_dominated stats.r_inserts stats.r_dominated
+  else if d_screened <> stats.r_screened then
+    (* The skip is counted where the [i2] loop reaches it, so a screen
+       tested before the [Break] tests counts more. *)
+    QCheck2.Test.fail_reportf "%s: build_tables cells screened %d <> mirror %d"
+      label d_screened stats.r_screened
   else true
 
 let prop_front_mirror_build =
@@ -782,6 +826,71 @@ let prop_front_mirror_build_4pair =
     Helpers.gen_instance_4pair (fun { problem; label } ->
       check_mirror ~label:(label ^ " width=8") ~width:8 problem
       && check_mirror ~label:(label ^ " width=3") ~width:3 problem)
+
+(* Does the reference state [e] of cell (j, i) complete with boundary
+   [c]?  The witness test itself — bunches [i..c) meet on pair j, the
+   suffix passes [Greedy_fill.fits] — without the repeater budget, since
+   the screen claims soundness at every budget. *)
+let completes problem ~j ~i ~c (e : relt) =
+  P.meeting_feasible problem ~pair:j ~lo:i ~hi:c
+  &&
+  let used = P.interval_area problem ~pair:j ~lo:i ~hi:c in
+  let wires_i = P.wires_before problem i in
+  used
+  +. P.blocked problem ~pair:j ~wires_above:wires_i ~reps_above:e.r_count
+  <= P.capacity problem
+  && Ir_assign.Greedy_fill.fits problem
+       (Ir_assign.Greedy_fill.context ~top_pair_used:used
+          ~wires_above_top:wires_i ~reps_above_top:e.r_count
+          ~wires_above_below:(P.wires_before problem c)
+          ~reps_above_below:
+            (e.r_count + P.meeting_count problem ~pair:j ~lo:i ~hi:c)
+          ~from_bunch:c ~top_pair:j ())
+
+(* The per-cell screen against the unscreened reference build: every
+   kept cell of the real tables equals the reference's, every screened
+   cell is empty, and no state the reference holds in a screened cell
+   completes at any boundary. *)
+let check_screen ~label ~width problem =
+  let dp, _, _, _ = mirror_build ~screen:false ~width problem in
+  let front =
+    tables_front (Ir_core.Rank_dp.build_tables ~max_pareto:width problem)
+  in
+  let n = P.n_bunches problem and m = P.n_pairs problem in
+  for j = 0 to m - 1 do
+    for i = 0 to n do
+      let cell = (j * (n + 1)) + i in
+      if not (cell_screened problem j i) then
+        ignore (check_cell_equal ~label front cell dp.(j).(i))
+      else begin
+        if Front.length front cell > 0 then
+          QCheck2.Test.fail_reportf "%s: screened cell (%d, %d) holds %d states"
+            label j i (Front.length front cell);
+        List.iter
+          (fun e ->
+            for c = i to n do
+              if completes problem ~j ~i ~c e then
+                QCheck2.Test.fail_reportf
+                  "%s: screened cell (%d, %d) state (%.17g, %d) completes at \
+                   c = %d"
+                  label j i e.r_area e.r_count c
+            done)
+          dp.(j).(i)
+      end
+    done
+  done;
+  true
+
+let prop_screen_sound =
+  qtest ~count:100 "per-cell screen: kept cells unchanged, screened unfit"
+    QCheck2.Gen.(pair Helpers.gen_instance Helpers.gen_instance_4pair)
+    (fun ({ problem = p; label = l }, { problem = p4; label = l4 }) ->
+      List.for_all
+        (fun width ->
+          let w = Printf.sprintf " width=%d" width in
+          check_screen ~label:(l ^ w) ~width p
+          && check_screen ~label:(l4 ^ w) ~width p4)
+        [ 1; 3; 8 ])
 
 let test_front_mirror_adversarial () =
   (* The frozen instances: one overflowing the default width 8, one where
@@ -1045,7 +1154,7 @@ let test_rung_suspends () =
         Ir_core.Rank_dp.widen_tables ~widen_on_overflow:false suspended)
   in
   Alcotest.(check string) "resumed rung = frozen width-8 tables"
-    "2a1d1fd29edb39612a5a964d97706bd1" (encoded_digest full);
+    "6b9987de9b48bf5fc0cb19cc77bf18e1" (encoded_digest full);
   Alcotest.(check (pair int int)) "one resume, nothing abandoned" (1, 0)
     (n "rank_dp/rung_resumes", n "rank_dp/levels_suspended");
   let b, steps = stepped_to_done p in
@@ -1198,11 +1307,39 @@ let test_decode_row_m_front () =
        (Ir_core.Rank_dp.decode_tables p
           (blob (Front.create ~cells:((m + 1) * (n + 1)) ~width:w))))
 
-(* Frozen digests of encoded phase-A tables.  The kernel's dominance
-   pre-check only decides which candidates reach [Front.insert], and
-   every decision must be the one a binary search per candidate makes:
-   the digests were taken with that search, so they pin each front,
-   split arena and tally byte for byte. *)
+(* A digest of the kept cells' contents alone — per state the area's
+   bits, the count and the splits chain — so it pins what every search
+   reads without pinning the arena layout or the blob format. *)
+let kept_cell_digest problem t =
+  let front = tables_front t in
+  let n = P.n_bunches problem and m = P.n_pairs problem in
+  let b = Buffer.create 4096 in
+  for j = 0 to m - 1 do
+    for i = 0 to n do
+      if not (cell_screened problem j i) then begin
+        let c = (j * (n + 1)) + i in
+        Printf.bprintf b "%d,%d:" j i;
+        for k = 0 to Front.length front c - 1 do
+          Printf.bprintf b "%Lx/%d/%s;"
+            (Int64.bits_of_float (Front.area front c k))
+            (Front.count front c k)
+            (String.concat ","
+               (List.map string_of_int
+                  (Front.splits front (Front.state front c k))))
+        done;
+        Buffer.add_char b '\n'
+      end
+    done
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Frozen digests of phase-A tables.  The kept-cell digest pins what
+   every search reads and must never move: the kernel's dominance
+   pre-check must make the decisions a binary search per candidate
+   makes, and the per-cell capacity screen must leave every kept cell as
+   the unscreened build filled it (the digests were taken before the
+   screen existed).  The blob digest pins each front, split arena and
+   tally byte for byte, screened cells included. *)
 let test_tables_byte_stable () =
   let table4_small =
     let design = Ir_tech.Design.v ~node:Ir_tech.Node.N130 ~gates:40_000 () in
@@ -1210,23 +1347,31 @@ let test_tables_byte_stable () =
       { Ir_sweep.Table4.default_config with design; bunch_size = 500 }
   in
   List.iter
-    (fun (label, problem, width, digest) ->
+    (fun (label, problem, width, kept, digest) ->
       let t = Ir_core.Rank_dp.build_tables ~max_pareto:width problem in
+      Alcotest.(check string) (label ^ " kept cells") kept
+        (kept_cell_digest problem t);
       Alcotest.(check string) label digest
         (Digest.to_hex (Digest.string (Ir_core.Rank_dp.encode_tables t))))
     [
       ("overflowing width=8", overflowing_problem (), 8,
+        "fec605f096d2ac6c33be2ca6b931c8a1",
         "fd218d552541b3b6f72f98a77007da8b");
       ("overflowing width=16", overflowing_problem (), 16,
+        "c3b7ae4c57961265322fda39709670e1",
         "98ab7f3bdb990df0108e0513887a3239");
       ("rank-changing width=1", rank_changing_problem (), 1,
-        "a6b5a46ff0e65e5dc7b93cc7b8f7c07d");
+        "8323888911b5ae3cba4c04c7d01d7717",
+        "c4e52526f6414adb3f93672f39c8ef1a");
       ("walking width=8", walking_problem (), 8,
-        "2a1d1fd29edb39612a5a964d97706bd1");
+        "074ab6d169c41fb75d69cf618adabe93",
+        "6b9987de9b48bf5fc0cb19cc77bf18e1");
       ("walking width=16", walking_problem (), 16,
-        "307bf4317eca946489c23cd68d69ce9a");
+        "13cc9c6508ec97a290d433af5ab91bdd",
+        "cf6ce36d430f7c58435b8c7909813638");
       ("table-4 small base width=8", table4_small, 8,
-        "a904df97027f99d5d0043088d08ad9e2");
+        "dac738c2be72d11060a94a52dd4bbec4",
+        "70dc4afde6ccad9b24822addad91fdea");
     ]
 
 (* ---- grid-batched engine ---------------------------------------------- *)
@@ -1750,6 +1895,7 @@ let () =
           prop_front_insert_matches_reference;
           prop_front_mirror_build;
           prop_front_mirror_build_4pair;
+          prop_screen_sound;
         ] );
       ( "rank_greedy",
         [

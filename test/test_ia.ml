@@ -109,6 +109,41 @@ let test_with_materials () =
   let faster = Ir_ia.Arch.with_design arch (Ir_tech.Design.with_clock design 1e9) in
   check_close "die preserved" arch.die_area faster.die_area
 
+(* A custom arch may hold more pairs of a class than its node's stack
+   provides (the n-tier generator's 3 semi-global tiers on 130nm): a
+   rebind keeps its pairs instead of rebuilding from the stack. *)
+let test_rebind_custom () =
+  let g um_pitch =
+    Ir_tech.Geometry.v ~width:(Ir_phys.Units.um um_pitch)
+      ~spacing:(Ir_phys.Units.um um_pitch) ~thickness:(Ir_phys.Units.um 0.5)
+      ()
+  in
+  let pairs =
+    Ir_tech.Metal_class.
+      [
+        (Global, g 0.4); (Semi_global, g 0.3); (Semi_global, g 0.25);
+        (Semi_global, g 0.2); (Local, g 0.15);
+      ]
+  in
+  let stack = Ir_tech.Stack.of_node design.Ir_tech.Design.node in
+  Alcotest.(check bool) "more semi-global pairs than the stack" true
+    (Ir_tech.Stack.max_pairs stack Ir_tech.Metal_class.Semi_global < 3);
+  let arch = Ir_ia.Arch.custom ~design ~pairs () in
+  let low_k = Ir_ia.Materials.v ~k:2.0 () in
+  Alcotest.(check string) "with_materials = fresh custom at the new materials"
+    (Ir_ia.Arch.show (Ir_ia.Arch.custom ~materials:low_k ~design ~pairs ()))
+    (Ir_ia.Arch.show (Ir_ia.Arch.with_materials arch low_k));
+  let faster =
+    Ir_ia.Arch.with_design arch (Ir_tech.Design.with_clock design 1e9)
+  in
+  Alcotest.(check int) "with_design keeps the pair count" 5
+    (Ir_ia.Arch.pair_count faster);
+  Alcotest.(check string) "with_design = fresh custom at the new design"
+    (Ir_ia.Arch.show
+       (Ir_ia.Arch.custom ~design:(Ir_tech.Design.with_clock design 1e9)
+          ~pairs ()))
+    (Ir_ia.Arch.show faster)
+
 let test_via_model () =
   let g = Ir_tech.Geometry.v ~width:(Ir_phys.Units.um 0.2)
       ~spacing:(Ir_phys.Units.um 0.2) ~thickness:(Ir_phys.Units.um 0.3)
@@ -183,6 +218,8 @@ let () =
           Alcotest.test_case "with_materials/design" `Quick
             test_with_materials;
           Alcotest.test_case "custom pairs" `Quick test_arch_custom;
+          Alcotest.test_case "rebind keeps custom pairs" `Quick
+            test_rebind_custom;
           Alcotest.test_case "via model in blockage" `Quick
             test_arch_via_model;
         ] );

@@ -192,7 +192,11 @@ let check_exit what expected args =
 let test_cli_success_paths () =
   check_exit "rank on a small design" 0
     [ "rank"; "-n"; "130nm"; "-g"; "20000"; "--bunch-size"; "500" ];
-  check_exit "wld summary" 0 [ "wld"; "-g"; "10000" ]
+  check_exit "wld summary" 0 [ "wld"; "-g"; "10000" ];
+  (* Five tiers put three semi-global pairs on a stack that provides
+     two: the custom arch must survive its materials/design rebinds. *)
+  check_exit "ntier with more tiers than the stack" 0
+    [ "ntier"; "--tiers"; "5"; "-g"; "20000"; "--bunch-size"; "500" ]
 
 let test_cli_error_exit_codes () =
   (* operational failures (valid command line, runtime error) exit 1 *)
