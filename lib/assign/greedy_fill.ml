@@ -8,6 +8,7 @@ let stat_wires = Ir_obs.counter "greedy_fill/wires_packed"
 let stat_early = Ir_obs.counter "greedy_fill/early_exits"
 let stat_take_adjust = Ir_obs.counter "greedy_fill/take_adjustments"
 let stat_fast_fail = Ir_obs.counter "greedy_fill/fast_fails"
+let stat_below_hits = Ir_obs.counter "greedy_fill/below_hits"
 
 type context = {
   from_bunch : int;
@@ -138,6 +139,16 @@ let fast_reject t ctx =
   done;
   !demand_lb > !avail_ub *. (1.0 +. 1e-9)
 
+(* Packing runs in two stages.  The pairs strictly below the top pair
+   read only [t], [from_bunch], [top_pair], [wires_above_below] and
+   [reps_above_below], the key of a [Scratch.below]; the top pair also
+   reads [top_pair_used], [wires_above_top] and [reps_above_top].  With
+   an arena, a full pack leaves its below-top state there, and a later
+   call with the same key resumes at the top pair from it.  The top
+   stage then runs the same float operations in the same order as a
+   full pack, so the verdict and the early-exit count are the same;
+   only the work counters ([wires_packed], [take_adjustments]) see
+   less. *)
 let run ?scratch t ctx ~record =
   Ir_obs.incr stat_calls;
   let n = Problem.n_bunches t in
@@ -149,97 +160,113 @@ let run ?scratch t ctx ~record =
   if ctx.wires_above_top < 0 || ctx.reps_above_top < 0
      || ctx.wires_above_below < 0 || ctx.reps_above_below < 0 then
     invalid_arg "Greedy_fill: negative context counts";
-  let cap = Problem.capacity t in
-  let arch = Problem.arch t in
-  let v = arch.Ir_ia.Arch.vias_per_wire in
-  let total_suffix =
-    Problem.total_wires t - Problem.wires_before t ctx.from_bunch
-  in
   if fast_reject t ctx then begin
     Ir_obs.incr stat_fast_fail;
     None
   end
-  else
-  let placements = ref [] in
-  (* The packing loop only ever touches [remaining.(b)] for [b < n], so a
-     scratch buffer longer than [n] is fine; the refill writes exactly
-     the values [Array.init] would. *)
-  let remaining =
-    match scratch with
-    | None -> Array.init n (fun b -> Problem.bunch_count t b)
-    | Some s ->
-        let r = Scratch.ints s n in
-        for b = 0 to n - 1 do
-          r.(b) <- Problem.bunch_count t b
-        done;
-        r
-  in
-  for b = 0 to ctx.from_bunch - 1 do
-    remaining.(b) <- 0
-  done;
-  let next = ref (n - 1) in
-  let packed_total = ref 0 in
-  let exception Done of bool in
-  try
-    let q = ref (m - 1) in
-    while !q >= ctx.top_pair do
-      while !next >= ctx.from_bunch && remaining.(!next) = 0 do
-        decr next
-      done;
-      if !next < ctx.from_bunch then begin
-        (* Everything packed with pairs to spare. *)
-        Ir_obs.incr stat_early;
-        raise (Done true)
-      end;
-      let pair = Ir_ia.Arch.pair arch !q in
+  else begin
+    let cap = Problem.capacity t in
+    let arch = Problem.arch t in
+    let v = arch.Ir_ia.Arch.vias_per_wire in
+    let from = ctx.from_bunch in
+    let total_suffix = Problem.total_wires t - Problem.wires_before t from in
+    let placements = ref [] in
+    (* The pack cursor.  Packing is strictly shortest-first, so bunch
+       [!next] is the only partly packed one, with [!rem] wires left;
+       the bunches after it are packed and those before it untouched.
+       [settle] moves the cursor past packed bunches; [!next < from]
+       then means the whole suffix is packed. *)
+    let next = ref n and rem = ref 0 and packed = ref 0 in
+    let settle () =
+      while !next >= from && !rem = 0 do
+        decr next;
+        if !next >= from then rem := Problem.bunch_count t !next
+      done
+    in
+    (* Pack as much of the suffix as fits onto pair [q]. *)
+    let fill q =
+      let pair = Ir_ia.Arch.pair arch q in
       let via = pair.Ir_ia.Layer_pair.via_area in
-      let at_top = !q = ctx.top_pair in
+      let at_top = q = ctx.top_pair in
       let base_wires =
         if at_top then ctx.wires_above_top else ctx.wires_above_below
       in
-      let reps =
-        if at_top then ctx.reps_above_top else ctx.reps_above_below
-      in
+      let reps = if at_top then ctx.reps_above_top else ctx.reps_above_below in
       let cap_q = if at_top then cap -. ctx.top_pair_used else cap in
-      (* Suffix wires above q (besides those being packed onto q now):
-         everything not yet packed below. *)
       let a_w = ref 0.0 in
       let continue_pair = ref true in
-      while !continue_pair && !next >= ctx.from_bunch do
-        if remaining.(!next) = 0 then decr next
-        else begin
-          let b = !next in
-          let wire_area =
-            Problem.bunch_length t b *. Ir_ia.Layer_pair.pitch pair
-          in
-          (* Suffix wires currently unplaced (they will sit above q unless
-             packed onto it now); max_take subtracts the x it packs. *)
-          let suffix_above = total_suffix - !packed_total in
-          let take =
-            max_take ~cap:cap_q ~a_w:!a_w ~wire_area ~via ~v ~base_wires
-              ~reps ~suffix_above ~available:remaining.(b)
-          in
-          if take > 0 then begin
-            remaining.(b) <- remaining.(b) - take;
-            packed_total := !packed_total + take;
-
-            a_w := !a_w +. (float_of_int take *. wire_area);
-            if record then
-              placements :=
-                { pair = !q; bunch = b; wires = take } :: !placements
-          end;
-          if remaining.(b) > 0 then continue_pair := false
-        end
-      done;
-      decr q
-    done;
-    while !next >= ctx.from_bunch && remaining.(!next) = 0 do
-      decr next
-    done;
-    raise (Done (!next < ctx.from_bunch))
-  with Done ok ->
-    Ir_obs.add stat_wires !packed_total;
+      while !continue_pair && (settle (); !next >= from) do
+        let b = !next in
+        let wire_area =
+          Problem.bunch_length t b *. Ir_ia.Layer_pair.pitch pair
+        in
+        (* Suffix wires currently unplaced (they will sit above q unless
+           packed onto it now); max_take subtracts the x it packs. *)
+        let suffix_above = total_suffix - !packed in
+        let take =
+          max_take ~cap:cap_q ~a_w:!a_w ~wire_area ~via ~v ~base_wires ~reps
+            ~suffix_above ~available:!rem
+        in
+        if take > 0 then begin
+          rem := !rem - take;
+          packed := !packed + take;
+          a_w := !a_w +. (float_of_int take *. wire_area);
+          if record then
+            placements := { pair = q; bunch = b; wires = take } :: !placements
+        end;
+        if !rem > 0 then continue_pair := false
+      done
+    in
+    let packed_below =
+      match Option.bind scratch Scratch.below with
+      | Some e
+        when e.problem == t && e.from_bunch = from
+             && e.top_pair = ctx.top_pair
+             && e.wires_above_below = ctx.wires_above_below
+             && e.reps_above_below = ctx.reps_above_below ->
+          Ir_obs.incr stat_below_hits;
+          next := e.next;
+          rem := e.rem;
+          packed := e.packed;
+          e.packed
+      | _ ->
+          let q = ref (m - 1) in
+          while !q > ctx.top_pair && (settle (); !next >= from) do
+            fill !q;
+            decr q
+          done;
+          settle ();
+          Option.iter
+            (fun s ->
+              Scratch.set_below s
+                {
+                  problem = t;
+                  from_bunch = from;
+                  top_pair = ctx.top_pair;
+                  wires_above_below = ctx.wires_above_below;
+                  reps_above_below = ctx.reps_above_below;
+                  next = !next;
+                  rem = !rem;
+                  packed = !packed;
+                })
+            scratch;
+          0
+    in
+    let ok =
+      if !next < from then begin
+        (* Everything packed with pairs to spare. *)
+        Ir_obs.incr stat_early;
+        true
+      end
+      else begin
+        fill ctx.top_pair;
+        settle ();
+        !next < from
+      end
+    in
+    Ir_obs.add stat_wires (!packed - packed_below);
     if ok then Some (List.rev !placements) else None
+  end
 
-let pack ?scratch t ctx = run ?scratch t ctx ~record:true
+let pack t ctx = run t ctx ~record:true
 let fits ?scratch t ctx = Option.is_some (run ?scratch t ctx ~record:false)

@@ -90,20 +90,37 @@ val fast_reject : Problem.t -> context -> bool
     decides nothing.  Counts nothing; assumes a context {!pack} would
     accept. *)
 
-val pack : ?scratch:Scratch.t -> Problem.t -> context -> placement list option
+val pack : Problem.t -> context -> placement list option
 (** Packs the suffix; returns placements (bottom-up order) or [None] when
-    it does not fit.  [?scratch] reuses the arena's int buffer for the
-    O(bunches) per-call working array instead of allocating — verdicts,
-    placements and counters are byte-identical either way (the refill
-    writes exactly what fresh allocation would).
+    it does not fit.
     @raise Invalid_argument on out-of-range context fields.
 
     Both entry points first run {!fast_reject}: a context it rejects
     skips the packing loop (counter [greedy_fill/fast_fails]).  The
     screen is conservative — same verdicts, with a relative slack
     absorbing float summation-order differences — so only
-    [greedy_fill/wires_packed] totals change. *)
+    [greedy_fill/wires_packed] totals change.
+
+    The packing walks the suffix with a cursor from its shortest
+    bunch: packing is strictly shortest-first, so only one bunch is
+    ever partly packed, and no per-call working array is built. *)
 
 val fits : ?scratch:Scratch.t -> Problem.t -> context -> bool
-(** {!pack} without materializing the placement list. *)
+(** {!pack} without materializing the placement list.
 
+    {b Staged packing.}  The pack runs in two stages.  The pairs
+    strictly below [top_pair] read only the problem, [from_bunch],
+    [top_pair], [wires_above_below] and [reps_above_below]; the top
+    pair also reads [top_pair_used], [wires_above_top] and
+    [reps_above_top].  With [?scratch], a call that packs the pairs
+    below leaves their cursor and packed count in the arena
+    ({!Scratch.below}), and a call whose below-stage fields match (the
+    problem compared by [==]) resumes at the top pair instead: a {e
+    hit}, counted on [greedy_fill/below_hits].  The resumed top stage
+    runs the same float operations in the same order as a full pack,
+    so the verdict and the [calls], [fast_fails] and [early_exits]
+    counters are those of a call without the arena.
+    [greedy_fill/wires_packed] and [greedy_fill/take_adjustments] count
+    work done: a hit adds only the top pair's.  Phase B's witness
+    probes share the below-stage fields across the states of a cell and
+    vary the top pair's load, which is where hits come from. *)

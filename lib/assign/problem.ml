@@ -106,7 +106,11 @@ let area_tables ~arch bunches =
       area_prefix.(j).(b + 1) <-
         area_prefix.(j).(b)
         +. (float_of_int count *. Ir_ia.Layer_pair.wire_area p l)
-    done
+    done;
+    (* Finite lengths can still sum past [max_float]; an infinite entry
+       would make interval areas inf - inf = NaN. *)
+    if area_prefix.(j).(n) = infinity then
+      invalid_arg "Problem: total routing area overflows"
   done;
   area_prefix
 
@@ -216,7 +220,9 @@ let build ?(activity = default_activity) ?(power_budget = infinity) ~arch
     (fun (b : Ir_wld.Dist.bin) ->
       if b.count <= 0 then invalid_arg "Problem: non-positive bunch count";
       if not (b.length > 0.0) then
-        invalid_arg "Problem: non-positive bunch length")
+        invalid_arg "Problem: non-positive bunch length";
+      if b.length = infinity then
+        invalid_arg "Problem: infinite bunch length")
     bunches;
   for i = 1 to n - 1 do
     if bunches.(i).Ir_wld.Dist.length > bunches.(i - 1).Ir_wld.Dist.length

@@ -36,7 +36,8 @@ val make :
     [infinity] = unconstrained) caps the repeater area at its
     {!kappa}-equivalent (see {!budget}).  Both are validated: activity in
     (0, 1], budget positive.
-    @raise Invalid_argument on an empty WLD. *)
+    @raise Invalid_argument on an empty WLD, or a bunch length that is
+    not positive and finite after the conversion to meters. *)
 
 val of_bunches :
   ?target_model:Ir_delay.Target.t ->
@@ -51,7 +52,11 @@ val of_bunches :
     meters}, sorted by non-increasing length (checked).  Used by tests and
     by synthetic scenarios such as the paper's Figure 2.
     @raise Invalid_argument if bunches are empty, unsorted or have
-    non-positive counts/lengths. *)
+    non-positive counts, lengths that are not positive and finite, or a
+    total routing area past [max_float].  Finite lengths and totals keep
+    every routing-area prefix table a sequential sum of finite
+    non-negative terms with finite entries, which [Rank_dp]'s monotone
+    [Break] tests rely on. *)
 
 (** {1 Dimensions} *)
 

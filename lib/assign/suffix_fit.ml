@@ -70,17 +70,17 @@ type t = {
   problem : Problem.t;
   stride : int;  (* n_pairs, for the (from_bunch, top_pair) key *)
   cells : (int, cell) Hashtbl.t;
-  scratch : Scratch.t option;
-      (* arena for the oracle's working array on misses; single-user,
-         like the memo itself *)
+  scratch : Scratch.t;
+      (* the oracle's below-top-pair state, kept across misses for the
+         memo's lifetime; single-user, like the memo itself *)
 }
 
-let create ?scratch problem =
+let create problem =
   {
     problem;
     stride = Problem.n_pairs problem;
     cells = Hashtbl.create 64;
-    scratch;
+    scratch = Scratch.create ();
   }
 
 (* Does frontier [f] contain an entry >= (resp. <=) the query in every
@@ -175,7 +175,7 @@ let fits t ~from_bunch ~top_pair ~top_pair_used ~wires_above_top
   else begin
     Ir_obs.incr stat_misses;
     let answer =
-      Greedy_fill.fits ?scratch:t.scratch t.problem
+      Greedy_fill.fits ~scratch:t.scratch t.problem
         (Greedy_fill.context ~top_pair_used ~wires_above_top ~reps_above_top
            ~wires_above_below ~reps_above_below ~from_bunch ~top_pair ())
     in

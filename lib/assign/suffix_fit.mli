@@ -30,12 +30,13 @@
 
 type t
 
-val create : ?scratch:Scratch.t -> Problem.t -> t
+val create : Problem.t -> t
 (** A fresh, empty memo for [problem]'s capacity/architecture/WLD family.
     Valid for the problem itself and any [Problem.with_repeater_fraction]
-    rebinding of it.  [?scratch] is handed to {!Greedy_fill.fits} on
-    every miss, reusing one arena across the memo's oracle calls; it is
-    single-user, exactly like the memo. *)
+    rebinding of it.  The memo owns one {!Scratch} arena for its
+    lifetime and hands it to {!Greedy_fill.fits} on every miss, so a
+    miss that shares the last miss's below-top-pair fields resumes at
+    the top pair; the arena is single-user, exactly like the memo. *)
 
 val fits :
   t ->

@@ -147,10 +147,7 @@ let make_builder ~suspend ?(max_pareto = 8) problem =
      a no-fit cell.  This is the per-cell screen of [screen_row] at cell
      (0, 0), decided by the exact packing rather than its counting
      bound. *)
-  let fits =
-    Scratch.with_arena (fun gf ->
-        GF.fits ~scratch:gf problem (GF.context ~from_bunch:0 ~top_pair:0 ()))
-  in
+  let fits = GF.fits problem (GF.context ~from_bunch:0 ~top_pair:0 ()) in
   if fits then Front.seed front (cell ~n 0 0) ~area:0.0 ~count:0;
   {
     b_problem = problem;
@@ -208,13 +205,34 @@ let[@inline] position (f_area : Front.farray) ~dbase ~dlen ~from a =
    no repeater above.  Its soundness and its closure under the
    transitions below (a screened cell only ever sends candidates to
    screened cells, so no kept cell's candidate stream changes) are
-   argued at [builder] in the interface. *)
+   argued at [builder] in the interface.  Returns the mask and
+   [next_kept]: [next_kept.(i)] is the first kept cell [>= i], [n + 1]
+   when none is left, so the transition loop can jump a run of screened
+   destinations. *)
 let screen_row problem ~n ~row =
-  Array.init (n + 1) (fun i ->
-      let w = P.wires_before problem i in
-      GF.fast_reject problem
-        (GF.context ~wires_above_top:w ~wires_above_below:w ~from_bunch:i
-           ~top_pair:row ()))
+  let screened =
+    Array.init (n + 1) (fun i ->
+        let w = P.wires_before problem i in
+        GF.fast_reject problem
+          (GF.context ~wires_above_top:w ~wires_above_below:w ~from_bunch:i
+             ~top_pair:row ()))
+  in
+  let next_kept = Array.make (n + 2) (n + 1) in
+  for i = n downto 0 do
+    next_kept.(i) <- (if screened.(i) then next_kept.(i + 1) else i)
+  done;
+  (screened, next_kept)
+
+(* Does the transition from cell (j, i) to destination [i2 > i] end the
+   transition loop?  The meeting interval [i, i2) must be feasible on
+   pair j, within the budget on top of the source's cheapest state, and
+   within the pair's routing capacity.  Each test is monotone in [i2]
+   (see [builder] in the interface), so once one holds it holds for
+   every larger [i2]. *)
+let[@inline] breaks problem ~j ~i ~min_area ~budget ~cap i2 =
+  (not (P.meeting_feasible problem ~pair:j ~lo:i ~hi:i2))
+  || min_area +. P.meeting_area problem ~pair:j ~lo:i ~hi:i2 > budget
+  || P.interval_area problem ~pair:j ~lo:i ~hi:i2 > cap
 
 (* Expand one boundary-pair level.  Returns [true] while more levels
    remain and the builder has not suspended.  The step touches only this
@@ -231,7 +249,7 @@ let builder_step b =
     let cap = b.b_cap in
     let budget = b.b_budget in
     let blocked_k = b.b_blocked_k in
-    let screened = screen_row problem ~n ~row:(j + 1) in
+    let screened, next_kept = screen_row problem ~n ~row:(j + 1) in
     (* Raw views into the front's planes, for the inlined dominance
        pre-check below.  Without flambda every [Front.insert] call boxes
        its float [~area] argument, and most candidates (95.8% on the
@@ -269,60 +287,81 @@ let builder_step b =
               ~reps_above:f_count.{sbase + k}
         done;
         try
-          for i2 = i to n do
-            if i2 = i then begin
-              (* Empty interval: pair j left unused. *)
-              if screened.(i) then
-                b.b_cells_screened <- b.b_cells_screened + 1
+          (* Empty interval: pair j left unused. *)
+          if screened.(i) then b.b_cells_screened <- b.b_cells_screened + 1
+          else begin
+            let dst = cell ~n (j + 1) i in
+            let dbase = dst * stride in
+            let p = ref (-1) in
+            for k = 0 to len - 1 do
+              let a = f_area.{sbase + k} in
+              let c = f_count.{sbase + k} in
+              p := position f_area ~dbase ~dlen:f_len.{dst} ~from:!p a;
+              if !p > 0 && f_count.{dbase + !p - 1} <= c then
+                b.b_skipped <- b.b_skipped + 1
               else begin
-                let dst = cell ~n (j + 1) i in
-                let dbase = dst * stride in
-                let p = ref (-1) in
-                for k = 0 to len - 1 do
-                  let a = f_area.{sbase + k} in
-                  let c = f_count.{sbase + k} in
+                Front.insert front dst ~area:a ~count:c ~split:i
+                  ~parent:(Front.state front src k);
+                p := -1
+              end
+            done
+          end;
+          let i2 = ref (i + 1) in
+          while !i2 <= n do
+            let d = !i2 in
+            if breaks problem ~j ~i ~min_area ~budget ~cap d then raise Break;
+            (* A screened destination is skipped only after the [Break]
+               tests, so the loop ends where it always has.  [d] starts
+               a run of screened destinations that ends at the next kept
+               cell [t].  [d] passed the [Break] tests, and they are
+               monotone in [i2], so if [t] passes them too, so does every
+               cell of the run: the run is counted and the loop goes on
+               at [t].  Otherwise the first breaking destination is found
+               by bisection and the cells before it are counted: the
+               tally a walk one destination at a time would make. *)
+            if screened.(d) then begin
+              let t = next_kept.(d) in
+              if t <= n && not (breaks problem ~j ~i ~min_area ~budget ~cap t)
+              then begin
+                b.b_cells_screened <- b.b_cells_screened + (t - d);
+                i2 := t
+              end
+              else begin
+                (* [lo] passes the tests; [hi] fails them or is past the
+                   row. *)
+                let lo = ref d and hi = ref t in
+                while !hi - !lo > 1 do
+                  let mid = (!lo + !hi) / 2 in
+                  if breaks problem ~j ~i ~min_area ~budget ~cap mid then
+                    hi := mid
+                  else lo := mid
+                done;
+                b.b_cells_screened <- b.b_cells_screened + (!hi - d);
+                raise Break
+              end
+            end
+            else begin
+              let d_area = P.meeting_area problem ~pair:j ~lo:i ~hi:d in
+              let routing = P.interval_area problem ~pair:j ~lo:i ~hi:d in
+              let d_count = P.meeting_count problem ~pair:j ~lo:i ~hi:d in
+              let dst = cell ~n (j + 1) d in
+              let dbase = dst * stride in
+              let p = ref (-1) in
+              for k = 0 to len - 1 do
+                let a = f_area.{sbase + k} +. d_area in
+                let c = f_count.{sbase + k} + d_count in
+                if a <= budget && routing +. blocked_k.(k) <= cap then begin
                   p := position f_area ~dbase ~dlen:f_len.{dst} ~from:!p a;
                   if !p > 0 && f_count.{dbase + !p - 1} <= c then
                     b.b_skipped <- b.b_skipped + 1
                   else begin
-                    Front.insert front dst ~area:a ~count:c ~split:i
+                    Front.insert front dst ~area:a ~count:c ~split:d
                       ~parent:(Front.state front src k);
                     p := -1
                   end
-                done
-              end
-            end
-            else if not (P.meeting_feasible problem ~pair:j ~lo:i ~hi:i2)
-            then raise Break
-            else begin
-              let d_area = P.meeting_area problem ~pair:j ~lo:i ~hi:i2 in
-              if min_area +. d_area > budget then raise Break;
-              let routing = P.interval_area problem ~pair:j ~lo:i ~hi:i2 in
-              if routing > cap then raise Break;
-              (* A screened destination is skipped only after the [Break]
-                 tests, so the [i2] loop ends where it always has. *)
-              if screened.(i2) then
-                b.b_cells_screened <- b.b_cells_screened + 1
-              else begin
-                let d_count = P.meeting_count problem ~pair:j ~lo:i ~hi:i2 in
-                let dst = cell ~n (j + 1) i2 in
-                let dbase = dst * stride in
-                let p = ref (-1) in
-                for k = 0 to len - 1 do
-                  let a = f_area.{sbase + k} +. d_area in
-                  let c = f_count.{sbase + k} + d_count in
-                  if a <= budget && routing +. blocked_k.(k) <= cap then begin
-                    p := position f_area ~dbase ~dlen:f_len.{dst} ~from:!p a;
-                    if !p > 0 && f_count.{dbase + !p - 1} <= c then
-                      b.b_skipped <- b.b_skipped + 1
-                    else begin
-                      Front.insert front dst ~area:a ~count:c ~split:i2
-                        ~parent:(Front.state front src k);
-                      p := -1
-                    end
-                  end
-                done
-              end
+                end
+              done;
+              i2 := d + 1
             end
           done
         with Break -> ()
@@ -495,7 +534,9 @@ let feasible_witness ?memo ?gf tables c =
   let wires_c = P.wires_before problem c in
   (* With a memo, the greedy-fill suffix check goes through the
      [Suffix_fit] frontier cache (byte-identical verdicts, fewer oracle
-     packings); without one, straight to the oracle.  The memo's oracle
+     packings); without one, straight to the oracle, which resumes at
+     the top pair from the [gf] arena while the fields the pairs below
+     read repeat (see [Greedy_fill.fits]).  The memo's oracle
      runs against the problem it was created for — sound here because a
      memo is only ever shared within a budget-rebound family and the
      suffix check never reads the budget (see [rebudget]). *)
@@ -683,9 +724,9 @@ let search_tables ?(exhaustive = false) ?memo ?hint ?(probe_fan = 1) tables =
                    pool: a search may itself be running inside a pool
                    worker, and a nested pool run would clobber
                    [last_pool_stats] for the driver that launched us.
-                   Spawned probes allocate fresh — their domain (and any
-                   arena in it) dies at the join, so there is nothing to
-                   reuse; only the caller-domain probe gets the arena. *)
+                   Spawned probes run without an arena — their domain
+                   dies at the join, so its packing state could never be
+                   resumed; only the caller-domain probe gets the arena. *)
                 let spawned =
                   Array.init (k - 1) (fun t ->
                       let c = pts.(t + 1) in

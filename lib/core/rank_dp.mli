@@ -140,7 +140,30 @@ val builder : ?max_pareto:int -> Ir_assign.Problem.t -> builder
     counted on [rank_dp/cells_screened], once per source cell whose
     transition loop reaches one.  Ranks and witnesses are those of the
     unscreened build wherever that build was exact; an outcome's
-    [exact] flag can only go from [false] to [true]. *)
+    [exact] flag can only go from [false] to [true].
+
+    {b The jump.}  A level does not visit screened destinations one at
+    a time.  Next to the mask of row [j + 1] it computes [next_kept]:
+    the first kept cell [>= i], for each [i].  When the transition loop
+    of source cell [(j, i)] reaches a screened destination [d] whose
+    [Break] tests pass, it runs the tests once more, at the run's end
+    [t = next_kept d].  If [t] passes, the loop counts the run and goes
+    on at [t].  If [t] fails, or no kept cell is left, the loop ends
+    inside the run: a bisection finds the first failing destination,
+    and the destinations before it are counted.  The tests are
+    monotone in the destination, so this is exact:
+    - a meeting interval that holds an infeasible bunch keeps holding
+      it as it grows;
+    - the repeater-area and routing-area prefix tables are sequential
+      sums of finite non-negative terms ({!Ir_assign.Problem} rejects
+      infinite lengths), so each table is non-decreasing, and so are
+      its differences [prefix.(i2) -. prefix.(i)] in [i2], because
+      float [-.] and [+.] are monotone.
+    So every destination of a run passes when its end does, and the
+    failing destinations of a run are a suffix of it.  The loop stops
+    where the walk one destination at a time stops, kept cells get
+    the same candidates from the same float operations, and
+    [rank_dp/cells_screened] counts what that walk counts. *)
 
 val builder_levels : builder -> int
 (** Total number of boundary-pair levels, [Problem.n_pairs - 1]: level

@@ -6,7 +6,9 @@ let of_bins bins =
     (fun b ->
       if b.count < 0 then invalid_arg "Dist.of_bins: negative count";
       if not (b.length > 0.0) then
-        invalid_arg "Dist.of_bins: lengths must be > 0")
+        invalid_arg "Dist.of_bins: lengths must be > 0";
+      if b.length = infinity then
+        invalid_arg "Dist.of_bins: lengths must be finite")
     bins;
   let nonzero = List.filter (fun b -> b.count > 0) bins in
   let sorted = List.sort (fun a b -> Float.compare a.length b.length) nonzero in
@@ -88,6 +90,8 @@ let check_invariants t =
       if b.count <= 0 then add (Printf.sprintf "bin %d: non-positive count" i);
       if not (b.length > 0.0) then
         add (Printf.sprintf "bin %d: non-positive length" i);
+      if b.length = infinity then
+        add (Printf.sprintf "bin %d: infinite length" i);
       if i > 0 && t.bins.(i - 1).length >= b.length then
         add (Printf.sprintf "bin %d: not strictly ascending" i))
     t.bins;

@@ -14,7 +14,8 @@ type t [@@deriving show, eq]
 val of_bins : bin list -> t
 (** Builds a distribution from bins; bins with [count = 0] are dropped, bins
     with equal length are merged, and the result is sorted ascending.
-    @raise Invalid_argument on negative counts or non-positive lengths. *)
+    @raise Invalid_argument on negative counts or lengths that are not
+    positive and finite (NaN and [infinity] included). *)
 
 val bins : t -> bin array
 (** The bins, ascending by length.  The array is fresh. *)
@@ -58,5 +59,5 @@ val map_length : (float -> float) -> t -> t
     pitch-to-meter conversion). *)
 
 val check_invariants : t -> (unit, string) result
-(** Validates sortedness, positive lengths and positive counts; used by
-    property tests. *)
+(** Validates sortedness, positive finite lengths and positive counts;
+    used by property tests. *)

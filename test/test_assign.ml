@@ -103,6 +103,52 @@ let test_problem_validation () =
   Alcotest.check_raises "empty" (Invalid_argument "Problem: empty instance")
     (fun () -> ignore (P.of_bunches ~arch ~bunches:[||] ()))
 
+(* An infinite length used to pass the [length > 0] test: its routing
+   area was infinite, [interval_area] returned inf - inf = NaN, and the
+   rank came out unassignable through NaN comparisons instead of a named
+   error. *)
+let test_problem_infinite_length () =
+  let design = Ir_tech.Design.v ~node:Ir_tech.Node.N130 ~gates:1000 () in
+  let arch = Ir_ia.Arch.make ~design () in
+  Alcotest.check_raises "of_bunches"
+    (Invalid_argument "Problem: infinite bunch length") (fun () ->
+      ignore
+        (P.of_bunches ~arch
+           ~bunches:
+             [|
+               { Ir_wld.Dist.length = infinity; count = 1 };
+               { Ir_wld.Dist.length = 1.0e-5; count = 2 };
+             |]
+           ()));
+  (* [make] takes a distribution, which cannot hold an infinite length
+     any more: the conversion to meters re-validates it too. *)
+  Alcotest.check_raises "make"
+    (Invalid_argument "Dist.of_bins: lengths must be finite") (fun () ->
+      ignore
+        (P.make ~arch
+           ~wld:
+             (Ir_wld.Dist.map_length
+                (fun l -> l *. infinity)
+                (Ir_wld.Dist.of_bins [ { Ir_wld.Dist.length = 2.0; count = 4 } ]))
+           ()))
+
+(* Finite lengths whose routing areas sum past [max_float] gave the same
+   NaN interval areas, and the rank came out unassignable. *)
+let test_problem_area_overflow () =
+  let design = Ir_tech.Design.v ~node:Ir_tech.Node.N130 ~gates:1000 () in
+  let arch = Ir_ia.Arch.make ~design () in
+  Alcotest.check_raises "of_bunches"
+    (Invalid_argument "Problem: total routing area overflows") (fun () ->
+      ignore
+        (P.of_bunches ~arch
+           ~bunches:
+             [|
+               { Ir_wld.Dist.length = 1e308; count = 1_000_000_000 };
+               { Ir_wld.Dist.length = 1e308; count = 1_000_000_000 };
+               { Ir_wld.Dist.length = 1.0e-5; count = 1 };
+             |]
+           ()))
+
 let test_pair_fill_basic () =
   let p = fixed_instance () in
   let budget = P.budget p in
@@ -353,6 +399,279 @@ let test_greedy_fill_fast_fail () =
     (GF.fits p ctx);
   Alcotest.(check bool) "capacity screen fired" true (fails () > before);
   Alcotest.(check bool) "pack agrees" true (GF.pack p ctx = None)
+
+(* ---- staged packer against the array-based one ------------------------- *)
+
+(* The packer before the staged cursor, kept as the reference: an
+   O(bunches) [remaining] array filled per call, and every pair packed
+   bottom-up on every call.  Besides the verdict and the placements it
+   reports what the counters see: whether the capacity screen or the
+   early exit fired, the wires packed, and how many of them landed below
+   the top pair. *)
+type reference = {
+  r_placements : GF.placement list option;
+  r_fast_fail : bool;
+  r_early : bool;
+  r_packed : int;
+  r_packed_below : int;
+}
+
+let reference_pack t (ctx : GF.context) =
+  if GF.fast_reject t ctx then
+    {
+      r_placements = None;
+      r_fast_fail = true;
+      r_early = false;
+      r_packed = 0;
+      r_packed_below = 0;
+    }
+  else begin
+    let n = P.n_bunches t and m = P.n_pairs t in
+    let cap = P.capacity t in
+    let arch = P.arch t in
+    let v = arch.Ir_ia.Arch.vias_per_wire in
+    let total_suffix = P.total_wires t - P.wires_before t ctx.from_bunch in
+    let remaining = Array.init n (P.bunch_count t) in
+    for b = 0 to ctx.from_bunch - 1 do
+      remaining.(b) <- 0
+    done;
+    let placements = ref [] in
+    let next = ref (n - 1) in
+    let packed_total = ref 0 in
+    let early = ref false in
+    let exception Done of bool in
+    let ok =
+      try
+        let q = ref (m - 1) in
+        while !q >= ctx.top_pair do
+          while !next >= ctx.from_bunch && remaining.(!next) = 0 do
+            decr next
+          done;
+          if !next < ctx.from_bunch then begin
+            early := true;
+            raise (Done true)
+          end;
+          let pair = Ir_ia.Arch.pair arch !q in
+          let via = pair.Ir_ia.Layer_pair.via_area in
+          let at_top = !q = ctx.top_pair in
+          let base_wires =
+            if at_top then ctx.wires_above_top else ctx.wires_above_below
+          in
+          let reps =
+            if at_top then ctx.reps_above_top else ctx.reps_above_below
+          in
+          let cap_q = if at_top then cap -. ctx.top_pair_used else cap in
+          let a_w = ref 0.0 in
+          let continue_pair = ref true in
+          while !continue_pair && !next >= ctx.from_bunch do
+            if remaining.(!next) = 0 then decr next
+            else begin
+              let b = !next in
+              let wire_area =
+                P.bunch_length t b *. Ir_ia.Layer_pair.pitch pair
+              in
+              let suffix_above = total_suffix - !packed_total in
+              let take =
+                GF.max_take ~cap:cap_q ~a_w:!a_w ~wire_area ~via ~v
+                  ~base_wires ~reps ~suffix_above ~available:remaining.(b)
+              in
+              if take > 0 then begin
+                remaining.(b) <- remaining.(b) - take;
+                packed_total := !packed_total + take;
+                a_w := !a_w +. (float_of_int take *. wire_area);
+                placements :=
+                  { GF.pair = !q; bunch = b; wires = take } :: !placements
+              end;
+              if remaining.(b) > 0 then continue_pair := false
+            end
+          done;
+          decr q
+        done;
+        while !next >= ctx.from_bunch && remaining.(!next) = 0 do
+          decr next
+        done;
+        raise (Done (!next < ctx.from_bunch))
+      with Done ok -> ok
+    in
+    {
+      r_placements = (if ok then Some (List.rev !placements) else None);
+      r_fast_fail = false;
+      r_early = !early;
+      r_packed = !packed_total;
+      r_packed_below =
+        List.fold_left
+          (fun acc (pl : GF.placement) ->
+            if pl.pair > ctx.top_pair then acc + pl.wires else acc)
+          0 !placements;
+    }
+  end
+
+(* A random instance with several wires per bunch, so a bunch can be
+   split across pairs and the cursor's partly packed bunch matters. *)
+let gen_multiwire_instance =
+  let open QCheck2.Gen in
+  let* { problem; label } =
+    Helpers.gen_instance_of ~pairs:(int_range 1 4)
+  in
+  let n = P.n_bunches problem in
+  let* counts = array_repeat n (int_range 1 6) in
+  let bunches =
+    Array.init n (fun b ->
+        { Ir_wld.Dist.length = P.bunch_length problem b; count = counts.(b) })
+  in
+  return
+    {
+      problem = P.of_bunches ~arch:(P.arch problem) ~bunches ();
+      label =
+        Printf.sprintf "%s counts=[%s]" label
+          (String.concat ";" (Array.to_list (Array.map string_of_int counts)));
+    }
+
+(* The area already used on the top pair: a fraction of the capacity,
+   or [Edge r]: [r] via stacks short of the largest used area at which
+   the reference still fits.  Near that edge the top pair's verdict
+   turns on a few wires' blockage, so a resumed pack that miscounts the
+   suffix wires above the top pair gets it wrong. *)
+type used = Frac of float | Edge of float
+
+(* One step of a probe sequence: a new load on the top pair (the
+   below-stage fields stay, so the arena should hit), a new value for one
+   below-stage field (0 [from_bunch], 1 [top_pair], 2
+   [wires_above_below], 3 [reps_above_below]), or the other problem.
+   Both of the last two must miss. *)
+type step =
+  | Top of used * int * int
+  | Rekey of int * int
+  | Switch
+
+let gen_step =
+  let open QCheck2.Gen in
+  frequency
+    [
+      ( 6,
+        let* used =
+          oneof
+            [
+              map (fun f -> Frac f) (float_range 0.0 1.0);
+              map (fun r -> Edge r) (float_range 0.0 3.0);
+            ]
+        in
+        let* wt = int_range 0 40 in
+        let* rt = int_range 0 400 in
+        return (Top (used, wt, rt)) );
+      ( 3,
+        let* field = int_range 0 3 in
+        let* raw = int_range 0 1000 in
+        return (Rekey (field, raw)) );
+      (1, return Switch);
+    ]
+
+let greedy_counter name = Ir_obs.counter ("greedy_fill/" ^ name)
+
+let prop_staged_pack_matches_reference =
+  let open QCheck2.Gen in
+  let gen =
+    let* a = gen_multiwire_instance in
+    let* b = gen_multiwire_instance in
+    let* steps = list_size (int_range 1 40) gen_step in
+    return (a, b, steps)
+  in
+  let names = [ "calls"; "fast_fails"; "early_exits"; "below_hits"; "wires_packed" ] in
+  let counters = List.map greedy_counter names in
+  let read () = List.map Ir_obs.value counters in
+  qtest ~count:200 "staged packer matches the array-based packer" gen
+    (fun (a, b, steps) ->
+      let problems = [| a; b |] in
+      let arena = Ir_assign.Scratch.create () in
+      (* Raw field values, reduced into each problem's ranges on use, so a
+         switch can land on the same numeric key in the other problem. *)
+      let pi = ref 0 and from_raw = ref 0 and top_raw = ref 1000 in
+      let wb = ref 0 and rb = ref 0 in
+      let used = ref (Frac 0.0) and wt = ref 0 and rt = ref 0 in
+      let last_key = ref None in
+      let check ({ problem; label } : instance) =
+        let n = P.n_bunches problem and m = P.n_pairs problem in
+        let from_bunch = !from_raw mod (n + 1) and top_pair = !top_raw mod m in
+        let ctx top_pair_used =
+          GF.context ~top_pair_used ~wires_above_top:!wt ~reps_above_top:!rt
+            ~wires_above_below:!wb ~reps_above_below:!rb ~from_bunch ~top_pair
+            ()
+        in
+        let cap = P.capacity problem in
+        let top_pair_used =
+          match !used with
+          | Frac f -> f *. cap
+          | Edge r ->
+              let fits u = (reference_pack problem (ctx u)).r_placements <> None in
+              let lo = ref 0.0 and hi = ref cap in
+              for _ = 1 to 80 do
+                let mid = 0.5 *. (!lo +. !hi) in
+                if fits mid then lo := mid else hi := mid
+              done;
+              let arch = P.arch problem in
+              let via =
+                (Ir_ia.Arch.pair arch top_pair).Ir_ia.Layer_pair.via_area
+                *. float_of_int arch.Ir_ia.Arch.vias_per_wire
+              in
+              Float.max 0.0 (!lo -. (r *. via))
+        in
+        let ctx = ctx top_pair_used in
+        let r = reference_pack problem ctx in
+        let key = (!pi, from_bunch, top_pair, !wb, !rb) in
+        let hit = (not r.r_fast_fail) && !last_key = Some key in
+        if not r.r_fast_fail then last_key := Some key;
+        let expect ~hit =
+          [
+            1;
+            Bool.to_int r.r_fast_fail;
+            Bool.to_int r.r_early;
+            Bool.to_int hit;
+            (if hit then r.r_packed - r.r_packed_below else r.r_packed);
+          ]
+        in
+        let measure f =
+          let before = read () in
+          let v = f () in
+          (v, List.map2 ( - ) (read ()) before)
+        in
+        let fits, d_fits =
+          measure (fun () -> GF.fits ~scratch:arena problem ctx)
+        in
+        let placements, d_pack = measure (fun () -> GF.pack problem ctx) in
+        let show d = String.concat "," (List.map string_of_int d) in
+        let where =
+          Printf.sprintf "%s: fb=%d tp=%d used=%.17g wt=%d rt=%d wb=%d rb=%d"
+            label from_bunch top_pair top_pair_used !wt !rt !wb !rb
+        in
+        if fits <> Option.is_some r.r_placements then
+          QCheck2.Test.fail_reportf "%s: fits %b, reference %b" where fits
+            (not fits)
+        else if not (Option.equal (List.equal GF.equal_placement) placements
+                       r.r_placements)
+        then QCheck2.Test.fail_reportf "%s: pack placements differ" where
+        else if d_fits <> expect ~hit then
+          QCheck2.Test.fail_reportf "%s: fits counters (%s) <> expected (%s)"
+            where (show d_fits) (show (expect ~hit))
+        else if d_pack <> expect ~hit:false then
+          QCheck2.Test.fail_reportf "%s: pack counters (%s) <> expected (%s)"
+            where (show d_pack) (show (expect ~hit:false))
+        else true
+      in
+      ignore (check problems.(0));
+      List.for_all
+        (fun step ->
+          (match step with
+          | Top (u, w, r) ->
+              used := u;
+              wt := w;
+              rt := r
+          | Rekey (0, raw) -> from_raw := raw
+          | Rekey (1, raw) -> top_raw := raw
+          | Rekey (2, raw) -> wb := raw mod 200
+          | Rekey (_, raw) -> rb := raw
+          | Switch -> pi := 1 - !pi);
+          check problems.(!pi))
+        steps)
 
 (* ---- memoized suffix-fit ----------------------------------------------- *)
 
@@ -628,6 +947,10 @@ let () =
           Alcotest.test_case "delay consistency" `Quick
             test_problem_delay_consistency;
           Alcotest.test_case "validation" `Quick test_problem_validation;
+          Alcotest.test_case "infinite lengths rejected" `Quick
+            test_problem_infinite_length;
+          Alcotest.test_case "overflowing routing area rejected" `Quick
+            test_problem_area_overflow;
           prop_meeting_cost_additive;
           Alcotest.test_case "power tables" `Quick test_power_tables;
           prop_power_cap_exact;
@@ -659,6 +982,7 @@ let () =
             test_max_take_adjustment_counter;
           Alcotest.test_case "capacity fast-fail" `Quick
             test_greedy_fill_fast_fail;
+          prop_staged_pack_matches_reference;
           prop_greedy_fill_monotone_budget;
           prop_greedy_fill_suffix_monotone;
           prop_max_take_maximal;

@@ -915,6 +915,80 @@ let test_front_mirror_adversarial () =
   Alcotest.(check bool) "walking instance truncates at width 8" true
     (stats.r_truncations > 0)
 
+(* A transition loop that breaks inside a run of screened destinations:
+   from some source cell the loop reaches a screened destination [d],
+   its first breaking destination [x > d] is screened too, and a kept
+   cell follows the run.  The kernel jumps such a run in one step; here
+   the jump's test at the run's end fails, and the bisection must land
+   on [x] for [rank_dp/cells_screened] to match the walk one destination
+   at a time that [check_mirror] replays. *)
+let screened_break_problem () =
+  adversarial_problem
+    ~local:
+      ( 2.5613521922043713e-07, 2.3086091449142916e-07,
+        2.5206946001123976e-07, 2.3743567412130686e-07 )
+    ~semi:
+      ( 3.6948255865693568e-07, 5.4933899517787509e-07,
+        4.0459443193739398e-07, 2.9354473345824428e-07 )
+    ~global:
+      ( 1.589480884752438e-07, 3.5877195699121408e-07,
+        1.0897950633642383e-06, 2.6889707427496532e-07 )
+    ~gates:576 ~clock:1048627414.1616396 ~fraction:0.10974801415187181
+    ~counts:[ 1; 1; 2; 2; 1; 1; 2; 2 ]
+    ~lengths_mm:
+      [ 2.3083104815543765; 1.7532204566432323; 3.1146033827116306;
+        0.95294935014967397; 2.7133489028474957; 1.7613046239346755;
+        3.2471438537682946; 0.48909174527211668 ]
+
+(* The source cells of a [width] build whose transition loop breaks at a
+   screened destination strictly inside a screened run that a kept cell
+   ends: the cells on which the kernel's jump must bisect. *)
+let breaks_inside_screened_runs ~width problem =
+  let n = P.n_bunches problem and m = P.n_pairs problem in
+  let cap = P.capacity problem and budget = P.budget problem in
+  let front =
+    tables_front (Ir_core.Rank_dp.build_tables ~max_pareto:width problem)
+  in
+  let found = ref 0 in
+  for j = 0 to m - 2 do
+    for i = 0 to n do
+      let src = (j * (n + 1)) + i in
+      let len = Front.length front src in
+      if len > 0 then begin
+        let min_area = ref infinity in
+        for k = 0 to len - 1 do
+          min_area := Float.min !min_area (Front.area front src k)
+        done;
+        let breaks x =
+          (not (P.meeting_feasible problem ~pair:j ~lo:i ~hi:x))
+          || !min_area +. P.meeting_area problem ~pair:j ~lo:i ~hi:x > budget
+          || P.interval_area problem ~pair:j ~lo:i ~hi:x > cap
+        in
+        let x = ref (i + 1) in
+        while !x <= n && not (breaks !x) do
+          incr x
+        done;
+        let x = !x in
+        let screened = cell_screened problem (j + 1) in
+        if x <= n && x - 1 > i && screened x && screened (x - 1) then begin
+          let t = ref x in
+          while !t <= n && screened !t do
+            incr t
+          done;
+          if !t <= n then incr found
+        end
+      end
+    done
+  done;
+  !found
+
+let test_jump_break_inside_run () =
+  let p = screened_break_problem () in
+  Alcotest.(check bool) "a loop breaks inside a screened run" true
+    (breaks_inside_screened_runs ~width:8 p > 0);
+  ignore (check_mirror ~label:"screened-run break width=8" ~width:8 p);
+  ignore (check_mirror ~label:"screened-run break width=1" ~width:1 p)
+
 let test_front_basics () =
   Alcotest.check_raises "create rejects zero width"
     (Invalid_argument "Front.create: width must be positive") (fun () ->
@@ -1892,6 +1966,8 @@ let () =
           Alcotest.test_case "basics" `Quick test_front_basics;
           Alcotest.test_case "adversarial mirrored builds" `Quick
             test_front_mirror_adversarial;
+          Alcotest.test_case "jump: a break inside a screened run" `Quick
+            test_jump_break_inside_run;
           prop_front_insert_matches_reference;
           prop_front_mirror_build;
           prop_front_mirror_build_4pair;

@@ -106,6 +106,28 @@ let test_dist_validation () =
            (Ir_wld.Dist.of_bins [ { Ir_wld.Dist.length = 1.0; count = 1 } ])
            2))
 
+(* Lengths must be finite as well as positive: an infinite bin used to
+   pass the [length > 0] test and reach [Problem], whose prefix tables
+   then held inf - inf = NaN. *)
+let test_dist_infinite_length () =
+  Alcotest.check_raises "infinite length"
+    (Invalid_argument "Dist.of_bins: lengths must be finite") (fun () ->
+      ignore
+        (Ir_wld.Dist.of_bins
+           [
+             { Ir_wld.Dist.length = 1.0; count = 3 };
+             { Ir_wld.Dist.length = infinity; count = 1 };
+           ]));
+  Alcotest.check_raises "NaN length"
+    (Invalid_argument "Dist.of_bins: lengths must be > 0") (fun () ->
+      ignore (Ir_wld.Dist.of_bins [ { Ir_wld.Dist.length = nan; count = 1 } ]));
+  Alcotest.check_raises "infinite length through map_length"
+    (Invalid_argument "Dist.of_bins: lengths must be finite") (fun () ->
+      ignore
+        (Ir_wld.Dist.map_length
+           (fun l -> l *. infinity)
+           (Ir_wld.Dist.of_bins [ { Ir_wld.Dist.length = 1.0; count = 1 } ])))
+
 let test_bunching () =
   let d =
     Ir_wld.Dist.of_bins
@@ -427,6 +449,8 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_dist_basics;
           Alcotest.test_case "validation" `Quick test_dist_validation;
+          Alcotest.test_case "infinite lengths rejected" `Quick
+            test_dist_infinite_length;
         ] );
       ( "stats",
         [
