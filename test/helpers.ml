@@ -109,6 +109,16 @@ let baseline_130nm_small ?(gates = 40_000) ?(bunch_size = 500) () =
   in
   Ir_assign.Problem.make ~bunch_size ~arch ~wld ()
 
+(* ---- Counters --------------------------------------------------------- *)
+
+(* The value of counter [name] in [snap].  A name no counter is
+   registered under fails the test instead of reading 0, so an assertion
+   on a deleted or misspelled counter cannot pass vacuously. *)
+let counter_in snap name =
+  match Ir_obs.find_counter snap name with
+  | Some v -> v
+  | None -> Alcotest.failf "no counter named %S is registered" name
+
 (* ---- Reference widen ladder ------------------------------------------ *)
 
 (* The widen ladder as a sequence of complete builds: every rung runs

@@ -1104,8 +1104,7 @@ let test_counter_canary () =
   let o = compute p in
   let after = Ir_obs.snapshot () in
   let delta name =
-    Option.value ~default:0 (Ir_obs.find_counter after name)
-    - Option.value ~default:0 (Ir_obs.find_counter before name)
+    counter_in after name - counter_in before name
   in
   Alcotest.(check bool) "canary assignable and exact" true
     (o.assignable && o.exact);
@@ -1181,10 +1180,7 @@ let test_builder_finish_early () =
 
 (* Work counter deltas of [f ()], by counter name. *)
 let counting f =
-  let read () =
-    let snap = Ir_obs.snapshot () in
-    fun name -> Option.value ~default:0 (Ir_obs.find_counter snap name)
-  in
+  let read () = counter_in (Ir_obs.snapshot ()) in
   let before = read () in
   let r = f () in
   let after = read () in
@@ -1589,9 +1585,7 @@ let test_grid_witness_identity () =
 
 let test_grid_perturb_touches_fewer () =
   let p = baseline_130nm_small () in
-  let counter name =
-    Option.value ~default:0 (Ir_obs.find_counter (Ir_obs.snapshot ()) name)
-  in
+  let counter name = counter_in (Ir_obs.snapshot ()) name in
   let low_k = Ir_ia.Materials.v ~k:2.7 () in
   let pt = Ir_core.Rank_grid.point in
   let points =
@@ -1811,7 +1805,7 @@ let test_hard_corpus () =
         Ir_obs.reset ();
         let o = run () in
         let snap = Ir_obs.snapshot () in
-        let n name = Option.value ~default:0 (Ir_obs.find_counter snap name) in
+        let n = counter_in snap in
         ( o,
           n "rank_dp/states_expanded" + n "rank_dp/pareto_inserts",
           ( (n "rank_dp/widen_retries", n "rank_dp/pareto_truncations"),

@@ -17,8 +17,7 @@ let ok_exn what = function
   | Ok x -> x
   | Error e -> Alcotest.failf "%s: %s" what e
 
-let counter name =
-  Option.value ~default:0 (Ir_obs.find_counter (Ir_obs.snapshot ()) name)
+let counter name = counter_in (Ir_obs.snapshot ()) name
 
 (* Bounded busy-wait for cross-thread conditions in the e2e tests. *)
 let wait_for ?(timeout = 10.0) what pred =

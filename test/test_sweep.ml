@@ -109,6 +109,44 @@ let test_cross_node () =
         true c.outcome.assignable)
     cells
 
+(* The 90nm/10M design on the 8-layer stack (a third semi-global pair)
+   is the one realistic cell that still runs the widen ladder: its
+   width-8 build truncates, the width-16 retry does not halve the count,
+   and the ladder stops there with a lower bound.  Its answer and the
+   work the ladder does to reach it are frozen. *)
+let test_cross_node_8layer () =
+  let structure =
+    { Ir_ia.Arch.local_pairs = 1; semi_global_pairs = 3; global_pairs = 1 }
+  in
+  let before = Ir_obs.snapshot () in
+  let cells =
+    Ir_sweep.Cross_node.run ~jobs:1 ~structure
+      ~matrix:[ (Ir_tech.Node.N90, 10_000_000) ]
+      ()
+  in
+  let after = Ir_obs.snapshot () in
+  let delta name = counter_in after name - counter_in before name in
+  match cells with
+  | [ c ] ->
+      let o = c.Ir_sweep.Cross_node.outcome in
+      Alcotest.(check (triple int int bool)) "rank, boundary, exact"
+        (10_899_641, 5_003, false)
+        (o.Ir_core.Outcome.rank_wires, o.boundary_bunch, o.exact);
+      Alcotest.(check (list (pair string int))) "ladder work"
+        [
+          ("rank_dp/widen_retries", 1);
+          ("rank_dp/pareto_truncations", 4_514_106);
+          ("rank_dp/pareto_inserts", 8_091_778);
+          ("rank_dp/states_expanded", 39_070);
+        ]
+        (List.map
+           (fun name -> (name, delta name))
+           [
+             "rank_dp/widen_retries"; "rank_dp/pareto_truncations";
+             "rank_dp/pareto_inserts"; "rank_dp/states_expanded";
+           ])
+  | _ -> Alcotest.fail "one cell expected"
+
 let test_parallel_determinism () =
   (* The acceptance criterion for the Ir_exec rewiring: running the full
      Table 4 grid on 4 worker domains must reproduce the sequential ranks
@@ -707,7 +745,11 @@ let () =
         [ Alcotest.test_case "headline 38% K ~ 42% M" `Slow
             test_equivalence_headline ] );
       ( "cross node",
-        [ Alcotest.test_case "matrix" `Slow test_cross_node ] );
+        [
+          Alcotest.test_case "matrix" `Slow test_cross_node;
+          Alcotest.test_case "8-layer 90nm/10M ladder" `Slow
+            test_cross_node_8layer;
+        ] );
       ( "parallel execution",
         [ Alcotest.test_case "jobs=4 reproduces jobs=1" `Slow
             test_parallel_determinism ] );
