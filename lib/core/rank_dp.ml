@@ -20,8 +20,6 @@ let stat_screened = Ir_obs.counter "rank_dp/cells_screened"
 let stat_witness_probes = Ir_obs.counter "rank_dp/witness_probes"
 let stat_search_probes = Ir_obs.counter "rank_dp/search_probes"
 let stat_widen_retries = Ir_obs.counter "rank_dp/widen_retries"
-let stat_levels_suspended = Ir_obs.counter "rank_dp/levels_suspended"
-let stat_rung_resumes = Ir_obs.counter "rank_dp/rung_resumes"
 let stat_hinted = Ir_obs.counter "rank_dp/hinted_searches"
 let stat_hint_saved = Ir_obs.counter "rank_dp/hint_saved_probes"
 let stat_fan_rounds = Ir_obs.counter "rank_dp/probe_fan_rounds"
@@ -61,22 +59,12 @@ type tables = {
   ladder_prev : int option;
       (* truncations of the rung these tables widened; None for a first
          rung and for a truncation-free one, which ends the ladder.  The
-         widen ladder resumes from it, so continuing the ladder on its
+         widen ladder continues from it, so continuing the ladder on its
          own output is a no-op. *)
-  pending : builder option;
-      (* the suspended builder these tables still belong to: the front
-         holds only the levels built so far, and [truncations] is the
-         count up to the suspension (>= 1).  Only [widen_tables] reads
-         such tables; it either abandons the rung or [resume]s it. *)
 }
 
-(* One in-progress build.  A builder that may suspend stops after the
-   first level that truncates, with levels left to expand: [b_suspended]
-   is set and [builder_done] holds, but [b_level] still names the next
-   level, so [resume] can expand the rest in place.  The tallies are
-   flushed per stretch of work: [b_flushed] is what earlier flushes have
-   already added to the counters. *)
-and builder = {
+(* One in-progress build. *)
+type builder = {
   b_problem : P.t;
   b_front : Front.t;
   b_n : int;
@@ -90,17 +78,7 @@ and builder = {
   mutable b_skipped : int;
   mutable b_cells_screened : int;
       (* screened destinations skipped, once per source cell reaching one *)
-  mutable b_suspend : bool;  (* may suspend: not [build_tables]', not resumed *)
-  mutable b_suspended : bool;
-  mutable b_flushed : tally;
-}
-
-and tally = {
-  t_states : int;
-  t_screened : int;
-  t_inserts : int;
-  t_dominated : int;
-  t_truncations : int;
+  mutable b_finished : bool;  (* [builder_finish] has counted the tallies *)
 }
 
 let cell ~n j i = (j * (n + 1)) + i
@@ -117,18 +95,7 @@ exception Break
    wavefront (which interleaves the levels of many builds) execute the
    {e same} expansion code on the same state — byte-identical fronts,
    tallies and witnesses by construction, not by reimplementation. *)
-let no_tally =
-  {
-    t_states = 0;
-    t_screened = 0;
-    t_inserts = 0;
-    t_dominated = 0;
-    t_truncations = 0;
-  }
-
-(* [~suspend:false] is [build_tables]' builder, which always runs to
-   completion; the public [builder] may suspend. *)
-let make_builder ~suspend ?(max_pareto = 8) problem =
+let builder ?(max_pareto = 8) problem =
   (* The ladder doubles the width, so a width below 1 would never
      widen. *)
   if max_pareto < 1 then invalid_arg "Rank_dp.builder: max_pareto < 1";
@@ -165,18 +132,13 @@ let make_builder ~suspend ?(max_pareto = 8) problem =
     b_states = 0;
     b_skipped = 0;
     b_cells_screened = 0;
-    b_suspend = suspend;
-    b_suspended = false;
-    b_flushed = no_tally;
+    b_finished = false;
   }
-
-let builder ?max_pareto problem = make_builder ~suspend:true ?max_pareto problem
 
 (* Level j fills row j + 1, so the last row the search reads (m - 1) is
    filled by level m - 2: a build has m - 1 levels. *)
 let builder_levels b = b.b_m - 1
 let complete b = b.b_level >= b.b_m - 1
-let builder_done b = b.b_suspended || complete b
 
 (* The number of states in the destination slice [dbase, dbase + dlen)
    with area <= [a]: by binary search when [from < 0], else by walking
@@ -235,12 +197,12 @@ let[@inline] breaks problem ~j ~i ~min_area ~budget ~cap i2 =
   || P.interval_area problem ~pair:j ~lo:i ~hi:i2 > cap
 
 (* Expand one boundary-pair level.  Returns [true] while more levels
-   remain and the builder has not suspended.  The step touches only this
-   builder's own state (front, tallies), so independent builders may
-   step on different domains — provided each individual builder's steps
-   are externally ordered (the wavefront driver's per-level barrier). *)
+   remain.  The step touches only this builder's own state (front,
+   tallies), so independent builders may step on different domains —
+   provided each individual builder's steps are externally ordered (the
+   wavefront driver's per-level barrier). *)
 let builder_step b =
-  if builder_done b then false
+  if complete b then false
   else begin
     let j = b.b_level in
     let problem = b.b_problem in
@@ -368,44 +330,23 @@ let builder_step b =
       end
     done;
     b.b_level <- j + 1;
-    (* A truncating rung is the widen ladder's to finish: the level that
-       dropped a state is the first one the ladder needs, and the next
-       rung may make the rest unnecessary. *)
-    if b.b_suspend && Front.truncations front > 0 && not (complete b) then
-      b.b_suspended <- true;
-    not (builder_done b)
+    not (complete b)
   end
 
-(* Add the work done since the last flush to the counters. *)
-let flush b =
-  let front = b.b_front in
-  let now =
-    {
-      t_states = b.b_states;
-      t_screened = b.b_cells_screened;
-      t_inserts = Front.inserts front + b.b_skipped;
-      t_dominated = Front.dominated front + b.b_skipped;
-      t_truncations = Front.truncations front;
-    }
-  in
-  let was = b.b_flushed in
-  Ir_obs.add stat_states (now.t_states - was.t_states);
-  Ir_obs.add stat_screened (now.t_screened - was.t_screened);
-  Ir_obs.add stat_inserts (now.t_inserts - was.t_inserts);
-  Ir_obs.add stat_dominated (now.t_dominated - was.t_dominated);
-  Ir_obs.add stat_truncations (now.t_truncations - was.t_truncations);
-  Ir_obs.set_max gauge_arena (Front.arena_states front);
-  b.b_flushed <- now
-
-(* Flush the tallies and seal the build.  Must be called exactly once per
-   builder (the counters would double-count otherwise), after the last
-   level or the suspension.  Tables of a suspended builder keep it in
-   [pending]; a resume flushes only the work it adds. *)
+(* Flush the tallies and seal the build, once per builder: a second call
+   would count them twice. *)
 let builder_finish b =
-  if not (builder_done b) then
+  if not (complete b) then
     invalid_arg "Rank_dp.builder_finish: build not complete";
+  if b.b_finished then invalid_arg "Rank_dp.builder_finish: already finished";
+  b.b_finished <- true;
   let front = b.b_front in
-  flush b;
+  Ir_obs.add stat_states b.b_states;
+  Ir_obs.add stat_screened b.b_cells_screened;
+  Ir_obs.add stat_inserts (Front.inserts front + b.b_skipped);
+  Ir_obs.add stat_dominated (Front.dominated front + b.b_skipped);
+  Ir_obs.add stat_truncations (Front.truncations front);
+  Ir_obs.set_max gauge_arena (Front.arena_states front);
   {
     problem = b.b_problem;
     front;
@@ -414,7 +355,6 @@ let builder_finish b =
     max_pareto = b.b_max_pareto;
     truncations = Front.truncations front;
     ladder_prev = None;
-    pending = (if b.b_suspended then Some b else None);
   }
 
 (* A no-op: the per-level barrier hook of the removed pruning layer,
@@ -422,42 +362,13 @@ let builder_finish b =
    library calls it. *)
 let builder_advance_incumbent (_ : builder) = ()
 
-let run_levels b =
+let build_tables ?max_pareto problem =
+  Ir_obs.time span_build @@ fun () ->
+  let b = builder ?max_pareto problem in
   while builder_step b do
     ()
-  done
-
-let build ~suspend ?max_pareto problem =
-  Ir_obs.time span_build @@ fun () ->
-  let b = make_builder ~suspend ?max_pareto problem in
-  run_levels b;
+  done;
   builder_finish b
-
-let build_tables = build ~suspend:false
-
-(* Expand a suspended rung's remaining levels in place and flush what
-   they add: the same fronts and totals as a build that never stopped. *)
-let resume tables =
-  match tables.pending with
-  | None -> tables
-  | Some b ->
-      Ir_obs.incr stat_rung_resumes;
-      b.b_suspended <- false;
-      b.b_suspend <- false;
-      Ir_obs.time span_build (fun () -> run_levels b);
-      flush b;
-      { tables with truncations = Front.truncations b.b_front; pending = None }
-
-(* The ladder drops a suspended rung: count the levels it never ran. *)
-let abandon tables =
-  match tables.pending with
-  | None -> ()
-  | Some b -> Ir_obs.add stat_levels_suspended (builder_levels b - b.b_level)
-
-(* Suspended tables hold a partial front; only the ladder may read them. *)
-let sealed fn tables =
-  if Option.is_some tables.pending then
-    invalid_arg ("Rank_dp." ^ fn ^ ": suspended rung")
 
 let table_truncations tables = tables.truncations
 
@@ -476,7 +387,6 @@ let table_truncations tables = tables.truncations
    whole blob externally; this internal digest is the last line of
    defense, not a substitute for theirs. *)
 let encode_tables t =
-  sealed "encode_tables" t;
   let payload =
     Marshal.to_string (t.n, t.m, t.max_pareto, t.truncations, t.front) []
   in
@@ -512,7 +422,6 @@ let decode_tables problem blob =
                 max_pareto;
                 truncations;
                 ladder_prev = None;
-                pending = None;
               }
           else None
 
@@ -565,7 +474,7 @@ let feasible_witness ?memo ?gf tables c =
             (* Probes are counted per state even when the whole cell is
                rejected below, matching the historical per-state counter. *)
             probes := !probes + len;
-            (* Everything depending only on (j, i, c) is hoisted out of
+            (* Everything determined by (j, i, c) alone is hoisted out of
                the per-state loop: the meeting interval's feasibility and
                cost, its routing area, and the wires above. *)
             if P.meeting_feasible problem ~pair:j ~lo:i ~hi:c then begin
@@ -644,7 +553,7 @@ let outcome_of_boundary problem ~assignable ~exact c =
 
 (* Nominal probe cost of a cold (hint-less, fan-less) search: the first
    probe at [n] plus one bisection probe per halving of [0, n].  The real
-   cold path can differ by one probe depending on which half each odd
+   cold path can differ by one probe according to which half each odd
    split descends into; this deterministic figure is the baseline the
    [hint_saved_probes] counter is measured against. *)
 let cold_probe_cost n =
@@ -656,7 +565,6 @@ let cold_probe_cost n =
   !steps
 
 let search_tables ?(exhaustive = false) ?memo ?hint ?(probe_fan = 1) tables =
-  sealed "search_tables" tables;
   Ir_obs.time span_search @@ fun () ->
   Scratch.with_arena @@ fun gf ->
   let problem = tables.problem in
@@ -826,18 +734,7 @@ let default_widen_cap = 128
    probe and reported as a lower bound ([exact = false]) — callers can
    pass a larger [max_pareto] explicitly.  Build cost grows superlinearly
    with the width, which is why the ladder is gated on convergence rather
-   than run to [widen_cap] unconditionally.
-
-   Rungs are built suspendable: a rung stops after its first
-   truncating level, since all the ladder needs to know to take the
-   first retry is that the rung truncates.  If the next rung truncates
-   nothing it is the answer, and the suspended rung's remaining levels
-   never run.  Otherwise both rungs are resumed, so the convergence test
-   compares full counts and the ladder returns complete tables — the
-   same tables and the same counter totals as a ladder of complete
-   builds.  A suspended rung's [truncations] is a partial count, but it
-   is positive, which is all the first retry reads; [ladder_prev] is
-   only ever a complete rung's count. *)
+   than run to [widen_cap] unconditionally. *)
 let rec widen_tables ?(widen_on_overflow = true)
     ?(widen_cap = default_widen_cap) tables =
   let t = tables.truncations in
@@ -848,18 +745,12 @@ let rec widen_tables ?(widen_on_overflow = true)
   if t > 0 && widen_on_overflow && mp < widen_cap && converging then begin
     Ir_obs.incr stat_widen_retries;
     let next =
-      build ~suspend:true ~max_pareto:(min widen_cap (2 * mp)) tables.problem
+      build_tables ~max_pareto:(min widen_cap (2 * mp)) tables.problem
     in
-    if next.truncations = 0 then begin
-      abandon tables;
-      next
-    end
-    else
-      let tables = resume tables in
-      widen_tables ~widen_on_overflow ~widen_cap
-        { (resume next) with ladder_prev = Some tables.truncations }
+    widen_tables ~widen_on_overflow ~widen_cap
+      { next with ladder_prev = Some t }
   end
-  else resume tables
+  else tables
 
 (* The widen ladder continued from a first rung built elsewhere, then the
    boundary search — the search half of {!Rank_grid.eval_batch}. *)

@@ -73,9 +73,7 @@ type tables
 val build_tables : ?max_pareto:int -> Ir_assign.Problem.t -> tables
 (** Tabulates phase A (default [max_pareto = 8]) into freshly allocated
     storage: {!builder}, {!builder_step} to completion,
-    {!builder_finish}.  The build is always complete: unlike a
-    {!builder}'s, it never suspends at a truncating level.  Raises
-    [Invalid_argument] if [max_pareto < 1]. *)
+    {!builder_finish}.  Raises [Invalid_argument] if [max_pareto < 1]. *)
 
 (** {2 Incremental level-stepped build}
 
@@ -84,13 +82,7 @@ val build_tables : ?max_pareto:int -> Ir_assign.Problem.t -> tables
     interleave the levels of many concurrent builds.  {!build_tables} is
     exactly [builder] / [builder_step]-to-completion / [builder_finish],
     so stepped and monolithic builds produce byte-identical fronts,
-    counter tallies and witnesses by shared code, not by contract.
-
-    A stepped build is a rung of the widen ladder, and it {e suspends} after the first level that truncates: the ladder will
-    retry at double width whatever the remaining levels hold, and if the
-    wider rung truncates nothing they are never needed.  The remaining
-    levels are kept, not dropped; {!widen_tables} resumes the rung when
-    its decisions need the full count. *)
+    counter tallies and witnesses by shared code, not by contract. *)
 
 type builder
 (** One in-progress phase-A build: the front store plus the next level to
@@ -170,17 +162,11 @@ val builder_levels : builder -> int
     [j] fills row [j + 1], and row [m - 1] is the last one a search
     reads. *)
 
-val builder_done : builder -> bool
-(** No level left to expand — from the start for a no-fit instance — or
-    the builder has suspended. *)
-
 val builder_step : builder -> bool
 (** Expands one boundary-pair level.  Returns [true] while more levels
-    remain, [false] once the build is complete or has suspended (further
-    calls are no-ops returning [false]).  The builder suspends after a
-    level that leaves it with truncations and levels still to
-    expand.  A level-synchronous driver drops a suspended builder from
-    its active set as it drops a complete one. *)
+    remain, [false] once the build is complete — at once for a no-fit
+    instance, which has no level to expand (further calls are no-ops
+    returning [false]). *)
 
 val builder_advance_incumbent : builder -> unit
 (** A no-op.  It was the per-level barrier hook of the removed pruning
@@ -188,16 +174,10 @@ val builder_advance_incumbent : builder -> unit
     between levels, still compiles.  Nothing in the library calls it. *)
 
 val builder_finish : builder -> tables
-(** Seals the build: flushes the per-build tallies to the [rank_dp/*]
-    counters (call once per builder, from one domain) and returns the
-    tables.  Raises [Invalid_argument] while the builder is not done.
-
-    A suspended builder seals into {e suspended} tables, which still own
-    the builder and its unbuilt levels.  Only {!widen_tables} accepts
-    them; {!search_tables} and {!encode_tables} raise
-    [Invalid_argument].  The tallies flushed here cover the levels built
-    so far, and a resume flushes only what it adds, so no work is
-    counted twice. *)
+(** Seals the build: adds the per-build tallies to the [rank_dp/*]
+    counters (from one domain) and returns the tables.  Raises
+    [Invalid_argument] while levels are left to expand, and on a second
+    call, which would count the tallies twice. *)
 
 val table_truncations : tables -> int
 (** Number of non-dominated states dropped because a per-state Pareto set
@@ -208,10 +188,7 @@ val table_truncations : tables -> int
     complete.  [0] means phase A is complete and any search
     over these tables is exact; positive means outcomes derived from
     them carry [exact = false] (a lower bound) and {!widen_tables}
-    retries at a wider front.  On suspended tables it is the count up to
-    the suspension, a partial count [>= 1]: callers only ever test it
-    against [0], and that test has the same answer as on the complete
-    build. *)
+    retries at a wider front. *)
 
 val encode_tables : tables -> string
 (** Serializes the phase-A tables (everything except the problem) into a
@@ -282,18 +259,9 @@ val widen_tables :
     [widen_cap] (default 128).  Small overflows therefore converge to an
     exact result, while genuinely exponential fronts (where widening
     cannot win) cost one retry and come back as an honest lower bound.
-    The ladder's state travels with the tables, so widening the ladder's own
-    output again is a no-op.
-
-    The first rung may be suspended (see {!builder_finish}), and each
-    retry rung is built suspendable too.  If a retry rung truncates
-    nothing it is the answer, and the suspended rung before it never
-    runs its remaining levels ([rank_dp/levels_suspended] counts them).
-    In every other case — the retry truncates too, widening is off, or
-    the width is at [widen_cap] — the ladder resumes the rungs it holds
-    ([rank_dp/rung_resumes]), so its decisions read full counts and the
-    result is the complete build a ladder of complete rungs returns,
-    with the same counter totals.  The result is never suspended. *)
+    Every retry rung is a complete {!build_tables}.  The ladder's state
+    travels with the tables, so widening the ladder's own output again is
+    a no-op. *)
 
 val search_with_tables :
   ?widen_on_overflow:bool ->

@@ -145,10 +145,8 @@ let point_fraction g pt =
    the barrier between levels is [parallel_map]'s join.  Builders
    deliberately take no scratch — a builder migrates between pool domains
    from level to level, and a scratch arena belongs to one domain.
-   A builder that truncates suspends and leaves the active set early
-   (see [Rank_dp.widen_tables]).  Finishing (counter flush) and the
-   widening-ladder continuation run sequentially afterwards, so every
-   [Ir_obs] tally is deterministic. *)
+   Finishing (counter flush) and the widening-ladder continuation run
+   sequentially afterwards, so every [Ir_obs] tally is deterministic. *)
 let wavefront ?jobs ?max_pareto ?widen_on_overflow ?widen_cap problems =
   Ir_obs.time span_wavefront @@ fun () ->
   let builders = Array.map (Rank_dp.builder ?max_pareto) problems in
@@ -186,15 +184,10 @@ let family_memo g =
 
 (* A cell answered with nothing shared: its own build, the widen ladder,
    an unhinted search.  The fallback for fractions a truncated plane
-   cannot answer.  Its first rung is stepped like a wavefront builder,
-   so it may suspend, and the cell costs what it costs in any driver. *)
+   cannot answer. *)
 let cold ?max_pareto ?widen_on_overflow ?widen_cap problem =
-  let b = Rank_dp.builder ?max_pareto problem in
-  while Rank_dp.builder_step b do
-    ()
-  done;
   Rank_dp.search_with_tables ?widen_on_overflow ?widen_cap
-    (Rank_dp.builder_finish b)
+    (Rank_dp.build_tables ?max_pareto problem)
 
 (* Phase B of one plane: every fraction from the plane's shared tables,
    rebudgeted, when they are truncation-free (the displacement argument

@@ -391,8 +391,7 @@ let test_greedy_fill_fast_fail () =
       ~top_pair_used:(0.9 *. P.capacity p) ()
   in
   let fails () =
-    Option.value ~default:0
-      (Ir_obs.find_counter (Ir_obs.snapshot ()) "greedy_fill/fast_fails")
+    counter_in (Ir_obs.snapshot ()) "greedy_fill/fast_fails"
   in
   let before = fails () in
   Alcotest.(check bool) "squeezed bottom pair cannot pack" false
@@ -743,8 +742,7 @@ let test_suffix_fit_frozen_replay () =
     ]
   in
   let hits () =
-    Option.value ~default:0
-      (Ir_obs.find_counter (Ir_obs.snapshot ()) "suffix_fit/hits")
+    counter_in (Ir_obs.snapshot ()) "suffix_fit/hits"
   in
   List.iter
     (fun (name, p) ->
@@ -808,8 +806,7 @@ let test_max_take_rounding () =
    the counter was pure noise.  Now only a non-zero correction counts. *)
 let test_max_take_adjustment_counter () =
   let adjustments () =
-    Option.value ~default:0
-      (Ir_obs.find_counter (Ir_obs.snapshot ()) "greedy_fill/take_adjustments")
+    counter_in (Ir_obs.snapshot ()) "greedy_fill/take_adjustments"
   in
   let take ~cap ~wire_area ~available =
     GF.max_take ~cap ~a_w:0.0 ~wire_area ~via:0.0 ~v:0 ~base_wires:0 ~reps:0
