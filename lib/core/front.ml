@@ -60,11 +60,6 @@ type t = {
   cells : int;
   area : farray;  (* cells * stride, area-ascending per cell *)
   count : iarray;  (* cells * stride, count-descending per cell *)
-  (* Two retired slots (an empty float plane and [false]), kept so the
-     record marshals exactly as snapshot layout /3 did: the encoded
-     tables, and the digests pinned on them, do not move. *)
-  retired_plane : farray;
-  retired_flag : bool;
   state : iarray;  (* cells * stride, arena id per element *)
   len : iarray;  (* cells *)
   (* Parent-pointer arena: one (split, parent) pair per live state.  Ids
@@ -93,9 +88,8 @@ type t = {
 
 let no_parent = -1
 
-let create ~cells ~width =
-  if cells <= 0 then invalid_arg "Front.create: cells must be positive";
-  if width <= 0 then invalid_arg "Front.create: width must be positive";
+(* A store with empty fronts and an arena of [arena] slots. *)
+let make ~cells ~width ~arena =
   let stride = width + 1 in
   {
     width;
@@ -103,12 +97,10 @@ let create ~cells ~width =
     cells;
     area = falloc (cells * stride);
     count = ialloc (cells * stride);
-    retired_plane = falloc 0;
-    retired_flag = false;
     state = ialloc ~init:no_parent (cells * stride);
     len = ialloc cells;
-    arena_split = ialloc 256;
-    arena_parent = ialloc ~init:no_parent 256;
+    arena_split = ialloc arena;
+    arena_parent = ialloc ~init:no_parent arena;
     arena_len = 0;
     arena_free = no_parent;
     arena_live = 0;
@@ -118,12 +110,61 @@ let create ~cells ~width =
     truncations = 0;
   }
 
+let create ~cells ~width =
+  if cells <= 0 then invalid_arg "Front.create: cells must be positive";
+  if width <= 0 then invalid_arg "Front.create: width must be positive";
+  make ~cells ~width ~arena:256
+
+(* A decoded store: state [s] of the given order gets arena id [s], so
+   the arena holds the live states and nothing else.  Only what keeps
+   the store well formed is checked here — lengths within the width,
+   the state count, parents that precede their children (so {!splits}
+   terminates); the Pareto order is the decoder's to validate. *)
+let restore ~width ~len ~area ~count ~split ~parent =
+  let bad what = invalid_arg ("Front.restore: " ^ what) in
+  let cells = Array.length len and states = Array.length area in
+  if cells <= 0 then bad "cells must be positive";
+  if width <= 0 then bad "width must be positive";
+  if
+    Array.length count <> states
+    || Array.length split <> states
+    || Array.length parent <> states
+  then bad "state arrays differ in length";
+  (* One spare slot, so a later insert's doubling has a size to double. *)
+  let t = make ~cells ~width ~arena:(states + 1) in
+  let s = ref 0 in
+  Array.iteri
+    (fun c l ->
+      if l < 0 || l > width then bad "length out of range";
+      if !s + l > states then bad "fewer states than the lengths hold";
+      for k = 0 to l - 1 do
+        let id = !s + k in
+        if parent.(id) < no_parent || parent.(id) >= id then
+          bad "a parent does not precede its child";
+        let at = (c * t.stride) + k in
+        t.area.{at} <- area.(id);
+        t.count.{at} <- count.(id);
+        t.state.{at} <- id;
+        t.arena_split.{id} <- split.(id);
+        t.arena_parent.{id} <- parent.(id)
+      done;
+      t.len.{c} <- l;
+      s := !s + l)
+    len;
+  if !s <> states then bad "more states than the lengths hold";
+  t.arena_len <- states;
+  t.arena_live <- states;
+  t.arena_hw <- states;
+  t
+
 let width t = t.width
 let cells t = t.cells
 let length t cell = t.len.{cell}
 let area t cell k = t.area.{(cell * t.stride) + k}
 let count t cell k = t.count.{(cell * t.stride) + k}
 let state t cell k = t.state.{(cell * t.stride) + k}
+let split t id = t.arena_split.{id}
+let parent t id = t.arena_parent.{id}
 
 (* Area-ascending order makes the minimum the first element. *)
 let min_area t cell = t.area.{cell * t.stride}

@@ -57,6 +57,14 @@ val state : t -> int -> int -> int
     construction: every insert into a cell happens before that cell is
     expanded, so an evicted state can have no live descendants. *)
 
+val split : t -> int -> int
+(** The split recorded for arena state [id]: the end of the interval the
+    state's pair holds, or [-1] for a root ({!seed}). *)
+
+val parent : t -> int -> int
+(** The arena id of state [id]'s predecessor, or [-1] for a root.
+    {!splits} walks these links. *)
+
 val min_area : t -> int -> float
 (** Smallest area in the cell — undefined when the cell is empty. *)
 
@@ -94,6 +102,26 @@ val insert :
     min-count last one are kept and {!truncations} grows by the number
     dropped.  [parent] is the arena id of the predecessor state
     ({!Front.state}), or [-1] for a root. *)
+
+val restore :
+  width:int ->
+  len:int array ->
+  area:float array ->
+  count:int array ->
+  split:int array ->
+  parent:int array ->
+  t
+(** [restore ~width ~len ~area ~count ~split ~parent] is a store of
+    [Array.length len] cells holding exactly the given states, for a
+    decoded table snapshot: cell [c] holds the next [len.(c)] states,
+    in order, and state [s] gets arena id [s] with split [split.(s)]
+    and parent [parent.(s)] (an earlier state's id, or [-1]).  The
+    arena holds the live states and nothing else.  Raises
+    [Invalid_argument] unless every length is within [width], the
+    lengths add up to the state count and each parent precedes its
+    child — what keeps the store's accessors and {!splits} well
+    defined.  The Pareto order is not checked: callers validate it
+    ({!Rank_dp.decode_tables} does).  The tallies start at zero. *)
 
 (** {1 Witness reconstruction} *)
 

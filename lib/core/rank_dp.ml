@@ -372,58 +372,217 @@ let build_tables ?max_pareto problem =
 
 let table_truncations tables = tables.truncations
 
-(* ---- snapshot serialization ------------------------------------------- *)
+let front t = t.front
 
-(* The problem is deliberately excluded from the blob: the caller rebuilds
-   it from the query fingerprint (it is cheap next to the DP build) and
-   passes it to [decode_tables], which only accepts the blob if its
-   geometry matches.  The payload is [Marshal] output — the front is
-   Bigarray planes and ints — prefixed with its own 16-byte MD5:
-   [Marshal.from_string] on corrupted bytes is not safe (it trusts the
-   embedded block sizes), so [decode_tables] verifies the digest before
-   unmarshaling anything.  Truncated, bit-flipped, or wrong-blob payloads
-   therefore return [None] without ever reaching [Marshal].  Callers
-   layering their own framing ({!Ir_serve.Snapshot}) still checksum the
-   whole blob externally; this internal digest is the last line of
-   defense, not a substitute for theirs. *)
+(* ---- table codec ------------------------------------------------------- *)
+
+(* The blob holds what a search reads and nothing else: the dimensions,
+   each cell's length, and per live state its area bits, count, split
+   and parent.  The problem is not in it: the caller rebuilds it from
+   the query fingerprint and [decode_tables] checks the dimensions
+   against it.  Every field is fixed-width little-endian, and the
+   payload is prefixed with its own MD5 (the last line of defense; a
+   store layering its own framing, {!Ir_serve.Snapshot}, checksums the
+   whole blob too).  States are numbered canonically — cells in order,
+   each cell area-ascending — and a parent is written as its canonical
+   number.  A parent lives in the row above its child, so it always
+   precedes it, and the arena ids of the build (which depend on its
+   eviction history) never reach the bytes. *)
+
+type decode_error =
+  | Bad_digest
+  | Truncated
+  | Geometry
+  | Bad_width
+  | Bad_truncations
+  | Bad_area
+  | Bad_count
+  | Bad_split
+  | Bad_parent
+  | Trailing_bytes
+
+let decode_errors =
+  [
+    Bad_digest; Truncated; Geometry; Bad_width; Bad_truncations; Bad_area;
+    Bad_count; Bad_split; Bad_parent; Trailing_bytes;
+  ]
+
+let decode_error_name = function
+  | Bad_digest -> "bad_digest"
+  | Truncated -> "truncated"
+  | Geometry -> "geometry"
+  | Bad_width -> "bad_width"
+  | Bad_truncations -> "bad_truncations"
+  | Bad_area -> "bad_area"
+  | Bad_count -> "bad_count"
+  | Bad_split -> "bad_split"
+  | Bad_parent -> "bad_parent"
+  | Trailing_bytes -> "trailing_bytes"
+
+let digest_len = 16
+
+(* n, m, cells, max_pareto, truncations: one int64 each. *)
+let header_len = 5 * 8
+
+(* One int32 length per cell. *)
+let length_bytes = 4
+
+(* Area bits and count (int64), split and parent (int32). *)
+let state_bytes = 24
+
 let encode_tables t =
-  let payload =
-    Marshal.to_string (t.n, t.m, t.max_pareto, t.truncations, t.front) []
+  let front = t.front in
+  let cells = Front.cells front in
+  let states = ref 0 and max_id = ref (-1) in
+  for c = 0 to cells - 1 do
+    let len = Front.length front c in
+    states := !states + len;
+    for k = 0 to len - 1 do
+      max_id := max !max_id (Front.state front c k)
+    done
+  done;
+  let payload_len =
+    header_len + (cells * length_bytes) + (!states * state_bytes)
   in
-  Digest.string payload ^ payload
+  let b = Bytes.create (digest_len + payload_len) in
+  let pos = ref digest_len in
+  let int v =
+    Bytes.set_int64_le b !pos (Int64.of_int v);
+    pos := !pos + 8
+  in
+  (* Lengths, splits and state numbers are below the store's slot count,
+     so they fit an int32 for any store that fits in memory. *)
+  let int32 v =
+    Bytes.set_int32_le b !pos (Int32.of_int v);
+    pos := !pos + 4
+  in
+  List.iter int [ t.n; t.m; cells; t.max_pareto; t.truncations ];
+  for c = 0 to cells - 1 do
+    int32 (Front.length front c)
+  done;
+  (* Arena id -> canonical number, for the parents (every parent is a
+     live state, so its id is at most [max_id]). *)
+  let number = Array.make (!max_id + 1) (-1) in
+  let s = ref 0 in
+  for c = 0 to cells - 1 do
+    for k = 0 to Front.length front c - 1 do
+      let id = Front.state front c k in
+      number.(id) <- !s;
+      Bytes.set_int64_le b !pos (Int64.bits_of_float (Front.area front c k));
+      pos := !pos + 8;
+      int (Front.count front c k);
+      int32 (Front.split front id);
+      let p = Front.parent front id in
+      int32 (if p < 0 then -1 else number.(p));
+      incr s
+    done
+  done;
+  Bytes.blit_string (Digest.subbytes b digest_len payload_len) 0 b 0 digest_len;
+  Bytes.unsafe_to_string b
 
 let decode_tables problem blob =
-  let digest_len = 16 in
+  let n = P.n_bunches problem and m = P.n_pairs problem in
   let blen = String.length blob in
-  if blen < digest_len then None
-  else
-    let payload = String.sub blob digest_len (blen - digest_len) in
-    if not (String.equal (String.sub blob 0 digest_len) (Digest.string payload))
-    then None
-    else
-      match
-        (Marshal.from_string payload 0 : int * int * int * int * Front.t)
-      with
-      | exception _ -> None
-      | n, m, max_pareto, truncations, front ->
-          if
-            n = P.n_bunches problem
-            && m = P.n_pairs problem
-            && Front.cells front = m * (n + 1)
-            && Front.width front = max_pareto
-            && truncations >= 0
-          then
-            Some
-              {
-                problem;
-                front;
-                n;
-                m;
-                max_pareto;
-                truncations;
-                ladder_prev = None;
-              }
-          else None
+  let exception Invalid of decode_error in
+  let fail e = raise_notrace (Invalid e) in
+  let pos = ref digest_len in
+  let need k = if blen - !pos < k then fail Truncated in
+  let int64 () =
+    let v = String.get_int64_le blob !pos in
+    pos := !pos + 8;
+    v
+  in
+  (* An int64 field as an int, failing with [e] when it does not fit
+     one, so that every accepted blob re-encodes to itself. *)
+  let int e =
+    let v = int64 () in
+    if
+      Int64.compare v (Int64.of_int min_int) < 0
+      || Int64.compare v (Int64.of_int max_int) > 0
+    then fail e
+    else Int64.to_int v
+  in
+  let int32 () =
+    let v = Int32.to_int (String.get_int32_le blob !pos) in
+    pos := !pos + 4;
+    v
+  in
+  try
+    if
+      blen < digest_len
+      || not
+           (String.equal
+              (String.sub blob 0 digest_len)
+              (Digest.substring blob digest_len (blen - digest_len)))
+    then fail Bad_digest;
+    need header_len;
+    let n' = int Geometry in
+    let m' = int Geometry in
+    let cells = int Geometry in
+    let max_pareto = int Bad_width in
+    let truncations = int Bad_truncations in
+    (* The cell count is what tells a front with the unread row [m] (a
+       build from before rows stopped at [m - 1]) from this layout. *)
+    if n' <> n || m' <> m || cells <> m * (n + 1) then fail Geometry;
+    if max_pareto < 1 then fail Bad_width;
+    if truncations < 0 then fail Bad_truncations;
+    need (cells * length_bytes);
+    let len =
+      Array.init cells (fun _ ->
+          let l = int32 () in
+          if l < 0 || l > max_pareto then fail Bad_width;
+          l)
+    in
+    let states = Array.fold_left ( + ) 0 len in
+    let rest = blen - !pos in
+    if rest < states * state_bytes then fail Truncated;
+    if rest > states * state_bytes then fail Trailing_bytes;
+    let area = Array.make states 0.0 and count = Array.make states 0 in
+    let split = Array.make states 0 and parent = Array.make states 0 in
+    (* The bunch index of each state's cell: a parent's is at most its
+       child's, the interval its pair holds being [parent's, child's). *)
+    let bunch = Array.make states 0 in
+    let s = ref 0 and above = ref 0 in
+    for j = 0 to m - 1 do
+      (* Row [j - 1] holds states [above, row). *)
+      let row = !s in
+      for i = 0 to n do
+        for k = 0 to len.((j * (n + 1)) + i) - 1 do
+          let id = !s in
+          let a = Int64.float_of_bits (int64 ()) in
+          if not (Float.is_finite a && a >= 0.0 && (k = 0 || a > area.(id - 1)))
+          then fail Bad_area;
+          let c = int Bad_count in
+          if c < 0 || (k > 0 && c >= count.(id - 1)) then fail Bad_count;
+          let sp = int32 () in
+          let pa = int32 () in
+          if j = 0 then begin
+            (* Row 0 holds roots only, in cell (0, 0): no interval above
+               them, no parent. *)
+            if sp <> -1 then fail Bad_split;
+            if i > 0 || pa <> -1 then fail Bad_parent
+          end
+          else begin
+            if sp <> i then fail Bad_split;
+            if pa < !above || pa >= row || bunch.(pa) > i then fail Bad_parent
+          end;
+          area.(id) <- a;
+          count.(id) <- c;
+          split.(id) <- sp;
+          parent.(id) <- pa;
+          bunch.(id) <- i;
+          incr s
+        done
+      done;
+      above := row
+    done;
+    (* Restored tables are only searched (a widen retry rebuilds from
+       the problem), so the planes are sized to the longest cell rather
+       than to [max_pareto], which the blob states but does not fill. *)
+    let width = Array.fold_left max 1 len in
+    let front = Front.restore ~width ~len ~area ~count ~split ~parent in
+    Ok { problem; front; n; m; max_pareto; truncations; ladder_prev = None }
+  with Invalid e -> Error e
 
 (* Can the top c bunches all meet their targets in some complete
    assignment?  Try every boundary pair j and every phase-A state of

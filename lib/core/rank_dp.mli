@@ -190,24 +190,79 @@ val table_truncations : tables -> int
     them carry [exact = false] (a lower bound) and {!widen_tables}
     retries at a wider front. *)
 
-val encode_tables : tables -> string
-(** Serializes the phase-A tables (everything except the problem) into a
-    binary blob for {!decode_tables} — the serve tier's warm-table
-    snapshot path.  The blob is [Marshal] output prefixed with its own
-    16-byte MD5; {!decode_tables} verifies the digest before unmarshaling,
-    so truncated or bit-flipped blobs return [None] instead of crashing.
-    Stores should still layer their own framing checks (the snapshot
-    store checksums the whole blob externally). *)
+val front : tables -> Front.t
+(** The phase-A front store: cell [j * (n + 1) + i] holds the states of
+    "bunches [0..i) on pairs [0..j), all meeting", for rows [j < m].
+    Read it only; the tables own it. *)
 
-val decode_tables : Ir_assign.Problem.t -> string -> tables option
+(** {1 Table codec}
+
+    The serve tier's warm-table snapshots.  A blob is the payload's
+    16-byte MD5 followed by the payload, every field fixed-width
+    little-endian:
+{v
+n, m, cells, max_pareto, truncations     int64 each
+length of each cell, cells in order      int32 each
+each live state, in canonical order:
+  area (IEEE-754 bits)                   int64
+  repeater count                         int64
+  split                                  int32
+  parent (canonical number, or -1)       int32
+v}
+    The canonical order takes the cells in order and each cell's states
+    area-ascending; a state's parent is written as its number in that
+    order.  Only live states are written, so the blob grows with the
+    front, not with [cells * max_pareto]. *)
+
+type decode_error =
+  | Bad_digest  (** shorter than its digest, or the digest does not match *)
+  | Truncated  (** the payload ends inside a field *)
+  | Geometry
+      (** [n], [m] or the cell count disagree with the problem: this is
+          how a front that still held the unread row [m] fails *)
+  | Bad_width  (** [max_pareto < 1], or a cell longer than [max_pareto] *)
+  | Bad_truncations  (** a negative truncation tally *)
+  | Bad_area
+      (** an area not finite, negative, or not strictly ascending in its
+          cell *)
+  | Bad_count
+      (** a count negative, not an [int], or not strictly descending in
+          its cell *)
+  | Bad_split
+      (** a root's split is not [-1], or a state's split is not its
+          cell's bunch index (the end of the interval its pair holds) *)
+  | Bad_parent
+      (** a row-0 state outside cell (0, 0) or with a parent, or a later
+          state whose parent is not in the row above or starts past it *)
+  | Trailing_bytes  (** bytes left after the last state *)
+
+val decode_errors : decode_error list
+(** Every {!decode_error}, once each. *)
+
+val decode_error_name : decode_error -> string
+(** A stable lower-case name, e.g. ["bad_area"] (counter names use it). *)
+
+val encode_tables : tables -> string
+(** The blob of the tables (everything but the problem).  Equal tables
+    give equal bytes whatever the build's arena history, and
+    [encode_tables] of decoded tables gives back the blob they came
+    from. *)
+
+val decode_tables :
+  Ir_assign.Problem.t -> string -> (tables, decode_error) result
 (** Rebinds a blob from {!encode_tables} to [problem] (the caller
     reconstructs the problem the tables were built from — for the serve
-    pool, the family's query at repeater fraction 1.0).  [None] if the
-    blob does not parse or its dimensions disagree with [problem] —
-    including a front of any other row count than [n_pairs] (a blob from
-    a build that still filled row [m] is rejected).  Searches over
-    restored tables are byte-identical to searches over the originals:
-    the blob carries the complete phase-A state. *)
+    tier, the family's query at repeater fraction 1.0).  The MD5 is
+    checked first; then the structure is validated field by field, and
+    the first violation is returned: dimensions against [problem], each
+    length within [max_pareto], every cell's areas finite, non-negative
+    and strictly ascending and its counts non-negative and strictly
+    descending, splits and parents as the build leaves them, and no
+    byte after the last state.  Accepted tables satisfy the {!Front}
+    invariants, and searches over them are byte-identical to searches
+    over the originals.  The restored store's planes are sized to its
+    longest cell, not to [max_pareto]: restored tables are searched,
+    and a widen retry rebuilds from the problem. *)
 
 val search_tables :
   ?exhaustive:bool ->

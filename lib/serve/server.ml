@@ -99,18 +99,21 @@ let compute_outcome t (fp : Fingerprint.t) =
            derives from the resident grid's base via the rescale-reuse
            constructors (bit-equal to from-scratch —
            [Problem.with_materials] / [with_clock] rebuild exactly what
-           the knob moves). *)
-        let full () =
-          Ir_assign.Problem.with_power_budget
-            (Ir_assign.Problem.with_repeater_fraction (Fingerprint.problem fp)
-               1.0)
-            infinity
+           the knob moves).  Building it costs a WLD generation, so it is
+           built at most once per request, and only when a new grid or a
+           verified snapshot needs it. *)
+        let full =
+          lazy
+            (Ir_assign.Problem.with_power_budget
+               (Ir_assign.Problem.with_repeater_fraction
+                  (Fingerprint.problem fp) 1.0)
+               infinity)
         in
         let grid =
           match entry.grid with
           | Some g -> g
           | None ->
-              let g = Ir_core.Rank_grid.resident (full ()) in
+              let g = Ir_core.Rank_grid.resident (Lazy.force full) in
               entry.grid <- Some g;
               g
         in
@@ -133,7 +136,9 @@ let compute_outcome t (fp : Fingerprint.t) =
               match t.snapshot with
               | None -> None
               | Some s -> (
-                  match Snapshot.load s ~key ~problem:(full ()) with
+                  match
+                    Snapshot.load s ~key ~problem:(fun () -> Lazy.force full)
+                  with
                   | Some tables
                     when Ir_core.Rank_dp.table_truncations tables = 0 ->
                       Some tables

@@ -1,3 +1,5 @@
+module Rank_dp = Ir_core.Rank_dp
+
 let stat_saves = Ir_obs.counter "serve_snapshot/saves"
 let stat_restores = Ir_obs.counter "serve_snapshot/restores"
 let stat_misses = Ir_obs.counter "serve_snapshot/misses"
@@ -9,15 +11,28 @@ let counters =
     tmp_swept = Ir_obs.counter "serve_snapshot/tmp_swept";
   }
 
-(* The stored bytes are [Rank_dp.encode_tables] output — Marshal bytes,
-   which can crash the process if fed garbage, so they are decoded only
+(* One counter per decoder error, registered up front so each reads 0
+   until its error occurs. *)
+let decode_counters =
+  List.map
+    (fun e ->
+      ( e,
+        Ir_obs.counter ("serve_snapshot/decode_" ^ Rank_dp.decode_error_name e)
+      ))
+    Rank_dp.decode_errors
+
+(* The stored bytes are [Rank_dp.encode_tables] output, decoded only
    after {!Disk_store.load} verified them.  The tag versions the table
-   encoding together with the DP semantics: a change to either bumps it.
+   encoding together with the DP semantics: a change to either bumps it,
+   and the store then discards every older entry on load, unread.
    /2: the table encoding moved to digest-prefixed Bigarray planes
    (the grid kernel's storage) — /1 blobs no longer decode.
    /3: the front holds rows 0..m-1 only (the unread row m is no longer
-   built), so a /2 blob's front has one row too many. *)
-let schema_tag = "ia-rank/table-snapshot/3"
+   built), so a /2 blob's front has one row too many.
+   /4: an explicit codec replaces [Marshal] output: fixed-width
+   little-endian fields for the live states only, validated field by
+   field on decode. *)
+let schema_tag = "ia-rank/table-snapshot/4"
 
 type t = Disk_store.t
 
@@ -27,7 +42,7 @@ let create ~dir =
 let entry_path = Disk_store.entry_path
 
 let save t ~key tables =
-  if Disk_store.save t ~key (Ir_core.Rank_dp.encode_tables tables) then
+  if Disk_store.save t ~key (Rank_dp.encode_tables tables) then
     Ir_obs.incr stat_saves
 
 let load t ~key ~problem =
@@ -37,11 +52,13 @@ let load t ~key ~problem =
       None
   | Error `Corrupt -> None
   | Ok blob -> (
-      (* The decoder still re-checks the dimensions against [problem]. *)
-      match Ir_core.Rank_dp.decode_tables problem blob with
-      | Some tables ->
+      (* Only a verified blob is worth the problem it is checked
+         against. *)
+      match Rank_dp.decode_tables (problem ()) blob with
+      | Ok tables ->
           Ir_obs.incr stat_restores;
           Some tables
-      | None ->
+      | Error e ->
+          Ir_obs.incr (List.assoc e decode_counters);
           Disk_store.discard t ~key;
           None)

@@ -649,15 +649,6 @@ let prop_front_insert_matches_reference =
         ops;
       check_stats_equal ~label front stats)
 
-(* The phase-A front of built tables, read back from their blob (the
-   layout [test_decode_row_m_front] writes). *)
-let tables_front t =
-  let blob = Ir_core.Rank_dp.encode_tables t in
-  let _, _, _, _, front =
-    (Marshal.from_string blob 16 : int * int * int * int * Front.t)
-  in
-  front
-
 (* The builder's per-cell capacity screen, restated from its definition:
    cell (j, i) is screened when bunches [i..n) cannot fit on pairs
    [j..m) even with no repeater above, by the greedy-fill counting
@@ -851,7 +842,8 @@ let completes problem ~j ~i ~c (e : relt) =
 let check_screen ~label ~width problem =
   let dp, _, _, _ = mirror_build ~screen:false ~width problem in
   let front =
-    tables_front (Ir_core.Rank_dp.build_tables ~max_pareto:width problem)
+    Ir_core.Rank_dp.front
+      (Ir_core.Rank_dp.build_tables ~max_pareto:width problem)
   in
   let n = P.n_bunches problem and m = P.n_pairs problem in
   for j = 0 to m - 1 do
@@ -944,7 +936,8 @@ let breaks_inside_screened_runs ~width problem =
   let n = P.n_bunches problem and m = P.n_pairs problem in
   let cap = P.capacity problem and budget = P.budget problem in
   let front =
-    tables_front (Ir_core.Rank_dp.build_tables ~max_pareto:width problem)
+    Ir_core.Rank_dp.front
+      (Ir_core.Rank_dp.build_tables ~max_pareto:width problem)
   in
   let found = ref 0 in
   for j = 0 to m - 2 do
@@ -1213,7 +1206,7 @@ let test_walking_ladder () =
   Alcotest.(check bool) "the width-8 rung truncates" true
     (Ir_core.Rank_dp.table_truncations width8 > 0);
   Alcotest.(check string) "ladder off = frozen width-8 tables"
-    "6b9987de9b48bf5fc0cb19cc77bf18e1"
+    "15b1cc6cee7eda6984c6ec77a96b3784"
     (encoded_digest
        (Ir_core.Rank_dp.widen_tables ~widen_on_overflow:false width8));
   let widened, n = counting (fun () -> Ir_core.Rank_dp.widen_tables width8) in
@@ -1223,7 +1216,7 @@ let test_walking_ladder () =
   Alcotest.(check int) "one retry" 1 (n "rank_dp/widen_retries");
   let b, _ = stepped_to_done (overflowing_problem ()) in
   Alcotest.(check string) "3-pair rung = frozen width-8 tables"
-    "fd218d552541b3b6f72f98a77007da8b"
+    "52fa627a2fe40e151c1e1c660004c868"
     (encoded_digest
        (Ir_core.Rank_dp.widen_tables ~widen_on_overflow:false
           (Ir_core.Rank_dp.builder_finish b)))
@@ -1289,74 +1282,42 @@ let prop_ladder_matches_reference =
         ];
       true)
 
-let test_decode_fuzz () =
-  let p = baseline_130nm_small () in
-  let t = Ir_core.Rank_dp.build_tables p in
-  let blob = Ir_core.Rank_dp.encode_tables t in
-  (match Ir_core.Rank_dp.decode_tables p blob with
-  | None -> Alcotest.fail "pristine blob rejected"
-  | Some restored ->
-      let o, w = Ir_core.Rank_dp.search_tables restored in
-      let o0, w0 = Ir_core.Rank_dp.search_tables t in
-      Alcotest.(check bool) "restored search identical" true
-        (Ir_core.Outcome.equal o o0 && w = w0));
-  let len = String.length blob in
-  (* Truncations at every regime: empty, inside the digest, digest-only,
-     mid-payload, one byte short — all must come back [None], never
-     raise (the digest check runs before [Marshal] ever sees bytes). *)
-  List.iter
-    (fun l ->
-      if l < len then
-        match Ir_core.Rank_dp.decode_tables p (String.sub blob 0 l) with
-        | None -> ()
-        | Some _ -> Alcotest.failf "truncated to %d bytes accepted" l)
-    [ 0; 1; 15; 16; 17; len / 4; len / 2; len - 1 ];
-  (* Single-bit flips striding the whole blob (digest and payload): a
-     flip in the payload breaks the digest, a flip in the digest breaks
-     the comparison — either way [None]. *)
-  let step = max 1 (len / 97) in
-  let pos = ref 0 in
-  while !pos < len do
-    let b = Bytes.of_string blob in
-    Bytes.set b !pos
-      (Char.chr (Char.code (Bytes.get b !pos) lxor (1 lsl (!pos mod 8))));
-    (match Ir_core.Rank_dp.decode_tables p (Bytes.to_string b) with
-    | None -> ()
-    | Some _ -> Alcotest.failf "bit flip at offset %d accepted" !pos);
-    pos := !pos + step
-  done;
-  (* A valid blob presented against the wrong problem (different
-     bunching) must fail the dimension check. *)
-  let other = baseline_130nm_small ~bunch_size:100 () in
-  if P.n_bunches other <> P.n_bunches p then
-    match Ir_core.Rank_dp.decode_tables other blob with
-    | None -> ()
-    | Some _ -> Alcotest.fail "wrong-geometry blob accepted"
+(* ---- table codec ------------------------------------------------------- *)
 
-(* A blob in the older layout — a front with the unread row m — fails
-   closed even with a valid digest and every other field right: the cell
-   count no longer matches the problem's m * (n + 1). *)
-let test_decode_row_m_front () =
-  let p = baseline_130nm_small () in
-  let n = P.n_bunches p and m = P.n_pairs p and w = 8 in
-  let blob front =
-    let payload = Marshal.to_string (n, m, w, 0, front) [] in
-    Digest.string payload ^ payload
-  in
-  Alcotest.(check bool) "rows 0..m-1 decode" true
-    (Option.is_some
-       (Ir_core.Rank_dp.decode_tables p
-          (blob (Front.create ~cells:(m * (n + 1)) ~width:w))));
-  Alcotest.(check bool) "rows 0..m rejected" true
-    (Option.is_none
-       (Ir_core.Rank_dp.decode_tables p
-          (blob (Front.create ~cells:((m + 1) * (n + 1)) ~width:w))))
+let encode = Ir_core.Rank_dp.encode_tables
+let error_name = Ir_core.Rank_dp.decode_error_name
+
+let decode_error =
+  Alcotest.testable
+    (fun ppf e -> Format.pp_print_string ppf (error_name e))
+    ( = )
+
+(* [decode_tables]'s verdict alone, for [Alcotest.check]. *)
+let verdict p blob = Result.map ignore (Ir_core.Rank_dp.decode_tables p blob)
+
+let with_digest payload = Digest.string payload ^ payload
+
+(* The codec's layout (rank_dp.mli) written field by field, so a test can
+   state blobs the encoder never produces.  A state is (area, count,
+   split, parent). *)
+let codec_payload ~header ~lengths ~states =
+  let b = Buffer.create 256 in
+  List.iter (fun v -> Buffer.add_int64_le b (Int64.of_int v)) header;
+  List.iter (fun l -> Buffer.add_int32_le b (Int32.of_int l)) lengths;
+  List.iter
+    (fun (area, count, split, parent) ->
+      Buffer.add_int64_le b (Int64.bits_of_float area);
+      Buffer.add_int64_le b (Int64.of_int count);
+      Buffer.add_int32_le b (Int32.of_int split);
+      Buffer.add_int32_le b (Int32.of_int parent))
+    states;
+  Buffer.contents b
 
 (* A digest of the kept cells' contents alone — per state the area's
    bits, the count and the splits chain — so it pins what every search
    reads without pinning the arena layout or the blob format. *)
 let kept_cell_digest problem t =
-  let front = tables_front t in
+  let front = Ir_core.Rank_dp.front t in
   let n = P.n_bunches problem and m = P.n_pairs problem in
   let b = Buffer.create 4096 in
   for j = 0 to m - 1 do
@@ -1383,8 +1344,11 @@ let kept_cell_digest problem t =
    pre-check must make the decisions a binary search per candidate
    makes, and the per-cell capacity screen must leave every kept cell as
    the unscreened build filled it (the digests were taken before the
-   screen existed).  The blob digest pins each front, split arena and
-   tally byte for byte, screened cells included. *)
+   screen existed).  The blob digest pins the table codec's output byte
+   for byte: every cell's length, screened cells included, and each live
+   state with its canonical parent.  The blob digests moved once, when
+   the explicit codec replaced [Marshal] output; the kept-cell digests
+   did not, and decoded tables reproduce them. *)
 let test_tables_byte_stable () =
   let table4_small =
     let design = Ir_tech.Design.v ~node:Ir_tech.Node.N130 ~gates:40_000 () in
@@ -1396,28 +1360,326 @@ let test_tables_byte_stable () =
       let t = Ir_core.Rank_dp.build_tables ~max_pareto:width problem in
       Alcotest.(check string) (label ^ " kept cells") kept
         (kept_cell_digest problem t);
+      (match Ir_core.Rank_dp.decode_tables problem (encode t) with
+      | Ok d ->
+          Alcotest.(check string) (label ^ " kept cells, decoded") kept
+            (kept_cell_digest problem d)
+      | Error e -> Alcotest.failf "%s: blob rejected: %s" label (error_name e));
       Alcotest.(check string) label digest
         (Digest.to_hex (Digest.string (Ir_core.Rank_dp.encode_tables t))))
     [
       ("overflowing width=8", overflowing_problem (), 8,
         "fec605f096d2ac6c33be2ca6b931c8a1",
-        "fd218d552541b3b6f72f98a77007da8b");
+        "52fa627a2fe40e151c1e1c660004c868");
       ("overflowing width=16", overflowing_problem (), 16,
         "c3b7ae4c57961265322fda39709670e1",
-        "98ab7f3bdb990df0108e0513887a3239");
+        "898b02d94a457abf0c0b797a1494e017");
       ("rank-changing width=1", rank_changing_problem (), 1,
         "8323888911b5ae3cba4c04c7d01d7717",
-        "c4e52526f6414adb3f93672f39c8ef1a");
+        "269c221912d105139cd7329ebec1d77d");
       ("walking width=8", walking_problem (), 8,
         "074ab6d169c41fb75d69cf618adabe93",
-        "6b9987de9b48bf5fc0cb19cc77bf18e1");
+        "15b1cc6cee7eda6984c6ec77a96b3784");
       ("walking width=16", walking_problem (), 16,
         "13cc9c6508ec97a290d433af5ab91bdd",
-        "cf6ce36d430f7c58435b8c7909813638");
+        "4c374b5e9bcc83e389bc47782bb6ab2e");
       ("table-4 small base width=8", table4_small, 8,
         "dac738c2be72d11060a94a52dd4bbec4",
-        "70dc4afde6ccad9b24822addad91fdea");
+        "7c5b38ccb846c26eff8315a6ecb5539c");
     ]
+
+(* The decoder against the blob of real tables: the pristine blob
+   restores tables that search identically; truncations, bit flips and
+   the wrong problem are rejected, and none of them raises. *)
+let test_decode_fuzz () =
+  let p = baseline_130nm_small () in
+  let t = Ir_core.Rank_dp.build_tables p in
+  let blob = encode t in
+  (match Ir_core.Rank_dp.decode_tables p blob with
+  | Error e -> Alcotest.failf "pristine blob rejected: %s" (error_name e)
+  | Ok restored ->
+      let o, w = Ir_core.Rank_dp.search_tables restored in
+      let o0, w0 = Ir_core.Rank_dp.search_tables t in
+      Alcotest.(check bool) "restored search identical" true
+        (Ir_core.Outcome.equal o o0 && w = w0));
+  let len = String.length blob in
+  (* Truncations at every regime: empty, inside the digest, digest-only,
+     mid-payload, one byte short — all fail the digest before the
+     validator reads a field. *)
+  List.iter
+    (fun l ->
+      if l < len then
+        Alcotest.check
+          Alcotest.(result unit decode_error)
+          (Printf.sprintf "truncated to %d bytes" l)
+          (Error Ir_core.Rank_dp.Bad_digest)
+          (verdict p (String.sub blob 0 l)))
+    [ 0; 1; 15; 16; 17; len / 4; len / 2; len - 1 ];
+  (* Single-bit flips striding the whole blob (digest and payload): a
+     flip in the payload breaks the digest, a flip in the digest breaks
+     the comparison. *)
+  let step = max 1 (len / 97) in
+  let pos = ref 0 in
+  while !pos < len do
+    let b = Bytes.of_string blob in
+    Bytes.set b !pos
+      (Char.chr (Char.code (Bytes.get b !pos) lxor (1 lsl (!pos mod 8))));
+    Alcotest.check
+      Alcotest.(result unit decode_error)
+      (Printf.sprintf "bit flip at offset %d" !pos)
+      (Error Ir_core.Rank_dp.Bad_digest)
+      (verdict p (Bytes.to_string b));
+    pos := !pos + step
+  done;
+  (* A valid blob presented against the wrong problem (different
+     bunching) must fail the dimension check. *)
+  let other = baseline_130nm_small ~bunch_size:100 () in
+  if P.n_bunches other <> P.n_bunches p then
+    Alcotest.check
+      Alcotest.(result unit decode_error)
+      "wrong-geometry blob" (Error Ir_core.Rank_dp.Geometry) (verdict other blob)
+
+(* A blob whose front still holds the unread row m fails closed with
+   the geometry error, even with a valid digest and every other field
+   right: its cell count is not the problem's m * (n + 1). *)
+let test_decode_row_m_front () =
+  let p = baseline_130nm_small () in
+  let n = P.n_bunches p and m = P.n_pairs p in
+  let empty rows =
+    let cells = rows * (n + 1) in
+    with_digest
+      (codec_payload ~header:[ n; m; cells; 8; 0 ]
+         ~lengths:(List.init cells (fun _ -> 0))
+         ~states:[])
+  in
+  Alcotest.check
+    Alcotest.(result unit decode_error)
+    "rows 0..m-1 decode" (Ok ()) (verdict p (empty m));
+  Alcotest.check
+    Alcotest.(result unit decode_error)
+    "rows 0..m rejected" (Error Ir_core.Rank_dp.Geometry)
+    (verdict p (empty (m + 1)))
+
+(* Each structural violation, made by editing one field of a valid blob
+   and re-prefixing the payload's digest, is reported under its own
+   error. *)
+let test_decode_named_errors () =
+  let p = walking_problem () in
+  let t = Ir_core.Rank_dp.build_tables p in
+  let blob = encode t in
+  let front = Ir_core.Rank_dp.front t in
+  let n = P.n_bunches p and m = P.n_pairs p in
+  let cells = m * (n + 1) in
+  let header f = 16 + (8 * f) and length c = 16 + 40 + (4 * c) in
+  let state s = 16 + 40 + (4 * cells) + (24 * s) in
+  (* The canonical number of the first state of a row-1+ cell holding
+     two or more, and that cell's bunch index. *)
+  let s0, i0 =
+    let s = ref 0 and found = ref None in
+    for c = 0 to cells - 1 do
+      let l = Front.length front c in
+      if !found = None && c > n && l >= 2 then found := Some (!s, c mod (n + 1));
+      s := !s + l
+    done;
+    match !found with
+    | Some x -> x
+    | None -> Alcotest.fail "no row-1+ cell with two states"
+  in
+  let edit ?(digest = true) f =
+    let b = Bytes.of_string blob in
+    f b;
+    let b = Bytes.to_string b in
+    if digest then with_digest (String.sub b 16 (String.length b - 16)) else b
+  in
+  let i64 off v b = Bytes.set_int64_le b off (Int64.of_int v) in
+  let i32 off v b = Bytes.set_int32_le b off (Int32.of_int v) in
+  let area off v b = Bytes.set_int64_le b off (Int64.bits_of_float v) in
+  (* The second state of that cell, and the first's area and count. *)
+  let second = state (s0 + 1) in
+  let first_area = Int64.float_of_bits (String.get_int64_le blob (state s0)) in
+  let first_count = Int64.to_int (String.get_int64_le blob (state s0 + 8)) in
+  let payload = String.sub blob 16 (String.length blob - 16) in
+  let cut = String.sub payload 0 (String.length payload - 1) in
+  List.iter
+    (fun (label, bad, expected) ->
+      Alcotest.check
+        Alcotest.(result unit decode_error)
+        label (Error expected) (verdict p bad))
+    Ir_core.Rank_dp.
+      [
+        ("payload edited, digest kept",
+          edit ~digest:false (i64 (header 0) (n + 1)), Bad_digest);
+        ("last byte cut", with_digest cut, Truncated);
+        ("a byte appended", with_digest (payload ^ "\000"), Trailing_bytes);
+        ("n off by one", edit (i64 (header 0) (n + 1)), Geometry);
+        ("m off by one", edit (i64 (header 1) (m + 1)), Geometry);
+        ("max_pareto 0", edit (i64 (header 3) 0), Bad_width);
+        ("a cell past max_pareto", edit (i32 (length 0) 9), Bad_width);
+        ("negative truncations", edit (i64 (header 4) (-1)), Bad_truncations);
+        ("an area repeated", edit (area second first_area), Bad_area);
+        ("a NaN area", edit (area (state s0) Float.nan), Bad_area);
+        ("a negative area", edit (area (state 0) (-1.0)), Bad_area);
+        ("a count repeated", edit (i64 (second + 8) first_count), Bad_count);
+        ("a count past int",
+          edit (fun b -> Bytes.set_int64_le b (second + 8) Int64.min_int),
+          Bad_count);
+        ("a split off its cell", edit (i32 (second + 16) (i0 + 1)), Bad_split);
+        ("a root split", edit (i32 (state 0 + 16) 0), Bad_split);
+        ("a parent in its own row", edit (i32 (second + 20) s0), Bad_parent);
+        ("a root with a parent", edit (i32 (state 0 + 20) 0), Bad_parent);
+      ];
+  Alcotest.(check int) "every error is named once"
+    (List.length Ir_core.Rank_dp.decode_errors)
+    (List.length
+       (List.sort_uniq compare
+          (List.map error_name Ir_core.Rank_dp.decode_errors)))
+
+(* The [Front] invariants decoded tables must satisfy: every cell within
+   the width, areas finite, non-negative and strictly ascending, counts
+   non-negative and strictly descending, and each state's splits one per
+   pair above its row, non-decreasing and ending at its bunch. *)
+let front_violation problem t =
+  let front = Ir_core.Rank_dp.front t in
+  let n = P.n_bunches problem and m = P.n_pairs problem in
+  let found = ref None in
+  let bad fmt =
+    Printf.ksprintf (fun s -> if !found = None then found := Some s) fmt
+  in
+  if Front.cells front <> m * (n + 1) then bad "cells %d" (Front.cells front)
+  else
+    for j = 0 to m - 1 do
+      for i = 0 to n do
+        let c = (j * (n + 1)) + i in
+        let len = Front.length front c in
+        if len > Front.width front then bad "cell %d holds %d" c len;
+        for k = 0 to len - 1 do
+          let a = Front.area front c k and ct = Front.count front c k in
+          if not (Float.is_finite a && a >= 0.0) then bad "area %h" a;
+          if ct < 0 then bad "count %d" ct;
+          if
+            k > 0
+            && not
+                 (a > Front.area front c (k - 1)
+                 && ct < Front.count front c (k - 1))
+          then bad "cell %d not Pareto at %d" c k;
+          let sp = Front.splits front (Front.state front c k) in
+          let rec sorted = function
+            | x :: (y :: _ as r) -> x <= y && sorted r
+            | _ -> true
+          in
+          if
+            List.length sp <> j
+            || (not (sorted sp))
+            || List.exists (fun x -> x < 0 || x > i) sp
+            || (j > 0 && List.nth sp (j - 1) <> i)
+          then bad "cell %d state %d splits" c k
+        done
+      done
+    done;
+  !found
+
+(* Fuzz inputs for the validator: blobs of real tables (one truncating)
+   with one byte replaced (the most likely edit, which shifts no field),
+   deleted or inserted, cut short, or replaced by arbitrary bytes — most
+   with the edited payload's digest re-prefixed, so they reach the
+   structural checks. *)
+let codec_cases =
+  lazy
+    (Array.map
+       (fun (p, width) ->
+         (p, encode (Ir_core.Rank_dp.build_tables ~max_pareto:width p)))
+       [|
+         (baseline_130nm_small (), 8);
+         (overflowing_problem (), 8);
+         (walking_problem (), 8);
+         (rank_changing_problem (), 1);
+       |])
+
+let gen_codec_input =
+  let open QCheck2.Gen in
+  let* case = int_range 0 3 in
+  let p, blob = (Lazy.force codec_cases).(case) in
+  let payload = String.sub blob 16 (String.length blob - 16) in
+  let len = String.length payload in
+  let replace =
+    let* i = int_range 0 (len - 1) in
+    let* c = char in
+    let b = Bytes.of_string payload in
+    Bytes.set b i c;
+    return (Bytes.to_string b)
+  in
+  let* edited =
+    frequency
+      [
+        (1, gen_fuzz (return payload));
+        (1, map (String.sub payload 0) (int_range 0 len));
+        (2, replace);
+      ]
+  in
+  let* digest = frequency [ (9, return true); (1, return false) ] in
+  return (case, p, if digest then with_digest edited else edited)
+
+let prop_decode_validator_fuzz =
+  qtest ~count:1000 "table codec validator fuzz" gen_codec_input
+    (fun (case, p, input) ->
+      match Ir_core.Rank_dp.decode_tables p input with
+      | exception e ->
+          QCheck2.Test.fail_reportf "case %d: raised %s" case
+            (Printexc.to_string e)
+      | Error _ -> true
+      | Ok t -> (
+          match front_violation p t with
+          | Some v -> QCheck2.Test.fail_reportf "case %d: accepted, %s" case v
+          | None -> (
+              if encode t <> input then
+                QCheck2.Test.fail_reportf "case %d: does not re-encode" case;
+              match Ir_core.Rank_dp.search_tables t with
+              | exception e ->
+                  QCheck2.Test.fail_reportf "case %d: search raised %s" case
+                    (Printexc.to_string e)
+              | _ -> true)))
+
+(* [None] when [decode (encode t)] is [t] to every reader: the same
+   outcome and witness at the build's budget and rebudgeted to [fractions],
+   the same kept-cell digest, and the same bytes when encoded again. *)
+let round_trip_failure ?(fractions = [ 1.0 ]) problem t =
+  let blob = encode t in
+  match Ir_core.Rank_dp.decode_tables problem blob with
+  | Error e -> Some ("rejected: " ^ error_name e)
+  | Ok d ->
+      let same tables tables' =
+        let o, w = Ir_core.Rank_dp.search_tables tables in
+        let o', w' = Ir_core.Rank_dp.search_tables tables' in
+        Ir_core.Outcome.equal o o' && w = w'
+      in
+      if encode d <> blob then Some "re-encoding differs"
+      else if kept_cell_digest problem d <> kept_cell_digest problem t then
+        Some "kept-cell digest differs"
+      else if not (same t d) then Some "search differs"
+      else
+        List.find_map
+          (fun f ->
+            let rb = Ir_core.Rank_dp.rebudget ~fraction:f in
+            if same (rb t) (rb d) then None
+            else Some (Printf.sprintf "search at fraction %g differs" f))
+          fractions
+
+let prop_codec_round_trip =
+  qtest ~count:200 "table codec round trip"
+    QCheck2.Gen.(
+      triple
+        (oneof [ Helpers.gen_instance; Helpers.gen_instance_4pair ])
+        (oneofl [ 1; 3; 8 ])
+        (float_range 0.01 1.0))
+    (fun ({ problem; label }, width, fraction) ->
+      let t = Ir_core.Rank_dp.build_tables ~max_pareto:width problem in
+      match round_trip_failure ~fractions:[ 1.0; fraction ] problem t with
+      | None -> true
+      | Some why ->
+          QCheck2.Test.fail_reportf "%s width=%d truncations=%d: %s" label
+            width
+            (Ir_core.Rank_dp.table_truncations t)
+            why)
 
 (* ---- grid-batched engine ---------------------------------------------- *)
 
@@ -1863,6 +2125,27 @@ let test_hard_corpus () =
     (hard_corpus ());
   Ir_obs.reset ()
 
+(* Served = cold on the hard corpus, at the codec: every case's first
+   rung and its widened tables decode to tables every reader sees as the
+   originals, at the case's fraction and at half of it. *)
+let test_hard_corpus_round_trip () =
+  List.iter
+    (fun c ->
+      let p = c.hc_problem in
+      let f = (P.arch p).Ir_ia.Arch.design.Ir_tech.Design.repeater_fraction in
+      let first = Ir_core.Rank_dp.build_tables ?max_pareto:c.hc_max_pareto p in
+      List.iter
+        (fun (rung, t) ->
+          match round_trip_failure ~fractions:[ f; 0.5 *. f ] p t with
+          | None -> ()
+          | Some why -> Alcotest.failf "%s, %s: %s" c.hc_name rung why)
+        [
+          ("first rung", first);
+          ( "widened",
+            Ir_core.Rank_dp.widen_tables ?widen_on_overflow:c.hc_widen first );
+        ])
+    (hard_corpus ())
+
 let () =
   Alcotest.run "core"
     [
@@ -1904,6 +2187,10 @@ let () =
           Alcotest.test_case "table codec fuzz" `Quick test_decode_fuzz;
           Alcotest.test_case "table codec rejects a row-m front" `Quick
             test_decode_row_m_front;
+          Alcotest.test_case "table codec names each violation" `Quick
+            test_decode_named_errors;
+          prop_decode_validator_fuzz;
+          prop_codec_round_trip;
           Alcotest.test_case "phase-A tables are byte-stable" `Quick
             test_tables_byte_stable;
         ] );
@@ -1925,6 +2212,8 @@ let () =
             test_grid_adopt_refuses_truncated;
           Alcotest.test_case "hard corpus: every driver agrees" `Quick
             test_hard_corpus;
+          Alcotest.test_case "hard corpus: table codec round trip" `Quick
+            test_hard_corpus_round_trip;
         ] );
       ( "front",
         [

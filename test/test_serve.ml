@@ -1143,6 +1143,31 @@ let test_cache_multiprocess_hammer () =
 
 module Sn = Ir_serve.Snapshot
 
+(* A snapshot file in the disk store's layout, written by hand: a header
+   with [tag] and the recorded key and a valid MD5 of [blob]. *)
+let write_entry ~tag path ~key blob =
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc
+        (String.concat ""
+           [
+             tag; "\nkey: "; key; "\nblob-md5: ";
+             Digest.to_hex (Digest.string blob); "\nblob-bytes: ";
+             string_of_int (String.length blob); "\n"; blob;
+           ]))
+
+(* The restore problem of a load that must not build one: a miss or a
+   corrupt entry. *)
+let must_not_build () = Alcotest.fail "the restore problem was built"
+
+(* Every decode-error counter, summed. *)
+let decode_errors () =
+  List.fold_left
+    (fun acc e ->
+      acc
+      + counter
+          ("serve_snapshot/decode_" ^ Ir_core.Rank_dp.decode_error_name e))
+    0 Ir_core.Rank_dp.decode_errors
+
 (* A restarted server answers warm: the first server persists its built
    family tables, the second restores them instead of rebuilding — and
    the restored answer is byte-identical to a cold compute. *)
@@ -1228,9 +1253,10 @@ let test_snapshot_corrupt_fallback () =
   S.join srv2
 
 (* A snapshot republished under a different family's key, or with bits
-   flipped anywhere in it, is rejected before any unmarshaling — load
-   returns [None], counts the corruption and discards the file, never
-   crashes.  Fuzz companion to the decode_tables fuzz in test_core. *)
+   flipped anywhere in it, is rejected by the store before the decoder
+   sees a byte or the restore problem is built — load returns [None],
+   counts the corruption and discards the file, never crashes.  Fuzz
+   companion to the decode_tables fuzz in test_core. *)
 let test_snapshot_hostile_payloads () =
   Ir_obs.reset ();
   let dir = temp_path "snaphostile" in
@@ -1253,9 +1279,23 @@ let test_snapshot_hostile_payloads () =
     Ir_assign.Problem.with_repeater_fraction (F.problem fp) 1.0
   in
   (* Sanity: the pristine file restores. *)
-  (match Sn.load snapshot ~key ~problem:(full q) with
+  (match Sn.load snapshot ~key ~problem:(fun () -> full q) with
   | Some _ -> ()
   | None -> Alcotest.fail "pristine snapshot did not restore");
+  (* A miss builds no problem. *)
+  let misses = counter "serve_snapshot/misses" in
+  let absent =
+    ok_exn "absent"
+      (F.v ~k:3.1 ~repeater_fraction:0.3 ~bunch_size:500 ~node:"130nm"
+         ~gates:20_000 ())
+  in
+  (match
+     Sn.load snapshot ~key:(F.table_key absent) ~problem:must_not_build
+   with
+  | None -> ()
+  | Some _ -> Alcotest.fail "absent snapshot restored");
+  Alcotest.(check int) "absent counted a miss" (misses + 1)
+    (counter "serve_snapshot/misses");
   (* Wrong key: the same bytes republished under a neighboring family's
      key are rejected by the header's recorded key — a snapshot cannot
      be aliased onto a different problem. *)
@@ -1269,7 +1309,7 @@ let test_snapshot_hostile_payloads () =
   Out_channel.with_open_bin wrong_path (fun oc ->
       Out_channel.output_string oc pristine);
   let corrupt_before = counter "serve_snapshot/corrupt" in
-  (match Sn.load snapshot ~key:wrong_key ~problem:(full q_wrong) with
+  (match Sn.load snapshot ~key:wrong_key ~problem:must_not_build with
   | None -> ()
   | Some _ -> Alcotest.fail "wrong-key snapshot accepted");
   Alcotest.(check int) "wrong key counted corrupt" (corrupt_before + 1)
@@ -1277,8 +1317,8 @@ let test_snapshot_hostile_payloads () =
   Alcotest.(check bool) "wrong-key file discarded" false
     (Sys.file_exists wrong_path);
   (* Bit flips, from the header through the deep blob: every one is
-     caught by the tag / key / length / MD5 ladder before Marshal sees a
-     byte. *)
+     caught by the tag / key / length / MD5 ladder before the decoder
+     sees a byte. *)
   let len = String.length pristine in
   List.iter
     (fun offset ->
@@ -1287,7 +1327,7 @@ let test_snapshot_hostile_payloads () =
         (Char.chr (Char.code (Bytes.get corrupted offset) lxor 0x20));
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_bytes oc corrupted);
-      match Sn.load snapshot ~key ~problem:(full q) with
+      match Sn.load snapshot ~key ~problem:must_not_build with
       | None -> ()
       | Some _ -> Alcotest.failf "bit flip at %d accepted" offset)
     [ 3; 40; len / 2; (3 * len / 4) + 1; len - 1 ];
@@ -1296,10 +1336,11 @@ let test_snapshot_hostile_payloads () =
     (fun keep ->
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc (String.sub pristine 0 keep));
-      match Sn.load snapshot ~key ~problem:(full q) with
+      match Sn.load snapshot ~key ~problem:must_not_build with
       | None -> ()
       | Some _ -> Alcotest.failf "truncation to %d bytes accepted" keep)
     [ 0; 1; 10; len / 3; len - 1 ];
+  Alcotest.(check int) "nothing reached the decoder" 0 (decode_errors ());
   (* End to end: a server facing the wrong-key file rebuilds cold and
      still answers byte-identically. *)
   Out_channel.with_open_bin wrong_path (fun oc ->
@@ -1320,9 +1361,11 @@ let test_snapshot_hostile_payloads () =
   S.shutdown srv2;
   S.join srv2
 
-(* A snapshot written under the previous schema tag, whose front still
-   carried the unread row m, is discarded as corrupt — exactly once — and
-   the server rebuilds and answers as a cold compute would. *)
+(* A snapshot written under the previous schema tag is discarded as
+   corrupt — exactly once — and never decoded, even when its header MD5
+   is valid and its bytes are the very blob the current codec would
+   restore: the tag alone retires it.  The server rebuilds and answers
+   as a cold compute would. *)
 let test_snapshot_old_schema () =
   Ir_obs.reset ();
   let dir = temp_path "snapschema" in
@@ -1330,23 +1373,13 @@ let test_snapshot_old_schema () =
   let snapshot = ok_exn "snapshot" (Sn.create ~dir) in
   let q = fp_at 0.3 in
   let key = F.table_key q in
-  let p = F.problem q in
-  let n = Ir_assign.Problem.n_bunches p and m = Ir_assign.Problem.n_pairs p in
-  let w = 8 in
-  let payload =
-    Marshal.to_string
-      (n, m, w, 0, Ir_core.Front.create ~cells:((m + 1) * (n + 1)) ~width:w)
-      []
+  let tables =
+    Ir_core.Rank_dp.build_tables
+      (Ir_assign.Problem.with_repeater_fraction (F.problem q) 1.0)
   in
-  let blob = Digest.string payload ^ payload in
-  Out_channel.with_open_bin (Sn.entry_path snapshot ~key) (fun oc ->
-      Out_channel.output_string oc
-        (String.concat ""
-           [
-             "ia-rank/table-snapshot/2\nkey: "; key; "\nblob-md5: ";
-             Digest.to_hex (Digest.string blob); "\nblob-bytes: ";
-             string_of_int (String.length blob); "\n"; blob;
-           ]));
+  write_entry ~tag:"ia-rank/table-snapshot/3" (Sn.entry_path snapshot ~key)
+    ~key
+    (Ir_core.Rank_dp.encode_tables tables);
   let cache = ok_exn "cache" (C.create ~capacity:16 ()) in
   let srv = S.create ~workers:1 ~snapshot ~cache () in
   let corrupt_before = counter "serve_snapshot/corrupt" in
@@ -1358,6 +1391,63 @@ let test_snapshot_old_schema () =
   | Error e -> Alcotest.failf "ask: %s" (Pr.error_message e));
   Alcotest.(check int) "old schema counted corrupt once" (corrupt_before + 1)
     (counter "serve_snapshot/corrupt");
+  Alcotest.(check int) "never decoded" 0 (decode_errors ());
+  Alcotest.(check int) "nothing restored" 0 (counter "serve/table_restores");
+  Alcotest.(check int) "rebuilt" 1 (counter "serve/table_builds");
+  S.shutdown srv;
+  S.join srv
+
+(* A verified entry whose blob the decoder rejects is counted under its
+   error and as corrupt, and discarded; the server then rebuilds.  The
+   blob is the family's own, with one count made negative and the
+   payload's digest re-prefixed, so only the structural check can catch
+   it. *)
+let test_snapshot_decode_error () =
+  Ir_obs.reset ();
+  let dir = temp_path "snapdecode" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let snapshot = ok_exn "snapshot" (Sn.create ~dir) in
+  let q = fp_at 0.3 in
+  let key = F.table_key q in
+  let full = Ir_assign.Problem.with_repeater_fraction (F.problem q) 1.0 in
+  let blob = Ir_core.Rank_dp.encode_tables (Ir_core.Rank_dp.build_tables full) in
+  (* The root state, the first after the 40-byte header and one int32
+     length per cell; its count follows its 8 area bytes. *)
+  let cells =
+    Ir_assign.Problem.n_pairs full * (Ir_assign.Problem.n_bunches full + 1)
+  in
+  let b = Bytes.of_string blob in
+  Bytes.set_int64_le b (16 + 40 + (4 * cells) + 8) (-1L);
+  let payload = Bytes.sub_string b 16 (Bytes.length b - 16) in
+  let path = Sn.entry_path snapshot ~key in
+  write_entry ~tag:"ia-rank/table-snapshot/4" path ~key
+    (Digest.string payload ^ payload);
+  let built = ref 0 in
+  (match
+     Sn.load snapshot ~key ~problem:(fun () ->
+         incr built;
+         full)
+   with
+  | None -> ()
+  | Some _ -> Alcotest.fail "a negative count restored");
+  Alcotest.(check int) "problem built once, after verification" 1 !built;
+  Alcotest.(check int) "counted under its error" 1
+    (counter "serve_snapshot/decode_bad_count");
+  Alcotest.(check int) "no other decode error" 1 (decode_errors ());
+  Alcotest.(check int) "counted corrupt" 1 (counter "serve_snapshot/corrupt");
+  Alcotest.(check bool) "discarded" false (Sys.file_exists path);
+  write_entry ~tag:"ia-rank/table-snapshot/4" path ~key
+    (Digest.string payload ^ payload);
+  let cache = ok_exn "cache" (C.create ~capacity:16 ()) in
+  let srv = S.create ~workers:1 ~snapshot ~cache () in
+  (match S.submit_query srv q with
+  | Ok (answer, _) ->
+      Alcotest.(check string) "answer = cold"
+        (Pr.result_payload (F.compute_cold q))
+        answer
+  | Error e -> Alcotest.failf "ask: %s" (Pr.error_message e));
+  Alcotest.(check int) "server counted it" 2
+    (counter "serve_snapshot/decode_bad_count");
   Alcotest.(check int) "nothing restored" 0 (counter "serve/table_restores");
   Alcotest.(check int) "rebuilt" 1 (counter "serve/table_builds");
   S.shutdown srv;
@@ -1922,6 +2012,8 @@ let () =
             test_snapshot_hostile_payloads;
           Alcotest.test_case "old schema discarded" `Quick
             test_snapshot_old_schema;
+          Alcotest.test_case "decode error counted and rebuilt" `Quick
+            test_snapshot_decode_error;
         ] );
       ( "resident grid",
         [
