@@ -1386,6 +1386,54 @@ let test_tables_byte_stable () =
       ("table-4 small base width=8", table4_small, 8,
         "dac738c2be72d11060a94a52dd4bbec4",
         "7c5b38ccb846c26eff8315a6ecb5539c");
+    ];
+  (* The long-window cells, at the default width 8: the full-budget
+     130nm/1M plane the server builds (fraction 1.0, no power cap) and
+     two cross-node cells.  Their transition loops run hundreds of
+     destinations, so these are the builds whose work the range skip
+     cuts; the work counters are pinned with the bytes, since a skip
+     must count what the walk counts.  Row 2 of the plane holds sources
+     whose keys lie within the skip's rounding slack of an earlier
+     one, and those must be walked. *)
+  let baseline ?(gates = 1_000_000) node =
+    Ir_core.Rank.problem_of_design (Ir_core.Rank.baseline_design ~gates node)
+  in
+  let plane =
+    P.with_power_budget
+      (P.with_repeater_fraction (baseline Ir_tech.Node.N130) 1.0)
+      infinity
+  in
+  List.iter
+    (fun (label, problem, kept, digest, (inserts, dominated, screened)) ->
+      let before = Ir_obs.snapshot () in
+      let t = Ir_core.Rank_dp.build_tables problem in
+      let after = Ir_obs.snapshot () in
+      let delta name = counter_in after name - counter_in before name in
+      Alcotest.(check string) (label ^ " kept cells") kept
+        (kept_cell_digest problem t);
+      Alcotest.(check string) label digest
+        (Digest.to_hex (Digest.string (Ir_core.Rank_dp.encode_tables t)));
+      Alcotest.(check (list int))
+        (label ^ " inserts, dominated, screened")
+        [ inserts; dominated; screened ]
+        (List.map delta
+           [
+             "rank_dp/pareto_inserts"; "rank_dp/pareto_dominated";
+             "rank_dp/cells_screened";
+           ]))
+    [
+      ("130nm/1M full-budget plane", plane,
+        "8007bf71aecaff34d59fcf9d1e6b8591",
+        "ccc986e1e065f2fdd0637632b6a58a3f",
+        (237_729, 236_421, 444_765));
+      ("n90_4750k", baseline ~gates:4_750_000 Ir_tech.Node.N90,
+        "f8d1775282985153e3a624b7b96927a6",
+        "4ffe630da0f28dd2dc7b798f6d6beeae",
+        (27_532, 25_679, 2_789_031));
+      ("n180_6000k", baseline ~gates:6_000_000 Ir_tech.Node.N180,
+        "353d0cf73fe6b9a063ed67a291178641",
+        "72e9e4aab322564f885674ab5bb0e1b5",
+        (97_178, 94_510, 3_786_478));
     ]
 
 (* The decoder against the blob of real tables: the pristine blob

@@ -54,6 +54,29 @@ let test_davis_generate () =
   Alcotest.(check bool) "l_max below 2 sqrt N" true
     (Ir_wld.Dist.l_max d <= 2000.0)
 
+(* Frozen digests of the generated bins, per bin the length's bits and
+   the count, at the design sizes the benchmarks and the serve tier
+   generate: any change to the float operations behind a bin moves them. *)
+let test_davis_generate_pinned () =
+  List.iter
+    (fun (gates, digest) ->
+      let d = Ir_wld.Davis.generate (Ir_wld.Davis.params ~gates ()) in
+      let b = Buffer.create 65536 in
+      Array.iter
+        (fun { Ir_wld.Dist.length; count } ->
+          Printf.bprintf b "%Lx/%d;" (Int64.bits_of_float length) count)
+        (Ir_wld.Dist.bins d);
+      Alcotest.(check string)
+        (Printf.sprintf "bins at %d gates" gates)
+        digest
+        (Digest.to_hex (Digest.string (Buffer.contents b))))
+    [
+      (200_000, "fe6ec8068d4f2d265f14b55e6a59d30a");
+      (1_000_000, "3cc09c31ba38a5ea0baf32e8f88f8ca9");
+      (4_750_000, "678d0b201bb30b6a5425b19764d8ea7a");
+      (6_000_000, "b50c27bd73560747435f9f862b91ef46");
+    ]
+
 let test_davis_tail_fractions () =
   (* The C-column plateau mechanism: tail fractions at small integer
      lengths; these anchor the Table 4 C reproduction. *)
@@ -440,6 +463,8 @@ let () =
             test_davis_density_continuity;
           Alcotest.test_case "cumulative" `Quick test_davis_cumulative;
           Alcotest.test_case "generate 1M" `Quick test_davis_generate;
+          Alcotest.test_case "generated bins are pinned" `Quick
+            test_davis_generate_pinned;
           Alcotest.test_case "tail fractions" `Quick test_davis_tail_fractions;
           Alcotest.test_case "generate meters" `Quick test_generate_meters;
           prop_davis_total;
