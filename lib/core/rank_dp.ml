@@ -17,6 +17,7 @@ let stat_inserts = Ir_obs.counter "rank_dp/pareto_inserts"
 let stat_dominated = Ir_obs.counter "rank_dp/pareto_dominated"
 let stat_truncations = Ir_obs.counter "rank_dp/pareto_truncations"
 let stat_screened = Ir_obs.counter "rank_dp/cells_screened"
+let stat_transitions_skipped = Ir_obs.counter "rank_dp/transitions_skipped"
 let stat_witness_probes = Ir_obs.counter "rank_dp/witness_probes"
 let stat_search_probes = Ir_obs.counter "rank_dp/search_probes"
 let stat_widen_retries = Ir_obs.counter "rank_dp/widen_retries"
@@ -73,11 +74,19 @@ type builder = {
   b_cap : float;
   b_budget : float;
   b_blocked_k : float array;
+  b_skip_end : int array;
+      (* per source state of a covered cell: the last destination of the
+         skipped range its filters pass at (see [builder_step]) *)
+  b_reach : int array;
+      (* per source state: the last destination up to which it offered
+         every kept cell (see [builder_step]) *)
   mutable b_level : int;  (* next boundary pair to expand; done at m - 1 *)
   mutable b_states : int;
   mutable b_skipped : int;
   mutable b_cells_screened : int;
       (* screened destinations skipped, once per source cell reaching one *)
+  mutable b_transitions_skipped : int;
+      (* candidates proven dominated in bulk, a subset of [b_skipped] *)
   mutable b_finished : bool;  (* [builder_finish] has counted the tallies *)
 }
 
@@ -128,10 +137,13 @@ let builder ?(max_pareto = 8) problem =
        repeater count — not on the interval end — so one fill per
        (pair, start) replaces a boxed call per (state, end). *)
     b_blocked_k = Array.make width 0.0;
+    b_skip_end = Array.make width 0;
+    b_reach = Array.make width 0;
     b_level = (if fits then 0 else m - 1);
     b_states = 0;
     b_skipped = 0;
     b_cells_screened = 0;
+    b_transitions_skipped = 0;
     b_finished = false;
   }
 
@@ -167,10 +179,11 @@ let[@inline] position (f_area : Front.farray) ~dbase ~dlen ~from a =
    no repeater above.  Its soundness and its closure under the
    transitions below (a screened cell only ever sends candidates to
    screened cells, so no kept cell's candidate stream changes) are
-   argued at [builder] in the interface.  Returns the mask and
+   argued at [builder] in the interface.  Returns the mask,
    [next_kept]: [next_kept.(i)] is the first kept cell [>= i], [n + 1]
    when none is left, so the transition loop can jump a run of screened
-   destinations. *)
+   destinations, and [kept_before]: [kept_before.(i)] is the number of
+   kept cells [< i], so a range skip counts its kept cells in O(1). *)
 let screen_row problem ~n ~row =
   let screened =
     Array.init (n + 1) (fun i ->
@@ -183,7 +196,11 @@ let screen_row problem ~n ~row =
   for i = n downto 0 do
     next_kept.(i) <- (if screened.(i) then next_kept.(i + 1) else i)
   done;
-  (screened, next_kept)
+  let kept_before = Array.make (n + 2) 0 in
+  for i = 0 to n do
+    kept_before.(i + 1) <- (kept_before.(i) + if screened.(i) then 0 else 1)
+  done;
+  (screened, next_kept, kept_before)
 
 (* Does the transition from cell (j, i) to destination [i2 > i] end the
    transition loop?  The meeting interval [i, i2) must be feasible on
@@ -195,6 +212,83 @@ let[@inline] breaks problem ~j ~i ~min_area ~budget ~cap i2 =
   (not (P.meeting_feasible problem ~pair:j ~lo:i ~hi:i2))
   || min_area +. P.meeting_area problem ~pair:j ~lo:i ~hi:i2 > budget
   || P.interval_area problem ~pair:j ~lo:i ~hi:i2 > cap
+
+(* Does the state of area [a] and blockage [blocked] in cell (j, i) pass
+   the per-state budget and capacity filters at destination [i2]?  The
+   same float operations as the transition loop's own test, and monotone
+   in [i2] for the reasons [breaks] is: once it fails it fails for every
+   larger [i2]. *)
+let[@inline] passes problem ~j ~i ~budget ~cap ~a ~blocked i2 =
+  a +. P.meeting_area problem ~pair:j ~lo:i ~hi:i2 <= budget
+  && P.interval_area problem ~pair:j ~lo:i ~hi:i2 +. blocked <= cap
+
+(* The first [x] in [(lo, hi]] at which [fails x] holds, by bisection:
+   [fails] is monotone in [x] and holds at [hi], and [lo] is taken to
+   pass. *)
+let first_failing ~lo ~hi fails =
+  let lo = ref lo and hi = ref hi in
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) / 2 in
+    if fails mid then hi := mid else lo := mid
+  done;
+  !hi
+
+(* The range skip's rounding slack, a power of two (see below). *)
+let slack = 16.0 *. epsilon_float
+
+(* The range skip.  Write R(i, d) and C(i, d) for [meeting_area] and
+   [meeting_count] on pair j, and R for R(0, n).  A state (a, c) of
+   source cell (j, i) offers destination d the candidate
+   (a +. R(i, d), c + C(i, d)).  Its key is (a -. R(0, i), c - C(0, i)).
+   As R(0, 0) = 0, in exact arithmetic the candidates of two states of
+   one row at a common destination differ by the difference of their
+   keys.
+
+   The row's champion is one state (a', c') of an earlier cell (j, i'),
+   with keys (ka', kc') and candidate X at d; let Y be the candidate of
+   a state (a, c) of cell (j, i) with keys (ka, kc).  If kc' <= kc and
+   ka -. ka' > slack *. (a +. a' +. 2R), then at every d > i X has a
+   strictly smaller area than Y and no larger count (counts are exact
+   integers).  Proof, with u = epsilon_float / 2 and S = a + a' + 2R:
+   every operand is finite and non-negative and the prefix table behind
+   R(., .) is non-decreasing, so every R(., .) is at most R, and each
+   rounded sum or difference errs by at most u times its operands'
+   magnitudes.  So the computed keys are off by at most u (a + R) and
+   u (a' + R), and Y's area by u (a + 2R) + u^2 R (X's likewise with
+   a'), which gives area Y - area X >= (ka - ka') - 4 u S for the
+   computed keys.  Their computed difference is within a factor
+   (1 + u) of it, the computed S is at least S (1 - u)^2, and [slack] =
+   32 u is a power of two, so the product is exact unless subnormal.
+   Then the test gives ka - ka' > 31 u S, so area Y - area X > 27 u S,
+   and S > 0 since the test fails when everything is 0.  A subnormal
+   product is off by at most 2^-1075, under u S / 2 once S >= 2^-1021;
+   below that every value involved is a multiple of 2^-1074 under
+   2^-1021 in magnitude, so every sum and difference is exact and
+   area Y - area X = ka - ka' > 0.
+
+   A state's reach is the last destination up to which it offered every
+   kept cell of the row below.  So once the champion has offered a kept
+   d, the destination's front holds a state dominating X: the offered
+   candidate itself, or what dropped it.  While the build has truncated
+   nothing, a front state leaves only for one that dominates it, so a
+   dominator of X, and so of Y, is still there when Y would be offered,
+   and the pre-check would drop Y.  So every candidate the state would
+   offer at a kept cell of (i, min(reach', own reach)] is counted as
+   the walk counts it, one insert and one dominated drop, without being
+   placed.  Once anything truncates, every cell is walked.  (The guard is
+   read before the cell's own empty-interval offer, which can truncate
+   only destination i, outside the range.)
+
+   The skip needs the [Break] tests and the per-state filters to be
+   monotone in d, and nothing else.  Where this cell's [Break] comes
+   before the champion's reach, the range stops before it; a state
+   whose filters fail at the range's end is bisected to its own last
+   passing destination.  Only when every state of the cell is covered
+   does the loop jump the range: each state's kept cells in it are
+   counted from the row's [kept_before], its screened cells onto
+   [cells_screened], and the walk goes on after it.  Any other cell is
+   walked as before.  After each cell, a state whose reach passes the
+   champion's becomes the champion. *)
 
 (* Expand one boundary-pair level.  Returns [true] while more levels
    remain.  The step touches only this builder's own state (front,
@@ -211,7 +305,10 @@ let builder_step b =
     let cap = b.b_cap in
     let budget = b.b_budget in
     let blocked_k = b.b_blocked_k in
-    let screened, next_kept = screen_row problem ~n ~row:(j + 1) in
+    let skip_end = b.b_skip_end and reach = b.b_reach in
+    let screened, next_kept, kept_before = screen_row problem ~n ~row:(j + 1) in
+    (* Kept cells of the row below in (lo, hi]. *)
+    let kept lo hi = kept_before.(hi + 1) - kept_before.(lo + 1) in
     (* Raw views into the front's planes, for the inlined dominance
        pre-check below.  Without flambda every [Front.insert] call boxes
        its float [~area] argument, and most candidates (95.8% on the
@@ -235,6 +332,10 @@ let builder_step b =
     let f_count = Front.raw_count front in
     let f_len = Front.raw_len front in
     let stride = Front.stride front in
+    (* The row's champion: keys, area and reach ([-1]: none yet). *)
+    let two_r_n = 2.0 *. P.meeting_area problem ~pair:j ~lo:0 ~hi:n in
+    let champ_reach = ref (-1) and champ_area = ref 0.0 in
+    let champ_key_a = ref 0.0 and champ_key_c = ref 0 in
     for i = 0 to n do
       let src = cell ~n j i in
       let len = Front.length front src in
@@ -248,7 +349,48 @@ let builder_step b =
             P.blocked problem ~pair:j ~wires_above
               ~reps_above:f_count.{sbase + k}
         done;
-        try
+        let r_i = P.meeting_area problem ~pair:j ~lo:0 ~hi:i in
+        let c_i = P.meeting_count problem ~pair:j ~lo:0 ~hi:i in
+        (* Each state's [skip_end] when the whole cell is covered; the
+           loop then goes on after [jump]. *)
+        let jump =
+          let r = !champ_reach in
+          if r <= i || Front.truncations front > 0 then i
+          else begin
+            (* [e]: the champion's reach, or the last destination before
+               this cell's [Break] if that comes first. *)
+            let e =
+              if not (breaks problem ~j ~i ~min_area ~budget ~cap r) then r
+              else
+                first_failing ~lo:i ~hi:r
+                  (breaks problem ~j ~i ~min_area ~budget ~cap)
+                - 1
+            in
+            let k = ref 0 in
+            while
+              e > i
+              && !k < len
+              &&
+              let a = f_area.{sbase + !k} in
+              f_count.{sbase + !k} - c_i >= !champ_key_c
+              && a -. r_i -. !champ_key_a
+                 > slack *. (a +. !champ_area +. two_r_n)
+            do
+              let a = f_area.{sbase + !k} and blocked = blocked_k.(!k) in
+              skip_end.(!k) <-
+                (if passes problem ~j ~i ~budget ~cap ~a ~blocked e then e
+                 else
+                   first_failing ~lo:i ~hi:e (fun d ->
+                       not (passes problem ~j ~i ~budget ~cap ~a ~blocked d))
+                   - 1);
+              incr k
+            done;
+            if !k = len then e else i
+          end
+        in
+        if jump > i then Array.blit skip_end 0 reach 0 len
+        else Array.fill reach 0 len i;
+        (try
           (* Empty interval: pair j left unused. *)
           if screened.(i) then b.b_cells_screened <- b.b_cells_screened + 1
           else begin
@@ -268,7 +410,16 @@ let builder_step b =
               end
             done
           end;
-          let i2 = ref (i + 1) in
+          if jump > i then begin
+            b.b_cells_screened <-
+              b.b_cells_screened + (jump - i - kept i jump);
+            for k = 0 to len - 1 do
+              let s = kept i skip_end.(k) in
+              b.b_skipped <- b.b_skipped + s;
+              b.b_transitions_skipped <- b.b_transitions_skipped + s
+            done
+          end;
+          let i2 = ref (jump + 1) in
           while !i2 <= n do
             let d = !i2 in
             if breaks problem ~j ~i ~min_area ~budget ~cap d then raise Break;
@@ -289,16 +440,13 @@ let builder_step b =
                 i2 := t
               end
               else begin
-                (* [lo] passes the tests; [hi] fails them or is past the
+                (* [d] passes the tests; [t] fails them or is past the
                    row. *)
-                let lo = ref d and hi = ref t in
-                while !hi - !lo > 1 do
-                  let mid = (!lo + !hi) / 2 in
-                  if breaks problem ~j ~i ~min_area ~budget ~cap mid then
-                    hi := mid
-                  else lo := mid
-                done;
-                b.b_cells_screened <- b.b_cells_screened + (!hi - d);
+                let x =
+                  first_failing ~lo:d ~hi:t
+                    (breaks problem ~j ~i ~min_area ~budget ~cap)
+                in
+                b.b_cells_screened <- b.b_cells_screened + (x - d);
                 raise Break
               end
             end
@@ -313,6 +461,7 @@ let builder_step b =
                 let a = f_area.{sbase + k} +. d_area in
                 let c = f_count.{sbase + k} + d_count in
                 if a <= budget && routing +. blocked_k.(k) <= cap then begin
+                  reach.(k) <- d;
                   p := position f_area ~dbase ~dlen:f_len.{dst} ~from:!p a;
                   if !p > 0 && f_count.{dbase + !p - 1} <= c then
                     b.b_skipped <- b.b_skipped + 1
@@ -326,7 +475,18 @@ let builder_step b =
               i2 := d + 1
             end
           done
-        with Break -> ()
+        with Break -> ());
+        (* A state of this cell that reaches past the champion replaces
+           it for the cells after. *)
+        for k = 0 to len - 1 do
+          if reach.(k) > !champ_reach then begin
+            let a = f_area.{sbase + k} in
+            champ_reach := reach.(k);
+            champ_area := a;
+            champ_key_a := a -. r_i;
+            champ_key_c := f_count.{sbase + k} - c_i
+          end
+        done
       end
     done;
     b.b_level <- j + 1;
@@ -343,6 +503,7 @@ let builder_finish b =
   let front = b.b_front in
   Ir_obs.add stat_states b.b_states;
   Ir_obs.add stat_screened b.b_cells_screened;
+  Ir_obs.add stat_transitions_skipped b.b_transitions_skipped;
   Ir_obs.add stat_inserts (Front.inserts front + b.b_skipped);
   Ir_obs.add stat_dominated (Front.dominated front + b.b_skipped);
   Ir_obs.add stat_truncations (Front.truncations front);

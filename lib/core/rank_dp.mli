@@ -155,7 +155,39 @@ val builder : ?max_pareto:int -> Ir_assign.Problem.t -> builder
     failing destinations of a run are a suffix of it.  The loop stops
     where the walk one destination at a time stops, kept cells get
     the same candidates from the same float operations, and
-    [rank_dp/cells_screened] counts what that walk counts. *)
+    [rank_dp/cells_screened] counts what that walk counts.
+
+    {b The range skip.}  Most candidates a level offers are dominated,
+    and a whole range of one source cell's destinations can be proven
+    so in O(1).  A state [(a, c)] of cell [(j, i)] has the {e normalized
+    key} [(a - R(0, i), c - C(0, i))], with [R] and [C] the repeater area
+    and count of a meeting interval on pair [j]: in exact arithmetic two
+    states of one row offer a common destination candidates that differ
+    by the difference of their keys.  Each level keeps one {e champion}
+    state per row: after each source cell, a state of that cell whose
+    {e reach} (the last destination up to which it offered every kept
+    cell, before its [Break] and while its budget and capacity filters
+    pass) extends past the champion's replaces it.  A state of a later cell whose count key is no smaller and
+    whose area key is larger by more than [16 epsilon_float (a + a' +
+    2 R(0, n))] gets a strictly larger candidate area at every
+    destination, after rounding, than the champion's; the bound covers
+    the rounding of both sums, and the proof is in [rank_dp.ml].  While
+    the build has truncated nothing, a state dominating the champion's
+    candidate is still in each front it was offered to, so the
+    pre-check would drop every such candidate up to
+    [min (reach', own reach)].  When every state of a source cell is
+    covered, the loop skips that range: one [Break] test and one filter
+    test at the range's end decide it, with a bisection only when one
+    fails, and the range is counted as the walk counts it.  Each state
+    adds its kept destinations in range to [rank_dp/pareto_inserts] and
+    [rank_dp/pareto_dominated], from a per-row prefix count of kept
+    cells, and the screened ones go onto [rank_dp/cells_screened].  The
+    skipped candidates are also counted on [rank_dp/transitions_skipped],
+    a subset of the dominated ones.  Once the build truncates, every cell
+    is walked.  Fronts, tallies and witnesses are those of the walk.
+    The skip relies on the [Break] tests and the per-state filters being
+    monotone in the destination; a new filter must be monotone too, or
+    disable the skip. *)
 
 val builder_levels : builder -> int
 (** Total number of boundary-pair levels, [Problem.n_pairs - 1]: level

@@ -45,16 +45,18 @@ let integrate_terms terms l1 l2 =
     (fun acc (c, e) -> acc +. (c *. power_integral e l1 l2))
     0.0 terms
 
-(* Unnormalized cumulative from l = 1 to l, clamped to the support. *)
-let raw_cumulative p l =
+(* Unnormalized cumulative from l = 1 to l, clamped to the support.  The
+   term lists are built once per partial application, so a caller that
+   evaluates many lengths of one [p] shares them. *)
+let raw_cumulative p =
   let sqn = sqrt (float_of_int p.gates) in
   let lmax = 2.0 *. sqn in
-  let l = Ir_phys.Numeric.clamp ~lo:1.0 ~hi:lmax l in
-  let r1 = integrate_terms (region1_terms p) 1.0 (Float.min l sqn) in
-  let r2 =
-    if l > sqn then integrate_terms (region2_terms p) sqn l else 0.0
-  in
-  r1 +. r2
+  let terms1 = region1_terms p and terms2 = region2_terms p in
+  fun l ->
+    let l = Ir_phys.Numeric.clamp ~lo:1.0 ~hi:lmax l in
+    let r1 = integrate_terms terms1 1.0 (Float.min l sqn) in
+    let r2 = if l > sqn then integrate_terms terms2 sqn l else 0.0 in
+    r1 +. r2
 
 let total p = p.fan_out *. float_of_int p.gates
 
@@ -75,7 +77,11 @@ let density p l =
     in
     norm p *. raw
 
-let cumulative p l = norm p *. raw_cumulative p l
+(* Like [raw_cumulative], [cumulative p] computes the normalization and
+   the term lists once, for every length it is then applied to. *)
+let cumulative p =
+  let k = norm p and raw = raw_cumulative p in
+  fun l -> k *. raw l
 
 let generate p =
   let lmax = l_max p in

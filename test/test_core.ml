@@ -815,6 +815,36 @@ let prop_front_mirror_build_4pair =
       check_mirror ~label:(label ^ " width=8") ~width:8 problem
       && check_mirror ~label:(label ^ " width=3") ~width:3 problem)
 
+(* The mirror at the full repeater budget (fraction 1.0), where the
+   transition loops run longest and the kernel's range skip counts whole
+   ranges of dominated candidates without placing them: fronts and
+   tallies must still be what the walk one candidate at a time gives.
+   A run in which the skip never fired would prove nothing, so the case
+   fails if [rank_dp/transitions_skipped] did not move. *)
+let prop_front_mirror_full_budget =
+  let name, speed, run =
+    qtest ~count:150 "mirrored full-budget DP build: range skip counts exact"
+      QCheck2.Gen.(pair Helpers.gen_instance Helpers.gen_instance_4pair)
+      (fun ({ problem = p; label = l }, { problem = p4; label = l4 }) ->
+        List.for_all
+          (fun width ->
+            let w = Printf.sprintf " fraction=1 width=%d" width in
+            check_mirror ~label:(l ^ w) ~width (P.with_repeater_fraction p 1.0)
+            && check_mirror ~label:(l4 ^ w) ~width
+                 (P.with_repeater_fraction p4 1.0))
+          [ 1; 3; 8 ])
+  in
+  let skipped () =
+    counter_in (Ir_obs.snapshot ()) "rank_dp/transitions_skipped"
+  in
+  ( name,
+    speed,
+    fun () ->
+      let before = skipped () in
+      run ();
+      if skipped () = before then
+        Alcotest.fail "the range skip never fired over the whole run" )
+
 (* Does the reference state [e] of cell (j, i) complete with boundary
    [c]?  The witness test itself — bunches [i..c) meet on pair j, the
    suffix passes [Greedy_fill.fits] — without the repeater budget, since
@@ -978,6 +1008,92 @@ let test_jump_break_inside_run () =
     (breaks_inside_screened_runs ~width:8 p > 0);
   ignore (check_mirror ~label:"screened-run break width=8" ~width:8 p);
   ignore (check_mirror ~label:"screened-run break width=1" ~width:1 p)
+
+(* Three frozen instances for the range skip's rare paths, each found by
+   randomized search as one of up to a few hundred thousand.  In the
+   first, a tight budget makes a covered state's own filters fail before
+   the end of the champion's range, so the kernel bisects that state to
+   its own last passing destination; counting it to the range's end adds
+   inserts the walk never makes.  In the second, a narrow front
+   truncates, and a range skip after that would drop a candidate whose
+   dominator the truncation evicted.  In the third, a source cell's
+   [Break] comes before the champion's reach, so the range must stop
+   before it: a range run to the reach would count destinations past
+   the [Break].  [check_mirror] pins each build's fronts and tallies
+   against the walk one candidate at a time. *)
+let skip_filter_end_problem () =
+  adversarial_problem_on ~semi_global_pairs:2
+    ~local:
+      ( 2.7401900628357409e-07, 5.3502917520513509e-07,
+        2.1575509582235124e-07, 2.9039363357559419e-07 )
+    ~semi:
+      ( 4.0252927342134103e-07, 1.5342701175060815e-07,
+        9.1627538193783856e-07, 2.1179401429443069e-07 )
+    ~global:
+      ( 2.572186372817383e-07, 1.2291662027105339e-07,
+        8.4817412671916204e-07, 2.0085502528517084e-07 )
+    ~gates:2432 ~clock:1858333049.018784 ~fraction:0.022481880880088314
+    ~counts:[ 1; 3; 2; 1; 3; 1; 3; 3; 3; 2; 3; 3; 1; 2; 1 ]
+    ~lengths_mm:
+      [ 0.88708222265604664; 3.1476315739878804; 1.4086927311011574;
+        3.9162138672997946; 0.6507924936394931; 1.0479293340067626;
+        1.0500822561592424; 3.6441709721202731; 3.521016331402401;
+        2.2186421065303663; 0.078463886772277502; 2.6762121069570601;
+        3.4934851176577943; 0.47411774277978064; 0.92516256813052267 ]
+
+let skip_after_truncation_problem () =
+  adversarial_problem_on ~semi_global_pairs:2
+    ~local:
+      ( 4.8779677759925164e-07, 4.965569903820831e-07,
+        1.0785542345961792e-06, 1.504228648949675e-07 )
+    ~semi:
+      ( 2.9460174905256453e-07, 2.3248174886077107e-07,
+        5.2899163034335556e-07, 2.1926015385720128e-07 )
+    ~global:
+      ( 1.0496936094217565e-07, 1.661999328676815e-07,
+        1.6258062218358724e-07, 2.1282090643196039e-07 )
+    ~gates:1408 ~clock:3533456542.6493144 ~fraction:1.0
+    ~counts:[ 2; 1; 2; 1; 2; 2; 2; 2 ]
+    ~lengths_mm:
+      [ 0.70013499248530664; 3.8487627944418477; 3.0344092055201681;
+        2.4584584919441497; 2.7703030654702432; 3.8061711989588796;
+        3.6903805888896275; 2.6072531008552695 ]
+
+let skip_past_break_problem () =
+  adversarial_problem
+    ~local:
+      ( 1.920928452620411e-07, 3.7929773045108616e-07,
+        1.1469293052704615e-06, 1.8118506515295717e-07 )
+    ~semi:
+      ( 1.478130099303437e-07, 2.8793121445738934e-07,
+        8.2632128019615233e-07, 2.7035855759766777e-07 )
+    ~global:
+      ( 2.5290503132733533e-07, 1.3657160313109569e-07,
+        9.8849122908775006e-07, 1.9621618325025201e-07 )
+    ~gates:2304 ~clock:2680706643.8929224 ~fraction:0.0045823082050604914
+    ~counts:[ 2; 1; 2; 3; 1; 2; 1; 3; 3; 1; 3; 2; 2; 3 ]
+    ~lengths_mm:
+      [ 2.3202447386104357; 2.3646147841086727; 2.375566303671508;
+        3.6505217355237511; 0.086936419208156868; 1.83926547495129;
+        3.5975597583574883; 1.4211825545976589; 2.949329711805841;
+        3.2602211610677414; 2.989721723448266; 0.52438849302120216;
+        0.75193362007374198; 1.6816412918279915 ]
+
+let test_range_skip_rare_paths () =
+  List.iter
+    (fun (label, problem) ->
+      List.iter
+        (fun width ->
+          ignore
+            (check_mirror
+               ~label:(Printf.sprintf "%s width=%d" label width)
+               ~width problem))
+        [ 1; 2; 3; 8 ])
+    [
+      ("filter end inside the range", skip_filter_end_problem ());
+      ("skip after a truncation", skip_after_truncation_problem ());
+      ("break before the champion's reach", skip_past_break_problem ());
+    ]
 
 let test_front_basics () =
   Alcotest.check_raises "create rejects zero width"
@@ -2270,9 +2386,12 @@ let () =
             test_front_mirror_adversarial;
           Alcotest.test_case "jump: a break inside a screened run" `Quick
             test_jump_break_inside_run;
+          Alcotest.test_case "range skip: filter end, truncation, break" `Quick
+            test_range_skip_rare_paths;
           prop_front_insert_matches_reference;
           prop_front_mirror_build;
           prop_front_mirror_build_4pair;
+          prop_front_mirror_full_budget;
           prop_screen_sound;
         ] );
       ( "rank_greedy",
