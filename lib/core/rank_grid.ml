@@ -3,10 +3,11 @@
    A sweep point of the paper's Table 4 perturbs exactly one of four
    knobs of a fixed technology/WLD family — dielectric constant K,
    Miller factor M, clock C, repeater fraction R.  Points sharing
-   (materials, clock) share their {e entire} phase-A DP (the repeater
-   budget enters no table; [Rank_dp.rebudget]'s displacement
-   argument), so the grid groups points into (materials, clock) planes,
-   builds every plane's tables in one level-synchronous wavefront pass
+   (materials, clock) share their {e entire} phase-A DP (a
+   truncation-free build at the widest budget answers every narrower
+   one; [Rank_dp.rebudget]'s displacement argument), so the grid
+   groups points into (materials, clock) planes, builds every plane's
+   tables in one level-synchronous wavefront pass
    (all planes advance boundary-pair level j together; the [Ir_exec]
    work-stealing pool parallelizes {e across planes inside each level},
    with a barrier per level), and then answers every point from its
@@ -30,12 +31,12 @@
    in [Rank_dp.builder], so each of these answers a no-fit cell without
    expanding a level.
 
-   The planes stay resident after evaluation: [perturb] answers a
-   one-parameter delta by recomputing only the slice it invalidates — a
-   new R point on a truncation-free plane is one phase-B search, a new
-   K/M/C value is one new plane's build — never the whole grid.  The
-   serve tier's warm pool leans on this to answer neighboring-query
-   misses from a resident grid. *)
+   A grid is a set of resident planes and nothing else.  [evaluate]
+   builds one, answers its points and returns the answers; the serve
+   tier's warm pool keeps one per query family, grows it a plane at a
+   time ([build_plane], [adopt]) and answers neighboring queries from it
+   ([query]).  Whether a plane answers a point is decided in one place,
+   [answer]. *)
 
 module P = Ir_assign.Problem
 
@@ -44,7 +45,6 @@ module P = Ir_assign.Problem
 let stat_cells = Ir_obs.counter "grid/cells_evaluated"
 let stat_shared = Ir_obs.counter "grid/cells_shared"
 let stat_levels = Ir_obs.counter "grid/wavefront_levels"
-let stat_perturb = Ir_obs.counter "grid/perturb_recomputed"
 let span_wavefront = Ir_obs.span "grid/wavefront"
 let span_answer = Ir_obs.span "grid/answer"
 
@@ -57,15 +57,14 @@ type point = {
 let point ?materials ?clock ?fraction () = { materials; clock; fraction }
 
 (* A (materials, clock) plane: one phase-A build shared by every grid
-   point of that plane, held at the largest repeater fraction any of its
-   points ever asked for. *)
+   point of that plane, at the largest repeater budget any of them
+   needs.  Planes are immutable once built; a grid only gains planes. *)
 type plane = {
   pl_materials : Ir_ia.Materials.t option;  (* canonical: None = base *)
   pl_clock : float option;
   pl_problem : P.t;  (* at the base fraction; rebound per query *)
-  mutable pl_f_max : float;
-  mutable pl_tables : Rank_dp.tables;
-  mutable pl_points : int list;  (* grid cell indices, oldest first *)
+  pl_budget : float;  (* [P.budget] of the build *)
+  pl_tables : Rank_dp.tables;
 }
 
 type t = {
@@ -75,10 +74,7 @@ type t = {
   g_widen_on_overflow : bool option;
   g_widen_cap : int option;
   g_jobs : int option;
-  mutable g_points : point array;  (* canonicalized; index = grid cell *)
-  mutable g_outcomes : Outcome.t array;  (* index = grid cell *)
-  mutable g_witnesses : Rank_dp.witness option array;  (* index = grid cell *)
-  mutable g_planes : plane list;  (* oldest first *)
+  mutable g_planes : plane list;
   mutable g_memo : Ir_assign.Suffix_fit.t option;  (* family-wide, lazy *)
   mutable g_hint : int option;  (* last assignable boundary served *)
 }
@@ -167,7 +163,7 @@ let wavefront ?jobs ?max_pareto ?widen_on_overflow ?widen_cap problems =
         (Rank_dp.builder_finish b))
     builders
 
-(* ---- grid evaluation --------------------------------------------------- *)
+(* ---- answering a point from a plane ------------------------------------ *)
 
 (* One suffix-fit memo for the whole family — see the oracle-sharing
    argument at the top of the file.  Bound to the base problem (any
@@ -182,225 +178,44 @@ let family_memo g =
       g.g_memo <- Some m;
       m
 
-(* A cell answered with nothing shared: its own build, the widen ladder,
-   an unhinted search.  The fallback for fractions a truncated plane
-   cannot answer. *)
-let cold ?max_pareto ?widen_on_overflow ?widen_cap problem =
-  Rank_dp.search_with_tables ?widen_on_overflow ?widen_cap
-    (Rank_dp.build_tables ?max_pareto problem)
+(* Every answer's boundary warm-starts the grid's next search. *)
+let served g ((o, _) as r) =
+  if o.Outcome.assignable then g.g_hint <- Some o.Outcome.boundary_bunch;
+  r
 
-(* Phase B of one plane: every fraction from the plane's shared tables,
-   rebudgeted, when they are truncation-free (the displacement argument
-   at [Rank_dp.rebudget]); one family-wide memo answers repeated probe
-   contexts and the grid-wide boundary hint warm-starts each search.
-   A truncated plane answers its own build fraction directly and every
-   other fraction cold — exactness of the narrower fractions cannot
-   rest on a front that dropped states.  Sequential and deterministic. *)
-let answer_fractions g pl fractions =
-  let shared = pl.pl_tables in
-  let exact = Rank_dp.table_truncations shared = 0 in
-  List.map
-    (fun f ->
-      let ((o, _) as r) =
-        if exact then
-          Rank_dp.search_tables ~memo:(family_memo g) ?hint:g.g_hint
-            (Rank_dp.rebudget ~fraction:f shared)
-        else if f = pl.pl_f_max then
-          (* The plane's own build is this fraction's cold answer. *)
-          Rank_dp.search_tables shared
-        else
-          cold ?max_pareto:g.g_max_pareto
-            ?widen_on_overflow:g.g_widen_on_overflow ?widen_cap:g.g_widen_cap
-            (P.with_repeater_fraction pl.pl_problem f)
-      in
-      if o.Outcome.assignable then g.g_hint <- Some o.Outcome.boundary_bunch;
-      r)
-    fractions
-
-(* Answer one plane's points, in ascending-fraction order (the R-column
-   convention — each fraction's boundary warm-starts the next), and
-   scatter the results back to their grid cells. *)
-let answer_plane g pl =
-  let pts =
-    List.map (fun idx -> (idx, point_fraction g g.g_points.(idx))) pl.pl_points
+(* The one rule by which a resident plane answers a point at fraction
+   [f] (capped further by [power_budget] at [activity], both defaulting
+   to the plane's own):
+   - a truncation-free plane answers any budget up to its build's, by
+     one phase-B search over its rebudgeted tables through the family
+     memo and the grid-wide hint (the displacement argument at
+     [Rank_dp.rebudget]);
+   - a truncated plane answers its build budget only, by a search of its
+     own tables: the budget is all of the query phase A reads, so this is
+     the search a cold compute of the point runs.  Exactness of a
+     narrower budget cannot rest on a front that dropped states;
+   - anything else is [None], and the caller answers the point cold. *)
+let answer ?activity ?power_budget g pl f =
+  let q = P.with_repeater_fraction pl.pl_problem f in
+  let q = match activity with None -> q | Some a -> P.with_activity q a in
+  let q =
+    match power_budget with None -> q | Some b -> P.with_power_budget q b
   in
-  let pts = List.stable_sort (fun (_, a) (_, b) -> compare a b) pts in
-  let answers = answer_fractions g pl (List.map snd pts) in
-  Ir_obs.add stat_cells (List.length pts);
-  List.iter2
-    (fun (idx, _) (o, w) ->
-      g.g_outcomes.(idx) <- o;
-      g.g_witnesses.(idx) <- w)
-    pts answers
-
-(* Mutable pre-build grouping record: planes get their tables only after
-   the wavefront. *)
-type group = {
-  gr_pt : point;
-  gr_problem : P.t;
-  mutable gr_f_max : float;
-  mutable gr_points : int list;  (* reversed during grouping *)
-}
-
-let group_points g points =
-  let groups = ref [] in
-  Array.iteri
-    (fun idx pt ->
-      let f = point_fraction g pt in
-      match
-        List.find_opt
-          (fun gr ->
-            key_equal
-              (gr.gr_pt.materials, gr.gr_pt.clock)
-              (pt.materials, pt.clock))
-          !groups
-      with
-      | Some gr ->
-          gr.gr_f_max <- Float.max gr.gr_f_max f;
-          gr.gr_points <- idx :: gr.gr_points;
-          Ir_obs.incr stat_shared
-      | None ->
-          groups :=
-            {
-              gr_pt = pt;
-              gr_problem = plane_problem g.g_base pt;
-              gr_f_max = f;
-              gr_points = [ idx ];
-            }
-            :: !groups)
-    points;
-  List.rev !groups
-
-let evaluate ?max_pareto ?widen_on_overflow ?widen_cap ?jobs base points =
-  let points = Array.map (canonical base) points in
-  let n = Array.length points in
-  let g =
-    {
-      g_base = base;
-      g_base_fraction = base_fraction base;
-      g_max_pareto = max_pareto;
-      g_widen_on_overflow = widen_on_overflow;
-      g_widen_cap = widen_cap;
-      g_jobs = jobs;
-      g_points = points;
-      g_outcomes =
-        Array.make (max 1 n)
-          (Outcome.unassignable ~total_wires:(P.total_wires base) ());
-      g_witnesses = Array.make (max 1 n) None;
-      g_planes = [];
-      g_memo = None;
-      g_hint = None;
-    }
+  let budget = P.budget q in
+  let r =
+    if Rank_dp.table_truncations pl.pl_tables = 0 then
+      if budget <= pl.pl_budget then
+        Some
+          (Rank_dp.search_tables ~memo:(family_memo g) ?hint:g.g_hint
+             (Rank_dp.rebudget ~fraction:f ?activity ?power_budget
+                pl.pl_tables))
+      else None
+    else if budget = pl.pl_budget then Some (Rank_dp.search_tables pl.pl_tables)
+    else None
   in
-  let groups = group_points g points in
-  (* One wavefront over every plane, at each plane's own f_max. *)
-  let build_problems =
-    Array.of_list
-      (List.map
-         (fun gr -> P.with_repeater_fraction gr.gr_problem gr.gr_f_max)
-         groups)
-  in
-  let shared =
-    wavefront ?jobs ?max_pareto ?widen_on_overflow ?widen_cap build_problems
-  in
-  g.g_planes <-
-    List.mapi
-      (fun i gr ->
-        {
-          pl_materials = gr.gr_pt.materials;
-          pl_clock = gr.gr_pt.clock;
-          pl_problem = gr.gr_problem;
-          pl_f_max = gr.gr_f_max;
-          pl_tables = shared.(i);
-          pl_points = List.rev gr.gr_points;
-        })
-      groups;
-  (* Phase B: sequential over planes, one family memo, hints threaded
-     through the whole grid. *)
-  Ir_obs.time span_answer (fun () -> List.iter (answer_plane g) g.g_planes);
-  g
+  Option.map (served g) r
 
-let results g = Array.sub g.g_outcomes 0 (Array.length g.g_points)
-let outcome g idx = g.g_outcomes.(idx)
-let cells g = Array.length g.g_points
-let planes g = List.length g.g_planes
-
-(* ---- incremental re-evaluation ----------------------------------------- *)
-
-let perturb g pt =
-  let pt = canonical g.g_base pt in
-  let idx = Array.length g.g_points in
-  let f = point_fraction g pt in
-  g.g_points <- Array.append g.g_points [| pt |];
-  if Array.length g.g_outcomes < idx + 1 then begin
-    g.g_outcomes <-
-      Array.append g.g_outcomes
-        [| Outcome.unassignable ~total_wires:(P.total_wires g.g_base) () |];
-    g.g_witnesses <- Array.append g.g_witnesses [| None |]
-  end;
-  let changed =
-    match List.find_opt (fun pl -> plane_key_equal pl pt) g.g_planes with
-    | Some pl when f <= pl.pl_f_max ->
-        (* Resident plane already covers this budget: nothing of the
-           plane is rebuilt.  A truncation-free plane answers with one
-           phase-B search; a truncated one answers this cell alone, as
-           [answer_fractions] answers any of its fractions. *)
-        Ir_obs.incr stat_shared;
-        let o, w = List.hd (answer_fractions g pl [ f ]) in
-        Ir_obs.incr stat_cells;
-        g.g_outcomes.(idx) <- o;
-        g.g_witnesses.(idx) <- w;
-        pl.pl_points <- pl.pl_points @ [ idx ];
-        [| idx |]
-    | Some pl ->
-        (* Budget grew past the resident build: rebuild this plane's
-           slice at the new fraction and re-answer {e its} points only —
-           every other plane's cells are untouched. *)
-        pl.pl_f_max <- f;
-        pl.pl_points <- pl.pl_points @ [ idx ];
-        Ir_obs.incr stat_shared;
-        let shared =
-          wavefront ?jobs:g.g_jobs ?max_pareto:g.g_max_pareto
-            ?widen_on_overflow:g.g_widen_on_overflow
-            ?widen_cap:g.g_widen_cap
-            [| P.with_repeater_fraction pl.pl_problem f |]
-        in
-        pl.pl_tables <- shared.(0);
-        answer_plane g pl;
-        Array.of_list pl.pl_points
-    | None ->
-        (* New (materials, clock) value: one new plane, built alone. *)
-        let problem = plane_problem g.g_base pt in
-        let shared =
-          wavefront ?jobs:g.g_jobs ?max_pareto:g.g_max_pareto
-            ?widen_on_overflow:g.g_widen_on_overflow
-            ?widen_cap:g.g_widen_cap
-            [| P.with_repeater_fraction problem f |]
-        in
-        let pl =
-          {
-            pl_materials = pt.materials;
-            pl_clock = pt.clock;
-            pl_problem = problem;
-            pl_f_max = f;
-            pl_tables = shared.(0);
-            pl_points = [ idx ];
-          }
-        in
-        g.g_planes <- g.g_planes @ [ pl ];
-        answer_plane g pl;
-        [| idx |]
-  in
-  Ir_obs.add stat_perturb (Array.length changed);
-  changed
-
-(* ---- resident grids for the serve tier --------------------------------- *)
-
-(* The serve tier's warm pool holds one resident grid per query family
-   (everything but materials, clock and repeater fraction) and feeds it
-   planes one query at a time — starting empty, adopting
-   snapshot-restored tables, and answering neighboring-query misses with
-   [query] without growing the cell arrays. *)
+(* ---- resident grids ---------------------------------------------------- *)
 
 let resident ?max_pareto ?widen_on_overflow ?widen_cap ?jobs base =
   {
@@ -410,84 +225,157 @@ let resident ?max_pareto ?widen_on_overflow ?widen_cap ?jobs base =
     g_widen_on_overflow = widen_on_overflow;
     g_widen_cap = widen_cap;
     g_jobs = jobs;
-    g_points = [||];
-    g_outcomes = [||];
-    g_witnesses = [||];
     g_planes = [];
     g_memo = None;
     g_hint = None;
   }
 
+(* [pt] is canonical. *)
 let find_plane g pt =
-  let pt = canonical g.g_base pt in
   List.find_opt (fun pl -> plane_key_equal pl pt) g.g_planes
 
-let plane_tables g pt = Option.map (fun pl -> pl.pl_tables) (find_plane g pt)
+(* Installs [pt]'s plane: [problem] is the plane at the base fraction,
+   [build] the problem [tables] were built from. *)
+let add_plane g pt problem build tables =
+  let pl =
+    {
+      pl_materials = pt.materials;
+      pl_clock = pt.clock;
+      pl_problem = problem;
+      pl_budget = P.budget build;
+      pl_tables = tables;
+    }
+  in
+  g.g_planes <- pl :: g.g_planes;
+  pl
+
+let planes g = List.length g.g_planes
+
+let plane_tables g pt =
+  Option.map (fun pl -> pl.pl_tables) (find_plane g (canonical g.g_base pt))
+
+let build_plane g pt =
+  let pt = canonical g.g_base pt in
+  match find_plane g pt with
+  | Some pl -> pl.pl_tables
+  | None ->
+      let problem = plane_problem g.g_base pt in
+      let build = P.with_repeater_fraction problem g.g_base_fraction in
+      let tables =
+        wavefront ?jobs:g.g_jobs ?max_pareto:g.g_max_pareto
+          ?widen_on_overflow:g.g_widen_on_overflow ?widen_cap:g.g_widen_cap
+          [| build |]
+      in
+      (add_plane g pt problem build tables.(0)).pl_tables
 
 let adopt g pt tables =
   if Rank_dp.table_truncations tables <> 0 then
     invalid_arg "Rank_grid.adopt: truncated tables";
   let pt = canonical g.g_base pt in
-  match List.find_opt (fun pl -> plane_key_equal pl pt) g.g_planes with
-  | Some pl ->
-      pl.pl_tables <- tables;
-      pl.pl_f_max <- g.g_base_fraction
-  | None ->
-      g.g_planes <-
-        g.g_planes
-        @ [
-            {
-              pl_materials = pt.materials;
-              pl_clock = pt.clock;
-              pl_problem = plane_problem g.g_base pt;
-              pl_f_max = g.g_base_fraction;
-              pl_tables = tables;
-              pl_points = [];
-            };
-          ]
+  if Option.is_some (find_plane g pt) then
+    invalid_arg "Rank_grid.adopt: plane already resident";
+  let problem = plane_problem g.g_base pt in
+  ignore
+    (add_plane g pt problem
+       (P.with_repeater_fraction problem g.g_base_fraction)
+       tables)
 
-(* A power budget (at its activity factor) is one more cap on the
-   query's repeater budget, so it rebinds the resident tables exactly as
-   a fraction does; the covering check compares the rebound budget with
-   the build's. *)
 let query ?activity ?power_budget g pt =
   let pt = canonical g.g_base pt in
-  let f = point_fraction g pt in
-  match List.find_opt (fun pl -> plane_key_equal pl pt) g.g_planes with
-  | Some pl when Rank_dp.table_truncations pl.pl_tables = 0 ->
-      let q = P.with_repeater_fraction pl.pl_problem f in
-      let q = match activity with None -> q | Some a -> P.with_activity q a in
-      let q =
-        match power_budget with
-        | None -> q
-        | Some b -> P.with_power_budget q b
-      in
-      let budget = P.budget q in
-      if
-        budget
-        <= P.budget (P.with_repeater_fraction pl.pl_problem pl.pl_f_max)
-      then begin
-        let ((o, _) as r) =
-          Rank_dp.search_tables ~memo:(family_memo g) ?hint:g.g_hint
-            (Rank_dp.rebudget ~fraction:f ?activity ?power_budget
-               pl.pl_tables)
-        in
-        if o.Outcome.assignable then g.g_hint <- Some o.Outcome.boundary_bunch;
+  match find_plane g pt with
+  | None -> None
+  | Some pl ->
+      let r = answer ?activity ?power_budget g pl (point_fraction g pt) in
+      if Option.is_some r then begin
         Ir_obs.incr stat_cells;
-        Ir_obs.incr stat_shared;
-        Some r
-      end
-      else None
-  | Some _ | None -> None
+        Ir_obs.incr stat_shared
+      end;
+      r
+
+(* ---- grid evaluation --------------------------------------------------- *)
+
+(* The points' cell indices grouped by plane, planes in order of first
+   appearance, each plane's cells ascending. *)
+let group_points points =
+  let groups = ref [] in
+  Array.iteri
+    (fun idx pt ->
+      match
+        List.find_opt
+          (fun (rep, _) ->
+            key_equal (rep.materials, rep.clock) (pt.materials, pt.clock))
+          !groups
+      with
+      | Some (_, cells) ->
+          cells := idx :: !cells;
+          Ir_obs.incr stat_shared
+      | None -> groups := (pt, ref [ idx ]) :: !groups)
+    points;
+  List.rev_map (fun (pt, cells) -> (pt, List.rev !cells)) !groups
+
+(* A cell answered with nothing shared: its own build, the widen ladder,
+   an unhinted search — what [evaluate] falls back to where a truncated
+   plane cannot answer. *)
+let cold ?max_pareto ?widen_on_overflow ?widen_cap problem =
+  Rank_dp.search_with_tables ?widen_on_overflow ?widen_cap
+    (Rank_dp.build_tables ?max_pareto problem)
+
+let evaluate ?max_pareto ?widen_on_overflow ?widen_cap ?jobs base points =
+  let g = resident ?max_pareto ?widen_on_overflow ?widen_cap ?jobs base in
+  let points = Array.map (canonical base) points in
+  (* Each plane's cells in ascending-fraction order (the R-column
+     convention: each fraction's boundary warm-starts the next). *)
+  let groups =
+    List.map
+      (fun (pt, cells) ->
+        ( pt,
+          plane_problem base pt,
+          List.stable_sort
+            (fun (_, a) (_, b) -> compare a b)
+            (List.map (fun idx -> (idx, point_fraction g points.(idx))) cells)
+        ))
+      (group_points points)
+  in
+  (* One wavefront over every plane, each at its widest fraction. *)
+  let builds =
+    Array.of_list
+      (List.map
+         (fun (_, problem, cells) ->
+           P.with_repeater_fraction problem
+             (List.fold_left (fun m (_, f) -> Float.max m f) neg_infinity cells))
+         groups)
+  in
+  let tables =
+    wavefront ?jobs ?max_pareto ?widen_on_overflow ?widen_cap builds
+  in
+  let results = Array.make (Array.length points) None in
+  (* Phase B: sequential over planes, one family memo, hints threaded
+     through the whole grid. *)
+  Ir_obs.time span_answer (fun () ->
+      List.iteri
+        (fun i (pt, problem, cells) ->
+          let pl = add_plane g pt problem builds.(i) tables.(i) in
+          Ir_obs.add stat_cells (List.length cells);
+          List.iter
+            (fun (idx, f) ->
+              let r =
+                match answer g pl f with
+                | Some r -> r
+                | None ->
+                    served g
+                      (cold ?max_pareto ?widen_on_overflow ?widen_cap
+                         (P.with_repeater_fraction problem f))
+              in
+              results.(idx) <- Some r)
+            cells)
+        groups);
+  Array.map Option.get results
 
 (* ---- one cell --------------------------------------------------------- *)
 
 let compute ?max_pareto ?widen_on_overflow ?widen_cap problem =
-  let g =
-    evaluate ?max_pareto ?widen_on_overflow ?widen_cap ~jobs:1 problem
-      [| point () |]
-  in
-  (g.g_outcomes.(0), g.g_witnesses.(0))
+  (evaluate ?max_pareto ?widen_on_overflow ?widen_cap ~jobs:1 problem
+     [| point () |]).(0)
 
 (* ---- heterogeneous batches --------------------------------------------- *)
 

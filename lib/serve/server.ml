@@ -27,9 +27,10 @@ type job = {
    phase-B search) instead of starting cold.  [entry_lock] serializes
    access within the family: the grid's suffix-fit memo and boundary
    hint are single-domain mutable state, and under systhreads the
-   computations could not overlap anyway.  Truncated planes stay
-   resident but are never queried ({!Ir_core.Rank_grid.query} refuses
-   them), pinning those table keys cold without rebuild loops. *)
+   computations could not overlap anyway.  A truncated plane stays
+   resident and answers only its own build budget (fraction 1.0, no
+   power cap; {!Ir_core.Rank_grid.query}); its narrower table keys are
+   computed cold, without rebuild loops. *)
 type pool_entry = {
   entry_lock : Mutex.t;
   mutable grid : Ir_core.Rank_grid.t option;  (* None until first query *)
@@ -75,14 +76,14 @@ let pool_entry t key =
   Mutex.unlock t.mutex;
   entry
 
-(* The warm path is taken only when provably exact: DP algorithm, the
-   query's (materials, clock) plane resident in the family grid, built
-   at the full repeater budget with zero Pareto truncation — then one
-   phase-B search rebinds the budget, fraction and any power cap alike
-   (the
-   {!Ir_core.Rank_dp.rebudget} displacement argument, via
-   {!Ir_core.Rank_grid.query}).  Everything else falls through to a cold
-   compute, so served outcomes are always byte-identical to
+(* The warm path is taken only when provably exact: DP algorithm, and
+   the query's (materials, clock) plane, built at the full repeater
+   budget, answers it by {!Ir_core.Rank_grid.query}'s rule — one
+   phase-B search that rebinds the budget, fraction and any power cap
+   alike on a truncation-free plane (the {!Ir_core.Rank_dp.rebudget}
+   displacement argument), or the plane's own full-budget search on a
+   truncated one.  Everything else falls through to a cold compute, so
+   served outcomes are always byte-identical to
    [Fingerprint.compute_cold]. *)
 let compute_outcome t (fp : Fingerprint.t) =
   let warm () =
@@ -150,16 +151,12 @@ let compute_outcome t (fp : Fingerprint.t) =
                 Ir_core.Rank_grid.adopt grid plane tables
             | None -> (
                 Ir_obs.incr stat_table_builds;
-                (* The fraction-less point is the full-budget cell:
-                   [perturb] builds the plane at the grid's base
-                   fraction, 1.0. *)
-                ignore (Ir_core.Rank_grid.perturb grid plane);
-                match Ir_core.Rank_grid.plane_tables grid plane with
-                | Some tables
-                  when Ir_core.Rank_dp.table_truncations tables = 0 -> (
-                    match t.snapshot with
-                    | Some s -> Snapshot.save s ~key tables
-                    | None -> ())
+                (* Built at the grid's base fraction, 1.0; answering the
+                   query is left to [query] below. *)
+                let tables = Ir_core.Rank_grid.build_plane grid plane in
+                match t.snapshot with
+                | Some s when Ir_core.Rank_dp.table_truncations tables = 0 ->
+                    Snapshot.save s ~key tables
                 | Some _ | None -> ())));
         Option.map fst
           (Ir_core.Rank_grid.query ~activity:fp.activity

@@ -24,10 +24,11 @@
       suffix-fit memo and boundary warm-starts, and a query whose own
       plane is missing but whose {e family} grid is resident grows the
       grid by one plane ([serve/grid_hits]) instead of starting cold.
-      The warm path is used only when it is provably exact (no Pareto
-      truncation in the plane build); anything else — greedy-algorithm
-      queries included — takes the cold path, so a served payload is
-      always byte-identical to a cold computation.
+      The warm path is used only when it is provably exact (a plane
+      whose build truncated answers only its own full budget); anything
+      else — greedy-algorithm queries included — takes the cold path,
+      so a served payload is always byte-identical to a cold
+      computation.
 
     Each waiter observes a per-request deadline; a timeout releases the
     {e waiter} with the [Timeout] error while the computation itself

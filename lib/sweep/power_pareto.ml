@@ -31,11 +31,11 @@ let run ?jobs ?(config = Table4.default_config) ?activity
   (* One resident plane at the baseline's own budget answers every
      point: a power budget is an area cap no larger than that budget, so
      each point is a phase-B search over the rebound tables
-     ([Rank_grid.query]).  A truncated plane refuses, and the point is
-     its own one-cell compute. *)
+     ([Rank_grid.query]).  A truncated plane answers only the baseline's
+     own budget; every narrower point is its own one-cell compute. *)
   let grid = Ir_core.Rank_grid.resident ?jobs base in
   let here = Ir_core.Rank_grid.point () in
-  ignore (Ir_core.Rank_grid.perturb grid here);
+  ignore (Ir_core.Rank_grid.build_plane grid here);
   let answer ?power_budget () =
     match Ir_core.Rank_grid.query ?power_budget grid here with
     | Some r -> r

@@ -104,7 +104,7 @@ let run_grid ?jobs base cells =
   let points = Array.map (fun (_, _, _, pt) -> pt) cells in
   Logs.debug (fun f -> f "table4: grid of %d cells" (Array.length points));
   let t0 = Ir_exec.now () in
-  let grid =
+  let answers =
     Ir_obs.time span_grid @@ fun () ->
     Ir_core.Rank_grid.evaluate ?jobs base points
   in
@@ -114,8 +114,7 @@ let run_grid ?jobs base cells =
   Array.mapi
     (fun i (sweep, idx, param, _) ->
       Ir_obs.incr stat_points;
-      let outcome = Ir_core.Rank_grid.outcome grid i in
-      (sweep, idx, { param; outcome; seconds = per }))
+      (sweep, idx, { param; outcome = fst answers.(i); seconds = per }))
     cells
 
 (* Non-DP algorithms have no shared tables: each point is its own

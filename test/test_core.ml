@@ -1126,14 +1126,13 @@ let prop_search_budgets_matches_individual =
     "shared-tables budget sweep matches per-fraction computes"
     gen_budget_instance (fun ({ problem; label }, fractions) ->
       let shared =
-        let g =
-          Ir_core.Rank_grid.evaluate problem
-            (Array.of_list
-               (List.map
-                  (fun f -> Ir_core.Rank_grid.point ~fraction:f ())
-                  fractions))
-        in
-        List.mapi (fun i _ -> Ir_core.Rank_grid.outcome g i) fractions
+        Array.to_list
+          (Array.map fst
+             (Ir_core.Rank_grid.evaluate problem
+                (Array.of_list
+                   (List.map
+                      (fun f -> Ir_core.Rank_grid.point ~fraction:f ())
+                      fractions))))
       in
       let individual =
         List.map (fun f -> compute (P.with_repeater_fraction problem f)) fractions
@@ -1900,7 +1899,7 @@ let prop_grid_matches_per_point =
       let grid = Ir_core.Rank_grid.evaluate problem points in
       Array.iteri
         (fun i pt ->
-          let g = Ir_core.Rank_grid.outcome grid i in
+          let g = fst grid.(i) in
           let ind = compute (reference_problem problem pt) in
           let ok =
             Ir_core.Outcome.equal g ind
@@ -1944,20 +1943,21 @@ let test_grid_budgets_column () =
   let budgets =
     List.map (fun f -> compute (P.with_repeater_fraction p f)) fractions
   in
-  let grid =
-    Ir_core.Rank_grid.evaluate p
-      (Array.of_list
-         (List.map
-            (fun f -> Ir_core.Rank_grid.point ~fraction:f ())
-            fractions))
+  let grid, n =
+    counting (fun () ->
+        Ir_core.Rank_grid.evaluate p
+          (Array.of_list
+             (List.map
+                (fun f -> Ir_core.Rank_grid.point ~fraction:f ())
+                fractions)))
   in
-  Alcotest.(check int) "one plane" 1 (Ir_core.Rank_grid.planes grid);
+  Alcotest.(check int) "one plane: four cells shared" 4 (n "grid/cells_shared");
   List.iteri
     (fun i b ->
       Alcotest.(check bool)
         (Printf.sprintf "fraction #%d identical" i)
         true
-        (Ir_core.Outcome.equal b (Ir_core.Rank_grid.outcome grid i)))
+        (Ir_core.Outcome.equal b (fst grid.(i))))
     budgets
 
 let test_grid_witness_identity () =
@@ -1984,89 +1984,66 @@ let test_grid_witness_identity () =
       if gw <> iw then Alcotest.failf "witness at %.1f diverges" f)
     [ 0.1; 0.3; 0.5 ]
 
-let test_grid_perturb_touches_fewer () =
-  let p = baseline_130nm_small () in
-  let counter name = counter_in (Ir_obs.snapshot ()) name in
-  let low_k = Ir_ia.Materials.v ~k:2.7 () in
-  let pt = Ir_core.Rank_grid.point in
-  let points =
-    [|
-      pt ~fraction:0.1 ();
-      pt ~fraction:0.3 ();
-      pt ~materials:low_k ~fraction:0.1 ();
-      pt ~materials:low_k ~fraction:0.3 ();
-    |]
-  in
-  let g = Ir_core.Rank_grid.evaluate p points in
-  Alcotest.(check int) "two planes" 2 (Ir_core.Rank_grid.planes g);
-  let before = counter "grid/perturb_recomputed" in
-  (* New R point under the resident budget: exactly one cell computed. *)
-  let c1 = Ir_core.Rank_grid.perturb g (pt ~fraction:0.2 ()) in
-  Alcotest.(check (array int)) "in-budget R delta recomputes 1 cell" [| 4 |] c1;
-  (* R point above the low-k plane's resident budget: that plane's slice
-     (cells 2, 3 and the new 5) — strictly fewer than the 6-cell grid. *)
-  let c2 =
-    Ir_core.Rank_grid.perturb g (pt ~materials:low_k ~fraction:0.5 ())
-  in
-  let sorted = Array.copy c2 in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "budget-growth delta recomputes its plane only"
-    [| 2; 3; 5 |] sorted;
-  Alcotest.(check bool) "strictly fewer than the grid" true
-    (Array.length c2 < Ir_core.Rank_grid.cells g);
-  (* New clock value: one fresh plane, one cell. *)
-  let c3 =
-    Ir_core.Rank_grid.perturb g (pt ~clock:(1.3 *. base_clock p) ())
-  in
-  Alcotest.(check (array int)) "new-plane delta recomputes 1 cell" [| 6 |] c3;
-  Alcotest.(check int) "three planes now" 3 (Ir_core.Rank_grid.planes g);
-  Alcotest.(check int) "perturb_recomputed counted every recompute" 5
-    (counter "grid/perturb_recomputed" - before);
-  (* Every cell — original, appended, and rebuilt — still matches the
-     independent per-point path. *)
-  let all_points =
-    Array.append points
-      [|
-        pt ~fraction:0.2 ();
-        pt ~materials:low_k ~fraction:0.5 ();
-        pt ~clock:(1.3 *. base_clock p) ();
-      |]
-  in
-  Array.iteri
-    (fun i ptd ->
-      let ind = compute (reference_problem p ptd) in
-      Alcotest.(check bool)
-        (Printf.sprintf "cell #%d matches per-point" i)
-        true
-        (Ir_core.Outcome.equal ind (Ir_core.Rank_grid.outcome g i)))
-    all_points
-
-(* A truncated plane already built at or above a new fraction answers
-   that fraction alone — cold below its build fraction — without
-   rebuilding the plane or re-answering its other cells. *)
-let test_grid_perturb_truncated_plane () =
+(* A truncated plane answers its own build budget only: [evaluate]
+   answers the plane's widest fraction from it and every other fraction
+   cold, and a resident plane built at that fraction answers it through
+   [query] and refuses a narrower one. *)
+let test_grid_truncated_plane_own_budget () =
   let p = overflowing_problem () in
   let pt f = Ir_core.Rank_grid.point ~fraction:f () in
-  let g =
+  let cold f = compute ~widen_on_overflow:false (P.with_repeater_fraction p f) in
+  let answers =
     Ir_core.Rank_grid.evaluate ~widen_on_overflow:false p
       [| pt 0.4; pt 0.6; pt 0.8 |]
   in
-  Alcotest.(check bool) "the plane truncates at width 8" true
-    (match Ir_core.Rank_grid.plane_tables g (pt 0.8) with
-    | Some t -> Ir_core.Rank_dp.table_truncations t > 0
-    | None -> false);
-  let changed, n = counting (fun () -> Ir_core.Rank_grid.perturb g (pt 0.5)) in
-  Alcotest.(check (array int)) "only the new cell" [| 3 |] changed;
-  Alcotest.(check int) "one cell recomputed" 1 (n "grid/perturb_recomputed");
-  let cold, n_cold =
-    counting (fun () ->
-        compute ~widen_on_overflow:false (P.with_repeater_fraction p 0.5))
+  List.iteri
+    (fun i f ->
+      Alcotest.(check bool)
+        (Printf.sprintf "evaluate at %.1f = cold" f)
+        true
+        (Ir_core.Outcome.equal (cold f) (fst answers.(i))))
+    [ 0.4; 0.6; 0.8 ];
+  let g =
+    Ir_core.Rank_grid.resident ~widen_on_overflow:false
+      (P.with_repeater_fraction p 0.8)
   in
-  Alcotest.(check int) "the work of one cold cell"
-    (n_cold "rank_dp/states_expanded")
-    (n "rank_dp/states_expanded");
-  Alcotest.(check bool) "the cold cell's outcome" true
-    (Ir_core.Outcome.equal cold (Ir_core.Rank_grid.outcome g 3))
+  Alcotest.(check bool) "the plane truncates at width 8" true
+    (Ir_core.Rank_dp.table_truncations (Ir_core.Rank_grid.build_plane g (pt 0.8))
+    > 0);
+  (match Ir_core.Rank_grid.query g (pt 0.8) with
+  | Some (o, _) ->
+      Alcotest.(check bool) "query at the build budget = cold" true
+        (Ir_core.Outcome.equal (cold 0.8) o)
+  | None -> Alcotest.fail "query refused the plane's own budget");
+  Alcotest.(check bool) "query below the build budget refused" true
+    (Option.is_none (Ir_core.Rank_grid.query g (pt 0.5)))
+
+(* [build_plane] builds and answers nothing: no search probe, no cell,
+   and the phase-A work of one [build_tables] of the plane's problem. *)
+let test_grid_build_plane_answers_nothing () =
+  let p = baseline_130nm_small () in
+  let g = Ir_core.Rank_grid.resident p in
+  let _, n =
+    counting (fun () ->
+        Ir_core.Rank_grid.build_plane g (Ir_core.Rank_grid.point ()))
+  in
+  let _, n_build = counting (fun () -> Ir_core.Rank_dp.build_tables p) in
+  Alcotest.(check int) "no search probe" 0 (n "rank_dp/search_probes");
+  Alcotest.(check int) "no cell answered" 0 (n "grid/cells_evaluated");
+  Alcotest.(check int) "the inserts of one build"
+    (n_build "rank_dp/pareto_inserts")
+    (n "rank_dp/pareto_inserts");
+  Alcotest.(check int) "one plane" 1 (Ir_core.Rank_grid.planes g)
+
+(* A plane is installed once: [adopt] never replaces a resident one. *)
+let test_grid_adopt_refuses_resident () =
+  let p = baseline_130nm_small () in
+  let g = Ir_core.Rank_grid.resident p in
+  let tables = Ir_core.Rank_grid.build_plane g (Ir_core.Rank_grid.point ()) in
+  Alcotest.check_raises "adopt refuses a resident plane"
+    (Invalid_argument "Rank_grid.adopt: plane already resident") (fun () ->
+      Ir_core.Rank_grid.adopt g (Ir_core.Rank_grid.point ()) tables);
+  Alcotest.(check int) "still one plane" 1 (Ir_core.Rank_grid.planes g)
 
 (* A resident grid only adopts truncation-free tables: a truncated
    front cannot answer the narrower fractions a plane is rebound to. *)
@@ -2219,13 +2196,12 @@ let test_hard_corpus () =
           ( "evaluate plane",
             fun () ->
               (* The cell shares its plane with a narrower-budget point. *)
-              Ir_core.Rank_grid.outcome
+              fst
                 (Ir_core.Rank_grid.evaluate ?max_pareto ?widen_on_overflow p
                    [|
                      Ir_core.Rank_grid.point ();
                      Ir_core.Rank_grid.point ~fraction:(0.5 *. f) ();
-                   |])
-                0 );
+                   |]).(0) );
           ( "eval_batch",
             fun () ->
               (Ir_core.Rank_grid.eval_batch ?max_pareto ?widen_on_overflow
@@ -2233,20 +2209,22 @@ let test_hard_corpus () =
           ( "resident query",
             fun () ->
               (* The serve tier's path: a full-budget resident grid, the
-                 plane built by [perturb], the point answered by [query]
-                 — or, when the plane is truncated and [query] refuses,
-                 by the cell [perturb] recomputes. *)
+                 plane built by [build_plane], the point answered by
+                 [query] — or, when the plane cannot answer it, by the
+                 point's own one-cell compute. *)
               let g =
                 Ir_core.Rank_grid.resident ?max_pareto ?widen_on_overflow
                   (P.with_repeater_fraction p 1.0)
               in
-              ignore (Ir_core.Rank_grid.perturb g (Ir_core.Rank_grid.point ()));
-              let pt = Ir_core.Rank_grid.point ~fraction:f () in
-              match Ir_core.Rank_grid.query g pt with
+              ignore
+                (Ir_core.Rank_grid.build_plane g (Ir_core.Rank_grid.point ()));
+              match
+                Ir_core.Rank_grid.query g (Ir_core.Rank_grid.point ~fraction:f ())
+              with
               | Some (o, _) -> o
               | None ->
-                  let cells = Ir_core.Rank_grid.perturb g pt in
-                  Ir_core.Rank_grid.outcome g cells.(Array.length cells - 1) );
+                  fst (Ir_core.Rank_grid.compute ?max_pareto ?widen_on_overflow p)
+          );
         ]
       in
       let (reference, _), _, ladder =
@@ -2364,16 +2342,19 @@ let () =
             test_grid_budgets_column;
           Alcotest.test_case "witness identity" `Quick
             test_grid_witness_identity;
-          Alcotest.test_case "perturb touches fewer cells" `Quick
-            test_grid_perturb_touches_fewer;
           Alcotest.test_case "with_materials = fresh construction" `Quick
             test_with_materials_equals_fresh;
           prop_grid_matches_per_point;
           prop_eval_batch_matches_compute;
-          Alcotest.test_case "perturb on a truncated plane answers one cell"
-            `Quick test_grid_perturb_truncated_plane;
+          Alcotest.test_case
+            "truncated plane answers its own budget only" `Quick
+            test_grid_truncated_plane_own_budget;
+          Alcotest.test_case "build_plane answers no point" `Quick
+            test_grid_build_plane_answers_nothing;
           Alcotest.test_case "adopt refuses truncated tables" `Quick
             test_grid_adopt_refuses_truncated;
+          Alcotest.test_case "adopt refuses a resident plane" `Quick
+            test_grid_adopt_refuses_resident;
           Alcotest.test_case "hard corpus: every driver agrees" `Quick
             test_hard_corpus;
           Alcotest.test_case "hard corpus: table codec round trip" `Quick

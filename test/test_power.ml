@@ -224,7 +224,7 @@ let prop_sweep_matches_independent =
           if not (p_inf > 0.0) then true
           else
             let g = Grid.resident problem in
-            ignore (Grid.perturb g (Grid.point ()));
+            ignore (Grid.build_plane g (Grid.point ()));
             List.for_all
               (fun b ->
                 let alone = Grid.compute (P.with_power_budget problem b) in
@@ -296,7 +296,7 @@ let test_budget_validation () =
 (* The frontier over a resident plane, as [Power_pareto] answers it. *)
 let frontier p budgets =
   let g = Grid.resident p in
-  ignore (Grid.perturb g (Grid.point ()));
+  ignore (Grid.build_plane g (Grid.point ()));
   List.map
     (fun b ->
       match Grid.query ~power_budget:b g (Grid.point ()) with

@@ -1569,6 +1569,43 @@ let test_grid_powered_warm () =
   S.shutdown srv;
   S.join srv
 
+(* A family whose full-budget plane still truncates after the widen
+   ladder (the 8-layer 90nm/10M design): the resident plane answers its
+   own build budget, fraction 1.0, by a search of its own tables, and a
+   narrower fraction, which a truncated front cannot answer, falls to
+   the cold path.  Both payloads are byte-identical to cold computes. *)
+let test_grid_truncated_plane_served () =
+  Ir_obs.reset ();
+  let cache = ok_exn "cache" (C.create ~capacity:16 ()) in
+  let srv = S.create ~workers:1 ~cache () in
+  let structure =
+    { Ir_ia.Arch.local_pairs = 1; semi_global_pairs = 3; global_pairs = 1 }
+  in
+  let fp f =
+    ok_exn "fp"
+      (F.v ~structure ~repeater_fraction:f ~node:"90nm" ~gates:10_000_000 ())
+  in
+  let ask what q =
+    let cold = F.compute_cold q in
+    (match S.submit_query srv q with
+    | Ok (payload, _) ->
+        Alcotest.(check string) (what ^ " = cold") (Pr.result_payload cold)
+          payload
+    | Error e -> Alcotest.failf "%s: %s" what (Pr.error_message e));
+    cold
+  in
+  let full = ask "full budget" (fp 1.0) in
+  Alcotest.(check bool) "the full-budget plane truncates" false
+    full.Ir_core.Outcome.exact;
+  Alcotest.(check int) "the plane answers its own budget" 0
+    (counter "serve/cold_computes");
+  ignore (ask "a narrower fraction" (fp 0.4));
+  Alcotest.(check int) "only the narrower fraction is cold" 1
+    (counter "serve/cold_computes");
+  Alcotest.(check int) "one plane built" 1 (counter "serve/table_builds");
+  S.shutdown srv;
+  S.join srv
+
 (* ---- sharded fleet over TCP ------------------------------------------- *)
 
 module Sh = Ir_serve.Shard
@@ -2021,6 +2058,8 @@ let () =
             test_grid_neighbor_warm;
           Alcotest.test_case "powered queries answered warm" `Quick
             test_grid_powered_warm;
+          Alcotest.test_case "truncated plane served = cold" `Quick
+            test_grid_truncated_plane_served;
           Alcotest.test_case "family pool evicts least recently used" `Quick
             test_pool_eviction;
         ] );
