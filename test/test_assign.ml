@@ -870,6 +870,82 @@ let prop_max_take_maximal =
 
 (* ---- power tables ----------------------------------------------------- *)
 
+(* A digest of everything set-up computes, read through the public
+   accessors: per bunch the length's bits, count, wire prefix and
+   target's bits; per pair and bunch the repeater verdict; per pair and
+   prefix the routing area's bits, the repeater area's bits, the
+   repeater count and the feasibility of the prefix. *)
+let problem_digest p =
+  let n = P.n_bunches p and m = P.n_pairs p in
+  let b = Buffer.create 65536 in
+  let bits x = Int64.bits_of_float x in
+  for i = 0 to n - 1 do
+    Printf.bprintf b "%Lx/%d/%d/%Lx;"
+      (bits (P.bunch_length p i))
+      (P.bunch_count p i) (P.wires_before p i)
+      (bits (P.target p i))
+  done;
+  for j = 0 to m - 1 do
+    Printf.bprintf b "\npair %d:" j;
+    for i = 0 to n - 1 do
+      Printf.bprintf b "%d,"
+        (Option.value ~default:(-1) (P.eta_min p ~pair:j ~bunch:i))
+    done;
+    for i = 0 to n do
+      Printf.bprintf b "%Lx/%Lx/%d/%b;"
+        (bits (P.interval_area p ~pair:j ~lo:0 ~hi:i))
+        (bits (P.meeting_area p ~pair:j ~lo:0 ~hi:i))
+        (P.meeting_count p ~pair:j ~lo:0 ~hi:i)
+        (P.meeting_feasible p ~pair:j ~lo:0 ~hi:i)
+    done
+  done;
+  Printf.bprintf b "\n%d/%Lx/%Lx/%Lx" (P.total_wires p)
+    (bits (P.budget p)) (bits (P.capacity p)) (bits (P.kappa p));
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Frozen digests of the set-up path, WLD -> bunches -> [Problem]: the
+   three [cross_widen] cells as [Rank.problem_of_design] builds them,
+   the serve tier's 90nm/1M family as [Fingerprint.problem] builds it,
+   and one plane derived from it through [with_materials] and
+   [with_clock].  Set-up may get faster, but every float must come from
+   the same operations in the same order: any change moves these. *)
+let test_problem_tables_byte_stable () =
+  let cross ?structure ~gates node =
+    Ir_core.Rank.problem_of_design ?structure
+      (Ir_core.Rank.baseline_design ~gates node)
+  in
+  let three_pair =
+    { Ir_ia.Arch.baseline_structure with Ir_ia.Arch.semi_global_pairs = 1 }
+  in
+  let serve_family =
+    match Ir_serve.Fingerprint.v ~node:"90nm" ~gates:1_000_000 () with
+    | Ok q -> Ir_serve.Fingerprint.problem q
+    | Error e -> Alcotest.failf "90nm/1M query rejected: %s" e
+  in
+  let derived =
+    P.with_clock
+      (P.with_materials serve_family (Ir_ia.Materials.v ~k:2.7 ~miller:1.4 ()))
+      6e8
+  in
+  List.iter
+    (fun (label, problem, digest) ->
+      Alcotest.(check string) label digest (problem_digest problem))
+    [
+      ( "n90_4750k",
+        cross ~gates:4_750_000 Ir_tech.Node.N90,
+        "2f0216794e0bc4645f37422f2cf3159d" );
+      ( "n90_4500k_3pair",
+        cross ~structure:three_pair ~gates:4_500_000 Ir_tech.Node.N90,
+        "cae26d70252759fa36bd28872714c217" );
+      ( "n180_6000k",
+        cross ~gates:6_000_000 Ir_tech.Node.N180,
+        "a4c3eaa0e76513bf2e4c5db461ffbebc" );
+      ("serve 90nm/1M", serve_family, "ac6d14dc2e13e9a91b216301db1fbe0b");
+      ( "serve 90nm/1M k 2.7, Miller 1.4, 0.6 GHz",
+        derived,
+        "a709c05bfc60d50e3f58e6f1f8d45e97" );
+    ]
+
 let test_power_tables () =
   let p = fixed_instance () in
   Alcotest.(check bool) "default problem is unconstrained" true
@@ -948,6 +1024,8 @@ let () =
             test_problem_infinite_length;
           Alcotest.test_case "overflowing routing area rejected" `Quick
             test_problem_area_overflow;
+          Alcotest.test_case "problem tables are byte-stable" `Quick
+            test_problem_tables_byte_stable;
           prop_meeting_cost_additive;
           Alcotest.test_case "power tables" `Quick test_power_tables;
           prop_power_cap_exact;
