@@ -144,15 +144,23 @@ let repeater_tables ~arch ~noise_limit ~targets bunches =
                ~miller:materials.Ir_ia.Materials.miller ~limit
                p.Ir_ia.Layer_pair.geom)
     in
+    (* The bunches of one split bin share their length and target, so
+       bunch [b] takes bunch [b - 1]'s verdict when both match: the
+       verdict is a function of those two floats. *)
+    let need = ref None in
     for b = 0 to n - 1 do
       let { Ir_wld.Dist.length = l; count } = bunches.(b) in
-      let need =
-        if noisy then None
-        else
+      if
+        not
+          (noisy
+          || b > 0
+             && l = bunches.(b - 1).Ir_wld.Dist.length
+             && targets.(b) = targets.(b - 1))
+      then
+        need :=
           Ir_delay.Model.repeaters_needed device line ~s ~target:targets.(b)
-            l
-      in
-      match need with
+            l;
+      match !need with
       | Some e ->
           eta.(j).(b) <- e;
           rep_area_prefix.(j).(b + 1) <-
@@ -271,8 +279,7 @@ let make ?(target_model = Ir_delay.Target.Linear) ?noise_limit ?activity
   let pitch =
     Ir_tech.Design.effective_gate_pitch arch.Ir_ia.Arch.design
   in
-  let meters = Ir_wld.Dist.map_length (fun l -> l *. pitch) wld in
-  let bunches = Ir_wld.Coarsen.bunch ~bunch_size meters in
+  let bunches = Ir_wld.Coarsen.bunch ~bunch_size ~pitch wld in
   build ?activity ?power_budget ~arch ~target_model ~noise_limit bunches
 
 (* ---- rescale-reuse paths ---------------------------------------------- *)

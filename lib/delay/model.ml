@@ -55,22 +55,39 @@ let min_delay ?(coeffs = default_coeffs) dev line ~s l =
   let eta = eta_opt ~coeffs dev line ~s l in
   wire_delay ~coeffs dev line ~s ~eta l
 
+(* The eta-independent terms of [wire_delay] are hoisted out of the
+   search: [delay eta] is [wire_delay ~eta l] bit for bit, since each
+   term is the same expression over the same inputs and the sum keeps
+   [wire_delay]'s association.  [eta_best] is [eta_opt]'s choice, made
+   from the same delays. *)
 let repeaters_needed ?(coeffs = default_coeffs) ?(eta_cap = 1_000_000) dev
     line ~s ~target l =
-  let d eta = wire_delay ~coeffs dev line ~s ~eta l in
-  if d 1 <= target then Some 1
+  check_s s;
+  if l < 0.0 then invalid_arg "Model.wire_delay: negative length";
+  let si = stage_intrinsic coeffs dev in
+  let pm = per_meter coeffs dev line ~s *. l in
+  let q = coeffs.a *. line.r_per_m *. line.c_per_m *. l *. l in
+  let delay eta =
+    let eta_f = float_of_int eta in
+    (si *. eta_f) +. pm +. (q /. eta_f)
+  in
+  if delay 1 <= target then Some 1
   else
-    let eta_best = eta_opt ~coeffs dev line ~s l in
-    if eta_best > eta_cap || d (min eta_best eta_cap) > target then None
+    let eta_best =
+      let cont = eta_opt_continuous ~coeffs dev line l in
+      let lo = max 1 (int_of_float (Float.floor cont)) in
+      if delay lo <= delay (lo + 1) then lo else lo + 1
+    in
+    if eta_best > eta_cap || delay (min eta_best eta_cap) > target then None
     else begin
       (* D is decreasing on [1, eta_best]; find the first eta meeting the
          target by binary search. *)
       let rec search lo hi =
-        (* Invariant: d lo > target, d hi <= target. *)
+        (* Invariant: delay lo > target, delay hi <= target. *)
         if hi - lo <= 1 then hi
         else
           let mid = lo + ((hi - lo) / 2) in
-          if d mid <= target then search lo mid else search mid hi
+          if delay mid <= target then search lo mid else search mid hi
       in
       Some (search 1 eta_best)
     end

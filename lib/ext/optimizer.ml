@@ -71,8 +71,7 @@ let optimize ?jobs ?(knobs = default_knobs) ?(bunch_size = 10000)
      candidate. *)
   let bunches =
     let pitch = Ir_tech.Design.effective_gate_pitch design in
-    Ir_wld.Coarsen.bunch ~bunch_size
-      (Ir_wld.Dist.map_length (fun l -> l *. pitch) wld)
+    Ir_wld.Coarsen.bunch ~bunch_size ~pitch wld
   in
   (* Enumerate the grid first, drop candidates the stack cannot provide,
      build every survivor's problem on the Ir_exec pool (independent —

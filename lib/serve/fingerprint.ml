@@ -24,6 +24,34 @@ let design q =
     ~fan_out:q.fan_out ~clock:q.clock ~repeater_fraction:q.repeater_fraction
     ()
 
+(* A ceiling on the bunch count of an accepted query: seven times the
+   bound of the 8-layer 90nm/10M cell at the default bunch size
+   (6,325 + 3,000 = 9,325).  It bounds the memory and the work of one
+   request, including the Davis loop over [2 sqrt gates] lengths. *)
+let max_bunches = 65_536
+
+(* An upper bound on the query's bunch count.  A Davis WLD has at most
+   [ceil (2 sqrt N)] bins holding [fan_out N] wires, up to rounding, and
+   each bin adds at most one partial bunch to its full ones; an inline
+   WLD is counted exactly.  Floats, so that no product overflows. *)
+let bunch_bound q =
+  match q.wld with
+  | Some w -> float_of_int (Ir_wld.Coarsen.bunch_count ~bunch_size:q.bunch_size w)
+  | None ->
+      let g = float_of_int q.gates in
+      Float.ceil (2.0 *. sqrt g)
+      +. Float.ceil (q.fan_out *. g /. float_of_int q.bunch_size)
+
+let check_size q =
+  let b = bunch_bound q in
+  if not (Float.is_finite b && b <= float_of_int max_bunches) then
+    Error
+      (Printf.sprintf
+         "instance too large: up to %.17g bunches, the limit is %d (raise \
+          bunch_size or lower gates)"
+         b max_bunches)
+  else Ok q
+
 let v ?(rent_p = 0.6) ?(fan_out = 3.0) ?(clock = 0.5e9)
     ?(repeater_fraction = 0.4) ?(k = 3.9) ?(miller = 2.0)
     ?(bunch_size = 10_000) ?(structure = Ir_ia.Arch.baseline_structure)
@@ -81,7 +109,7 @@ let v ?(rent_p = 0.6) ?(fan_out = 3.0) ?(clock = 0.5e9)
               if Ir_wld.Dist.is_empty w then invalid_arg "empty WLD");
           q
         with
-        | q -> Ok q
+        | q -> check_size q
         | exception Invalid_argument msg -> Error msg)
 
 (* Bumped 1 -> 2 when the power fields joined the canonical form: the

@@ -84,11 +84,25 @@ val v :
     fields enter the canonical form only when they can change the
     answer: a finite budget always, the activity only alongside one.
 
+    The instance size is bounded too: a query whose bunch count may
+    exceed {!max_bunches} is an [Error] naming the limit ("instance too
+    large").  Without an inline WLD the bound is
+    [ceil (2 sqrt gates) + ceil (fan_out * gates / bunch_size)],
+    computed in floats (an infinite or NaN bound is rejected); with one
+    it is {!Ir_wld.Coarsen.bunch_count}.  So a wire line cannot make the
+    server loop over billions of Davis lengths or allocate a table per
+    wire.
+
     The version tag is [ia-rank/fingerprint/2] since the power fields
     joined: the bump rotates every digest (old cache entries and
     snapshots miss and recompute — never alias), and the compatibility
     test in [test_serve] pins both the tag and the
     default-power-fields-absent rule. *)
+
+val max_bunches : int
+(** 65,536: the most bunches an accepted query may make, seven times the
+    bound of the 8-layer 90nm/10M cell at bunch size 10,000 (9,325).  A
+    fixed limit, not a setting. *)
 
 val canonical : t -> string
 (** The canonical text form the digest is computed over (one sorted

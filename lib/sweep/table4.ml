@@ -45,8 +45,7 @@ let baseline_problem ?activity config =
   let wld = shared_wld config in
   let pitch = Ir_tech.Design.effective_gate_pitch config.design in
   let bunches =
-    Ir_wld.Coarsen.bunch ~bunch_size:config.bunch_size
-      (Ir_wld.Dist.map_length (fun l -> l *. pitch) wld)
+    Ir_wld.Coarsen.bunch ~bunch_size:config.bunch_size ~pitch wld
   in
   let arch =
     Ir_ia.Arch.make ~structure:config.structure
@@ -148,8 +147,7 @@ let run_defs ?jobs config defs =
      every point of the run. *)
   let pitch = Ir_tech.Design.effective_gate_pitch config.design in
   let bunches =
-    Ir_wld.Coarsen.bunch ~bunch_size:config.bunch_size
-      (Ir_wld.Dist.map_length (fun l -> l *. pitch) wld)
+    Ir_wld.Coarsen.bunch ~bunch_size:config.bunch_size ~pitch wld
   in
   let problem_of_materials materials =
     let arch =

@@ -1,25 +1,62 @@
-let split_bin ~bunch_size (b : Dist.bin) =
-  let rec loop remaining acc =
-    if remaining <= 0 then acc
-    else
-      let take = min remaining bunch_size in
-      loop (remaining - take) ({ b with Dist.count = take } :: acc)
-  in
-  loop b.Dist.count []
+(* Bunches per bin: the ceiling of [c / s], without the overflow of
+   [(c + s - 1) / s] at [s] near [max_int]. *)
+let bunches_of ~bunch_size c =
+  (c / bunch_size) + if c mod bunch_size > 0 then 1 else 0
 
-let bunch ~bunch_size d =
+(* The scaled lengths are checked as [Dist.of_bins] checks them.  With
+   [pitch > 0] the scaling is monotone, so the bins stay ascending and
+   only neighbours can become equal; those merge, as [Dist.of_bins]
+   merges them.  Each bin then splits into bunches, written longest bin
+   first into an array sized by a first pass: within a bin the partial
+   bunch comes first, then the full ones. *)
+let bunch ~bunch_size ~pitch d =
   if bunch_size <= 0 then invalid_arg "Coarsen.bunch: bunch_size must be > 0";
-  let desc = Dist.to_desc_list d in
-  let bunches = List.concat_map (split_bin ~bunch_size) desc in
-  (* split_bin returns its pieces in arbitrary-size-last order; lengths are
-     equal within a bin so only the bin order matters. *)
-  Array.of_list bunches
+  let bins = Dist.bins d in
+  let k = Array.length bins in
+  let lengths = Array.make k 0.0 and counts = Array.make k 0 in
+  let m = ref 0 in
+  Array.iter
+    (fun (b : Dist.bin) ->
+      let l = b.length *. pitch in
+      if not (l > 0.0) then
+        invalid_arg "Coarsen.bunch: scaled lengths must be > 0";
+      if l = infinity then
+        invalid_arg "Coarsen.bunch: scaled lengths must be finite";
+      if !m > 0 && lengths.(!m - 1) = l then
+        counts.(!m - 1) <- counts.(!m - 1) + b.count
+      else begin
+        lengths.(!m) <- l;
+        counts.(!m) <- b.count;
+        incr m
+      end)
+    bins;
+  let n = ref 0 in
+  for i = 0 to !m - 1 do
+    n := !n + bunches_of ~bunch_size counts.(i)
+  done;
+  let out = Array.make !n { Dist.length = 0.0; count = 0 } in
+  let pos = ref 0 in
+  let put length count =
+    out.(!pos) <- { Dist.length; count };
+    incr pos
+  in
+  for i = !m - 1 downto 0 do
+    let c = counts.(i) in
+    let partial = c mod bunch_size in
+    if partial > 0 then put lengths.(i) partial;
+    for _ = 1 to c / bunch_size do
+      put lengths.(i) bunch_size
+    done
+  done;
+  out
 
 let bunch_count ~bunch_size d =
   if bunch_size <= 0 then
     invalid_arg "Coarsen.bunch_count: bunch_size must be > 0";
   Array.fold_left
-    (fun acc (b : Dist.bin) -> acc + ((b.count + bunch_size - 1) / bunch_size))
+    (fun acc (b : Dist.bin) ->
+      let here = bunches_of ~bunch_size b.count in
+      if here > max_int - acc then max_int else acc + here)
     0 (Dist.bins d)
 
 let bin ~group d =

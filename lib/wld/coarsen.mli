@@ -7,16 +7,28 @@
     {e binning} reduction (the paper's footnote 7) replaces groups of nearby
     lengths by their mean. *)
 
-val bunch : bunch_size:int -> Dist.t -> Dist.bin array
-(** [bunch ~bunch_size d] splits every bin of [d] into bunches of at most
-    [bunch_size] wires of identical length — e.g. a 100-wire bin at bunch
-    size 40 becomes bunches of 40, 40 and 20 — and returns all bunches
-    sorted by {e non-increasing} length (the assignment order of the rank
-    algorithms).  Total wire count is preserved exactly.
-    @raise Invalid_argument if [bunch_size <= 0]. *)
+val bunch : bunch_size:int -> pitch:float -> Dist.t -> Dist.bin array
+(** [bunch ~bunch_size ~pitch d] scales every length of [d] by [pitch]
+    (gate pitches to meters, say), merges bins whose scaled lengths are
+    equal, and splits every bin into bunches of at most [bunch_size]
+    wires of identical length.  Bunches come longest bin first (the
+    assignment order of the rank algorithms); within a bin the partial
+    bunch, if any, comes first and the full ones follow — e.g. a 100-wire
+    bin at bunch size 40 becomes bunches of 20, 40 and 40.  That order
+    reaches the DP's boundary indices, so it is part of the contract.
+    Total wire count is preserved exactly, and every scaled length is
+    the float [l *. pitch], so the result equals bunching
+    [Dist.map_length (fun l -> l *. pitch) d] bit for bit.
+    @raise Invalid_argument if [bunch_size <= 0], or if a scaled length
+    is not positive and finite. *)
 
 val bunch_count : bunch_size:int -> Dist.t -> int
-(** Number of bunches {!bunch} would produce, without building them. *)
+(** Number of bunches [bunch ~bunch_size ~pitch:1.0] would produce,
+    without building them: per bin the ceiling of count / [bunch_size],
+    computed without overflow, and the sum saturates at [max_int].  At
+    any other pitch it is an upper bound, since scaling can only merge
+    bins.
+    @raise Invalid_argument if [bunch_size <= 0]. *)
 
 val bin : group:int -> Dist.t -> Dist.t
 (** [bin ~group d] merges every run of [group] consecutive bins into one bin

@@ -10,58 +10,79 @@ let params ?(rent_p = 0.6) ?(fan_out = 3.0) ~gates () =
 
 let l_max p = 2.0 *. sqrt (float_of_int p.gates)
 
-(* Integral of l^a over [l1, l2], handling the a = -1 logarithmic case
-   (reached exactly when rent_p is 0, 0.5, 1 or 1.5). *)
-let power_integral a l1 l2 =
-  if Float.abs (a +. 1.0) < 1e-12 then log (l2 /. l1)
-  else (Float.pow l2 (a +. 1.0) -. Float.pow l1 (a +. 1.0)) /. (a +. 1.0)
-
-(* The unnormalized density is a sum of terms coef * l^expo; regions share
-   the structure, so both the density and its antiderivative derive from the
-   same term lists. *)
+(* The unnormalized density is a sum of terms coef * l^expo per region,
+   and both the density and its antiderivative derive from the same
+   term arrays. *)
 let region1_terms p =
   let n = float_of_int p.gates in
   let sqn = sqrt n in
   let e = (2.0 *. p.rent_p) -. 4.0 in
-  [ (1.0 /. 3.0, e +. 3.0); (-2.0 *. sqn, e +. 2.0); (2.0 *. n, e +. 1.0) ]
+  ([| 1.0 /. 3.0; -2.0 *. sqn; 2.0 *. n |], [| e +. 3.0; e +. 2.0; e +. 1.0 |])
 
 let region2_terms p =
   let n = float_of_int p.gates in
   let sqn = sqrt n in
   let e = (2.0 *. p.rent_p) -. 4.0 in
   (* (2 sqrt N - l)^3 / 3 = (8 N^1.5 - 12 N l + 6 sqrt(N) l^2 - l^3) / 3 *)
-  [
-    (8.0 *. n *. sqn /. 3.0, e);
-    (-4.0 *. n, e +. 1.0);
-    (2.0 *. sqn, e +. 2.0);
-    (-1.0 /. 3.0, e +. 3.0);
-  ]
+  ( [| 8.0 *. n *. sqn /. 3.0; -4.0 *. n; 2.0 *. sqn; -1.0 /. 3.0 |],
+    [| e; e +. 1.0; e +. 2.0; e +. 3.0 |] )
 
-let eval_terms terms l =
-  List.fold_left (fun acc (c, e) -> acc +. (c *. Float.pow l e)) 0.0 terms
+let eval_terms (coefs, expos) l =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length coefs - 1 do
+    acc := !acc +. (coefs.(i) *. Float.pow l expos.(i))
+  done;
+  !acc
 
-let integrate_terms terms l1 l2 =
-  List.fold_left
-    (fun acc (c, e) -> acc +. (c *. power_integral e l1 l2))
-    0.0 terms
+(* The integral of one region's terms from a fixed lower endpoint [l1].
+   Per term, the integral of l^a over [l1, l2] is
+   (l2^(a+1) - l1^(a+1)) / (a+1), or log (l2 / l1) when a = -1 (reached
+   exactly when rent_p is 0, 0.5, 1 or 1.5).  [l1^(a+1)] is the same
+   float at every [l2], so it is computed once here; each [l2] then
+   runs the per-term expression and the left-to-right sum from 0.0 that
+   a term-by-term evaluation runs, and yields the same bits. *)
+type integral = {
+  coefs : float array;
+  a1 : float array;  (* a + 1 per term *)
+  log_term : bool array;  (* a = -1: the logarithmic case *)
+  p1 : float array;  (* l1^(a+1) per term (unused by a log term) *)
+  l1 : float;
+}
+
+let integral (coefs, expos) l1 =
+  let a1 = Array.map (fun a -> a +. 1.0) expos in
+  let log_term = Array.map (fun a1 -> Float.abs a1 < 1e-12) a1 in
+  { coefs; a1; log_term; p1 = Array.map (fun a1 -> Float.pow l1 a1) a1; l1 }
+
+let integrate g l2 =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length g.coefs - 1 do
+    let v =
+      if g.log_term.(i) then log (l2 /. g.l1)
+      else (Float.pow l2 g.a1.(i) -. g.p1.(i)) /. g.a1.(i)
+    in
+    acc := !acc +. (g.coefs.(i) *. v)
+  done;
+  !acc
 
 (* Unnormalized cumulative from l = 1 to l, clamped to the support.  The
-   term lists are built once per partial application, so a caller that
-   evaluates many lengths of one [p] shares them. *)
+   term arrays, the lower-endpoint powers and the whole region-1
+   integral (which every l > sqrt N adds) are computed once per partial
+   application, for every length it is then applied to. *)
 let raw_cumulative p =
   let sqn = sqrt (float_of_int p.gates) in
   let lmax = 2.0 *. sqn in
-  let terms1 = region1_terms p and terms2 = region2_terms p in
+  let g1 = integral (region1_terms p) 1.0
+  and g2 = integral (region2_terms p) sqn in
+  let r1_total = integrate g1 sqn in
   fun l ->
     let l = Ir_phys.Numeric.clamp ~lo:1.0 ~hi:lmax l in
-    let r1 = integrate_terms terms1 1.0 (Float.min l sqn) in
-    let r2 = if l > sqn then integrate_terms terms2 sqn l else 0.0 in
-    r1 +. r2
+    if l > sqn then r1_total +. integrate g2 l else integrate g1 l +. 0.0
 
 let total p = p.fan_out *. float_of_int p.gates
 
-let norm p =
-  let raw_total = raw_cumulative p (l_max p) in
+let norm_of p raw =
+  let raw_total = raw (l_max p) in
   if not (raw_total > 0.0) then
     invalid_arg "Davis: degenerate distribution (raw mass is zero)";
   total p /. raw_total
@@ -75,12 +96,14 @@ let density p l =
       if l <= sqn then eval_terms (region1_terms p) l
       else eval_terms (region2_terms p) l
     in
-    norm p *. raw
+    norm_of p (raw_cumulative p) *. raw
 
 (* Like [raw_cumulative], [cumulative p] computes the normalization and
-   the term lists once, for every length it is then applied to. *)
+   the integrals' constants once, for every length it is then applied
+   to. *)
 let cumulative p =
-  let k = norm p and raw = raw_cumulative p in
+  let raw = raw_cumulative p in
+  let k = norm_of p raw in
   fun l -> k *. raw l
 
 let generate p =
@@ -90,21 +113,26 @@ let generate p =
   (* Cumulative rounding keeps the grand total exact and lets unit counts
      appear in the sparse tail instead of rounding it away. *)
   let count_up_to l = int_of_float (Float.round (cum l)) in
-  let bins = ref [] in
-  let prev = ref (count_up_to 1.0) in
+  (* Lengths 1, 2, ... ascend, so the bins are filled in their final
+     order; at most one per length. *)
+  let bins = Array.make n_lengths { Dist.length = 1.0; count = 0 } in
+  let used = ref 0 in
+  let add length count =
+    bins.(!used) <- { Dist.length; count };
+    incr used
+  in
   (* Wires in (0.5, 1.5] land in the l = 1 bin; the density starts at 1. *)
   let first = count_up_to 1.5 in
-  if first > 0 then bins := { Dist.length = 1.0; count = first } :: !bins;
-  prev := first;
+  if first > 0 then add 1.0 first;
+  let prev = ref first in
   for l = 2 to n_lengths do
     let upper = Float.min (float_of_int l +. 0.5) lmax in
     let c = count_up_to upper in
     let here = c - !prev in
-    if here > 0 then
-      bins := { Dist.length = float_of_int l; count = here } :: !bins;
+    if here > 0 then add (float_of_int l) here;
     prev := c
   done;
-  Dist.of_bins (List.rev !bins)
+  Dist.of_array (Array.sub bins 0 !used)
 
 let generate_meters p ~pitch =
   if not (pitch > 0.0) then

@@ -17,6 +17,12 @@ val of_bins : bin list -> t
     @raise Invalid_argument on negative counts or lengths that are not
     positive and finite (NaN and [infinity] included). *)
 
+val of_array : bin array -> t
+(** [of_array a] is [of_bins (Array.to_list a)], with the same checks
+    and errors.  An array already in canonical form (positive counts,
+    strictly ascending lengths) skips the sort and merge.  The array is
+    copied. *)
+
 val bins : t -> bin array
 (** The bins, ascending by length.  The array is fresh. *)
 

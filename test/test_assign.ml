@@ -946,6 +946,77 @@ let test_problem_tables_byte_stable () =
         "a709c05bfc60d50e3f58e6f1f8d45e97" );
     ]
 
+(* [Model.repeaters_needed] as it was before its eta-independent terms
+   were hoisted: every probe of the search is a full [wire_delay]. *)
+let reference_repeaters_needed ?(eta_cap = 1_000_000) dev line ~s ~target l =
+  let d eta = Ir_delay.Model.wire_delay dev line ~s ~eta l in
+  if d 1 <= target then Some 1
+  else
+    let eta_best = Ir_delay.Model.eta_opt dev line ~s l in
+    if eta_best > eta_cap || d (min eta_best eta_cap) > target then None
+    else
+      let rec search lo hi =
+        if hi - lo <= 1 then hi
+        else
+          let mid = lo + ((hi - lo) / 2) in
+          if d mid <= target then search lo mid else search mid hi
+      in
+      Some (search 1 eta_best)
+
+let prop_repeaters_needed_matches_reference =
+  qtest ~count:500 "repeaters_needed = a wire_delay search"
+    QCheck2.Gen.(
+      let* node = oneofl Ir_tech.Node.[ N180; N130; N90 ] in
+      let* pair = int_range 0 3 in
+      let* log_l = float_range (log 1e-6) (log 2e-2) in
+      let* factor = float_range 0.02 1.2 in
+      let* own_s = bool in
+      let* s = float_range 1.0 200.0 in
+      let* eta_cap = oneof [ return None; map Option.some (int_range 1 60) ] in
+      return (node, pair, exp log_l, factor, own_s, s, eta_cap))
+    (fun (node, j, l, factor, own_s, s, eta_cap) ->
+      let arch = Ir_ia.Arch.make ~design:(Ir_core.Rank.baseline_design node) () in
+      let p = Ir_ia.Arch.pair arch j in
+      let dev = arch.Ir_ia.Arch.device and line = p.Ir_ia.Layer_pair.line in
+      let s = if own_s then p.Ir_ia.Layer_pair.s_opt else s in
+      let target =
+        factor *. Ir_delay.Model.wire_delay dev line ~s ~eta:1 l
+      in
+      let got =
+        Ir_delay.Model.repeaters_needed ?eta_cap dev line ~s ~target l
+      and want = reference_repeaters_needed ?eta_cap dev line ~s ~target l in
+      got = want
+      || QCheck2.Test.fail_reportf "l %h target %h s %h: got %s, want %s" l
+           target s
+           (Option.fold ~none:"None" ~some:string_of_int got)
+           (Option.fold ~none:"None" ~some:string_of_int want))
+
+(* Split bunches of one bin share a repeater verdict: every bunch's
+   [eta_min] is the verdict computed for it alone. *)
+let prop_split_bunch_verdicts =
+  qtest ~count:40 "eta_min of every split bunch = its own verdict"
+    QCheck2.Gen.(
+      pair (oneofl Ir_tech.Node.[ N180; N130; N90 ]) (int_range 1 400))
+    (fun (node, bunch_size) ->
+      let gates = 20_000 in
+      let design = Ir_core.Rank.baseline_design ~gates node in
+      let arch = Ir_ia.Arch.make ~design () in
+      let wld = Ir_wld.Davis.generate (Ir_wld.Davis.params ~gates ()) in
+      let p = P.make ~bunch_size ~arch ~wld () in
+      let ok = ref true in
+      for j = 0 to P.n_pairs p - 1 do
+        let pr = Ir_ia.Arch.pair arch j in
+        for b = 0 to P.n_bunches p - 1 do
+          let fresh =
+            Ir_delay.Model.repeaters_needed arch.Ir_ia.Arch.device
+              pr.Ir_ia.Layer_pair.line ~s:pr.Ir_ia.Layer_pair.s_opt
+              ~target:(P.target p b) (P.bunch_length p b)
+          in
+          if P.eta_min p ~pair:j ~bunch:b <> fresh then ok := false
+        done
+      done;
+      !ok)
+
 let test_power_tables () =
   let p = fixed_instance () in
   Alcotest.(check bool) "default problem is unconstrained" true
@@ -1027,6 +1098,8 @@ let () =
           Alcotest.test_case "problem tables are byte-stable" `Quick
             test_problem_tables_byte_stable;
           prop_meeting_cost_additive;
+          prop_repeaters_needed_matches_reference;
+          prop_split_bunch_verdicts;
           Alcotest.test_case "power tables" `Quick test_power_tables;
           prop_power_cap_exact;
         ] );

@@ -156,6 +156,46 @@ let test_fp_validation () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "repeater fraction 1.5 accepted"
 
+(* A wire line names its instance size, and nothing bounded it: a
+   query at [gates = max_int] reached [Davis.generate], which would loop
+   over about 4.3e9 lengths, and [fan_out = 1e30] made counts from an
+   out-of-range [int_of_float].  Such lines are refused by name before
+   anything is computed; the 8-layer 90nm/10M cell's size stays
+   accepted. *)
+let test_oversized_rejected () =
+  let cache = ok_exn "cache" (C.create ~capacity:8 ()) in
+  let srv = S.create ~workers:1 ~cache () in
+  let before = counter "serve/computes" in
+  List.iter
+    (fun (label, query) ->
+      let line =
+        "{\"v\":1,\"id\":\"big\",\"op\":\"query\",\"query\":" ^ query ^ "}"
+      in
+      match Pr.decode_response (S.handle_line srv line) with
+      | Ok { Pr.body = Pr.Error (Pr.Bad_request m); _ } ->
+          Alcotest.(check bool)
+            (label ^ ": names the limit") true
+            (Astring_contains.contains m "instance too large")
+      | Ok _ -> Alcotest.failf "%s: not a bad_request" label
+      | Error e -> Alcotest.failf "%s: malformed response: %s" label e)
+    [
+      ("gates = max_int", "{\"node\":\"90nm\",\"gates\":4611686018427387903}");
+      ("fan_out = 1e30", "{\"node\":\"90nm\",\"gates\":1000,\"fan_out\":1e30}");
+      ( "inline WLD of 1e12 wires at bunch size 1",
+        "{\"node\":\"130nm\",\"gates\":1000,\"bunch_size\":1,\"wld_csv\":\"length,count\\n5,1000000000000\"}"
+      );
+    ];
+  Alcotest.(check int) "nothing computed" before (counter "serve/computes");
+  S.shutdown srv;
+  S.join srv;
+  let structure =
+    { Ir_ia.Arch.local_pairs = 1; semi_global_pairs = 3; global_pairs = 1 }
+  in
+  ignore
+    (ok_exn "8-layer 90nm/10M at bunch size 10,000"
+       (F.v ~structure ~node:"90nm" ~gates:10_000_000 ()));
+  Alcotest.(check bool) "the limit" true (F.max_bunches = 65_536)
+
 (* The version-2 compatibility rule: the power fields enter the
    canonical form only when they can change the answer, so every query
    that doesn't use them keeps its (v2) digest no matter how the
@@ -1982,6 +2022,8 @@ let () =
           Alcotest.test_case "family key masks" `Quick
             test_fp_family_key_masks;
           Alcotest.test_case "validation" `Quick test_fp_validation;
+          Alcotest.test_case "oversized instances rejected" `Quick
+            test_oversized_rejected;
           Alcotest.test_case "power fields" `Quick test_fp_power_fields;
         ] );
       ( "json",

@@ -159,9 +159,11 @@ let test_bunching () =
         { Ir_wld.Dist.length = 5.0; count = 35 };
       ]
   in
-  let bunches = Ir_wld.Coarsen.bunch ~bunch_size:40 d in
-  (* 100 -> 40+40+20 (order within equal lengths irrelevant), 35 -> 35 *)
-  Alcotest.(check int) "bunch count" 4 (Array.length bunches);
+  let bunches = Ir_wld.Coarsen.bunch ~bunch_size:40 ~pitch:1.0 d in
+  (* 100 -> 20+40+40 (the partial bunch first), 35 -> 35.  The order
+     within a bin reaches the DP's boundary indices, so it is pinned. *)
+  Alcotest.(check (list int)) "bunch counts in order" [ 20; 40; 40; 35 ]
+    (Array.to_list (Array.map (fun b -> b.Ir_wld.Dist.count) bunches));
   Alcotest.(check int) "computed count" 4
     (Ir_wld.Coarsen.bunch_count ~bunch_size:40 d);
   let total = Array.fold_left (fun a b -> a + b.Ir_wld.Dist.count) 0 bunches in
@@ -177,7 +179,49 @@ let test_bunching () =
     bunches;
   Alcotest.(check bool) "descending" true !sorted;
   Alcotest.(check int) "max error bound" 40
-    (Ir_wld.Coarsen.max_bunch_error ~bunch_size:40 d)
+    (Ir_wld.Coarsen.max_bunch_error ~bunch_size:40 d);
+  (* The paper's bunch size: one 25,000-wire bin. *)
+  let one_bin =
+    Ir_wld.Dist.of_bins [ { Ir_wld.Dist.length = 3.0; count = 25_000 } ]
+  in
+  Alcotest.(check (list int)) "25,000 wires at bunch size 10,000"
+    [ 5_000; 10_000; 10_000 ]
+    (Array.to_list
+       (Array.map
+          (fun b -> b.Ir_wld.Dist.count)
+          (Ir_wld.Coarsen.bunch ~bunch_size:10_000 ~pitch:1.0 one_bin)))
+
+(* The bunch count is a ceiling computed without overflow: at a bunch
+   size near [max_int], [(c + s - 1) / s] wraps negative. *)
+let test_bunch_count_overflow () =
+  let d =
+    Ir_wld.Dist.of_bins
+      [
+        { Ir_wld.Dist.length = 1.0; count = 3 };
+        { Ir_wld.Dist.length = 2.0; count = max_int };
+      ]
+  in
+  Alcotest.(check int) "max_int bunch size" 2
+    (Ir_wld.Coarsen.bunch_count ~bunch_size:max_int d);
+  Alcotest.(check int) "saturates" max_int
+    (Ir_wld.Coarsen.bunch_count ~bunch_size:1 d);
+  Alcotest.(check int) "max_int bunch size, built" 2
+    (Array.length (Ir_wld.Coarsen.bunch ~bunch_size:max_int ~pitch:1.0 d))
+
+let test_bunch_rejects_bad_pitch () =
+  let d = Ir_wld.Dist.of_bins [ { Ir_wld.Dist.length = 2.0; count = 4 } ] in
+  List.iter
+    (fun (pitch, msg) ->
+      Alcotest.check_raises
+        (Printf.sprintf "pitch %g" pitch)
+        (Invalid_argument msg)
+        (fun () -> ignore (Ir_wld.Coarsen.bunch ~bunch_size:3 ~pitch d)))
+    [
+      (0.0, "Coarsen.bunch: scaled lengths must be > 0");
+      (-1.0, "Coarsen.bunch: scaled lengths must be > 0");
+      (nan, "Coarsen.bunch: scaled lengths must be > 0");
+      (infinity, "Coarsen.bunch: scaled lengths must be finite");
+    ]
 
 let test_binning () =
   (* Footnote 7's example: lengths 5996..6000, counts 3 2 2 1 1 -> one bin
@@ -212,7 +256,7 @@ let prop_bunch_mass =
         List.map (fun (l, c) -> { Ir_wld.Dist.length = l; count = c }) raw
       in
       let d = Ir_wld.Dist.of_bins bins in
-      let bunches = Ir_wld.Coarsen.bunch ~bunch_size d in
+      let bunches = Ir_wld.Coarsen.bunch ~bunch_size ~pitch:1.0 d in
       Array.fold_left (fun a b -> a + b.Ir_wld.Dist.count) 0 bunches
       = Ir_wld.Dist.total d
       && Array.for_all (fun b -> b.Ir_wld.Dist.count <= bunch_size) bunches)
@@ -252,6 +296,196 @@ let prop_davis_rent_shifts_tail =
         /. float_of_int (Ir_wld.Dist.total d)
       in
       tail 0.7 > tail 0.5)
+
+(* ---- Reference kernels ------------------------------------------------ *)
+
+(* The set-up kernels as they were before their per-call constants were
+   hoisted: Davis term lists folded through closures, the region-1
+   integral and the lower-endpoint powers recomputed for every length,
+   bins consed and canonicalized by [Dist.of_bins]; bunching over a
+   [Dist.map_length] copy.  The kernels must reproduce them bit for
+   bit. *)
+module Reference = struct
+  module D = Ir_wld.Davis
+
+  let power_integral a l1 l2 =
+    if Float.abs (a +. 1.0) < 1e-12 then log (l2 /. l1)
+    else (Float.pow l2 (a +. 1.0) -. Float.pow l1 (a +. 1.0)) /. (a +. 1.0)
+
+  let region1_terms (p : D.params) =
+    let n = float_of_int p.gates in
+    let sqn = sqrt n in
+    let e = (2.0 *. p.rent_p) -. 4.0 in
+    [ (1.0 /. 3.0, e +. 3.0); (-2.0 *. sqn, e +. 2.0); (2.0 *. n, e +. 1.0) ]
+
+  let region2_terms (p : D.params) =
+    let n = float_of_int p.gates in
+    let sqn = sqrt n in
+    let e = (2.0 *. p.rent_p) -. 4.0 in
+    [
+      (8.0 *. n *. sqn /. 3.0, e);
+      (-4.0 *. n, e +. 1.0);
+      (2.0 *. sqn, e +. 2.0);
+      (-1.0 /. 3.0, e +. 3.0);
+    ]
+
+  let eval_terms terms l =
+    List.fold_left (fun acc (c, e) -> acc +. (c *. Float.pow l e)) 0.0 terms
+
+  let integrate_terms terms l1 l2 =
+    List.fold_left
+      (fun acc (c, e) -> acc +. (c *. power_integral e l1 l2))
+      0.0 terms
+
+  let raw_cumulative (p : D.params) l =
+    let sqn = sqrt (float_of_int p.gates) in
+    let lmax = 2.0 *. sqn in
+    let l = Ir_phys.Numeric.clamp ~lo:1.0 ~hi:lmax l in
+    let r1 = integrate_terms (region1_terms p) 1.0 (Float.min l sqn) in
+    let r2 =
+      if l > sqn then integrate_terms (region2_terms p) sqn l else 0.0
+    in
+    r1 +. r2
+
+  let norm p = D.total p /. raw_cumulative p (D.l_max p)
+  let cumulative p l = norm p *. raw_cumulative p l
+
+  let density (p : D.params) l =
+    let sqn = sqrt (float_of_int p.gates) in
+    if l < 1.0 || l > 2.0 *. sqn then 0.0
+    else
+      norm p
+      *.
+      if l <= sqn then eval_terms (region1_terms p) l
+      else eval_terms (region2_terms p) l
+
+  let generate p =
+    let lmax = D.l_max p in
+    let n_lengths = int_of_float (Float.round lmax) in
+    let count_up_to l = int_of_float (Float.round (cumulative p l)) in
+    let bins = ref [] in
+    let first = count_up_to 1.5 in
+    if first > 0 then bins := { Ir_wld.Dist.length = 1.0; count = first } :: !bins;
+    let prev = ref first in
+    for l = 2 to n_lengths do
+      let upper = Float.min (float_of_int l +. 0.5) lmax in
+      let c = count_up_to upper in
+      let here = c - !prev in
+      if here > 0 then
+        bins := { Ir_wld.Dist.length = float_of_int l; count = here } :: !bins;
+      prev := c
+    done;
+    Ir_wld.Dist.of_bins (List.rev !bins)
+
+  let split_bin ~bunch_size (b : Ir_wld.Dist.bin) =
+    let rec loop remaining acc =
+      if remaining <= 0 then acc
+      else
+        let take = min remaining bunch_size in
+        loop (remaining - take) ({ b with Ir_wld.Dist.count = take } :: acc)
+    in
+    loop b.Ir_wld.Dist.count []
+
+  let bunch ~bunch_size ~pitch d =
+    let meters = Ir_wld.Dist.map_length (fun l -> l *. pitch) d in
+    Array.of_list
+      (List.concat_map (split_bin ~bunch_size) (Ir_wld.Dist.to_desc_list meters))
+end
+
+(* Bins or bunches as text, each length by its bits. *)
+let bins_bits bins =
+  String.concat ";"
+    (Array.to_list
+       (Array.map
+          (fun { Ir_wld.Dist.length; count } ->
+            Printf.sprintf "%Lx/%d" (Int64.bits_of_float length) count)
+          bins))
+
+let prop_davis_matches_reference =
+  qtest ~count:60 "Davis generate, cumulative, density = reference, bit for bit"
+    QCheck2.Gen.(
+      quad (int_range 1 2_000_000)
+        (oneof [ return 0.5; float_range 0.05 0.95 ])
+        (float_range 0.5 6.0) (float_range 0.0 1.0))
+    (fun (gates, rent_p, fan_out, at) ->
+      let p = Ir_wld.Davis.params ~rent_p ~fan_out ~gates () in
+      let l = 0.5 +. (at *. (Ir_wld.Davis.l_max p +. 1.0)) in
+      let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b in
+      let got = Ir_wld.Davis.generate p and want = Reference.generate p in
+      if bins_bits (Ir_wld.Dist.bins got) <> bins_bits (Ir_wld.Dist.bins want)
+         || Ir_wld.Dist.total got <> Ir_wld.Dist.total want
+      then QCheck2.Test.fail_reportf "bins differ at %d gates" gates
+      else if
+        not (same_bits (Ir_wld.Davis.cumulative p l) (Reference.cumulative p l))
+      then QCheck2.Test.fail_reportf "cumulative differs at l = %h" l
+      else if
+        not (same_bits (Ir_wld.Davis.density p l) (Reference.density p l))
+      then QCheck2.Test.fail_reportf "density differs at l = %h" l
+      else true)
+
+(* Lengths next to each other in float, so that some pairs become equal
+   once scaled; pitches include 1.0 and values whose mantissa makes such
+   collisions common. *)
+let gen_collidable_dist =
+  let open QCheck2.Gen in
+  let* raw =
+    list_size (int_range 1 12)
+      (triple (float_range 1.0 100.0) (int_range 1 60) (int_range 0 3))
+  in
+  let bins =
+    List.concat_map
+      (fun (l, c, neighbours) ->
+        let rec go l k acc =
+          if k < 0 then acc
+          else go (Float.succ l) (k - 1) ({ Ir_wld.Dist.length = l; count = c } :: acc)
+        in
+        go l neighbours [])
+      raw
+  in
+  return (Ir_wld.Dist.of_bins bins)
+
+let prop_bunch_matches_reference =
+  qtest ~count:300 "pitch-scaled bunch = bunch of the scaled copy, bit for bit"
+    QCheck2.Gen.(
+      triple
+        (oneof [ int_range 1 50; return max_int ])
+        (oneof
+           [
+             return 1.0; float_range 1.0 2.0; float_range 1e-7 1e-6;
+             return 2.1e-7;
+           ])
+        gen_collidable_dist)
+    (fun (bunch_size, pitch, d) ->
+      let got = Ir_wld.Coarsen.bunch ~bunch_size ~pitch d in
+      let want = Reference.bunch ~bunch_size ~pitch d in
+      bins_bits got = bins_bits want
+      || QCheck2.Test.fail_reportf "bunch_size %d pitch %h:\n%s\n%s" bunch_size
+           pitch (bins_bits got) (bins_bits want))
+
+(* A concrete collision: the first length above 1.5 whose successor
+   scales to the same float at pitch 1.5.  The two bins merge into one,
+   as [Dist.of_bins] merges them, and bunch as one bin. *)
+let test_bunch_scaled_collision () =
+  let pitch = 1.5 in
+  let rec find l n =
+    if n = 0 then Alcotest.fail "no colliding neighbours found"
+    else if l *. pitch = Float.succ l *. pitch then l
+    else find (Float.succ l) (n - 1)
+  in
+  let l = find 1.5 10_000 in
+  let d =
+    Ir_wld.Dist.of_bins
+      [
+        { Ir_wld.Dist.length = l; count = 3 };
+        { Ir_wld.Dist.length = Float.succ l; count = 4 };
+      ]
+  in
+  let got = Ir_wld.Coarsen.bunch ~bunch_size:5 ~pitch d in
+  Alcotest.(check (list int)) "one merged bin: 2 then 5" [ 2; 5 ]
+    (Array.to_list (Array.map (fun b -> b.Ir_wld.Dist.count) got));
+  Alcotest.(check string) "= reference"
+    (bins_bits (Reference.bunch ~bunch_size:5 ~pitch d))
+    (bins_bits got)
 
 let test_io_roundtrip () =
   let d =
@@ -468,6 +702,7 @@ let () =
           Alcotest.test_case "tail fractions" `Quick test_davis_tail_fractions;
           Alcotest.test_case "generate meters" `Quick test_generate_meters;
           prop_davis_total;
+          prop_davis_matches_reference;
           prop_davis_rent_shifts_tail;
         ] );
       ( "dist",
@@ -496,6 +731,13 @@ let () =
       ( "coarsen",
         [
           Alcotest.test_case "bunching" `Quick test_bunching;
+          Alcotest.test_case "bunch count without overflow" `Quick
+            test_bunch_count_overflow;
+          Alcotest.test_case "bad pitch rejected" `Quick
+            test_bunch_rejects_bad_pitch;
+          Alcotest.test_case "lengths equal after scaling merge" `Quick
+            test_bunch_scaled_collision;
+          prop_bunch_matches_reference;
           Alcotest.test_case "binning (footnote 7)" `Quick test_binning;
           prop_bunch_mass;
           prop_binning_mass;
