@@ -36,6 +36,15 @@ val make :
     [infinity] = unconstrained) caps the repeater area at its
     {!kappa}-equivalent (see {!budget}).  Both are validated: activity in
     (0, 1], budget positive.
+
+    The bunches are [Ir_wld.Coarsen.bunch ~bunch_size ~pitch wld]: one
+    pass that scales, merges equal scaled lengths and splits each bin
+    with its partial bunch first.  Every table is bit-identical to the
+    plain per-bunch, per-pair formulas; the only reuse is within this
+    call — a bunch takes the repeater verdict of the bunch before it when
+    both have the same length and target (the split bunches of one
+    bin).  {!with_clock} and {!with_materials} build their repeater
+    tables the same way.  Nothing is cached across calls.
     @raise Invalid_argument on an empty WLD, or a bunch length that is
     not positive and finite after the conversion to meters. *)
 

@@ -98,7 +98,12 @@ type response = { id : string; body : body }
 val fingerprint_of_query : query -> (Fingerprint.t, string) result
 (** Resolves the wire form into a validated fingerprint, parsing any
     inline WLD strictly.  The [Error] string is the [Bad_request]
-    message. *)
+    message.  An instance that may make more than
+    {!Fingerprint.max_bunches} (65,536) bunches is refused here with a
+    message starting "instance too large", so an untrusted line cannot
+    start a Davis generation over billions of lengths ([gates] near
+    [max_int]) or counts beyond [int] range ([fan_out = 1e30]); see
+    {!Fingerprint.v} for the bound. *)
 
 val result_payload : Ir_core.Outcome.t -> string
 (** Canonical result bytes:

@@ -44,22 +44,21 @@ let eval_terms (coefs, expos) l =
 type integral = {
   coefs : float array;
   a1 : float array;  (* a + 1 per term *)
-  log_term : bool array;  (* a = -1: the logarithmic case *)
-  p1 : float array;  (* l1^(a+1) per term (unused by a log term) *)
+  p1 : float array;  (* l1^(a+1) per term *)
   l1 : float;
 }
 
 let integral (coefs, expos) l1 =
   let a1 = Array.map (fun a -> a +. 1.0) expos in
-  let log_term = Array.map (fun a1 -> Float.abs a1 < 1e-12) a1 in
-  { coefs; a1; log_term; p1 = Array.map (fun a1 -> Float.pow l1 a1) a1; l1 }
+  { coefs; a1; p1 = Array.map (Float.pow l1) a1; l1 }
 
 let integrate g l2 =
   let acc = ref 0.0 in
   for i = 0 to Array.length g.coefs - 1 do
+    let a1 = g.a1.(i) in
     let v =
-      if g.log_term.(i) then log (l2 /. g.l1)
-      else (Float.pow l2 g.a1.(i) -. g.p1.(i)) /. g.a1.(i)
+      if Float.abs a1 < 1e-12 then log (l2 /. g.l1)
+      else (Float.pow l2 a1 -. g.p1.(i)) /. a1
     in
     acc := !acc +. (g.coefs.(i) *. v)
   done;
@@ -77,7 +76,7 @@ let raw_cumulative p =
   let r1_total = integrate g1 sqn in
   fun l ->
     let l = Ir_phys.Numeric.clamp ~lo:1.0 ~hi:lmax l in
-    if l > sqn then r1_total +. integrate g2 l else integrate g1 l +. 0.0
+    if l > sqn then r1_total +. integrate g2 l else integrate g1 l
 
 let total p = p.fan_out *. float_of_int p.gates
 

@@ -38,7 +38,9 @@ val density : params -> float -> float
 val cumulative : params -> float -> float
 (** [cumulative p l] is the expected number of wires of length <= [l],
     computed from the closed-form antiderivative (exact up to the
-    normalization constant; no quadrature). *)
+    normalization constant; no quadrature).  A partial application
+    [cumulative p] computes the per-call constants of {!generate} once
+    and is the function {!generate} rounds. *)
 
 val total : params -> float
 (** Expected total interconnect count, [f.o. * N]. *)
@@ -46,7 +48,16 @@ val total : params -> float
 val generate : params -> Dist.t
 (** Discretizes the distribution into integer gate-pitch bins
     [l = 1, 2, ...] with cumulative rounding, so the total count matches
-    {!total} to within one wire and sparse tails are preserved. *)
+    {!total} to within one wire and sparse tails are preserved.
+
+    Every bin is bit-identical to evaluating the closed form term by
+    term at each length: per term [(l^(a+1) - l1^(a+1)) / (a+1)] (or
+    [log (l / l1)] when [a = -1]), summed left to right from 0.0.  What
+    does not depend on the length is computed once per call — the
+    normalization, each term's [l1^(a+1)] and the whole region-I
+    integral — and the bins are written in ascending order straight into
+    an array ({!Dist.of_array} still validates them).  Nothing is cached
+    across calls. *)
 
 val generate_meters : params -> pitch:float -> Dist.t
 (** {!generate} followed by scaling lengths by the effective gate pitch in

@@ -963,6 +963,9 @@ let reference_repeaters_needed ?(eta_cap = 1_000_000) dev line ~s ~target l =
       in
       Some (search 1 eta_best)
 
+(* Half the targets are a delay [wire_delay ~eta:k l] itself, so that
+   the search's verdict at [k] turns on the delay's last bit: a kernel
+   whose delays differ from [wire_delay]'s in any bit fails here. *)
 let prop_repeaters_needed_matches_reference =
   qtest ~count:500 "repeaters_needed = a wire_delay search"
     QCheck2.Gen.(
@@ -970,17 +973,22 @@ let prop_repeaters_needed_matches_reference =
       let* pair = int_range 0 3 in
       let* log_l = float_range (log 1e-6) (log 2e-2) in
       let* factor = float_range 0.02 1.2 in
+      let* tie = bool in
       let* own_s = bool in
       let* s = float_range 1.0 200.0 in
       let* eta_cap = oneof [ return None; map Option.some (int_range 1 60) ] in
-      return (node, pair, exp log_l, factor, own_s, s, eta_cap))
-    (fun (node, j, l, factor, own_s, s, eta_cap) ->
+      return (node, pair, exp log_l, factor, tie, own_s, s, eta_cap))
+    (fun (node, j, l, factor, tie, own_s, s, eta_cap) ->
       let arch = Ir_ia.Arch.make ~design:(Ir_core.Rank.baseline_design node) () in
       let p = Ir_ia.Arch.pair arch j in
       let dev = arch.Ir_ia.Arch.device and line = p.Ir_ia.Layer_pair.line in
       let s = if own_s then p.Ir_ia.Layer_pair.s_opt else s in
       let target =
-        factor *. Ir_delay.Model.wire_delay dev line ~s ~eta:1 l
+        if tie then
+          let eta_best = Ir_delay.Model.eta_opt dev line ~s l in
+          let k = 1 + int_of_float (factor /. 1.2 *. float_of_int (eta_best - 1)) in
+          Ir_delay.Model.wire_delay dev line ~s ~eta:k l
+        else factor *. Ir_delay.Model.wire_delay dev line ~s ~eta:1 l
       in
       let got =
         Ir_delay.Model.repeaters_needed ?eta_cap dev line ~s ~target l
