@@ -150,13 +150,12 @@ let repeater_tables ~arch ~noise_limit ~targets bunches =
     let need = ref None in
     for b = 0 to n - 1 do
       let { Ir_wld.Dist.length = l; count } = bunches.(b) in
-      if
-        not
-          (noisy
-          || b > 0
-             && l = bunches.(b - 1).Ir_wld.Dist.length
-             && targets.(b) = targets.(b - 1))
-      then
+      let same_as_previous =
+        b > 0
+        && l = bunches.(b - 1).Ir_wld.Dist.length
+        && targets.(b) = targets.(b - 1)
+      in
+      if not (noisy || same_as_previous) then
         need :=
           Ir_delay.Model.repeaters_needed device line ~s ~target:targets.(b)
             l;

@@ -44,12 +44,17 @@ let eta_opt_continuous ?(coeffs = default_coeffs) dev line l =
   l *. sqrt (coeffs.a *. line.r_per_m *. line.c_per_m
              /. stage_intrinsic coeffs dev)
 
-let eta_opt ?(coeffs = default_coeffs) dev line ~s l =
-  let cont = eta_opt_continuous ~coeffs dev line l in
+(* The better of the two integers around the continuous optimum [cont]
+   under the delay function [d]. *)
+let round_eta ~d cont =
   let lo = max 1 (int_of_float (Float.floor cont)) in
   let hi = lo + 1 in
-  let d eta = wire_delay ~coeffs dev line ~s ~eta l in
   if d lo <= d hi then lo else hi
+
+let eta_opt ?(coeffs = default_coeffs) dev line ~s l =
+  round_eta
+    ~d:(fun eta -> wire_delay ~coeffs dev line ~s ~eta l)
+    (eta_opt_continuous ~coeffs dev line l)
 
 let min_delay ?(coeffs = default_coeffs) dev line ~s l =
   let eta = eta_opt ~coeffs dev line ~s l in
@@ -74,9 +79,7 @@ let repeaters_needed ?(coeffs = default_coeffs) ?(eta_cap = 1_000_000) dev
   if delay 1 <= target then Some 1
   else
     let eta_best =
-      let cont = eta_opt_continuous ~coeffs dev line l in
-      let lo = max 1 (int_of_float (Float.floor cont)) in
-      if delay lo <= delay (lo + 1) then lo else lo + 1
+      round_eta ~d:delay (eta_opt_continuous ~coeffs dev line l)
     in
     if eta_best > eta_cap || delay (min eta_best eta_cap) > target then None
     else begin
