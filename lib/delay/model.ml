@@ -27,14 +27,29 @@ let segment_delay ?(coeffs = default_coeffs) dev line ~s l =
   +. (per_meter coeffs dev line ~s *. l)
   +. (coeffs.a *. line.r_per_m *. line.c_per_m *. l *. l)
 
+(* The eta-independent terms of Eq. (3) for a wire of length [l]:
+   [delay_at] sums them at [eta] in [wire_delay]'s association, so a
+   caller that evaluates many [eta] for one wire computes them once and
+   gets [wire_delay]'s bits.  [a r c l l / eta] parses as
+   [(a r c l l) / eta], hence [q /. eta]. *)
+type terms = { si : float; pm : float; q : float }
+
+let terms coeffs dev line ~s l =
+  if l < 0.0 then invalid_arg "Model.wire_delay: negative length";
+  {
+    si = stage_intrinsic coeffs dev;
+    pm = per_meter coeffs dev line ~s *. l;
+    q = coeffs.a *. line.r_per_m *. line.c_per_m *. l *. l;
+  }
+
+let delay_at t eta =
+  let eta_f = float_of_int eta in
+  (t.si *. eta_f) +. t.pm +. (t.q /. eta_f)
+
 let wire_delay ?(coeffs = default_coeffs) dev line ~s ~eta l =
   check_s s;
   if eta < 1 then invalid_arg "Model.wire_delay: eta must be >= 1";
-  if l < 0.0 then invalid_arg "Model.wire_delay: negative length";
-  let eta_f = float_of_int eta in
-  (stage_intrinsic coeffs dev *. eta_f)
-  +. (per_meter coeffs dev line ~s *. l)
-  +. (coeffs.a *. line.r_per_m *. line.c_per_m *. l *. l /. eta_f)
+  delay_at (terms coeffs dev line ~s l) eta
 
 let s_opt (dev : Ir_tech.Device.t) line =
   Float.max 1.0
@@ -60,22 +75,12 @@ let min_delay ?(coeffs = default_coeffs) dev line ~s l =
   let eta = eta_opt ~coeffs dev line ~s l in
   wire_delay ~coeffs dev line ~s ~eta l
 
-(* The eta-independent terms of [wire_delay] are hoisted out of the
-   search: [delay eta] is [wire_delay ~eta l] bit for bit, since each
-   term is the same expression over the same inputs and the sum keeps
-   [wire_delay]'s association.  [eta_best] is [eta_opt]'s choice, made
-   from the same delays. *)
+(* [delay eta] is [wire_delay ~eta l] from terms computed once per
+   call.  [eta_best] is [eta_opt]'s choice, made from the same delays. *)
 let repeaters_needed ?(coeffs = default_coeffs) ?(eta_cap = 1_000_000) dev
     line ~s ~target l =
   check_s s;
-  if l < 0.0 then invalid_arg "Model.wire_delay: negative length";
-  let si = stage_intrinsic coeffs dev in
-  let pm = per_meter coeffs dev line ~s *. l in
-  let q = coeffs.a *. line.r_per_m *. line.c_per_m *. l *. l in
-  let delay eta =
-    let eta_f = float_of_int eta in
-    (si *. eta_f) +. pm +. (q /. eta_f)
-  in
+  let delay = delay_at (terms coeffs dev line ~s l) in
   if delay 1 <= target then Some 1
   else
     let eta_best =

@@ -3,7 +3,7 @@
 let bunches_of ~bunch_size c =
   (c / bunch_size) + if c mod bunch_size > 0 then 1 else 0
 
-(* The scaled lengths are checked as [Dist.of_bins] checks them.  With
+(* The scaled lengths are checked by [Dist.of_bins]' own check.  With
    [pitch > 0] the scaling is monotone, so the bins stay ascending and
    only neighbours can become equal; those merge, as [Dist.of_bins]
    merges them.  Each bin then splits into bunches, written longest bin
@@ -18,10 +18,7 @@ let bunch ~bunch_size ~pitch d =
   Array.iter
     (fun (b : Dist.bin) ->
       let l = b.length *. pitch in
-      if not (l > 0.0) then
-        invalid_arg "Coarsen.bunch: scaled lengths must be > 0";
-      if l = infinity then
-        invalid_arg "Coarsen.bunch: scaled lengths must be finite";
+      Dist.check_length l;
       if !m > 0 && lengths.(!m - 1) = l then
         counts.(!m - 1) <- counts.(!m - 1) + b.count
       else begin

@@ -19,8 +19,9 @@ val bunch : bunch_size:int -> pitch:float -> Dist.t -> Dist.bin array
     Total wire count is preserved exactly, and every scaled length is
     the float [l *. pitch], so the result equals bunching
     [Dist.map_length (fun l -> l *. pitch) d] bit for bit.
-    @raise Invalid_argument if [bunch_size <= 0], or if a scaled length
-    is not positive and finite. *)
+    @raise Invalid_argument if [bunch_size <= 0], or, with
+    {!Dist.check_length}'s errors, if a scaled length is not positive
+    and finite. *)
 
 val bunch_count : bunch_size:int -> Dist.t -> int
 (** Number of bunches [bunch ~bunch_size ~pitch:1.0] would produce,

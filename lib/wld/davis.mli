@@ -56,7 +56,7 @@ val generate : params -> Dist.t
     does not depend on the length is computed once per call — the
     normalization, each term's [l1^(a+1)] and the whole region-I
     integral — and the bins are written in ascending order straight into
-    an array ({!Dist.of_array} still validates them).  Nothing is cached
+    an array that {!Dist.of_array} validates and keeps.  Nothing is cached
     across calls. *)
 
 val generate_meters : params -> pitch:float -> Dist.t

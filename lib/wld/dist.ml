@@ -1,15 +1,19 @@
 type bin = { length : float; count : int } [@@deriving show, eq]
 type t = { bins : bin array; total : int } [@@deriving show, eq]
 
+let check_length l =
+  if not (l > 0.0) then invalid_arg "Dist.of_bins: lengths must be > 0";
+  if l = infinity then invalid_arg "Dist.of_bins: lengths must be finite"
+
 let check_bin b =
   if b.count < 0 then invalid_arg "Dist.of_bins: negative count";
-  if not (b.length > 0.0) then invalid_arg "Dist.of_bins: lengths must be > 0";
-  if b.length = infinity then invalid_arg "Dist.of_bins: lengths must be finite"
+  check_length b.length
 
 let total_of bins = Array.fold_left (fun acc b -> acc + b.count) 0 bins
 
 (* Drops empty bins, sorts by length (stably) and merges equal lengths. *)
-let canonicalize bins =
+let of_bins bins =
+  List.iter check_bin bins;
   let nonzero = List.filter (fun b -> b.count > 0) bins in
   let sorted = List.sort (fun a b -> Float.compare a.length b.length) nonzero in
   let merged =
@@ -25,20 +29,14 @@ let canonicalize bins =
   let bins = Array.of_list merged in
   { bins; total = total_of bins }
 
-let of_bins bins =
-  List.iter check_bin bins;
-  canonicalize bins
-
 let of_array a =
-  Array.iter check_bin a;
-  let canonical = ref true in
   Array.iteri
     (fun i b ->
+      check_bin b;
       if b.count = 0 || (i > 0 && not (a.(i - 1).length < b.length)) then
-        canonical := false)
+        invalid_arg "Dist.of_array: bins must be non-empty and ascending")
     a;
-  if !canonical then { bins = Array.copy a; total = total_of a }
-  else canonicalize (Array.to_list a)
+  { bins = a; total = total_of a }
 
 let bins t = Array.copy t.bins
 let total t = t.total

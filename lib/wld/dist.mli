@@ -18,10 +18,15 @@ val of_bins : bin list -> t
     positive and finite (NaN and [infinity] included). *)
 
 val of_array : bin array -> t
-(** [of_array a] is [of_bins (Array.to_list a)], with the same checks
-    and errors.  An array already in canonical form (positive counts,
-    strictly ascending lengths) skips the sort and merge.  The array is
-    copied. *)
+(** [of_array a] is [of_bins (Array.to_list a)] for an [a] already in
+    canonical form: positive counts and strictly ascending lengths.  It
+    takes ownership of [a], which the caller must not change afterwards.
+    @raise Invalid_argument with {!of_bins}' errors on a bad bin, or on
+    an empty bin or lengths that do not strictly ascend. *)
+
+val check_length : float -> unit
+(** The length check of {!of_bins}, with its errors.
+    @raise Invalid_argument if the length is not positive and finite. *)
 
 val bins : t -> bin array
 (** The bins, ascending by length.  The array is fresh. *)

@@ -40,7 +40,14 @@ let test_wire_delay_eq3 () =
     (Ir_delay.Model.wire_delay device line ~s ~eta:5 l);
   Alcotest.check_raises "eta 0 rejected"
     (Invalid_argument "Model.wire_delay: eta must be >= 1") (fun () ->
-      ignore (Ir_delay.Model.wire_delay device line ~s ~eta:0 l))
+      ignore (Ir_delay.Model.wire_delay device line ~s ~eta:0 l));
+  Alcotest.check_raises "negative length rejected"
+    (Invalid_argument "Model.wire_delay: negative length") (fun () ->
+      ignore (Ir_delay.Model.wire_delay device line ~s ~eta:1 (-1.0)));
+  Alcotest.check_raises "negative length rejected by repeaters_needed"
+    (Invalid_argument "Model.wire_delay: negative length") (fun () ->
+      ignore
+        (Ir_delay.Model.repeaters_needed device line ~s ~target:1.0 (-1.0)))
 
 let test_s_opt_formula () =
   check_close "Eq. (4)"
@@ -110,6 +117,28 @@ let prop_repeaters_needed_minimal =
           && (eta = 1
              || Ir_delay.Model.wire_delay device line ~s ~eta:(eta - 1) l
                 > target))
+
+(* Eq. (3) written out as one expression, in the association the model
+   uses.  [wire_delay] and [repeaters_needed] share the model's
+   hoisted terms, so this test-side copy is what pins their bits. *)
+let prop_wire_delay_bits =
+  qtest ~count:500 "wire_delay = Eq. (3) written out, bit for bit"
+    QCheck2.Gen.(
+      triple (float_range 0.001 20.0) (float_range 1.0 200.0)
+        (int_range 1 2000))
+    (fun (lmm, s, eta) ->
+      let l = mm lmm in
+      let eta_f = float_of_int eta in
+      let eq3 =
+        (0.7 *. device.r_o *. (device.c_o +. device.c_p) *. eta_f)
+        +. (0.7
+            *. ((2.2e-10 *. device.r_o /. s) +. (3.2e5 *. device.c_o *. s))
+            *. l)
+        +. (0.4 *. 3.2e5 *. 2.2e-10 *. l *. l /. eta_f)
+      in
+      Int64.equal
+        (Int64.bits_of_float eq3)
+        (Int64.bits_of_float (Ir_delay.Model.wire_delay device line ~s ~eta l)))
 
 let prop_min_delay_increases_with_rc =
   qtest "min delay increases with line RC"
@@ -270,6 +299,7 @@ let () =
           Alcotest.test_case "repeaters_needed" `Quick test_repeaters_needed;
           prop_delay_convex_in_eta;
           prop_repeaters_needed_minimal;
+          prop_wire_delay_bits;
           prop_min_delay_increases_with_rc;
         ] );
       ( "elmore",

@@ -151,6 +151,32 @@ let test_dist_infinite_length () =
            (fun l -> l *. infinity)
            (Ir_wld.Dist.of_bins [ { Ir_wld.Dist.length = 1.0; count = 1 } ])))
 
+(* [of_array] keeps a canonical array as [of_bins] would build it and
+   refuses any other. *)
+let test_dist_of_array () =
+  let b l c = { Ir_wld.Dist.length = l; count = c } in
+  let canonical = [ b 1.0 3; b 2.5 1; b 4.0 7 ] in
+  Alcotest.(check bool) "canonical = of_bins" true
+    (Ir_wld.Dist.equal
+       (Ir_wld.Dist.of_array (Array.of_list canonical))
+       (Ir_wld.Dist.of_bins canonical));
+  List.iter
+    (fun (name, bins, msg) ->
+      Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+          ignore (Ir_wld.Dist.of_array (Array.of_list bins))))
+    [
+      ("empty bin", [ b 1.0 3; b 2.0 0 ],
+       "Dist.of_array: bins must be non-empty and ascending");
+      ("equal lengths", [ b 1.0 3; b 1.0 2 ],
+       "Dist.of_array: bins must be non-empty and ascending");
+      ("descending", [ b 2.0 3; b 1.0 2 ],
+       "Dist.of_array: bins must be non-empty and ascending");
+      ("negative count", [ b 1.0 (-1) ], "Dist.of_bins: negative count");
+      ("NaN length", [ b nan 1 ], "Dist.of_bins: lengths must be > 0");
+      ("infinite length", [ b 1.0 1; b infinity 1 ],
+       "Dist.of_bins: lengths must be finite");
+    ]
+
 let test_bunching () =
   let d =
     Ir_wld.Dist.of_bins
@@ -217,10 +243,10 @@ let test_bunch_rejects_bad_pitch () =
         (Invalid_argument msg)
         (fun () -> ignore (Ir_wld.Coarsen.bunch ~bunch_size:3 ~pitch d)))
     [
-      (0.0, "Coarsen.bunch: scaled lengths must be > 0");
-      (-1.0, "Coarsen.bunch: scaled lengths must be > 0");
-      (nan, "Coarsen.bunch: scaled lengths must be > 0");
-      (infinity, "Coarsen.bunch: scaled lengths must be finite");
+      (0.0, "Dist.of_bins: lengths must be > 0");
+      (-1.0, "Dist.of_bins: lengths must be > 0");
+      (nan, "Dist.of_bins: lengths must be > 0");
+      (infinity, "Dist.of_bins: lengths must be finite");
     ]
 
 let test_binning () =
@@ -709,6 +735,8 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_dist_basics;
           Alcotest.test_case "validation" `Quick test_dist_validation;
+          Alcotest.test_case "of_array takes canonical bins only" `Quick
+            test_dist_of_array;
           Alcotest.test_case "infinite lengths rejected" `Quick
             test_dist_infinite_length;
         ] );
