@@ -9,6 +9,7 @@ let stat_early = Ir_obs.counter "greedy_fill/early_exits"
 let stat_take_adjust = Ir_obs.counter "greedy_fill/take_adjustments"
 let stat_fast_fail = Ir_obs.counter "greedy_fill/fast_fails"
 let stat_below_hits = Ir_obs.counter "greedy_fill/below_hits"
+let stat_top_walks = Ir_obs.counter "greedy_fill/top_walks"
 
 type context = {
   from_bunch : int;
@@ -33,6 +34,19 @@ let context ?(top_pair_used = 0.0) ?(wires_above_top = 0)
     reps_above_below;
   }
 
+(* A pair's load with [x] more wires of one bunch on it: [a_w] wire-area
+   already packed, the [x] wires' area, and the via blockage of everything
+   above the pair ([base_wires] non-suffix wires, the [suffix_above - x]
+   suffix wires still unplaced, [reps] repeaters).  The one expression
+   behind [max_take]'s capacity inequality and the top-pair screen's
+   ends. *)
+let[@inline] load ~a_w ~x ~wire_area ~via ~vf ~base_wires ~suffix_above ~reps =
+  a_w
+  +. (float_of_int x *. wire_area)
+  +. (via
+     *. ((vf *. float_of_int (base_wires + suffix_above - x))
+        +. float_of_int reps))
+
 (* Max wires of one bunch that fit on pair q.
 
    Condition for x wires (given a_w wire-area already on q, and
@@ -53,12 +67,7 @@ let max_take ~cap ~a_w ~wire_area ~via ~v ~base_wires ~reps ~suffix_above
      every candidate is verified against this predicate, which is the
      single source of truth. *)
   let ok x =
-    a_w
-    +. (float_of_int x *. wire_area)
-    +. (via
-       *. ((vf *. float_of_int (base_wires + suffix_above - x))
-          +. float_of_int reps))
-    <= cap
+    load ~a_w ~x ~wire_area ~via ~vf ~base_wires ~suffix_above ~reps <= cap
   in
   let net = wire_area -. (vf *. via) in
   if net <= 0.0 then
@@ -139,6 +148,50 @@ let fast_reject t ctx =
   done;
   !demand_lb > !avail_ub *. (1.0 +. 1e-9)
 
+(* The top pair's verdict from the two ends of its walk.  The walk takes
+   whole bunches shortest first ([rem] wires of bunch [next], then
+   bunches [next - 1] down to [from_bunch]) and fits iff [load] stays
+   within [cap_q] after every bunch.  In exact arithmetic the load is
+   convex in the wires taken (each wire adds its area less the via stack
+   it stops blocking, and wire areas never decrease along the walk), so
+   its largest sample is the first bunch's or the last's.  The first end
+   is the walk's own first test, bit for bit; the last end takes its
+   routing area from the prefix table.  An end within [slack] of [cap_q]
+   leaves the verdict to the walk; greedy_fill.mli derives the slack. *)
+type screen = Reject | Accept | Walk
+
+let top_screen t ctx ~next ~rem ~suffix_above =
+  let arch = Problem.arch t in
+  let pair = Ir_ia.Arch.pair arch ctx.top_pair in
+  let via = pair.Ir_ia.Layer_pair.via_area in
+  let vf = float_of_int arch.Ir_ia.Arch.vias_per_wire in
+  let base_wires = ctx.wires_above_top and reps = ctx.reps_above_top in
+  let cap_q = Problem.capacity t -. ctx.top_pair_used in
+  let wire_area = Problem.bunch_length t next *. Ir_ia.Layer_pair.pitch pair in
+  let first =
+    load ~a_w:0.0 ~x:rem ~wire_area ~via ~vf ~base_wires ~suffix_above ~reps
+  in
+  if first > cap_q then Reject
+  else begin
+    let n = Problem.n_bunches t in
+    let last =
+      load
+        ~a_w:
+          (Problem.interval_area t ~pair:ctx.top_pair ~lo:ctx.from_bunch
+             ~hi:next)
+        ~x:rem ~wire_area ~via ~vf ~base_wires ~suffix_above:rem ~reps
+    in
+    let slack =
+      float_of_int ((4 * n) + 64)
+      *. epsilon_float
+      *. (Problem.interval_area t ~pair:ctx.top_pair ~lo:0 ~hi:n
+         +. Float.abs last +. Float.abs cap_q +. Float.abs first)
+    in
+    if last > cap_q +. slack then Reject
+    else if first <= cap_q -. slack && last <= cap_q -. slack then Accept
+    else Walk
+  end
+
 (* Packing runs in two stages.  The pairs strictly below the top pair
    read only [t], [from_bunch], [top_pair], [wires_above_below] and
    [reps_above_below], the key of a [Scratch.below]; the top pair also
@@ -148,7 +201,9 @@ let fast_reject t ctx =
    stage then runs the same float operations in the same order as a
    full pack, so the verdict and the early-exit count are the same;
    only the work counters ([wires_packed], [take_adjustments]) see
-   less. *)
+   less.  The top pair is decided by [top_screen]: [fits] walks it only
+   when the screen leaves the verdict to the walk, [pack] also when it
+   accepts, to record the placements. *)
 let run ?scratch t ctx ~record =
   Ir_obs.incr stat_calls;
   let n = Problem.n_bunches t in
@@ -160,6 +215,8 @@ let run ?scratch t ctx ~record =
   if ctx.wires_above_top < 0 || ctx.reps_above_top < 0
      || ctx.wires_above_below < 0 || ctx.reps_above_below < 0 then
     invalid_arg "Greedy_fill: negative context counts";
+  if not (Float.is_finite ctx.top_pair_used) then
+    invalid_arg "Greedy_fill: top_pair_used must be finite";
   if fast_reject t ctx then begin
     Ir_obs.incr stat_fast_fail;
     None
@@ -258,11 +315,18 @@ let run ?scratch t ctx ~record =
         Ir_obs.incr stat_early;
         true
       end
-      else begin
-        fill ctx.top_pair;
-        settle ();
-        !next < from
-      end
+      else
+        match
+          top_screen t ctx ~next:!next ~rem:!rem
+            ~suffix_above:(total_suffix - !packed)
+        with
+        | Reject -> false
+        | Accept when not record -> true
+        | verdict ->
+            if verdict = Walk then Ir_obs.incr stat_top_walks;
+            fill ctx.top_pair;
+            settle ();
+            !next < from
     in
     Ir_obs.add stat_wires (!packed - packed_below);
     if ok then Some (List.rev !placements) else None

@@ -93,7 +93,10 @@ val fast_reject : Problem.t -> context -> bool
 val pack : Problem.t -> context -> placement list option
 (** Packs the suffix; returns placements (bottom-up order) or [None] when
     it does not fit.
-    @raise Invalid_argument on out-of-range context fields.
+    @raise Invalid_argument on out-of-range context fields, negative
+    counts, or a [top_pair_used] that is not finite (NaN would make
+    every capacity test false, and the top-pair screen's slack assumes
+    finite loads).
 
     Both entry points first run {!fast_reject}: a context it rejects
     skips the packing loop (counter [greedy_fill/fast_fails]).  The
@@ -103,7 +106,48 @@ val pack : Problem.t -> context -> placement list option
 
     The packing walks the suffix with a cursor from its shortest
     bunch: packing is strictly shortest-first, so only one bunch is
-    ever partly packed, and no per-call working array is built. *)
+    ever partly packed, and no per-call working array is built.
+
+    {b Top-pair screen.}  Once the pairs below [top_pair] are packed,
+    the top pair takes what is left whole, bunch by bunch, shortest
+    first ([rem] wires of the cursor's bunch [next], then bunches
+    [next - 1] down to [from_bunch]), and the suffix fits iff after
+    each bunch the pair's load [A_k + via·(v·(base + R_k) + reps)] is
+    at most [cap_q = capacity - top_pair_used] ([A_k] the routing area
+    taken so far, [R_k] the suffix wires still unplaced; this is
+    {!max_take}'s capacity inequality).  In exact arithmetic each wire
+    taken changes the load by its area minus the via stack it no longer
+    blocks, and wire areas never decrease along the walk (bunches are
+    non-increasing in length by index), so the load is convex in the
+    wires taken: its largest value after any bunch is the {e first}
+    bunch's or the {e last}'s.  The screen evaluates both ends in O(1):
+    - [first], the load after the cursor's [rem] wires, by the walk's
+      own expression (one private helper serves both), so [first >
+      cap_q] is the walk's own first reject, bit for bit;
+    - [last = rem·w(next) + interval_area top [from_bunch, next)
+      + via·(v·base + reps)], the load with the whole suffix on the
+      pair, from the prefix table.
+    With [slack = (4n + 64)·ε·(area_total(top) + |last| + |cap_q| +
+    |first|)] ([n] bunches, [ε = epsilon_float], [area_total(top)] the
+    top pair's whole prefix table), the screen rejects when [first >
+    cap_q] or [last > cap_q + slack], accepts when both ends are at
+    most [cap_q - slack], and leaves the band between to the walk
+    (counter [greedy_fill/top_walks]).  The slack covers both roundings
+    against the exact loads: the walk's sequential sum of at most [n]
+    products plus the blockage term and the final additions, at most
+    about [(n + 6)·u] times the sum of its non-negative terms ([u =
+    ε/2]), and the prefix difference's two sequential sums and the
+    cancellation of their difference, at most about [(2n + 8)·u] times
+    the table total plus [last].  Together that is under half the
+    stated slack.  So a reject means the walk's float load exceeds
+    [cap_q] at its last step (or first), and an accept means it stays
+    within [cap_q] at every step: the screen's verdicts are the walk's.
+    [fits] decides a screened call without walking the top pair; [pack]
+    returns [None] on a reject without walking it and walks it on an
+    accept, to record the placements.  The [calls], [fast_fails],
+    [early_exits] and [below_hits] counters are those of an unscreened
+    walk; [wires_packed] and [take_adjustments] count only the wires
+    and adjustments walked. *)
 
 val fits : ?scratch:Scratch.t -> Problem.t -> context -> bool
 (** {!pack} without materializing the placement list.

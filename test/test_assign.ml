@@ -575,7 +575,10 @@ let prop_staged_pack_matches_reference =
     let* steps = list_size (int_range 1 40) gen_step in
     return (a, b, steps)
   in
-  let names = [ "calls"; "fast_fails"; "early_exits"; "below_hits"; "wires_packed" ] in
+  let names =
+    [ "calls"; "fast_fails"; "early_exits"; "below_hits"; "wires_packed";
+      "top_walks" ]
+  in
   let counters = List.map greedy_counter names in
   let read () = List.map Ir_obs.value counters in
   qtest ~count:200 "staged packer matches the array-based packer" gen
@@ -619,13 +622,18 @@ let prop_staged_pack_matches_reference =
         let key = (!pi, from_bunch, top_pair, !wb, !rb) in
         let hit = (not r.r_fast_fail) && !last_key = Some key in
         if not r.r_fast_fail then last_key := Some key;
-        let expect ~hit =
+        (* The top stage's wires count only where the top pair was
+           walked: [fits] walks it when the screen leaves the verdict to
+           the walk (counted on [top_walks]), [pack] also when it fits. *)
+        let expect ~hit ~walked ~band =
           [
             1;
             Bool.to_int r.r_fast_fail;
             Bool.to_int r.r_early;
             Bool.to_int hit;
-            (if hit then r.r_packed - r.r_packed_below else r.r_packed);
+            (if hit then 0 else r.r_packed_below)
+            + (if walked then r.r_packed - r.r_packed_below else 0);
+            Bool.to_int band;
           ]
         in
         let measure f =
@@ -637,6 +645,11 @@ let prop_staged_pack_matches_reference =
           measure (fun () -> GF.fits ~scratch:arena problem ctx)
         in
         let placements, d_pack = measure (fun () -> GF.pack problem ctx) in
+        let band = List.nth d_fits 5 = 1 in
+        let expect_fits = expect ~hit ~walked:band ~band in
+        let expect_pack =
+          expect ~hit:false ~walked:(band || placements <> None) ~band
+        in
         let show d = String.concat "," (List.map string_of_int d) in
         let where =
           Printf.sprintf "%s: fb=%d tp=%d used=%.17g wt=%d rt=%d wb=%d rb=%d"
@@ -648,12 +661,15 @@ let prop_staged_pack_matches_reference =
         else if not (Option.equal (List.equal GF.equal_placement) placements
                        r.r_placements)
         then QCheck2.Test.fail_reportf "%s: pack placements differ" where
-        else if d_fits <> expect ~hit then
+        else if band && (r.r_fast_fail || r.r_early) then
+          QCheck2.Test.fail_reportf "%s: top pair walked after %s" where
+            (if r.r_early then "an early exit" else "a fast fail")
+        else if d_fits <> expect_fits then
           QCheck2.Test.fail_reportf "%s: fits counters (%s) <> expected (%s)"
-            where (show d_fits) (show (expect ~hit))
-        else if d_pack <> expect ~hit:false then
+            where (show d_fits) (show expect_fits)
+        else if d_pack <> expect_pack then
           QCheck2.Test.fail_reportf "%s: pack counters (%s) <> expected (%s)"
-            where (show d_pack) (show (expect ~hit:false))
+            where (show d_pack) (show expect_pack)
         else true
       in
       ignore (check problems.(0));
@@ -671,6 +687,191 @@ let prop_staged_pack_matches_reference =
           | Switch -> pi := 1 - !pi);
           check problems.(!pi))
         steps)
+
+(* ---- top-pair screen against the walk --------------------------------- *)
+
+(* The length at which a wire's routing area on [pair] equals the via
+   blockage it stops causing ([l * pitch = v * via]): shorter wires lower
+   the pair's load when packed onto it, so the first end of the top-pair
+   walk can bind. *)
+let crossover_length problem pair =
+  let arch = P.arch problem in
+  let p = Ir_ia.Arch.pair arch pair in
+  float_of_int arch.Ir_ia.Arch.vias_per_wire
+  *. p.Ir_ia.Layer_pair.via_area
+  /. Ir_ia.Layer_pair.pitch p
+
+(* A multi-wire instance and a context on it.  Half the instances take
+   their lengths from the top pair's crossover (a tenth to three times
+   it), so some wires free more blockage than their area.  Half scale
+   their counts so the suffix's routing area on the top pair is a fifth
+   to all of the capacity of the pairs from it down: the top pair's load
+   is then comparable to its capacity, and a step of one ulp in its used
+   area is a step of about one ulp in the room left. *)
+let gen_screen_case =
+  let open QCheck2.Gen in
+  let* { problem; label } = Helpers.gen_instance_of ~pairs:(int_range 1 4) in
+  let n = P.n_bunches problem and m = P.n_pairs problem in
+  let* top_pair = int_range 0 (m - 1) in
+  let* short = bool in
+  let* factors = array_repeat n (float_range 0.1 3.0) in
+  let* weights = array_repeat n (int_range 1 6) in
+  let* fill = option ~ratio:0.5 (float_range 0.2 1.0) in
+  let lengths =
+    if not short then Array.init n (P.bunch_length problem)
+    else begin
+      let l = crossover_length problem top_pair in
+      let lengths = Array.map (fun f -> f *. l) factors in
+      Array.sort (fun a b -> Float.compare b a) lengths;
+      lengths
+    end
+  in
+  let counts =
+    match fill with
+    | None -> weights
+    | Some f ->
+        let pitch =
+          Ir_ia.Layer_pair.pitch (Ir_ia.Arch.pair (P.arch problem) top_pair)
+        in
+        let share =
+          f *. float_of_int (m - top_pair) *. P.capacity problem
+          /. float_of_int (Array.fold_left ( + ) 0 weights)
+        in
+        Array.mapi
+          (fun b w ->
+            max 1
+              (int_of_float
+                 (Float.min 1e9
+                    (share *. float_of_int w /. (lengths.(b) *. pitch)))))
+          weights
+  in
+  let bunches =
+    Array.init n (fun b -> { Ir_wld.Dist.length = lengths.(b); count = counts.(b) })
+  in
+  let label =
+    Printf.sprintf "%s%s counts=[%s]" label
+      (if short then " short" else "")
+      (String.concat ";" (Array.to_list (Array.map string_of_int counts)))
+  in
+  let problem = P.of_bunches ~arch:(P.arch problem) ~bunches () in
+  let* from_bunch = int_range 0 (n - 1) in
+  let* wt = int_range 0 40 in
+  let* rt = int_range 0 400 in
+  let* wb = int_range 0 20 in
+  let* rb = int_range 0 400 in
+  let* ulps = int_range (-64) 64 in
+  return ({ problem; label }, top_pair, from_bunch, (wt, rt, wb, rb), ulps)
+
+let rec ulp_step x k =
+  if k > 0 then ulp_step (Float.succ x) (k - 1)
+  else if k < 0 then ulp_step (Float.pred x) (k + 1)
+  else x
+
+(* The largest top-pair load at which the reference still fits (0 if
+   none does), bisected to adjacent floats. *)
+let largest_fitting_load problem ctx =
+  let fits u = (reference_pack problem (ctx u)).r_placements <> None in
+  if not (fits 0.0) then 0.0
+  else begin
+    let lo = ref 0.0 and hi = ref (P.capacity problem) in
+    if fits !hi then lo := !hi;
+    while Float.succ !lo < !hi do
+      let mid = 0.5 *. (!lo +. !hi) in
+      let mid = if mid <= !lo || mid >= !hi then Float.succ !lo else mid in
+      if fits mid then lo := mid else hi := mid
+    done;
+    !lo
+  end
+
+let prop_top_screen_matches_walk =
+  qtest ~count:300 "top-pair screen = walk" gen_screen_case
+    (fun ({ problem; label }, top_pair, from_bunch, (wt, rt, wb, rb), ulps) ->
+      let ctx top_pair_used =
+        GF.context ~top_pair_used ~wires_above_top:wt ~reps_above_top:rt
+          ~wires_above_below:wb ~reps_above_below:rb ~from_bunch ~top_pair ()
+      in
+      let used = ulp_step (largest_fitting_load problem ctx) ulps in
+      let ctx = ctx used in
+      let want = (reference_pack problem ctx).r_placements in
+      let fits = GF.fits problem ctx and placements = GF.pack problem ctx in
+      let where =
+        Printf.sprintf "%s: fb=%d tp=%d used=%h (%+d ulps) wt=%d rt=%d wb=%d rb=%d"
+          label from_bunch top_pair used ulps wt rt wb rb
+      in
+      if fits <> Option.is_some want then
+        QCheck2.Test.fail_reportf "%s: fits %b, reference %b" where fits
+          (not fits)
+      else if not (Option.equal (List.equal GF.equal_placement) placements want)
+      then QCheck2.Test.fail_reportf "%s: pack placements differ" where
+      else true)
+
+(* The property above, and proof that its calls reach the walk: a
+   screen whose band never holds a call would pass it without the walk's
+   verdict ever being compared. *)
+let test_top_screen_matches_walk () =
+  let walks () =
+    counter_in (Ir_obs.snapshot ()) "greedy_fill/top_walks"
+  in
+  let before = walks () in
+  let _, _, run = prop_top_screen_matches_walk in
+  run ();
+  Alcotest.(check bool) "some top stages were left to the walk" true
+    (walks () > before)
+
+(* Frozen: wires shorter than the crossover on the only available pair,
+   so each one packed lowers the load and the first bunch's load is the
+   largest.  The pair's room is set between the two ends: the last end
+   fits, the first does not, and the walk rejects at its first test. *)
+let test_top_screen_first_end () =
+  let shell = fixed_instance () in
+  let arch = P.arch shell in
+  let top_pair = P.n_pairs shell - 1 in
+  let l = crossover_length shell top_pair in
+  let bunches =
+    Array.of_list
+      (List.map
+         (fun (f, count) -> { Ir_wld.Dist.length = f *. l; count })
+         [ (0.5, 3); (0.4, 4); (0.3, 5) ])
+  in
+  let p = P.of_bunches ~arch ~bunches () in
+  let pair = Ir_ia.Arch.pair arch top_pair in
+  let via = pair.Ir_ia.Layer_pair.via_area in
+  let v = float_of_int arch.Ir_ia.Arch.vias_per_wire in
+  let total = P.total_wires p and rem = P.bunch_count p 2 in
+  let first =
+    (float_of_int rem *. (P.bunch_length p 2 *. Ir_ia.Layer_pair.pitch pair))
+    +. (via *. (v *. float_of_int (total - rem)))
+  in
+  let last = P.interval_area p ~pair:top_pair ~lo:0 ~hi:3 in
+  let cap = P.capacity p in
+  let used = cap -. (0.5 *. (first +. last)) in
+  let ctx = GF.context ~top_pair_used:used ~from_bunch:0 ~top_pair () in
+  let cap_q = cap -. used in
+  Alcotest.(check bool) "first end above the room, last end within" true
+    (first > cap_q && cap_q >= last);
+  let read name = counter_in (Ir_obs.snapshot ()) ("greedy_fill/" ^ name) in
+  let fails = read "fast_fails" and walks = read "top_walks" in
+  Alcotest.(check bool) "reference rejects" true
+    ((reference_pack p ctx).r_placements = None);
+  Alcotest.(check bool) "fits rejects" false (GF.fits p ctx);
+  Alcotest.(check bool) "pack rejects" true (GF.pack p ctx = None);
+  Alcotest.(check int) "no capacity-screen reject" fails (read "fast_fails");
+  Alcotest.(check int) "decided without a walk" walks (read "top_walks")
+
+let test_top_pair_used_finite () =
+  let p = fixed_instance () in
+  List.iter
+    (fun used ->
+      let ctx = GF.context ~top_pair_used:used ~from_bunch:0 ~top_pair:0 () in
+      let raises what f =
+        Alcotest.check_raises
+          (Printf.sprintf "%s %h" what used)
+          (Invalid_argument "Greedy_fill: top_pair_used must be finite")
+          (fun () -> ignore (f ()))
+      in
+      raises "fits" (fun () -> GF.fits p ctx);
+      raises "pack" (fun () -> GF.pack p ctx))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
 
 (* ---- memoized suffix-fit ----------------------------------------------- *)
 
@@ -1139,6 +1340,12 @@ let () =
           Alcotest.test_case "capacity fast-fail" `Quick
             test_greedy_fill_fast_fail;
           prop_staged_pack_matches_reference;
+          Alcotest.test_case "top-pair screen = walk" `Quick
+            test_top_screen_matches_walk;
+          Alcotest.test_case "top-pair screen: first end binds" `Quick
+            test_top_screen_first_end;
+          Alcotest.test_case "non-finite top_pair_used rejected" `Quick
+            test_top_pair_used_finite;
           prop_greedy_fill_monotone_budget;
           prop_greedy_fill_suffix_monotone;
           prop_max_take_maximal;

@@ -1198,11 +1198,13 @@ let prop_hinted_search_matches_cold =
       && check "fan" (Ir_core.Rank_dp.search_tables ~probe_fan:3 tables))
 
 let test_counter_canary () =
-  (* Frozen mid-size instance; the measured footprint when this canary was
-     recorded was 5483 witness probes and 733197 packed wires (with the
-     greedy-fill capacity screen already deflecting 75 of 83 suffix
-     checks).  The ceilings leave ~25% headroom: a change that bursts them
-     is doing materially more feasibility work per search and should be
+  (* Frozen mid-size instance; the measured footprint is 4265 witness
+     probes and 587927 packed wires over 8 greedy-fill calls, none of
+     them deflected by the capacity screen (733197 packed wires before
+     the top-pair screen decided the top pair from its two ends).  The
+     ceilings were set when this canary was recorded at 5483 probes and
+     733197 wires, with ~25% headroom: a change that bursts them is
+     doing materially more feasibility work per search and should be
      understood, not ratified by bumping the numbers. *)
   let p = baseline_130nm_small () in
   let before = Ir_obs.snapshot () in
