@@ -1,24 +1,33 @@
 (* Flat struct-of-arrays Pareto-front store for the phase-A rank DP.
 
-   One [t] holds every (pair, bunch) cell of a DP build: per cell a
-   fixed-capacity slice of parallel Bigarray planes sorted area-ascending
-   (hence, by the Pareto invariant, count-descending).  A dominance check
-   is a binary search over the slice; [Rank_dp]'s inlined pre-check
-   places a sorted run of candidates by one forward walk instead,
-   searching only for the first and after each insert.  Insertion is an
-   in-place blit shift, and the interval splits previously carried by
-   every state as an [int list] live in a compact parent-pointer arena
-   instead — the hot loop allocates nothing per insert (the arena grows
-   only for states that actually enter a front, by doubling).
+   One [t] holds every (pair, bunch) cell of a DP build.  A cell that
+   holds a state owns a slice of [stride = width + 1] slots in parallel
+   planes, sorted area-ascending (hence, by the Pareto invariant,
+   count-descending); a cell that never held one owns nothing.  A dense
+   per-cell index gives each cell's length and the first slot of its
+   slice, or [no_slice].  A cell gets its slice on its first state
+   ({!seed} or the {!insert} that places it), slices are handed out in
+   that order, and the planes grow by doubling (from [first_slices])
+   when a slice does not fit, so the store's size follows the live
+   states rather than the cell count: the 180nm/6M build of perfbench's
+   [cross_widen] hands out 2,669 slices for 19,272 cells, and a no-fit
+   build none.
 
-   The planes are flat [Bigarray.Array1] buffers rather than OCaml
-   arrays: unboxed float64 / native-int storage outside the OCaml heap,
-   so a grid of resident builds (the whole-sweep wavefront kernel holds
-   one store per parameter plane concurrently) costs the minor GC
-   nothing to scan.
-   Access cost is the same as [float array] — [Array1] float64 reads are
-   unboxed — and the blit shift is a [memmove], which tolerates the
-   overlapping ranges the insertion shuffle produces.
+   A dominance check is a binary search over the slice; [Rank_dp]'s
+   inlined pre-check places a sorted run of candidates by one forward
+   walk instead, searching only for the first and after each insert.
+   Insertion is an in-place blit shift, and the interval splits
+   previously carried by every state as an [int list] live in a compact
+   parent-pointer arena instead — the hot loop allocates nothing per
+   insert (the planes grow only when a cell gets its first state, the
+   arena only for states that actually enter a front, both by doubling).
+
+   The planes are OCaml [float array] / [int array]s, not Bigarrays: a
+   float array is never scanned by the GC, and an int array holds
+   immediates only, so its stores need no write barrier.  Off-heap
+   Bigarray bytes count toward the major GC's pace, which is what made
+   dense per-cell planes cost a major collection every few builds
+   (DESIGN §13).
 
    The semantics are exactly those of the historical list-based kernel
    (kept as the reference implementation in [test_core.ml]'s differential
@@ -27,41 +36,18 @@
    keeps the [width - 1] smallest-area states plus the min-count last
    one. *)
 
-type farray = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-type iarray = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-let falloc len : farray =
-  let a = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len in
-  Bigarray.Array1.fill a 0.0;
-  a
-
-let ialloc ?(init = 0) len : iarray =
-  let a = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len in
-  Bigarray.Array1.fill a init;
-  a
-
-(* memmove-backed blit between (possibly overlapping) ranges of the same
-   plane — the insertion shuffle moves a cell's tail up by one slot. *)
-let fblit (a : farray) ~src ~dst ~len =
-  if len > 0 then
-    Bigarray.Array1.blit
-      (Bigarray.Array1.sub a src len)
-      (Bigarray.Array1.sub a dst len)
-
-let iblit (a : iarray) ~src ~dst ~len =
-  if len > 0 then
-    Bigarray.Array1.blit
-      (Bigarray.Array1.sub a src len)
-      (Bigarray.Array1.sub a dst len)
-
 type t = {
   width : int;  (* max states per cell (max_pareto) *)
   stride : int;  (* width + 1: one slack slot for the overflow shuffle *)
   cells : int;
-  area : farray;  (* cells * stride, area-ascending per cell *)
-  count : iarray;  (* cells * stride, count-descending per cell *)
-  state : iarray;  (* cells * stride, arena id per element *)
-  len : iarray;  (* cells *)
+  len : int array;  (* per cell: its live length *)
+  base : int array;  (* per cell: its slice's first slot, or [no_slice] *)
+  mutable slices : int;  (* slices handed out *)
+  (* [slices * stride] slots in use, area-ascending and count-descending
+     per slice; the capacity doubles when a slice does not fit. *)
+  mutable area : float array;
+  mutable count : int array;
+  mutable state : int array;  (* arena id per element *)
   (* Parent-pointer arena: one (split, parent) pair per live state.  Ids
      are stable across growth.  Slots of evicted states are recycled
      through a free list threaded via [arena_parent]: the DP build only
@@ -74,8 +60,8 @@ type t = {
      10M-gate N90 bench cell reached 70.8M slots (~GBs of int arrays,
      doubling copies and page-fault churn) against a live-state peak
      three orders of magnitude smaller. *)
-  mutable arena_split : iarray;
-  mutable arena_parent : iarray;
+  mutable arena_split : int array;
+  mutable arena_parent : int array;
   mutable arena_len : int;  (* slots ever touched: free list + live *)
   mutable arena_free : int;  (* head of the free list, or [no_parent] *)
   mutable arena_live : int;
@@ -87,20 +73,28 @@ type t = {
 }
 
 let no_parent = -1
+let no_slice = -1
 
-(* A store with empty fronts and an arena of [arena] slots. *)
-let make ~cells ~width ~arena =
+(* The planes' first size, in slices.  Small, so that the first slices
+   of a build cost little and small builds grow their planes too. *)
+let first_slices = 8
+
+(* A store with empty fronts, room for [slices] slices and an arena of
+   [arena] slots. *)
+let make ~cells ~width ~slices ~arena =
   let stride = width + 1 in
   {
     width;
     stride;
     cells;
-    area = falloc (cells * stride);
-    count = ialloc (cells * stride);
-    state = ialloc ~init:no_parent (cells * stride);
-    len = ialloc cells;
-    arena_split = ialloc arena;
-    arena_parent = ialloc ~init:no_parent arena;
+    len = Array.make cells 0;
+    base = Array.make cells no_slice;
+    slices = 0;
+    area = Array.make (slices * stride) 0.0;
+    count = Array.make (slices * stride) 0;
+    state = Array.make (slices * stride) no_parent;
+    arena_split = Array.make arena 0;
+    arena_parent = Array.make arena no_parent;
     arena_len = 0;
     arena_free = no_parent;
     arena_live = 0;
@@ -113,13 +107,41 @@ let make ~cells ~width ~arena =
 let create ~cells ~width =
   if cells <= 0 then invalid_arg "Front.create: cells must be positive";
   if width <= 0 then invalid_arg "Front.create: width must be positive";
-  make ~cells ~width ~arena:256
+  make ~cells ~width ~slices:0 ~arena:256
+
+(* [a] copied into a fresh array of [size] elements, the rest [fill]. *)
+let grown a size fill =
+  let a' = Array.make size fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+(* The first slot of [cell]'s slice, handing the cell the next slice if
+   it has none.  Growing the planes moves every slice but keeps its
+   base, so a caller's raw views go stale here and its bases do not. *)
+let slice t cell =
+  let b = t.base.(cell) in
+  if b <> no_slice then b
+  else begin
+    let b = t.slices * t.stride in
+    let cap = Array.length t.area in
+    if b + t.stride > cap then begin
+      let size = max (first_slices * t.stride) (2 * cap) in
+      t.area <- grown t.area size 0.0;
+      t.count <- grown t.count size 0;
+      t.state <- grown t.state size no_parent
+    end;
+    t.base.(cell) <- b;
+    t.slices <- t.slices + 1;
+    b
+  end
 
 (* A decoded store: state [s] of the given order gets arena id [s], so
-   the arena holds the live states and nothing else.  Only what keeps
-   the store well formed is checked here — lengths within the width,
-   the state count, parents that precede their children (so {!splits}
-   terminates); the Pareto order is the decoder's to validate. *)
+   the arena holds the live states and nothing else, and each non-empty
+   cell gets one slice, so the planes hold them and nothing else.  Only
+   what keeps the store well formed is checked here — lengths within
+   the width, the state count, parents that precede their children (so
+   {!splits} terminates); the Pareto order is the decoder's to
+   validate. *)
 let restore ~width ~len ~area ~count ~split ~parent =
   let bad what = invalid_arg ("Front.restore: " ^ what) in
   let cells = Array.length len and states = Array.length area in
@@ -130,25 +152,29 @@ let restore ~width ~len ~area ~count ~split ~parent =
     || Array.length split <> states
     || Array.length parent <> states
   then bad "state arrays differ in length";
-  (* One spare slot, so a later insert's doubling has a size to double. *)
-  let t = make ~cells ~width ~arena:(states + 1) in
+  let filled = Array.fold_left (fun k l -> if l > 0 then k + 1 else k) 0 len in
+  (* One spare arena slot, so a later insert's doubling has a size to
+     double. *)
+  let t = make ~cells ~width ~slices:filled ~arena:(states + 1) in
   let s = ref 0 in
   Array.iteri
     (fun c l ->
       if l < 0 || l > width then bad "length out of range";
       if !s + l > states then bad "fewer states than the lengths hold";
-      for k = 0 to l - 1 do
-        let id = !s + k in
-        if parent.(id) < no_parent || parent.(id) >= id then
-          bad "a parent does not precede its child";
-        let at = (c * t.stride) + k in
-        t.area.{at} <- area.(id);
-        t.count.{at} <- count.(id);
-        t.state.{at} <- id;
-        t.arena_split.{id} <- split.(id);
-        t.arena_parent.{id} <- parent.(id)
-      done;
-      t.len.{c} <- l;
+      if l > 0 then begin
+        let base = slice t c in
+        for k = 0 to l - 1 do
+          let id = !s + k in
+          if parent.(id) < no_parent || parent.(id) >= id then
+            bad "a parent does not precede its child";
+          t.area.(base + k) <- area.(id);
+          t.count.(base + k) <- count.(id);
+          t.state.(base + k) <- id;
+          t.arena_split.(id) <- split.(id);
+          t.arena_parent.(id) <- parent.(id)
+        done
+      end;
+      t.len.(c) <- l;
       s := !s + l)
     len;
   if !s <> states then bad "more states than the lengths hold";
@@ -159,22 +185,23 @@ let restore ~width ~len ~area ~count ~split ~parent =
 
 let width t = t.width
 let cells t = t.cells
-let length t cell = t.len.{cell}
-let area t cell k = t.area.{(cell * t.stride) + k}
-let count t cell k = t.count.{(cell * t.stride) + k}
-let state t cell k = t.state.{(cell * t.stride) + k}
-let split t id = t.arena_split.{id}
-let parent t id = t.arena_parent.{id}
+let length t cell = t.len.(cell)
+let area t cell k = t.area.(t.base.(cell) + k)
+let count t cell k = t.count.(t.base.(cell) + k)
+let state t cell k = t.state.(t.base.(cell) + k)
+let split t id = t.arena_split.(id)
+let parent t id = t.arena_parent.(id)
 
 (* Area-ascending order makes the minimum the first element. *)
-let min_area t cell = t.area.{cell * t.stride}
-let stride t = t.stride
+let min_area t cell = t.area.(t.base.(cell))
+let base t cell = t.base.(cell)
 
-(* The backing planes are never reallocated (only the arena grows), so
-   these aliases stay valid for the lifetime of [t]. *)
+(* [area] and [count] are replaced when a slice does not fit (see
+   [slice]); the index arrays never are. *)
 let raw_area t = t.area
 let raw_count t = t.count
 let raw_len t = t.len
+let slices t = t.slices
 let inserts t = t.inserts
 let dominated t = t.dominated
 let truncations t = t.truncations
@@ -184,27 +211,22 @@ let alloc_state t ~split ~parent =
   let id =
     if t.arena_free <> no_parent then begin
       let id = t.arena_free in
-      t.arena_free <- t.arena_parent.{id};
+      t.arena_free <- t.arena_parent.(id);
       id
     end
     else begin
-      let cap = Bigarray.Array1.dim t.arena_split in
+      let cap = Array.length t.arena_split in
       if t.arena_len = cap then begin
-        let splits = ialloc (2 * cap) in
-        let parents = ialloc ~init:no_parent (2 * cap) in
-        Bigarray.Array1.blit t.arena_split (Bigarray.Array1.sub splits 0 cap);
-        Bigarray.Array1.blit t.arena_parent
-          (Bigarray.Array1.sub parents 0 cap);
-        t.arena_split <- splits;
-        t.arena_parent <- parents
+        t.arena_split <- grown t.arena_split (2 * cap) 0;
+        t.arena_parent <- grown t.arena_parent (2 * cap) no_parent
       end;
       let id = t.arena_len in
       t.arena_len <- id + 1;
       id
     end
   in
-  t.arena_split.{id} <- split;
-  t.arena_parent.{id} <- parent;
+  t.arena_split.(id) <- split;
+  t.arena_parent.(id) <- parent;
   t.arena_live <- t.arena_live + 1;
   if t.arena_live > t.arena_hw then t.arena_hw <- t.arena_live;
   id
@@ -213,33 +235,34 @@ let alloc_state t ~split ~parent =
    the insert-before-expand discipline documented on the arena fields:
    nothing live can still point at [id]. *)
 let release_state t id =
-  t.arena_parent.{id} <- t.arena_free;
+  t.arena_parent.(id) <- t.arena_free;
   t.arena_free <- id;
   t.arena_live <- t.arena_live - 1
 
 let seed t cell ~area ~count =
-  if t.len.{cell} <> 0 then invalid_arg "Front.seed: cell not empty";
-  let base = cell * t.stride in
-  t.area.{base} <- area;
-  t.count.{base} <- count;
-  t.state.{base} <- alloc_state t ~split:(-1) ~parent:no_parent;
-  t.len.{cell} <- 1
+  if t.len.(cell) <> 0 then invalid_arg "Front.seed: cell not empty";
+  let base = slice t cell in
+  t.area.(base) <- area;
+  t.count.(base) <- count;
+  t.state.(base) <- alloc_state t ~split:(-1) ~parent:no_parent;
+  t.len.(cell) <- 1
 
 let insert t cell ~area:a ~count:c ~split ~parent =
   t.inserts <- t.inserts + 1;
-  let base = cell * t.stride in
-  let n = t.len.{cell} in
+  let n = t.len.(cell) in
+  (* An empty cell takes every candidate, so it gets its slice here. *)
+  let base = if n = 0 then slice t cell else t.base.(cell) in
   (* Upper bound: first index whose area exceeds [a]. *)
   let lo = ref 0 and hi = ref n in
   while !hi > !lo do
     let mid = (!lo + !hi) / 2 in
-    if t.area.{base + mid} <= a then lo := mid + 1 else hi := mid
+    if t.area.(base + mid) <= a then lo := mid + 1 else hi := mid
   done;
   let p = !lo in
   (* Everything in [0, p) has area <= a; counts descend, so the last of
      them carries their minimum count — it dominates the candidate iff
      any element does. *)
-  if p > 0 && t.count.{base + p - 1} <= c then
+  if p > 0 && t.count.(base + p - 1) <= c then
     t.dominated <- t.dominated + 1
   else begin
     (* Elements dominated by the candidate (area >= a and count >= c)
@@ -247,23 +270,24 @@ let insert t cell ~area:a ~count:c ~split ~parent =
        p — or at p - 1 when that element ties on area, in which case the
        dominance check above guarantees its count exceeds c — and
        count >= c is a prefix. *)
-    let s = if p > 0 && t.area.{base + p - 1} = a then p - 1 else p in
+    let s = if p > 0 && t.area.(base + p - 1) = a then p - 1 else p in
     let lo = ref s and hi = ref n in
     while !hi > !lo do
       let mid = (!lo + !hi) / 2 in
-      if t.count.{base + mid} >= c then lo := mid + 1 else hi := mid
+      if t.count.(base + mid) >= c then lo := mid + 1 else hi := mid
     done;
     let q = !lo in
     for d = s to q - 1 do
-      release_state t t.state.{base + d}
+      release_state t t.state.(base + d)
     done;
+    (* [Array.blit] handles the overlapping ranges of the shuffle. *)
     let tail = n - q in
-    fblit t.area ~src:(base + q) ~dst:(base + s + 1) ~len:tail;
-    iblit t.count ~src:(base + q) ~dst:(base + s + 1) ~len:tail;
-    iblit t.state ~src:(base + q) ~dst:(base + s + 1) ~len:tail;
-    t.area.{base + s} <- a;
-    t.count.{base + s} <- c;
-    t.state.{base + s} <- alloc_state t ~split ~parent;
+    Array.blit t.area (base + q) t.area (base + s + 1) tail;
+    Array.blit t.count (base + q) t.count (base + s + 1) tail;
+    Array.blit t.state (base + q) t.state (base + s + 1) tail;
+    t.area.(base + s) <- a;
+    t.count.(base + s) <- c;
+    t.state.(base + s) <- alloc_state t ~split ~parent;
     let n' = n - (q - s) + 1 in
     if n' > t.width then begin
       (* Dropping a non-dominated state: the DP may now under-report the
@@ -272,14 +296,14 @@ let insert t cell ~area:a ~count:c ~split ~parent =
          min-count last one (the same rule as the list kernel). *)
       t.truncations <- t.truncations + (n' - t.width);
       for d = t.width - 1 to n' - 2 do
-        release_state t t.state.{base + d}
+        release_state t t.state.(base + d)
       done;
-      t.area.{base + t.width - 1} <- t.area.{base + n' - 1};
-      t.count.{base + t.width - 1} <- t.count.{base + n' - 1};
-      t.state.{base + t.width - 1} <- t.state.{base + n' - 1};
-      t.len.{cell} <- t.width
+      t.area.(base + t.width - 1) <- t.area.(base + n' - 1);
+      t.count.(base + t.width - 1) <- t.count.(base + n' - 1);
+      t.state.(base + t.width - 1) <- t.state.(base + n' - 1);
+      t.len.(cell) <- t.width
     end
-    else t.len.{cell} <- n'
+    else t.len.(cell) <- n'
   end
 
 let splits t id =
@@ -289,7 +313,7 @@ let splits t id =
   let rec walk id acc =
     if id = no_parent then acc
     else
-      let split = t.arena_split.{id} in
-      if split < 0 then acc else walk t.arena_parent.{id} (split :: acc)
+      let split = t.arena_split.(id) in
+      if split < 0 then acc else walk t.arena_parent.(id) (split :: acc)
   in
   walk id []

@@ -1,17 +1,18 @@
 (** Flat struct-of-arrays Pareto-front store for the phase-A rank DP.
 
     A single value holds the fronts of {e every} DP cell of one
-    {!Rank_dp.build_tables} run as pre-allocated parallel flat
-    [Bigarray.Array1] planes: per cell, areas ascend strictly and
-    repeater counts descend strictly (the Pareto invariant), so a
-    dominance check is an O(log width) binary search and an insertion an
-    in-place [memmove] shift.  A sorted run of candidates (one source
-    front shifted by a fixed cost) needs no search per element: its
-    positions never decrease, so {!Rank_dp}'s inlined pre-check places
-    the run by one forward walk over {!raw_area}.  The hot loop performs
-    no per-insert allocation, and the planes live outside the OCaml heap
-    so a grid of resident stores (one per parameter plane of a
-    {!Rank_grid} wavefront run) adds nothing to minor-GC scan work.  The interval split carried
+    {!Rank_dp.build_tables} run.  A cell that holds a state owns a slice
+    of parallel flat planes, handed out when the cell gets its first
+    state; a cell that never holds one owns nothing, so the store grows
+    with the live states, not with the cell count.  Per cell, areas
+    ascend strictly and repeater counts descend strictly (the Pareto
+    invariant), so a dominance check is an O(log width) binary search
+    and an insertion an in-place shift.  A sorted run of candidates (one
+    source front shifted by a fixed cost) needs no search per element:
+    its positions never decrease, so {!Rank_dp}'s inlined pre-check
+    places the run by one forward walk over {!raw_area}.  The hot loop
+    performs no per-insert allocation; the planes grow, by doubling,
+    only when a cell gets its first state.  The interval split carried
     by each state lives in a compact growable parent-pointer arena;
     {!splits} rebuilds the historical [splits : int list] on demand (only
     for the O(log n) witness probes, never in the build loop).
@@ -24,15 +25,11 @@
 
 type t
 
-type farray =
-  (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type iarray = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
 val create : cells : int -> width : int -> t
-(** [create ~cells ~width] pre-allocates [cells] empty fronts of capacity
-    [width] ([max_pareto]) each.  Raises [Invalid_argument] unless both
-    are positive. *)
+(** [create ~cells ~width] is a store of [cells] empty fronts of capacity
+    [width] ([max_pareto]) each.  It allocates the per-cell index only:
+    a cell's slots come with its first state.  Raises [Invalid_argument]
+    unless both are positive. *)
 
 val width : t -> int
 
@@ -73,16 +70,23 @@ val min_area : t -> int -> float
     Aliases of the live internal planes, for callers whose inner loop
     cannot afford a function call per element (without flambda, every
     call boxes float arguments and returns).  Element [k] of [cell]
-    lives at index [cell * stride t + k]; the live length of a cell is
-    [(raw_len t).{cell}].  The aliases stay valid for the lifetime of
-    [t] and reflect mutations made by {!insert}.  Never write through
+    lives at index [base t cell + k]; the live length of a cell is
+    [(raw_len t).(cell)].  [raw_len] stays valid for the lifetime of
+    [t], and so does a cell's [base] once it is not [-1].  [raw_area]
+    and [raw_count] stay valid only until the next {!seed} or {!insert}
+    into an empty cell, which hands that cell its slice and may move the
+    planes to larger arrays.  Re-read the views, and the base of the
+    cell inserted into, after every {!insert}.  Never write through
     them — all updates must go through {!seed} and {!insert} or the
     Pareto invariant and the statistics break. *)
 
-val stride : t -> int
-val raw_area : t -> farray
-val raw_count : t -> iarray
-val raw_len : t -> iarray
+val base : t -> int -> int
+(** The index of the cell's first element in {!raw_area} and
+    {!raw_count}, or [-1] while the cell has never held a state. *)
+
+val raw_area : t -> float array
+val raw_count : t -> int array
+val raw_len : t -> int array
 
 (** {1 Building} *)
 
@@ -101,7 +105,8 @@ val insert :
     exceeds [width], the smallest-area [width - 1] elements plus the
     min-count last one are kept and {!truncations} grows by the number
     dropped.  [parent] is the arena id of the predecessor state
-    ({!Front.state}), or [-1] for a root. *)
+    ({!Front.state}), or [-1] for a root.  An insert into an empty cell
+    hands the cell its slice (see {!slices}). *)
 
 val restore :
   width:int ->
@@ -116,7 +121,8 @@ val restore :
     decoded table snapshot: cell [c] holds the next [len.(c)] states,
     in order, and state [s] gets arena id [s] with split [split.(s)]
     and parent [parent.(s)] (an earlier state's id, or [-1]).  The
-    arena holds the live states and nothing else.  Raises
+    arena holds the live states and nothing else, and each non-empty
+    cell gets one slice, so the planes hold them and nothing else.  Raises
     [Invalid_argument] unless every length is within [width], the
     lengths add up to the state count and each parent precedes its
     child — what keeps the store's accessors and {!splits} well
@@ -131,6 +137,10 @@ val splits : t -> int -> int list
     per-state representation carried inline. *)
 
 (** {1 Statistics} *)
+
+val slices : t -> int
+(** Cells that have been handed a slice: every cell that ever held a
+    state.  Reported to the [rank_dp/front_slices] gauge. *)
 
 val inserts : t -> int
 val dominated : t -> int

@@ -26,6 +26,7 @@ let stat_hint_saved = Ir_obs.counter "rank_dp/hint_saved_probes"
 let stat_fan_rounds = Ir_obs.counter "rank_dp/probe_fan_rounds"
 
 let gauge_arena = Ir_obs.gauge "rank_dp/front_arena_states"
+let gauge_slices = Ir_obs.gauge "rank_dp/front_slices"
 let span_build = Ir_obs.span "rank_dp/build_tables"
 let span_search = Ir_obs.span "rank_dp/search"
 
@@ -157,10 +158,10 @@ let complete b = b.b_level >= b.b_m - 1
    forward from [from], which the caller guarantees is the position of
    an earlier candidate with area <= [a] against the unchanged slice.
    Inlined, so [a] stays unboxed without flambda. *)
-let[@inline] position (f_area : Front.farray) ~dbase ~dlen ~from a =
+let[@inline] position (f_area : float array) ~dbase ~dlen ~from a =
   if from >= 0 then begin
     let p = ref from in
-    while !p < dlen && f_area.{dbase + !p} <= a do
+    while !p < dlen && f_area.(dbase + !p) <= a do
       incr p
     done;
     !p
@@ -169,7 +170,7 @@ let[@inline] position (f_area : Front.farray) ~dbase ~dlen ~from a =
     let lo = ref 0 and hi = ref dlen in
     while !hi > !lo do
       let mid = (!lo + !hi) / 2 in
-      if f_area.{dbase + mid} <= a then lo := mid + 1 else hi := mid
+      if f_area.(dbase + mid) <= a then lo := mid + 1 else hi := mid
     done;
     !lo
   end
@@ -327,11 +328,15 @@ let builder_step b =
        [p].  A [Front.insert] reshapes the destination, so [p] resets to
        -1 and the next candidate is placed by binary search again.
        Every position is the one the binary search would return, so
-       every decision is unchanged. *)
-    let f_area = Front.raw_area front in
-    let f_count = Front.raw_count front in
+       every decision is unchanged.
+
+       An insert into an empty cell hands the cell its slice and may
+       move the planes, so after every [Front.insert] the views and the
+       destination's base are read again.  Bases of non-empty cells
+       never move, so [sbase] stays valid. *)
+    let f_area = ref (Front.raw_area front) in
+    let f_count = ref (Front.raw_count front) in
     let f_len = Front.raw_len front in
-    let stride = Front.stride front in
     (* The row's champion: keys, area and reach ([-1]: none yet). *)
     let two_r_n = 2.0 *. P.meeting_area problem ~pair:j ~lo:0 ~hi:n in
     let champ_reach = ref (-1) and champ_area = ref 0.0 in
@@ -340,14 +345,14 @@ let builder_step b =
       let src = cell ~n j i in
       let len = Front.length front src in
       if len > 0 then begin
-        let sbase = src * stride in
+        let sbase = Front.base front src in
         b.b_states <- b.b_states + len;
         let wires_above = P.wires_before problem i in
         let min_area = Front.min_area front src in
         for k = 0 to len - 1 do
           blocked_k.(k) <-
             P.blocked problem ~pair:j ~wires_above
-              ~reps_above:f_count.{sbase + k}
+              ~reps_above:!f_count.(sbase + k)
         done;
         let r_i = P.meeting_area problem ~pair:j ~lo:0 ~hi:i in
         let c_i = P.meeting_count problem ~pair:j ~lo:0 ~hi:i in
@@ -371,12 +376,12 @@ let builder_step b =
               e > i
               && !k < len
               &&
-              let a = f_area.{sbase + !k} in
-              f_count.{sbase + !k} - c_i >= !champ_key_c
+              let a = !f_area.(sbase + !k) in
+              !f_count.(sbase + !k) - c_i >= !champ_key_c
               && a -. r_i -. !champ_key_a
                  > slack *. (a +. !champ_area +. two_r_n)
             do
-              let a = f_area.{sbase + !k} and blocked = blocked_k.(!k) in
+              let a = !f_area.(sbase + !k) and blocked = blocked_k.(!k) in
               skip_end.(!k) <-
                 (if passes problem ~j ~i ~budget ~cap ~a ~blocked e then e
                  else
@@ -395,17 +400,20 @@ let builder_step b =
           if screened.(i) then b.b_cells_screened <- b.b_cells_screened + 1
           else begin
             let dst = cell ~n (j + 1) i in
-            let dbase = dst * stride in
+            let dbase = ref (Front.base front dst) in
             let p = ref (-1) in
             for k = 0 to len - 1 do
-              let a = f_area.{sbase + k} in
-              let c = f_count.{sbase + k} in
-              p := position f_area ~dbase ~dlen:f_len.{dst} ~from:!p a;
-              if !p > 0 && f_count.{dbase + !p - 1} <= c then
+              let a = !f_area.(sbase + k) in
+              let c = !f_count.(sbase + k) in
+              p := position !f_area ~dbase:!dbase ~dlen:f_len.(dst) ~from:!p a;
+              if !p > 0 && !f_count.(!dbase + !p - 1) <= c then
                 b.b_skipped <- b.b_skipped + 1
               else begin
                 Front.insert front dst ~area:a ~count:c ~split:i
                   ~parent:(Front.state front src k);
+                f_area := Front.raw_area front;
+                f_count := Front.raw_count front;
+                dbase := Front.base front dst;
                 p := -1
               end
             done
@@ -455,19 +463,23 @@ let builder_step b =
               let routing = P.interval_area problem ~pair:j ~lo:i ~hi:d in
               let d_count = P.meeting_count problem ~pair:j ~lo:i ~hi:d in
               let dst = cell ~n (j + 1) d in
-              let dbase = dst * stride in
+              let dbase = ref (Front.base front dst) in
               let p = ref (-1) in
               for k = 0 to len - 1 do
-                let a = f_area.{sbase + k} +. d_area in
-                let c = f_count.{sbase + k} + d_count in
+                let a = !f_area.(sbase + k) +. d_area in
+                let c = !f_count.(sbase + k) + d_count in
                 if a <= budget && routing +. blocked_k.(k) <= cap then begin
                   reach.(k) <- d;
-                  p := position f_area ~dbase ~dlen:f_len.{dst} ~from:!p a;
-                  if !p > 0 && f_count.{dbase + !p - 1} <= c then
+                  p :=
+                    position !f_area ~dbase:!dbase ~dlen:f_len.(dst) ~from:!p a;
+                  if !p > 0 && !f_count.(!dbase + !p - 1) <= c then
                     b.b_skipped <- b.b_skipped + 1
                   else begin
                     Front.insert front dst ~area:a ~count:c ~split:d
                       ~parent:(Front.state front src k);
+                    f_area := Front.raw_area front;
+                    f_count := Front.raw_count front;
+                    dbase := Front.base front dst;
                     p := -1
                   end
                 end
@@ -480,11 +492,11 @@ let builder_step b =
            it for the cells after. *)
         for k = 0 to len - 1 do
           if reach.(k) > !champ_reach then begin
-            let a = f_area.{sbase + k} in
+            let a = !f_area.(sbase + k) in
             champ_reach := reach.(k);
             champ_area := a;
             champ_key_a := a -. r_i;
-            champ_key_c := f_count.{sbase + k} - c_i
+            champ_key_c := !f_count.(sbase + k) - c_i
           end
         done
       end
@@ -508,6 +520,7 @@ let builder_finish b =
   Ir_obs.add stat_dominated (Front.dominated front + b.b_skipped);
   Ir_obs.add stat_truncations (Front.truncations front);
   Ir_obs.set_max gauge_arena (Front.arena_states front);
+  Ir_obs.set_max gauge_slices (Front.slices front);
   {
     problem = b.b_problem;
     front;
@@ -738,8 +751,10 @@ let decode_tables problem blob =
       above := row
     done;
     (* Restored tables are only searched (a widen retry rebuilds from
-       the problem), so the planes are sized to the longest cell rather
-       than to [max_pareto], which the blob states but does not fill. *)
+       the problem), so the store gets one slice per non-empty cell, as
+       wide as the longest cell rather than [max_pareto], which the blob
+       states but does not fill: the planes hold the live states and
+       little else. *)
     let width = Array.fold_left max 1 len in
     let front = Front.restore ~width ~len ~area ~count ~split ~parent in
     Ok { problem; front; n; m; max_pareto; truncations; ladder_prev = None }

@@ -649,6 +649,137 @@ let prop_front_insert_matches_reference =
         ops;
       check_stats_equal ~label front stats)
 
+(* A store of many cells: [roots] seeded root cells, then inserts into
+   the other cells, each parented to a root (roots are never inserted
+   into, so a parent is never evicted).  The cells are drawn at random,
+   so first inserts interleave: slices are handed out out of cell order
+   and the planes grow in mid-stream. *)
+let gen_multi_cell_stream =
+  let open QCheck2.Gen in
+  let* width = int_range 1 8 in
+  let* cells = int_range 2 64 in
+  let* roots = int_range 1 (min 4 (cells - 1)) in
+  let* ops =
+    list_size (int_range 1 200)
+      (quad
+         (int_range roots (cells - 1))
+         (map float_of_int (int_range 0 9))
+         (int_range 0 9) (int_bound (roots - 1)))
+  in
+  return (width, cells, roots, ops)
+
+(* The store [gen_multi_cell_stream] describes, with its reference
+   lists; [after] runs after every insert, given its index and cell. *)
+let multi_cell_store ?(after = fun _ _ _ _ _ -> ()) (width, cells, roots, ops)
+    =
+  let stats =
+    { r_inserts = 0; r_dominated = 0; r_truncations = 0; r_screened = 0 }
+  in
+  let front = Front.create ~cells ~width in
+  let reference = Array.make cells [] in
+  for c = 0 to roots - 1 do
+    Front.seed front c ~area:0.0 ~count:c;
+    reference.(c) <- [ { r_area = 0.0; r_count = c; r_splits = [] } ]
+  done;
+  List.iteri
+    (fun k (cell, area, count, root) ->
+      reference.(cell) <-
+        rinsert ~width ~stats reference.(cell)
+          { r_area = area; r_count = count; r_splits = [ k ] };
+      Front.insert front cell ~area ~count ~split:k
+        ~parent:(Front.state front root 0);
+      after front reference stats k cell)
+    ops;
+  (front, reference, stats)
+
+(* Every cell against its reference list and the tallies against the
+   reference's, after every insert.  Slices go to cells in the order of
+   their first state, one per non-empty cell, and none to an empty one.
+   The run fails if no stream ever moved the planes, which is what makes
+   a stale view show. *)
+let prop_front_multi_cell_matches_reference =
+  let moved = ref 0 in
+  let name, speed, run =
+    qtest ~count:300 "sparse store: interleaved cells match the list reference"
+      gen_multi_cell_stream (fun ((width, cells, roots, ops) as stream) ->
+        let label =
+          Printf.sprintf "width=%d cells=%d roots=%d n_ops=%d" width cells
+            roots (List.length ops)
+        in
+        (* Cells in the order they got their first state. *)
+        let order = ref (List.init roots Fun.id) in
+        let planes = ref [||] in
+        let after front reference stats k cell =
+          if not (List.mem cell !order) then order := !order @ [ cell ];
+          (* Insert 0 sees the planes the roots' slices came in. *)
+          if k > 0 && Front.raw_area front != !planes then incr moved;
+          planes := Front.raw_area front;
+          Array.iteri
+            (fun c r ->
+              ignore (check_cell_equal ~label front c r);
+              if r = [] && Front.base front c <> -1 then
+                QCheck2.Test.fail_reportf "%s: empty cell %d has a slice"
+                  label c)
+            reference;
+          ignore (check_stats_equal ~label front stats);
+          if Front.slices front <> List.length !order then
+            QCheck2.Test.fail_reportf "%s: %d slices for %d non-empty cells"
+              label (Front.slices front) (List.length !order);
+          let bases = List.map (Front.base front) !order in
+          if List.sort_uniq compare bases <> bases then
+            QCheck2.Test.fail_reportf
+              "%s: slices not handed out in first-state order" label
+        in
+        ignore (multi_cell_store ~after stream);
+        true)
+  in
+  ( name,
+    speed,
+    fun () ->
+      moved := 0;
+      run ();
+      if !moved = 0 then Alcotest.fail "no stream grew the planes" )
+
+(* [Front.restore] of a random store, fed the store's live states in
+   canonical order (cells in order, each area-ascending, parents as
+   canonical numbers), equals the store cell by cell, splits chains
+   included, with one slice per non-empty cell. *)
+let prop_front_restore_round_trip =
+  qtest ~count:300 "sparse store: restore equals the store cell by cell"
+    gen_multi_cell_stream (fun ((width, cells, _, _) as stream) ->
+      let front, reference, _ = multi_cell_store stream in
+      let len = Array.init cells (Front.length front) in
+      (* Canonical order: (cell, element) pairs, cells in order. *)
+      let states =
+        Array.of_list
+          (List.concat
+             (List.init cells (fun c -> List.init len.(c) (fun k -> (c, k)))))
+      in
+      let id (c, k) = Front.state front c k in
+      let number = Hashtbl.create 64 in
+      Array.iteri (fun s ck -> Hashtbl.replace number (id ck) s) states;
+      let restored =
+        Front.restore ~width ~len
+          ~area:(Array.map (fun (c, k) -> Front.area front c k) states)
+          ~count:(Array.map (fun (c, k) -> Front.count front c k) states)
+          ~split:(Array.map (fun ck -> Front.split front (id ck)) states)
+          ~parent:
+            (Array.map
+               (fun ck ->
+                 let p = Front.parent front (id ck) in
+                 if p < 0 then -1 else Hashtbl.find number p)
+               states)
+      in
+      let label = Printf.sprintf "width=%d cells=%d" width cells in
+      Array.iteri
+        (fun c r -> ignore (check_cell_equal ~label restored c r))
+        reference;
+      let filled = Array.fold_left (fun k l -> if l > 0 then k + 1 else k) 0 len in
+      if Front.slices restored <> filled then
+        QCheck2.Test.fail_reportf "%s: %d slices for %d non-empty cells" label
+          (Front.slices restored) filled
+      else true)
+
 (* The builder's per-cell capacity screen, restated from its definition:
    cell (j, i) is screened when bunches [i..n) cannot fit on pairs
    [j..m) even with no repeater above, by the greedy-fill counting
@@ -1553,6 +1684,64 @@ let test_tables_byte_stable () =
         (97_178, 94_510, 3_786_478));
     ]
 
+(* The store's allocation, pinned on the perfbench [cross_widen] cells:
+   a build hands out one slice per non-empty cell (the no-fit 3-pair
+   cell none, its builder seeding nothing), the [rank_dp/front_slices]
+   gauge reports it, and a decoded blob's store gets one slice per
+   non-empty cell too. *)
+let test_front_slices () =
+  let cross ?(structure = Ir_ia.Arch.baseline_structure) ~gates node =
+    Ir_core.Rank.problem_of_design ~structure
+      (Ir_core.Rank.baseline_design ~gates node)
+  in
+  let three_pair =
+    { Ir_ia.Arch.baseline_structure with Ir_ia.Arch.semi_global_pairs = 1 }
+  in
+  let non_empty front =
+    let k = ref 0 in
+    for c = 0 to Front.cells front - 1 do
+      if Front.length front c > 0 then incr k
+    done;
+    !k
+  in
+  List.iter
+    (fun (label, problem, slices) ->
+      Ir_obs.reset ();
+      let t = Ir_core.Rank_dp.build_tables problem in
+      let front = Ir_core.Rank_dp.front t in
+      Alcotest.(check int) (label ^ " slices") slices (Front.slices front);
+      Alcotest.(check int) (label ^ " non-empty cells") slices
+        (non_empty front);
+      Alcotest.(check (option int))
+        (label ^ " gauge")
+        (Some slices)
+        (Ir_obs.find_gauge (Ir_obs.snapshot ()) "rank_dp/front_slices");
+      match Ir_core.Rank_dp.decode_tables problem (encode t) with
+      | Ok d ->
+          let restored = Ir_core.Rank_dp.front d in
+          Alcotest.(check int) (label ^ " decoded slices") slices
+            (Front.slices restored);
+          Alcotest.(check int) (label ^ " decoded non-empty cells") slices
+            (non_empty restored)
+      | Error e -> Alcotest.failf "%s: blob rejected: %s" label (error_name e))
+    [
+      ("n90_4750k", cross ~gates:4_750_000 Ir_tech.Node.N90, 1_854);
+      ( "n90_4500k_3pair",
+        cross ~structure:three_pair ~gates:4_500_000 Ir_tech.Node.N90,
+        0 );
+      ("n180_6000k", cross ~gates:6_000_000 Ir_tech.Node.N180, 2_669);
+    ];
+  (* A no-fit builder seeds nothing and steps no level. *)
+  let b =
+    Ir_core.Rank_dp.builder
+      (cross ~structure:three_pair ~gates:4_500_000 Ir_tech.Node.N90)
+  in
+  Alcotest.(check bool) "no-fit builder has no level" false
+    (Ir_core.Rank_dp.builder_step b);
+  Alcotest.(check int) "no-fit builder slices" 0
+    (Front.slices (Ir_core.Rank_dp.front (Ir_core.Rank_dp.builder_finish b)));
+  Ir_obs.reset ()
+
 (* The decoder against the blob of real tables: the pristine blob
    restores tables that search identically; truncations, bit flips and
    the wrong problem are rejected, and none of them raises. *)
@@ -2372,6 +2561,10 @@ let () =
           Alcotest.test_case "range skip: filter end, truncation, break" `Quick
             test_range_skip_rare_paths;
           prop_front_insert_matches_reference;
+          prop_front_multi_cell_matches_reference;
+          prop_front_restore_round_trip;
+          Alcotest.test_case "slices: one per non-empty cell" `Quick
+            test_front_slices;
           prop_front_mirror_build;
           prop_front_mirror_build_4pair;
           prop_front_mirror_full_budget;
