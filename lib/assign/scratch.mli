@@ -12,8 +12,7 @@
 
     A [t] is single-user mutable state: never share one across
     concurrently running probes.  The intended lifecycle is one arena
-    per worker domain ({!with_arena}), or one arena owned by a
-    {!Suffix_fit} memo for its lifetime. *)
+    per worker domain ({!with_arena}). *)
 
 type below = {
   problem : Problem.t;  (** compared by [==]; a problem is immutable *)

@@ -150,7 +150,6 @@ let builder ?(max_pareto = 8) problem =
 
 (* Level j fills row j + 1, so the last row the search reads (m - 1) is
    filled by level m - 2: a build has m - 1 levels. *)
-let builder_levels b = b.b_m - 1
 let complete b = b.b_level >= b.b_m - 1
 
 (* The number of states in the destination slice [dbase, dbase + dlen)
@@ -771,32 +770,11 @@ let decode_tables problem blob =
    over it are filtered by the [e.area + m_area > budget] check (prefix
    areas only grow along a chain, so no over-budget prefix can lead to a
    within-budget witness). *)
-let feasible_witness ?memo ?gf tables c =
+let feasible_witness ?gf tables c =
   let { problem; front; n; m; _ } = tables in
   let cap = P.capacity problem in
   let budget = P.budget problem in
   let wires_c = P.wires_before problem c in
-  (* With a memo, the greedy-fill suffix check goes through the
-     [Suffix_fit] frontier cache (byte-identical verdicts, fewer oracle
-     packings); without one, straight to the oracle, which resumes at
-     the top pair from the [gf] arena while the fields the pairs below
-     read repeat (see [Greedy_fill.fits]).  The memo's oracle
-     runs against the problem it was created for — sound here because a
-     memo is only ever shared within a budget-rebound family and the
-     suffix check never reads the budget (see [rebudget]). *)
-  let suffix_fits ~top_pair_used ~wires_above_top ~reps_above_top
-      ~reps_above_below ~top_pair =
-    match memo with
-    | Some sf ->
-        Ir_assign.Suffix_fit.fits sf ~from_bunch:c ~top_pair ~top_pair_used
-          ~wires_above_top ~reps_above_top ~wires_above_below:wires_c
-          ~reps_above_below
-    | None ->
-        GF.fits ?scratch:gf problem
-          (GF.context ~top_pair_used ~wires_above_top ~reps_above_top
-             ~wires_above_below:wires_c ~reps_above_below ~from_bunch:c
-             ~top_pair ())
-  in
   let probes = ref 0 in
   let exception Found of witness in
   let result =
@@ -825,11 +803,17 @@ let feasible_witness ?memo ?gf tables c =
                     P.blocked problem ~pair:j ~wires_above:wires_i
                       ~reps_above:count
                   in
+                  (* The greedy-fill suffix check resumes at the top pair
+                     from the [gf] arena while the fields the pairs below
+                     read repeat (see [Greedy_fill.fits]). *)
                   if
                     used_j +. blocked_j <= cap
-                    && suffix_fits ~top_pair_used:used_j
-                         ~wires_above_top:wires_i ~reps_above_top:count
-                         ~reps_above_below:(count + m_count) ~top_pair:j
+                    && GF.fits ?scratch:gf problem
+                         (GF.context ~top_pair_used:used_j
+                            ~wires_above_top:wires_i ~reps_above_top:count
+                            ~wires_above_below:wires_c
+                            ~reps_above_below:(count + m_count) ~from_bunch:c
+                            ~top_pair:j ())
                   then
                     raise
                       (Found
@@ -899,7 +883,7 @@ let cold_probe_cost n =
   done;
   !steps
 
-let search_tables ?(exhaustive = false) ?memo ?hint ?(probe_fan = 1) tables =
+let search_tables ?(exhaustive = false) ?hint ?(probe_fan = 1) tables =
   Ir_obs.time span_search @@ fun () ->
   Scratch.with_arena @@ fun gf ->
   let problem = tables.problem in
@@ -907,7 +891,7 @@ let search_tables ?(exhaustive = false) ?memo ?hint ?(probe_fan = 1) tables =
   let exact = tables.truncations = 0 in
   let probes = ref 0 in
   let result =
-    match feasible_witness ?memo ~gf tables 0 with
+    match feasible_witness ~gf tables 0 with
     | None ->
         ( Outcome.unassignable ~exact ~total_wires:(P.total_wires problem) (),
           None )
@@ -915,7 +899,7 @@ let search_tables ?(exhaustive = false) ?memo ?hint ?(probe_fan = 1) tables =
         let best = ref 0 and best_w = ref w0 in
         let try_c c =
           incr probes;
-          match feasible_witness ?memo ~gf tables c with
+          match feasible_witness ~gf tables c with
           | Some w ->
               best := c;
               best_w := w;
@@ -943,8 +927,7 @@ let search_tables ?(exhaustive = false) ?memo ?hint ?(probe_fan = 1) tables =
            probes the interval shrinks by a factor [fan + 1] per round, so
            wall time drops to log_(fan+1) while total probe work grows —
            a trade only worth making when the extra domains are idle
-           (Cross_node's starved-pool searches).  Probes bypass the memo:
-           a [Suffix_fit.t] is single-domain state. *)
+           (Cross_node's starved-pool searches). *)
         let fan_rounds () =
           while !hi - !lo > 1 do
             let width = !hi - !lo in

@@ -189,11 +189,6 @@ val builder : ?max_pareto:int -> Ir_assign.Problem.t -> builder
     monotone in the destination; a new filter must be monotone too, or
     disable the skip. *)
 
-val builder_levels : builder -> int
-(** Total number of boundary-pair levels, [Problem.n_pairs - 1]: level
-    [j] fills row [j + 1], and row [m - 1] is the last one a search
-    reads. *)
-
 val builder_step : builder -> bool
 (** Expands one boundary-pair level.  Returns [true] while more levels
     remain, [false] once the build is complete — at once for a no-fit
@@ -298,7 +293,6 @@ val decode_tables :
 
 val search_tables :
   ?exhaustive:bool ->
-  ?memo:Ir_assign.Suffix_fit.t ->
   ?hint:int ->
   ?probe_fan:int ->
   tables ->
@@ -312,11 +306,6 @@ val search_tables :
 
     - [exhaustive]: a top-down linear scan instead of the bracketing
       search — the monotonicity cross-check the tests run.
-    - [memo]: a {!Ir_assign.Suffix_fit} cache the greedy-fill suffix
-      checks answer through.  Pass one shared across sequential searches
-      of a budget-rebound family to convert repeated probe contexts into
-      O(1) dominance hits ({!Rank_grid} does).  Single-domain state:
-      never share across concurrent searches.
     - [hint]: expected boundary (e.g. the neighbouring sweep point's
       [boundary_bunch]).  The search brackets the true boundary by
       galloping from the hint, then bisects the bracket — an accurate
@@ -330,8 +319,7 @@ val search_tables :
       by [fan + 1] per round.  Total probe work grows (it lands on the
       same deterministic counters, independent of scheduling); wall time
       shrinks when the machine is otherwise idle.  Meant for
-      starved-pool searches ({!Ir_sweep.Cross_node}); fan probes bypass
-      [memo]. *)
+      starved-pool searches ({!Ir_sweep.Cross_node}). *)
 
 val widen_tables :
   ?widen_on_overflow:bool ->

@@ -11,16 +11,12 @@
    (all planes advance boundary-pair level j together; the [Ir_exec]
    work-stealing pool parallelizes {e across planes inside each level},
    with a barrier per level), and then answers every point from its
-   plane's resident tables with one family-wide suffix-fit memo and
-   boundary hints threaded across the whole grid.
+   plane's resident tables with boundary hints threaded across the
+   whole grid.
 
-   Three sharing layers, each proved elsewhere and reused here:
+   Two sharing layers, each proved elsewhere and reused here:
    - plane sharing: points differing only in R reuse one build
      (displacement argument at [Rank_dp.rebudget]);
-   - oracle sharing: [Greedy_fill.fits] verdicts depend only on
-     capacity-side data (capacity, pitches, via blockage, bunches, wire
-     and routing-area prefixes) which the whole K x M x C x R family
-     shares, so one [Suffix_fit] memo answers probes for every plane;
    - code sharing: the wavefront drives [Rank_dp.builder_step] — the
      identical expansion code [build_tables] runs — and phase B is
      [Rank_dp.search_tables] over rebudgeted tables.
@@ -72,10 +68,8 @@ type t = {
   g_base_fraction : float;
   g_max_pareto : int option;
   g_widen_on_overflow : bool option;
-  g_widen_cap : int option;
   g_jobs : int option;
   mutable g_planes : plane list;
-  mutable g_memo : Ir_assign.Suffix_fit.t option;  (* family-wide, lazy *)
   mutable g_hint : int option;  (* last assignable boundary served *)
 }
 
@@ -143,7 +137,7 @@ let point_fraction g pt =
    from level to level, and a scratch arena belongs to one domain.
    Finishing (counter flush) and the widening-ladder continuation run
    sequentially afterwards, so every [Ir_obs] tally is deterministic. *)
-let wavefront ?jobs ?max_pareto ?widen_on_overflow ?widen_cap problems =
+let wavefront ?jobs ?max_pareto ?widen_on_overflow problems =
   Ir_obs.time span_wavefront @@ fun () ->
   let builders = Array.map (Rank_dp.builder ?max_pareto) problems in
   let active = ref (Array.to_list builders) in
@@ -159,24 +153,10 @@ let wavefront ?jobs ?max_pareto ?widen_on_overflow ?widen_cap problems =
   done;
   Array.map
     (fun b ->
-      Rank_dp.widen_tables ?widen_on_overflow ?widen_cap
-        (Rank_dp.builder_finish b))
+      Rank_dp.widen_tables ?widen_on_overflow (Rank_dp.builder_finish b))
     builders
 
 (* ---- answering a point from a plane ------------------------------------ *)
-
-(* One suffix-fit memo for the whole family — see the oracle-sharing
-   argument at the top of the file.  Bound to the base problem (any
-   member's capacity-side data is the family's); created lazily and kept
-   for the grid's resident lifetime, so serve-tier queries reuse probe
-   verdicts across requests. *)
-let family_memo g =
-  match g.g_memo with
-  | Some m -> m
-  | None ->
-      let m = Ir_assign.Suffix_fit.create g.g_base in
-      g.g_memo <- Some m;
-      m
 
 (* Every answer's boundary warm-starts the grid's next search. *)
 let served g ((o, _) as r) =
@@ -187,9 +167,8 @@ let served g ((o, _) as r) =
    [f] (capped further by [power_budget] at [activity], both defaulting
    to the plane's own):
    - a truncation-free plane answers any budget up to its build's, by
-     one phase-B search over its rebudgeted tables through the family
-     memo and the grid-wide hint (the displacement argument at
-     [Rank_dp.rebudget]);
+     one phase-B search over its rebudgeted tables from the grid-wide
+     hint (the displacement argument at [Rank_dp.rebudget]);
    - a truncated plane answers its build budget only, by a search of its
      own tables: the budget is all of the query phase A reads, so this is
      the search a cold compute of the point runs.  Exactness of a
@@ -206,7 +185,7 @@ let answer ?activity ?power_budget g pl f =
     if Rank_dp.table_truncations pl.pl_tables = 0 then
       if budget <= pl.pl_budget then
         Some
-          (Rank_dp.search_tables ~memo:(family_memo g) ?hint:g.g_hint
+          (Rank_dp.search_tables ?hint:g.g_hint
              (Rank_dp.rebudget ~fraction:f ?activity ?power_budget
                 pl.pl_tables))
       else None
@@ -217,16 +196,14 @@ let answer ?activity ?power_budget g pl f =
 
 (* ---- resident grids ---------------------------------------------------- *)
 
-let resident ?max_pareto ?widen_on_overflow ?widen_cap ?jobs base =
+let resident ?max_pareto ?widen_on_overflow ?jobs base =
   {
     g_base = base;
     g_base_fraction = base_fraction base;
     g_max_pareto = max_pareto;
     g_widen_on_overflow = widen_on_overflow;
-    g_widen_cap = widen_cap;
     g_jobs = jobs;
     g_planes = [];
-    g_memo = None;
     g_hint = None;
   }
 
@@ -263,8 +240,7 @@ let build_plane g pt =
       let build = P.with_repeater_fraction problem g.g_base_fraction in
       let tables =
         wavefront ?jobs:g.g_jobs ?max_pareto:g.g_max_pareto
-          ?widen_on_overflow:g.g_widen_on_overflow ?widen_cap:g.g_widen_cap
-          [| build |]
+          ?widen_on_overflow:g.g_widen_on_overflow [| build |]
       in
       (add_plane g pt problem build tables.(0)).pl_tables
 
@@ -316,12 +292,12 @@ let group_points points =
 (* A cell answered with nothing shared: its own build, the widen ladder,
    an unhinted search — what [evaluate] falls back to where a truncated
    plane cannot answer. *)
-let cold ?max_pareto ?widen_on_overflow ?widen_cap problem =
-  Rank_dp.search_with_tables ?widen_on_overflow ?widen_cap
+let cold ?max_pareto ?widen_on_overflow problem =
+  Rank_dp.search_with_tables ?widen_on_overflow
     (Rank_dp.build_tables ?max_pareto problem)
 
-let evaluate ?max_pareto ?widen_on_overflow ?widen_cap ?jobs base points =
-  let g = resident ?max_pareto ?widen_on_overflow ?widen_cap ?jobs base in
+let evaluate ?max_pareto ?widen_on_overflow ?jobs base points =
+  let g = resident ?max_pareto ?widen_on_overflow ?jobs base in
   let points = Array.map (canonical base) points in
   (* Each plane's cells in ascending-fraction order (the R-column
      convention: each fraction's boundary warm-starts the next). *)
@@ -345,12 +321,10 @@ let evaluate ?max_pareto ?widen_on_overflow ?widen_cap ?jobs base points =
              (List.fold_left (fun m (_, f) -> Float.max m f) neg_infinity cells))
          groups)
   in
-  let tables =
-    wavefront ?jobs ?max_pareto ?widen_on_overflow ?widen_cap builds
-  in
+  let tables = wavefront ?jobs ?max_pareto ?widen_on_overflow builds in
   let results = Array.make (Array.length points) None in
-  (* Phase B: sequential over planes, one family memo, hints threaded
-     through the whole grid. *)
+  (* Phase B: sequential over planes, hints threaded through the whole
+     grid. *)
   Ir_obs.time span_answer (fun () ->
       List.iteri
         (fun i (pt, problem, cells) ->
@@ -363,7 +337,7 @@ let evaluate ?max_pareto ?widen_on_overflow ?widen_cap ?jobs base points =
                 | Some r -> r
                 | None ->
                     served g
-                      (cold ?max_pareto ?widen_on_overflow ?widen_cap
+                      (cold ?max_pareto ?widen_on_overflow
                          (P.with_repeater_fraction problem f))
               in
               results.(idx) <- Some r)
@@ -373,9 +347,8 @@ let evaluate ?max_pareto ?widen_on_overflow ?widen_cap ?jobs base points =
 
 (* ---- one cell --------------------------------------------------------- *)
 
-let compute ?max_pareto ?widen_on_overflow ?widen_cap problem =
-  (evaluate ?max_pareto ?widen_on_overflow ?widen_cap ~jobs:1 problem
-     [| point () |]).(0)
+let compute ?max_pareto ?widen_on_overflow problem =
+  (evaluate ?max_pareto ?widen_on_overflow ~jobs:1 problem [| point () |]).(0)
 
 (* ---- heterogeneous batches --------------------------------------------- *)
 
@@ -383,18 +356,16 @@ let compute ?max_pareto ?widen_on_overflow ?widen_cap problem =
    bunches or stacks), so no plane sharing — the win is the batched
    wavefront (pool parallelism inside levels, not across points) and the
    sequential hint chain.  Phase B is [Rank_dp.search_with_tables]. *)
-let eval_batch ?max_pareto ?widen_on_overflow ?widen_cap ?jobs ?hint
-    ?probe_fan problems =
-  let shared =
-    wavefront ?jobs ?max_pareto ?widen_on_overflow ?widen_cap problems
-  in
+let eval_batch ?max_pareto ?widen_on_overflow ?jobs ?hint ?probe_fan
+    problems =
+  let shared = wavefront ?jobs ?max_pareto ?widen_on_overflow problems in
   Ir_obs.add stat_cells (Array.length problems);
   let hint = ref hint in
   Array.map
     (fun tables ->
       let o, _w =
-        Rank_dp.search_with_tables ?widen_on_overflow ?widen_cap ?hint:!hint
-          ?probe_fan tables
+        Rank_dp.search_with_tables ?widen_on_overflow ?hint:!hint ?probe_fan
+          tables
       in
       if o.Outcome.assignable then hint := Some o.Outcome.boundary_bunch;
       o)

@@ -9,8 +9,7 @@
     builds all planes boundary-pair-by-boundary-pair in one batched
     wavefront (the {!Ir_exec} pool parallelizes across planes {e inside}
     each level, with a barrier per level), and answers every point from
-    resident tables with one family-wide {!Ir_assign.Suffix_fit} memo
-    and boundary hints threaded grid-wide.
+    resident tables with boundary hints threaded grid-wide.
 
     This is the only DP driver.  One query is a one-cell grid
     ({!compute}, behind {!Rank.compute}); a heterogeneous batch is a
@@ -34,9 +33,9 @@
 
 type t
 (** A set of resident planes: each (materials, clock) plane's phase-A
-    tables, with the family-wide suffix-fit memo and boundary hint that
-    answer points from them.  A grid only gains planes.  Not domain-safe
-    — one owner at a time. *)
+    tables, with the boundary hint that warm-starts the searches
+    answering points from them.  A grid only gains planes.  Not
+    domain-safe — one owner at a time. *)
 
 type point = {
   materials : Ir_ia.Materials.t option;  (** [None] = the base's *)
@@ -57,7 +56,6 @@ val point :
 val evaluate :
   ?max_pareto:int ->
   ?widen_on_overflow:bool ->
-  ?widen_cap:int ->
   ?jobs:int ->
   Ir_assign.Problem.t ->
   point array ->
@@ -65,11 +63,10 @@ val evaluate :
 (** [evaluate base points] runs the batched wavefront, each plane built
     at its widest point's fraction, and answers every point, in [points]
     order: from its plane by {!query}'s rule, else cold (its own build
-    and widen ladder).  [max_pareto] (default 8), [widen_on_overflow]
-    (default true) and [widen_cap] set the widening policy of
-    {!Rank_dp.widen_tables}; [jobs] the pool size.  Outcomes are
-    independent of [jobs] (asserted by the bench counter-identity
-    table).  A finite power budget on [base] caps every point's repeater
+    and widen ladder).  [max_pareto] (default 8) and [widen_on_overflow]
+    (default true) set the widening policy of {!Rank_dp.widen_tables};
+    [jobs] the pool size.  Outcomes are independent of [jobs] (asserted
+    by the bench counter-identity table).  A finite power budget on [base] caps every point's repeater
     budget at its area equivalent. *)
 
 (** {2 Resident grids for the serve tier}
@@ -78,14 +75,14 @@ val evaluate :
     (everything but materials, clock and repeater fraction fixed) and
     grows it one plane at a time: {!build_plane} builds a missing plane,
     {!adopt} installs snapshot-restored tables, and {!query} answers a
-    point from resident planes without building anything.  One
-    family-wide suffix-fit memo and one boundary hint persist inside the
-    grid across calls. *)
+    point from resident planes without building anything.  The only
+    state a grid keeps across calls beside its planes is one boundary
+    hint, so a warm answer is one {!Rank_dp.search_tables} from the last
+    boundary served. *)
 
 val resident :
   ?max_pareto:int ->
   ?widen_on_overflow:bool ->
-  ?widen_cap:int ->
   ?jobs:int ->
   Ir_assign.Problem.t ->
   t
@@ -142,7 +139,6 @@ val query :
 val compute :
   ?max_pareto:int ->
   ?widen_on_overflow:bool ->
-  ?widen_cap:int ->
   Ir_assign.Problem.t ->
   Outcome.t * Rank_dp.witness option
 (** [compute problem] is the one-cell {!evaluate} at jobs 1: the
@@ -155,7 +151,6 @@ val compute :
 val eval_batch :
   ?max_pareto:int ->
   ?widen_on_overflow:bool ->
-  ?widen_cap:int ->
   ?jobs:int ->
   ?hint:int ->
   ?probe_fan:int ->

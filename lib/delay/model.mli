@@ -23,9 +23,8 @@ type line = {
 [@@deriving show, eq]
 
 type coeffs = { a : float; b : float } [@@deriving show, eq]
-
-val default_coeffs : coeffs
-(** [a = 0.4], [b = 0.7] — the paper's footnote 5 values. *)
+(** The Eq. (2) coefficients.  Every [?coeffs] below defaults to
+    [a = 0.4], [b = 0.7] — the paper's footnote 5 values. *)
 
 val line : r_per_m:float -> c_per_m:float -> line
 (** @raise Invalid_argument on non-positive values. *)
@@ -52,14 +51,10 @@ val s_opt : Ir_tech.Device.t -> line -> float
 (** Optimal repeater size for the layer-pair (Eq. 4), clamped below at 1
     (a repeater cannot be smaller than a minimum inverter). *)
 
-val eta_opt_continuous :
-  ?coeffs:coeffs -> Ir_tech.Device.t -> line -> float -> float
-(** The real-valued repeater count minimizing Eq. (3):
-    [l * sqrt (a r̄ c̄ / (b r_o (c_o + c_p)))]. *)
-
 val eta_opt : ?coeffs:coeffs -> Ir_tech.Device.t -> line -> s:float -> float -> int
 (** Integer repeater count (>= 1) minimizing Eq. (3) for a wire of length
-    [l]; checks the two integers around {!eta_opt_continuous}. *)
+    [l]; checks the two integers around the real-valued minimizer
+    [l * sqrt (a r̄ c̄ / (b r_o (c_o + c_p)))]. *)
 
 val min_delay :
   ?coeffs:coeffs -> Ir_tech.Device.t -> line -> s:float -> float -> float

@@ -18,10 +18,6 @@ type knob = {
   thickness_scale : float list;  (** thickness multipliers for Mx and Mt *)
 }
 
-val default_knobs : knob
-(** Pairs {1, 2} x {1}, pitch scales {0.8, 1.0, 1.25}, thickness scales
-    {0.8, 1.0, 1.25} — 36 candidates. *)
-
 type candidate = {
   structure : Ir_ia.Arch.structure;
   pitch_scale : float;
@@ -37,8 +33,10 @@ val optimize :
   ?target_model:Ir_delay.Target.t ->
   Ir_tech.Design.t ->
   candidate * candidate list
-(** [optimize design] evaluates the whole candidate grid (skipping
-    candidates the node's stack cannot provide) and returns the best
+(** [optimize design] evaluates the whole candidate grid of [knobs]
+    (default: pairs {1, 2} x {1}, pitch scales {0.8, 1.0, 1.25},
+    thickness scales {0.8, 1.0, 1.25} — 36 candidates), skipping
+    candidates the node's stack cannot provide, and returns the best
     candidate (largest rank; ties broken toward fewer pairs, then
     unscaled geometry) together with all evaluated candidates.
     The WLD is generated once and shared; candidate problems are built

@@ -21,9 +21,6 @@ type spec = {
 }
 [@@deriving show, eq]
 
-val default_spec : spec
-(** 5% on every knob. *)
-
 type summary = {
   nominal : float;  (** normalized rank with unperturbed parameters *)
   mean : float;
@@ -41,8 +38,9 @@ val run :
   ?bunch_size:int ->
   Ir_tech.Design.t ->
   summary
-(** [run design] draws [samples] (default 25) perturbed parameter sets
-    (log-normal-ish: factors [exp (sigma * gaussian)]), recomputes the
-    rank for each, and summarizes.  The WLD is generated once.
+(** [run design] draws [samples] (default 25) parameter sets perturbed by
+    [spec] (default 5% on every knob; log-normal-ish factors
+    [exp (sigma * gaussian)]), recomputes the rank for each, and
+    summarizes.  The WLD is generated once.
     @raise Invalid_argument if [samples <= 0] or any sigma is
     negative. *)

@@ -21,7 +21,6 @@ let v ?(k = Ir_phys.Const.k_sio2) ?(miller = 2.0)
 
 let default = v ()
 let with_k t k = check { t with k }
-let with_miller t miller = check { t with miller }
 
 let resistivity t node =
   match t.rho with Some rho -> rho | None -> Ir_tech.Node.resistivity node

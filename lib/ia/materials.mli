@@ -27,7 +27,6 @@ val v :
 (** @raise Invalid_argument if [k <= 0], [miller < 0] or [rho <= 0]. *)
 
 val with_k : t -> float -> t
-val with_miller : t -> float -> t
 
 val resistivity : t -> Ir_tech.Node.t -> float
 (** The override if present, otherwise {!Ir_tech.Node.resistivity}. *)

@@ -15,11 +15,6 @@ let position t i =
   if i < 0 || i >= gates t then invalid_arg "Circuit.position: out of range";
   (i mod t.width, i / t.width)
 
-let rent_terminals t b =
-  (t.fan_out +. 1.0) *. Float.pow (float_of_int b) t.rent_p
-
-let average_degree t = float_of_int (Array.length t.nets) /. float_of_int (gates t)
-
 (* Smallest power-of-two side whose square holds [gates]. *)
 let side_for gates =
   let rec grow s = if s * s >= gates then s else grow (2 * s) in

@@ -58,10 +58,3 @@ val generate :
     gates / 2] (see the module preamble; tests bound the deviation).
     @raise Invalid_argument if [gates <= 0] or parameters are out of
     range. *)
-
-val rent_terminals : t -> int -> float
-(** [rent_terminals t b] is the Rent terminal estimate [k * b^p] with the
-    circuit's parameters, exposed for tests. *)
-
-val average_degree : t -> float
-(** Nets per gate — should approach the fan-out. *)

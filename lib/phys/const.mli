@@ -17,9 +17,3 @@ val rho_al_bulk : float
 val k_sio2 : float
 (** Relative permittivity of undoped silicon dioxide.  This is the paper's
     baseline ILD permittivity (Table 2, [k] = 3.9). *)
-
-val boltzmann : float
-(** Boltzmann constant, in J/K. *)
-
-val room_temperature : float
-(** Nominal operating temperature used for resistivity derating, in K. *)

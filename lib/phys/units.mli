@@ -17,9 +17,6 @@ val mm : float -> float
 val to_um : float -> float
 (** [to_um m] converts meters to micrometers. *)
 
-val to_nm : float -> float
-(** [to_nm m] converts meters to nanometers. *)
-
 val to_mm2 : float -> float
 (** [to_mm2 a] converts an area in m^2 to mm^2. *)
 
@@ -37,9 +34,6 @@ val ns : float -> float
 
 val to_ps : float -> float
 (** [to_ps s] converts seconds to picoseconds. *)
-
-val to_ns : float -> float
-(** [to_ns s] converts seconds to nanoseconds. *)
 
 val ff : float -> float
 (** [ff x] is [x] femtofarads in farads. *)

@@ -25,8 +25,8 @@ type job = {
    {!Fingerprint.table_key} but neighbors a warm family is answered from
    the resident grid (one plane build or — for a known plane — one
    phase-B search) instead of starting cold.  [entry_lock] serializes
-   access within the family: the grid's suffix-fit memo and boundary
-   hint are single-domain mutable state, and under systhreads the
+   access within the family: the grid's planes and boundary hint are
+   single-domain mutable state, and under systhreads the
    computations could not overlap anyway.  A truncated plane stays
    resident and answers only its own build budget (fraction 1.0, no
    power cap; {!Ir_core.Rank_grid.query}); its narrower table keys are

@@ -20,10 +20,10 @@
       ({!Fingerprint.table_key}) at the full repeater budget with no
       power cap; any repeater fraction and any power budget (an area
       cap) is answered by budget rebinding
-      ({!Ir_core.Rank_grid.query}) with a family-wide
-      suffix-fit memo and boundary warm-starts, and a query whose own
-      plane is missing but whose {e family} grid is resident grows the
-      grid by one plane ([serve/grid_hits]) instead of starting cold.
+      ({!Ir_core.Rank_grid.query}) with boundary warm-starts, and a
+      query whose own plane is missing but whose {e family} grid is
+      resident grows the grid by one plane ([serve/grid_hits]) instead
+      of starting cold.
       The warm path is used only when it is provably exact (a plane
       whose build truncated answers only its own full budget); anything
       else — greedy-algorithm queries included — takes the cold path,

@@ -14,9 +14,6 @@ type cell = {
 }
 [@@deriving show]
 
-val default_matrix : (Ir_tech.Node.t * int) list
-(** The paper's named baselines: (180nm, 1M), (130nm, 1M), (90nm, 4M). *)
-
 val run :
   ?jobs:int ->
   ?probe_fan:int ->
@@ -25,9 +22,10 @@ val run :
   ?matrix:(Ir_tech.Node.t * int) list ->
   unit ->
   cell list
-(** Computes the baseline (Table 2 parameters) rank for every matrix
-    entry.  Gate counts of 10M are supported but take a few seconds
-    each.  Problems are built on the {!Ir_exec} pool ([?jobs],
+(** Computes the baseline (Table 2 parameters) rank for every [matrix]
+    entry (default: the paper's named baselines (180nm, 1M), (130nm, 1M)
+    and (90nm, 4M)).  Gate counts of 10M are supported but take a few
+    seconds each.  Problems are built on the {!Ir_exec} pool ([?jobs],
     heaviest design first) and then ranked as {e one}
     {!Ir_core.Rank_grid.eval_batch} wavefront — the pool parallelizes
     inside each DP level rather than across whole cells, so the largest

@@ -29,9 +29,6 @@ type result = {
   seconds : float;  (** wall time of the whole sweep *)
 }
 
-val default_fractions : float list
-(** 0.05 … 1.0, denser below 0.5 where the frontier bends. *)
-
 val run :
   ?jobs:int ->
   ?config:Table4.config ->
@@ -40,8 +37,10 @@ val run :
   unit ->
   result
 (** Runs the sweep on [config]'s baseline instance
-    ({!Table4.baseline_problem}).  [rows] is empty when the baseline is
-    unassignable or repeater-free (no spend to budget a fraction of).
+    ({!Table4.baseline_problem}) at every one of [fractions] (default
+    0.05 … 1.0, denser below 0.5 where the frontier bends).  [rows] is
+    empty when the baseline is unassignable or repeater-free (no spend
+    to budget a fraction of).
     @raise Invalid_argument on a fraction outside (0, 1]. *)
 
 val monotone : result -> bool

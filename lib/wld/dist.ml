@@ -71,15 +71,7 @@ let count_at_least t l =
     (fun acc b -> if b.length >= l then acc + b.count else acc)
     0 t.bins
 
-let fold_desc f init t =
-  let acc = ref init in
-  for i = Array.length t.bins - 1 downto 0 do
-    let b = t.bins.(i) in
-    acc := f ~acc:!acc ~length:b.length ~count:b.count
-  done;
-  !acc
-
-let to_desc_list t = fold_desc (fun ~acc ~length ~count -> { length; count } :: acc) [] t |> List.rev
+let to_desc_list t = Array.fold_left (fun acc b -> b :: acc) [] t.bins
 
 let length_at_rank t r =
   if r < 1 || r > t.total then invalid_arg "Dist.length_at_rank: out of range";

@@ -3,7 +3,7 @@
     A distribution is a set of bins [(length, count)], lengths expressed in
     gate pitches, kept sorted by increasing length.  The paper consumes the
     WLD sorted by {e non-increasing} length (rank 1 = longest wire);
-    {!fold_desc} and {!to_desc_list} provide that view. *)
+    {!to_desc_list} provides that view. *)
 
 type bin = { length : float;  (** wire length in gate pitches *)
              count : int  (** number of wires of this length *) }
@@ -58,9 +58,6 @@ val count_at_least : t -> float -> int
 val length_at_rank : t -> int -> float
 (** [length_at_rank t r] is the length of the wire of rank [r] (1 = longest).
     @raise Invalid_argument if [r] is outside [1, total t]. *)
-
-val fold_desc : (acc:'a -> length:float -> count:int -> 'a) -> 'a -> t -> 'a
-(** Folds over bins from longest to shortest. *)
 
 val to_desc_list : t -> bin list
 (** Bins from longest to shortest. *)

@@ -6,7 +6,6 @@ open Helpers
 module P = Ir_assign.Problem
 module GF = Ir_assign.Greedy_fill
 module PF = Ir_assign.Pair_fill
-module SF = Ir_assign.Suffix_fit
 
 (* A small deterministic instance: 130nm stack, 6 single-wire bunches. *)
 let fixed_instance ?(clock = 5e8) ?(fraction = 0.4) ?(gates = 5_000) () =
@@ -873,104 +872,6 @@ let test_top_pair_used_finite () =
       raises "pack" (fun () -> GF.pack p ctx))
     [ Float.nan; Float.infinity; Float.neg_infinity ]
 
-(* ---- memoized suffix-fit ----------------------------------------------- *)
-
-let sf_query sf problem ~from_bunch ~top_pair ~top_pair_used ~wt ~rt ~wb ~rb =
-  let memo =
-    SF.fits sf ~from_bunch ~top_pair ~top_pair_used ~wires_above_top:wt
-      ~reps_above_top:rt ~wires_above_below:wb ~reps_above_below:rb
-  in
-  let oracle =
-    GF.fits problem
-      (GF.context ~top_pair_used ~wires_above_top:wt ~reps_above_top:rt
-         ~wires_above_below:wb ~reps_above_below:rb ~from_bunch ~top_pair ())
-  in
-  (memo, oracle)
-
-let prop_suffix_fit_matches_oracle =
-  let open QCheck2.Gen in
-  let gen_ctx =
-    let* fb = int_range 0 1000 in
-    let* tp = int_range 0 1000 in
-    let* usedf = float_range 0.0 1.1 in
-    let* wt = int_range 0 200 in
-    let* rt = int_range 0 2000 in
-    let* wb = int_range 0 200 in
-    let* rb = int_range 0 2000 in
-    return (fb, tp, usedf, wt, rt, wb, rb)
-  in
-  let gen =
-    let* inst = Helpers.gen_instance in
-    let* ctxs = list_size (int_range 1 40) gen_ctx in
-    return (inst, ctxs)
-  in
-  qtest ~count:80 "memoized suffix-fit matches the greedy-fill oracle" gen
-    (fun ({ problem; label }, ctxs) ->
-      let sf = SF.create problem in
-      let n = P.n_bunches problem and m = P.n_pairs problem in
-      let cap = P.capacity problem in
-      (* Replay the whole sequence twice: the second pass answers mostly
-         from the frontiers the first pass populated, so both the miss
-         and the dominance-hit paths are compared against the oracle. *)
-      List.for_all
-        (fun (fb, tp, usedf, wt, rt, wb, rb) ->
-          let from_bunch = fb mod (n + 1) and top_pair = tp mod m in
-          let top_pair_used = usedf *. cap in
-          let memo, oracle =
-            sf_query sf problem ~from_bunch ~top_pair ~top_pair_used ~wt ~rt
-              ~wb ~rb
-          in
-          if memo <> oracle then
-            QCheck2.Test.fail_reportf
-              "%s: memo=%b oracle=%b at fb=%d tp=%d used=%.6g wt=%d rt=%d \
-               wb=%d rb=%d"
-              label memo oracle from_bunch top_pair top_pair_used wt rt wb rb
-          else true)
-        (ctxs @ ctxs))
-
-let test_suffix_fit_frozen_replay () =
-  (* Deterministic hit-path coverage on the frozen instances (roomy,
-     blockage-sensitive, and overloaded): a ladder of progressively harder
-     contexts, replayed, must answer identically to the oracle throughout,
-     and the replay pass must be served by the frontiers. *)
-  let ladder =
-    [
-      (0, 0, 0.00, 0, 0, 0, 0);
-      (0, 0, 0.30, 2, 10, 2, 10);
-      (0, 0, 0.60, 5, 50, 5, 50);
-      (0, 0, 0.99, 8, 200, 8, 200);
-      (2, 0, 0.50, 3, 20, 3, 20);
-    ]
-  in
-  let hits () =
-    counter_in (Ir_obs.snapshot ()) "suffix_fit/hits"
-  in
-  List.iter
-    (fun (name, p) ->
-      let sf = SF.create p in
-      let cap = P.capacity p in
-      let before = hits () in
-      List.iter
-        (fun (fb, tp, usedf, wt, rt, wb, rb) ->
-          let memo, oracle =
-            sf_query sf p ~from_bunch:fb ~top_pair:tp
-              ~top_pair_used:(usedf *. cap) ~wt ~rt ~wb ~rb
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: memo = oracle at used=%.2f wt=%d" name usedf
-               wt)
-            oracle memo)
-        (ladder @ ladder);
-      Alcotest.(check bool)
-        (name ^ ": replayed queries hit the frontier")
-        true
-        (hits () - before >= List.length ladder))
-    [
-      ("roomy", fixed_instance ());
-      ("blockage-sensitive", fixed_instance ~gates:700 ());
-      ("overloaded", fixed_instance ~gates:30 ());
-    ]
-
 (* [max_take] regression: the closed-form estimate floor(room / net) can
    land one off in either direction because float division is not exact.
    These literals were found by searching doubles for exactly that
@@ -1349,11 +1250,5 @@ let () =
           prop_greedy_fill_monotone_budget;
           prop_greedy_fill_suffix_monotone;
           prop_max_take_maximal;
-        ] );
-      ( "suffix_fit",
-        [
-          Alcotest.test_case "frozen ladder replay" `Quick
-            test_suffix_fit_frozen_replay;
-          prop_suffix_fit_matches_oracle;
         ] );
     ]

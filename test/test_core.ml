@@ -1392,15 +1392,12 @@ let test_builder_matches_build () =
   let p = baseline_130nm_small () in
   let mono = Ir_core.Rank_dp.build_tables p in
   let b = Ir_core.Rank_dp.builder p in
-  Alcotest.(check int) "levels = n_pairs - 1" (P.n_pairs p - 1)
-    (Ir_core.Rank_dp.builder_levels b);
   let steps = ref 0 in
   while Ir_core.Rank_dp.builder_step b do
     incr steps
   done;
-  Alcotest.(check int) "stepped once per level"
-    (Ir_core.Rank_dp.builder_levels b)
-    (!steps + 1);
+  Alcotest.(check int) "stepped once per level, n_pairs - 1 levels"
+    (P.n_pairs p - 1) (!steps + 1);
   let stepped = Ir_core.Rank_dp.builder_finish b in
   Alcotest.(check string) "stepped tables = monolithic tables (bytes)"
     (Ir_core.Rank_dp.encode_tables mono)
@@ -1448,8 +1445,7 @@ let encoded_digest t =
 let test_walking_ladder () =
   let p = walking_problem () in
   let b, steps = stepped_to_done p in
-  Alcotest.(check int) "the rung runs every level"
-    (Ir_core.Rank_dp.builder_levels b) steps;
+  Alcotest.(check int) "the rung runs every level" (P.n_pairs p - 1) steps;
   let width8 = Ir_core.Rank_dp.builder_finish b in
   Alcotest.(check bool) "the width-8 rung truncates" true
     (Ir_core.Rank_dp.table_truncations width8 > 0);
@@ -2226,6 +2222,45 @@ let test_grid_build_plane_answers_nothing () =
     (n "rank_dp/pareto_inserts");
   Alcotest.(check int) "one plane" 1 (Ir_core.Rank_grid.planes g)
 
+(* A warm query is one stateless search: on a resident full-budget grid,
+   each fraction's [query] does exactly what one [search_tables] of the
+   plane's rebudgeted tables does from the previous answer's boundary —
+   the same outcome, witness and oracle work.  The grid keeps no state
+   beyond its planes and that hint, so nothing earlier queries left
+   behind can make a later one cheaper or dearer. *)
+let test_grid_warm_query_stateless () =
+  let p = baseline_130nm_small () in
+  let g = Ir_core.Rank_grid.resident (P.with_repeater_fraction p 1.0) in
+  let pt f = Ir_core.Rank_grid.point ~fraction:f () in
+  ignore (Ir_core.Rank_grid.build_plane g (pt 1.0));
+  let tables = Option.get (Ir_core.Rank_grid.plane_tables g (pt 1.0)) in
+  let hint = ref None in
+  List.iter
+    (fun f ->
+      let warm, n_warm =
+        counting (fun () -> Option.get (Ir_core.Rank_grid.query g (pt f)))
+      in
+      let direct, n_direct =
+        counting (fun () ->
+            Ir_core.Rank_dp.search_tables ?hint:!hint
+              (Ir_core.Rank_dp.rebudget ~fraction:f tables))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "outcome at %.2f" f)
+        true
+        (Ir_core.Outcome.equal (fst direct) (fst warm));
+      if snd direct <> snd warm then Alcotest.failf "witness at %.2f diverges" f;
+      List.iter
+        (fun c ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s at %.2f" c f)
+            (n_direct c) (n_warm c))
+        [ "greedy_fill/calls"; "rank_dp/witness_probes" ];
+      let o = fst warm in
+      if o.Ir_core.Outcome.assignable then
+        hint := Some o.Ir_core.Outcome.boundary_bunch)
+    [ 0.4; 0.2; 0.4; 0.3; 0.6; 0.2; 0.4 ]
+
 (* A plane is installed once: [adopt] never replaces a resident one. *)
 let test_grid_adopt_refuses_resident () =
   let p = baseline_130nm_small () in
@@ -2542,6 +2577,8 @@ let () =
             test_grid_truncated_plane_own_budget;
           Alcotest.test_case "build_plane answers no point" `Quick
             test_grid_build_plane_answers_nothing;
+          Alcotest.test_case "warm query = one stateless search" `Quick
+            test_grid_warm_query_stateless;
           Alcotest.test_case "adopt refuses truncated tables" `Quick
             test_grid_adopt_refuses_truncated;
           Alcotest.test_case "adopt refuses a resident plane" `Quick
