@@ -112,6 +112,12 @@ let max_take ~cap ~a_w ~wire_area ~via ~v ~base_wires ~reps ~suffix_above
     !x
   end
 
+(* The capacity screen's verdict: demand strictly above availability by
+   more than the relative slack.  [fast_reject] and [reject_row] share
+   it. *)
+let[@inline] exceeds ~demand_lb ~avail_ub =
+  demand_lb > avail_ub *. (1.0 +. 1e-9)
+
 (* O(pairs) fast-fail before the O(bunches) packing loop: compare an
    area {e demand lower bound} (the whole suffix routed at the
    narrowest available pitch — any real split across pairs costs at
@@ -146,7 +152,35 @@ let fast_reject t ctx =
     in
     avail_ub := !avail_ub +. Float.max 0.0 (cap_q -. blocked_lb)
   done;
-  !demand_lb > !avail_ub *. (1.0 +. 1e-9)
+  exceeds ~demand_lb:!demand_lb ~avail_ub:!avail_ub
+
+(* [fast_reject] for every context of one row at once: the context of
+   cell [i] is [from_bunch = i], [top_pair], no room taken on it, and
+   [wires_before i] wires and no repeater above every pair.  The loop
+   makes [fast_reject]'s float operations in its order; with no room
+   taken, the top pair's [cap -. 0.0] is [cap], so every pair's term is
+   the same expression.  Change the two together. *)
+let reject_row t ~top_pair rejected =
+  let n = Problem.n_bunches t in
+  let m = Problem.n_pairs t in
+  let cap = Problem.capacity t in
+  let total = Problem.total_wires t in
+  for i = 0 to n do
+    let w = Problem.wires_before t i in
+    rejected.(i) <-
+      total - w > 0
+      &&
+      let demand_lb = ref infinity and avail_ub = ref 0.0 in
+      for q = top_pair to m - 1 do
+        let area = Problem.interval_area t ~pair:q ~lo:i ~hi:n in
+        if area < !demand_lb then demand_lb := area;
+        let blocked_lb =
+          Problem.blocked t ~pair:q ~wires_above:w ~reps_above:0
+        in
+        avail_ub := !avail_ub +. Float.max 0.0 (cap -. blocked_lb)
+      done;
+      exceeds ~demand_lb:!demand_lb ~avail_ub:!avail_ub
+  done
 
 (* The top pair's verdict from the two ends of its walk.  The walk takes
    whole bunches shortest first ([rem] wires of bunch [next], then

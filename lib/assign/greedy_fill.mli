@@ -90,6 +90,15 @@ val fast_reject : Problem.t -> context -> bool
     decides nothing.  Counts nothing; assumes a context {!pack} would
     accept. *)
 
+val reject_row : Problem.t -> top_pair:int -> bool array -> unit
+(** [reject_row t ~top_pair rejected] sets [rejected.(i)], for [i = 0 ..
+    n_bunches t], to {!fast_reject} on the context [from_bunch = i], [top_pair],
+    [wires_above_top = wires_above_below = Problem.wires_before t i], no
+    repeaters and no room taken on [top_pair], bit for bit: the same
+    float operations in the same order, in one loop over the prefix
+    tables instead of one context per cell.  This is phase A's per-cell
+    Definition-3 screen ([Rank_dp.builder] in [Ir_core]). *)
+
 val pack : Problem.t -> context -> placement list option
 (** Packs the suffix; returns placements (bottom-up order) or [None] when
     it does not fit.

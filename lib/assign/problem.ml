@@ -23,6 +23,9 @@ type t = {
   rep_area_prefix : float array array;
   rep_count_prefix : int array array;
   bad_prefix : int array array;
+  via_pad : float array;
+      (* per pair: the area one via stack blocks on it, which reads only
+         the via model and the pair's geometry *)
   (* Repeater power model.  A repeater of size s burns
      s * (activity * c_o * Vdd^2 * f + leakage_per_size) watts and
      occupies s * A_dev of silicon, so power is kappa times repeater area
@@ -51,9 +54,14 @@ let budget t =
   let a = Ir_ia.Arch.repeater_budget t.arch in
   if t.area_cap < a then t.area_cap else a
 
+(* [Ir_ia.Arch.blocked_area]'s expression, with the pad read from
+   [via_pad] instead of derived per call. *)
 let[@inline] blocked t ~pair ~wires_above ~reps_above =
-  Ir_ia.Arch.blocked_area t.arch ~pair_index:pair ~wires_above
-    ~repeaters_above:reps_above
+  if wires_above < 0 || reps_above < 0 then
+    invalid_arg "Problem.blocked: negative counts";
+  (float_of_int (t.arch.Ir_ia.Arch.vias_per_wire * wires_above)
+  +. float_of_int reps_above)
+  *. t.via_pad.(pair)
 
 let[@inline] interval_area t ~pair ~lo ~hi =
   t.area_prefix.(pair).(hi) -. t.area_prefix.(pair).(lo)
@@ -113,6 +121,11 @@ let area_tables ~arch bunches =
       invalid_arg "Problem: total routing area overflows"
   done;
   area_prefix
+
+let via_pads arch =
+  Array.init (Ir_ia.Arch.pair_count arch) (fun j ->
+      Ir_ia.Via_model.blocked_area_per_via arch.Ir_ia.Arch.via_model
+        (Ir_ia.Arch.pair arch j).Ir_ia.Layer_pair.geom)
 
 (* Repeater tables: per pair, the minimal per-wire count meeting each
    bunch's target, with area/count/infeasibility prefixes.  Depends on the
@@ -261,6 +274,7 @@ let build ?(activity = default_activity) ?(power_budget = infinity) ~arch
     rep_area_prefix;
     rep_count_prefix;
     bad_prefix;
+    via_pad = via_pads arch;
     activity;
     power_budget;
     kappa = 0.0;
@@ -308,7 +322,8 @@ let with_materials t materials =
       t.bunches
   in
   (* kappa reads only the device and the design, which materials leave
-     alone, so it and the area cap carry over. *)
+     alone, so it and the area cap carry over.  The pads are re-derived
+     from the rebound pairs. *)
   {
     t with
     arch;
@@ -316,11 +331,12 @@ let with_materials t materials =
     rep_area_prefix;
     rep_count_prefix;
     bad_prefix;
+    via_pad = via_pads arch;
   }
 
 (* A clock change moves only the per-bunch targets and everything derived
-   from them (eta and the repeater prefixes); the bunching, wire prefix
-   and routing-area prefixes are geometry-only and are reused. *)
+   from them (eta and the repeater prefixes); the bunching, wire prefix,
+   routing-area prefixes and via pads are geometry-only and are reused. *)
 let with_clock t clock =
   let design = Ir_tech.Design.with_clock t.arch.Ir_ia.Arch.design clock in
   let arch = Ir_ia.Arch.with_design t.arch design in

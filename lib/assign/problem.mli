@@ -120,7 +120,10 @@ val kappa : t -> float
     this instance's. *)
 
 val blocked : t -> pair:int -> wires_above:int -> reps_above:int -> float
-(** Via-blocked area on [pair] given wires and repeaters on pairs above. *)
+(** Via-blocked area on [pair] given wires and repeaters on pairs above:
+    {!Ir_ia.Arch.blocked_area} bit for bit, with the pair's via pad
+    computed once per problem (and again by {!with_materials}) instead of
+    per call.  Raises [Invalid_argument] on a negative count. *)
 
 (** {1 Interval queries (O(1))} *)
 

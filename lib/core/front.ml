@@ -1,17 +1,25 @@
 (* Flat struct-of-arrays Pareto-front store for the phase-A rank DP.
 
    One [t] holds every (pair, bunch) cell of a DP build.  A cell that
-   holds a state owns a slice of [stride = width + 1] slots in parallel
-   planes, sorted area-ascending (hence, by the Pareto invariant,
-   count-descending); a cell that never held one owns nothing.  A dense
-   per-cell index gives each cell's length and the first slot of its
-   slice, or [no_slice].  A cell gets its slice on its first state
-   ({!seed} or the {!insert} that places it), slices are handed out in
-   that order, and the planes grow by doubling (from [first_slices])
-   when a slice does not fit, so the store's size follows the live
-   states rather than the cell count: the 180nm/6M build of perfbench's
-   [cross_widen] hands out 2,669 slices for 19,272 cells, and a no-fit
-   build none.
+   holds a state owns a slice of slots in parallel planes, sorted
+   area-ascending (hence, by the Pareto invariant, count-descending); a
+   cell that never held one owns nothing.  A dense per-cell index gives
+   each cell's length and the first slot of its slice, or [no_slice].
+
+   A cell's first slice, handed out with its first state ({!seed} or the
+   {!insert} that places it), has [small] = 2 slots: one state plus the
+   slack slot of the overflow shuffle.  Most live cells never hold more
+   than one state (every live cell of perfbench's [cross_widen] holds
+   one), so that is all they ever cost.  An insert that is not dominated
+   and would leave the cell more states than its slice holds first moves
+   the cell to a full slice of [stride = width + 1] slots at the planes'
+   end; the small slice is abandoned.  Slots are handed out in request
+   order, so slices are disjoint but not in cell order, and a cell's
+   base moves only on an insert into that cell.  The planes grow by
+   doubling (from [first_slots]) when a request does not fit, so the
+   store's size follows the live states rather than the cell count: the
+   180nm/6M build of [cross_widen] hands out 2,669 slices, 5,338 slots,
+   for 19,272 cells, and a no-fit build none.
 
    A dominance check is a binary search over the slice; [Rank_dp]'s
    inlined pre-check places a sorted run of candidates by one forward
@@ -19,8 +27,8 @@
    Insertion is an in-place blit shift, and the interval splits
    previously carried by every state as an [int list] live in a compact
    parent-pointer arena instead — the hot loop allocates nothing per
-   insert (the planes grow only when a cell gets its first state, the
-   arena only for states that actually enter a front, both by doubling).
+   insert (the planes grow only when a cell is handed slots, the arena
+   only for states that actually enter a front, both by doubling).
 
    The planes are OCaml [float array] / [int array]s, not Bigarrays: a
    float array is never scanned by the GC, and an int array holds
@@ -38,13 +46,15 @@
 
 type t = {
   width : int;  (* max states per cell (max_pareto) *)
-  stride : int;  (* width + 1: one slack slot for the overflow shuffle *)
+  stride : int;  (* width + 1: a full slice, with the overflow slack slot *)
   cells : int;
   len : int array;  (* per cell: its live length *)
   base : int array;  (* per cell: its slice's first slot, or [no_slice] *)
-  mutable slices : int;  (* slices handed out *)
-  (* [slices * stride] slots in use, area-ascending and count-descending
-     per slice; the capacity doubles when a slice does not fit. *)
+  full : Bytes.t;  (* per cell: ['\001'] once its slice has [stride] slots *)
+  mutable slices : int;  (* cells handed a slice *)
+  mutable slots : int;  (* slots handed out, abandoned small slices included *)
+  (* [slots] slots in use, area-ascending and count-descending per
+     slice; the capacity doubles when a request does not fit. *)
   mutable area : float array;
   mutable count : int array;
   mutable state : int array;  (* arena id per element *)
@@ -75,24 +85,28 @@ type t = {
 let no_parent = -1
 let no_slice = -1
 
-(* The planes' first size, in slices.  Small, so that the first slices
-   of a build cost little and small builds grow their planes too. *)
-let first_slices = 8
+(* A cell's first slice: one state and the overflow slack. *)
+let small = 2
 
-(* A store with empty fronts, room for [slices] slices and an arena of
+(* The planes' first size, in slots.  Small, so that the first slices
+   of a build cost little and small builds grow their planes too. *)
+let first_slots = 16
+
+(* A store with empty fronts, planes of [slots] slots and an arena of
    [arena] slots. *)
-let make ~cells ~width ~slices ~arena =
-  let stride = width + 1 in
+let make ~cells ~width ~slots ~arena =
   {
     width;
-    stride;
+    stride = width + 1;
     cells;
     len = Array.make cells 0;
     base = Array.make cells no_slice;
+    full = Bytes.make cells '\000';
     slices = 0;
-    area = Array.make (slices * stride) 0.0;
-    count = Array.make (slices * stride) 0;
-    state = Array.make (slices * stride) no_parent;
+    slots = 0;
+    area = Array.make slots 0.0;
+    count = Array.make slots 0;
+    state = Array.make slots no_parent;
     arena_split = Array.make arena 0;
     arena_parent = Array.make arena no_parent;
     arena_len = 0;
@@ -107,7 +121,7 @@ let make ~cells ~width ~slices ~arena =
 let create ~cells ~width =
   if cells <= 0 then invalid_arg "Front.create: cells must be positive";
   if width <= 0 then invalid_arg "Front.create: width must be positive";
-  make ~cells ~width ~slices:0 ~arena:256
+  make ~cells ~width ~slots:0 ~arena:256
 
 (* [a] copied into a fresh array of [size] elements, the rest [fill]. *)
 let grown a size fill =
@@ -115,33 +129,54 @@ let grown a size fill =
   Array.blit a 0 a' 0 (Array.length a);
   a'
 
-(* The first slot of [cell]'s slice, handing the cell the next slice if
-   it has none.  Growing the planes moves every slice but keeps its
-   base, so a caller's raw views go stale here and its bases do not. *)
-let slice t cell =
-  let b = t.base.(cell) in
-  if b <> no_slice then b
-  else begin
-    let b = t.slices * t.stride in
-    let cap = Array.length t.area in
-    if b + t.stride > cap then begin
-      let size = max (first_slices * t.stride) (2 * cap) in
-      t.area <- grown t.area size 0.0;
-      t.count <- grown t.count size 0;
-      t.state <- grown t.state size no_parent
-    end;
-    t.base.(cell) <- b;
-    t.slices <- t.slices + 1;
-    b
-  end
+(* The first of [k] fresh slots at the planes' end.  Growing the planes
+   moves every slice but keeps its base, so a caller's raw views go
+   stale here and its bases do not. *)
+let take t k =
+  let b = t.slots in
+  let cap = Array.length t.area in
+  if b + k > cap then begin
+    let size = ref (max first_slots (2 * cap)) in
+    while b + k > !size do
+      size := 2 * !size
+    done;
+    t.area <- grown t.area !size 0.0;
+    t.count <- grown t.count !size 0;
+    t.state <- grown t.state !size no_parent
+  end;
+  t.slots <- b + k;
+  b
+
+(* Hand [cell], which has no slice, a first slice of [k] slots. *)
+let hand t cell k =
+  let b = take t k in
+  t.base.(cell) <- b;
+  if k > small then Bytes.unsafe_set t.full cell '\001';
+  t.slices <- t.slices + 1;
+  b
+
+(* The slots of [cell]'s slice. *)
+let[@inline] room t cell =
+  if Bytes.unsafe_get t.full cell = '\000' then small else t.stride
+
+(* Move [cell]'s [n] states from its small slice to a full one. *)
+let widen t cell n =
+  let old = t.base.(cell) in
+  let b = take t t.stride in
+  Array.blit t.area old t.area b n;
+  Array.blit t.count old t.count b n;
+  Array.blit t.state old t.state b n;
+  t.base.(cell) <- b;
+  Bytes.unsafe_set t.full cell '\001';
+  b
 
 (* A decoded store: state [s] of the given order gets arena id [s], so
    the arena holds the live states and nothing else, and each non-empty
-   cell gets one slice, so the planes hold them and nothing else.  Only
-   what keeps the store well formed is checked here — lengths within
-   the width, the state count, parents that precede their children (so
-   {!splits} terminates); the Pareto order is the decoder's to
-   validate. *)
+   cell gets one slice, a small one when its states fit, so the planes
+   hold them and nothing else.  Only what keeps the store well formed is
+   checked here — lengths within the width, the state count, parents
+   that precede their children (so {!splits} terminates); the Pareto
+   order is the decoder's to validate. *)
 let restore ~width ~len ~area ~count ~split ~parent =
   let bad what = invalid_arg ("Front.restore: " ^ what) in
   let cells = Array.length len and states = Array.length area in
@@ -152,17 +187,20 @@ let restore ~width ~len ~area ~count ~split ~parent =
     || Array.length split <> states
     || Array.length parent <> states
   then bad "state arrays differ in length";
-  let filled = Array.fold_left (fun k l -> if l > 0 then k + 1 else k) 0 len in
+  let first l = if l <= small then small else width + 1 in
+  let slots =
+    Array.fold_left (fun k l -> if l > 0 then k + first l else k) 0 len
+  in
   (* One spare arena slot, so a later insert's doubling has a size to
      double. *)
-  let t = make ~cells ~width ~slices:filled ~arena:(states + 1) in
+  let t = make ~cells ~width ~slots ~arena:(states + 1) in
   let s = ref 0 in
   Array.iteri
     (fun c l ->
       if l < 0 || l > width then bad "length out of range";
       if !s + l > states then bad "fewer states than the lengths hold";
       if l > 0 then begin
-        let base = slice t c in
+        let base = hand t c (first l) in
         for k = 0 to l - 1 do
           let id = !s + k in
           if parent.(id) < no_parent || parent.(id) >= id then
@@ -196,12 +234,13 @@ let parent t id = t.arena_parent.(id)
 let min_area t cell = t.area.(t.base.(cell))
 let base t cell = t.base.(cell)
 
-(* [area] and [count] are replaced when a slice does not fit (see
-   [slice]); the index arrays never are. *)
+(* [area] and [count] are replaced when a request for slots does not
+   fit (see [take]); the index arrays never are. *)
 let raw_area t = t.area
 let raw_count t = t.count
 let raw_len t = t.len
 let slices t = t.slices
+let slots t = t.slots
 let inserts t = t.inserts
 let dominated t = t.dominated
 let truncations t = t.truncations
@@ -241,7 +280,7 @@ let release_state t id =
 
 let seed t cell ~area ~count =
   if t.len.(cell) <> 0 then invalid_arg "Front.seed: cell not empty";
-  let base = slice t cell in
+  let base = hand t cell small in
   t.area.(base) <- area;
   t.count.(base) <- count;
   t.state.(base) <- alloc_state t ~split:(-1) ~parent:no_parent;
@@ -251,7 +290,7 @@ let insert t cell ~area:a ~count:c ~split ~parent =
   t.inserts <- t.inserts + 1;
   let n = t.len.(cell) in
   (* An empty cell takes every candidate, so it gets its slice here. *)
-  let base = if n = 0 then slice t cell else t.base.(cell) in
+  let base = if n = 0 then hand t cell small else t.base.(cell) in
   (* Upper bound: first index whose area exceeds [a]. *)
   let lo = ref 0 and hi = ref n in
   while !hi > !lo do
@@ -277,6 +316,10 @@ let insert t cell ~area:a ~count:c ~split ~parent =
       if t.count.(base + mid) >= c then lo := mid + 1 else hi := mid
     done;
     let q = !lo in
+    (* The front after the shuffle, one past the width at most: a cell
+       whose slice cannot hold it moves to a full one first. *)
+    let n' = n - (q - s) + 1 in
+    let base = if n' > room t cell then widen t cell n else base in
     for d = s to q - 1 do
       release_state t t.state.(base + d)
     done;
@@ -288,7 +331,6 @@ let insert t cell ~area:a ~count:c ~split ~parent =
     t.area.(base + s) <- a;
     t.count.(base + s) <- c;
     t.state.(base + s) <- alloc_state t ~split ~parent;
-    let n' = n - (q - s) + 1 in
     if n' > t.width then begin
       (* Dropping a non-dominated state: the DP may now under-report the
          rank.  Count it — [truncations = 0] is what licenses the [exact]

@@ -3,8 +3,10 @@
     A single value holds the fronts of {e every} DP cell of one
     {!Rank_dp.build_tables} run.  A cell that holds a state owns a slice
     of parallel flat planes, handed out when the cell gets its first
-    state; a cell that never holds one owns nothing, so the store grows
-    with the live states, not with the cell count.  Per cell, areas
+    state: two slots (one state and the overflow slack), moved to a full
+    [width + 1]-slot slice by the first insert that would overflow them.
+    A cell that never holds one owns nothing, so the store grows with
+    the live states, not with the cell count.  Per cell, areas
     ascend strictly and repeater counts descend strictly (the Pareto
     invariant), so a dominance check is an O(log width) binary search
     and an insertion an in-place shift.  A sorted run of candidates (one
@@ -12,7 +14,7 @@
     its positions never decrease, so {!Rank_dp}'s inlined pre-check
     places the run by one forward walk over {!raw_area}.  The hot loop
     performs no per-insert allocation; the planes grow, by doubling,
-    only when a cell gets its first state.  The interval split carried
+    only when a cell is handed slots.  The interval split carried
     by each state lives in a compact growable parent-pointer arena;
     {!splits} rebuilds the historical [splits : int list] on demand (only
     for the O(log n) witness probes, never in the build loop).
@@ -72,17 +74,22 @@ val min_area : t -> int -> float
     call boxes float arguments and returns).  Element [k] of [cell]
     lives at index [base t cell + k]; the live length of a cell is
     [(raw_len t).(cell)].  [raw_len] stays valid for the lifetime of
-    [t], and so does a cell's [base] once it is not [-1].  [raw_area]
-    and [raw_count] stay valid only until the next {!seed} or {!insert}
-    into an empty cell, which hands that cell its slice and may move the
-    planes to larger arrays.  Re-read the views, and the base of the
-    cell inserted into, after every {!insert}.  Never write through
-    them — all updates must go through {!seed} and {!insert} or the
-    Pareto invariant and the statistics break. *)
+    [t].  [raw_area] and [raw_count] stay valid only until the next
+    {!seed} or {!insert} that hands out slots: one into an empty cell,
+    which gets its first slice, or one that moves a cell to its full
+    slice.  Either may move the planes to larger arrays.  A cell's
+    [base] moves only on an {!insert} into that cell (or the {!seed}
+    that gives it one); the bases of all other cells stay put.  So
+    re-read the views, and the base of the cell inserted into, after
+    every {!insert}.  Slices are disjoint, but their order in the planes
+    is the order slots were handed out in, not the cell order.  Never
+    write through the views — all updates must go through {!seed} and
+    {!insert} or the Pareto invariant and the statistics break. *)
 
 val base : t -> int -> int
 (** The index of the cell's first element in {!raw_area} and
-    {!raw_count}, or [-1] while the cell has never held a state. *)
+    {!raw_count}, or [-1] while the cell has never held a state.  It
+    moves when an insert into the cell outgrows its first slice. *)
 
 val raw_area : t -> float array
 val raw_count : t -> int array
@@ -106,7 +113,10 @@ val insert :
     min-count last one are kept and {!truncations} grows by the number
     dropped.  [parent] is the arena id of the predecessor state
     ({!Front.state}), or [-1] for a root.  An insert into an empty cell
-    hands the cell its slice (see {!slices}). *)
+    hands the cell its two-slot slice (see {!slices}); a candidate that
+    is not dominated and would leave the cell more states than its
+    slice holds moves the cell to a full [width + 1]-slot slice first
+    (see {!slots}). *)
 
 val restore :
   width:int ->
@@ -122,7 +132,8 @@ val restore :
     in order, and state [s] gets arena id [s] with split [split.(s)]
     and parent [parent.(s)] (an earlier state's id, or [-1]).  The
     arena holds the live states and nothing else, and each non-empty
-    cell gets one slice, so the planes hold them and nothing else.  Raises
+    cell gets one slice, two slots when it holds at most two states and
+    [width + 1] otherwise, so the planes hold them and little else.  Raises
     [Invalid_argument] unless every length is within [width], the
     lengths add up to the state count and each parent precedes its
     child — what keeps the store's accessors and {!splits} well
@@ -141,6 +152,11 @@ val splits : t -> int -> int list
 val slices : t -> int
 (** Cells that have been handed a slice: every cell that ever held a
     state.  Reported to the [rank_dp/front_slices] gauge. *)
+
+val slots : t -> int
+(** Plane slots handed out: two per cell that ever held a state, plus
+    [width + 1] per cell moved to a full slice (its small slice is not
+    reused).  Reported to the [rank_dp/front_slots] gauge. *)
 
 val inserts : t -> int
 val dominated : t -> int

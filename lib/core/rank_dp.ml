@@ -8,9 +8,9 @@ module Scratch = Ir_assign.Scratch
    tests compare these between jobs=1 and jobs=N runs.  Counters on the
    hot paths are accumulated locally (inside Front for the kernel ones)
    and flushed once per call, so the inner loops never touch an atomic.
-   The gauge records the largest per-build state arena, i.e. how many
-   states survived insertion at least once in the worst build — a
-   capacity watermark for the flat kernel, and deterministic like the
+   The gauges record the largest per-build state arena (how many states
+   were live at once in the worst build), slice count and slot count —
+   capacity watermarks for the flat kernel, and deterministic like the
    counters (a maximum is order-independent). *)
 let stat_states = Ir_obs.counter "rank_dp/states_expanded"
 let stat_inserts = Ir_obs.counter "rank_dp/pareto_inserts"
@@ -27,6 +27,7 @@ let stat_fan_rounds = Ir_obs.counter "rank_dp/probe_fan_rounds"
 
 let gauge_arena = Ir_obs.gauge "rank_dp/front_arena_states"
 let gauge_slices = Ir_obs.gauge "rank_dp/front_slices"
+let gauge_slots = Ir_obs.gauge "rank_dp/front_slots"
 let span_build = Ir_obs.span "rank_dp/build_tables"
 let span_search = Ir_obs.span "rank_dp/search"
 
@@ -63,7 +64,56 @@ type tables = {
          rung and for a truncation-free one, which ends the ladder.  The
          widen ladder continues from it, so continuing the ladder on its
          own output is a no-op. *)
+  live : int array;
+      (* the bunch indices of the non-empty cells, row by row, each row
+         ascending: row j's are [live.(row_start.(j)) ..
+         live.(row_start.(j + 1) - 1)].  A witness probe visits these
+         and no other cell. *)
+  row_start : int array;  (* m + 1 entries *)
 }
+
+(* The live-cell index, as a build or a decode grows it: bunch indices
+   pushed row by row, each row ascending, and where each row starts. *)
+type index = {
+  mutable ix_cells : int array;
+  mutable ix_size : int;
+  ix_start : int array;  (* m + 1 entries *)
+}
+
+let index_create ~m =
+  { ix_cells = Array.make 64 0; ix_size = 0; ix_start = Array.make (m + 1) 0 }
+
+let[@inline] index_push ix i =
+  let k = ix.ix_size in
+  if k = Array.length ix.ix_cells then begin
+    let a = Array.make (2 * k) 0 in
+    Array.blit ix.ix_cells 0 a 0 k;
+    ix.ix_cells <- a
+  end;
+  ix.ix_cells.(k) <- i;
+  ix.ix_size <- k + 1
+
+(* Index row [j] of [front] by scanning its cells. *)
+let index_row ix front ~n j =
+  let len = Front.raw_len front in
+  ix.ix_start.(j) <- ix.ix_size;
+  for i = 0 to n do
+    if len.((j * (n + 1)) + i) > 0 then index_push ix i
+  done
+
+let tables_of ~problem ~front ~n ~m ~max_pareto ~truncations ix =
+  ix.ix_start.(m) <- ix.ix_size;
+  {
+    problem;
+    front;
+    n;
+    m;
+    max_pareto;
+    truncations;
+    ladder_prev = None;
+    live = ix.ix_cells;
+    row_start = ix.ix_start;
+  }
 
 (* One in-progress build. *)
 type builder = {
@@ -81,6 +131,15 @@ type builder = {
   b_reach : int array;
       (* per source state: the last destination up to which it offered
          every kept cell (see [builder_step]) *)
+  b_screened : bool array;
+  b_next_kept : int array;
+  b_kept_before : int array;
+      (* the screen of the row a level fills (see [screen_row]), refilled
+         per level *)
+  b_index : index;
+      (* rows [0, b_level) are indexed: each level indexes its source
+         row, and the rows a no-fit build skips are empty, as an index
+         starts *)
   mutable b_level : int;  (* next boundary pair to expand; done at m - 1 *)
   mutable b_states : int;
   mutable b_skipped : int;
@@ -140,6 +199,11 @@ let builder ?(max_pareto = 8) problem =
     b_blocked_k = Array.make width 0.0;
     b_skip_end = Array.make width 0;
     b_reach = Array.make width 0;
+    (* A no-fit build expands no level, so it needs no screen. *)
+    b_screened = (if fits then Array.make (n + 1) false else [||]);
+    b_next_kept = (if fits then Array.make (n + 2) 0 else [||]);
+    b_kept_before = (if fits then Array.make (n + 2) 0 else [||]);
+    b_index = index_create ~m;
     b_level = (if fits then 0 else m - 1);
     b_states = 0;
     b_skipped = 0;
@@ -176,31 +240,28 @@ let[@inline] position (f_area : float array) ~dbase ~dlen ~from a =
 
 (* The per-cell Definition-3 screen over row [row]: cell [(row, i)] is
    screened when bunches [i..n) cannot fit on pairs [row..m) even with
-   no repeater above.  Its soundness and its closure under the
+   no repeater above, by [GF.fast_reject]'s rule in one loop over the
+   row ([GF.reject_row]).  Its soundness and its closure under the
    transitions below (a screened cell only ever sends candidates to
    screened cells, so no kept cell's candidate stream changes) are
-   argued at [builder] in the interface.  Returns the mask,
+   argued at [builder] in the interface.  Fills the builder's mask,
    [next_kept]: [next_kept.(i)] is the first kept cell [>= i], [n + 1]
    when none is left, so the transition loop can jump a run of screened
    destinations, and [kept_before]: [kept_before.(i)] is the number of
    kept cells [< i], so a range skip counts its kept cells in O(1). *)
-let screen_row problem ~n ~row =
-  let screened =
-    Array.init (n + 1) (fun i ->
-        let w = P.wires_before problem i in
-        GF.fast_reject problem
-          (GF.context ~wires_above_top:w ~wires_above_below:w ~from_bunch:i
-             ~top_pair:row ()))
-  in
-  let next_kept = Array.make (n + 2) (n + 1) in
+let screen_row b ~row =
+  let n = b.b_n in
+  let screened = b.b_screened and next_kept = b.b_next_kept in
+  let kept_before = b.b_kept_before in
+  GF.reject_row b.b_problem ~top_pair:row screened;
+  next_kept.(n + 1) <- n + 1;
   for i = n downto 0 do
     next_kept.(i) <- (if screened.(i) then next_kept.(i + 1) else i)
   done;
-  let kept_before = Array.make (n + 2) 0 in
+  kept_before.(0) <- 0;
   for i = 0 to n do
     kept_before.(i + 1) <- (kept_before.(i) + if screened.(i) then 0 else 1)
-  done;
-  (screened, next_kept, kept_before)
+  done
 
 (* Does the transition from cell (j, i) to destination [i2 > i] end the
    transition loop?  The meeting interval [i, i2) must be feasible on
@@ -306,7 +367,13 @@ let builder_step b =
     let budget = b.b_budget in
     let blocked_k = b.b_blocked_k in
     let skip_end = b.b_skip_end and reach = b.b_reach in
-    let screened, next_kept, kept_before = screen_row problem ~n ~row:(j + 1) in
+    screen_row b ~row:(j + 1);
+    let screened = b.b_screened and next_kept = b.b_next_kept in
+    let kept_before = b.b_kept_before in
+    (* Row j is complete (a level fills only the row below it), so its
+       non-empty cells, the sources below, are indexed as they come. *)
+    let index = b.b_index in
+    index.ix_start.(j) <- index.ix_size;
     (* Kept cells of the row below in (lo, hi]. *)
     let kept lo hi = kept_before.(hi + 1) - kept_before.(lo + 1) in
     (* Raw views into the front's planes, for the inlined dominance
@@ -329,10 +396,12 @@ let builder_step b =
        Every position is the one the binary search would return, so
        every decision is unchanged.
 
-       An insert into an empty cell hands the cell its slice and may
-       move the planes, so after every [Front.insert] the views and the
-       destination's base are read again.  Bases of non-empty cells
-       never move, so [sbase] stays valid. *)
+       An insert hands out slots when it places a cell's first state or
+       outgrows the cell's two-slot slice; either may move the planes,
+       and the second moves the destination's base.  So after every
+       [Front.insert] the views and the destination's base are read
+       again.  Only the inserted cell's base moves, and every insert
+       goes to row [j + 1], so [sbase] stays valid. *)
     let f_area = ref (Front.raw_area front) in
     let f_count = ref (Front.raw_count front) in
     let f_len = Front.raw_len front in
@@ -344,6 +413,7 @@ let builder_step b =
       let src = cell ~n j i in
       let len = Front.length front src in
       if len > 0 then begin
+        index_push index i;
         let sbase = Front.base front src in
         b.b_states <- b.b_states + len;
         let wires_above = P.wires_before problem i in
@@ -520,15 +590,12 @@ let builder_finish b =
   Ir_obs.add stat_truncations (Front.truncations front);
   Ir_obs.set_max gauge_arena (Front.arena_states front);
   Ir_obs.set_max gauge_slices (Front.slices front);
-  {
-    problem = b.b_problem;
-    front;
-    n = b.b_n;
-    m = b.b_m;
-    max_pareto = b.b_max_pareto;
-    truncations = Front.truncations front;
-    ladder_prev = None;
-  }
+  Ir_obs.set_max gauge_slots (Front.slots front);
+  (* The last row is no level's source, so no level indexed it. *)
+  index_row b.b_index front ~n:b.b_n (b.b_m - 1);
+  tables_of ~problem:b.b_problem ~front ~n:b.b_n ~m:b.b_m
+    ~max_pareto:b.b_max_pareto ~truncations:(Front.truncations front)
+    b.b_index
 
 (* A no-op: the per-level barrier hook of the removed pruning layer,
    kept so perfbench's traced replay still compiles.  Nothing in the
@@ -750,13 +817,17 @@ let decode_tables problem blob =
       above := row
     done;
     (* Restored tables are only searched (a widen retry rebuilds from
-       the problem), so the store gets one slice per non-empty cell, as
-       wide as the longest cell rather than [max_pareto], which the blob
-       states but does not fill: the planes hold the live states and
-       little else. *)
+       the problem), so the store's width is the longest cell's rather
+       than [max_pareto], which the blob states but does not fill, and
+       each non-empty cell gets one slice: the planes hold the live
+       states and little else. *)
     let width = Array.fold_left max 1 len in
     let front = Front.restore ~width ~len ~area ~count ~split ~parent in
-    Ok { problem; front; n; m; max_pareto; truncations; ladder_prev = None }
+    let index = index_create ~m in
+    for j = 0 to m - 1 do
+      index_row index front ~n j
+    done;
+    Ok (tables_of ~problem ~front ~n ~m ~max_pareto ~truncations index)
   with Invalid e -> Error e
 
 (* Can the top c bunches all meet their targets in some complete
@@ -771,64 +842,72 @@ let decode_tables problem blob =
    areas only grow along a chain, so no over-budget prefix can lead to a
    within-budget witness). *)
 let feasible_witness ?gf tables c =
-  let { problem; front; n; m; _ } = tables in
+  let { problem; front; n; m; live; row_start; _ } = tables in
   let cap = P.capacity problem in
   let budget = P.budget problem in
   let wires_c = P.wires_before problem c in
+  (* The tables are not mutated after the build, so the views are
+     stable. *)
+  let f_area = Front.raw_area front and f_count = Front.raw_count front in
+  let f_len = Front.raw_len front in
   let probes = ref 0 in
   let exception Found of witness in
   let result =
     try
       for j = 0 to m - 1 do
-        for i = 0 to c do
+        (* The non-empty cells (j, i <= c), in ascending [i]: the cells
+           a walk over every (j, i <= c) would find states in, in its
+           order, so the first witness found is the same. *)
+        let r = ref row_start.(j) and stop = row_start.(j + 1) in
+        while !r < stop && live.(!r) <= c do
+          let i = live.(!r) in
+          incr r;
           let src = cell ~n j i in
-          let len = Front.length front src in
-          if len > 0 then begin
-            (* Probes are counted per state even when the whole cell is
-               rejected below, matching the historical per-state counter. *)
-            probes := !probes + len;
-            (* Everything determined by (j, i, c) alone is hoisted out of
-               the per-state loop: the meeting interval's feasibility and
-               cost, its routing area, and the wires above. *)
-            if P.meeting_feasible problem ~pair:j ~lo:i ~hi:c then begin
-              let m_area = P.meeting_area problem ~pair:j ~lo:i ~hi:c in
-              let m_count = P.meeting_count problem ~pair:j ~lo:i ~hi:c in
-              let used_j = P.interval_area problem ~pair:j ~lo:i ~hi:c in
-              let wires_i = P.wires_before problem i in
-              for k = 0 to len - 1 do
-                let area = Front.area front src k in
-                let count = Front.count front src k in
-                if area +. m_area <= budget then begin
-                  let blocked_j =
-                    P.blocked problem ~pair:j ~wires_above:wires_i
-                      ~reps_above:count
-                  in
-                  (* The greedy-fill suffix check resumes at the top pair
-                     from the [gf] arena while the fields the pairs below
-                     read repeat (see [Greedy_fill.fits]). *)
-                  if
-                    used_j +. blocked_j <= cap
-                    && GF.fits ?scratch:gf problem
-                         (GF.context ~top_pair_used:used_j
-                            ~wires_above_top:wires_i ~reps_above_top:count
-                            ~wires_above_below:wires_c
-                            ~reps_above_below:(count + m_count) ~from_bunch:c
-                            ~top_pair:j ())
-                  then
-                    raise
-                      (Found
-                         {
-                           boundary_pair = j;
-                           prefix_splits =
-                             Front.splits front (Front.state front src k);
-                           meet_lo = i;
-                           meet_hi = c;
-                           reps_above = count;
-                           reps_total = count + m_count;
-                         })
-                end
-              done
-            end
+          let len = f_len.(src) and sbase = Front.base front src in
+          (* Probes are counted per state even when the whole cell is
+             rejected below, matching the historical per-state counter. *)
+          probes := !probes + len;
+          (* Everything determined by (j, i, c) alone is hoisted out of
+             the per-state loop: the meeting interval's feasibility and
+             cost, its routing area, and the wires above. *)
+          if P.meeting_feasible problem ~pair:j ~lo:i ~hi:c then begin
+            let m_area = P.meeting_area problem ~pair:j ~lo:i ~hi:c in
+            let m_count = P.meeting_count problem ~pair:j ~lo:i ~hi:c in
+            let used_j = P.interval_area problem ~pair:j ~lo:i ~hi:c in
+            let wires_i = P.wires_before problem i in
+            for k = 0 to len - 1 do
+              let area = f_area.(sbase + k) in
+              let count = f_count.(sbase + k) in
+              if area +. m_area <= budget then begin
+                let blocked_j =
+                  P.blocked problem ~pair:j ~wires_above:wires_i
+                    ~reps_above:count
+                in
+                (* The greedy-fill suffix check resumes at the top pair
+                   from the [gf] arena while the fields the pairs below
+                   read repeat (see [Greedy_fill.fits]). *)
+                if
+                  used_j +. blocked_j <= cap
+                  && GF.fits ?scratch:gf problem
+                       (GF.context ~top_pair_used:used_j
+                          ~wires_above_top:wires_i ~reps_above_top:count
+                          ~wires_above_below:wires_c
+                          ~reps_above_below:(count + m_count) ~from_bunch:c
+                          ~top_pair:j ())
+                then
+                  raise
+                    (Found
+                       {
+                         boundary_pair = j;
+                         prefix_splits =
+                           Front.splits front (Front.state front src k);
+                         meet_lo = i;
+                         meet_hi = c;
+                         reps_above = count;
+                         reps_total = count + m_count;
+                       })
+              end
+            done
           end
         done
       done;

@@ -55,7 +55,8 @@ type tables
     area/count arrays, dominance by one forward walk per sorted source
     chain, blit insertion, no per-insert allocation) plus a
     parent-pointer arena from which witness splits are reconstructed on
-    demand.  The store holds rows
+    demand, and per row the bunch indices of its non-empty cells, the
+    only cells a boundary probe visits.  The store holds rows
     [j = 0 .. m-1] of [n + 1] cells each — exactly the rows a boundary
     probe reads (bunches [\[i, c)] meet on pair [j] on top of the row-[j]
     prefix in cell [(j, i)]).  They are not mutated
@@ -106,8 +107,9 @@ val builder : ?max_pareto:int -> Ir_assign.Problem.t -> builder
     [from_bunch = i], [top_pair = j], [wires_above_top =
     wires_above_below = wires_before i], no repeaters — bunches [i..n)
     cannot fit on pairs [j..m) even at the narrowest pitch and the
-    blockage floor of the prefix wires alone.  A screened cell gets no
-    state.  The root no-fit test above is the same rule at [(0, 0)],
+    blockage floor of the prefix wires alone.  A level gets the verdicts
+    of its whole row from {!Ir_assign.Greedy_fill.reject_row}, which
+    computes exactly these.  A screened cell gets no state.  The root no-fit test above is the same rule at [(0, 0)],
     made exact by a full packing.
 
     {e Soundness} (a counting argument; Lemma 1 is not used): every
@@ -287,9 +289,10 @@ val decode_tables :
     descending, splits and parents as the build leaves them, and no
     byte after the last state.  Accepted tables satisfy the {!Front}
     invariants, and searches over them are byte-identical to searches
-    over the originals.  The restored store's planes are sized to its
-    longest cell, not to [max_pareto]: restored tables are searched,
-    and a widen retry rebuilds from the problem. *)
+    over the originals.  The restored store is as wide as its longest
+    cell, not [max_pareto], and gives each non-empty cell one slice:
+    restored tables are searched, and a widen retry rebuilds from the
+    problem. *)
 
 val search_tables :
   ?exhaustive:bool ->

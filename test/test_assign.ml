@@ -1189,6 +1189,68 @@ let prop_power_cap_exact =
           label cap watts
       else true)
 
+(* [P.blocked] reads its pair's via pad from the problem instead of
+   deriving it per call: it must stay [Arch.blocked_area] bit for bit,
+   for either via model and any via count, on the problem as built and
+   after [with_materials] rebinds its pairs, and raise on a negative
+   count as [Arch.blocked_area] does. *)
+let prop_blocked_matches_arch =
+  qtest ~count:200 "blocked = Arch.blocked_area, bit for bit"
+    QCheck2.Gen.(
+      let* inst = Helpers.gen_instance in
+      let* via_model = oneofl [ Ir_ia.Via_model.Pad; Ir_ia.Via_model.Track ] in
+      let* vias = int_range 0 4 in
+      let* k = float_range 1.5 4.0 and* miller = float_range 1.0 2.0 in
+      let* counts = list_size (int_range 1 8) (pair nat nat) in
+      return (inst, via_model, vias, (k, miller), counts))
+    (fun ({ problem; label }, via_model, vias, (k, miller), counts) ->
+      let arch =
+        {
+          (P.arch problem) with
+          Ir_ia.Arch.via_model;
+          vias_per_wire = vias;
+        }
+      in
+      let p =
+        P.of_bunches ~arch
+          ~bunches:
+            (Array.init (P.n_bunches problem) (fun b ->
+                 {
+                   Ir_wld.Dist.length = P.bunch_length problem b;
+                   count = P.bunch_count problem b;
+                 }))
+          ()
+      in
+      let check stage p =
+        let arch = P.arch p in
+        for pair = 0 to P.n_pairs p - 1 do
+          List.iter
+            (fun (wires, reps) ->
+              let got = P.blocked p ~pair ~wires_above:wires ~reps_above:reps
+              and want =
+                Ir_ia.Arch.blocked_area arch ~pair_index:pair
+                  ~wires_above:wires ~repeaters_above:reps
+              in
+              if Int64.bits_of_float got <> Int64.bits_of_float want then
+                QCheck2.Test.fail_reportf
+                  "%s, %s: pair %d, %d wires, %d repeaters: %h <> %h" label
+                  stage pair wires reps got want)
+            counts;
+          List.iter
+            (fun (wires, reps) ->
+              match P.blocked p ~pair ~wires_above:wires ~reps_above:reps with
+              | _ ->
+                  QCheck2.Test.fail_reportf "%s, %s: (%d, %d) accepted" label
+                    stage wires reps
+              | exception Invalid_argument _ -> ())
+            [ (-1, 0); (0, -1) ]
+        done
+      in
+      check "built" p;
+      check "with_materials"
+        (P.with_materials p (Ir_ia.Materials.v ~k ~miller ()));
+      true)
+
 let () =
   Alcotest.run "assign"
     [
@@ -1212,6 +1274,7 @@ let () =
           prop_split_bunch_verdicts;
           Alcotest.test_case "power tables" `Quick test_power_tables;
           prop_power_cap_exact;
+          prop_blocked_matches_arch;
         ] );
       ( "rescale reuse",
         [

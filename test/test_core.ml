@@ -669,9 +669,10 @@ let gen_multi_cell_stream =
   return (width, cells, roots, ops)
 
 (* The store [gen_multi_cell_stream] describes, with its reference
-   lists; [after] runs after every insert, given its index and cell. *)
-let multi_cell_store ?(after = fun _ _ _ _ _ -> ()) (width, cells, roots, ops)
-    =
+   lists; [seeded] runs once the roots are seeded, [after] after every
+   insert, given its index and cell. *)
+let multi_cell_store ?(seeded = fun _ -> ()) ?(after = fun _ _ _ _ _ -> ())
+    (width, cells, roots, ops) =
   let stats =
     { r_inserts = 0; r_dominated = 0; r_truncations = 0; r_screened = 0 }
   in
@@ -681,6 +682,7 @@ let multi_cell_store ?(after = fun _ _ _ _ _ -> ()) (width, cells, roots, ops)
     Front.seed front c ~area:0.0 ~count:c;
     reference.(c) <- [ { r_area = 0.0; r_count = c; r_splits = [] } ]
   done;
+  seeded front;
   List.iteri
     (fun k (cell, area, count, root) ->
       reference.(cell) <-
@@ -693,12 +695,14 @@ let multi_cell_store ?(after = fun _ _ _ _ _ -> ()) (width, cells, roots, ops)
   (front, reference, stats)
 
 (* Every cell against its reference list and the tallies against the
-   reference's, after every insert.  Slices go to cells in the order of
-   their first state, one per non-empty cell, and none to an empty one.
-   The run fails if no stream ever moved the planes, which is what makes
-   a stale view show. *)
+   reference's, after every insert.  One slice per non-empty cell and
+   none for an empty one; the live ranges [base, base + length) are
+   disjoint and lie inside the planes; and a cell's base moves only on
+   an insert into that cell.  The run fails if no stream ever moved the
+   planes, or ever moved a cell to its full slice, which is what makes a
+   stale view or base show. *)
 let prop_front_multi_cell_matches_reference =
-  let moved = ref 0 in
+  let moved = ref 0 and relocated = ref 0 in
   let name, speed, run =
     qtest ~count:300 "sparse store: interleaved cells match the list reference"
       gen_multi_cell_stream (fun ((width, cells, roots, ops) as stream) ->
@@ -706,13 +710,13 @@ let prop_front_multi_cell_matches_reference =
           Printf.sprintf "width=%d cells=%d roots=%d n_ops=%d" width cells
             roots (List.length ops)
         in
-        (* Cells in the order they got their first state. *)
-        let order = ref (List.init roots Fun.id) in
-        let planes = ref [||] in
-        let after front reference stats k cell =
-          if not (List.mem cell !order) then order := !order @ [ cell ];
-          (* Insert 0 sees the planes the roots' slices came in. *)
-          if k > 0 && Front.raw_area front != !planes then incr moved;
+        let planes = ref [||] and bases = Array.make cells (-1) in
+        let seeded front =
+          planes := Front.raw_area front;
+          Array.iteri (fun c _ -> bases.(c) <- Front.base front c) bases
+        in
+        let after front reference stats _ cell =
+          if Front.raw_area front != !planes then incr moved;
           planes := Front.raw_area front;
           Array.iteri
             (fun c r ->
@@ -722,23 +726,59 @@ let prop_front_multi_cell_matches_reference =
                   label c)
             reference;
           ignore (check_stats_equal ~label front stats);
-          if Front.slices front <> List.length !order then
+          let non_empty =
+            List.filter
+              (fun c -> Front.length front c > 0)
+              (List.init cells Fun.id)
+          in
+          if Front.slices front <> List.length non_empty then
             QCheck2.Test.fail_reportf "%s: %d slices for %d non-empty cells"
-              label (Front.slices front) (List.length !order);
-          let bases = List.map (Front.base front) !order in
-          if List.sort_uniq compare bases <> bases then
-            QCheck2.Test.fail_reportf
-              "%s: slices not handed out in first-state order" label
+              label (Front.slices front) (List.length non_empty);
+          let ranges =
+            List.sort compare
+              (List.map
+                 (fun c -> (Front.base front c, Front.length front c))
+                 non_empty)
+          in
+          ignore
+            (List.fold_left
+               (fun next (b, l) ->
+                 if b < next then
+                   QCheck2.Test.fail_reportf "%s: slices overlap at slot %d"
+                     label b;
+                 b + l)
+               0 ranges);
+          List.iter
+            (fun (b, l) ->
+              if b + l > Array.length (Front.raw_area front) then
+                QCheck2.Test.fail_reportf "%s: a slice ends past the planes"
+                  label)
+            ranges;
+          Array.iteri
+            (fun c b ->
+              let b' = Front.base front c in
+              if c = cell then begin
+                if b >= 0 && b' <> b then incr relocated;
+                bases.(c) <- b'
+              end
+              else if b' <> b then
+                QCheck2.Test.fail_reportf
+                  "%s: cell %d's base moved on an insert into cell %d" label
+                  c cell)
+            bases
         in
-        ignore (multi_cell_store ~after stream);
+        ignore (multi_cell_store ~seeded ~after stream);
         true)
   in
   ( name,
     speed,
     fun () ->
       moved := 0;
+      relocated := 0;
       run ();
-      if !moved = 0 then Alcotest.fail "no stream grew the planes" )
+      if !moved = 0 then Alcotest.fail "no stream grew the planes";
+      if !relocated = 0 then
+        Alcotest.fail "no stream moved a cell to its full slice" )
 
 (* [Front.restore] of a random store, fed the store's live states in
    canonical order (cells in order, each area-ascending, parents as
@@ -789,6 +829,137 @@ let cell_screened problem j i =
   Ir_assign.Greedy_fill.fast_reject problem
     (Ir_assign.Greedy_fill.context ~wires_above_top:w ~wires_above_below:w
        ~from_bunch:i ~top_pair:j ())
+
+(* ---- the row screen: [Greedy_fill.reject_row] = [fast_reject] ----- *)
+
+(* The first cell [(j, i)] whose row-screen verdict differs from
+   [cell_screened]'s, over every row of [problem]. *)
+let row_screen_mismatch problem =
+  let n = P.n_bunches problem and m = P.n_pairs problem in
+  let rec row j =
+    if j = m then None
+    else
+      (* Stale verdicts in the array must be overwritten. *)
+      let got = Array.init (n + 1) (fun i -> i mod 2 = 0) in
+      Ir_assign.Greedy_fill.reject_row problem ~top_pair:j got;
+      let rec cell i =
+        if i > n then row (j + 1)
+        else if got.(i) <> cell_screened problem j i then Some (j, i)
+        else cell (i + 1)
+      in
+      cell 0
+  in
+  row 0
+
+(* Cell [(row, i)]'s screen inputs at capacity [cap], from the
+   problem's tables: the least demand over pairs [row..m) and the summed
+   room net of the prefix wires' via stacks.  Only to aim a capacity
+   at the screen's slack band. *)
+let screen_terms problem ~row ~i cap =
+  let n = P.n_bunches problem and m = P.n_pairs problem in
+  let w = P.wires_before problem i in
+  let demand = ref infinity and avail = ref 0.0 in
+  for q = row to m - 1 do
+    let area = P.interval_area problem ~pair:q ~lo:i ~hi:n in
+    if area < !demand then demand := area;
+    avail :=
+      !avail
+      +. Float.max 0.0
+           (cap -. P.blocked problem ~pair:q ~wires_above:w ~reps_above:0)
+  done;
+  (!demand, !avail)
+
+(* [problem] rebuilt with every pair's capacity exactly [cap]. *)
+let at_capacity problem cap =
+  let arch = P.arch problem in
+  let arch =
+    { arch with Ir_ia.Arch.die_area = cap /. 2.0; utilization = 1.0 }
+  in
+  let p =
+    P.of_bunches ~arch
+      ~bunches:
+        (Array.init (P.n_bunches problem) (fun b ->
+             {
+               Ir_wld.Dist.length = P.bunch_length problem b;
+               count = P.bunch_count problem b;
+             }))
+      ()
+  in
+  assert (P.capacity p = cap);
+  p
+
+(* The smallest positive float in [(lo, hi]] at which [ok] holds, by
+   bisection over the bit patterns (ordered like the floats): [ok] is
+   monotone, false at [lo] and true at [hi]. *)
+let first_float ~lo ~hi ok =
+  let lo = ref (Int64.bits_of_float lo) and hi = ref (Int64.bits_of_float hi) in
+  while Int64.sub !hi !lo > 1L do
+    let mid = Int64.add !lo (Int64.div (Int64.sub !hi !lo) 2L) in
+    if ok (Int64.float_of_bits mid) then hi := mid else lo := mid
+  done;
+  Int64.float_of_bits !hi
+
+(* Capacities that put cell [(row, i)] at the screen's edge: one inside
+   the slack band (demand above the room, but within [1e-9] of it), and
+   the two sides of the verdict's flip, the accepting one first. *)
+let edge_capacities problem ~row ~i =
+  let demand, _ = screen_terms problem ~row ~i 0.0 in
+  let avail cap = snd (screen_terms problem ~row ~i cap) in
+  (* Room for twice the demand on every pair: the screen accepts. *)
+  let top = ref (2.0 *. demand) in
+  let w = P.wires_before problem i in
+  for q = row to P.n_pairs problem - 1 do
+    top := !top +. P.blocked problem ~pair:q ~wires_above:w ~reps_above:0
+  done;
+  let first ok = first_float ~lo:0.0 ~hi:!top ok in
+  let band = first (fun cap -> avail cap >= demand /. (1.0 +. 5e-10)) in
+  let accept = first (fun cap -> not (demand > avail cap *. (1.0 +. 1e-9))) in
+  [ band; accept; Float.pred accept ]
+
+(* The row screen against [fast_reject] on every cell of random
+   problems, and of each problem rebuilt at capacities that put one
+   cell at the screen's edge: inside the [1e-9] slack band, and on both
+   sides of the verdict's flip, where the demand can sit exactly on the
+   bound.  A row screen that drops the slack differs in the band, one
+   that rejects on equality differs on the bound.  The run fails if no
+   case reached the band or the bound, so the edges are really
+   exercised. *)
+let prop_row_screen_matches_fast_reject =
+  let band = ref 0 and bound = ref 0 in
+  let name, speed, run =
+    qtest ~count:300 "row screen = fast_reject per cell, at the edges too"
+      QCheck2.Gen.(
+        triple
+          (oneof [ Helpers.gen_instance; Helpers.gen_instance_4pair ])
+          nat nat)
+      (fun ({ problem; label }, r, k) ->
+        let n = P.n_bunches problem and m = P.n_pairs problem in
+        let row = r mod m and i = k mod n in
+        let check label p =
+          match row_screen_mismatch p with
+          | None -> ()
+          | Some (j, c) ->
+              QCheck2.Test.fail_reportf "%s: cell (%d, %d) differs" label j c
+        in
+        check label problem;
+        List.iter
+          (fun cap ->
+            let p = at_capacity problem cap in
+            check (Printf.sprintf "%s, cap %h at (%d, %d)" label cap row i) p;
+            let demand, avail = screen_terms p ~row ~i cap in
+            if demand > avail && not (cell_screened p row i) then incr band;
+            if demand = avail *. (1.0 +. 1e-9) then incr bound)
+          (edge_capacities problem ~row ~i);
+        true)
+  in
+  ( name,
+    speed,
+    fun () ->
+      band := 0;
+      bound := 0;
+      run ();
+      if !band = 0 then Alcotest.fail "no case put a cell in the slack band";
+      if !bound = 0 then Alcotest.fail "no case put a demand on the bound" )
 
 (* Replays the phase-A build loop of [Rank_dp.build_tables] — the same
    root screen, per-cell screen, iteration order, prune conditions and
@@ -1682,17 +1853,30 @@ let test_tables_byte_stable () =
 
 (* The store's allocation, pinned on the perfbench [cross_widen] cells:
    a build hands out one slice per non-empty cell (the no-fit 3-pair
-   cell none, its builder seeding nothing), the [rank_dp/front_slices]
-   gauge reports it, and a decoded blob's store gets one slice per
-   non-empty cell too. *)
-let test_front_slices () =
-  let cross ?(structure = Ir_ia.Arch.baseline_structure) ~gates node =
-    Ir_core.Rank.problem_of_design ~structure
+   cell none, its builder seeding nothing) and the slots those slices
+   take, two per cell plus a full slice per cell that outgrew its first,
+   the [rank_dp/front_slices] and [rank_dp/front_slots] gauges report
+   them, and a decoded blob's store gets one slice per non-empty cell
+   too. *)
+(* perfbench's [cross_widen] cells, as [Rank.problem_of_design] builds
+   them. *)
+let cross_widen_cells () =
+  let cross ?structure ~gates node =
+    Ir_core.Rank.problem_of_design ?structure
       (Ir_core.Rank.baseline_design ~gates node)
   in
   let three_pair =
     { Ir_ia.Arch.baseline_structure with Ir_ia.Arch.semi_global_pairs = 1 }
   in
+  [
+    ("n90_4750k", cross ~gates:4_750_000 Ir_tech.Node.N90);
+    ( "n90_4500k_3pair",
+      cross ~structure:three_pair ~gates:4_500_000 Ir_tech.Node.N90 );
+    ("n180_6000k", cross ~gates:6_000_000 Ir_tech.Node.N180);
+  ]
+
+let test_front_slices () =
+  let cells = cross_widen_cells () in
   let non_empty front =
     let k = ref 0 in
     for c = 0 to Front.cells front - 1 do
@@ -1700,18 +1884,22 @@ let test_front_slices () =
     done;
     !k
   in
-  List.iter
-    (fun (label, problem, slices) ->
+  List.iter2
+    (fun (label, problem) (slices, slots) ->
       Ir_obs.reset ();
       let t = Ir_core.Rank_dp.build_tables problem in
       let front = Ir_core.Rank_dp.front t in
       Alcotest.(check int) (label ^ " slices") slices (Front.slices front);
       Alcotest.(check int) (label ^ " non-empty cells") slices
         (non_empty front);
+      Alcotest.(check int) (label ^ " slots") slots (Front.slots front);
+      let gauge = Ir_obs.find_gauge (Ir_obs.snapshot ()) in
       Alcotest.(check (option int))
         (label ^ " gauge")
-        (Some slices)
-        (Ir_obs.find_gauge (Ir_obs.snapshot ()) "rank_dp/front_slices");
+        (Some slices) (gauge "rank_dp/front_slices");
+      Alcotest.(check (option int))
+        (label ^ " slots gauge")
+        (Some slots) (gauge "rank_dp/front_slots");
       match Ir_core.Rank_dp.decode_tables problem (encode t) with
       | Ok d ->
           let restored = Ir_core.Rank_dp.front d in
@@ -1720,18 +1908,10 @@ let test_front_slices () =
           Alcotest.(check int) (label ^ " decoded non-empty cells") slices
             (non_empty restored)
       | Error e -> Alcotest.failf "%s: blob rejected: %s" label (error_name e))
-    [
-      ("n90_4750k", cross ~gates:4_750_000 Ir_tech.Node.N90, 1_854);
-      ( "n90_4500k_3pair",
-        cross ~structure:three_pair ~gates:4_500_000 Ir_tech.Node.N90,
-        0 );
-      ("n180_6000k", cross ~gates:6_000_000 Ir_tech.Node.N180, 2_669);
-    ];
+    cells
+    [ (1_854, 3_708); (0, 0); (2_669, 5_338) ];
   (* A no-fit builder seeds nothing and steps no level. *)
-  let b =
-    Ir_core.Rank_dp.builder
-      (cross ~structure:three_pair ~gates:4_500_000 Ir_tech.Node.N90)
-  in
+  let b = Ir_core.Rank_dp.builder (List.assoc "n90_4500k_3pair" cells) in
   Alcotest.(check bool) "no-fit builder has no level" false
     (Ir_core.Rank_dp.builder_step b);
   Alcotest.(check int) "no-fit builder slices" 0
@@ -1990,17 +2170,29 @@ let prop_decode_validator_fuzz =
               | _ -> true)))
 
 (* [None] when [decode (encode t)] is [t] to every reader: the same
-   outcome and witness at the build's budget and rebudgeted to [fractions],
-   the same kept-cell digest, and the same bytes when encoded again. *)
+   outcome, witness, witness probes and greedy-fill calls at the build's
+   budget and rebudgeted to [fractions], the same kept-cell digest, and
+   the same bytes when encoded again.  The work counters pin the decoded
+   tables' live-cell index: a search over it must visit the states a
+   search over the built tables visits. *)
 let round_trip_failure ?(fractions = [ 1.0 ]) problem t =
   let blob = encode t in
   match Ir_core.Rank_dp.decode_tables problem blob with
   | Error e -> Some ("rejected: " ^ error_name e)
   | Ok d ->
-      let same tables tables' =
+      (* The outcome, the witness and the search's work. *)
+      let search tables =
+        let before = Ir_obs.snapshot () in
         let o, w = Ir_core.Rank_dp.search_tables tables in
-        let o', w' = Ir_core.Rank_dp.search_tables tables' in
-        Ir_core.Outcome.equal o o' && w = w'
+        let after = Ir_obs.snapshot () in
+        let work name = counter_in after name - counter_in before name in
+        (o, w, work "rank_dp/witness_probes", work "greedy_fill/calls")
+      in
+      let same tables tables' =
+        let o, w, probes, calls = search tables in
+        let o', w', probes', calls' = search tables' in
+        Ir_core.Outcome.equal o o' && w = w' && probes = probes'
+        && calls = calls'
       in
       if encode d <> blob then Some "re-encoding differs"
       else if kept_cell_digest problem d <> kept_cell_digest problem t then
@@ -2493,26 +2685,44 @@ let test_hard_corpus () =
     (hard_corpus ());
   Ir_obs.reset ()
 
-(* Served = cold on the hard corpus, at the codec: every case's first
-   rung and its widened tables decode to tables every reader sees as the
-   originals, at the case's fraction and at half of it. *)
+(* Served = cold at the codec: a first rung and its widened tables
+   decode to tables every reader sees as the originals, at the problem's
+   fraction and at fractions below it. *)
+let check_round_trip ?max_pareto ?widen_on_overflow ~label p =
+  let f = (P.arch p).Ir_ia.Arch.design.Ir_tech.Design.repeater_fraction in
+  let fractions = [ f; 0.75 *. f; 0.5 *. f; 0.25 *. f ] in
+  let first = Ir_core.Rank_dp.build_tables ?max_pareto p in
+  List.iter
+    (fun (rung, t) ->
+      match round_trip_failure ~fractions p t with
+      | None -> ()
+      | Some why -> Alcotest.failf "%s, %s: %s" label rung why)
+    [
+      ("first rung", first);
+      ("widened", Ir_core.Rank_dp.widen_tables ?widen_on_overflow first);
+    ]
+
 let test_hard_corpus_round_trip () =
   List.iter
     (fun c ->
-      let p = c.hc_problem in
-      let f = (P.arch p).Ir_ia.Arch.design.Ir_tech.Design.repeater_fraction in
-      let first = Ir_core.Rank_dp.build_tables ?max_pareto:c.hc_max_pareto p in
-      List.iter
-        (fun (rung, t) ->
-          match round_trip_failure ~fractions:[ f; 0.5 *. f ] p t with
-          | None -> ()
-          | Some why -> Alcotest.failf "%s, %s: %s" c.hc_name rung why)
-        [
-          ("first rung", first);
-          ( "widened",
-            Ir_core.Rank_dp.widen_tables ?widen_on_overflow:c.hc_widen first );
-        ])
+      check_round_trip ?max_pareto:c.hc_max_pareto ?widen_on_overflow:c.hc_widen
+        ~label:c.hc_name c.hc_problem)
     (hard_corpus ())
+
+let test_cross_widen_round_trip () =
+  List.iter
+    (fun (label, p) -> check_round_trip ~label p)
+    (cross_widen_cells ())
+
+(* The row screen on the hard corpus and the [cross_widen] cells. *)
+let test_row_screen_corpus () =
+  List.iter
+    (fun (label, p) ->
+      match row_screen_mismatch p with
+      | None -> ()
+      | Some (j, i) -> Alcotest.failf "%s: cell (%d, %d) differs" label j i)
+    (List.map (fun c -> (c.hc_name, c.hc_problem)) (hard_corpus ())
+    @ cross_widen_cells ())
 
 let () =
   Alcotest.run "core"
@@ -2587,6 +2797,10 @@ let () =
             test_hard_corpus;
           Alcotest.test_case "hard corpus: table codec round trip" `Quick
             test_hard_corpus_round_trip;
+          Alcotest.test_case "cross_widen cells: table codec round trip"
+            `Quick test_cross_widen_round_trip;
+          Alcotest.test_case "row screen = fast_reject on the corpora" `Quick
+            test_row_screen_corpus;
         ] );
       ( "front",
         [
@@ -2606,6 +2820,7 @@ let () =
           prop_front_mirror_build_4pair;
           prop_front_mirror_full_budget;
           prop_screen_sound;
+          prop_row_screen_matches_fast_reject;
         ] );
       ( "rank_greedy",
         [
