@@ -58,23 +58,30 @@ let[@inline] load ~a_w ~x ~wire_area ~via ~vf ~base_wires ~suffix_above ~reps =
    i.e. x * (wire_area - v * v_a) <= room, where packing a wire onto q
    both consumes its routing area and removes its via stack from q's
    blockage. *)
-let max_take ~cap ~a_w ~wire_area ~via ~v ~base_wires ~reps ~suffix_above
-    ~available =
+let[@inline] max_take ~cap ~a_w ~wire_area ~via ~v ~base_wires ~reps
+    ~suffix_above ~available =
   let vf = float_of_int v in
-  (* The feasibility condition for taking x wires, in its original
-     uncollapsed form.  The closed-form estimate below rearranges it
-     algebraically, but float algebra is not equivalence-preserving —
-     every candidate is verified against this predicate, which is the
-     single source of truth. *)
-  let ok x =
-    load ~a_w ~x ~wire_area ~via ~vf ~base_wires ~suffix_above ~reps <= cap
-  in
+  (* The feasibility condition for taking x wires is [load ... <= cap], in
+     its original uncollapsed form.  The closed-form estimate below
+     rearranges it algebraically, but float algebra is not
+     equivalence-preserving — every candidate is verified against the
+     condition, which is the single source of truth.  It is written out
+     at each use rather than bound to a local closure, which would be
+     allocated per call and keep [max_take] from being inlined. *)
   let net = wire_area -. (vf *. via) in
   if net <= 0.0 then
     (* Packing a wire frees at least as much blockage as it consumes, so
        feasibility is monotone increasing in x: all or nothing. *)
-    if ok available then available else 0
-  else if ok available then available
+    if
+      load ~a_w ~x:available ~wire_area ~via ~vf ~base_wires ~suffix_above
+        ~reps
+      <= cap
+    then available
+    else 0
+  else if
+    load ~a_w ~x:available ~wire_area ~via ~vf ~base_wires ~suffix_above ~reps
+    <= cap
+  then available
   else begin
     (* Estimate x by the rearranged linear solve x <= room / net, then
        verify-and-adjust: the division can land one off in either
@@ -96,11 +103,22 @@ let max_take ~cap ~a_w ~wire_area ~via ~v ~base_wires ~reps ~suffix_above
     in
     let x = ref (max 0 estimate) in
     let adjusted = ref 0 in
-    while !x > 0 && not (ok !x) do
+    while
+      !x > 0
+      && not
+           (load ~a_w ~x:!x ~wire_area ~via ~vf ~base_wires ~suffix_above
+              ~reps
+           <= cap)
+    do
       decr x;
       incr adjusted
     done;
-    while !x < available && ok (!x + 1) do
+    while
+      !x < available
+      && load ~a_w ~x:(!x + 1) ~wire_area ~via ~vf ~base_wires ~suffix_above
+           ~reps
+         <= cap
+    do
       incr x;
       incr adjusted
     done;
@@ -226,6 +244,62 @@ let top_screen t ctx ~next ~rem ~suffix_above =
     else Walk
   end
 
+(* The pack cursor.  Packing is strictly shortest-first, so bunch [next]
+   is the only partly packed one, with [rem] wires left; the bunches
+   after it are packed and those before it untouched.  [settle] moves
+   the cursor past packed bunches; [next < from_bunch] then means the
+   whole suffix is packed.  One cursor per call, and the functions that
+   move it are top-level, so a call allocates no closure and boxes no
+   float. *)
+type cursor = {
+  mutable next : int;
+  mutable rem : int;
+  mutable packed : int;
+  mutable placements : placement list;  (* only when recording *)
+}
+
+let settle t ~from c =
+  while c.next >= from && c.rem = 0 do
+    c.next <- c.next - 1;
+    if c.next >= from then c.rem <- Problem.bunch_count t c.next
+  done
+
+(* Pack as much of the suffix as fits onto pair [q]. *)
+let fill t ctx c ~total_suffix ~record q =
+  let arch = Problem.arch t in
+  let v = arch.Ir_ia.Arch.vias_per_wire in
+  let from = ctx.from_bunch in
+  let pair = Ir_ia.Arch.pair arch q in
+  let via = pair.Ir_ia.Layer_pair.via_area in
+  let at_top = q = ctx.top_pair in
+  let base_wires =
+    if at_top then ctx.wires_above_top else ctx.wires_above_below
+  in
+  let reps = if at_top then ctx.reps_above_top else ctx.reps_above_below in
+  let cap = Problem.capacity t in
+  let cap_q = if at_top then cap -. ctx.top_pair_used else cap in
+  let a_w = ref 0.0 in
+  let continue_pair = ref true in
+  while !continue_pair && (settle t ~from c; c.next >= from) do
+    let b = c.next in
+    let wire_area = Problem.bunch_length t b *. Ir_ia.Layer_pair.pitch pair in
+    (* Suffix wires currently unplaced (they will sit above q unless
+       packed onto it now); max_take subtracts the x it packs. *)
+    let suffix_above = total_suffix - c.packed in
+    let take =
+      max_take ~cap:cap_q ~a_w:!a_w ~wire_area ~via ~v ~base_wires ~reps
+        ~suffix_above ~available:c.rem
+    in
+    if take > 0 then begin
+      c.rem <- c.rem - take;
+      c.packed <- c.packed + take;
+      a_w := !a_w +. (float_of_int take *. wire_area);
+      if record then
+        c.placements <- { pair = q; bunch = b; wires = take } :: c.placements
+    end;
+    if c.rem > 0 then continue_pair := false
+  done
+
 (* Packing runs in two stages.  The pairs strictly below the top pair
    read only [t], [from_bunch], [top_pair], [wires_above_below] and
    [reps_above_below], the key of a [Scratch.below]; the top pair also
@@ -256,115 +330,74 @@ let run ?scratch t ctx ~record =
     None
   end
   else begin
-    let cap = Problem.capacity t in
-    let arch = Problem.arch t in
-    let v = arch.Ir_ia.Arch.vias_per_wire in
     let from = ctx.from_bunch in
     let total_suffix = Problem.total_wires t - Problem.wires_before t from in
-    let placements = ref [] in
-    (* The pack cursor.  Packing is strictly shortest-first, so bunch
-       [!next] is the only partly packed one, with [!rem] wires left;
-       the bunches after it are packed and those before it untouched.
-       [settle] moves the cursor past packed bunches; [!next < from]
-       then means the whole suffix is packed. *)
-    let next = ref n and rem = ref 0 and packed = ref 0 in
-    let settle () =
-      while !next >= from && !rem = 0 do
-        decr next;
-        if !next >= from then rem := Problem.bunch_count t !next
-      done
-    in
-    (* Pack as much of the suffix as fits onto pair [q]. *)
-    let fill q =
-      let pair = Ir_ia.Arch.pair arch q in
-      let via = pair.Ir_ia.Layer_pair.via_area in
-      let at_top = q = ctx.top_pair in
-      let base_wires =
-        if at_top then ctx.wires_above_top else ctx.wires_above_below
-      in
-      let reps = if at_top then ctx.reps_above_top else ctx.reps_above_below in
-      let cap_q = if at_top then cap -. ctx.top_pair_used else cap in
-      let a_w = ref 0.0 in
-      let continue_pair = ref true in
-      while !continue_pair && (settle (); !next >= from) do
-        let b = !next in
-        let wire_area =
-          Problem.bunch_length t b *. Ir_ia.Layer_pair.pitch pair
-        in
-        (* Suffix wires currently unplaced (they will sit above q unless
-           packed onto it now); max_take subtracts the x it packs. *)
-        let suffix_above = total_suffix - !packed in
-        let take =
-          max_take ~cap:cap_q ~a_w:!a_w ~wire_area ~via ~v ~base_wires ~reps
-            ~suffix_above ~available:!rem
-        in
-        if take > 0 then begin
-          rem := !rem - take;
-          packed := !packed + take;
-          a_w := !a_w +. (float_of_int take *. wire_area);
-          if record then
-            placements := { pair = q; bunch = b; wires = take } :: !placements
-        end;
-        if !rem > 0 then continue_pair := false
-      done
+    let c = { next = n; rem = 0; packed = 0; placements = [] } in
+    let packed_below =
+      match scratch with
+      | Some s -> (
+          match Scratch.below s with
+          | Some e
+            when e.problem == t && e.from_bunch = from
+                 && e.top_pair = ctx.top_pair
+                 && e.wires_above_below = ctx.wires_above_below
+                 && e.reps_above_below = ctx.reps_above_below ->
+              Ir_obs.incr stat_below_hits;
+              c.next <- e.next;
+              c.rem <- e.rem;
+              c.packed <- e.packed;
+              e.packed
+          | _ -> -1)
+      | None -> -1
     in
     let packed_below =
-      match Option.bind scratch Scratch.below with
-      | Some e
-        when e.problem == t && e.from_bunch = from
-             && e.top_pair = ctx.top_pair
-             && e.wires_above_below = ctx.wires_above_below
-             && e.reps_above_below = ctx.reps_above_below ->
-          Ir_obs.incr stat_below_hits;
-          next := e.next;
-          rem := e.rem;
-          packed := e.packed;
-          e.packed
-      | _ ->
-          let q = ref (m - 1) in
-          while !q > ctx.top_pair && (settle (); !next >= from) do
-            fill !q;
-            decr q
-          done;
-          settle ();
-          Option.iter
-            (fun s ->
-              Scratch.set_below s
-                {
-                  problem = t;
-                  from_bunch = from;
-                  top_pair = ctx.top_pair;
-                  wires_above_below = ctx.wires_above_below;
-                  reps_above_below = ctx.reps_above_below;
-                  next = !next;
-                  rem = !rem;
-                  packed = !packed;
-                })
-            scratch;
-          0
+      if packed_below >= 0 then packed_below
+      else begin
+        let q = ref (m - 1) in
+        while !q > ctx.top_pair && (settle t ~from c; c.next >= from) do
+          fill t ctx c ~total_suffix ~record !q;
+          decr q
+        done;
+        settle t ~from c;
+        (match scratch with
+        | Some s ->
+            Scratch.set_below s
+              {
+                problem = t;
+                from_bunch = from;
+                top_pair = ctx.top_pair;
+                wires_above_below = ctx.wires_above_below;
+                reps_above_below = ctx.reps_above_below;
+                next = c.next;
+                rem = c.rem;
+                packed = c.packed;
+              }
+        | None -> ());
+        0
+      end
     in
     let ok =
-      if !next < from then begin
+      if c.next < from then begin
         (* Everything packed with pairs to spare. *)
         Ir_obs.incr stat_early;
         true
       end
       else
         match
-          top_screen t ctx ~next:!next ~rem:!rem
-            ~suffix_above:(total_suffix - !packed)
+          top_screen t ctx ~next:c.next ~rem:c.rem
+            ~suffix_above:(total_suffix - c.packed)
         with
         | Reject -> false
         | Accept when not record -> true
         | verdict ->
             if verdict = Walk then Ir_obs.incr stat_top_walks;
-            fill ctx.top_pair;
-            settle ();
-            !next < from
+            fill t ctx c ~total_suffix ~record ctx.top_pair;
+            settle t ~from c;
+            c.next < from
     in
-    Ir_obs.add stat_wires (!packed - packed_below);
-    if ok then Some (List.rev !placements) else None
+    Ir_obs.add stat_wires (c.packed - packed_below);
+    if ok then Some c.placements else None
   end
 
-let pack t ctx = run t ctx ~record:true
+let pack t ctx = Option.map List.rev (run t ctx ~record:true)
 let fits ?scratch t ctx = Option.is_some (run ?scratch t ctx ~record:false)

@@ -2,27 +2,28 @@ type t = {
   arch : Ir_ia.Arch.t;
   target_model : Ir_delay.Target.t;
   noise_limit : float option;
-  bunches : Ir_wld.Dist.bin array;  (* non-increasing length, meters *)
+  lengths : float array;  (* per bunch, non-increasing, meters *)
+  counts : int array;  (* per bunch, wires *)
   targets : float array;  (* per-bunch target delay, seconds *)
   wire_prefix : int array;  (* wire_prefix.(i) = wires in bunches [0..i) *)
-  (* Per pair j, prefix tables over bunches:
-     area_prefix.(j).(i)   : routing area of bunches [0..i) on pair j
-     eta.(j).(b)           : minimal per-wire repeater count, -1 = infeasible
-     rep_area_prefix.(j).(i), rep_count_prefix.(j).(i) :
-       repeater area / count to meet targets for bunches [0..i)
+  (* Flat per-pair planes of [m * (n + 1)] entries: pair j's prefix over
+     bunches [0..i) is at [j * (n + 1) + i].
+     area_prefix      : routing area of the bunches on pair j
+     rep_area_prefix, rep_count_prefix :
+       repeater area / count to meet the targets of the bunches
        (infeasible bunches contribute 0 and are masked by bad_prefix)
-     bad_prefix.(j).(i)    : number of infeasible bunches in [0..i)
+     bad_prefix       : number of infeasible bunches
 
      Repeater counts are integers by construction (count * eta summed over
-     bunches), so the count prefix is kept as an int array: differencing a
-     float prefix and truncating back with int_of_float can lose a unit to
+     bunches), so the count prefix is an int plane: differencing a float
+     prefix and truncating back with int_of_float can lose a unit to
      cancellation (6.9999... -> 6), under-counting repeaters and hence the
-     via blockage they charge below. *)
-  area_prefix : float array array;
-  eta : int array array;
-  rep_area_prefix : float array array;
-  rep_count_prefix : int array array;
-  bad_prefix : int array array;
+     via blockage they charge below.  It also gives a feasible bunch's
+     repeater count back exactly, so no per-bunch count is stored. *)
+  area_prefix : float array;
+  rep_area_prefix : float array;
+  rep_count_prefix : int array;
+  bad_prefix : int array;
   via_pad : float array;
       (* per pair: the area one via stack blocks on it, which reads only
          the via model and the pair's geometry *)
@@ -39,20 +40,23 @@ type t = {
 }
 
 let arch t = t.arch
-let n_bunches t = Array.length t.bunches
+let n_bunches t = Array.length t.lengths
 let n_pairs t = Ir_ia.Arch.pair_count t.arch
 let total_wires t = t.wire_prefix.(n_bunches t)
-let bunch_length t b = t.bunches.(b).Ir_wld.Dist.length
-let bunch_count t b = t.bunches.(b).Ir_wld.Dist.count
 (* The accessors marked [@inline] run per (source, destination) in the
    phase-A DP loop: without flambda, ocamlopt returns a float from a
    cross-module call boxed unless the call is inlined. *)
+let[@inline] bunch_length t b = t.lengths.(b)
+let[@inline] bunch_count t b = t.counts.(b)
 let[@inline] wires_before t i = t.wire_prefix.(i)
 let target t b = t.targets.(b)
 let capacity t = Ir_ia.Arch.pair_capacity t.arch
 let budget t =
   let a = Ir_ia.Arch.repeater_budget t.arch in
   if t.area_cap < a then t.area_cap else a
+
+(* Start of pair [pair]'s row in the planes. *)
+let[@inline] row t pair = pair * (Array.length t.lengths + 1)
 
 (* [Ir_ia.Arch.blocked_area]'s expression, with the pad read from
    [via_pad] instead of derived per call. *)
@@ -64,20 +68,26 @@ let[@inline] blocked t ~pair ~wires_above ~reps_above =
   *. t.via_pad.(pair)
 
 let[@inline] interval_area t ~pair ~lo ~hi =
-  t.area_prefix.(pair).(hi) -. t.area_prefix.(pair).(lo)
-
-let eta_min t ~pair ~bunch =
-  let e = t.eta.(pair).(bunch) in
-  if e < 0 then None else Some e
+  let r = row t pair in
+  t.area_prefix.(r + hi) -. t.area_prefix.(r + lo)
 
 let[@inline] meeting_feasible t ~pair ~lo ~hi =
-  t.bad_prefix.(pair).(hi) - t.bad_prefix.(pair).(lo) = 0
+  let r = row t pair in
+  t.bad_prefix.(r + hi) - t.bad_prefix.(r + lo) = 0
 
 let[@inline] meeting_area t ~pair ~lo ~hi =
-  t.rep_area_prefix.(pair).(hi) -. t.rep_area_prefix.(pair).(lo)
+  let r = row t pair in
+  t.rep_area_prefix.(r + hi) -. t.rep_area_prefix.(r + lo)
 
 let[@inline] meeting_count t ~pair ~lo ~hi =
-  t.rep_count_prefix.(pair).(hi) - t.rep_count_prefix.(pair).(lo)
+  let r = row t pair in
+  t.rep_count_prefix.(r + hi) - t.rep_count_prefix.(r + lo)
+
+(* A feasible bunch's count difference is [count * eta], exactly. *)
+let eta_min t ~pair ~bunch =
+  if meeting_feasible t ~pair ~lo:bunch ~hi:(bunch + 1) then
+    Some (meeting_count t ~pair ~lo:bunch ~hi:(bunch + 1) / t.counts.(bunch))
+  else None
 
 let activity t = t.activity
 let power_budget t = t.power_budget
@@ -93,31 +103,28 @@ let wire_delay_on_pair t ~pair ~eta l =
   Ir_delay.Model.wire_delay t.arch.Ir_ia.Arch.device p.Ir_ia.Layer_pair.line
     ~s:p.Ir_ia.Layer_pair.s_opt ~eta l
 
-let targets_for ~arch ~target_model bunches =
-  let clock = arch.Ir_ia.Arch.design.Ir_tech.Design.clock in
-  let l_max = bunches.(0).Ir_wld.Dist.length in
-  Array.map
-    (fun (b : Ir_wld.Dist.bin) ->
-      Ir_delay.Target.delay target_model ~clock ~l_max b.length)
-    bunches
+let targets_for ~arch ~target_model lengths =
+  Ir_delay.Target.delays target_model
+    ~clock:arch.Ir_ia.Arch.design.Ir_tech.Design.clock ~l_max:lengths.(0)
+    lengths
 
 (* Routing-area prefixes: per pair, geometry-only — independent of the
    targets (clock), the repeater budget and the noise limit. *)
-let area_tables ~arch bunches =
-  let n = Array.length bunches in
+let area_tables ~arch ~lengths ~counts =
+  let n = Array.length lengths in
   let m = Ir_ia.Arch.pair_count arch in
-  let area_prefix = Array.make_matrix m (n + 1) 0.0 in
+  let area_prefix = Array.make (m * (n + 1)) 0.0 in
   for j = 0 to m - 1 do
     let p = Ir_ia.Arch.pair arch j in
+    let r = j * (n + 1) in
     for b = 0 to n - 1 do
-      let { Ir_wld.Dist.length = l; count } = bunches.(b) in
-      area_prefix.(j).(b + 1) <-
-        area_prefix.(j).(b)
-        +. (float_of_int count *. Ir_ia.Layer_pair.wire_area p l)
+      area_prefix.(r + b + 1) <-
+        area_prefix.(r + b)
+        +. (float_of_int counts.(b) *. Ir_ia.Layer_pair.wire_area p lengths.(b))
     done;
     (* Finite lengths can still sum past [max_float]; an infinite entry
        would make interval areas inf - inf = NaN. *)
-    if area_prefix.(j).(n) = infinity then
+    if area_prefix.(r + n) = infinity then
       invalid_arg "Problem: total routing area overflows"
   done;
   area_prefix
@@ -128,26 +135,30 @@ let via_pads arch =
         (Ir_ia.Arch.pair arch j).Ir_ia.Layer_pair.geom)
 
 (* Repeater tables: per pair, the minimal per-wire count meeting each
-   bunch's target, with area/count/infeasibility prefixes.  Depends on the
+   bunch's target, as area/count/infeasibility prefixes.  Depends on the
    targets (hence the clock) and the noise limit, but not on the repeater
-   budget. *)
-let repeater_tables ~arch ~noise_limit ~targets bunches =
-  let n = Array.length bunches in
+   budget.  The pair's Eq. (3) kernel is built once, and each bunch runs
+   its verdict. *)
+type repeater_tables = {
+  rep_area : float array;
+  rep_count : int array;
+  bad : int array;
+}
+
+let repeater_tables ~arch ~noise_limit ~targets ~lengths ~counts =
+  let n = Array.length lengths in
   let m = Ir_ia.Arch.pair_count arch in
   let device = arch.Ir_ia.Arch.device in
-  let eta = Array.make_matrix m n (-1) in
-  let rep_area_prefix = Array.make_matrix m (n + 1) 0.0 in
-  let rep_count_prefix = Array.make_matrix m (n + 1) 0 in
-  let bad_prefix = Array.make_matrix m (n + 1) 0 in
+  let materials = arch.Ir_ia.Arch.materials in
+  let rep_area = Array.make (m * (n + 1)) 0.0 in
+  let rep_count = Array.make (m * (n + 1)) 0 in
+  let bad = Array.make (m * (n + 1)) 0 in
   for j = 0 to m - 1 do
     let p = Ir_ia.Arch.pair arch j in
-    let line = p.Ir_ia.Layer_pair.line in
-    let s = p.Ir_ia.Layer_pair.s_opt in
-    let rep_area = p.Ir_ia.Layer_pair.repeater_area in
+    let r = j * (n + 1) in
     (* A pair failing its crosstalk budget cannot host meeting wires: the
        charge-sharing ratio is length-independent, so noise is a per-pair
        verdict (see Ir_rc.Noise). *)
-    let materials = arch.Ir_ia.Arch.materials in
     let noisy =
       match noise_limit with
       | None -> false
@@ -157,37 +168,42 @@ let repeater_tables ~arch ~noise_limit ~targets bunches =
                ~miller:materials.Ir_ia.Materials.miller ~limit
                p.Ir_ia.Layer_pair.geom)
     in
-    (* The bunches of one split bin share their length and target, so
-       bunch [b] takes bunch [b - 1]'s verdict when both match: the
-       verdict is a function of those two floats. *)
-    let need = ref None in
-    for b = 0 to n - 1 do
-      let { Ir_wld.Dist.length = l; count } = bunches.(b) in
-      let same_as_previous =
-        b > 0
-        && l = bunches.(b - 1).Ir_wld.Dist.length
-        && targets.(b) = targets.(b - 1)
+    if noisy then
+      for b = 0 to n - 1 do
+        bad.(r + b + 1) <- b + 1
+      done
+    else begin
+      let rep_area_j = p.Ir_ia.Layer_pair.repeater_area in
+      let k =
+        Ir_delay.Model.kernel device p.Ir_ia.Layer_pair.line
+          ~s:p.Ir_ia.Layer_pair.s_opt
       in
-      if not (noisy || same_as_previous) then
-        need :=
-          Ir_delay.Model.repeaters_needed device line ~s ~target:targets.(b)
-            l;
-      match !need with
-      | Some e ->
-          eta.(j).(b) <- e;
-          rep_area_prefix.(j).(b + 1) <-
-            rep_area_prefix.(j).(b)
-            +. (float_of_int count *. float_of_int e *. rep_area);
-          rep_count_prefix.(j).(b + 1) <-
-            rep_count_prefix.(j).(b) + (count * e);
-          bad_prefix.(j).(b + 1) <- bad_prefix.(j).(b)
-      | None ->
-          rep_area_prefix.(j).(b + 1) <- rep_area_prefix.(j).(b);
-          rep_count_prefix.(j).(b + 1) <- rep_count_prefix.(j).(b);
-          bad_prefix.(j).(b + 1) <- bad_prefix.(j).(b) + 1
-    done
+      (* The bunches of one split bin share their length and target, so
+         bunch [b] takes bunch [b - 1]'s verdict when both match: the
+         verdict is a function of those two floats.  0 = infeasible. *)
+      let e = ref 0 in
+      for b = 0 to n - 1 do
+        let l = lengths.(b) in
+        if not (b > 0 && l = lengths.(b - 1) && targets.(b) = targets.(b - 1))
+        then e := Ir_delay.Model.verdict k ~target:targets.(b) l;
+        let i = r + b in
+        if !e > 0 then begin
+          let count = counts.(b) in
+          rep_area.(i + 1) <-
+            rep_area.(i)
+            +. (float_of_int count *. float_of_int !e *. rep_area_j);
+          rep_count.(i + 1) <- rep_count.(i) + (count * !e);
+          bad.(i + 1) <- bad.(i)
+        end
+        else begin
+          rep_area.(i + 1) <- rep_area.(i);
+          rep_count.(i + 1) <- rep_count.(i);
+          bad.(i + 1) <- bad.(i) + 1
+        end
+      done
+    end
   done;
-  (eta, rep_area_prefix, rep_count_prefix, bad_prefix)
+  { rep_area; rep_count; bad }
 
 let default_activity = 0.15
 
@@ -233,47 +249,45 @@ let with_power t ~activity ~power_budget =
   }
 
 let build ?(activity = default_activity) ?(power_budget = infinity) ~arch
-    ~target_model ~noise_limit bunches =
-  let n = Array.length bunches in
+    ~target_model ~noise_limit ~lengths ~counts () =
+  let n = Array.length lengths in
   if n = 0 then invalid_arg "Problem: empty instance";
-  Array.iter
-    (fun (b : Ir_wld.Dist.bin) ->
-      if b.count <= 0 then invalid_arg "Problem: non-positive bunch count";
-      if not (b.length > 0.0) then
-        invalid_arg "Problem: non-positive bunch length";
-      if b.length = infinity then
-        invalid_arg "Problem: infinite bunch length")
-    bunches;
+  if Array.length counts <> n then
+    invalid_arg "Problem: bunch columns differ in length";
+  for b = 0 to n - 1 do
+    if counts.(b) <= 0 then invalid_arg "Problem: non-positive bunch count";
+    let l = lengths.(b) in
+    if not (l > 0.0) then invalid_arg "Problem: non-positive bunch length";
+    if l = infinity then invalid_arg "Problem: infinite bunch length"
+  done;
   for i = 1 to n - 1 do
-    if bunches.(i).Ir_wld.Dist.length > bunches.(i - 1).Ir_wld.Dist.length
-    then invalid_arg "Problem: bunches must be sorted by non-increasing length"
+    if lengths.(i) > lengths.(i - 1) then
+      invalid_arg "Problem: bunches must be sorted by non-increasing length"
   done;
   if not (activity > 0.0 && activity <= 1.0) then
     invalid_arg "Problem: activity must be in (0, 1]";
   if not (power_budget > 0.0) then
     invalid_arg "Problem: power budget must be positive";
-  let targets = targets_for ~arch ~target_model bunches in
+  let targets = targets_for ~arch ~target_model lengths in
   let wire_prefix = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
-    wire_prefix.(i + 1) <- wire_prefix.(i) + bunches.(i).Ir_wld.Dist.count
+    wire_prefix.(i + 1) <- wire_prefix.(i) + counts.(i)
   done;
-  let area_prefix = area_tables ~arch bunches in
-  let eta, rep_area_prefix, rep_count_prefix, bad_prefix =
-    repeater_tables ~arch ~noise_limit ~targets bunches
-  in
+  let area_prefix = area_tables ~arch ~lengths ~counts in
+  let r = repeater_tables ~arch ~noise_limit ~targets ~lengths ~counts in
   with_power ~activity ~power_budget
   {
     arch;
     target_model;
     noise_limit;
-    bunches;
+    lengths;
+    counts;
     targets;
     wire_prefix;
     area_prefix;
-    eta;
-    rep_area_prefix;
-    rep_count_prefix;
-    bad_prefix;
+    rep_area_prefix = r.rep_area;
+    rep_count_prefix = r.rep_count;
+    bad_prefix = r.bad;
     via_pad = via_pads arch;
     activity;
     power_budget;
@@ -282,9 +296,10 @@ let build ?(activity = default_activity) ?(power_budget = infinity) ~arch
   }
 
 let of_bunches ?(target_model = Ir_delay.Target.Linear) ?noise_limit
-    ?activity ?power_budget ~arch ~bunches () =
+    ?activity ?power_budget ~arch ~(bunches : Ir_wld.Coarsen.bunches) () =
   build ?activity ?power_budget ~arch ~target_model ~noise_limit
-    (Array.copy bunches)
+    ~lengths:(Array.copy bunches.lengths) ~counts:(Array.copy bunches.counts)
+    ()
 
 let make ?(target_model = Ir_delay.Target.Linear) ?noise_limit ?activity
     ?power_budget ?(bunch_size = 10000) ~arch ~wld () =
@@ -292,8 +307,11 @@ let make ?(target_model = Ir_delay.Target.Linear) ?noise_limit ?activity
   let pitch =
     Ir_tech.Design.effective_gate_pitch arch.Ir_ia.Arch.design
   in
-  let bunches = Ir_wld.Coarsen.bunch ~bunch_size ~pitch wld in
-  build ?activity ?power_budget ~arch ~target_model ~noise_limit bunches
+  let { Ir_wld.Coarsen.lengths; counts } =
+    Ir_wld.Coarsen.bunch ~bunch_size ~pitch wld
+  in
+  build ?activity ?power_budget ~arch ~target_model ~noise_limit ~lengths
+    ~counts ()
 
 (* ---- rescale-reuse paths ---------------------------------------------- *)
 
@@ -308,8 +326,8 @@ let with_repeater_fraction t fraction =
   { t with arch = Ir_ia.Arch.with_design t.arch design }
 
 (* A materials change (k, miller, cap model) moves the electricals —
-   line RC, optimal repeater sizing, noise verdicts — so eta and the
-   repeater prefixes are rebuilt against the re-derived architecture.
+   line RC, optimal repeater sizing, noise verdicts — so the repeater
+   prefixes are rebuilt against the re-derived architecture.
    The targets (clock + l_max only), the bunching, the wire prefix and
    the routing-area prefixes ([wire_area] is length * pitch, geometry
    only) are reused verbatim: the rebuilt fields are bit-equal to a
@@ -317,9 +335,9 @@ let with_repeater_fraction t fraction =
    same float expressions over the same inputs. *)
 let with_materials t materials =
   let arch = Ir_ia.Arch.with_materials t.arch materials in
-  let eta, rep_area_prefix, rep_count_prefix, bad_prefix =
+  let r =
     repeater_tables ~arch ~noise_limit:t.noise_limit ~targets:t.targets
-      t.bunches
+      ~lengths:t.lengths ~counts:t.counts
   in
   (* kappa reads only the device and the design, which materials leave
      alone, so it and the area cap carry over.  The pads are re-derived
@@ -327,22 +345,22 @@ let with_materials t materials =
   {
     t with
     arch;
-    eta;
-    rep_area_prefix;
-    rep_count_prefix;
-    bad_prefix;
+    rep_area_prefix = r.rep_area;
+    rep_count_prefix = r.rep_count;
+    bad_prefix = r.bad;
     via_pad = via_pads arch;
   }
 
 (* A clock change moves only the per-bunch targets and everything derived
-   from them (eta and the repeater prefixes); the bunching, wire prefix,
+   from them (the repeater prefixes); the bunching, wire prefix,
    routing-area prefixes and via pads are geometry-only and are reused. *)
 let with_clock t clock =
   let design = Ir_tech.Design.with_clock t.arch.Ir_ia.Arch.design clock in
   let arch = Ir_ia.Arch.with_design t.arch design in
-  let targets = targets_for ~arch ~target_model:t.target_model t.bunches in
-  let eta, rep_area_prefix, rep_count_prefix, bad_prefix =
-    repeater_tables ~arch ~noise_limit:t.noise_limit ~targets t.bunches
+  let targets = targets_for ~arch ~target_model:t.target_model t.lengths in
+  let r =
+    repeater_tables ~arch ~noise_limit:t.noise_limit ~targets
+      ~lengths:t.lengths ~counts:t.counts
   in
   (* The dynamic power term is proportional to the clock: kappa, and
      with it the area cap, moves too. *)
@@ -351,10 +369,9 @@ let with_clock t clock =
       t with
       arch;
       targets;
-      eta;
-      rep_area_prefix;
-      rep_count_prefix;
-      bad_prefix;
+      rep_area_prefix = r.rep_area;
+      rep_count_prefix = r.rep_count;
+      bad_prefix = r.bad;
     }
 
 (* Power enters no table: a new budget or activity moves only kappa and

@@ -39,12 +39,15 @@ val make :
 
     The bunches are [Ir_wld.Coarsen.bunch ~bunch_size ~pitch wld]: one
     pass that scales, merges equal scaled lengths and splits each bin
-    with its partial bunch first.  Every table is bit-identical to the
-    plain per-bunch, per-pair formulas; the only reuse is within this
-    call — a bunch takes the repeater verdict of the bunch before it when
-    both have the same length and target (the split bunches of one
-    bin).  {!with_clock} and {!with_materials} build their repeater
-    tables the same way.  Nothing is cached across calls.
+    with its partial bunch first, into two columns the instance keeps.
+    The tables are flat [n_pairs * (n_bunches + 1)] planes, and every
+    entry is bit-identical to the plain per-bunch, per-pair formulas.
+    The only reuse is within this call: each pair's Eq. (3) factors are
+    computed once ({!Ir_delay.Model.kernel}), and a bunch takes the
+    repeater verdict of the bunch before it when both have the same
+    length and target (the split bunches of one bin).  {!with_clock} and
+    {!with_materials} build their repeater tables the same way.  Nothing
+    is cached across calls.
     @raise Invalid_argument on an empty WLD, or a bunch length that is
     not positive and finite after the conversion to meters. *)
 
@@ -54,12 +57,15 @@ val of_bunches :
   ?activity:float ->
   ?power_budget:float ->
   arch:Ir_ia.Arch.t ->
-  bunches:Ir_wld.Dist.bin array ->
+  bunches:Ir_wld.Coarsen.bunches ->
   unit ->
   t
 (** Builds an instance directly from bunches whose lengths are in {e
-    meters}, sorted by non-increasing length (checked).  Used by tests and
-    by synthetic scenarios such as the paper's Figure 2.
+    meters}, sorted by non-increasing length (checked); the columns are
+    copied.  Used by sweeps that bunch one WLD once for many
+    architectures ([Table4], [Optimizer]), by tests and by synthetic
+    scenarios such as the paper's Figure 2.  [of_bunches ~bunches:(Coarsen.bunch
+    ~bunch_size ~pitch wld)] is [make ~bunch_size ~wld], table for table.
     @raise Invalid_argument if bunches are empty, unsorted or have
     non-positive counts, lengths that are not positive and finite, or a
     total routing area past [max_float].  Finite lengths and totals keep
@@ -132,7 +138,9 @@ val interval_area : t -> pair:int -> lo:int -> hi:int -> float
 
 val eta_min : t -> pair:int -> bunch:int -> int option
 (** Minimal per-wire repeater count for bunch [bunch] to meet its target on
-    [pair]; [None] when the target is unreachable there. *)
+    [pair]; [None] when the target is unreachable there.  Derived from
+    the count prefix ([meeting_count] over the bunch, divided by its wire
+    count), which is exact; no per-bunch table is kept. *)
 
 val meeting_cost : t -> pair:int -> lo:int -> hi:int -> (float * int) option
 (** [meeting_cost t ~pair ~lo ~hi] is [Some (area, count)]: the repeater

@@ -20,82 +20,95 @@ let per_meter coeffs (dev : Ir_tech.Device.t) line ~s =
   coeffs.b
   *. ((line.c_per_m *. dev.r_o /. s) +. (line.r_per_m *. dev.c_o *. s))
 
-let segment_delay ?(coeffs = default_coeffs) dev line ~s l =
+(* The factors of Eq. (3) that do not depend on the wire: [si], [pm1]
+   (per meter of length), [arc] = a r c and [root], the square root of
+   [eta_opt_continuous], with the verdict's count cap.  Each float is a
+   left-associated prefix of the
+   expression it comes from ([a r c l l] parses as [(((a r) c) l) l]),
+   so a wire's terms computed from them have the bits of the plain
+   expressions. *)
+type kernel = {
+  si : float;
+  pm1 : float;
+  arc : float;
+  root : float;
+  eta_cap : int;
+}
+
+let kernel ?(coeffs = default_coeffs) ?(eta_cap = 1_000_000) dev line ~s =
   check_s s;
-  if l < 0.0 then invalid_arg "Model.segment_delay: negative length";
-  stage_intrinsic coeffs dev
-  +. (per_meter coeffs dev line ~s *. l)
-  +. (coeffs.a *. line.r_per_m *. line.c_per_m *. l *. l)
-
-(* The eta-independent terms of Eq. (3) for a wire of length [l]:
-   [delay_at] sums them at [eta] in [wire_delay]'s association, so a
-   caller that evaluates many [eta] for one wire computes them once and
-   gets [wire_delay]'s bits.  [a r c l l / eta] parses as
-   [(a r c l l) / eta], hence [q /. eta]. *)
-type terms = { si : float; pm : float; q : float }
-
-let terms coeffs dev line ~s l =
-  if l < 0.0 then invalid_arg "Model.wire_delay: negative length";
+  let si = stage_intrinsic coeffs dev in
+  let arc = coeffs.a *. line.r_per_m *. line.c_per_m in
   {
-    si = stage_intrinsic coeffs dev;
-    pm = per_meter coeffs dev line ~s *. l;
-    q = coeffs.a *. line.r_per_m *. line.c_per_m *. l *. l;
+    si;
+    pm1 = per_meter coeffs dev line ~s;
+    arc;
+    root = sqrt (arc /. si);
+    eta_cap;
   }
 
-let delay_at t eta =
+(* Eq. (3) at [eta] from a wire's terms [pm] = pm1 l and [q] = a r c l l,
+   in [wire_delay]'s association: [a r c l l / eta] is [q /. eta]. *)
+let[@inline] delay_at k ~pm ~q eta =
   let eta_f = float_of_int eta in
-  (t.si *. eta_f) +. t.pm +. (t.q /. eta_f)
+  (k.si *. eta_f) +. pm +. (q /. eta_f)
+
+let[@inline] check_length l =
+  if l < 0.0 then invalid_arg "Model.wire_delay: negative length"
+
+(* The better of the two integers around the continuous optimum. *)
+let[@inline] eta_best k ~pm ~q l =
+  let lo = max 1 (int_of_float (Float.floor (l *. k.root))) in
+  if delay_at k ~pm ~q lo <= delay_at k ~pm ~q (lo + 1) then lo else lo + 1
+
+let segment_delay ?(coeffs = default_coeffs) dev line ~s l =
+  let k = kernel ~coeffs dev line ~s in
+  if l < 0.0 then invalid_arg "Model.segment_delay: negative length";
+  k.si +. (k.pm1 *. l) +. (k.arc *. l *. l)
 
 let wire_delay ?(coeffs = default_coeffs) dev line ~s ~eta l =
-  check_s s;
+  let k = kernel ~coeffs dev line ~s in
   if eta < 1 then invalid_arg "Model.wire_delay: eta must be >= 1";
-  delay_at (terms coeffs dev line ~s l) eta
+  check_length l;
+  delay_at k ~pm:(k.pm1 *. l) ~q:(k.arc *. l *. l) eta
 
 let s_opt (dev : Ir_tech.Device.t) line =
   Float.max 1.0
     (sqrt (line.c_per_m *. dev.r_o /. (dev.c_o *. line.r_per_m)))
 
-let eta_opt_continuous ?(coeffs = default_coeffs) dev line l =
-  l *. sqrt (coeffs.a *. line.r_per_m *. line.c_per_m
-             /. stage_intrinsic coeffs dev)
-
-(* The better of the two integers around the continuous optimum [cont]
-   under the delay function [d]. *)
-let round_eta ~d cont =
-  let lo = max 1 (int_of_float (Float.floor cont)) in
-  let hi = lo + 1 in
-  if d lo <= d hi then lo else hi
-
 let eta_opt ?(coeffs = default_coeffs) dev line ~s l =
-  round_eta
-    ~d:(fun eta -> wire_delay ~coeffs dev line ~s ~eta l)
-    (eta_opt_continuous ~coeffs dev line l)
+  let k = kernel ~coeffs dev line ~s in
+  check_length l;
+  eta_best k ~pm:(k.pm1 *. l) ~q:(k.arc *. l *. l) l
 
 let min_delay ?(coeffs = default_coeffs) dev line ~s l =
   let eta = eta_opt ~coeffs dev line ~s l in
   wire_delay ~coeffs dev line ~s ~eta l
 
-(* [delay eta] is [wire_delay ~eta l] from terms computed once per
-   call.  [eta_best] is [eta_opt]'s choice, made from the same delays. *)
-let repeaters_needed ?(coeffs = default_coeffs) ?(eta_cap = 1_000_000) dev
-    line ~s ~target l =
-  check_s s;
-  let delay = delay_at (terms coeffs dev line ~s l) in
-  if delay 1 <= target then Some 1
+(* The verdict: 1 if one repeater meets [target], else the first count on
+   the decreasing branch [1, eta_best] that does (binary search), or 0
+   when even [eta_best] misses or exceeds the cap.  No optional argument:
+   ocamlopt without flambda does not inline a function that has one, and
+   the call would box [target] and [l]. *)
+let[@inline] verdict k ~target l =
+  check_length l;
+  let pm = k.pm1 *. l and q = k.arc *. l *. l in
+  if delay_at k ~pm ~q 1 <= target then 1
   else
-    let eta_best =
-      round_eta ~d:delay (eta_opt_continuous ~coeffs dev line l)
-    in
-    if eta_best > eta_cap || delay (min eta_best eta_cap) > target then None
+    let best = eta_best k ~pm ~q l in
+    if best > k.eta_cap || delay_at k ~pm ~q (min best k.eta_cap) > target
+    then 0
     else begin
-      (* D is decreasing on [1, eta_best]; find the first eta meeting the
-         target by binary search. *)
-      let rec search lo hi =
-        (* Invariant: delay lo > target, delay hi <= target. *)
-        if hi - lo <= 1 then hi
-        else
-          let mid = lo + ((hi - lo) / 2) in
-          if delay mid <= target then search lo mid else search mid hi
-      in
-      Some (search 1 eta_best)
+      (* Invariant: delay lo > target, delay hi <= target. *)
+      let lo = ref 1 and hi = ref best in
+      while !hi - !lo > 1 do
+        let mid = !lo + ((!hi - !lo) / 2) in
+        if delay_at k ~pm ~q mid <= target then hi := mid else lo := mid
+      done;
+      !hi
     end
+
+let repeaters_needed ?coeffs ?eta_cap dev line ~s ~target l =
+  match verdict (kernel ?coeffs ?eta_cap dev line ~s) ~target l with
+  | 0 -> None
+  | e -> Some e

@@ -76,4 +76,32 @@ val repeaters_needed :
     count misses the target (or would exceed [eta_cap], default 1_000_000 —
     the paper's "repeaters cannot be placed at appropriate intervals"
     guard).  Cost is O(log eta) via binary search on the decreasing branch
-    of the convex delay curve. *)
+    of the convex delay curve.  It is {!verdict} on a fresh {!kernel}. *)
+
+(** {1 The Eq. (3) kernel}
+
+    Every function above evaluates Eq. (3) through one kernel.  A caller
+    that asks for many wires on one layer-pair (the repeater tables of
+    [Ir_assign.Problem]) builds the pair's {!kernel} once and calls
+    {!verdict} per wire. *)
+
+type kernel
+(** The wire-independent factors of Eq. (3) for one device, line and
+    repeater size: the stage term [b r_o (c_o + c_p)], the per-meter term,
+    [a r̄ c̄] and the square root of the continuous optimum's ratio, with
+    the verdict's [eta_cap].  Each float is a left-associated prefix of
+    the plain expression, so every delay computed from them has the
+    plain expression's bits. *)
+
+val kernel :
+  ?coeffs:coeffs -> ?eta_cap:int -> Ir_tech.Device.t -> line -> s:float ->
+  kernel
+(** [eta_cap] defaults to {!repeaters_needed}'s.
+    @raise Invalid_argument if [s < 1]. *)
+
+val verdict : kernel -> target:float -> float -> int
+(** [verdict k ~target l] is {!repeaters_needed}'s answer for a wire of
+    length [l], with [0] for [None]: the same delays, compared in the
+    same order.  Inlined across modules in the release profile, it
+    allocates nothing.
+    @raise Invalid_argument if [l < 0]. *)

@@ -27,6 +27,12 @@ val delay : t -> clock:float -> l_max:float -> float -> float
     @raise Invalid_argument if [clock <= 0], [l_max <= 0], [l < 0] or
     [l > l_max *. (1. +. 1e-9)]. *)
 
+val delays : t -> clock:float -> l_max:float -> float array -> float array
+(** [delays t ~clock ~l_max ls] is [Array.map (delay t ~clock ~l_max) ls],
+    bit for bit, with the argument checks and the period computed once;
+    a bad model parameter is reported before a bad length.  It allocates
+    only the array it returns. *)
+
 val monotone_check : t -> clock:float -> l_max:float -> bool
 (** True when the model assigns non-decreasing targets to longer wires
     (sampled check; all three models are monotone for valid parameters). *)

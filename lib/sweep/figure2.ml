@@ -35,7 +35,8 @@ let build ~wire_length ~clock ~gates ~repeater_fraction =
   let design = Ir_tech.Design.v ~node ~gates ~clock ~repeater_fraction () in
   let arch = Ir_ia.Arch.make ~structure ~stack:(stack ()) ~design () in
   let bunches =
-    Array.init 4 (fun _ -> { Ir_wld.Dist.length = wire_length; count = 1 })
+    { Ir_wld.Coarsen.lengths = Array.make 4 wire_length;
+      counts = Array.make 4 1 }
   in
   Ir_assign.Problem.of_bunches ~arch ~bunches ()
 

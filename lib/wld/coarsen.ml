@@ -3,58 +3,61 @@
 let bunches_of ~bunch_size c =
   (c / bunch_size) + if c mod bunch_size > 0 then 1 else 0
 
-(* The scaled lengths are checked by [Dist.of_bins]' own check.  With
-   [pitch > 0] the scaling is monotone, so the bins stay ascending and
-   only neighbours can become equal; those merge, as [Dist.of_bins]
-   merges them.  Each bin then splits into bunches, written longest bin
-   first into an array sized by a first pass: within a bin the partial
-   bunch comes first, then the full ones. *)
+type bunches = { lengths : float array; counts : int array }
+
+(* With [pitch > 0] the scaling is monotone, so the scaled bins stay
+   ascending and only neighbours can become equal; those merge, as
+   [Dist.of_bins] merges them.  A first pass over [d]'s columns checks
+   every scaled length ([Dist.of_bins]' own check) and sizes the output;
+   the second walks the merged bins longest first and splits each into
+   bunches, the partial bunch first, straight into the two columns. *)
 let bunch ~bunch_size ~pitch d =
   if bunch_size <= 0 then invalid_arg "Coarsen.bunch: bunch_size must be > 0";
-  let bins = Dist.bins d in
-  let k = Array.length bins in
-  let lengths = Array.make k 0.0 and counts = Array.make k 0 in
-  let m = ref 0 in
-  Array.iter
-    (fun (b : Dist.bin) ->
-      let l = b.length *. pitch in
-      Dist.check_length l;
-      if !m > 0 && lengths.(!m - 1) = l then
-        counts.(!m - 1) <- counts.(!m - 1) + b.count
-      else begin
-        lengths.(!m) <- l;
-        counts.(!m) <- b.count;
-        incr m
-      end)
-    bins;
-  let n = ref 0 in
-  for i = 0 to !m - 1 do
-    n := !n + bunches_of ~bunch_size counts.(i)
+  let k = Dist.n_bins d in
+  let n = ref 0 and c = ref 0 in
+  for i = 0 to k - 1 do
+    let l = Dist.bin_length d i *. pitch in
+    Dist.check_length l;
+    c := !c + Dist.bin_count d i;
+    if i = k - 1 || Dist.bin_length d (i + 1) *. pitch <> l then begin
+      n := !n + bunches_of ~bunch_size !c;
+      c := 0
+    end
   done;
-  let out = Array.make !n { Dist.length = 0.0; count = 0 } in
+  let lengths = Array.make !n 0.0 and counts = Array.make !n 0 in
   let pos = ref 0 in
-  let put length count =
-    out.(!pos) <- { Dist.length; count };
-    incr pos
-  in
-  for i = !m - 1 downto 0 do
-    let c = counts.(i) in
-    let partial = c mod bunch_size in
-    if partial > 0 then put lengths.(i) partial;
-    for _ = 1 to c / bunch_size do
-      put lengths.(i) bunch_size
+  let i = ref (k - 1) in
+  while !i >= 0 do
+    let l = Dist.bin_length d !i *. pitch in
+    let c = ref (Dist.bin_count d !i) in
+    decr i;
+    while !i >= 0 && Dist.bin_length d !i *. pitch = l do
+      c := !c + Dist.bin_count d !i;
+      decr i
+    done;
+    let partial = !c mod bunch_size in
+    if partial > 0 then begin
+      lengths.(!pos) <- l;
+      counts.(!pos) <- partial;
+      incr pos
+    end;
+    for _ = 1 to !c / bunch_size do
+      lengths.(!pos) <- l;
+      counts.(!pos) <- bunch_size;
+      incr pos
     done
   done;
-  out
+  { lengths; counts }
 
 let bunch_count ~bunch_size d =
   if bunch_size <= 0 then
     invalid_arg "Coarsen.bunch_count: bunch_size must be > 0";
-  Array.fold_left
-    (fun acc (b : Dist.bin) ->
-      let here = bunches_of ~bunch_size b.count in
-      if here > max_int - acc then max_int else acc + here)
-    0 (Dist.bins d)
+  let acc = ref 0 in
+  for i = 0 to Dist.n_bins d - 1 do
+    let here = bunches_of ~bunch_size (Dist.bin_count d i) in
+    acc := if here > max_int - !acc then max_int else !acc + here
+  done;
+  !acc
 
 let bin ~group d =
   if group <= 0 then invalid_arg "Coarsen.bin: group must be > 0";
@@ -78,13 +81,8 @@ let bin ~group d =
   Dist.of_bins (List.rev !merged)
 
 let max_bunch_error ~bunch_size d =
-  if Dist.is_empty d then 0
-  else
-    Array.fold_left
-      (fun acc (b : Dist.bin) ->
-        let largest =
-          if b.count >= bunch_size then bunch_size
-          else b.count
-        in
-        max acc largest)
-      0 (Dist.bins d)
+  let acc = ref 0 in
+  for i = 0 to Dist.n_bins d - 1 do
+    acc := max !acc (min (Dist.bin_count d i) bunch_size)
+  done;
+  !acc

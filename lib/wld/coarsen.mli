@@ -7,7 +7,11 @@
     {e binning} reduction (the paper's footnote 7) replaces groups of nearby
     lengths by their mean. *)
 
-val bunch : bunch_size:int -> pitch:float -> Dist.t -> Dist.bin array
+type bunches = { lengths : float array; counts : int array }
+(** Bunches as two columns: bunch [b] holds [counts.(b)] wires of length
+    [lengths.(b)]. *)
+
+val bunch : bunch_size:int -> pitch:float -> Dist.t -> bunches
 (** [bunch ~bunch_size ~pitch d] scales every length of [d] by [pitch]
     (gate pitches to meters, say), merges bins whose scaled lengths are
     equal, and splits every bin into bunches of at most [bunch_size]
@@ -18,7 +22,8 @@ val bunch : bunch_size:int -> pitch:float -> Dist.t -> Dist.bin array
     reaches the DP's boundary indices, so it is part of the contract.
     Total wire count is preserved exactly, and every scaled length is
     the float [l *. pitch], so the result equals bunching
-    [Dist.map_length (fun l -> l *. pitch) d] bit for bit.
+    [Dist.map_length (fun l -> l *. pitch) d] bit for bit.  It reads
+    [d]'s columns in place and allocates only the two it returns.
     @raise Invalid_argument if [bunch_size <= 0], or, with
     {!Dist.check_length}'s errors, if a scaled length is not positive
     and finite. *)

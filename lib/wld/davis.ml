@@ -52,7 +52,7 @@ let integral (coefs, expos) l1 =
   let a1 = Array.map (fun a -> a +. 1.0) expos in
   { coefs; a1; p1 = Array.map (Float.pow l1) a1; l1 }
 
-let integrate g l2 =
+let[@inline] integrate g l2 =
   let acc = ref 0.0 in
   for i = 0 to Array.length g.coefs - 1 do
     let a1 = g.a1.(i) in
@@ -64,24 +64,33 @@ let integrate g l2 =
   done;
   !acc
 
-(* Unnormalized cumulative from l = 1 to l, clamped to the support.  The
-   term arrays, the lower-endpoint powers and the whole region-1
-   integral (which every l > sqrt N adds) are computed once per partial
-   application, for every length it is then applied to. *)
-let raw_cumulative p =
+(* What the unnormalized cumulative reads besides the length: the
+   support, the integrals' constants and the whole region-1 integral
+   (which every l > sqrt N adds), computed once per call. *)
+type shape = {
+  sqn : float;
+  lmax : float;
+  g1 : integral;
+  g2 : integral;
+  r1_total : float;
+}
+
+let shape p =
   let sqn = sqrt (float_of_int p.gates) in
-  let lmax = 2.0 *. sqn in
-  let g1 = integral (region1_terms p) 1.0
-  and g2 = integral (region2_terms p) sqn in
-  let r1_total = integrate g1 sqn in
-  fun l ->
-    let l = Ir_phys.Numeric.clamp ~lo:1.0 ~hi:lmax l in
-    if l > sqn then r1_total +. integrate g2 l else integrate g1 l
+  let g1 = integral (region1_terms p) 1.0 in
+  { sqn; lmax = 2.0 *. sqn; g1; g2 = integral (region2_terms p) sqn;
+    r1_total = integrate g1 sqn }
+
+(* Unnormalized cumulative from l = 1 to l, clamped to the support (the
+   clamp of [Ir_phys.Numeric.clamp], whose bounds here are ordered). *)
+let[@inline] raw_at s l =
+  let l = if l < 1.0 then 1.0 else if l > s.lmax then s.lmax else l in
+  if l > s.sqn then s.r1_total +. integrate s.g2 l else integrate s.g1 l
 
 let total p = p.fan_out *. float_of_int p.gates
 
-let norm_of p raw =
-  let raw_total = raw (l_max p) in
+let norm_of p s =
+  let raw_total = raw_at s (l_max p) in
   if not (raw_total > 0.0) then
     invalid_arg "Davis: degenerate distribution (raw mass is zero)";
   total p /. raw_total
@@ -95,43 +104,52 @@ let density p l =
       if l <= sqn then eval_terms (region1_terms p) l
       else eval_terms (region2_terms p) l
     in
-    norm_of p (raw_cumulative p) *. raw
+    norm_of p (shape p) *. raw
 
-(* Like [raw_cumulative], [cumulative p] computes the normalization and
-   the integrals' constants once, for every length it is then applied
-   to. *)
+(* [cumulative p] computes the normalization and the integrals'
+   constants once, for every length it is then applied to. *)
 let cumulative p =
-  let raw = raw_cumulative p in
-  let k = norm_of p raw in
-  fun l -> k *. raw l
+  let s = shape p in
+  let k = norm_of p s in
+  fun l -> k *. raw_at s l
 
+(* One first-order loop over the lengths: [k *. raw_at s upper] is
+   [cumulative p upper], inlined, so no float is boxed per length.
+   Cumulative rounding keeps the grand total exact and lets unit counts
+   appear in the sparse tail instead of rounding it away.  Wires in
+   (0.5, 1.5] land in the l = 1 bin; the density starts at 1. *)
 let generate p =
-  let lmax = l_max p in
-  let n_lengths = int_of_float (Float.round lmax) in
-  let cum = cumulative p in
-  (* Cumulative rounding keeps the grand total exact and lets unit counts
-     appear in the sparse tail instead of rounding it away. *)
-  let count_up_to l = int_of_float (Float.round (cum l)) in
-  (* Lengths 1, 2, ... ascend, so the bins are filled in their final
-     order; at most one per length. *)
-  let bins = Array.make n_lengths { Dist.length = 1.0; count = 0 } in
-  let used = ref 0 in
-  let add length count =
-    bins.(!used) <- { Dist.length; count };
-    incr used
-  in
-  (* Wires in (0.5, 1.5] land in the l = 1 bin; the density starts at 1. *)
-  let first = count_up_to 1.5 in
-  if first > 0 then add 1.0 first;
-  let prev = ref first in
-  for l = 2 to n_lengths do
-    let upper = Float.min (float_of_int l +. 0.5) lmax in
-    let c = count_up_to upper in
-    let here = c - !prev in
-    if here > 0 then add (float_of_int l) here;
+  let s = shape p in
+  let k = norm_of p s in
+  let n_lengths = int_of_float (Float.round s.lmax) in
+  let here = Array.make n_lengths 0 in
+  let prev = ref 0 and used = ref 0 in
+  for l = 1 to n_lengths do
+    let upper =
+      if l = 1 then 1.5
+      else
+        let u = float_of_int l +. 0.5 in
+        if u < s.lmax then u else s.lmax
+    in
+    let c = int_of_float (Float.round (k *. raw_at s upper)) in
+    let h = c - !prev in
+    if h > 0 then begin
+      here.(l - 1) <- h;
+      incr used
+    end;
     prev := c
   done;
-  Dist.of_array (Array.sub bins 0 !used)
+  let lengths = Array.make !used 0.0 and counts = Array.make !used 0 in
+  let j = ref 0 in
+  for l = 1 to n_lengths do
+    let h = here.(l - 1) in
+    if h > 0 then begin
+      lengths.(!j) <- float_of_int l;
+      counts.(!j) <- h;
+      incr j
+    end
+  done;
+  Dist.of_columns lengths counts
 
 let generate_meters p ~pitch =
   if not (pitch > 0.0) then

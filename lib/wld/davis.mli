@@ -55,9 +55,10 @@ val generate : params -> Dist.t
     [log (l / l1)] when [a = -1]), summed left to right from 0.0.  What
     does not depend on the length is computed once per call — the
     normalization, each term's [l1^(a+1)] and the whole region-I
-    integral — and the bins are written in ascending order straight into
-    an array that {!Dist.of_array} validates and keeps.  Nothing is cached
-    across calls. *)
+    integral — and the lengths run through one first-order loop that
+    boxes no float.  It allocates one int per length for the counts and
+    then the two columns that {!Dist.of_columns} validates and keeps.
+    Nothing is cached across calls. *)
 
 val generate_meters : params -> pitch:float -> Dist.t
 (** {!generate} followed by scaling lengths by the effective gate pitch in

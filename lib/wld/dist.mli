@@ -1,9 +1,8 @@
-(** Discrete wire length distributions.
-
-    A distribution is a set of bins [(length, count)], lengths expressed in
-    gate pitches, kept sorted by increasing length.  The paper consumes the
-    WLD sorted by {e non-increasing} length (rank 1 = longest wire);
-    {!to_desc_list} provides that view. *)
+(** Discrete wire length distributions: bins [(length, count)], lengths
+    in gate pitches, sorted by increasing length and held as two columns
+    (float lengths, int counts); {!bins} and [show] present them as
+    records.  The paper consumes the WLD by {e non-increasing} length
+    (rank 1 = longest wire); {!to_desc_list} provides that view. *)
 
 type bin = { length : float;  (** wire length in gate pitches *)
              count : int  (** number of wires of this length *) }
@@ -17,12 +16,12 @@ val of_bins : bin list -> t
     @raise Invalid_argument on negative counts or lengths that are not
     positive and finite (NaN and [infinity] included). *)
 
-val of_array : bin array -> t
-(** [of_array a] is [of_bins (Array.to_list a)] for an [a] already in
-    canonical form: positive counts and strictly ascending lengths.  It
-    takes ownership of [a], which the caller must not change afterwards.
+val of_columns : float array -> int array -> t
+(** [of_columns lengths counts] has bin [i] = [(lengths.(i), counts.(i))]
+    for columns already canonical: positive counts, strictly ascending
+    lengths.  It keeps both arrays; the caller must not change them.
     @raise Invalid_argument with {!of_bins}' errors on a bad bin, or on
-    an empty bin or lengths that do not strictly ascend. *)
+    columns of unequal size, an empty bin or lengths that do not ascend. *)
 
 val check_length : float -> unit
 (** The length check of {!of_bins}, with its errors.
@@ -31,20 +30,21 @@ val check_length : float -> unit
 val bins : t -> bin array
 (** The bins, ascending by length.  The array is fresh. *)
 
+val n_bins : t -> int
+val bin_length : t -> int -> float
+val bin_count : t -> int -> int
+(** Length and count of bin [i], ascending, without a copy. *)
+
 val total : t -> int
 (** Total number of wires. *)
 
-val n_bins : t -> int
+val is_empty : t -> bool
 
 val l_max : t -> float
-(** Length of the longest wire (gate pitches).
-    @raise Invalid_argument on an empty distribution. *)
+(** Length of the longest wire.  @raise Invalid_argument when empty. *)
 
 val l_min : t -> float
-(** Length of the shortest wire (gate pitches).
-    @raise Invalid_argument on an empty distribution. *)
-
-val is_empty : t -> bool
+(** Length of the shortest wire.  @raise Invalid_argument when empty. *)
 
 val mean_length : t -> float
 (** Count-weighted mean length (gate pitches). *)
@@ -67,5 +67,4 @@ val map_length : (float -> float) -> t -> t
     pitch-to-meter conversion). *)
 
 val check_invariants : t -> (unit, string) result
-(** Validates sortedness, positive finite lengths and positive counts;
-    used by property tests. *)
+(** Validates sortedness, positive finite lengths and counts (tests). *)

@@ -13,6 +13,27 @@ let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name gen prop)
 
+(* ---- Bunches as records ---------------------------------------------- *)
+
+(* [Coarsen.bunch] returns, and [Problem.of_bunches] takes, bunches as two
+   columns; the tests write them as [Dist.bin] records. *)
+let bunch_columns (bins : Ir_wld.Dist.bin array) =
+  {
+    Ir_wld.Coarsen.lengths = Array.map (fun b -> b.Ir_wld.Dist.length) bins;
+    counts = Array.map (fun b -> b.Ir_wld.Dist.count) bins;
+  }
+
+let bunch_records (c : Ir_wld.Coarsen.bunches) =
+  Array.map2
+    (fun length count -> { Ir_wld.Dist.length; count })
+    c.Ir_wld.Coarsen.lengths c.Ir_wld.Coarsen.counts
+
+(* [Problem.of_bunches] over records. *)
+let of_bunches ?target_model ?noise_limit ?activity ?power_budget ~arch
+    ~bunches () =
+  Ir_assign.Problem.of_bunches ?target_model ?noise_limit ?activity
+    ?power_budget ~arch ~bunches:(bunch_columns bunches) ()
+
 (* ---- Random rank instances ------------------------------------------- *)
 
 (* A synthetic stack with geometry drawn from sensible ranges; the global
@@ -84,7 +105,7 @@ let gen_instance_of ~pairs =
          (fun l -> { Ir_wld.Dist.length = Ir_phys.Units.mm l; count = 1 })
          sorted)
   in
-  let problem = Ir_assign.Problem.of_bunches ~arch ~bunches () in
+  let problem = of_bunches ~arch ~bunches () in
   let label =
     Printf.sprintf "n=%d m=%d gates=%d clock=%.2fGHz frac=%.2f" n m_total
       gates clock_ghz fraction

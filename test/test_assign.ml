@@ -19,7 +19,7 @@ let fixed_instance ?(clock = 5e8) ?(fraction = 0.4) ?(gates = 5_000) () =
     Array.of_list
       (List.map (fun l -> { Ir_wld.Dist.length = l; count = 1 }) lengths)
   in
-  P.of_bunches ~arch ~bunches ()
+  of_bunches ~arch ~bunches ()
 
 let test_problem_dimensions () =
   let p = fixed_instance () in
@@ -92,7 +92,7 @@ let test_problem_validation () =
     (Invalid_argument "Problem: bunches must be sorted by non-increasing length")
     (fun () ->
       ignore
-        (P.of_bunches ~arch
+        (of_bunches ~arch
            ~bunches:
              [|
                { Ir_wld.Dist.length = 1.0e-5; count = 1 };
@@ -100,7 +100,7 @@ let test_problem_validation () =
              |]
            ()));
   Alcotest.check_raises "empty" (Invalid_argument "Problem: empty instance")
-    (fun () -> ignore (P.of_bunches ~arch ~bunches:[||] ()))
+    (fun () -> ignore (of_bunches ~arch ~bunches:[||] ()))
 
 (* An infinite length used to pass the [length > 0] test: its routing
    area was infinite, [interval_area] returned inf - inf = NaN, and the
@@ -112,7 +112,7 @@ let test_problem_infinite_length () =
   Alcotest.check_raises "of_bunches"
     (Invalid_argument "Problem: infinite bunch length") (fun () ->
       ignore
-        (P.of_bunches ~arch
+        (of_bunches ~arch
            ~bunches:
              [|
                { Ir_wld.Dist.length = infinity; count = 1 };
@@ -139,7 +139,7 @@ let test_problem_area_overflow () =
   Alcotest.check_raises "of_bunches"
     (Invalid_argument "Problem: total routing area overflows") (fun () ->
       ignore
-        (P.of_bunches ~arch
+        (of_bunches ~arch
            ~bunches:
              [|
                { Ir_wld.Dist.length = 1e308; count = 1_000_000_000 };
@@ -248,7 +248,7 @@ let rebuild_like problem ~clock ~fraction =
         { Ir_wld.Dist.length = P.bunch_length problem b;
           count = P.bunch_count problem b })
   in
-  P.of_bunches ~arch ~bunches ()
+  of_bunches ~arch ~bunches ()
 
 let check_problems_agree label a b =
   Alcotest.(check int) (label ^ ": bunches") (P.n_bunches a) (P.n_bunches b);
@@ -519,7 +519,7 @@ let gen_multiwire_instance =
   in
   return
     {
-      problem = P.of_bunches ~arch:(P.arch problem) ~bunches ();
+      problem = of_bunches ~arch:(P.arch problem) ~bunches ();
       label =
         Printf.sprintf "%s counts=[%s]" label
           (String.concat ";" (Array.to_list (Array.map string_of_int counts)));
@@ -752,7 +752,7 @@ let gen_screen_case =
       (if short then " short" else "")
       (String.concat ";" (Array.to_list (Array.map string_of_int counts)))
   in
-  let problem = P.of_bunches ~arch:(P.arch problem) ~bunches () in
+  let problem = of_bunches ~arch:(P.arch problem) ~bunches () in
   let* from_bunch = int_range 0 (n - 1) in
   let* wt = int_range 0 40 in
   let* rt = int_range 0 400 in
@@ -832,7 +832,7 @@ let test_top_screen_first_end () =
          (fun (f, count) -> { Ir_wld.Dist.length = f *. l; count })
          [ (0.5, 3); (0.4, 4); (0.3, 5) ])
   in
-  let p = P.of_bunches ~arch ~bunches () in
+  let p = of_bunches ~arch ~bunches () in
   let pair = Ir_ia.Arch.pair arch top_pair in
   let via = pair.Ir_ia.Layer_pair.via_area in
   let v = float_of_int arch.Ir_ia.Arch.vias_per_wire in
@@ -1048,6 +1048,31 @@ let test_problem_tables_byte_stable () =
         "a709c05bfc60d50e3f58e6f1f8d45e97" );
     ]
 
+(* [of_bunches] on [Coarsen.bunch]'s columns builds the instance [make]
+   builds from the WLD: the same digest, at several bunch sizes and with
+   a noise limit and a non-linear target model. *)
+let test_of_bunches_matches_make () =
+  List.iter
+    (fun (node, gates, bunch_size, target_model, noise_limit) ->
+      let design = Ir_core.Rank.baseline_design ~gates node in
+      let arch = Ir_ia.Arch.make ~design () in
+      let wld = Ir_wld.Davis.generate (Ir_wld.Davis.params ~gates ()) in
+      let pitch = Ir_tech.Design.effective_gate_pitch design in
+      let made =
+        P.make ~target_model ?noise_limit ~bunch_size ~arch ~wld ()
+      and built =
+        P.of_bunches ~target_model ?noise_limit ~arch
+          ~bunches:(Ir_wld.Coarsen.bunch ~bunch_size ~pitch wld) ()
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%d gates, bunch size %d" gates bunch_size)
+        (problem_digest made) (problem_digest built))
+    [
+      (Ir_tech.Node.N130, 40_000, 500, Ir_delay.Target.Linear, None);
+      (Ir_tech.Node.N90, 200_000, 37, Quadratic_blend { weight = 0.5 }, None);
+      (Ir_tech.Node.N180, 100_000, 10_000, Affine { floor = 1e-10 }, Some 0.2);
+    ]
+
 (* [Model.repeaters_needed] as it was before its eta-independent terms
    were hoisted: every probe of the search is a full [wire_delay]. *)
 let reference_repeaters_needed ?(eta_cap = 1_000_000) dev line ~s ~target l =
@@ -1100,6 +1125,286 @@ let prop_repeaters_needed_matches_reference =
            target s
            (Option.fold ~none:"None" ~some:string_of_int got)
            (Option.fold ~none:"None" ~some:string_of_int want))
+
+(* Set-up from bunches to repeater tables as it was written before the
+   per-pair Eq. (3) kernel: the targets by [Target.delay]'s formula per
+   bunch, and per pair and bunch a [repeaters_needed] that computes every
+   factor of Eq. (3) from the device and the line ([terms], [delay_at] and
+   [round_eta] spelled out), then the area/count/infeasibility prefixes.
+   No verdict is shared between bunches. *)
+module Plain_setup = struct
+  let target (model : Ir_delay.Target.t) ~clock ~l_max l =
+    let period = 1.0 /. clock in
+    let x = Float.min 1.0 (l /. l_max) in
+    match model with
+    | Linear -> x *. period
+    | Affine { floor } -> floor +. (x *. (period -. floor))
+    | Quadratic_blend { weight } ->
+        period *. (((1.0 -. weight) *. x) +. (weight *. x *. x))
+
+  let stage (dev : Ir_tech.Device.t) = 0.7 *. dev.r_o *. (dev.c_o +. dev.c_p)
+
+  let delay_1 (dev : Ir_tech.Device.t) (line : Ir_delay.Model.line) ~s l =
+    let pm =
+      0.7
+      *. ((line.c_per_m *. dev.r_o /. s) +. (line.r_per_m *. dev.c_o *. s))
+      *. l
+    in
+    let q = 0.4 *. line.r_per_m *. line.c_per_m *. l *. l in
+    (stage dev *. 1.0) +. pm +. (q /. 1.0)
+
+  let repeaters_needed ?(eta_cap = 1_000_000) (dev : Ir_tech.Device.t)
+      (line : Ir_delay.Model.line) ~s ~target l =
+    let si = stage dev in
+    let pm =
+      0.7
+      *. ((line.c_per_m *. dev.r_o /. s) +. (line.r_per_m *. dev.c_o *. s))
+      *. l
+    in
+    let q = 0.4 *. line.r_per_m *. line.c_per_m *. l *. l in
+    let delay eta =
+      let e = float_of_int eta in
+      (si *. e) +. pm +. (q /. e)
+    in
+    if delay 1 <= target then Some 1
+    else
+      let cont =
+        l *. sqrt (0.4 *. line.r_per_m *. line.c_per_m /. si)
+      in
+      let lo = max 1 (int_of_float (Float.floor cont)) in
+      let eta_best = if delay lo <= delay (lo + 1) then lo else lo + 1 in
+      if eta_best > eta_cap || delay (min eta_best eta_cap) > target then None
+      else
+        let rec search lo hi =
+          if hi - lo <= 1 then hi
+          else
+            let mid = lo + ((hi - lo) / 2) in
+            if delay mid <= target then search lo mid else search mid hi
+        in
+        Some (search 1 eta_best)
+
+  (* The first difference between [p]'s targets and tables and the plain
+     ones for [lengths]/[counts] under [model] and [noise_limit]. *)
+  let mismatch p ~model ~noise_limit ~lengths ~counts =
+    let arch = P.arch p in
+    let dev = arch.Ir_ia.Arch.device in
+    let clock = arch.Ir_ia.Arch.design.Ir_tech.Design.clock in
+    let mats = arch.Ir_ia.Arch.materials in
+    let n = Array.length lengths in
+    let bits = Int64.bits_of_float in
+    let targets =
+      Array.map (target model ~clock ~l_max:lengths.(0)) lengths
+    in
+    let bad = ref None in
+    let fail fmt = Printf.ksprintf (fun m -> if !bad = None then bad := Some m) fmt in
+    Array.iteri
+      (fun b t ->
+        if bits (P.target p b) <> bits t then
+          fail "bunch %d: target %h, plain %h" b (P.target p b) t)
+      targets;
+    for j = 0 to P.n_pairs p - 1 do
+      let pr = Ir_ia.Arch.pair arch j in
+      let noisy =
+        match noise_limit with
+        | None -> false
+        | Some limit ->
+            not
+              (Ir_rc.Noise.passes ~k:mats.Ir_ia.Materials.k
+                 ~miller:mats.Ir_ia.Materials.miller ~limit
+                 pr.Ir_ia.Layer_pair.geom)
+      in
+      let area = ref 0.0 and count = ref 0 and infeasible = ref 0 in
+      for b = 0 to n do
+        if P.meeting_feasible p ~pair:j ~lo:0 ~hi:b <> (!infeasible = 0) then
+          fail "pair %d prefix %d: feasibility" j b
+        else if
+          !infeasible = 0
+          && (bits (P.meeting_area p ~pair:j ~lo:0 ~hi:b) <> bits !area
+             || P.meeting_count p ~pair:j ~lo:0 ~hi:b <> !count)
+        then
+          fail "pair %d prefix %d: area %h count %d, plain %h %d" j b
+            (P.meeting_area p ~pair:j ~lo:0 ~hi:b)
+            (P.meeting_count p ~pair:j ~lo:0 ~hi:b)
+            !area !count;
+        if b < n then begin
+          let e =
+            if noisy then None
+            else
+              repeaters_needed dev pr.Ir_ia.Layer_pair.line
+                ~s:pr.Ir_ia.Layer_pair.s_opt ~target:targets.(b) lengths.(b)
+          in
+          if P.eta_min p ~pair:j ~bunch:b <> e then
+            fail "pair %d bunch %d (l %h, target %h): eta_min %s, plain %s" j
+              b lengths.(b) targets.(b)
+              (Option.fold ~none:"None" ~some:string_of_int
+                 (P.eta_min p ~pair:j ~bunch:b))
+              (Option.fold ~none:"None" ~some:string_of_int e);
+          match e with
+          | Some e ->
+              area :=
+                !area
+                +. (float_of_int counts.(b) *. float_of_int e
+                   *. pr.Ir_ia.Layer_pair.repeater_area);
+              count := !count + (counts.(b) * e)
+          | None -> incr infeasible
+        end
+      done
+    done;
+    !bad
+end
+
+(* [Problem]'s targets, repeater tables and [eta_min] = [Plain_setup], bit
+   for bit, through [of_bunches], [with_clock] and [with_materials]: random
+   stacks and materials, all three target models, noise limits that fail
+   some pairs, runs of equal-length bunches (a split bin's verdict is
+   shared), a clock that puts the longest bunch's target exactly on its
+   one-repeater delay [D(1)] on one pair (the verdict then turns on
+   [D(1)]'s last bit), and a bunch whose optimal count sits at the
+   default [eta_cap] of 1,000,000. *)
+type kernel_case = {
+  kc_edge : [ `Plain | `Tie | `Cap ];
+  kc_label : string;
+  kc_problems : (string * P.t) list;
+  kc_model : Ir_delay.Target.t;
+  kc_noise : float option;
+  kc_lengths : float array;
+  kc_counts : int array;
+}
+
+let gen_kernel_case =
+  let open QCheck2.Gen in
+  let* stack = Helpers.gen_stack in
+  let* m_total = int_range 1 4 in
+  let* k = float_range 2.0 4.0 in
+  let* miller = float_range 1.0 2.0 in
+  let* kc_noise = oneof [ return None; map Option.some (float_range 0.05 0.6) ] in
+  let* kc_edge = oneofl [ `Plain; `Tie; `Cap ] in
+  let* model_kind = int_range 0 2 in
+  let* param = float_range 0.0 0.9 in
+  let* clock_ghz = float_range 0.2 4.0 in
+  let* edge_pair = int_range 0 3 in
+  let* cap_delta = oneofl [ -1.0; -0.5; 0.0; 0.5; 1.0; 1.5; 2.0 ] in
+  let* runs =
+    list_size (int_range 1 8)
+      (pair (float_range 0.0 1.0) (list_size (int_range 1 3) (int_range 1 40)))
+  in
+  let clock = if kc_edge = `Cap then 1e2 else clock_ghz *. 1e9 in
+  let kc_model : Ir_delay.Target.t =
+    match (kc_edge, model_kind) with
+    | `Tie, _ | _, 0 -> Linear
+    | _, 1 -> Affine { floor = param /. clock }
+    | _ -> Quadratic_blend { weight = param /. 0.9 }
+  in
+  let node = Ir_tech.Node.Custom { name = "qcheck"; feature = 130e-9 } in
+  let design = Ir_tech.Design.v ~node ~gates:640 ~clock () in
+  let structure =
+    match m_total with
+    | 1 -> { Ir_ia.Arch.local_pairs = 0; semi_global_pairs = 1; global_pairs = 0 }
+    | 2 -> { Ir_ia.Arch.local_pairs = 0; semi_global_pairs = 1; global_pairs = 1 }
+    | 3 -> { Ir_ia.Arch.local_pairs = 1; semi_global_pairs = 1; global_pairs = 1 }
+    | _ -> { Ir_ia.Arch.local_pairs = 1; semi_global_pairs = 2; global_pairs = 1 }
+  in
+  let materials = Ir_ia.Materials.v ~k ~miller () in
+  let arch = Ir_ia.Arch.make ~structure ~stack ~materials ~design () in
+  let edge_pr = Ir_ia.Arch.pair arch (edge_pair mod m_total) in
+  let dev = arch.Ir_ia.Arch.device and line = edge_pr.Ir_ia.Layer_pair.line in
+  let bunches =
+    List.concat_map
+      (fun (u, counts) ->
+        (* log-uniform over [1 um, 2 cm] *)
+        let l = exp (log 1e-6 +. (u *. (log 2e-2 -. log 1e-6))) in
+        List.map (fun c -> (l, c)) counts)
+      runs
+  in
+  let bunches =
+    if kc_edge = `Cap then
+      let root =
+        sqrt (0.4 *. line.r_per_m *. line.c_per_m /. Plain_setup.stage dev)
+      in
+      ((1e6 +. cap_delta) /. root, 1) :: bunches
+    else bunches
+  in
+  let bunches =
+    Array.of_list (List.stable_sort (fun (a, _) (b, _) -> Float.compare b a) bunches)
+  in
+  let kc_lengths = Array.map fst bunches and kc_counts = Array.map snd bunches in
+  let base =
+    P.of_bunches ~target_model:kc_model ?noise_limit:kc_noise ~arch
+      ~bunches:{ Ir_wld.Coarsen.lengths = kc_lengths; counts = kc_counts } ()
+  in
+  (* The clock whose period is [D(1)] of the longest bunch on the edge
+     pair, if one within a few ulps of 1 / D(1) gives it exactly. *)
+  let tied =
+    if kc_edge <> `Tie then []
+    else
+      let d1 =
+        Plain_setup.delay_1 dev line ~s:edge_pr.Ir_ia.Layer_pair.s_opt
+          kc_lengths.(0)
+      in
+      let c0 = 1.0 /. d1 in
+      match
+        List.find_opt
+          (fun c -> 1.0 /. c = d1)
+          [ c0; Float.succ c0; Float.pred c0; Float.succ (Float.succ c0);
+            Float.pred (Float.pred c0) ]
+      with
+      | Some c -> [ ("with_clock at D(1)", P.with_clock base c) ]
+      | None -> []
+  in
+  let rebound =
+    P.with_materials base (Ir_ia.Materials.v ~k:(k *. 0.9) ~miller ())
+  in
+  return
+    {
+      kc_edge;
+      kc_label =
+        Printf.sprintf "%d pairs, %d bunches, model %s, noise %s"
+          m_total (Array.length kc_lengths)
+          (Ir_delay.Target.show kc_model)
+          (Option.fold ~none:"none" ~some:string_of_float kc_noise);
+      kc_problems = [ ("of_bunches", base); ("with_materials", rebound) ] @ tied;
+      kc_model;
+      kc_noise;
+      kc_lengths;
+      kc_counts;
+    }
+
+(* Also fails if no case put a target exactly on [D(1)], or none reached
+   a bunch whose verdict the cap decides. *)
+let test_repeater_tables_match_plain () =
+  let ties = ref 0 and caps = ref 0 in
+  QCheck2.Test.check_exn ~rand:(QCheck_base_runner.random_state ())
+    (QCheck2.Test.make ~count:300
+       ~name:"repeater tables = the plain per-bunch loop, bit for bit"
+       gen_kernel_case (fun c ->
+         List.iter
+           (fun (path, p) ->
+             if path = "with_clock at D(1)" then incr ties;
+             if c.kc_edge = `Cap then begin
+               let arch = P.arch p in
+               let needed eta_cap =
+                 List.init (P.n_pairs p) (fun j ->
+                     let pr = Ir_ia.Arch.pair arch j in
+                     Plain_setup.repeaters_needed ~eta_cap
+                       arch.Ir_ia.Arch.device pr.Ir_ia.Layer_pair.line
+                       ~s:pr.Ir_ia.Layer_pair.s_opt ~target:(P.target p 0)
+                       c.kc_lengths.(0))
+               in
+               if needed 1_000_000 <> needed max_int then incr caps
+             end)
+           c.kc_problems;
+         List.for_all
+           (fun (path, p) ->
+             match
+               Plain_setup.mismatch p ~model:c.kc_model ~noise_limit:c.kc_noise
+                 ~lengths:c.kc_lengths ~counts:c.kc_counts
+             with
+             | None -> true
+             | Some m ->
+                 QCheck2.Test.fail_reportf "%s (%s): %s" path c.kc_label m)
+           c.kc_problems));
+  if !ties = 0 then Alcotest.fail "no case put a target on D(1)";
+  if !caps = 0 then Alcotest.fail "no case reached the eta_cap edge"
 
 (* Split bunches of one bin share a repeater verdict: every bunch's
    [eta_min] is the verdict computed for it alone. *)
@@ -1212,7 +1517,7 @@ let prop_blocked_matches_arch =
         }
       in
       let p =
-        P.of_bunches ~arch
+        of_bunches ~arch
           ~bunches:
             (Array.init (P.n_bunches problem) (fun b ->
                  {
@@ -1269,8 +1574,13 @@ let () =
             test_problem_area_overflow;
           Alcotest.test_case "problem tables are byte-stable" `Quick
             test_problem_tables_byte_stable;
+          Alcotest.test_case "of_bunches = make on the same bunches" `Quick
+            test_of_bunches_matches_make;
           prop_meeting_cost_additive;
           prop_repeaters_needed_matches_reference;
+          Alcotest.test_case
+            "repeater tables = the plain per-bunch loop, bit for bit" `Quick
+            test_repeater_tables_match_plain;
           prop_split_bunch_verdicts;
           Alcotest.test_case "power tables" `Quick test_power_tables;
           prop_power_cap_exact;

@@ -49,7 +49,7 @@ let test_dp_all_meet () =
     Array.init 5 (fun i ->
         { Ir_wld.Dist.length = 1e-4 /. float_of_int (i + 1); count = 2 })
   in
-  let p = P.of_bunches ~arch ~bunches () in
+  let p = of_bunches ~arch ~bunches () in
   let o = compute p in
   Alcotest.(check int) "all 10 wires meet" 10 o.rank_wires;
   Alcotest.(check bool) "assignable" true o.assignable
@@ -64,7 +64,7 @@ let test_dp_zero_budget () =
   in
   let arch = Ir_ia.Arch.make ~design () in
   let bunches = [| { Ir_wld.Dist.length = 3e-3; count = 4 } |] in
-  let p = P.of_bunches ~arch ~bunches () in
+  let p = of_bunches ~arch ~bunches () in
   let o = compute p in
   Alcotest.(check bool) "assignable" true o.assignable;
   Alcotest.(check int) "rank 0 without budget" 0 o.rank_wires
@@ -73,7 +73,7 @@ let test_dp_unassignable () =
   let design = Ir_tech.Design.v ~node:Ir_tech.Node.N130 ~gates:100 () in
   let arch = Ir_ia.Arch.make ~design () in
   let bunches = [| { Ir_wld.Dist.length = 1e-2; count = 1000 } |] in
-  let p = P.of_bunches ~arch ~bunches () in
+  let p = of_bunches ~arch ~bunches () in
   let o = compute p in
   Alcotest.(check bool) "not assignable" false o.assignable;
   Alcotest.(check int) "rank 0 (Definition 3)" 0 o.rank_wires
@@ -110,7 +110,7 @@ let test_exact_dp_smoke () =
     Array.init 4 (fun i ->
         { Ir_wld.Dist.length = 1e-4 /. float_of_int (i + 1); count = 1 })
   in
-  let p = P.of_bunches ~arch ~bunches () in
+  let p = of_bunches ~arch ~bunches () in
   let o = Ir_core.Rank_exact.compute ~r_steps:8 p in
   Alcotest.(check int) "all meet" 4 o.rank_wires
 
@@ -260,7 +260,7 @@ let prop_rank_monotone_in_budget =
               { Ir_wld.Dist.length = P.bunch_length problem b;
                 count = P.bunch_count problem b })
         in
-        let p2 = P.of_bunches ~arch:richer ~bunches () in
+        let p2 = of_bunches ~arch:richer ~bunches () in
         let r1 = (compute problem).rank_wires in
         let r2 = (compute p2).rank_wires in
         if r2 < r1 then
@@ -280,7 +280,7 @@ let prop_rank_monotone_in_k =
             { Ir_wld.Dist.length = P.bunch_length problem b;
               count = P.bunch_count problem b })
       in
-      let p2 = P.of_bunches ~arch:low_k ~bunches () in
+      let p2 = of_bunches ~arch:low_k ~bunches () in
       let r1 = (compute problem).rank_wires in
       let r2 = (compute p2).rank_wires in
       if r2 < r1 then
@@ -362,7 +362,7 @@ let adversarial_problem_on ~semi_global_pairs ~local ~semi ~global ~gates
          (fun l c -> { Ir_wld.Dist.length = Ir_phys.Units.mm l; count = c })
          sorted counts)
   in
-  P.of_bunches ~arch ~bunches ()
+  of_bunches ~arch ~bunches ()
 
 let adversarial_problem = adversarial_problem_on ~semi_global_pairs:1
 
@@ -876,7 +876,7 @@ let at_capacity problem cap =
     { arch with Ir_ia.Arch.die_area = cap /. 2.0; utilization = 1.0 }
   in
   let p =
-    P.of_bunches ~arch
+    of_bunches ~arch
       ~bunches:
         (Array.init (P.n_bunches problem) (fun b ->
              {
@@ -2488,12 +2488,12 @@ let test_with_materials_equals_fresh () =
         { Ir_wld.Dist.length = 2e-3 /. float_of_int (i + 1); count = 3 })
   in
   let base =
-    P.of_bunches ~arch:(Ir_ia.Arch.make ~design ()) ~bunches ()
+    of_bunches ~arch:(Ir_ia.Arch.make ~design ()) ~bunches ()
   in
   let mats = Ir_ia.Materials.v ~k:2.2 ~miller:1.5 () in
   let derived = P.with_materials base mats in
   let fresh =
-    P.of_bunches
+    of_bunches
       ~arch:(Ir_ia.Arch.make ~materials:mats ~design ())
       ~bunches ()
   in
@@ -2546,13 +2546,13 @@ let hard_corpus () =
   in
   let design gates = Ir_tech.Design.v ~node:Ir_tech.Node.N130 ~gates () in
   let nofit =
-    P.of_bunches
+    of_bunches
       ~arch:(Ir_ia.Arch.make ~design:(design 100) ())
       ~bunches:[| { Ir_wld.Dist.length = 1e-2; count = 1000 } |]
       ()
   in
   let single =
-    P.of_bunches
+    of_bunches
       ~arch:(Ir_ia.Arch.make ~design:(design 100_000) ())
       ~bunches:[| { Ir_wld.Dist.length = 2e-3; count = 3 } |]
       ()

@@ -71,7 +71,7 @@ let test_single_pair_architecture () =
 let test_single_bunch_instance () =
   let arch = Ir_ia.Arch.make ~design () in
   let bunches = [| { Ir_wld.Dist.length = 1e-4; count = 3 } |] in
-  let p = P.of_bunches ~arch ~bunches () in
+  let p = of_bunches ~arch ~bunches () in
   let dp = Ir_core.Rank.compute p in
   let brute = Ir_core.Rank_brute.compute p in
   Alcotest.(check int) "dp = brute on a single bunch" brute.rank_wires

@@ -151,31 +151,75 @@ let test_dist_infinite_length () =
            (fun l -> l *. infinity)
            (Ir_wld.Dist.of_bins [ { Ir_wld.Dist.length = 1.0; count = 1 } ])))
 
-(* [of_array] keeps a canonical array as [of_bins] would build it and
+(* [of_columns] keeps canonical columns as [of_bins] would build them and
    refuses any other. *)
-let test_dist_of_array () =
+let test_dist_of_columns () =
   let b l c = { Ir_wld.Dist.length = l; count = c } in
+  let of_columns bins =
+    Ir_wld.Dist.of_columns
+      (Array.of_list (List.map (fun b -> b.Ir_wld.Dist.length) bins))
+      (Array.of_list (List.map (fun b -> b.Ir_wld.Dist.count) bins))
+  in
   let canonical = [ b 1.0 3; b 2.5 1; b 4.0 7 ] in
   Alcotest.(check bool) "canonical = of_bins" true
-    (Ir_wld.Dist.equal
-       (Ir_wld.Dist.of_array (Array.of_list canonical))
-       (Ir_wld.Dist.of_bins canonical));
+    (Ir_wld.Dist.equal (of_columns canonical) (Ir_wld.Dist.of_bins canonical));
   List.iter
     (fun (name, bins, msg) ->
       Alcotest.check_raises name (Invalid_argument msg) (fun () ->
-          ignore (Ir_wld.Dist.of_array (Array.of_list bins))))
+          ignore (of_columns bins)))
     [
       ("empty bin", [ b 1.0 3; b 2.0 0 ],
-       "Dist.of_array: bins must be non-empty and ascending");
+       "Dist.of_columns: bins must be non-empty and ascending");
       ("equal lengths", [ b 1.0 3; b 1.0 2 ],
-       "Dist.of_array: bins must be non-empty and ascending");
+       "Dist.of_columns: bins must be non-empty and ascending");
       ("descending", [ b 2.0 3; b 1.0 2 ],
-       "Dist.of_array: bins must be non-empty and ascending");
+       "Dist.of_columns: bins must be non-empty and ascending");
       ("negative count", [ b 1.0 (-1) ], "Dist.of_bins: negative count");
       ("NaN length", [ b nan 1 ], "Dist.of_bins: lengths must be > 0");
       ("infinite length", [ b 1.0 1; b infinity 1 ],
        "Dist.of_bins: lengths must be finite");
-    ]
+    ];
+  Alcotest.check_raises "columns of unequal size"
+    (Invalid_argument "Dist.of_columns: columns differ in length") (fun () ->
+      ignore (Ir_wld.Dist.of_columns [| 1.0; 2.0 |] [| 1 |]))
+
+(* The columns are invisible from outside: [bins] gives the records back,
+   [of_bins] of them is [equal] to the original, and [show] prints the
+   records and the total as it did when the bins were records. *)
+let test_dist_columns_round_trip () =
+  let d =
+    Ir_wld.Dist.of_bins
+      [
+        { Ir_wld.Dist.length = 2.5; count = 1 };
+        { Ir_wld.Dist.length = 1.0; count = 3 };
+      ]
+  in
+  let again = Ir_wld.Dist.of_bins (Array.to_list (Ir_wld.Dist.bins d)) in
+  Alcotest.(check bool) "of_bins (bins d) = d" true (Ir_wld.Dist.equal d again);
+  Alcotest.(check bool) "a count differs" false
+    (Ir_wld.Dist.equal d
+       (Ir_wld.Dist.of_bins [ { Ir_wld.Dist.length = 1.0; count = 4 } ]));
+  Alcotest.(check string) "show"
+    "{ Dist.bins =\n\
+    \  [|{ Dist.length = 1.; count = 3 }; { Dist.length = 2.5; count = 1 }|];\n\
+    \  total = 4 }"
+    (Ir_wld.Dist.show d);
+  Alcotest.(check string) "show, empty" "{ Dist.bins = [||]; total = 0 }"
+    (Ir_wld.Dist.show (Ir_wld.Dist.of_bins []));
+  Alcotest.(check string) "show of the copy" (Ir_wld.Dist.show d)
+    (Ir_wld.Dist.show again);
+  let p = Ir_wld.Davis.params ~gates:5_000 () in
+  let g = Ir_wld.Davis.generate p in
+  Alcotest.(check bool) "generated: of_bins (bins d) = d" true
+    (Ir_wld.Dist.equal g
+       (Ir_wld.Dist.of_bins (Array.to_list (Ir_wld.Dist.bins g))));
+  Array.iteri
+    (fun i (bin : Ir_wld.Dist.bin) ->
+      if
+        Ir_wld.Dist.bin_length g i <> bin.length
+        || Ir_wld.Dist.bin_count g i <> bin.count
+      then Alcotest.failf "bin %d: accessors differ from bins" i)
+    (Ir_wld.Dist.bins g)
 
 let test_bunching () =
   let d =
@@ -185,7 +229,7 @@ let test_bunching () =
         { Ir_wld.Dist.length = 5.0; count = 35 };
       ]
   in
-  let bunches = Ir_wld.Coarsen.bunch ~bunch_size:40 ~pitch:1.0 d in
+  let bunches = bunch_records @@ Ir_wld.Coarsen.bunch ~bunch_size:40 ~pitch:1.0 d in
   (* 100 -> 20+40+40 (the partial bunch first), 35 -> 35.  The order
      within a bin reaches the DP's boundary indices, so it is pinned. *)
   Alcotest.(check (list int)) "bunch counts in order" [ 20; 40; 40; 35 ]
@@ -215,7 +259,7 @@ let test_bunching () =
     (Array.to_list
        (Array.map
           (fun b -> b.Ir_wld.Dist.count)
-          (Ir_wld.Coarsen.bunch ~bunch_size:10_000 ~pitch:1.0 one_bin)))
+          (bunch_records @@ Ir_wld.Coarsen.bunch ~bunch_size:10_000 ~pitch:1.0 one_bin)))
 
 (* The bunch count is a ceiling computed without overflow: at a bunch
    size near [max_int], [(c + s - 1) / s] wraps negative. *)
@@ -232,7 +276,7 @@ let test_bunch_count_overflow () =
   Alcotest.(check int) "saturates" max_int
     (Ir_wld.Coarsen.bunch_count ~bunch_size:1 d);
   Alcotest.(check int) "max_int bunch size, built" 2
-    (Array.length (Ir_wld.Coarsen.bunch ~bunch_size:max_int ~pitch:1.0 d))
+    (Array.length (bunch_records @@ Ir_wld.Coarsen.bunch ~bunch_size:max_int ~pitch:1.0 d))
 
 let test_bunch_rejects_bad_pitch () =
   let d = Ir_wld.Dist.of_bins [ { Ir_wld.Dist.length = 2.0; count = 4 } ] in
@@ -241,7 +285,7 @@ let test_bunch_rejects_bad_pitch () =
       Alcotest.check_raises
         (Printf.sprintf "pitch %g" pitch)
         (Invalid_argument msg)
-        (fun () -> ignore (Ir_wld.Coarsen.bunch ~bunch_size:3 ~pitch d)))
+        (fun () -> ignore (bunch_records @@ Ir_wld.Coarsen.bunch ~bunch_size:3 ~pitch d)))
     [
       (0.0, "Dist.of_bins: lengths must be > 0");
       (-1.0, "Dist.of_bins: lengths must be > 0");
@@ -282,7 +326,7 @@ let prop_bunch_mass =
         List.map (fun (l, c) -> { Ir_wld.Dist.length = l; count = c }) raw
       in
       let d = Ir_wld.Dist.of_bins bins in
-      let bunches = Ir_wld.Coarsen.bunch ~bunch_size ~pitch:1.0 d in
+      let bunches = bunch_records @@ Ir_wld.Coarsen.bunch ~bunch_size ~pitch:1.0 d in
       Array.fold_left (fun a b -> a + b.Ir_wld.Dist.count) 0 bunches
       = Ir_wld.Dist.total d
       && Array.for_all (fun b -> b.Ir_wld.Dist.count <= bunch_size) bunches)
@@ -482,7 +526,7 @@ let prop_bunch_matches_reference =
            ])
         gen_collidable_dist)
     (fun (bunch_size, pitch, d) ->
-      let got = Ir_wld.Coarsen.bunch ~bunch_size ~pitch d in
+      let got = bunch_records @@ Ir_wld.Coarsen.bunch ~bunch_size ~pitch d in
       let want = Reference.bunch ~bunch_size ~pitch d in
       bins_bits got = bins_bits want
       || QCheck2.Test.fail_reportf "bunch_size %d pitch %h:\n%s\n%s" bunch_size
@@ -506,7 +550,7 @@ let test_bunch_scaled_collision () =
         { Ir_wld.Dist.length = Float.succ l; count = 4 };
       ]
   in
-  let got = Ir_wld.Coarsen.bunch ~bunch_size:5 ~pitch d in
+  let got = bunch_records @@ Ir_wld.Coarsen.bunch ~bunch_size:5 ~pitch d in
   Alcotest.(check (list int)) "one merged bin: 2 then 5" [ 2; 5 ]
     (Array.to_list (Array.map (fun b -> b.Ir_wld.Dist.count) got));
   Alcotest.(check string) "= reference"
@@ -735,8 +779,10 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_dist_basics;
           Alcotest.test_case "validation" `Quick test_dist_validation;
-          Alcotest.test_case "of_array takes canonical bins only" `Quick
-            test_dist_of_array;
+          Alcotest.test_case "of_columns takes canonical bins only" `Quick
+            test_dist_of_columns;
+          Alcotest.test_case "columns round trip: bins, equal, show" `Quick
+            test_dist_columns_round_trip;
           Alcotest.test_case "infinite lengths rejected" `Quick
             test_dist_infinite_length;
         ] );
